@@ -48,11 +48,7 @@ class RunConfig:
             raise ValueError("p must be an odd prime")
         if self.q == 0:
             self.q = self.p
-        q = self.q
-        while q > 1 and q % self.p == 0:
-            q //= self.p
-        if q != 1:
-            raise ValueError("q must be a power of p")
+        gf.degree(self.q, self.p)
         for fname in ("e", "n", "N", "M", "W", "wittlen", "jmax", "trials"):
             if getattr(self, fname) <= 0:
                 raise ValueError(f"{fname} must be positive")
@@ -79,8 +75,13 @@ def _result(name, value, exact=True, precision="exact", anchor=""):
             "precision": str(precision), "anchor": anchor}
 
 
-def _parse_matrix(text: str):
-    return [[int(x) for x in row.split(",")] for row in text.split(";")]
+def _parse_matrix(text: str, entry=int):
+    """The square matrix "a,b;c,d" with each entry read by entry; the
+    one check of every --matrix.  ValueError on any other shape."""
+    rows = [[entry(x) for x in row.split(",")] for row in text.split(";")]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"matrix {text!r} is not square")
+    return rows
 
 
 # --- subcommand handlers -> list of result dicts ---
@@ -202,7 +203,7 @@ def _cmd_series(args, cfg: RunConfig):
 
 def _cmd_phimod(args, cfg: RunConfig):
     p, q, M = cfg.p, cfg.q, cfg.M
-    ring = FFRing(gf.field(p, _flog(q, p))) if cfg.n == 1 else Zmod(p, cfg.n)
+    ring = FFRing(gf.field(p, gf.degree(q, p))) if cfg.n == 1 else Zmod(p, cfg.n)
     if args.op == "cyclotomic":
         E = _eisenstein(args, cfg)
         mod = phimod.cyclotomic_module(args.m, cfg.n, E, q=q, prec=M)
@@ -236,29 +237,23 @@ def _cmd_phimod(args, cfg: RunConfig):
 
 
 def _series_matrix(text, ring, M):
-    rows = []
-    for row in text.split(";"):
-        entries = []
-        for ent in row.split(","):
-            coeffs = [int(t) for t in ent.split(":")]
-            entries.append(TruncSeries(ring, dict(enumerate(coeffs)), M))
-        rows.append(entries)
-    return rows
+    """Entries are coefficient lists "c0:c1:...", low degree first."""
+    return _parse_matrix(text, lambda ent: TruncSeries(
+        ring, dict(enumerate(int(t) for t in ent.split(":"))), M))
 
 
-def _flog(q, p):
-    f = 0
-    while q > 1:
-        q //= p
-        f += 1
-    return max(f, 1)
+def _field_code(field, code: int):
+    if not 0 <= code < field.order:
+        raise ValueError(f"matrix entry {code} is not an F_{field.order} code")
+    return field.from_code(code)
 
 
 def _cmd_galois(args, cfg: RunConfig):
     p, q = cfg.p, cfg.q
-    ring = FFRing(gf.field(p, _flog(q, p)))
+    field = gf.field(p, gf.degree(q, p))
+    ring = FFRing(field)
     if args.op == "solve":
-        G = [[TruncSeries(ring, {0: ring.of_int(v)}, cfg.M) for v in row]
+        G = [[TruncSeries(ring, {0: _field_code(field, v)}, cfg.M) for v in row]
              for row in _parse_matrix(args.matrix)]
         S = galrep.solve_unit_root(G)
         act = galrep.frobenius_action(S)
@@ -269,7 +264,7 @@ def _cmd_galois(args, cfg: RunConfig):
             _result("charpoly", list(act.char_poly()), anchor="unramified-action"),
         ]
     if args.op == "rank1":
-        S = galrep.solve_rank1(args.a, args.c, gf.field(p, _flog(q, p)), prec=cfg.M)
+        S = galrep.solve_rank1(args.a, args.c, field, prec=cfg.M)
         return [
             _result("solutions", S.cardinality, anchor="rank1-solutions"),
             _result("tame-exponent", str(Fraction(args.a, p - 1)),

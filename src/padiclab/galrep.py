@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf, perfseries
 from .errors import ExtensionCapExceeded, Unsupported
-from .phimod import PhiModule
+from .phimod import PhiModule, perm_sign
 from .rings import FFRing
 from .series import TruncSeries
 
@@ -334,7 +334,7 @@ def charpoly_mod_p(A, p: int):
     from itertools import permutations
     acc = [0]
     for perm in permutations(range(d)):
-        sign = _sign(perm)
+        sign = perm_sign(perm)
         term = [1]
         for i in range(d):
             term = pmul(term, polys[i][perm[i]])
@@ -345,43 +345,15 @@ def charpoly_mod_p(A, p: int):
     return tuple(acc[:d + 1])
 
 
-def _sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def unramified_to_phimod(A, q: int, prec: int = 20) -> PhiModule:
     """Constant-matrix module whose solution set carries the unramified
     representation with arithmetic Frobenius A (over F_p)."""
-    p = _char_of(q)
-    f = 1
-    qq = q
-    while qq > p:
-        qq //= p
-        f += 1
-    ring = FFRing(gf.field(p, f))
+    p = min((k for k in range(2, q + 1) if q % k == 0), default=0)  # least prime factor
+    ring = FFRing(gf.field(p, gf.degree(q, p)))
     d = len(A)
     G = [[TruncSeries(ring, {0: ring.of_int(A[i][j])}, prec) for j in range(d)]
          for i in range(d)]
     return PhiModule(p, q, 1, G)
-
-
-def _char_of(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("q must be a prime power")
 
 
 # ---------------------------------------------------------------------------

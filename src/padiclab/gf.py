@@ -603,6 +603,19 @@ def prime_field(p: int) -> GF:
     return _cache[key]
 
 
+def degree(q: int, p: int) -> int:
+    """The f >= 1 with q = p^f; ValueError when q is not such a power."""
+    if p < 2 or q < p:
+        raise ValueError("q must be a power of p")
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    if q != 1:
+        raise ValueError("q must be a power of p")
+    return f
+
+
 def field(p: int, f: int = 1) -> GF:
     """F_{p^f}, flattened over the prime field (int arithmetic)."""
     if f == 1:

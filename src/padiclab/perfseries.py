@@ -19,11 +19,15 @@ from fractions import Fraction
 
 from . import witt
 from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
-from .gf import GF
+from .gf import GF, FFElt
+from .rings import OperatorRing
+from .series import SparseSeries
 
 
-class PerfSeries:
-    __slots__ = ("field", "D", "jmax", "coeffs", "prec")
+class PerfSeries(SparseSeries):
+    """Series over a finite field with exponents in (1/L) Z, L = D p^jmax."""
+
+    __slots__ = ("field", "D", "jmax")
 
     def __init__(self, field: GF, D: int, jmax: int, coeffs: dict, prec):
         self.field = field
@@ -43,6 +47,12 @@ class PerfSeries:
     def _like(self, coeffs, prec):
         return PerfSeries(self.field, self.D, self.jmax, coeffs, prec)
 
+    def _model(self):
+        return self.field, self.D, self.jmax
+
+    def _one(self, prec):
+        return one_like(self, prec)
+
     @property
     def p(self):
         return self.field.p
@@ -50,106 +60,18 @@ class PerfSeries:
     def lattice_den(self) -> int:
         return self.D * self.field.p ** self.jmax
 
-    # --- structure ---
-
-    def valuation(self):
-        if not self.coeffs:
-            return None
-        return min(self.coeffs)
-
-    def _veff(self):
-        v = self.valuation()
-        return self.prec if v is None else v
-
-    def leading(self):
-        v = self.valuation()
-        if v is None:
-            raise ValueError("zero series")
-        return v, self.coeffs[v]
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _compat(self, other):
-        if not isinstance(other, PerfSeries) or other.field is not self.field \
-                or (other.D, other.jmax) != (self.D, self.jmax):
-            raise ValueError("series from different models")
-
-    # --- arithmetic ---
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, self.field.zero) + c
-        return self._like(out, min(self.prec, other.prec))
-
-    def __neg__(self):
-        return self._like({e: -c for e, c in self.coeffs.items()}, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
+    # --- arithmetic: the shared kernel, with __mul__ and inverse bound
+    # here by name for perfbench's tracer ---
 
     def __mul__(self, other):
-        if not isinstance(other, PerfSeries):
-            return self.scale(other)
-        self._compat(other)
-        prec = min(self.prec + other._veff(), other.prec + self._veff())
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e >= prec:
-                    continue
-                t = c1 * c2
-                out[e] = out[e] + t if e in out else t
-        return self._like(out, prec)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = self.field.el(c)
-        return self._like({e: v * c for e, v in self.coeffs.items()}, self.prec)
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        k = Fraction(k)
-        return self._like({e + k: c for e, c in self.coeffs.items()}, self.prec + k)
-
-    def truncate(self, prec):
-        return self._like(self.coeffs, min(Fraction(prec), self.prec))
+        return SparseSeries.__mul__(self, other)
 
     def inverse(self):
-        v, lead = self.leading()
-        linv = lead.inverse()
-        w = self.shift(-v).scale(linv) - one_like(self, self.prec - v)
-        acc = one_like(self, self.prec - v)
-        term = acc
-        wv = w._veff()
-        if wv <= 0:
-            raise ValueError("not normalized")
-        k = 0
-        while k * wv < self.prec - v:
-            term = term * (-w)
-            acc = acc + term
-            k += 1
-        return acc.scale(linv).shift(-v).truncate(self.prec - 2 * v)
+        return self._field_inverse(FFElt.inverse)
 
     def __truediv__(self, other):
-        self._compat(other)
+        self._check(other)
         return self * other.inverse()
-
-    def __eq__(self, other):
-        if not isinstance(other, PerfSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = self.field.zero
-        return all(self.coeffs.get(e, z) == other.coeffs.get(e, z)
-                   for e in keys if e < prec)
-
-    def __hash__(self):
-        raise TypeError("precision-relative equality; not hashable")
 
     def __repr__(self):
         items = sorted(self.coeffs.items())[:5]
@@ -236,7 +158,7 @@ def monomial(field: GF, D: int, jmax: int, exp, coeff, prec) -> PerfSeries:
     return PerfSeries(field, D, jmax, {Fraction(exp): coeff}, prec)
 
 
-class PerfRing:
+class PerfRing(OperatorRing):
     """Coefficient-ring adapter so Witt vectors can run over PerfSeries."""
 
     char_p = True
@@ -252,34 +174,6 @@ class PerfRing:
 
     def of_int(self, k):
         return monomial(self.field, self.D, self.jmax, 0, self.field.el(k), self.prec)
-
-    def constant(self, c):
-        return monomial(self.field, self.D, self.jmax, 0, self.field.coerce(c), self.prec)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_unit(self, a):
-        v = a.valuation()
-        return v == 0
-
-    def inv(self, a):
-        return a.inverse()
 
     def frob(self, a):
         return a.pth_power()

@@ -46,10 +46,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_vec(A, v):
     return [sum_series([A[i][j] * v[j] for j in range(len(v))]) for i in range(len(A))]
 
@@ -77,7 +73,7 @@ def mat_det(A) -> TruncSeries:
     prec = min(a.prec for row in A for a in row)
     acc = TruncSeries.zero(ring, prec + sum(a._veff() for a in A[0]))
     for perm in permutations(range(d)):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         term = A[0][perm[0]]
         for i in range(1, d):
             term = term * A[i][perm[i]]
@@ -85,7 +81,8 @@ def mat_det(A) -> TruncSeries:
     return acc
 
 
-def _perm_sign(perm):
+def perm_sign(perm):
+    """The sign of a permutation given as a tuple of images."""
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):
@@ -131,8 +128,7 @@ class PhiModule:
         self.G = G
         self.E = eisenstein
         if n == 1:
-            f = _log_int(q, p)
-            self.ring = FFRing(gf.field(p, f))
+            self.ring = FFRing(gf.field(p, gf.degree(q, p)))
         else:
             if q != p:
                 raise Unsupported("torsion level n >= 2 implemented for q = p")
@@ -156,16 +152,6 @@ class PhiModule:
 
     def __repr__(self):
         return f"PhiModule(d={self.d}, n={self.n}, q={self.q})"
-
-
-def _log_int(q, p):
-    f = 0
-    while q > 1:
-        if q % p:
-            raise ValueError("q must be a power of p")
-        q //= p
-        f += 1
-    return max(f, 1)
 
 
 def is_etale(M: PhiModule) -> bool:
@@ -197,7 +183,7 @@ class PhiLattice:
         GL = mat_mul(mat_mul(binv, module.G), mat_frobenius(basis, module.p))
         for row in GL:
             for a in row:
-                me = a.min_exponent()
+                me = a.valuation()
                 if me is not None and me < 0:
                     raise ValueError("basis is not phi-stable: "
                                      f"lattice Frobenius has exponent {me}")
@@ -220,7 +206,7 @@ def stabilize_lattice(M: PhiModule) -> PhiLattice:
     vmin = 0
     for row in M.G:
         for a in row:
-            me = a.min_exponent()
+            me = a.valuation()
             if me is not None:
                 vmin = min(vmin, me)
     k = 0 if vmin >= 0 else (-vmin + M.p - 2) // (M.p - 1)
@@ -309,7 +295,7 @@ def _vector_integral(x) -> bool:
     for xi in x:
         if xi.prec < 0:
             raise Indeterminate("precision exhausted before integrality was visible")
-        me = xi.min_exponent()
+        me = xi.valuation()
         if me is not None and me < 0:
             return False
     return True
@@ -378,7 +364,7 @@ def cyclotomic_module(m: int, n: int, E, q: int | None = None,
     p = E.p
     if q is None:
         q = p
-    ring = FFRing(gf.field(p, _log_int(q, p))) if n == 1 else Zmod(p, n)
+    ring = FFRing(gf.field(p, gf.degree(q, p))) if n == 1 else Zmod(p, n)
     if n > 1 and q != p:
         raise Unsupported("torsion level n >= 2 implemented for q = p")
     Eser = E.as_series(ring, prec)

@@ -78,10 +78,6 @@ class PLFunction:
         return self.vertices == other.vertices and self.final_slope == other.final_slope
 
 
-def identity_pl() -> PLFunction:
-    return PLFunction(((Fraction(0), Fraction(0)),), Fraction(1))
-
-
 # ---------------------------------------------------------------------------
 
 

@@ -1,13 +1,18 @@
 """Coefficient-ring adapters.
 
 Witt vectors and truncated series are generic over a small ring
-protocol: constants, arithmetic, equality, a coefficient Frobenius, and
-unit handling.  Four concrete rings cover the desk:
+protocol: constants (zero, one, of_int), arithmetic, equality, a
+coefficient Frobenius, inversion of units, and reduce, which maps a
+value to its canonical representative.
 
-  Zmod(p, n)   Z/p^n with plain int residues (this is W_n(F_p));
-  IntRing()    exact integers, the p-torsion-free ghost oracle;
-  QRing(p)     rationals with p-adic valuation bookkeeping;
-  FFRing(F)    a finite field from padiclab.gf.
+OperatorRing is the one adapter: its arithmetic is Python's operators,
+and reduce is the identity.  Zmod(p, n), Z/p^n with plain int residues
+(this is W_n(F_p)), overrides only its reductions mod p^n: reduce and
+the four operations, besides its constants, inverse and name.  The
+other adapters built on it are IntRing() (exact integers, the
+p-torsion-free ghost oracle), QRing(p) (rationals with p-adic valuation
+bookkeeping), FFRing(F) (a finite field from padiclab.gf) and, with
+series as coefficients, perfseries.PerfRing and series.TruncSeriesRing.
 """
 
 from __future__ import annotations
@@ -17,7 +22,46 @@ from fractions import Fraction
 from .gf import GF, FFElt
 
 
-class Zmod:
+class OperatorRing:
+    """Ring protocol over values with Python arithmetic operators.
+
+    reduce maps a value to its canonical representative, and a zero
+    test is the truth value of that.  Subclasses set zero, one and
+    char_p and define of_int; inv and frob default to a.inverse() and
+    reduce.
+    """
+
+    char_p = False
+
+    def reduce(self, a):
+        return a
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return not self.reduce(a)
+
+    def eq(self, a, b):
+        return self.reduce(a) == self.reduce(b)
+
+    def inv(self, a):
+        return a.inverse()
+
+    def frob(self, a):
+        return self.reduce(a)
+
+
+class Zmod(OperatorRing):
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
@@ -26,8 +70,8 @@ class Zmod:
         self.one = 1 % self.modulus
         self.char_p = (n == 1)
 
-    def of_int(self, k):
-        return k % self.modulus
+    def reduce(self, a):
+        return a % self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -41,24 +85,11 @@ class Zmod:
     def mul(self, a, b):
         return (a * b) % self.modulus
 
-    def is_zero(self, a):
-        return a % self.modulus == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.modulus == 0
-
-    def is_unit(self, a):
-        return a % self.p != 0
+    def of_int(self, k):
+        return k % self.modulus
 
     def inv(self, a):
         return pow(a, -1, self.modulus)
-
-    def frob(self, a):
-        # sigma on W(F_p) is the identity
-        return a % self.modulus
-
-    def reduce_ints(self, a):
-        return a % self.modulus
 
     def __repr__(self):
         return f"Z/{self.p}^{self.n}"
@@ -70,80 +101,36 @@ class Zmod:
         return hash(("Zmod", self.p, self.n))
 
 
-class IntRing:
+class IntRing(OperatorRing):
     """Exact integers; used as the torsion-free lift when checking Witt
     laws against ghost components."""
 
     zero = 0
     one = 1
-    char_p = False
 
     def of_int(self, k):
         return k
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_unit(self, a):
-        return a in (1, -1)
 
     def inv(self, a):
         if a in (1, -1):
             return a
         raise ZeroDivisionError(f"{a} is not a unit in Z")
 
-    def frob(self, a):
-        return a
-
     def __repr__(self):
         return "Z"
 
 
-class QRing:
-    """Rationals viewed inside Q_p: unit means p-adic valuation zero."""
+class QRing(OperatorRing):
+    """Rationals viewed inside Q_p."""
 
     zero = Fraction(0)
     one = Fraction(1)
-    char_p = False
 
     def __init__(self, p: int):
         self.p = p
 
     def of_int(self, k):
         return Fraction(k)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def vp(self, a: Fraction):
         if a == 0:
@@ -158,14 +145,8 @@ class QRing:
             v -= 1
         return v
 
-    def is_unit(self, a):
-        return a != 0 and self.vp(a) == 0
-
     def inv(self, a):
         return 1 / a
-
-    def frob(self, a):
-        return a
 
     def __repr__(self):
         return f"Q(p={self.p})"
@@ -177,7 +158,7 @@ class QRing:
         return hash(("QRing", self.p))
 
 
-class FFRing:
+class FFRing(OperatorRing):
     char_p = True
 
     def __init__(self, field: GF):
@@ -188,30 +169,6 @@ class FFRing:
 
     def of_int(self, k):
         return self.field.el(k)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return not a
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_unit(self, a):
-        return bool(a)
-
-    def inv(self, a):
-        return a.inverse()
 
     def frob(self, a: FFElt):
         return self.field.frob_p(a)

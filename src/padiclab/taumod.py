@@ -18,6 +18,7 @@ through a verified p-power order of tau_M at the truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,16 +28,21 @@ from .gf import GF
 from .gskel import GaloisElt
 from .padic import PadicInt
 from .rings import FFRing
-from .series import TruncSeries
+from .series import SparseSeries, TruncSeries
 
 
-class BivarSeries:
-    __slots__ = ("field", "wu", "weta", "coeffs", "prec")
+class BivarSeries(SparseSeries):
+    """Series in u and eta with exponents (i, j), j >= 0, truncated by
+    the weight i*wu + j*weta (both weights positive)."""
+
+    __slots__ = ("field", "wu", "weta")
 
     def __init__(self, field: GF, coeffs: dict, prec, wu=1, weta=1):
         self.field = field
         self.wu = Fraction(wu)
         self.weta = Fraction(weta)
+        if self.wu <= 0 or self.weta <= 0:
+            raise ValueError("weights must be positive")
         self.prec = Fraction(prec)
         clean = {}
         for (i, j), c in coeffs.items():
@@ -50,63 +56,41 @@ class BivarSeries:
     def _like(self, coeffs, prec):
         return BivarSeries(self.field, coeffs, prec, self.wu, self.weta)
 
+    def _model(self):
+        return self.field, self.wu, self.weta
+
     def weight(self, i, j):
         return i * self.wu + j * self.weta
 
-    def min_weight(self):
+    def valuation(self):
+        """Least weight of a term; None when zero at this precision."""
         if not self.coeffs:
             return None
         return min(self.weight(i, j) for i, j in self.coeffs)
 
-    def _veff(self):
-        w = self.min_weight()
-        return self.prec if w is None else w
+    def _codes(self, other, prec):
+        # Kronecker substitution u^i eta^j -> x^(W*B + j): W is the
+        # weight in units of 1/den, and B exceeds every eta-degree of
+        # the product, so codes add as exponents do and compare as
+        # weights do; i comes back from W because wu > 0
+        wu, weta = self.wu, self.weta
+        den = math.lcm(wu.denominator, weta.denominator)
+        a = wu.numerator * (den // wu.denominator)
+        b = weta.numerator * (den // weta.denominator)
+        B = 1 + sum(max((j for _, j in f.coeffs), default=0) for f in (self, other))
 
-    def is_zero(self):
-        return not self.coeffs
+        def code(f):
+            return {(i * a + j * b) * B + j: c for (i, j), c in f.coeffs.items()}
 
-    def _compat(self, other):
-        if not isinstance(other, BivarSeries) or other.field is not self.field \
-                or (other.wu, other.weta) != (self.wu, self.weta):
-            raise ValueError("bivariate series from different models")
+        def decode(k):
+            w, j = divmod(k, B)
+            return (w - j * b) // a, j
 
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, self.field.zero) + c
-        return self._like(out, min(self.prec, other.prec))
+        return code(self), code(other), math.ceil(prec * den) * B, decode
 
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()}, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
+    # the shared kernel, bound here by name for perfbench's tracer
     def __mul__(self, other):
-        if not isinstance(other, BivarSeries):
-            return self.scale(other)
-        self._compat(other)
-        prec = min(self.prec + other._veff(), other.prec + self._veff())
-        out: dict = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                if self.weight(*key) >= prec:
-                    continue
-                t = c1 * c2
-                out[key] = out[key] + t if key in out else t
-        return self._like(out, prec)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = self.field.el(c)
-        return self._like({k: v * c for k, v in self.coeffs.items()}, self.prec)
-
-    __rmul__ = __mul__
-
-    def truncate(self, prec):
-        return self._like(self.coeffs, min(Fraction(prec), self.prec))
+        return SparseSeries.__mul__(self, other)
 
     def frobenius(self):
         p = self.field.p
@@ -119,20 +103,8 @@ class BivarSeries:
             return None
         ring = FFRing(self.field)
         # one-variable precision: exponents i with i*wu < prec are tracked
-        prec_u = int(self.prec / self.wu) if self.wu else 10 ** 9
+        prec_u = int(self.prec / self.wu)
         return TruncSeries(ring, {i: c for (i, _), c in self.coeffs.items()}, prec_u)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivarSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = self.field.zero
-        return all(self.coeffs.get(k, z) == other.coeffs.get(k, z)
-                   for k in keys if self.weight(*k) < prec)
-
-    def __hash__(self):
-        raise TypeError("precision-relative equality; not hashable")
 
     def __repr__(self):
         items = sorted(self.coeffs.items())[:6]

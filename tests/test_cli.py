@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from padiclab.cli import main
 
 CMD = [sys.executable, "-m", "padiclab.cli"]
@@ -98,3 +100,26 @@ def test_series_solvev():
     doc = json.loads(r.stdout)
     assert doc["results"][0]["name"] == "residual-zero"
     assert doc["results"][0]["value"] == "True"
+
+
+def test_galois_solve_reads_fq_codes():
+    base = ["galois", "solve", "--p", "3", "--q", "9", "--M", "20", "--matrix"]
+    gen, one = run(base + ["4"]), run(base + ["1"])
+    assert gen.returncode == one.returncode == 0
+    assert gen.stdout != one.stdout
+    bad = run(base + ["9"])
+    assert bad.returncode == 2 and "input error" in bad.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["logm", "value", "--matrix", "4,1;0"],
+    ["logm", "rdc", "--matrix", "1,0;0"],
+    ["galois", "solve", "--matrix", "1,2;3"],
+    ["galois", "solve", "--matrix", ""],
+    ["phimod", "uheight", "--matrix", "1:1,0;0"],
+    ["phimod", "etale", "--constant", "--matrix", "1,x;0,1"],
+])
+def test_malformed_matrix_exit_2(args):
+    r = run(args)
+    assert r.returncode == 2
+    assert "input error" in r.stderr and "Traceback" not in r.stderr

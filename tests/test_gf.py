@@ -73,3 +73,10 @@ def test_fp_linear_algebra():
     assert ((M @ inv) % 3 == np.eye(2, dtype=int)).all()
     with pytest.raises(ZeroDivisionError):
         gf.fp_inverse(np.array([[1, 1], [2, 2]]), 3)
+
+
+def test_degree_of_prime_power():
+    assert [gf.degree(q, 3) for q in (3, 9, 27)] == [1, 2, 3]
+    for q, p in [(1, 3), (0, 3), (6, 3), (2, 3), (-3, 3), (4, 1)]:
+        with pytest.raises(ValueError):
+            gf.degree(q, p)
