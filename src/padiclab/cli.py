@@ -212,9 +212,10 @@ def _cmd_phimod(args, cfg: RunConfig):
             out.append(_result("uheight", phimod.u_height(phimod.PhiLattice(mod)),
                                anchor="cyclotomic-height"))
         return out
-    G = [[TruncSeries(ring, {0: ring.of_int(v)}, M) for v in row]
+    coeff = _coeff_reader(ring)
+    G = [[TruncSeries(ring, {0: coeff(v)}, M) for v in row]
          for row in _parse_matrix(args.matrix)] if args.constant else \
-        _series_matrix(args.matrix, ring, M)
+        _series_matrix(args.matrix, coeff, ring, M)
     mod = phimod.PhiModule(p, q, cfg.n, G)
     if args.op == "etale":
         return [_result("etale", phimod.is_etale(mod), anchor="etale-test")]
@@ -222,7 +223,7 @@ def _cmd_phimod(args, cfg: RunConfig):
         h = phimod.u_height(phimod.PhiLattice(mod))
         return [_result("uheight", h, anchor="uheight")]
     if args.op == "heightdiv":
-        U = TruncSeries(ring, dict(enumerate(_ints(args.U))), M)
+        U = TruncSeries(ring, {e: coeff(c) for e, c in enumerate(_ints(args.U))}, M)
         try:
             r = phimod.height_divides(mod, U)
             return [_result("height-divides", r, anchor="height-divides")]
@@ -236,10 +237,18 @@ def _cmd_phimod(args, cfg: RunConfig):
     raise ValueError(f"unknown phimod op {args.op}")
 
 
-def _series_matrix(text, ring, M):
+def _series_matrix(text, coeff, ring, M):
     """Entries are coefficient lists "c0:c1:...", low degree first."""
     return _parse_matrix(text, lambda ent: TruncSeries(
-        ring, dict(enumerate(int(t) for t in ent.split(":"))), M))
+        ring, {e: coeff(int(t)) for e, t in enumerate(ent.split(":"))}, M))
+
+
+def _coeff_reader(ring):
+    """How phimod reads an integer coefficient: an F_q code at n = 1,
+    a residue mod p^n at n >= 2."""
+    if isinstance(ring, FFRing):
+        return lambda code: _field_code(ring.field, code)
+    return ring.of_int
 
 
 def _field_code(field, code: int):
@@ -399,10 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phimod", parents=[shared])
     sp.add_argument("op", choices=["etale", "uheight", "heightdiv", "stabilize",
                                    "cyclotomic"])
-    sp.add_argument("--matrix", default="1")
+    sp.add_argument("--matrix", default="1",
+                    help="series entries c0:c1:...; coefficients are F_q codes "
+                         "at n = 1, residues mod p^n at n >= 2")
     sp.add_argument("--constant", action="store_true",
                     help="matrix entries are constants, not series")
-    sp.add_argument("--U", default="1", help="coefficients of U for heightdiv")
+    sp.add_argument("--U", default="1", help="coefficients of U for heightdiv, "
+                                             "read as --matrix coefficients")
     sp.add_argument("--m", type=int, default=1, help="cyclotomic twist")
     sp.add_argument("--E", default="")
     sp.set_defaults(func=_cmd_phimod)

@@ -20,9 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from . import gf, perfseries
+from . import gf, matrix, perfseries
 from .errors import ExtensionCapExceeded, Unsupported
-from .phimod import PhiModule, perm_sign
+from .phimod import PhiModule
 from .rings import FFRing
 from .series import TruncSeries
 
@@ -30,32 +30,17 @@ _ENUM_LIMIT = 200_000
 _ENUM_SOLVE_CAP = 20_000
 
 
-# --- small dense linear algebra over a GF field ---
+# --- small dense linear algebra over a GF field: padiclab.matrix, named
+# here for perfbench's tracer ---
 
 
 def ff_vec_mat(v, A):
-    fld = A[0][0].field
-    return [sum((v[i] * A[i][j] for i in range(len(v))), start=fld.zero)
-            for j in range(len(A[0]))]
+    return matrix.vec_mat(v, A)
 
 
 def ff_mat_inv(A):
     fld = A[0][0].field
-    d = len(A)
-    work = [list(row) + [fld.one if i == j else fld.zero for j in range(d)]
-            for i, row in enumerate(A)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if work[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix not invertible")
-        work[c], work[piv] = work[piv], work[c]
-        inv = work[c][c].inverse()
-        work[c] = [x * inv for x in work[c]]
-        for r in range(d):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return [row[d:] for row in work]
+    return matrix.inverse(A, fld.one, fld.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +108,11 @@ def _residue_solutions_enum(G0, ext, p):
     d = len(G0)
     if ext.order ** d > _ENUM_LIMIT:
         raise Unsupported("enumeration domain too large")
-    G0e = [[ext.coerce(a) for a in row] for row in G0]
+    cols = list(zip(*[[ext.coerce(a) for a in row] for row in G0]))
     sols = []
     for codes in product(range(ext.order), repeat=d):
         x = [ext.from_code(c) for c in codes]
-        if all(x[j] ** p == sum((x[i] * G0e[i][j] for i in range(d)), start=ext.zero)
-               for j in range(d)):
+        if all(xj ** p == matrix.dot(x, col) for xj, col in zip(x, cols)):
             sols.append(x)
     return sols
 
@@ -251,13 +235,8 @@ def _verify_solution(G, sol, ext):
     ring = FFRing(ext)
     Ge = [[TruncSeries(ring, {e: ext.coerce(c) for e, c in a.coeffs.items()}, a.prec)
            for a in row] for row in G]
-    d = len(G)
-    for j in range(d):
-        lhs = sol[j].frobenius()
-        rhs = sol[0] * Ge[0][j]
-        for i in range(1, d):
-            rhs = rhs + sol[i] * Ge[i][j]
-        if not (lhs - rhs).is_zero():
+    for xj, rhs in zip(sol, matrix.vec_mat(sol, Ge)):
+        if not (xj.frobenius() - rhs).is_zero():
             raise ArithmeticError("recursion produced a non-solution")
 
 
@@ -274,16 +253,12 @@ class GaloisActionRep:
     def char_poly(self):
         return charpoly_mod_p(self.matrix, self.p)
 
-    def order(self, cap: int = 10_000) -> int:
-        ident = [[1 if i == j else 0 for j in range(len(self.matrix))]
-                 for i in range(len(self.matrix))]
-        acc = self.matrix
-        for k in range(1, cap + 1):
-            if acc == ident:
-                return k
-            acc = [[sum(acc[i][t] * self.matrix[t][j] for t in range(len(acc))) % self.p
-                    for j in range(len(acc))] for i in range(len(acc))]
-        raise ArithmeticError("action has no small order; not invertible?")
+    def order(self) -> int:
+        """The order in GL_d(F_p), found below p^d - 1, the largest
+        order there (a Singer cycle attains it)."""
+        if matrix.det(self.matrix) % self.p == 0:
+            raise ArithmeticError("action is not invertible mod p")
+        return matrix.order_mod(self.matrix, self.p, self.p ** len(self.matrix) - 1)
 
 
 def frobenius_action(S: SolutionSet) -> GaloisActionRep:
@@ -309,40 +284,13 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
             raise ArithmeticError("q-Frobenius does not preserve the solution space")
         A.append([int(c) for c in coords])
     # columns of the action matrix are the images
-    d = len(A)
-    return GaloisActionRep(p, [[A[j][i] for j in range(d)] for i in range(d)])
+    return GaloisActionRep(p, [list(col) for col in zip(*A)])
 
 
 def charpoly_mod_p(A, p: int):
-    """Coefficients (low degree first) of det(xI - A) mod p; d <= 4."""
-    d = len(A)
-    polys = [[[(-A[i][j]) % p] + ([1] if i == j else []) for j in range(d)]
-             for i in range(d)]
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    def padd(a, b):
-        n = max(len(a), len(b))
-        return [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                for i in range(n)]
-
-    from itertools import permutations
-    acc = [0]
-    for perm in permutations(range(d)):
-        sign = perm_sign(perm)
-        term = [1]
-        for i in range(d):
-            term = pmul(term, polys[i][perm[i]])
-        if sign < 0:
-            term = [(-t) % p for t in term]
-        acc = padd(acc, term)
-    acc += [0] * (d + 1 - len(acc))
-    return tuple(acc[:d + 1])
+    """Coefficients (low degree first) of det(xI - A) mod p: Berkowitz
+    over the int entries, then reduced."""
+    return tuple(c % p for c in matrix.charpoly(A)) + (1,)
 
 
 def unramified_to_phimod(A, q: int, prec: int = 20) -> PhiModule:

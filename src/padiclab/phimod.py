@@ -11,50 +11,26 @@ Indeterminate rather than guess.
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from . import gf
+from . import gf, matrix
 from .errors import Indeterminate, Unsupported
 from .rings import FFRing, Zmod
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
-# small exact matrices over TruncSeries
+# small exact matrices over TruncSeries: the arithmetic is padiclab.matrix;
+# mat_det and mat_adjugate stay defined here for perfbench's tracer
 
 
 def mat_identity(ring, d, prec):
-    return [[TruncSeries.one(ring, prec) if i == j else TruncSeries.zero(ring, prec)
-             for j in range(d)] for i in range(d)]
+    return mat_scalar(ring, d, TruncSeries.one(ring, prec))
 
 
 def mat_scalar(ring, d, f: TruncSeries):
-    z = TruncSeries.zero(ring, f.prec)
-    return [[f if i == j else z for j in range(d)] for i in range(d)]
+    return matrix.scalar(d, f, TruncSeries.zero(ring, f.prec))
 
 
 def mat_mul(A, B):
-    d, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    return [sum_series([A[i][j] * v[j] for j in range(len(v))]) for i in range(len(A))]
-
-
-def sum_series(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+    return matrix.mul(A, B)
 
 
 def mat_frobenius(A, p):
@@ -65,51 +41,30 @@ def mat_scale(A, f):
     return [[a * f for a in row] for row in A]
 
 
+def _balanced(A):
+    """r, c and B with A = diag(u^r) B diag(u^c), the least valuation
+    in each row and column of B being 0.  The shifts are exact.  On B
+    the intermediate terms of Berkowitz's algorithm, some of which
+    cancel, have valuation >= 0; on A a cancelling term of low valuation
+    would lower the tracked precision of det and adjugate."""
+    r = [min(a._veff() for a in row) for row in A]
+    B = [[a.shift(-ri) for a in row] for row, ri in zip(A, r)]
+    c = [min(a._veff() for a in col) for col in zip(*B)]
+    return r, c, [[a.shift(-cj) for a, cj in zip(row, c)] for row in B]
+
+
 def mat_det(A) -> TruncSeries:
-    d = len(A)
-    if d > 5:
-        raise Unsupported("determinants by permutation expansion: d <= 5")
-    ring = A[0][0].ring
-    prec = min(a.prec for row in A for a in row)
-    acc = TruncSeries.zero(ring, prec + sum(a._veff() for a in A[0]))
-    for perm in permutations(range(d)):
-        sign = perm_sign(perm)
-        term = A[0][perm[0]]
-        for i in range(1, d):
-            term = term * A[i][perm[i]]
-        acc = acc + (term if sign > 0 else -term)
-    return acc
-
-
-def perm_sign(perm):
-    """The sign of a permutation given as a tuple of images."""
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    r, c, B = _balanced(A)
+    return matrix.det(B).shift(sum(r) + sum(c))
 
 
 def mat_adjugate(A):
-    d = len(A)
-    if d == 1:
-        one = TruncSeries.one(A[0][0].ring, A[0][0].prec)
-        return [[one]]
-    out = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [[A[r][c] for c in range(d) if c != j] for r in range(d) if r != i]
-            cof = mat_det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
+    """adj(A)_ij = u^(sum(c) - c_i + sum(r) - r_j) adj(B)_ij for the
+    balanced B."""
+    r, c, B = _balanced(A)
+    s = sum(r) + sum(c)
+    adj = matrix.adjugate(B, TruncSeries.one(A[0][0].ring, A[0][0].prec))
+    return [[a.shift(s - ci - rj) for a, rj in zip(row, r)] for row, ci in zip(adj, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +227,13 @@ def u_height(L: PhiLattice) -> int:
 # --- membership decisions through the adjugate ---
 
 
-def solve_in_lattice(B, b):
-    """The unique Laurent solution x of B x = b, via adj(B) b / det(B).
+def solve_in_lattice(B, columns):
+    """The unique Laurent solutions x of B x = b, b running over
+    columns, via adj(B) b / det(B) with det and adj computed once.
 
-    Returns the vector of series; raises Indeterminate when the
-    precision of some entry drops below 0 (the nonnegativity of its
-    support could then not be read off).
+    Yields the vectors of series in turn; a caller raises Indeterminate
+    when the precision of some entry drops below 0 (the nonnegativity
+    of its support could then not be read off).
     """
     det = mat_det(B)
     if isinstance(det.ring, Zmod):
@@ -287,8 +243,8 @@ def solve_in_lattice(B, b):
         raise ValueError("matrix not invertible over the Laurent ring")
     det_inv = det.inverse()
     adj = mat_adjugate(B)
-    x = mat_vec(adj, b)
-    return [xi * det_inv for xi in x]
+    for b in columns:
+        yield [xi * det_inv for xi in matrix.mat_vec(adj, b)]
 
 
 def _vector_integral(x) -> bool:
@@ -314,29 +270,19 @@ def height_divides(L, U: TruncSeries) -> bool:
             L = PhiLattice(L)
         except ValueError:
             return False
-    G = L.lattice_frobenius
     ring, d = L.module.ring, L.module.d
     if isinstance(ring, Zmod) and U.reduce_mod_p().is_zero():
         raise ValueError("U must not be divisible by p")
-    for i in range(d):
-        b = [U if j == i else TruncSeries.zero(ring, U.prec) for j in range(d)]
-        x = solve_in_lattice(G, b)
-        if not _vector_integral(x):
-            return False
-    return True
+    # the columns of U I, zero-padded at U's precision
+    columns = matrix.scalar(d, U, TruncSeries.zero(ring, U.prec))
+    return all(_vector_integral(x) for x in solve_in_lattice(L.lattice_frobenius, columns))
 
 
 def lattice_contains(L1: PhiLattice, L2: PhiLattice, fmat) -> bool:
     """Whether f(L1) sits inside L2, for f given by a matrix over the
     Laurent ring in module coordinates."""
     target = mat_mul(fmat, L1.basis)
-    B2 = L2.basis
-    for i in range(L1.d):
-        col = [target[r][i] for r in range(len(target))]
-        x = solve_in_lattice(B2, col)
-        if not _vector_integral(x):
-            return False
-    return True
+    return all(_vector_integral(x) for x in solve_in_lattice(L2.basis, zip(*target)))
 
 
 def tensor_lattice(L1: PhiLattice, L2: PhiLattice) -> PhiLattice:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gskel
+from . import gskel, matrix
 from .errors import Indeterminate, PrecisionError
 from .gf import GF
 from .gskel import GaloisElt
@@ -228,20 +228,18 @@ class PhiTauModP:
         Gb = [[bivar_from_series(a, self.model().prec, self.model().wu,
                                  self.model().weta) for a in row] for row in self.G]
         fx = [xi.frobenius().truncate(self.model().prec) for xi in x]
-        return [_dot(Gb[i], fx) for i in range(self.d)]
+        return matrix.mat_vec(Gb, fx)
 
     def tau_apply(self, x):
         tx = [galois_act(self.tau, xi) for xi in x]
-        return [_dot(self.T[i], tx) for i in range(self.d)]
+        return matrix.mat_vec(self.T, tx)
 
     def _compose(self, op1, op2):
         """(T1, g1) after (T2, g2): x -> T1 g1(T2 g2(x))."""
         T1, g1 = op1
         T2, g2 = op2
         T2g = [[galois_act(g1, a) for a in row] for row in T2]
-        Tm = [[_sum([T1[i][k] * T2g[k][j] for k in range(self.d)])
-               for j in range(self.d)] for i in range(self.d)]
-        return (Tm, gskel.mul(g1, g2))
+        return (matrix.mul(T1, T2g), gskel.mul(g1, g2))
 
     def tau_operator_power(self, k: int):
         """tau_M^k as a (matrix, group element) pair, by binary
@@ -255,30 +253,22 @@ class PhiTauModP:
             if k:
                 base = self._compose(base, base)
         if result is None:
-            one = bivar_one(self.model().field, self.model().prec,
-                            self.model().wu, self.model().weta)
-            zero = BivarSeries(self.model().field, {}, self.model().prec,
-                               self.model().wu, self.model().weta)
-            ident = [[one if i == j else zero for j in range(self.d)]
-                     for i in range(self.d)]
-            result = (ident, gskel.identity(self.p, self.tau.c.prec))
+            result = (self._identity(), gskel.identity(self.p, self.tau.c.prec))
         return result
+
+    def _identity(self):
+        m = self.model()
+        return matrix.scalar(self.d, bivar_one(m.field, m.prec, m.wu, m.weta),
+                             BivarSeries(m.field, {}, m.prec, m.wu, m.weta))
 
     def _is_identity_op(self, op) -> bool:
         T, g = op
-        fld = self.model().field
-        one = bivar_one(fld, self.model().prec, self.model().wu, self.model().weta)
-        for i in range(self.d):
-            for j in range(self.d):
-                want = one if i == j else BivarSeries(fld, {}, self.model().prec,
-                                                      self.model().wu, self.model().weta)
-                if not (T[i][j] == want):
-                    return False
+        if T != self._identity():
+            return False
         # the substitution must fix u and eta at truncation
-        u = BivarSeries(fld, {(1, 0): fld.one}, self.model().prec,
-                        self.model().wu, self.model().weta)
-        eta = BivarSeries(fld, {(0, 1): fld.one}, self.model().prec,
-                          self.model().wu, self.model().weta)
+        m = self.model()
+        u = BivarSeries(m.field, {(1, 0): m.field.one}, m.prec, m.wu, m.weta)
+        eta = BivarSeries(m.field, {(0, 1): m.field.one}, m.prec, m.wu, m.weta)
         return galois_act(g, u) == u and galois_act(g, eta) == eta
 
     def tau_order_exponent(self) -> int:
@@ -297,21 +287,7 @@ class PhiTauModP:
             a = a.residue % self.p ** t
         T, g = self.tau_operator_power(a)
         gx = [galois_act(g, xi) for xi in x]
-        return [_dot(T[i], gx) for i in range(self.d)]
-
-
-def _dot(row, vec):
-    acc = row[0] * vec[0]
-    for a, b in zip(row[1:], vec[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def _sum(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+        return matrix.mat_vec(T, gx)
 
 
 def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
@@ -323,15 +299,7 @@ def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
     """
     p = field.p
     d = len(tau_T)
-    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    acc = [row[:] for row in tau_T]
-    order = None
-    for k in range(1, p ** s + 1):
-        if acc == ident:
-            order = k
-            break
-        acc = [[sum(acc[i][t] * tau_T[t][j] for t in range(d)) % p
-                for j in range(d)] for i in range(d)]
+    order = matrix.order_mod(tau_T, p, p ** s)
     if order is None:
         raise ValueError(f"tau_T has no order <= p^{s}")
     o = order
@@ -341,8 +309,7 @@ def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
         raise ValueError(f"tau_T has order {order}, not a power of p")
     ring = FFRing(field)
     uprec = int(Fraction(prec) / Fraction(wu))
-    G = [[TruncSeries.one(ring, uprec) if i == j else TruncSeries.zero(ring, uprec)
-          for j in range(d)] for i in range(d)]
+    G = matrix.scalar(d, TruncSeries.one(ring, uprec), TruncSeries.zero(ring, uprec))
     T = [[BivarSeries(field, {(0, 0): field.el(tau_T[i][j])}, prec, wu, weta)
           for j in range(d)] for i in range(d)]
     return PhiTauModP(p, d, G, T, tau, order_cap)

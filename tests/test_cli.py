@@ -123,3 +123,29 @@ def test_malformed_matrix_exit_2(args):
     r = run(args)
     assert r.returncode == 2
     assert "input error" in r.stderr and "Traceback" not in r.stderr
+
+
+def _value(r):
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)["results"][0]["value"]
+
+
+def test_phimod_reads_fq_codes_at_n1():
+    # 3 is not an F_3 code; 3 = 0 in F_3 was read as a nonzero int
+    bad = run(["phimod", "etale", "--p", "3", "--matrix", "3"])
+    assert bad.returncode == 2 and "input error" in bad.stderr
+    assert _value(run(["phimod", "etale", "--p", "3", "--matrix", "0"])) == "False"
+    # code 4 is 1 + x in F_9, no longer read mod 3 as 1: det(4,1;1,1) = x
+    base = ["phimod", "etale", "--p", "3", "--q", "9", "--constant", "--matrix"]
+    assert _value(run(base + ["4,1;1,1"])) == "True"
+    assert _value(run(base + ["1,1;1,1"])) == "False"
+    assert run(base + ["9"]).returncode == 2
+    # at n = 2 entries are residues mod p^n: 3 + u is a Laurent unit
+    r = run(["phimod", "etale", "--p", "3", "--n", "2", "--matrix", "3:1"])
+    assert _value(r) == "True"
+
+
+def test_phimod_has_no_dimension_cap():
+    ident = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
+    r = run(["phimod", "uheight", "--p", "3", "--M", "12", "--matrix", ident])
+    assert _value(r) == "0"
