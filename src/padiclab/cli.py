@@ -253,7 +253,7 @@ def _coeff_reader(ring):
 
 def _field_code(field, code: int):
     if not 0 <= code < field.order:
-        raise ValueError(f"matrix entry {code} is not an F_{field.order} code")
+        raise ValueError(f"entry {code} is not an F_{field.order} code")
     return field.from_code(code)
 
 
@@ -273,7 +273,7 @@ def _cmd_galois(args, cfg: RunConfig):
             _result("charpoly", list(act.char_poly()), anchor="unramified-action"),
         ]
     if args.op == "rank1":
-        S = galrep.solve_rank1(args.a, args.c, field, prec=cfg.M)
+        S = galrep.solve_rank1(args.a, _field_code(field, args.c), field, prec=cfg.M)
         return [
             _result("solutions", S.cardinality, anchor="rank1-solutions"),
             _result("tame-exponent", str(Fraction(args.a, p - 1)),
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("op", choices=["solve", "rank1"])
     sp.add_argument("--matrix", default="1", help="constant F_q matrix, codes")
     sp.add_argument("--a", type=int, default=1)
-    sp.add_argument("--c", type=int, default=1)
+    sp.add_argument("--c", type=int, default=1, help="nonzero F_q code")
     sp.set_defaults(func=_cmd_galois)
 
     sp = sub.add_parser("tau", parents=[shared])

@@ -31,7 +31,8 @@ class ExtensionTooSmall(PadicLabError):
 
 
 class ExtensionCapExceeded(PadicLabError):
-    """Doubling the residue extension hit the configured cap."""
+    """The residue extension a solution needs has degree above the
+    configured cap; raised before any field of that degree is built."""
 
 
 class Unsupported(PadicLabError):

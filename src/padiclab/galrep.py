@@ -1,9 +1,11 @@
 """Constructive mod-p functor from Frobenius matrices to Galois data.
 
 For a unit-root matrix G over F_q[[u]]/u^M the solutions of
-x^(p) = x G form an F_p-space of dimension d once the residue field is
-large enough; solutions are produced by enumerating or linearizing the
-residue equation and then running the coefficient recursion
+x^(p) = x G form an F_p-space of dimension d over F_(q^s), where s is
+the order of N = G0 sigma(G0) ... sigma^(f-1)(G0) in GL_d(F_q); the
+solver computes s first and builds that one field.  Solutions are
+produced by enumerating or linearizing the residue equation there and
+then running the coefficient recursion
 
     x_m = (sigma(x_{m/p}) [p | m] - sum_{j>=1} x_{m-j} G_j) G_0^{-1}.
 
@@ -164,9 +166,12 @@ def _fp_span_basis(vectors, ext, d, p):
 def solve_unit_root(G, s_max: int = 64, enumeration: bool | None = None) -> SolutionSet:
     """Solution set of x^(p) = x G for G with G(0) invertible.
 
-    The residue extension degree s is increased until the residue
-    equation has p^d solutions (the splitting degree can have odd prime
-    factors, so every s up to the cap is tried).  Residue solving is by
+    On residues the equation iterates to x^(q) = x N with
+    N = G0 sigma(G0) ... sigma^(f-1)(G0) over F_q, so all p^d residue
+    solutions lie in F_(q^s) exactly when N^s = I: the extension degree
+    s is the order of N, found by a power loop up to s_max, and only
+    F_(q^s) is built.  ExtensionCapExceeded is raised before any field
+    is built when the order exceeds s_max.  Residue solving is by
     enumeration for d <= 2 and by F_p-linearization for larger d.
     """
     G = _as_matrix(G)
@@ -184,23 +189,38 @@ def solve_unit_root(G, s_max: int = 64, enumeration: bool | None = None) -> Solu
         raise Unsupported("G(0) is not invertible: not the unit-root case") from None
     if enumeration is None:
         enumeration = d <= 2
-    for s in range(1, s_max + 1):
-        ext = gf.extension(base, s)
-        if enumeration and ext.order ** d <= _ENUM_SOLVE_CAP:
-            sols = _residue_solutions_enum(G0, ext, p)
-            if len(sols) == p ** d:
-                basis = _fp_span_basis(sols, ext, d, p)
-                break
-        else:
-            basis = _residue_basis_linearized(G0, ext, p)
-            if len(basis) == d:
-                break
+    s = _splitting_degree(G0, base, s_max)
+    ext = gf.extension(base, s)
+    if enumeration and ext.order ** d <= _ENUM_SOLVE_CAP:
+        sols = _residue_solutions_enum(G0, ext, p)
+        if len(sols) != p ** d:
+            raise ArithmeticError(f"{len(sols)} residue solutions in {ext.tag}, not {p ** d}")
+        basis = _fp_span_basis(sols, ext, d, p)
     else:
-        raise ExtensionCapExceeded(f"no splitting field up to degree {s_max}")
+        basis = _residue_basis_linearized(G0, ext, p)
+        if len(basis) != d:
+            raise ArithmeticError(f"residue solutions of rank {len(basis)} in {ext.tag}, not {d}")
     full = [_extend_solution(G, x0, ext, prec) for x0 in basis]
     for sol in full:
         _verify_solution(G, sol, ext)
     return SolutionSet(base, ext, s, d, prec, full)
+
+
+def _splitting_degree(G0, base, s_max):
+    """The order of N = G0 sigma(G0) ... sigma^(f-1)(G0) in GL_d(F_q), q = p^f."""
+    N = Gi = G0
+    for _ in range(base.fp_degree - 1):
+        Gi = [[base.frob_p(a) for a in row] for row in Gi]
+        N = matrix.mul(N, Gi)
+    ident = matrix.scalar(len(G0), base.one, base.zero)
+    power = N
+    for k in range(1, s_max + 1):
+        if power == ident:
+            return k
+        power = matrix.mul(power, N)
+    raise ExtensionCapExceeded(
+        f"the residue equation splits in no extension of degree <= {s_max}: "
+        f"N = G0 sigma(G0) ... sigma^(f-1)(G0) has order > {s_max} in GL_{len(G0)}(F_{base.order})")
 
 
 def _extend_solution(G, x0, ext, prec):
@@ -320,15 +340,19 @@ def solve_rank1(a: int, c, base_field: gf.GF, s_max: int = 16, prec=8):
         ring = FFRing(base_field)
         G = [[TruncSeries(ring, {0: c}, int(prec))]]
         return solve_unit_root(G, s_max=s_max)
-    fld = None
-    for s in range(1, s_max + 1):
-        ext = gf.extension(base_field, s)
-        gamma = ext.nth_root(ext.coerce(c), p - 1)
-        if gamma is not None:
-            fld = ext
-            break
-    else:
-        raise ExtensionCapExceeded(f"no (p-1)-st root of {c!r} up to degree {s_max}")
+    # gamma^(p-1) = c is solvable in F_(q^s) iff c^(s (q-1)/(p-1)) = 1, so
+    # s is the order of c^((q-1)/(p-1)), an element of F_p^x
+    norm = c ** ((base_field.order - 1) // (p - 1))
+    s = next(k for k in range(1, p) if norm ** k == base_field.one)
+    if s > s_max:
+        raise ExtensionCapExceeded(f"a (p-1)-st root of {c!r} needs degree {s} > {s_max}")
+    if base_field.order ** s > gf._ENUM_CAP:
+        raise Unsupported(f"a (p-1)-st root of {c!r} lies in F{base_field.order ** s}, "
+                          "too large to search")
+    fld = gf.extension(base_field, s)
+    gamma = fld.nth_root(fld.coerce(c), p - 1)
+    if gamma is None:
+        raise ArithmeticError(f"no (p-1)-st root of {c!r} in {fld.tag}")
     from fractions import Fraction
     D = p - 1
     sol = perfseries.monomial(fld, D, 1, Fraction(a, p - 1), gamma, Fraction(prec))
@@ -338,5 +362,4 @@ def solve_rank1(a: int, c, base_field: gf.GF, s_max: int = 16, prec=8):
     for x in sols:
         if not (x.pth_power() - cu * x).is_zero():
             raise ArithmeticError("rank-1 solution failed substitution")
-    return SolutionSet(base_field, fld, fld.fp_degree // base_field.fp_degree, 1,
-                       prec, [(sol,)], all=[(x,) for x in sols])
+    return SolutionSet(base_field, fld, s, 1, prec, [(sol,)], all=[(x,) for x in sols])

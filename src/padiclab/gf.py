@@ -1,11 +1,12 @@
 """Finite fields F_{p^f} and their extensions, with F_p-linear algebra.
 
-Fields are built as quotients base[x]/(m) where the base is either the
-prime field or another field constructed here, so F_q sits inside
-F_{q^s} by construction (constants) and no root-finding embeddings are
-ever needed.  Moduli are found deterministically (first monic
-irreducible in lexicographic coefficient order), which keeps every
-computation reproducible.
+Fields are built as quotients F_p[x]/(m) with int coefficients;
+extension() flattens F_{q^s} over the prime field too and registers the
+inclusion of F_q, found deterministically inside the Frobenius-fixed
+subfield.  A field over another GF base is built only from an explicit
+modulus.  Moduli are the first monic irreducible in lexicographic
+coefficient order, found by Ben-Or's irreducibility test, which keeps
+every computation reproducible.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class FFElt:
 class GF:
     """F_{p^(fp_degree)} realized as base[x]/(modulus).
 
-    base=None gives the prime field F_p (degree must be 1 then);
-    otherwise the field is an extension of ``base`` of the given degree.
+    base=None gives F_{p^degree} over the prime field, by the first
+    irreducible modulus unless one is given; otherwise the field is an
+    extension of ``base`` of the given degree by the given modulus.
     """
 
     def __init__(self, p: int, degree: int = 1, base: "GF | None" = None,
@@ -119,7 +121,9 @@ class GF:
                 raise ValueError("extension degree must be >= 2")
             self.fp_degree = base.fp_degree * degree
             self.order = base.order ** degree
-            self.modulus = modulus if modulus is not None else self._find_modulus()
+            if modulus is None:
+                raise ValueError("an extension of a GF base needs its modulus")
+            self.modulus = modulus
         self.zero = FFElt(self, tuple(self._bzero() for _ in range(degree)))
         one = [self._bzero() for _ in range(degree)]
         one[0] = self._bone()
@@ -414,76 +418,13 @@ class GF:
             raise ExtensionTooSmall(f"no {n}-th root of {x!r} in {self.tag}")
         return y
 
-    # --- modulus search ---
-
-    def _find_modulus(self) -> tuple:
-        base, s = self.base, self.degree
-        for code in range(base.order ** s):
-            coeffs = []
-            c = code
-            for _ in range(s):
-                coeffs.append(base.from_code(c % base.order))
-                c //= base.order
-            if self._is_irreducible(coeffs):
-                return tuple(coeffs)
-        raise RuntimeError("no irreducible polynomial found")  # impossible
-
-    def _is_irreducible(self, coeffs) -> bool:
-        """Rabin test for x^s + sum coeffs[i] x^i over the base field."""
-        base, s = self.base, self.degree
-        full = list(coeffs) + [base.one]
-
-        def pmulmod(u, v):
-            raw = [base.zero] * (len(u) + len(v) - 1)
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                for j, b in enumerate(v):
-                    raw[i + j] = raw[i + j] + a * b
-            for k in range(len(raw) - 1, s - 1, -1):
-                c = raw[k]
-                if not c:
-                    continue
-                for j in range(s):
-                    raw[k - s + j] = raw[k - s + j] - c * full[j]
-            out = raw[:s]
-            out += [base.zero] * (s - len(out))
-            return out
-
-        def ppow_q(u):
-            # u^(base.order) by square and multiply
-            result = [base.one] + [base.zero] * (s - 1)
-            acc = u
-            n = base.order
-            while n:
-                if n & 1:
-                    result = pmulmod(result, acc)
-                acc = pmulmod(acc, acc)
-                n >>= 1
-            return result
-
-        if s == 1:
-            return True
-        x = [base.zero, base.one] + [base.zero] * (s - 2)
-        # x^(q^k) mod f for k = 1..s
-        g = x[:]
-        powers = {}
-        for k in range(1, s + 1):
-            g = ppow_q(g)
-            powers[k] = g[:]
-        if powers[s] != x:
-            return False
-        for r in _prime_divisors(s):
-            h = powers[s // r]
-            diff = [h[i] - x[i] for i in range(s)]
-            if not _poly_coprime(diff, full, base):
-                return False
-        return True
-
 
 def _find_modulus_prime(p: int, s: int) -> tuple:
     """First monic irreducible of degree s over F_p in lexicographic
-    coefficient order; pure int arithmetic."""
+    coefficient order, by Ben-Or's test (FOCS 1981): f is irreducible iff
+    gcd(x^(p^k) - x, f) = 1 for k = 1 .. s/2, since a reducible f has a
+    factor of degree k <= s/2, which divides x^(p^k) - x.  The test stops
+    at the first such k; pure int arithmetic."""
 
     def pmulmod(u, v, full):
         raw = [0] * (2 * s - 1)
@@ -531,64 +472,21 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
 
     x = [0, 1] + [0] * (s - 2)
     for code in range(p ** s):
+        if s > 1 and code % p == 0:
+            continue                      # x divides it
         coeffs = []
         c = code
         for _ in range(s):
             coeffs.append(c % p)
             c //= p
-        full = coeffs
-        g = x[:s]
-        powers = {}
-        for k in range(1, s + 1):
-            g = ppow_p(g, full)
-            powers[k] = g[:]
-        if powers[s] != x[:s]:
-            continue
-        ok = True
-        for r in _prime_divisors(s):
-            diff = [(powers[s // r][i] - x[i]) % p for i in range(s)]
-            if not int_coprime(diff, full + [1]):
-                ok = False
+        g = x
+        for _ in range(s // 2):
+            g = ppow_p(g, coeffs)
+            if not int_coprime([(a - b) % p for a, b in zip(g, x)], coeffs + [1]):
                 break
-        if ok:
+        else:
             return tuple(coeffs)
     raise RuntimeError("no irreducible polynomial found")
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _poly_coprime(a, b, base) -> bool:
-    """gcd(a, b) constant, for polynomials over a GF base field."""
-
-    def deg(u):
-        for k in range(len(u) - 1, -1, -1):
-            if u[k]:
-                return k
-        return -1
-
-    a, b = list(a), list(b)
-    while True:
-        da, db = deg(a), deg(b)
-        if db < 0:
-            return da <= 0
-        if da < db:
-            a, b = b, a
-            continue
-        lc = a[da] / b[db]
-        for j in range(db + 1):
-            a[da - db + j] = a[da - db + j] - lc * b[j]
 
 
 # --- module-level field cache ---
@@ -627,21 +525,17 @@ def field(p: int, f: int = 1) -> GF:
 
 
 def extension(base: GF, s: int) -> GF:
-    """F_{q^s} containing base (order q) with a registered embedding.
+    """F_{q^s} containing the flattened field base (order q) with a
+    registered embedding.
 
-    Extensions of flattened fields are flattened to single-level int
-    arithmetic; the inclusion of the base is found deterministically
-    inside the Frobenius-fixed subfield."""
+    The extension is flattened to single-level int arithmetic too; the
+    inclusion of the base is found deterministically inside the
+    Frobenius-fixed subfield."""
     if s == 1:
         return base
-    if base.base is None:
-        big = field(base.p, base.degree * s)
-        big.register_embedding(base)
-        return big
-    key = ("tower", id(base), s)
-    if key not in _cache:
-        _cache[key] = GF(base.p, s, base=base)
-    return _cache[key]
+    big = field(base.p, base.fp_degree * s)
+    big.register_embedding(base)
+    return big
 
 
 # --- exact linear algebra over F_p (numpy int64, entries reduced mod p) ---

@@ -149,3 +149,15 @@ def test_phimod_has_no_dimension_cap():
     ident = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
     r = run(["phimod", "uheight", "--p", "3", "--M", "12", "--matrix", ident])
     assert _value(r) == "0"
+
+
+def test_galois_rank1_reads_fq_code():
+    # code 3 is x in F_9, a nonzero element; it was read mod 3 as 0
+    base = ["galois", "rank1", "--p", "3", "--q", "9", "--a", "1", "--c"]
+    r = run(base + ["3"])
+    assert r.returncode == 0, r.stderr
+    vals = {x["name"]: x["value"] for x in json.loads(r.stdout)["results"]}
+    assert vals["solutions"] == "3"
+    bad = run(base + ["9"])
+    assert bad.returncode == 2 and "input error" in bad.stderr
+    assert "Traceback" not in bad.stderr

@@ -1,0 +1,189 @@
+"""The computed splitting degree and the Ben-Or modulus search against
+slow references kept here.
+
+solve_unit_root takes the residue extension degree s as the order of
+N = G0 sigma(G0) ... sigma^(f-1)(G0); the reference instead counts the
+residue solutions in F_(q^s) for s = 1, 2, ... until there are p^d.
+solve_rank1 takes s as the order of the norm c^((q-1)/(p-1)); the
+reference looks for a (p-1)-st root field by field.  The modulus search
+must return the first monic irreducible in lexicographic order, which
+the reference finds with Rabin's test on the Frobenius matrix.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from padiclab import gf, matrix
+from padiclab.errors import ExtensionCapExceeded, Unsupported
+from padiclab.galrep import solve_rank1, solve_unit_root, unramified_to_phimod
+from padiclab.rings import FFRing
+from padiclab.series import TruncSeries
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def residue_rank(G0, ext, p):
+    """dim over F_p of {x in ext^d : x^p = x G0}: the kernel of
+    x -> x^p - x G0 on the F_p-basis of ext^d, by powering."""
+    d, m = len(G0), ext.fp_degree
+    G0e = [[ext.coerce(a) for a in row] for row in G0]
+    cols = []
+    for j in range(d):
+        for k in range(m):
+            xj = ext.from_fp([int(i == k) for i in range(m)])
+            img = [(xj ** p if i == j else ext.zero) - xj * G0e[j][i] for i in range(d)]
+            cols.append([c for y in img for c in ext.to_fp(y)])
+    _, pivots = gf.fp_rref(np.array(cols, dtype=np.int64).T, p)
+    return d * m - len(pivots)
+
+
+def reference_s(G0, base):
+    """The least s with p^d residue solutions in F_(q^s)."""
+    for s in range(1, 65):
+        if residue_rank(G0, gf.extension(base, s), base.p) == len(G0):
+            return s
+    raise AssertionError("no splitting degree up to 64")
+
+
+@st.composite
+def unit_root(draw):
+    base = gf.field(3, draw(st.sampled_from([1, 2])))
+    d = draw(st.integers(1, 3))
+    codes = st.integers(0, base.order - 1)
+    G0 = [[base.from_code(draw(codes)) for _ in range(d)] for _ in range(d)]
+    assume(matrix.det(G0))
+    ring = FFRing(base)
+    G = [[TruncSeries(ring, {0: a, 1: base.from_code(draw(codes))}, 4) for a in row]
+         for row in G0]
+    return base, G0, G
+
+
+@SETTINGS
+@given(unit_root())
+def test_splitting_degree_matches_the_s_loop(case):
+    base, G0, G = case
+    S = solve_unit_root(G)
+    assert S.s == reference_s(G0, base)
+    assert S.cardinality == base.p ** len(G0)
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2]),
+       st.integers(1, 3).flatmap(lambda d: st.lists(
+           st.lists(st.integers(0, 2), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_splitting_degree_of_a_constant_matrix_is_the_order_of_a_power(f, A):
+    assume(matrix.det(A) % 3)
+    Af = A if f == 1 else matrix.mul(A, A)
+    S = solve_unit_root(unramified_to_phimod(A, 3 ** f, prec=4))
+    assert S.s == matrix.order_mod(Af, 3, 3 ** len(A) - 1)
+
+
+def test_refusal_is_immediate_and_builds_no_field():
+    # the companion matrix of x^4 + x + 2, primitive over F_3: order 80 > 64
+    C = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 0, 0]]
+    assert matrix.order_mod(C, 3, 80) == 80
+    G = unramified_to_phimod(C, 3)
+    before = set(gf._cache)
+    t0 = time.perf_counter()
+    with pytest.raises(ExtensionCapExceeded, match="order > 64"):
+        solve_unit_root(G)
+    assert time.perf_counter() - t0 < 1.0
+    assert set(gf._cache) == before
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_rank1_degree_matches_the_root_search(p, f):
+    base = gf.field(p, f)
+    for code in range(1, base.order):
+        c = base.from_code(code)
+        for s in range(1, p):
+            if base.order ** s > 5000:
+                break
+            ext = gf.extension(base, s)
+            gamma = ext.nth_root(ext.coerce(c), p - 1)
+            if gamma is not None:
+                S = solve_rank1(1, c, base)
+                assert S.s == s and S.field is ext
+                assert S.basis[0][0].leading()[1] == gamma
+                break
+
+
+def test_rank1_refuses_a_field_too_large_to_search():
+    # 2 generates F_11^x: its root needs F_(11^10), beyond the search cap
+    F11 = gf.field(11)
+    before = set(gf._cache)
+    with pytest.raises(Unsupported, match="F25937424601"):
+        solve_rank1(1, 2, F11)
+    assert set(gf._cache) == before
+
+
+def poly_gcd_degree(a, b, p):
+    """Degree of gcd(a, b) over F_p, coefficient lists low degree first."""
+    def trim(u):
+        while u and u[-1] % p == 0:
+            u = u[:-1]
+        return u
+    a, b = trim([int(c) for c in a]), trim([int(c) for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv, len(a) - len(b)
+            a = trim([(x - c * b[i - shift]) % p if i >= shift else x
+                      for i, x in enumerate(a)])
+        a, b = b, a
+    return len(a) - 1
+
+
+def rabin_irreducible(coeffs, p):
+    """Rabin's test for x^s + sum coeffs[i] x^i: f | x^(p^s) - x and
+    gcd(x^(p^(s/r)) - x, f) = 1 for each prime r | s.  Frobenius acts on
+    F_p[x]/f through the matrix whose row i is x^(p i) mod f."""
+    s = len(coeffs)
+    f = np.array(coeffs, dtype=np.int64)
+    row = np.zeros(s, dtype=np.int64)
+    row[0] = 1
+    Q = []
+    for j in range(p * (s - 1) + 1):
+        if j % p == 0:
+            Q.append(row)
+        row = (np.concatenate([[0], row[:-1]]) - row[-1] * f) % p
+    Q = np.array(Q)
+    x = np.zeros(s, dtype=np.int64)
+    x[1] = 1
+    powers = [x]
+    for _ in range(s):
+        powers.append(powers[-1] @ Q % p)
+    if (powers[s] != x).any():
+        return False
+    primes = [r for r in range(2, s + 1) if s % r == 0 and all(r % k for k in range(2, r))]
+    full = list(coeffs) + [1]
+    return all(poly_gcd_degree((powers[s // r] - x) % p, full, p) == 0
+               for r in primes)
+
+
+def rabin_first_irreducible(p, s):
+    for code in range(p ** s):
+        coeffs = [code // p ** i % p for i in range(s)]
+        if rabin_irreducible(coeffs, p):
+            return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p, degrees", [(3, range(2, 31)), (5, range(2, 13)), (7, range(2, 9))])
+def test_ben_or_modulus_is_the_first_irreducible(p, degrees):
+    for s in degrees:
+        assert gf._find_modulus_prime(p, s) == rabin_first_irreducible(p, s), s
+
+
+def test_tower_needs_a_modulus():
+    F9 = gf.field(3, 2)
+    with pytest.raises(ValueError, match="modulus"):
+        gf.GF(3, 2, base=F9)
+    c = F9.one + F9.gen                                      # not a square in F_9
+    tower = gf.GF(3, 2, base=F9, modulus=(-c, F9.zero))      # y^2 = c
+    assert c ** 4 != F9.one
+    assert tower.order == 81 and tower.gen ** 2 == tower.embed(c)
+    assert tower.gen * tower.gen.inverse() == tower.one
