@@ -20,15 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-import numpy as np
-
 from . import gf, matrix, perfseries
 from .errors import ExtensionCapExceeded, Unsupported
 from .phimod import PhiModule
 from .rings import FFRing
 from .series import TruncSeries
 
-_ENUM_LIMIT = 200_000
 _ENUM_SOLVE_CAP = 20_000
 
 
@@ -78,7 +75,7 @@ class SolutionSet:
                 vec = [TruncSeries.zero(ring, self.prec) for _ in range(self.d)]
                 for c, b in zip(coeffs, self.basis):
                     if c:
-                        vec = [v + bi.scale(self.field.el(c)) for v, bi in zip(vec, b)]
+                        vec = [v + bi.scale(c) for v, bi in zip(vec, b)]
                 combos.append(tuple(vec))
             combos.sort(key=_residue_key)
             self.all = combos
@@ -105,11 +102,14 @@ def _residue_matrix(G):
     return [[a.coeffs.get(0, a.ring.field.zero) for a in row] for row in G]
 
 
+def _fp_coords(x, ext):
+    """The F_p-coordinates of a vector over ext, concatenated."""
+    return [a for c in x for a in ext.to_fp(c)]
+
+
 def _residue_solutions_enum(G0, ext, p):
     """Brute force over ext^d; deterministic order by codes."""
     d = len(G0)
-    if ext.order ** d > _ENUM_LIMIT:
-        raise Unsupported("enumeration domain too large")
     cols = list(zip(*[[ext.coerce(a) for a in row] for row in G0]))
     sols = []
     for codes in product(range(ext.order), repeat=d):
@@ -135,32 +135,20 @@ def _residue_basis_linearized(G0, ext, p):
             tx = [ext.frob_p(x[j]) if i == j else ext.zero for i in range(d)]
             gx = ff_vec_mat(x, G0e)
             img = [a - b for a, b in zip(tx, gx)]
-            cols.append(np.concatenate([np.array(ext.to_fp(c), dtype=np.int64)
-                                        for c in img]))
-    mat = np.stack(cols, axis=1) % ext.p
-    basis = gf.fp_kernel(mat, ext.p)
+            cols.append(_fp_coords(img, ext))
+    basis = gf.fp_kernel(list(zip(*cols)), ext.p)
     out = []
     for v in basis:
         out.append([ext.from_fp(v[j * m:(j + 1) * m]) for j in range(d)])
     return out
 
 
-def _fp_span_basis(vectors, ext, d, p):
-    """Reduce a set of residue solutions to an F_p-basis (deterministic)."""
-    m = ext.fp_degree
-    rows = []
-    keep = []
-    seen = np.zeros((0, d * m), dtype=np.int64)
-    for x in sorted(vectors, key=lambda xs: tuple(ext.code(c) for c in xs)):
-        flat = np.concatenate([np.array(ext.to_fp(c), dtype=np.int64) for c in x])
-        if not flat.any():
-            continue
-        test = np.concatenate([seen, flat.reshape(1, -1)]) if seen.size else flat.reshape(1, -1)
-        _, piv = gf.fp_rref(test, p)
-        if len(piv) == test.shape[0]:
-            seen = test
-            keep.append(x)
-    return keep
+def _fp_span_basis(vectors, ext, p):
+    """The residue solutions, sorted by codes, that are independent of
+    the ones before them: the pivot columns of one row reduction."""
+    xs = sorted(vectors, key=lambda x: tuple(ext.code(c) for c in x))
+    _, pivots = gf.fp_rref(list(zip(*[_fp_coords(x, ext) for x in xs])), p)
+    return [xs[k] for k in pivots]
 
 
 def solve_unit_root(G, s_max: int = 64, enumeration: bool | None = None) -> SolutionSet:
@@ -195,7 +183,7 @@ def solve_unit_root(G, s_max: int = 64, enumeration: bool | None = None) -> Solu
         sols = _residue_solutions_enum(G0, ext, p)
         if len(sols) != p ** d:
             raise ArithmeticError(f"{len(sols)} residue solutions in {ext.tag}, not {p ** d}")
-        basis = _fp_span_basis(sols, ext, d, p)
+        basis = _fp_span_basis(sols, ext, p)
     else:
         basis = _residue_basis_linearized(G0, ext, p)
         if len(basis) != d:
@@ -285,24 +273,18 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     """Matrix of x -> x^(q) (coefficientwise q-power, u fixed) on the
     F_p-basis of the solution set."""
     ext, base, p = S.field, S.base_field, S.base_field.p
-    m = ext.fp_degree
-    res = []
-    for b in S.basis:
-        res.append([bi.coeffs.get(0, ext.zero) for bi in b])
-    cols = [np.concatenate([np.array(ext.to_fp(c), dtype=np.int64) for c in x])
-            for x in res]
-    basis_mat = np.stack(cols, axis=1) % p
+    res = [[bi.coeffs.get(0, ext.zero) for bi in b] for b in S.basis]
+    basis_mat = list(zip(*[_fp_coords(x, ext) for x in res]))
     f = base.fp_degree  # q = p^f
     A = []
     for x in res:
         y = x
         for _ in range(f):
             y = [ext.frob_p(c) for c in y]
-        target = np.concatenate([np.array(ext.to_fp(c), dtype=np.int64) for c in y])
-        coords = gf.fp_solve(basis_mat, target, p)
+        coords = gf.fp_solve(basis_mat, _fp_coords(y, ext), p)
         if coords is None:
             raise ArithmeticError("q-Frobenius does not preserve the solution space")
-        A.append([int(c) for c in coords])
+        A.append(coords)
     # columns of the action matrix are the images
     return GaloisActionRep(p, [list(col) for col in zip(*A)])
 
@@ -357,7 +339,7 @@ def solve_rank1(a: int, c, base_field: gf.GF, s_max: int = 16, prec=8):
     D = p - 1
     sol = perfseries.monomial(fld, D, 1, Fraction(a, p - 1), gamma, Fraction(prec))
     zero = perfseries.zero_series(fld, D, 1, Fraction(prec))
-    sols = [zero] + [sol.scale(fld.el(z)) for z in range(1, p)]
+    sols = [zero] + [sol.scale(z) for z in range(1, p)]
     cu = perfseries.monomial(fld, D, 1, Fraction(a), fld.coerce(c), Fraction(prec))
     for x in sols:
         if not (x.pth_power() - cu * x).is_zero():

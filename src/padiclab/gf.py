@@ -1,25 +1,94 @@
 """Finite fields F_{p^f} and their extensions, with F_p-linear algebra.
 
-Fields are built as quotients F_p[x]/(m) with int coefficients;
-extension() flattens F_{q^s} over the prime field too and registers the
-inclusion of F_q, found deterministically inside the Frobenius-fixed
-subfield.  A field over another GF base is built only from an explicit
-modulus.  Moduli are the first monic irreducible in lexicographic
-coefficient order, found by Ben-Or's irreducibility test, which keeps
-every computation reproducible.
+Every field is one representation: F_p[x]/(m) for a monic modulus m of
+degree f, its elements tuples of f ints in [0, p).  extension() builds
+F_{q^s} the same way and registers the inclusion of F_q, found
+deterministically inside the Frobenius-fixed subfield.  Moduli are the
+first monic irreducible in lexicographic coefficient order, found by
+Ben-Or's irreducibility test, which keeps every computation
+reproducible.  Products and inverses mod (p, m) are the module-level
+kernels _mulmod and _invmod, shared by GF and the modulus search.
+
+The Frobenius x -> x^p and its inverse are F_p-linear; each is stored as
+its matrix columns packed into Python ints, one w-byte digit per
+coordinate, so x^p is one int product-sum and a to_bytes.  The F_p
+linear algebra (fp_rref, fp_kernel, fp_solve, fp_inverse) works on lists
+of int rows.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import product
 
 from .errors import ExtensionTooSmall
 
 _ENUM_CAP = 1_000_000  # refuse to iterate fields bigger than this
 
 
+def _mulmod(u, v, mod, p):
+    """u v in F_p[x]/(x^d + mod(x)), d = len(u); coefficient tuples,
+    low degree first, mod the d non-leading coefficients."""
+    d = len(u)
+    if d == 1:
+        return ((u[0] * v[0]) % p,)
+    raw = [0] * (2 * d - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                raw[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c = raw[k] % p
+        if c:
+            for j in range(d):
+                raw[k - d + j] -= c * mod[j]
+    return tuple(x % p for x in raw[:d])
+
+
+def _invmod(u, mod, p):
+    """u^-1 in F_p[x]/(x^d + mod(x)) by the extended Euclidean algorithm;
+    ZeroDivisionError when u and the modulus are not coprime."""
+    d = len(u)
+    if d == 1:
+        return (pow(u[0], -1, p),)
+    r0 = list(mod) + [1]
+    r1 = list(u)
+    s0 = [0]
+    s1 = [1]
+
+    def deg(poly):
+        for k in range(len(poly) - 1, -1, -1):
+            if poly[k]:
+                return k
+        return -1
+
+    while True:
+        d1 = deg(r1)
+        if d1 < 0:
+            raise ZeroDivisionError("element not invertible")
+        if d1 == 0:
+            break
+        d0 = deg(r0)
+        if d0 < d1:
+            r0, r1 = r1, r0
+            s0, s1 = s1, s0
+            continue
+        q_coef = r0[d0] * pow(r1[d1], -1, p) % p
+        shift = d0 - d1
+        for j in range(d1 + 1):
+            r0[j + shift] = (r0[j + shift] - q_coef * r1[j]) % p
+        need = shift + len(s1)
+        if len(s0) < need:
+            s0 = s0 + [0] * (need - len(s0))
+        for j in range(len(s1)):
+            s0[j + shift] = (s0[j + shift] - q_coef * s1[j]) % p
+    c_inv = pow(r1[0], -1, p)
+    out = [c * c_inv % p for c in s1]
+    out += [0] * (d - len(out))
+    return tuple(out[:d])
+
+
 class FFElt:
-    """Element of a GF field: a coefficient tuple over the base."""
+    """Element of a GF field: its coefficient tuple over F_p."""
 
     __slots__ = ("field", "coeffs")
 
@@ -29,12 +98,14 @@ class FFElt:
 
     def __add__(self, other):
         other = self.field.coerce(other)
-        return FFElt(self.field, self.field._padd(self.coeffs, other.coeffs))
+        p = self.field.p
+        return FFElt(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FFElt(self.field, tuple(self.field._bneg(c) for c in self.coeffs))
+        p = self.field.p
+        return FFElt(self.field, tuple(-a % p for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self.field.coerce(other))
@@ -43,11 +114,12 @@ class FFElt:
         return (-self) + self.field.coerce(other)
 
     def __mul__(self, other):
+        f = self.field
         if isinstance(other, int):
-            other = self.field.el(other)
-        elif not isinstance(other, FFElt) or other.field is not self.field:
+            return FFElt(f, tuple(a * other % f.p for a in self.coeffs))
+        if not isinstance(other, FFElt) or other.field is not f:
             return NotImplemented
-        return FFElt(self.field, self.field._pmulmod(self.coeffs, other.coeffs))
+        return FFElt(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
 
     __rmul__ = __mul__
 
@@ -73,10 +145,11 @@ class FFElt:
     def inverse(self) -> "FFElt":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        return FFElt(self.field, self.field._pinvmod(self.coeffs))
+        f = self.field
+        return FFElt(f, _invmod(self.coeffs, f.modulus, f.p))
 
     def __bool__(self):
-        return any(not self.field._biszero(c) for c in self.coeffs)
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -93,151 +166,27 @@ class FFElt:
 
 
 class GF:
-    """F_{p^(fp_degree)} realized as base[x]/(modulus).
+    """F_{p^degree} realized as F_p[x]/(modulus), by the first
+    irreducible modulus unless one is given."""
 
-    base=None gives F_{p^degree} over the prime field, by the first
-    irreducible modulus unless one is given; otherwise the field is an
-    extension of ``base`` of the given degree by the given modulus.
-    """
-
-    def __init__(self, p: int, degree: int = 1, base: "GF | None" = None,
-                 modulus: tuple | None = None):
+    def __init__(self, p: int, degree: int = 1, modulus: tuple | None = None):
         if p < 3 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
-        self.degree = degree
-        self.base = base
-        if base is None:
-            self.fp_degree = degree
-            self.order = p ** degree
-            if degree == 1:
-                self.modulus = None
-            else:
-                self.modulus = modulus if modulus is not None else _find_modulus_prime(p, degree)
+        self.fp_degree = degree
+        self.order = p ** degree
+        if degree == 1:
+            self.modulus = None
         else:
-            if base.p != p:
-                raise ValueError("characteristic mismatch")
-            if degree < 2:
-                raise ValueError("extension degree must be >= 2")
-            self.fp_degree = base.fp_degree * degree
-            self.order = base.order ** degree
-            if modulus is None:
-                raise ValueError("an extension of a GF base needs its modulus")
-            self.modulus = modulus
-        self.zero = FFElt(self, tuple(self._bzero() for _ in range(degree)))
-        one = [self._bzero() for _ in range(degree)]
-        one[0] = self._bone()
-        self.one = FFElt(self, tuple(one))
+            self.modulus = modulus if modulus is not None else _find_modulus_prime(p, degree)
+        self.zero = FFElt(self, (0,) * degree)
+        self.one = FFElt(self, (1,) + (0,) * (degree - 1))
         self.tag = f"F{self.order}"
-        self._frob_mat = None
-        self._frob_inv_mat = None
+        # packed Frobenius columns: digit width in bytes, 256^w > degree (p-1)^2
+        self._w = ((degree * (p - 1) ** 2).bit_length() + 7) // 8
+        self._frob_cols = None
+        self._frob_inv_cols = None
         self._embeddings = {}
-
-    # --- base-coefficient arithmetic (ints for the prime field) ---
-
-    def _bzero(self):
-        return 0 if self.base is None else self.base.zero
-
-    def _bone(self):
-        return 1 if self.base is None else self.base.one
-
-    def _badd(self, a, b):
-        return (a + b) % self.p if self.base is None else a + b
-
-    def _bneg(self, a):
-        return (-a) % self.p if self.base is None else -a
-
-    def _bmul(self, a, b):
-        return (a * b) % self.p if self.base is None else a * b
-
-    def _binv(self, a):
-        return pow(a, -1, self.p) if self.base is None else a.inverse()
-
-    def _biszero(self, a):
-        return a == 0 if self.base is None else not a
-
-    # --- coefficient-tuple arithmetic ---
-
-    def _padd(self, u, v):
-        return tuple(self._badd(a, b) for a, b in zip(u, v))
-
-    def _pmulmod(self, u, v):
-        d = self.degree
-        if self.base is None:
-            p = self.p
-            if d == 1:
-                return ((u[0] * v[0]) % p,)
-            raw = [0] * (2 * d - 1)
-            for i, a in enumerate(u):
-                if a:
-                    for j, b in enumerate(v):
-                        raw[i + j] += a * b
-            mod = self.modulus
-            for k in range(2 * d - 2, d - 1, -1):
-                c = raw[k] % p
-                if c:
-                    for j in range(d):
-                        raw[k - d + j] -= c * mod[j]
-            return tuple(x % p for x in raw[:d])
-        raw = [self._bzero() for _ in range(2 * d - 1)]
-        for i, a in enumerate(u):
-            if self._biszero(a):
-                continue
-            for j, b in enumerate(v):
-                raw[i + j] = self._badd(raw[i + j], self._bmul(a, b))
-        # reduce modulo the monic modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = raw[k]
-            if self._biszero(c):
-                continue
-            for j in range(d):
-                raw[k - d + j] = self._badd(raw[k - d + j],
-                                            self._bneg(self._bmul(c, self.modulus[j])))
-        return tuple(raw[:d])
-
-    def _pinvmod(self, u):
-        # extended Euclid in base[x] against the full monic modulus
-        if self.base is None and self.degree == 1:
-            return (pow(u[0], -1, self.p),)
-        zero, one = self._bzero(), self._bone()
-        r0 = list(self.modulus) + [one]
-        r1 = list(u)
-        s0 = [zero]
-        s1 = [one]
-
-        def deg(poly):
-            for k in range(len(poly) - 1, -1, -1):
-                if not self._biszero(poly[k]):
-                    return k
-            return -1
-
-        while True:
-            d1 = deg(r1)
-            if d1 < 0:
-                raise ZeroDivisionError("element not invertible")
-            if d1 == 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
-                continue
-            lc1_inv = self._binv(r1[d1])
-            q_coef = self._bmul(r0[d0], lc1_inv)
-            shift = d0 - d1
-            for j in range(d1 + 1):
-                r0[j + shift] = self._badd(r0[j + shift],
-                                           self._bneg(self._bmul(q_coef, r1[j])))
-            need = shift + len(s1)
-            if len(s0) < need:
-                s0 = s0 + [zero] * (need - len(s0))
-            for j in range(len(s1)):
-                s0[j + shift] = self._badd(s0[j + shift],
-                                           self._bneg(self._bmul(q_coef, s1[j])))
-        c_inv = self._binv(r1[0])
-        out = [self._bmul(c, c_inv) for c in s1]
-        out += [zero] * (self.degree - len(out))
-        return tuple(out[:self.degree])
 
     # --- construction of elements ---
 
@@ -245,16 +194,14 @@ class GF:
         if isinstance(x, FFElt):
             if x.field is self:
                 return x
-            if x.field is self.base:
-                return self.embed(x)
             if x.field.p == self.p and x.field.order == self.p:
-                return self.el(x.field.code(x))
+                return self.el(x.coeffs[0])
             powers = self._embeddings.get(id(x.field))
             if powers is not None:
                 acc = self.zero
                 for c, img in zip(x.coeffs, powers):
                     if c:
-                        acc = acc + img * int(c)
+                        acc = acc + img * c
                 return acc
             raise ValueError(f"cannot coerce element of {x.field.tag} into {self.tag}")
         if isinstance(x, int):
@@ -262,49 +209,26 @@ class GF:
         raise TypeError(f"cannot coerce {x!r} into {self.tag}")
 
     def el(self, k: int) -> FFElt:
-        if self.base is None:
-            return FFElt(self, (k % self.p,) + (0,) * (self.degree - 1))
-        return self.embed(self.base.el(k))
-
-    def embed(self, c) -> FFElt:
-        """Embed a base-field element as a constant."""
-        if self.base is None:
-            raise ValueError("prime field has no base")
-        c = self.base.coerce(c)
-        coeffs = [c] + [self.base.zero] * (self.degree - 1)
-        return FFElt(self, tuple(coeffs))
+        return FFElt(self, (k % self.p,) + (0,) * (self.fp_degree - 1))
 
     @property
     def gen(self) -> FFElt:
-        if self.degree == 1:
+        if self.fp_degree == 1:
             return self.one
-        coeffs = [self._bzero()] * self.degree
-        coeffs[1] = self._bone()
-        return FFElt(self, tuple(coeffs))
+        return FFElt(self, (0, 1) + (0,) * (self.fp_degree - 2))
 
     def from_code(self, code: int) -> FFElt:
-        """Element from its integer code in [0, order); base-order digits."""
-        if self.base is None:
-            coeffs = []
-            for _ in range(self.degree):
-                coeffs.append(code % self.p)
-                code //= self.p
-            return FFElt(self, tuple(coeffs))
+        """Element from its integer code in [0, order); base-p digits."""
         coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(self.base.from_code(code % self.base.order))
-            code //= self.base.order
+        for _ in range(self.fp_degree):
+            coeffs.append(code % self.p)
+            code //= self.p
         return FFElt(self, tuple(coeffs))
 
     def code(self, x: FFElt) -> int:
-        if self.base is None:
-            c = 0
-            for a in reversed(x.coeffs):
-                c = c * self.p + a
-            return c
         c = 0
         for a in reversed(x.coeffs):
-            c = c * self.base.order + self.base.code(a)
+            c = c * self.p + a
         return c
 
     def elements(self):
@@ -322,86 +246,81 @@ class GF:
     # --- F_p-linear structure ---
 
     def to_fp(self, x: FFElt) -> tuple:
-        if self.base is None:
-            return x.coeffs
-        out = []
-        for c in x.coeffs:
-            out.extend(self.base.to_fp(c))
-        return tuple(out)
+        return x.coeffs
 
     def from_fp(self, vec) -> FFElt:
-        if self.base is None:
-            return FFElt(self, tuple(int(v) % self.p for v in vec))
-        d = self.base.fp_degree
-        coeffs = tuple(self.base.from_fp(vec[i * d:(i + 1) * d])
-                       for i in range(self.degree))
-        return FFElt(self, coeffs)
+        return FFElt(self, tuple(v % self.p for v in vec))
 
-    def _frobenius_matrix(self):
-        if self._frob_mat is None:
-            n = self.fp_degree
-            cols = []
-            for i in range(n):
-                e = [0] * n
-                e[i] = 1
-                cols.append(self.to_fp(self.from_fp(e) ** self.p))
-            self._frob_mat = np.array(cols, dtype=np.int64).T % self.p
-            self._frob_inv_mat = fp_inverse(self._frob_mat, self.p)
-        return self._frob_mat
+    def _pack(self, y: FFElt) -> int:
+        """The coordinates of y as one int, a w-byte digit each."""
+        return sum(a << (8 * self._w * i) for i, a in enumerate(y.coeffs))
+
+    def _apply(self, cols, x: FFElt) -> FFElt:
+        """The F_p-linear map with packed columns cols, applied to x.
+        Each digit of the sum is at most degree (p-1)^2 < 256^w, so no
+        digit carries into the next."""
+        acc = 0
+        for a, col in zip(x.coeffs, cols):
+            if a:
+                acc += a * col
+        p, w = self.p, self._w
+        raw = acc.to_bytes(self.fp_degree * w, "little")
+        if w == 1:
+            return FFElt(self, tuple(b % p for b in raw))
+        return FFElt(self, tuple(int.from_bytes(raw[i:i + w], "little") % p
+                                 for i in range(0, len(raw), w)))
+
+    def _powers(self, y: FFElt, k: int) -> list:
+        """1, y, ..., y^(k-1): the images of 1, x, ..., x^(k-1) under the
+        ring map fixing F_p that sends x to y."""
+        out = [self.one]
+        for _ in range(k - 1):
+            out.append(out[-1] * y)
+        return out
 
     def frob_p(self, x: FFElt) -> FFElt:
-        """x^p, via the precomputed F_p-linear matrix."""
-        m = self._frobenius_matrix()
-        v = np.array(self.to_fp(x), dtype=np.int64)
-        return self.from_fp((m @ v) % self.p)
+        """x^p, via the packed Frobenius columns."""
+        if self._frob_cols is None:
+            self._frob_cols = [self._pack(v) for v in
+                               self._powers(self.gen ** self.p, self.fp_degree)]
+        return self._apply(self._frob_cols, x)
 
     def pth_root(self, x: FFElt) -> FFElt:
-        """The unique y with y^p = x."""
-        self._frobenius_matrix()
-        v = np.array(self.to_fp(x), dtype=np.int64)
-        return self.from_fp((self._frob_inv_mat @ v) % self.p)
+        """The unique y with y^p = x: Frobenius^(degree-1), packed."""
+        if self._frob_inv_cols is None:
+            y = self.gen
+            for _ in range(self.fp_degree - 1):
+                y = self.frob_p(y)
+            self._frob_inv_cols = [self._pack(v) for v in self._powers(y, self.fp_degree)]
+        return self._apply(self._frob_inv_cols, x)
 
     def register_embedding(self, small: "GF"):
-        """Record an embedding of the degree-f field ``small`` (flattened)
-        into this flattened field: the image of its generator is the
-        first root of its modulus inside the fixed field of Frob^f."""
-        if id(small) in self._embeddings or small.degree == 1:
+        """Record an embedding of the degree-f field ``small`` into this
+        field: the image of its generator is the first root of its
+        modulus inside the fixed field of Frob^f."""
+        if id(small) in self._embeddings or small.fp_degree == 1:
             return
-        if self.base is not None or small.base is not None:
-            raise ValueError("embeddings are registered between flattened fields")
-        p, f = self.p, small.degree
-        if self.fp_degree % f:
+        p, n, f = self.p, self.fp_degree, small.fp_degree
+        if n % f:
             raise ValueError("no embedding: degree does not divide")
-        M = self._frobenius_matrix()
-        A = np.eye(self.fp_degree, dtype=np.int64)
+        y = self.gen
         for _ in range(f):
-            A = (M @ A) % p
-        A = (A - np.eye(self.fp_degree, dtype=np.int64)) % p
-        basis = fp_kernel(A, p)
+            y = self.frob_p(y)
+        images = self._powers(y, n)  # Frob^f - 1 sends x^j to y^j - x^j
+        basis = fp_kernel([[v.coeffs[i] - (i == j) for j, v in enumerate(images)]
+                           for i in range(n)], p)
         if len(basis) != f:
             raise RuntimeError("subfield has wrong dimension")  # impossible
-        modulus = list(small.modulus) + [1]
-        found = None
-        from itertools import product as _product
-        for codes in _product(range(p), repeat=f):
-            vec = sum((c * b for c, b in zip(codes, basis)),
-                      start=np.zeros(self.fp_degree, dtype=np.int64)) % p
-            x = self.from_fp(vec)
-            acc = self.zero
-            xp = self.one
-            for c in modulus:
-                if c:
-                    acc = acc + xp * int(c)
-                xp = xp * x
+        for codes in product(range(p), repeat=f):
+            x = self.from_fp([sum(c * b[i] for c, b in zip(codes, basis)) for i in range(n)])
+            acc = self.one  # Horner on the monic modulus
+            for c in reversed(small.modulus):
+                acc = acc * x + c
             if not acc:
-                found = x
                 break
-        if found is None:
+        else:
             raise RuntimeError("modulus has no root in the big field")  # impossible
-        powers = [self.one]
-        for _ in range(f - 1):
-            powers.append(powers[-1] * found)
-        self._embeddings[id(small)] = powers
+        self._embeddings[id(small)] = self._powers(x, f)
 
     def nth_root(self, x: FFElt, n: int):
         """Some y with y^n = x, or None.  Enumerates; small fields only."""
@@ -423,69 +342,33 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
     """First monic irreducible of degree s over F_p in lexicographic
     coefficient order, by Ben-Or's test (FOCS 1981): f is irreducible iff
     gcd(x^(p^k) - x, f) = 1 for k = 1 .. s/2, since a reducible f has a
-    factor of degree k <= s/2, which divides x^(p^k) - x.  The test stops
-    at the first such k; pure int arithmetic."""
-
-    def pmulmod(u, v, full):
-        raw = [0] * (2 * s - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    raw[i + j] += a * b
-        for k in range(2 * s - 2, s - 1, -1):
-            c = raw[k] % p
-            if c:
-                for j in range(s):
-                    raw[k - s + j] -= c * full[j]
-        return [x % p for x in raw[:s]]
-
-    def ppow_p(u, full):
-        result = [1] + [0] * (s - 1)
-        acc = u[:]
-        n = p
-        while n:
-            if n & 1:
-                result = pmulmod(result, acc, full)
-            acc = pmulmod(acc, acc, full)
-            n >>= 1
-        return result
-
-    def int_coprime(a, b):
-        a, b = a[:], b[:]
-
-        def deg(u):
-            for k in range(len(u) - 1, -1, -1):
-                if u[k] % p:
-                    return k
-            return -1
-
-        while True:
-            da, db = deg(a), deg(b)
-            if db < 0:
-                return da <= 0
-            if da < db:
-                a, b = b, a
-                continue
-            lc = a[da] * pow(b[db], -1, p)
-            for j in range(db + 1):
-                a[da - db + j] = (a[da - db + j] - lc * b[j]) % p
-
-    x = [0, 1] + [0] * (s - 2)
+    factor of degree k <= s/2, which divides x^(p^k) - x.  The gcd is 1
+    exactly when x^(p^k) - x is invertible mod f.  The test stops at the
+    first k with a common factor."""
+    x = (0, 1) + (0,) * (s - 2)
     for code in range(p ** s):
         if s > 1 and code % p == 0:
             continue                      # x divides it
-        coeffs = []
+        mod = []
         c = code
         for _ in range(s):
-            coeffs.append(c % p)
+            mod.append(c % p)
             c //= p
         g = x
         for _ in range(s // 2):
-            g = ppow_p(g, coeffs)
-            if not int_coprime([(a - b) % p for a, b in zip(g, x)], coeffs + [1]):
+            result, acc, n = (1,) + (0,) * (s - 1), g, p
+            while n:                      # g = g^p mod f
+                if n & 1:
+                    result = _mulmod(result, acc, mod, p)
+                acc = _mulmod(acc, acc, mod, p)
+                n >>= 1
+            g = result
+            try:
+                _invmod(tuple((a - b) % p for a, b in zip(g, x)), mod, p)
+            except ZeroDivisionError:
                 break
         else:
-            return tuple(coeffs)
+            return tuple(mod)
     raise RuntimeError("no irreducible polynomial found")
 
 
@@ -515,7 +398,7 @@ def degree(q: int, p: int) -> int:
 
 
 def field(p: int, f: int = 1) -> GF:
-    """F_{p^f}, flattened over the prime field (int arithmetic)."""
+    """F_{p^f} over the prime field."""
     if f == 1:
         return prime_field(p)
     key = ("ext", p, f)
@@ -525,12 +408,9 @@ def field(p: int, f: int = 1) -> GF:
 
 
 def extension(base: GF, s: int) -> GF:
-    """F_{q^s} containing the flattened field base (order q) with a
-    registered embedding.
-
-    The extension is flattened to single-level int arithmetic too; the
-    inclusion of the base is found deterministically inside the
-    Frobenius-fixed subfield."""
+    """F_{q^s} containing the field base (order q) with a registered
+    embedding, found deterministically inside the Frobenius-fixed
+    subfield."""
     if s == 1:
         return base
     big = field(base.p, base.fp_degree * s)
@@ -538,70 +418,66 @@ def extension(base: GF, s: int) -> GF:
     return big
 
 
-# --- exact linear algebra over F_p (numpy int64, entries reduced mod p) ---
+# --- exact linear algebra over F_p on lists of int rows ---
 
-def fp_rref(mat: np.ndarray, p: int):
-    """Row-reduce mod p.  Returns (rref matrix, pivot column list)."""
-    m = mat.copy() % p
-    rows, cols = m.shape
+def fp_rref(rows, p: int):
+    """Row-reduce mod p.  Returns (rref rows, pivot column list)."""
+    m = [[a % p for a in row] for row in rows]
+    nrows = len(m)
     pivots = []
     r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pivot = i
-                break
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        top = m[r] = [a * inv % p for a in m[r]]
+        for i in range(nrows):
+            k = m[i][c]
+            if k and i != r:
+                m[i] = [(a - k * b) % p for a, b in zip(m[i], top)]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return m % p, pivots
+    return m, pivots
 
 
-def fp_kernel(mat: np.ndarray, p: int) -> list:
-    """Basis of the right kernel of mat over F_p (list of int64 vectors)."""
-    m, pivots = fp_rref(np.asarray(mat, dtype=np.int64), p)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+def fp_kernel(rows, p: int) -> list:
+    """Basis of the right kernel of the matrix over F_p (int lists)."""
+    m, pivots = fp_rref(rows, p)
+    cols = len(m[0])
     basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [0] * cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = (-m[r, fc]) % p
-        basis.append(v % p)
+            v[pc] = -m[r][fc] % p
+        basis.append(v)
     return basis
 
 
-def fp_solve(mat: np.ndarray, rhs: np.ndarray, p: int):
-    """One solution of mat @ x = rhs over F_p, or None."""
-    mat = np.asarray(mat, dtype=np.int64) % p
-    rhs = np.asarray(rhs, dtype=np.int64) % p
-    aug = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1)
-    m, pivots = fp_rref(aug, p)
-    cols = mat.shape[1]
+def fp_solve(rows, rhs, p: int):
+    """One solution x of rows x = rhs over F_p (an int list), or None."""
+    cols = len(rows[0])
+    m, pivots = fp_rref([list(row) + [b] for row, b in zip(rows, rhs)], p)
     if cols in pivots:
         return None
-    x = np.zeros(cols, dtype=np.int64)
+    x = [0] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = m[r, cols]
-    return x % p
+        x[pc] = m[r][cols]
+    return x
 
 
-def fp_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.int64) % p
-    n = mat.shape[0]
-    aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
-    m, pivots = fp_rref(aug, p)
+def fp_inverse(rows, p: int) -> list:
+    """The inverse of a square matrix over F_p, as int rows;
+    ZeroDivisionError when it is singular."""
+    n = len(rows)
+    m, pivots = fp_rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(rows)], p)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix not invertible mod p")
-    return m[:, n:] % p
+    return [row[n:] for row in m]

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
-import numpy as np
 
 from padiclab import galrep, gf, gskel, padic, perfseries, phimod, ramif, taumod, witt
 from padiclab.errors import NotDivisible
@@ -281,7 +280,7 @@ def test_c06_modp_functor():
         while True:
             A = [[rng.randrange(3) for _ in range(d)] for _ in range(d)]
             try:
-                gf.fp_inverse(np.array(A), 3)
+                gf.fp_inverse(A, 3)
                 break
             except ZeroDivisionError:
                 continue

@@ -161,3 +161,10 @@ def test_galois_rank1_reads_fq_code():
     bad = run(base + ["9"])
     assert bad.returncode == 2 and "input error" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+def test_cli_import_leaves_numpy_out():
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, padiclab.cli; assert 'numpy' not in sys.modules"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

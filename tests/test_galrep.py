@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from padiclab import galrep, gf
@@ -107,7 +106,7 @@ def test_unramified_round_trip():
         while True:
             A = [[rng.randrange(3) for _ in range(d)] for _ in range(d)]
             try:
-                gf.fp_inverse(np.array(A), 3)
+                gf.fp_inverse(A, 3)
                 break
             except ZeroDivisionError:
                 continue

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import gf
 
@@ -64,15 +66,14 @@ def test_nth_root():
 
 
 def test_fp_linear_algebra():
-    ker = gf.fp_kernel(np.array([[1, 2], [2, 1]]), 3)
+    ker = gf.fp_kernel([[1, 2], [2, 1]], 3)
     assert len(ker) == 1
-    M = np.array([[1, 1], [0, 1]])
-    x = gf.fp_solve(M, np.array([0, 2]), 3)
-    assert x is not None and tuple((M @ x) % 3) == (0, 2)
-    inv = gf.fp_inverse(M, 3)
-    assert ((M @ inv) % 3 == np.eye(2, dtype=int)).all()
+    M = [[1, 1], [0, 1]]
+    x = gf.fp_solve(M, [0, 2], 3)
+    assert x is not None and [(x[0] + x[1]) % 3, x[1] % 3] == [0, 2]
+    assert gf.fp_inverse(M, 3) == [[1, 2], [0, 1]]
     with pytest.raises(ZeroDivisionError):
-        gf.fp_inverse(np.array([[1, 1], [2, 2]]), 3)
+        gf.fp_inverse([[1, 1], [2, 2]], 3)
 
 
 def test_degree_of_prime_power():
@@ -80,3 +81,95 @@ def test_degree_of_prime_power():
     for q, p in [(1, 3), (0, 3), (6, 3), (2, 3), (-3, 3), (4, 1)]:
         with pytest.raises(ValueError):
             gf.degree(q, p)
+
+
+# --- differential tests against brute force and plain powering ---
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def vectors(p, n):
+    return [list(v) for v in product(range(p), repeat=n)]
+
+
+def apply(A, x, p):
+    return [sum(a * b for a, b in zip(row, x)) % p for row in A]
+
+
+@st.composite
+def fp_matrix(draw, square=False):
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 5))
+    r = n if square else draw(st.integers(1, 5))
+    entries = st.integers(0, p - 1) | st.sampled_from([0, 0, p - 1])   # favour rank drops
+    A = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    return p, A
+
+
+@SETTINGS
+@given(fp_matrix())
+def test_fp_kernel_is_the_enumerated_kernel(case):
+    p, A = case
+    n = len(A[0])
+    kernel = [x for x in vectors(p, n) if not any(apply(A, x, p))]
+    basis = gf.fp_kernel(A, p)
+    span = {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p for i in range(n))
+            for cs in product(range(p), repeat=len(basis))}
+    assert p ** len(basis) == len(kernel) == len(span)
+    assert span == {tuple(x) for x in kernel}
+
+
+@SETTINGS
+@given(fp_matrix(), st.data())
+def test_fp_solve_finds_a_solution_iff_one_exists(case, data):
+    p, A = case
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=len(A), max_size=len(A)))
+    if data.draw(st.booleans()):     # a consistent right-hand side half the time
+        b = apply(A, data.draw(st.sampled_from(vectors(p, len(A[0])))), p)
+    solutions = [x for x in vectors(p, len(A[0])) if apply(A, x, p) == b]
+    x = gf.fp_solve(A, b, p)
+    if solutions:
+        assert x in solutions
+    else:
+        assert x is None
+
+
+@SETTINGS
+@given(fp_matrix(square=True))
+def test_fp_inverse_against_enumeration(case):
+    p, A = case
+    n = len(A)
+    columns = []
+    for j in range(n):
+        e = [int(i == j) for i in range(n)]
+        columns.append([x for x in vectors(p, n) if apply(A, x, p) == e])
+    if all(len(c) == 1 for c in columns):
+        inv = gf.fp_inverse(A, p)
+        assert inv == [list(row) for row in zip(*(c[0] for c in columns))]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gf.fp_inverse(A, p)
+
+
+# (p, f): F_(3^52) is the largest field the mod-p functor builds; at p = 7,
+# 17 and 31 the packed Frobenius digit is two bytes wide
+FROB_FIELDS = [(3, 1), (3, 2), (3, 7), (3, 52), (5, 1), (5, 12), (7, 8), (17, 3), (31, 2)]
+
+
+@SETTINGS
+@given(st.sampled_from(FROB_FIELDS), st.data())
+def test_packed_frobenius_matches_powering(pf, data):
+    F = gf.field(*pf)
+    p = F.p
+    x = F.from_fp(data.draw(st.lists(st.integers(0, p - 1), min_size=F.fp_degree,
+                                     max_size=F.fp_degree)))
+    assert F.frob_p(x) == x ** p
+    y = F.pth_root(x)
+    assert y ** p == x
+    assert F.pth_root(x ** p) == x
+    k = data.draw(st.integers(-2 * p, 2 * p))
+    assert x * k == k * x == x * F.el(k)
+
+
+def test_packed_digit_widths():
+    assert [gf.field(*pf)._w for pf in FROB_FIELDS] == [1, 1, 1, 1, 1, 1, 2, 2, 2]
