@@ -3,11 +3,15 @@
 For a unit-root matrix G over F_q[[u]]/u^M the solutions of
 x^(p) = x G form an F_p-space of dimension d over F_(q^s), where s is
 the order of N = G0 sigma(G0) ... sigma^(f-1)(G0) in GL_d(F_q); the
-solver computes s first and builds that one field.  Solutions are
-produced by enumerating or linearizing the residue equation there and
-then running the coefficient recursion
+solver computes s first and builds that one field.  Every solution is
+x0 Q, where sigma(x0) = x0 G0 in F_(q^s) and Q is the trivialisation,
+the matrix over F_q[[u]]/u^M with Q(0) = I and G0 phi(Q) = Q G (Katz,
+"p-adic properties of modular schemes and modular forms", 1973, sec. 4),
+as phi(x0 Q) = x0 G0 phi(Q) = x0 Q G.  The residues come from one
+F_p-linearization, as the basis least in code order (_residue_basis),
+and Q from one coefficient recursion over F_q, whatever s is:
 
-    x_m = (sigma(x_{m/p}) [p | m] - sum_{j>=1} x_{m-j} G_j) G_0^{-1}.
+    Q_m = ([p | m] G0 sigma(Q_{m/p}) - sum_{j=1..m} Q_{m-j} G_j) G0^{-1}.
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -17,6 +21,7 @@ where the tame character shows up through the exponent a/(p-1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -25,9 +30,6 @@ from .errors import ExtensionCapExceeded, Unsupported
 from .phimod import PhiModule
 from .rings import FFRing
 from .series import TruncSeries
-
-_ENUM_SOLVE_CAP = 20_000
-
 
 # --- small dense linear algebra over a GF field: padiclab.matrix, named
 # here for perfbench's tracer ---
@@ -49,9 +51,9 @@ def ff_mat_inv(A):
 class SolutionSet:
     """All p^d solutions of x^(p) = x G, closed under F_p-combinations.
 
-    basis: d solutions whose F_p-span is the whole set; solutions and
-    the enumerated list are ordered lexicographically by the residue
-    coordinates' field codes.
+    basis: d solutions x0 Q spanning the set, x0 the reversed reduced
+    echelon basis of the residues, the least in code order; solutions()
+    are ordered lexicographically by the residue coordinates' codes.
     """
 
     base_field: gf.GF
@@ -107,51 +109,72 @@ def _fp_coords(x, ext):
     return [a for c in x for a in ext.to_fp(c)]
 
 
-def _residue_solutions_enum(G0, ext, p):
-    """Brute force over ext^d; deterministic order by codes."""
-    d = len(G0)
-    cols = list(zip(*[[ext.coerce(a) for a in row] for row in G0]))
-    sols = []
-    for codes in product(range(ext.order), repeat=d):
-        x = [ext.from_code(c) for c in codes]
-        if all(xj ** p == matrix.dot(x, col) for xj, col in zip(x, cols)):
-            sols.append(x)
-    return sols
+def _residue_basis(G0e, ext):
+    """The F_p-basis of { x in ext^d : sigma(x) = x G0 } least in code
+    order: the kernel of sigma - (. G0), row-reduced with coordinates in
+    code-significance order (x_0's top coordinate first), its rows last
+    first.  That is the greedy pick over the residues sorted by codes:
+    the least vector outside the span of the later rows is the next row."""
+    d, m, p = len(G0e), ext.fp_degree, ext.p
 
+    def flip(v):    # natural order <-> code-significance order
+        return [c for j in range(0, d * m, m) for c in reversed(v[j:j + m])]
 
-def _residue_basis_linearized(G0, ext, p):
-    """F_p-basis of { x : sigma(x) = x G0 } inside ext^d, by kernel of
-    the F_p-linear operator sigma - (. G0)."""
-    d = len(G0)
-    m = ext.fp_degree
-    G0e = [[ext.coerce(a) for a in row] for row in G0]
     cols = []
     for j in range(d):
         for k in range(m):
-            vec = [0] * m
-            vec[k] = 1
-            x = [ext.zero] * d
-            x[j] = ext.from_fp(vec)
-            tx = [ext.frob_p(x[j]) if i == j else ext.zero for i in range(d)]
-            gx = ff_vec_mat(x, G0e)
-            img = [a - b for a, b in zip(tx, gx)]
+            e = ext.from_fp([int(i == k) for i in range(m)])
+            x = [e if i == j else ext.zero for i in range(d)]
+            img = [ext.frob_p(a) - b for a, b in zip(x, ff_vec_mat(x, G0e))]
             cols.append(_fp_coords(img, ext))
-    basis = gf.fp_kernel(list(zip(*cols)), ext.p)
-    out = []
-    for v in basis:
-        out.append([ext.from_fp(v[j * m:(j + 1) * m]) for j in range(d)])
-    return out
+    kernel = gf.fp_kernel(list(zip(*cols)), p)
+    rows, pivots = gf.fp_rref([flip(v) for v in kernel], p)
+    return [[ext.from_fp(v[j:j + m]) for j in range(0, d * m, m)]
+            for v in map(flip, reversed(rows[:len(pivots)]))]
 
 
-def _fp_span_basis(vectors, ext, p):
-    """The residue solutions, sorted by codes, that are independent of
-    the ones before them: the pivot columns of one row reduction."""
-    xs = sorted(vectors, key=lambda x: tuple(ext.code(c) for c in x))
-    _, pivots = gf.fp_rref(list(zip(*[_fp_coords(x, ext) for x in xs])), p)
-    return [xs[k] for k in pivots]
+def _trivialisation(G, G0, G0inv, prec):
+    """The coefficients Q_0, ..., Q_(M-1) over F_q of Q, by the recursion."""
+    base = G0[0][0].field
+    d, p = len(G), base.p
+    Gj = {}
+    for i, row in enumerate(G):
+        for k, a in enumerate(row):
+            for e, c in a.coeffs.items():
+                if 0 < e < prec:
+                    Gj.setdefault(e, [[base.zero] * d for _ in range(d)])[i][k] = c
+    Q = [matrix.scalar(d, base.one, base.zero)]
+    for m in range(1, prec):
+        if m % p:
+            rhs = [[base.zero] * d for _ in range(d)]
+        else:
+            rhs = matrix.mul(G0, [[base.frob_p(a) for a in row] for row in Q[m // p]])
+        for j, Gm in Gj.items():
+            if j <= m:
+                QG = matrix.mul(Q[m - j], Gm)
+                rhs = [[a - b for a, b in zip(r, t)] for r, t in zip(rhs, QG)]
+        Q.append([ff_vec_mat(row, G0inv) for row in rhs])
+    return Q
 
 
-def solve_unit_root(G, s_max: int = 64, enumeration: bool | None = None) -> SolutionSet:
+def _check_solutions(G, G0e, Q, residues, prec):
+    """ArithmeticError unless G0 phi(Q) = Q G over F_q at precision M and
+    sigma(x0) = x0 G0 for every residue x0: then every x0 Q solves."""
+    ring, d = G[0][0].ring, len(G)
+    G0 = _residue_matrix(G)
+    Qs = [[TruncSeries(ring, {m: Qm[i][j] for m, Qm in enumerate(Q)}, prec)
+           for j in range(d)] for i in range(d)]
+    lhs = matrix.mul(G0, [[a.frobenius() for a in row] for row in Qs])
+    for lrow, rrow in zip(lhs, matrix.mul(Qs, G)):
+        if any(not (a - b).truncate(prec).is_zero() for a, b in zip(lrow, rrow)):
+            raise ArithmeticError("the trivialisation Q fails G0 phi(Q) = Q G")
+    ext = G0e[0][0].field
+    for x0 in residues:
+        if [ext.frob_p(a) for a in x0] != ff_vec_mat(x0, G0e):
+            raise ArithmeticError("a residue solution fails sigma(x0) = x0 G0")
+
+
+def solve_unit_root(G, s_max: int = 64) -> SolutionSet:
     """Solution set of x^(p) = x G for G with G(0) invertible.
 
     On residues the equation iterates to x^(q) = x N with
@@ -159,39 +182,38 @@ def solve_unit_root(G, s_max: int = 64, enumeration: bool | None = None) -> Solu
     solutions lie in F_(q^s) exactly when N^s = I: the extension degree
     s is the order of N, found by a power loop up to s_max, and only
     F_(q^s) is built.  ExtensionCapExceeded is raised before any field
-    is built when the order exceeds s_max.  Residue solving is by
-    enumeration for d <= 2 and by F_p-linearization for larger d.
+    is built when the order exceeds s_max.  The basis is the residue
+    basis least in code order times Q, both checked first.
     """
     G = _as_matrix(G)
     ring = G[0][0].ring
     if not isinstance(ring, FFRing):
         raise Unsupported("unit-root solver works mod p")
     base = ring.field
-    p = base.p
     d = len(G)
     prec = min(a.prec for row in G for a in row)
     G0 = _residue_matrix(G)
     try:
-        ff_mat_inv(G0)
+        G0inv = ff_mat_inv(G0)
     except ZeroDivisionError:
         raise Unsupported("G(0) is not invertible: not the unit-root case") from None
-    if enumeration is None:
-        enumeration = d <= 2
     s = _splitting_degree(G0, base, s_max)
     ext = gf.extension(base, s)
-    if enumeration and ext.order ** d <= _ENUM_SOLVE_CAP:
-        sols = _residue_solutions_enum(G0, ext, p)
-        if len(sols) != p ** d:
-            raise ArithmeticError(f"{len(sols)} residue solutions in {ext.tag}, not {p ** d}")
-        basis = _fp_span_basis(sols, ext, p)
-    else:
-        basis = _residue_basis_linearized(G0, ext, p)
-        if len(basis) != d:
-            raise ArithmeticError(f"residue solutions of rank {len(basis)} in {ext.tag}, not {d}")
-    full = [_extend_solution(G, x0, ext, prec) for x0 in basis]
-    for sol in full:
-        _verify_solution(G, sol, ext)
-    return SolutionSet(base, ext, s, d, prec, full)
+    lift = functools.cache(ext.coerce)      # at most q coercions
+    G0e = [[lift(a) for a in row] for row in G0]
+    residues = _residue_basis(G0e, ext)
+    if len(residues) != d:
+        raise ArithmeticError(f"residue solutions of rank {len(residues)} in {ext.tag}, not {d}")
+    Q = _trivialisation(G, G0, G0inv, prec)
+    _check_solutions(G, G0e, Q, residues, prec)
+    Qe = [[[lift(a) for a in row] for row in Qm] for Qm in Q]
+    ering = FFRing(ext)
+    basis = []
+    for x0 in residues:
+        xs = [ff_vec_mat(x0, Qm) for Qm in Qe]
+        basis.append(tuple(TruncSeries(ering, {m: x[i] for m, x in enumerate(xs)}, prec)
+                           for i in range(d)))
+    return SolutionSet(base, ext, s, d, prec, basis)
 
 
 def _splitting_degree(G0, base, s_max):
@@ -209,43 +231,6 @@ def _splitting_degree(G0, base, s_max):
     raise ExtensionCapExceeded(
         f"the residue equation splits in no extension of degree <= {s_max}: "
         f"N = G0 sigma(G0) ... sigma^(f-1)(G0) has order > {s_max} in GL_{len(G0)}(F_{base.order})")
-
-
-def _extend_solution(G, x0, ext, prec):
-    """Coefficient recursion from the residue solution x0."""
-    ring = FFRing(ext)
-    d = len(G)
-    p = ext.p
-    Gcoef = {}
-    for i in range(d):
-        for j in range(d):
-            for e, c in G[i][j].coeffs.items():
-                Gcoef.setdefault(e, [[ext.zero] * d for _ in range(d)])[i][j] = ext.coerce(c)
-    G0inv = ff_mat_inv(Gcoef[0])
-    xs = [list(x0)]
-    for mdeg in range(1, prec):
-        rhs = [ext.zero] * d
-        if mdeg % p == 0:
-            rhs = [ext.frob_p(c) for c in xs[mdeg // p]]
-        acc = [ext.zero] * d
-        for j, Gj in Gcoef.items():
-            if 1 <= j <= mdeg:
-                acc = [a + b for a, b in zip(acc, ff_vec_mat(xs[mdeg - j], Gj))]
-        vec = [r - a for r, a in zip(rhs, acc)]
-        xs.append(ff_vec_mat(vec, G0inv))
-    out = []
-    for i in range(d):
-        out.append(TruncSeries(ring, {m: xs[m][i] for m in range(prec)}, prec))
-    return tuple(out)
-
-
-def _verify_solution(G, sol, ext):
-    ring = FFRing(ext)
-    Ge = [[TruncSeries(ring, {e: ext.coerce(c) for e, c in a.coeffs.items()}, a.prec)
-           for a in row] for row in G]
-    for xj, rhs in zip(sol, matrix.vec_mat(sol, Ge)):
-        if not (xj.frobenius() - rhs).is_zero():
-            raise ArithmeticError("recursion produced a non-solution")
 
 
 # ---------------------------------------------------------------------------

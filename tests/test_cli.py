@@ -29,6 +29,19 @@ def test_galois_solve_example():
     assert vals["action"] == "[[2]]"
 
 
+@pytest.mark.parametrize("matrix, action", [
+    ("0,1;1,0", "[[1, 0], [0, 2]]"),
+    ("1,1;0,1", "[[1, 1], [0, 1]]"),
+])
+def test_galois_solve_pins_the_canonical_basis(matrix, action):
+    # the residue basis least in code order fixes the action matrix itself,
+    # not only its conjugacy class
+    r = run(["galois", "solve", "--p", "3", "--q", "3", "--matrix", matrix])
+    assert r.returncode == 0, r.stderr
+    vals = {x["name"]: x["value"] for x in json.loads(r.stdout)["results"]}
+    assert vals["action"] == action
+
+
 def test_logm_hand_value():
     r = run(["logm", "value", "--p", "3", "--N", "3", "--matrix", "4", "--m", "1"])
     assert "15" in json.loads(r.stdout)["results"][0]["value"]

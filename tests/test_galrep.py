@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padiclab import galrep, gf
-from padiclab.errors import Unsupported
+from padiclab import galrep, gf, matrix
+from padiclab.errors import ExtensionCapExceeded, Unsupported
 from padiclab.galrep import (charpoly_mod_p, frobenius_action, solve_rank1,
                              solve_unit_root, unramified_to_phimod)
 from padiclab.perfseries import _binom_mod_p
@@ -72,25 +75,31 @@ def test_solution_count_and_linearity():
         assert any(all((x - y).is_zero() for x, y in zip(summed, t)) for t in sols)
 
 
-def test_enumeration_matches_linearization():
-    rng = random.Random(30)
-    for _ in range(10):
-        G = rand_unit_root(rng, R3, 2, prec=12)
-        S1 = solve_unit_root(G, enumeration=True)
-        S2 = solve_unit_root(G, enumeration=False)
-        assert S1.cardinality == S2.cardinality and S1.s == S2.s
-
-
 def test_direct_sum_functorial():
-    z = TruncSeries.zero(R3, 16)
-    G1 = TruncSeries(R3, {0: F3.el(2), 1: F3.one}, 16)
-    G2 = TruncSeries(R3, {0: F3.one, 2: F3.el(2)}, 16)
+    # over F_5 the blocks split in F_(5^4) and F_(5^2), the sum in F_(5^4)
+    F5 = gf.field(5)
+    R5 = FFRing(F5)
+    z = TruncSeries.zero(R5, 16)
+    G1 = TruncSeries(R5, {0: F5.el(2), 1: F5.one}, 16)
+    G2 = TruncSeries(R5, {0: F5.el(4), 2: F5.el(2)}, 16)
     S = solve_unit_root([[G1, z], [z, G2]])
-    assert S.cardinality == 9
     Sa, Sb = solve_unit_root([[G1]]), solve_unit_root([[G2]])
-    firsts = {galrep._residue_key((s[0],)) for s in S.solutions()}
-    assert {galrep._residue_key(x) for x in Sa.solutions()} <= firsts or \
-        Sa.field.order <= S.field.order
+    assert (S.s, Sa.s, Sb.s) == (4, 4, 2)
+    assert S.cardinality == Sa.cardinality * Sb.cardinality == 25
+    big, ring = S.field, FFRing(S.field)
+
+    def embedded(T):
+        if T.field is not big:
+            big.register_embedding(T.field)
+        return {_series_key(TruncSeries(ring, {e: big.coerce(c) for e, c in x.coeffs.items()},
+                                        x.prec)) for (x,) in T.solutions()}
+
+    assert {_series_key(x) for x, _ in S.solutions()} == embedded(Sa)
+    assert {_series_key(y) for _, y in S.solutions()} == embedded(Sb)
+
+
+def _series_key(x):
+    return x.prec, tuple(sorted((e, x.ring.field.code(c)) for e, c in x.coeffs.items()))
 
 
 def test_non_unit_root_rejected():
@@ -132,3 +141,210 @@ def test_rank1():
     assert all(x[0].is_zero() or x[0].valuation() == 1 for x in S2.solutions())
     S0 = solve_rank1(0, 2, F3)
     assert S0.cardinality == 3  # unit-root fallback
+
+
+# --- the parent solver's residue enumeration, coefficient recursion and
+# substitution check, kept as independent references ---
+
+ENUM_CAP = 20_000
+
+
+def _fp_coords(x, ext):
+    return [a for c in x for a in ext.to_fp(c)]
+
+
+def _residue_solutions_enum(G0, ext, p):
+    """Brute force over ext^d; deterministic order by codes."""
+    d = len(G0)
+    cols = list(zip(*[[ext.coerce(a) for a in row] for row in G0]))
+    sols = []
+    for codes in product(range(ext.order), repeat=d):
+        x = [ext.from_code(c) for c in codes]
+        if all(xj ** p == matrix.dot(x, col) for xj, col in zip(x, cols)):
+            sols.append(x)
+    return sols
+
+
+def _fp_span_basis(vectors, ext, p):
+    """The residue solutions, sorted by codes, that are independent of
+    the ones before them: the pivot columns of one row reduction."""
+    xs = sorted(vectors, key=lambda x: tuple(ext.code(c) for c in x))
+    _, pivots = gf.fp_rref(list(zip(*[_fp_coords(x, ext) for x in xs])), p)
+    return [xs[k] for k in pivots]
+
+
+def _extend_solution(G, x0, ext, prec):
+    """Coefficient recursion from the residue solution x0, over ext."""
+    ring = FFRing(ext)
+    d = len(G)
+    p = ext.p
+    Gcoef = {}
+    for i in range(d):
+        for j in range(d):
+            for e, c in G[i][j].coeffs.items():
+                Gcoef.setdefault(e, [[ext.zero] * d for _ in range(d)])[i][j] = ext.coerce(c)
+    G0inv = matrix.inverse(Gcoef[0], ext.one, ext.zero)
+    xs = [list(x0)]
+    for mdeg in range(1, prec):
+        rhs = [ext.zero] * d
+        if mdeg % p == 0:
+            rhs = [ext.frob_p(c) for c in xs[mdeg // p]]
+        acc = [ext.zero] * d
+        for j, Gj in Gcoef.items():
+            if 1 <= j <= mdeg:
+                acc = [a + b for a, b in zip(acc, matrix.vec_mat(xs[mdeg - j], Gj))]
+        vec = [r - a for r, a in zip(rhs, acc)]
+        xs.append(matrix.vec_mat(vec, G0inv))
+    return tuple(TruncSeries(ring, {m: xs[m][i] for m in range(prec)}, prec) for i in range(d))
+
+
+def _verify_solution(G, sol, ext):
+    """Substitution: x^(p) = x G over ext, at the solution's precision."""
+    ring = FFRing(ext)
+    Ge = [[TruncSeries(ring, {e: ext.coerce(c) for e, c in a.coeffs.items()}, a.prec)
+           for a in row] for row in G]
+    for xj, rhs in zip(sol, matrix.vec_mat(sol, Ge)):
+        if not (xj.frobenius() - rhs).is_zero():
+            raise ArithmeticError("recursion produced a non-solution")
+
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+BASES = {3: FFRing(F3), 9: R9, 25: FFRing(gf.field(5, 2))}
+COST_BUDGET = 40_000    # p^d solutions x (degree of F_(q^s))^2 x M: under a second
+
+
+def _reference_cost(G0, fld, d, prec):
+    try:
+        s = galrep._splitting_degree(G0, fld, 64)
+    except ExtensionCapExceeded:
+        return float("inf")
+    return fld.p ** d * (fld.fp_degree * s) ** 2 * prec
+
+
+@st.composite
+def unit_root_matrices(draw):
+    """A unit-root G over F_q[[u]]/u^M, d <= 3, q in {3, 9, 25}, M <= 20.
+
+    G0 is random; where the reference recursion over F_(q^s) would cost
+    more than COST_BUDGET, G0 becomes upper triangular with diagonal in
+    F_p^x, then diagonal, whose splitting degrees are small."""
+    q = draw(st.sampled_from(sorted(BASES)))
+    d = draw(st.integers(1, 3))
+    prec = draw(st.integers(1, 20))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ring = BASES[q]
+    fld = ring.field
+    G = rand_unit_root(rng, ring, d, prec)
+    G0 = [[a.coeffs.get(0, fld.zero) for a in row] for row in G]
+    diag = [fld.el(rng.randrange(1, fld.p)) for _ in range(d)]
+    for upper in (True, False):
+        if _reference_cost(G0, fld, d, prec) <= COST_BUDGET:
+            break
+        G0 = [[diag[i] if i == j else (fld.random(rng) if upper and i < j else fld.zero)
+               for j in range(d)] for i in range(d)]
+    return [[TruncSeries(ring, {**a.coeffs, 0: c}, prec) for a, c in zip(row, row0)]
+            for row, row0 in zip(G, G0)]
+
+
+@SETTINGS
+@given(unit_root_matrices())
+def test_solutions_match_the_reference_recursion(G):
+    S = solve_unit_root(G)
+    ext, d, p = S.field, S.d, S.base_field.p
+    prec = min(a.prec for row in G for a in row)
+    assert S.prec == prec and S.cardinality == p ** d
+    sols = S.solutions()
+    assert len(sols) == p ** d
+    for sol in sols:
+        x0 = [x.coeffs.get(0, ext.zero) for x in sol]
+        ref = _extend_solution(G, x0, ext, prec)
+        assert [(x.coeffs, x.prec) for x in sol] == [(y.coeffs, y.prec) for y in ref]
+        _verify_solution(G, sol, ext)
+    if ext.order ** d <= ENUM_CAP:
+        G0 = [[a.coeffs.get(0, S.base_field.zero) for a in row] for row in G]
+        enum = _residue_solutions_enum(G0, ext, p)
+        assert len(enum) == p ** d
+        residues = [[x.coeffs.get(0, ext.zero) for x in b] for b in S.basis]
+        assert residues == _fp_span_basis(enum, ext, p)
+
+
+@SETTINGS
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.data())
+def test_reversed_echelon_rows_are_the_greedy_basis(p, n, data):
+    """The rows of the reduced echelon form of V, last first, are the
+    greedy pick over V sorted lexicographically: the least vector outside
+    the span of the rows below is the next row up."""
+    k = data.draw(st.integers(0, min(n, 6 if p == 3 else 4)))
+    gens = [data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+            for _ in range(k)]
+    rows, pivots = gf.fp_rref(gens, p) if gens else ([], [])
+    span = {tuple([0] * n)}
+    for g in gens:
+        span = {tuple((a + c * b) % p for a, b in zip(v, g)) for v in span for c in range(p)}
+    greedy, picked = [], {tuple([0] * n)}
+    for v in sorted(span):
+        if v not in picked:
+            greedy.append(list(v))
+            picked = {tuple((a + c * b) % p for a, b in zip(w, v))
+                      for w in picked for c in range(p)}
+    assert greedy == list(reversed(rows[:len(pivots)]))
+
+
+# --- the check is not vacuous: one changed coefficient fails it ---
+
+def _check_inputs():
+    rng = random.Random(41)
+    while True:
+        G = rand_unit_root(rng, R9, 2, prec=12)
+        G0 = galrep._residue_matrix(G)
+        if all(row != [F9.one if i == j else F9.zero for j in range(2)]
+               for i, row in enumerate(G0)):
+            break
+    ext = gf.extension(F9, galrep._splitting_degree(G0, F9, 64))
+    G0e = [[ext.coerce(a) for a in row] for row in G0]
+    residues = galrep._residue_basis(G0e, ext)
+    Q = galrep._trivialisation(G, G0, galrep.ff_mat_inv(G0), 12)
+    galrep._check_solutions(G, G0e, Q, residues, 12)
+    return G, G0e, Q, residues
+
+
+def test_check_rejects_a_changed_coefficient_of_Q():
+    G, G0e, Q, residues = _check_inputs()
+    for m in range(1, len(Q)):
+        for i, j in product(range(2), repeat=2):
+            bad = [[list(row) for row in Qm] for Qm in Q]
+            bad[m][i][j] = bad[m][i][j] + F9.from_code(1 + m % 8)
+            with pytest.raises(ArithmeticError):
+                galrep._check_solutions(G, G0e, bad, residues, 12)
+
+
+def test_check_rejects_a_changed_residue_entry():
+    G, G0e, Q, residues = _check_inputs()
+    ext = G0e[0][0].field
+    for k, i in product(range(len(residues)), range(2)):
+        bad = [list(x) for x in residues]
+        bad[k][i] = bad[k][i] + ext.one
+        with pytest.raises(ArithmeticError):
+            galrep._check_solutions(G, G0e, Q, bad, 12)
+
+
+def test_basis_is_the_greedy_basis_of_the_enumeration():
+    """Where the parent solver enumerated (d = 2, q^(s d) <= 20 000), and
+    at d = 3, the basis is the greedy pick over the code-sorted residue
+    solutions, so the action is unchanged.  Draws with q^(s d) > 3^8 are
+    skipped to keep the enumeration quick."""
+    rng = random.Random(43)
+    seen = {2: 0, 3: 0}
+    while min(seen.values()) < 8:
+        d = rng.choice(sorted(seen))
+        base = rng.choice([R3, R9])
+        G = rand_unit_root(rng, base, d, prec=4)
+        G0 = galrep._residue_matrix(G)
+        s = galrep._splitting_degree(G0, base.field, 64)
+        if base.field.order ** (s * d) > 3 ** 8 or seen[d] == 8:
+            continue
+        seen[d] += 1
+        ext = gf.extension(base.field, s)
+        S = solve_unit_root(G)
+        residues = [[x.coeffs.get(0, ext.zero) for x in b] for b in S.basis]
+        assert residues == _fp_span_basis(_residue_solutions_enum(G0, ext, 3), ext, 3)
