@@ -8,7 +8,8 @@ Every invocation emits one machine-readable document
 as canonical JSON (sorted keys) or a flat CSV projection; identical
 configuration and seed give byte-identical output.  Exit status 2 on
 configuration errors, 1 when --strict is set and a result is
-indeterminate or failing.
+indeterminate or failing, 3 when one of the library's self-checks fails
+(an internal defect, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -509,6 +510,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    except ArithmeticError as exc:
+        # the library's own checks raise this: a defect, not bad input
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     doc = {"command": args.command + " " + getattr(args, "op", getattr(args, "name", "")),
            "config": asdict(cfg), "results": results}
     _emit(doc, fmt, out)

@@ -7,11 +7,16 @@ solver computes s first and builds that one field.  Every solution is
 x0 Q, where sigma(x0) = x0 G0 in F_(q^s) and Q is the trivialisation,
 the matrix over F_q[[u]]/u^M with Q(0) = I and G0 phi(Q) = Q G (Katz,
 "p-adic properties of modular schemes and modular forms", 1973, sec. 4),
-as phi(x0 Q) = x0 G0 phi(Q) = x0 Q G.  The residues come from one
-F_p-linearization, as the basis least in code order (_residue_basis),
-and Q from one coefficient recursion over F_q, whatever s is:
+as phi(x0 Q) = x0 G0 phi(Q) = x0 Q G.  Q comes from one coefficient
+recursion over F_q, whatever s is:
 
     Q_m = ([p | m] G0 sigma(Q_{m/p}) - sum_{j=1..m} Q_{m-j} G_j) G0^{-1}.
+
+Over F_(q^s) every map is F_p-linear.  The residues are the kernel of
+sigma - (. G0), built from the packed Frobenius and multiplication
+matrices made by shift-and-reduce, as the basis least in code order
+(_residue_basis); x0 Q and the p^d solutions are F_p-combinations on
+ints packed one digit per F_p coordinate (gf.fp_pack).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -53,7 +58,8 @@ class SolutionSet:
 
     basis: d solutions x0 Q spanning the set, x0 the reversed reduced
     echelon basis of the residues, the least in code order; solutions()
-    are ordered lexicographically by the residue coordinates' codes.
+    are ordered lexicographically by the residue coordinates' codes,
+    each made by d int multiply-adds on the packed basis and one unpack.
     """
 
     base_field: gf.GF
@@ -70,26 +76,25 @@ class SolutionSet:
 
     def solutions(self):
         if self.all is None:
-            p = self.base_field.p
-            ring = FFRing(self.field)
-            combos = []
-            for coeffs in product(range(p), repeat=len(self.basis)):
-                vec = [TruncSeries.zero(ring, self.prec) for _ in range(self.d)]
-                for c, b in zip(coeffs, self.basis):
-                    if c:
-                        vec = [v + bi.scale(c) for v, bi in zip(vec, b)]
-                combos.append(tuple(vec))
-            combos.sort(key=_residue_key)
-            self.all = combos
+            ext, p, prec = self.field, self.base_field.p, self.prec
+            w = gf.fp_width(len(self.basis) * (p - 1) ** 2)
+            packed = [gf.fp_pack([a for x in b for m in range(prec)
+                                  for a in x.coeffs.get(m, ext.zero).coeffs], w)
+                      for b in self.basis]
+            combos = [_series(gf.fp_unpack(sum(c * v for c, v in zip(cs, packed)),
+                                           self.d * prec * ext.fp_degree, w, p), ext, prec)
+                      for cs in product(range(p), repeat=len(self.basis))]
+            self.all = sorted(combos, key=lambda v: tuple(
+                ext.code(x.coeffs.get(0, ext.zero)) for x in v))
         return self.all
 
 
-def _residue_key(vec):
-    out = []
-    for s in vec:
-        c = s.coeffs.get(0)
-        out.append(0 if c is None else s.ring.field.code(c))
-    return tuple(out)
+def _series(digits, ext, prec):
+    """Series over ext at precision prec from their F_p coordinates, in order."""
+    ring, n = FFRing(ext), ext.fp_degree
+    return tuple(TruncSeries(ring, {m: gf.FFElt(ext, digits[i + m * n:i + m * n + n])
+                                    for m in range(prec)}, prec)
+                 for i in range(0, len(digits), prec * n))
 
 
 def _as_matrix(G):
@@ -104,9 +109,27 @@ def _residue_matrix(G):
     return [[a.coeffs.get(0, a.ring.field.zero) for a in row] for row in G]
 
 
-def _fp_coords(x, ext):
-    """The F_p-coordinates of a vector over ext, concatenated."""
-    return [a for c in x for a in ext.to_fp(c)]
+def _residue_operator(G0e, ext):
+    """sigma - (. G0) on ext^d over F_p as int rows, unreduced: column
+    (j, k), the image of x^k in slot j, is sigma(x^k) in slot j less
+    x^k G0[j][i] in slot i; x^k y by shift-and-reduce, x^m = -mod(x)."""
+    d, m, p = len(G0e), ext.fp_degree, ext.p
+
+    @functools.cache
+    def mul(y):     # once per distinct entry, O(m) a column
+        cols = [list(y.coeffs)]
+        for _ in range(m - 1):
+            col = cols[-1]
+            cols.append([(a - col[-1] * c) % p for a, c in zip([0] + col[:-1], ext.modulus)])
+        return cols
+
+    frob = [ext.frob_p(ext.from_fp([int(i == k) for i in range(m)])).coeffs for k in range(m)]
+    cols = []
+    for j, row in enumerate(G0e):
+        prods = [mul(a) for a in row]
+        cols += [[a * (i == j) - b for i, Mi in enumerate(prods) for a, b in zip(frob[k], Mi[k])]
+                 for k in range(m)]
+    return [list(r) for r in zip(*cols)]
 
 
 def _residue_basis(G0e, ext):
@@ -120,14 +143,7 @@ def _residue_basis(G0e, ext):
     def flip(v):    # natural order <-> code-significance order
         return [c for j in range(0, d * m, m) for c in reversed(v[j:j + m])]
 
-    cols = []
-    for j in range(d):
-        for k in range(m):
-            e = ext.from_fp([int(i == k) for i in range(m)])
-            x = [e if i == j else ext.zero for i in range(d)]
-            img = [ext.frob_p(a) - b for a, b in zip(x, ff_vec_mat(x, G0e))]
-            cols.append(_fp_coords(img, ext))
-    kernel = gf.fp_kernel(list(zip(*cols)), p)
+    kernel = gf.fp_kernel(_residue_operator(G0e, ext), p)
     rows, pivots = gf.fp_rref([flip(v) for v in kernel], p)
     return [[ext.from_fp(v[j:j + m]) for j in range(0, d * m, m)]
             for v in map(flip, reversed(rows[:len(pivots)]))]
@@ -155,6 +171,24 @@ def _trivialisation(G, G0, G0inv, prec):
                 rhs = [[a - b for a, b in zip(r, t)] for r, t in zip(rhs, QG)]
         Q.append([ff_vec_mat(row, G0inv) for row in rhs])
     return Q
+
+
+def _times_Q(residues, Q, base):
+    """The solutions x0 Q, a d-tuple of series per residue x0.  As F_q
+    embeds F_p-linearly, (x0 Q_m)_i = sum_{j,t} (Q_m[j][i])_t x0_j x^t: on
+    packed ints, x0 Q = sum_{j,t} C[j][t] P[j][t], where C[j][t] holds
+    (Q_m[j][i])_t at digit (i M + m) n and P[j][t] the n coordinates of
+    x0_j x^t, x^t in F_q.  A digit sums at most d f (p-1)^2 < 256^w."""
+    ext = residues[0][0].field
+    d, f, n, p, prec = len(Q[0]), base.fp_degree, ext.fp_degree, ext.p, len(Q)
+    w = gf.fp_width(d * f * (p - 1) ** 2)
+    lifted = [ext.coerce(base.from_fp([int(i == t) for i in range(f)])) for t in range(f)]
+    C = [[gf.fp_pack([Qm[j][i].coeffs[t] for i in range(d) for Qm in Q], n * w)
+          for t in range(f)] for j in range(d)]
+    return [_series(gf.fp_unpack(sum(c * gf.fp_pack((a * b).coeffs, w)
+                                     for a, Cj in zip(x0, C) for b, c in zip(lifted, Cj)),
+                                 d * prec * n, w, p), ext, prec)
+            for x0 in residues]
 
 
 def _check_solutions(G, G0e, Q, residues, prec):
@@ -199,21 +233,13 @@ def solve_unit_root(G, s_max: int = 64) -> SolutionSet:
         raise Unsupported("G(0) is not invertible: not the unit-root case") from None
     s = _splitting_degree(G0, base, s_max)
     ext = gf.extension(base, s)
-    lift = functools.cache(ext.coerce)      # at most q coercions
-    G0e = [[lift(a) for a in row] for row in G0]
+    G0e = [[ext.coerce(a) for a in row] for row in G0]
     residues = _residue_basis(G0e, ext)
     if len(residues) != d:
         raise ArithmeticError(f"residue solutions of rank {len(residues)} in {ext.tag}, not {d}")
     Q = _trivialisation(G, G0, G0inv, prec)
     _check_solutions(G, G0e, Q, residues, prec)
-    Qe = [[[lift(a) for a in row] for row in Qm] for Qm in Q]
-    ering = FFRing(ext)
-    basis = []
-    for x0 in residues:
-        xs = [ff_vec_mat(x0, Qm) for Qm in Qe]
-        basis.append(tuple(TruncSeries(ering, {m: x[i] for m, x in enumerate(xs)}, prec)
-                           for i in range(d)))
-    return SolutionSet(base, ext, s, d, prec, basis)
+    return SolutionSet(base, ext, s, d, prec, _times_Q(residues, Q, base))
 
 
 def _splitting_degree(G0, base, s_max):
@@ -259,14 +285,14 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     F_p-basis of the solution set."""
     ext, base, p = S.field, S.base_field, S.base_field.p
     res = [[bi.coeffs.get(0, ext.zero) for bi in b] for b in S.basis]
-    basis_mat = list(zip(*[_fp_coords(x, ext) for x in res]))
+    basis_mat = list(zip(*[[a for c in x for a in c.coeffs] for x in res]))
     f = base.fp_degree  # q = p^f
     A = []
     for x in res:
         y = x
         for _ in range(f):
             y = [ext.frob_p(c) for c in y]
-        coords = gf.fp_solve(basis_mat, _fp_coords(y, ext), p)
+        coords = gf.fp_solve(basis_mat, [a for c in y for a in c.coeffs], p)
         if coords is None:
             raise ArithmeticError("q-Frobenius does not preserve the solution space")
         A.append(coords)

@@ -9,11 +9,12 @@ Ben-Or's irreducibility test, which keeps every computation
 reproducible.  Products and inverses mod (p, m) are the module-level
 kernels _mulmod and _invmod, shared by GF and the modulus search.
 
-The Frobenius x -> x^p and its inverse are F_p-linear; each is stored as
-its matrix columns packed into Python ints, one w-byte digit per
-coordinate, so x^p is one int product-sum and a to_bytes.  The F_p
-linear algebra (fp_rref, fp_kernel, fp_solve, fp_inverse) works on lists
-of int rows.
+An F_p vector packs into one int, a w-byte digit per entry (fp_pack):
+an F_p-combination of packed vectors is then a few int multiply-adds,
+exact while no digit sum reaches 256^w, and fp_unpack reads the digits
+back reduced mod p.  The Frobenius x -> x^p and its inverse are stored
+so, as packed matrix columns.  The F_p linear algebra (fp_rref,
+fp_kernel, fp_solve, fp_inverse) works on lists of int rows.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ class GF:
         self.zero = FFElt(self, (0,) * degree)
         self.one = FFElt(self, (1,) + (0,) * (degree - 1))
         self.tag = f"F{self.order}"
-        # packed Frobenius columns: digit width in bytes, 256^w > degree (p-1)^2
-        self._w = ((degree * (p - 1) ** 2).bit_length() + 7) // 8
+        # packed Frobenius columns: a digit sums at most degree (p-1)^2
+        self._w = fp_width(degree * (p - 1) ** 2)
         self._frob_cols = None
         self._frob_inv_cols = None
         self._embeddings = {}
@@ -251,24 +252,13 @@ class GF:
     def from_fp(self, vec) -> FFElt:
         return FFElt(self, tuple(v % self.p for v in vec))
 
-    def _pack(self, y: FFElt) -> int:
-        """The coordinates of y as one int, a w-byte digit each."""
-        return sum(a << (8 * self._w * i) for i, a in enumerate(y.coeffs))
-
     def _apply(self, cols, x: FFElt) -> FFElt:
-        """The F_p-linear map with packed columns cols, applied to x.
-        Each digit of the sum is at most degree (p-1)^2 < 256^w, so no
-        digit carries into the next."""
+        """The F_p-linear map with packed columns cols, applied to x."""
         acc = 0
         for a, col in zip(x.coeffs, cols):
             if a:
                 acc += a * col
-        p, w = self.p, self._w
-        raw = acc.to_bytes(self.fp_degree * w, "little")
-        if w == 1:
-            return FFElt(self, tuple(b % p for b in raw))
-        return FFElt(self, tuple(int.from_bytes(raw[i:i + w], "little") % p
-                                 for i in range(0, len(raw), w)))
+        return FFElt(self, fp_unpack(acc, self.fp_degree, self._w, self.p))
 
     def _powers(self, y: FFElt, k: int) -> list:
         """1, y, ..., y^(k-1): the images of 1, x, ..., x^(k-1) under the
@@ -281,7 +271,7 @@ class GF:
     def frob_p(self, x: FFElt) -> FFElt:
         """x^p, via the packed Frobenius columns."""
         if self._frob_cols is None:
-            self._frob_cols = [self._pack(v) for v in
+            self._frob_cols = [fp_pack(v.coeffs, self._w) for v in
                                self._powers(self.gen ** self.p, self.fp_degree)]
         return self._apply(self._frob_cols, x)
 
@@ -291,7 +281,8 @@ class GF:
             y = self.gen
             for _ in range(self.fp_degree - 1):
                 y = self.frob_p(y)
-            self._frob_inv_cols = [self._pack(v) for v in self._powers(y, self.fp_degree)]
+            self._frob_inv_cols = [fp_pack(v.coeffs, self._w)
+                                   for v in self._powers(y, self.fp_degree)]
         return self._apply(self._frob_inv_cols, x)
 
     def register_embedding(self, small: "GF"):
@@ -416,6 +407,27 @@ def extension(base: GF, s: int) -> GF:
     big = field(base.p, base.fp_degree * s)
     big.register_embedding(base)
     return big
+
+
+# --- F_p vectors packed into ints ---
+
+def fp_width(bound: int) -> int:
+    """The least digit width w in bytes with bound < 256^w: digits that
+    sum to at most bound never carry into the next."""
+    return (bound.bit_length() + 7) // 8
+
+
+def fp_pack(vec, w: int) -> int:
+    """The ints of vec, each below 256^w, as one int of w-byte digits."""
+    return int.from_bytes(b"".join(a.to_bytes(w, "little") for a in vec), "little")
+
+
+def fp_unpack(acc: int, n: int, w: int, p: int) -> tuple:
+    """The n w-byte digits of acc, each reduced mod p."""
+    raw = acc.to_bytes(n * w, "little")
+    if w == 1:
+        return tuple(b % p for b in raw)
+    return tuple(int.from_bytes(raw[i:i + w], "little") % p for i in range(0, n * w, w))
 
 
 # --- exact linear algebra over F_p on lists of int rows ---

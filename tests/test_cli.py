@@ -42,6 +42,34 @@ def test_galois_solve_pins_the_canonical_basis(matrix, action):
     assert vals["action"] == action
 
 
+@pytest.mark.parametrize("args, values", [
+    # p = 17: every packed F_p vector of the solver has two-byte digits
+    (["--p", "17", "--q", "289", "--M", "3", "--matrix", "3,1;1,5"],
+     {"solutions": "289", "extension-degree": "8", "action": "[[4, 0], [0, 15]]",
+      "charpoly": "[9, 15, 1]"}),
+    (["--p", "5", "--q", "25", "--M", "4", "--matrix", "2,1;1,1"],
+     {"solutions": "25", "extension-degree": "5", "action": "[[4, 3], [2, 3]]",
+      "charpoly": "[1, 3, 1]"}),
+])
+def test_galois_solve_beyond_p_3(args, values):
+    r = run(["galois", "solve"] + args)
+    assert r.returncode == 0, r.stderr
+    assert {x["name"]: x["value"] for x in json.loads(r.stdout)["results"]} == values
+
+
+def test_failed_self_check_exits_3_in_one_line(monkeypatch, capsys):
+    from padiclab import galrep
+
+    def fail(*args):
+        raise ArithmeticError("the trivialisation Q fails G0 phi(Q) = Q G")
+
+    monkeypatch.setattr(galrep, "_check_solutions", fail)
+    assert main(["galois", "solve", "--p", "3", "--q", "3", "--matrix", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: the trivialisation Q fails G0 phi(Q) = Q G\n"
+
+
 def test_logm_hand_value():
     r = run(["logm", "value", "--p", "3", "--N", "3", "--matrix", "4", "--m", "1"])
     assert "15" in json.loads(r.stdout)["results"][0]["value"]

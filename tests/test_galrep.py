@@ -348,3 +348,107 @@ def test_basis_is_the_greedy_basis_of_the_enumeration():
         S = solve_unit_root(G)
         residues = [[x.coeffs.get(0, ext.zero) for x in b] for b in S.basis]
         assert residues == _fp_span_basis(_residue_solutions_enum(G0, ext, 3), ext, 3)
+
+
+# --- big-field products, one per entry, kept as references for the
+# packed F_p-linear maps that replaced them in the solver ---
+
+def _operator_by_products(G0e, ext):
+    """sigma - (. G0) column by column: the image of x^k in slot j by one
+    vector-matrix product over ext each."""
+    d, m = len(G0e), ext.fp_degree
+    cols = []
+    for j in range(d):
+        for k in range(m):
+            e = ext.from_fp([int(i == k) for i in range(m)])
+            x = [e if i == j else ext.zero for i in range(d)]
+            img = [ext.frob_p(a) - b for a, b in zip(x, galrep.ff_vec_mat(x, G0e))]
+            cols.append(_fp_coords(img, ext))
+    return [list(r) for r in zip(*cols)]
+
+
+def _times_Q_by_products(residues, Q, ext):
+    """x0 Q_m = ff_vec_mat(x0, lift(Q_m)) for every m, as series."""
+    ring, d, prec = FFRing(ext), len(Q[0]), len(Q)
+    basis = []
+    for x0 in residues:
+        xs = [galrep.ff_vec_mat(x0, [[ext.coerce(a) for a in row] for row in Qm]) for Qm in Q]
+        basis.append(tuple(TruncSeries(ring, {m: x[i] for m, x in enumerate(xs)}, prec)
+                           for i in range(d)))
+    return basis
+
+
+def _solutions_by_scale_and_add(S):
+    """Every F_p-combination of the basis by scalings and additions of
+    series, sorted by the residue key."""
+    ring = FFRing(S.field)
+    combos = []
+    for coeffs in product(range(S.base_field.p), repeat=len(S.basis)):
+        vec = [TruncSeries.zero(ring, S.prec) for _ in range(S.d)]
+        for c, b in zip(coeffs, S.basis):
+            if c:
+                vec = [v + bi.scale(c) for v, bi in zip(vec, b)]
+        combos.append(tuple(vec))
+    combos.sort(key=lambda v: tuple(S.field.code(x.coeffs.get(0, S.field.zero)) for x in v))
+    return combos
+
+
+PACKED_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+PACKED_P = pytest.mark.parametrize("p", [3, 5, 7, 17])
+
+
+@st.composite
+def packed_fields(draw, p):
+    """F_q and F_(q^s) with f <= 2, s <= 3 (s <= 2 at p = 17), d <= 3,
+    and a seeded rng.  At p = 17 every digit is two bytes wide, as
+    (p - 1)^2 = 256, and at d f >= 2 random sums carry past one byte; the
+    smaller p have one-byte digits."""
+    f = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 2 if p == 17 else 3))
+    base = gf.field(p, f)
+    return (base, gf.extension(base, s), draw(st.integers(1, 3)),
+            random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+def _series_data(vecs):
+    return [[(x.coeffs, x.prec) for x in v] for v in vecs]
+
+
+@PACKED_P
+@PACKED_SETTINGS
+@given(data=st.data())
+def test_packed_residue_operator_matches_the_products(p, data):
+    _, ext, d, rng = data.draw(packed_fields(p))
+    pool = [ext.zero, ext.one] + [ext.random(rng) for _ in range(3)]   # repeated entries too
+    G0e = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
+    got = [[a % p for a in row] for row in galrep._residue_operator(G0e, ext)]
+    assert got == _operator_by_products(G0e, ext)
+
+
+@PACKED_P
+@PACKED_SETTINGS
+@given(data=st.data())
+def test_packed_x0_Q_matches_the_products(p, data):
+    base, ext, d, rng = data.draw(packed_fields(p))
+    prec = data.draw(st.integers(1, 6))
+    Q = [[[base.random(rng) for _ in range(d)] for _ in range(d)] for _ in range(prec)]
+    residues = [[ext.random(rng) for _ in range(d)] for _ in range(rng.randint(1, d))]
+    got = galrep._times_Q(residues, Q, base)
+    assert _series_data(got) == _series_data(_times_Q_by_products(residues, Q, ext))
+
+
+@PACKED_P
+@PACKED_SETTINGS
+@given(data=st.data())
+def test_packed_solutions_match_scale_and_add(p, data):
+    base, ext, d, rng = data.draw(packed_fields(p))
+    prec = data.draw(st.integers(1, 5))
+    ring = FFRing(ext)
+    k = rng.randint(1, d)
+    while p ** k > 343:
+        k -= 1
+    basis = [tuple(TruncSeries(ring, {m: ext.random(rng) for m in range(prec)
+                                      if rng.random() < 0.7}, prec) for _ in range(d))
+             for _ in range(k)]
+    S = galrep.SolutionSet(base, ext, 1, d, prec, basis)
+    assert _series_data(S.solutions()) == _series_data(_solutions_by_scale_and_add(S))

@@ -173,3 +173,19 @@ def test_packed_frobenius_matches_powering(pf, data):
 
 def test_packed_digit_widths():
     assert [gf.field(*pf)._w for pf in FROB_FIELDS] == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+
+
+@SETTINGS
+@given(st.sampled_from([3, 5, 7, 17, 31]), st.integers(1, 8), st.integers(1, 4), st.data())
+def test_packed_combinations_match_the_loop(p, n, k, data):
+    """An F_p-combination of k packed vectors, unpacked, is the
+    combination computed entry by entry, at the width fp_width gives for
+    k (p-1)^2; one byte less carries at p = 17, where (p-1)^2 = 256."""
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    vs = [data.draw(vec) for _ in range(k)]
+    cs = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    w = gf.fp_width(k * (p - 1) ** 2)
+    assert 256 ** (w - 1) <= k * (p - 1) ** 2 < 256 ** w
+    acc = sum(c * gf.fp_pack(v, w) for c, v in zip(cs, vs))
+    assert gf.fp_unpack(acc, n, w, p) == tuple(sum(c * v[i] for c, v in zip(cs, vs)) % p
+                                               for i in range(n))
