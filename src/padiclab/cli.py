@@ -53,6 +53,8 @@ class RunConfig:
         for fname in ("e", "n", "N", "M", "W", "wittlen", "jmax", "trials"):
             if getattr(self, fname) <= 0:
                 raise ValueError(f"{fname} must be positive")
+        if self.D < 0:
+            raise ValueError("D must be positive, or 0 for p - 1")
 
     @property
     def lattice_D(self):

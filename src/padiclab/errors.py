@@ -27,7 +27,10 @@ class LatticeTooCoarse(PadicLabError):
 
 
 class ExtensionTooSmall(PadicLabError):
-    """The residue equation has no root in the given field."""
+    """A residue equation, z^p = c z for a (p-1)-st root of c or
+    z^p - u0 z = a0, has no root in the given field.  Both are F_p-linear
+    in z, so the verdict is a linear solve, not a search; a larger field
+    may have a root."""
 
 
 class ExtensionCapExceeded(PadicLabError):
@@ -36,4 +39,5 @@ class ExtensionCapExceeded(PadicLabError):
 
 
 class Unsupported(PadicLabError):
-    """Input outside the implemented desk-scale regime."""
+    """A case the library does not implement: a torsion level, ring or
+    matrix outside a method's scope.  No size cap raises it."""

@@ -13,10 +13,11 @@ recursion over F_q, whatever s is:
     Q_m = ([p | m] G0 sigma(Q_{m/p}) - sum_{j=1..m} Q_{m-j} G_j) G0^{-1}.
 
 Over F_(q^s) every map is F_p-linear.  The residues are the kernel of
-sigma - (. G0), built from the packed Frobenius and multiplication
-matrices made by shift-and-reduce, as the basis least in code order
-(_residue_basis); x0 Q and the p^d solutions are F_p-combinations on
-ints packed one digit per F_p coordinate (gf.fp_pack).
+sigma - (. G0) (gf.GF.frobenius_minus), as the basis least in code
+order (_residue_basis); x0 Q and the p^d solutions are F_p-combinations
+on ints packed one digit per F_p coordinate (gf.fp_pack).  No field is
+enumerated: the rank-1 root gamma^(p-1) = c is the least nonzero
+solution of gamma^p = c gamma (gf.GF.frobenius_solutions).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -26,7 +27,6 @@ where the tame character shows up through the exponent a/(p-1).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -109,29 +109,6 @@ def _residue_matrix(G):
     return [[a.coeffs.get(0, a.ring.field.zero) for a in row] for row in G]
 
 
-def _residue_operator(G0e, ext):
-    """sigma - (. G0) on ext^d over F_p as int rows, unreduced: column
-    (j, k), the image of x^k in slot j, is sigma(x^k) in slot j less
-    x^k G0[j][i] in slot i; x^k y by shift-and-reduce, x^m = -mod(x)."""
-    d, m, p = len(G0e), ext.fp_degree, ext.p
-
-    @functools.cache
-    def mul(y):     # once per distinct entry, O(m) a column
-        cols = [list(y.coeffs)]
-        for _ in range(m - 1):
-            col = cols[-1]
-            cols.append([(a - col[-1] * c) % p for a, c in zip([0] + col[:-1], ext.modulus)])
-        return cols
-
-    frob = [ext.frob_p(ext.from_fp([int(i == k) for i in range(m)])).coeffs for k in range(m)]
-    cols = []
-    for j, row in enumerate(G0e):
-        prods = [mul(a) for a in row]
-        cols += [[a * (i == j) - b for i, Mi in enumerate(prods) for a, b in zip(frob[k], Mi[k])]
-                 for k in range(m)]
-    return [list(r) for r in zip(*cols)]
-
-
 def _residue_basis(G0e, ext):
     """The F_p-basis of { x in ext^d : sigma(x) = x G0 } least in code
     order: the kernel of sigma - (. G0), row-reduced with coordinates in
@@ -143,7 +120,7 @@ def _residue_basis(G0e, ext):
     def flip(v):    # natural order <-> code-significance order
         return [c for j in range(0, d * m, m) for c in reversed(v[j:j + m])]
 
-    kernel = gf.fp_kernel(_residue_operator(G0e, ext), p)
+    kernel = gf.fp_kernel(ext.frobenius_minus(G0e), p)
     rows, pivots = gf.fp_rref([flip(v) for v in kernel], p)
     return [[ext.from_fp(v[j:j + m]) for j in range(0, d * m, m)]
             for v in map(flip, reversed(rows[:len(pivots)]))]
@@ -339,13 +316,11 @@ def solve_rank1(a: int, c, base_field: gf.GF, s_max: int = 16, prec=8):
     s = next(k for k in range(1, p) if norm ** k == base_field.one)
     if s > s_max:
         raise ExtensionCapExceeded(f"a (p-1)-st root of {c!r} needs degree {s} > {s_max}")
-    if base_field.order ** s > gf._ENUM_CAP:
-        raise Unsupported(f"a (p-1)-st root of {c!r} lies in F{base_field.order ** s}, "
-                          "too large to search")
     fld = gf.extension(base_field, s)
-    gamma = fld.nth_root(fld.coerce(c), p - 1)
-    if gamma is None:
+    roots = fld.frobenius_solutions(fld.coerce(c))
+    if len(roots) < 2:
         raise ArithmeticError(f"no (p-1)-st root of {c!r} in {fld.tag}")
+    gamma = roots[1]
     from fractions import Fraction
     D = p - 1
     sol = perfseries.monomial(fld, D, 1, Fraction(a, p - 1), gamma, Fraction(prec))

@@ -15,15 +15,19 @@ exact while no digit sum reaches 256^w, and fp_unpack reads the digits
 back reduced mod p.  The Frobenius x -> x^p and its inverse are stored
 so, as packed matrix columns.  The F_p linear algebra (fp_rref,
 fp_kernel, fp_solve, fp_inverse) works on lists of int rows.
+
+Every residue equation the library meets is F_p-linear in x: the rows
+of x -> x^p - x A on F^d come from the Frobenius and from
+multiplication columns made by shift-and-reduce (frobenius_minus), and
+x^p - a x = b, which covers the (p-1)-st roots y^(p-1) = c as y^p = c y,
+is one fp_solve and one fp_kernel on the d = 1 rows
+(frobenius_solutions).  No field is ever enumerated to solve one.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product
-
-from .errors import ExtensionTooSmall
-
-_ENUM_CAP = 1_000_000  # refuse to iterate fields bigger than this
 
 
 def _mulmod(u, v, mod, p):
@@ -233,8 +237,6 @@ class GF:
         return c
 
     def elements(self):
-        if self.order > _ENUM_CAP:
-            raise ValueError(f"refusing to enumerate {self.tag}")
         for code in range(self.order):
             yield self.from_code(code)
 
@@ -313,20 +315,43 @@ class GF:
             raise RuntimeError("modulus has no root in the big field")  # impossible
         self._embeddings[id(small)] = self._powers(x, f)
 
-    def nth_root(self, x: FFElt, n: int):
-        """Some y with y^n = x, or None.  Enumerates; small fields only."""
-        if not x:
-            return self.zero
-        for y in self.elements():
-            if y and y ** n == x:
-                return y
-        return None
+    def _times_columns(self, y: FFElt) -> list:
+        """Multiplication by y as columns x^k y, k < degree, by
+        shift-and-reduce: x^degree = -modulus(x), O(degree) a column."""
+        cols = [list(y.coeffs)]
+        for _ in range(self.fp_degree - 1):
+            col = cols[-1]
+            cols.append([(a - col[-1] * c) % self.p
+                         for a, c in zip([0] + col[:-1], self.modulus)])
+        return cols
 
-    def nth_root_or_raise(self, x: FFElt, n: int) -> FFElt:
-        y = self.nth_root(x, n)
-        if y is None:
-            raise ExtensionTooSmall(f"no {n}-th root of {x!r} in {self.tag}")
-        return y
+    def frobenius_minus(self, A) -> list:
+        """x -> x^p - x A on F^d, A a d x d matrix over this field, as int
+        rows over F_p, unreduced: column (j, k), the image of x^k in
+        slot j, is (x^k)^p in slot j less x^k A[j][i] in slot i."""
+        m = self.fp_degree
+        frob = [self.frob_p(self.from_fp([int(i == k) for i in range(m)])).coeffs
+                for k in range(m)]
+        times = functools.cache(self._times_columns)    # once per distinct entry
+        cols = []
+        for j, row in enumerate(A):
+            prods = [times(a) for a in row]
+            cols += [[a * (i == j) - b for i, Mi in enumerate(prods)
+                      for a, b in zip(frob[k], Mi[k])] for k in range(m)]
+        return [list(r) for r in zip(*cols)]
+
+    def frobenius_solutions(self, a: FFElt, b: FFElt | None = None) -> list:
+        """Every x with x^p - a x = b (b = 0 by default), least code first.
+        The map is F_p-linear, so they are one solution plus its kernel,
+        of dimension at most 1 as x^p - a x has degree p: at most p
+        solutions.  For b = 0 the nonzero ones are the y with y^(p-1) = a."""
+        rows = self.frobenius_minus([[a]])
+        x0 = fp_solve(rows, (self.zero if b is None else b).coeffs, self.p)
+        if x0 is None:
+            return []
+        sols = [x0] + [[u + t * v for u, v in zip(x0, k)]
+                       for k in fp_kernel(rows, self.p) for t in range(1, self.p)]
+        return sorted(map(self.from_fp, sols), key=self.code)
 
 
 def _find_modulus_prime(p: int, s: int) -> tuple:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrecisionError
+from .padic import _series_cutoff_log
 
 # --- exact integer matrices mod p^k ---
 
@@ -211,18 +212,6 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     return True
 
 
-def _log_cutoff(p: int, n: int) -> int:
-    i = n
-    while True:
-        k, lg = i, 0
-        while k >= p:
-            k //= p
-            lg += 1
-        if i - lg >= n:
-            return i
-        i += 1
-
-
 def log_full(A: BoundedOp) -> ScaledMatrix:
     """Convergent log for A = id mod p, summed past the point where
     terms vanish mod p^N; certified to the full N digits."""
@@ -230,7 +219,7 @@ def log_full(A: BoundedOp) -> ScaledMatrix:
     t = msub(A.mat, mident(d), p ** N)
     if entry_valuation(t, p, N) < 1:
         raise ValueError("log_full needs A = id mod p")
-    cutoff = _log_cutoff(p, N)
+    cutoff = _series_cutoff_log(p, N)
     extra = 1
     while p ** extra <= cutoff:
         extra += 1

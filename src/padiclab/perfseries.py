@@ -10,12 +10,15 @@ This module also houses the semilinear solvers: the (p-1)-st root
 giving the nonzero solutions of x^p = U*x, the additive equation
 x^p - U*x = a, and the Frobenius fixed-point construction of V with
 phi(V) = U*V in length-n Witt vectors, by one residue root plus
-successive coordinate corrections.
+successive coordinate corrections.  Their residue equations,
+z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
+(gf.GF.frobenius_solutions), never by enumerating the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from . import witt
 from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
@@ -130,18 +133,11 @@ def _binom_mod_p(alpha: Fraction, k: int, p: int) -> int:
     num = Fraction(1)
     for i in range(k):
         num *= (alpha - i)
-    c = num / _factorial(k)
+    c = num / factorial(k)
     den = c.denominator
     if den % p == 0:
         raise ArithmeticError("binomial left Z_(p)")
     return c.numerator * pow(den, -1, p) % p
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def zero_series(field: GF, D: int, jmax: int, prec) -> PerfSeries:
@@ -164,6 +160,8 @@ class PerfRing(OperatorRing):
     char_p = True
 
     def __init__(self, field: GF, D: int, jmax: int, prec):
+        if D < 1:
+            raise ValueError(f"lattice denominator D must be positive, got {D}")
         self.field = field
         self.p = field.p
         self.D = D
@@ -205,7 +203,10 @@ def root_p_minus_1(U: PerfSeries) -> PerfSeries:
     L = U.lattice_den()
     if (h / (p - 1) * L).denominator != 1:
         raise LatticeTooCoarse(f"exponent {h}/{p - 1} not representable")
-    zeta = U.field.nth_root_or_raise(lead, p - 1)
+    roots = U.field.frobenius_solutions(lead)     # 0, then the roots
+    if len(roots) < 2:
+        raise ExtensionTooSmall(f"no {p - 1}-th root of {lead!r} in {U.field.tag}")
+    zeta = roots[1]
     body = U.shift(-h).scale(lead.inverse())
     root_body = body.binomial_power(Fraction(1, p - 1))
     return root_body.scale(zeta).shift(h / (p - 1))
@@ -250,7 +251,11 @@ def solve_additive(U: PerfSeries, a: PerfSeries, max_steps: int | None = None) -
                 return x.truncate(va / p)
         else:
             a0 = rem.coeffs[va]
-            gamma = _residue_artin_schreier(U0, a0, p)
+            roots = U0.field.frobenius_solutions(U0, a0)
+            if not roots:
+                raise ExtensionTooSmall(f"residue equation x^{p} - {U0!r} x = {a0!r} "
+                                        f"has no root in {U0.field.tag}")
+            gamma = roots[0]
             L = a.lattice_den()
             if (va / p * L).denominator != 1:
                 return x.truncate(va / p)
@@ -261,16 +266,6 @@ def solve_additive(U: PerfSeries, a: PerfSeries, max_steps: int | None = None) -
         if new_va <= va and not rem.is_zero():
             raise PrecisionError("no progress in semilinear solve")
     raise PrecisionError("semilinear solve did not converge")
-
-
-def _residue_artin_schreier(u0, a0, p: int):
-    """gamma with gamma^p - u0*gamma = a0, by enumeration."""
-    fld = u0.field
-    for g in fld.elements():
-        if g ** p - u0 * g == a0:
-            return g
-    raise ExtensionTooSmall(
-        f"residue equation x^{p} - {u0!r} x = {a0!r} has no root in {fld.tag}")
 
 
 def zmod_series_to_witt(U_out, ring: PerfRing, n: int):

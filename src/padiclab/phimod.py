@@ -263,16 +263,17 @@ def height_divides(L, U: TruncSeries) -> bool:
 
     L may be a PhiLattice, or a PhiModule whose coordinate basis is
     taken as the candidate; a candidate that is not phi-stable is not a
-    phi-lattice and the answer is False.
+    phi-lattice and the answer is False.  ValueError when U is divisible
+    by p, at every n: at n = 1 that means U = 0.
     """
+    if (U.reduce_mod_p() if isinstance(U.ring, Zmod) else U).is_zero():
+        raise ValueError("U must not be divisible by p")
     if isinstance(L, PhiModule):
         try:
             L = PhiLattice(L)
         except ValueError:
             return False
     ring, d = L.module.ring, L.module.d
-    if isinstance(ring, Zmod) and U.reduce_mod_p().is_zero():
-        raise ValueError("U must not be divisible by p")
     # the columns of U I, zero-padded at U's precision
     columns = matrix.scalar(d, U, TruncSeries.zero(ring, U.prec))
     return all(_vector_integral(x) for x in solve_in_lattice(L.lattice_frobenius, columns))

@@ -97,15 +97,6 @@ class BivarSeries(SparseSeries):
         return self._like({(p * i, p * j): c ** p for (i, j), c in self.coeffs.items()},
                           p * self.prec)
 
-    def eta_free_part(self) -> TruncSeries | None:
-        """The series as a one-variable object, or None if eta occurs."""
-        if any(j for (_, j) in self.coeffs):
-            return None
-        ring = FFRing(self.field)
-        # one-variable precision: exponents i with i*wu < prec are tracked
-        prec_u = int(self.prec / self.wu)
-        return TruncSeries(ring, {i: c for (i, _), c in self.coeffs.items()}, prec_u)
-
     def __repr__(self):
         items = sorted(self.coeffs.items())[:6]
         body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in items) or "0"

@@ -143,6 +143,23 @@ def test_series_solvev():
     assert doc["results"][0]["value"] == "True"
 
 
+def test_negative_lattice_denominator_exit_2():
+    # D = -2 reached the solver as a negative lattice and failed to converge
+    base = ["series", "solvev", "--p", "3", "--n", "2", "--coeffs", "3,0,1", "--M", "10", "--D"]
+    bad = run(base + ["-2"])
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr == "config error: D must be positive, or 0 for p - 1\n"
+    assert _value(run(base + ["2"])) == "True"
+
+
+@pytest.mark.parametrize("args", [["--q", "3"], ["--q", "9"], ["--n", "2"]])
+def test_heightdiv_refuses_U_divisible_by_p(args):
+    # in characteristic p, U divisible by p means U = 0; n = 1 answered True
+    r = run(["phimod", "heightdiv", "--p", "3", "--U", "0"] + args)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "input error: U must not be divisible by p\n"
+
+
 def test_galois_solve_reads_fq_codes():
     base = ["galois", "solve", "--p", "3", "--q", "9", "--M", "20", "--matrix"]
     gen, one = run(base + ["4"]), run(base + ["1"])

@@ -421,7 +421,7 @@ def test_packed_residue_operator_matches_the_products(p, data):
     _, ext, d, rng = data.draw(packed_fields(p))
     pool = [ext.zero, ext.one] + [ext.random(rng) for _ in range(3)]   # repeated entries too
     G0e = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
-    got = [[a % p for a in row] for row in galrep._residue_operator(G0e, ext)]
+    got = [[a % p for a in row] for row in ext.frobenius_minus(G0e)]
     assert got == _operator_by_products(G0e, ext)
 
 

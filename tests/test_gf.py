@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -54,15 +55,13 @@ def test_codes_roundtrip():
         assert fld.code(fld.from_code(c)) == c
 
 
-def test_nth_root():
+def test_square_roots_of_2_in_F3_and_F9():
+    # at p = 3 the (p-1)-st roots are the square roots: z^3 = 2 z
     F3 = gf.field(3)
-    assert F3.nth_root(F3.el(2), 2) is None  # 2 is not a square mod 3
+    assert F3.frobenius_solutions(F3.el(2)) == [F3.zero]    # 2 is not a square mod 3
     F9 = gf.field(3, 2)
-    r = F9.nth_root_or_raise(F9.el(2), 2)
-    assert r * r == F9.el(2)
-    from padiclab.errors import ExtensionTooSmall
-    with pytest.raises(ExtensionTooSmall):
-        F3.nth_root_or_raise(F3.el(2), 2)
+    zero, r, s = F9.frobenius_solutions(F9.el(2))
+    assert not zero and r * r == s * s == F9.el(2) and s == -r
 
 
 def test_fp_linear_algebra():
@@ -189,3 +188,36 @@ def test_packed_combinations_match_the_loop(p, n, k, data):
     acc = sum(c * gf.fp_pack(v, w) for c, v in zip(cs, vs))
     assert gf.fp_unpack(acc, n, w, p) == tuple(sum(c * v[i] for c, v in zip(cs, vs)) % p
                                                for i in range(n))
+
+
+# every field of at most 5000 elements at these p
+SMALL_FIELDS = [(p, f) for p in (3, 5, 7, 11, 13, 17, 31) for f in range(1, 8) if p ** f <= 5000]
+SOLVE_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+
+@functools.cache
+def powers_table(p, f):
+    """(g, g^p, g^(p-1)) for every g of F_(p^f) in code order, by powering."""
+    F = gf.field(p, f)
+    return [(g, g ** p, g ** (p - 1)) for g in F.elements()]
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS)
+@SOLVE_SETTINGS
+@given(data=st.data())
+def test_frobenius_solutions_are_the_enumerated_ones(p, f, data):
+    """frobenius_solutions(a, b) is the code-sorted list of g with
+    g^p - a g = b, and frobenius_solutions(c)[1:] the code-sorted
+    (p-1)-st roots of c.  a is a (p-1)-st power and b an image half the
+    time each, so the kernel line and unsolvable b both occur."""
+    F, table = gf.field(p, f), powers_table(p, f)
+    codes = st.integers(0, F.order - 1)
+    a = F.from_code(data.draw(codes))
+    if data.draw(st.booleans()):
+        a = table[data.draw(codes)][2]
+    b = F.from_code(data.draw(codes))
+    if data.draw(st.booleans()):
+        g, gp, _ = table[data.draw(codes)]
+        b = gp - a * g
+    assert F.frobenius_solutions(a, b) == [g for g, gp, _ in table if gp - a * g == b]
+    assert F.frobenius_solutions(a)[1:] == [g for g, _, gq in table if g and gq == a]

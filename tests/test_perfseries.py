@@ -137,3 +137,45 @@ def test_existv_length_three():
     ring = PerfRing(F3, 2, 4, F(12))
     res = frobenius_fixed_residual(U, V, ring, 3)
     assert all(c.is_zero() for c in res.coords)
+
+
+def test_solve_additive_residue_branch():
+    # U = u, a = c u^(3/2) over F_9: v(a) = p v(U)/(p-1), so the leading
+    # term is gamma u^(1/2) with gamma^3 - gamma = c, solvable iff
+    # Tr(c) = c + c^3 = 0; gamma is the least-coded root
+    F9 = gf.field(3, 2)
+    u = monomial(F9, 2, 2, 1, F9.one, F(6))
+    solvable = 0
+    for c in list(F9.elements())[1:]:
+        a = monomial(F9, 2, 2, F(3, 2), c, F(6))
+        roots = [g for g in F9.elements() if g ** 3 - g == c]
+        if c + c ** 3 == F9.zero:
+            x = solve_additive(u, a)
+            assert x == monomial(F9, 2, 2, F(1, 2), roots[0], x.prec)
+            assert (x.pth_power() - u * x - a).is_zero()
+            solvable += 1
+        else:
+            assert not roots
+            with pytest.raises(ExtensionTooSmall):
+                solve_additive(u, a)
+    assert solvable == 2
+
+
+def test_perf_ring_needs_a_positive_denominator():
+    for D in (0, -2):
+        with pytest.raises(ValueError):
+            PerfRing(F3, D, 2, F(8))
+
+
+def test_root_p_minus_1_takes_the_least_coded_root():
+    # V0 = zeta u^(1/(p-1)) with zeta the least-coded zeta^(p-1) = c
+    for fld in (gf.field(5), gf.field(3, 2), gf.field(7, 2)):
+        p = fld.p
+        for c in list(fld.elements())[1:]:
+            U = monomial(fld, p - 1, 1, 1, c, F(4))
+            roots = [g for g in fld.elements() if g and g ** (p - 1) == c]
+            if roots:
+                assert root_p_minus_1(U).leading() == (F(1, p - 1), roots[0])
+            else:
+                with pytest.raises(ExtensionTooSmall):
+                    root_p_minus_1(U)
