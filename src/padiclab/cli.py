@@ -512,9 +512,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except ArithmeticError as exc:
-        # the library's own checks raise this: a defect, not bad input
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:
+        # the library's own checks raise ArithmeticError: a defect, not
+        # bad input, as is any other exception that gets this far
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
     doc = {"command": args.command + " " + getattr(args, "op", getattr(args, "name", "")),
            "config": asdict(cfg), "results": results}

@@ -12,12 +12,16 @@ recursion over F_q, whatever s is:
 
     Q_m = ([p | m] G0 sigma(Q_{m/p}) - sum_{j=1..m} Q_{m-j} G_j) G0^{-1}.
 
-Over F_(q^s) every map is F_p-linear.  The residues are the kernel of
-sigma - (. G0) (gf.GF.frobenius_minus), as the basis least in code
-order (_residue_basis); x0 Q and the p^d solutions are F_p-combinations
-on ints packed one digit per F_p coordinate (gf.fp_pack).  No field is
-enumerated: the rank-1 root gamma^(p-1) = c is the least nonzero
-solution of gamma^p = c gamma (gf.GF.frobenius_solutions).
+Every map the solver applies is F_p-linear, and runs on ints packed one
+digit per F_p coordinate (gf.fp_pack).  Each Q_m is its d d f digits
+over F_q, one packed sum of the maps X -> -X G_j G0^{-1} and
+X -> G0 sigma(X) G0^{-1}; the check G0 phi(Q) = Q G runs on the same
+digits with maps built from G's own coefficients.  Over F_(q^s) the
+residues are the kernel of sigma - (. G0) (gf.GF.frobenius_minus), as
+the basis least in code order (_residue_basis); x0 Q and the p^d
+solutions are F_p-combinations.  No field is enumerated: the rank-1
+root gamma^(p-1) = c is the least nonzero solution of gamma^p = c gamma
+(gf.GF.frobenius_solutions).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -126,41 +130,93 @@ def _residue_basis(G0e, ext):
             for v in map(flip, reversed(rows[:len(pivots)]))]
 
 
-def _trivialisation(G, G0, G0inv, prec):
-    """The coefficients Q_0, ..., Q_(M-1) over F_q of Q, by the recursion."""
-    base = G0[0][0].field
-    d, p = len(G), base.p
+def _digits(A) -> tuple:
+    """The F_p digits of a d x d matrix over F_q: entry (i, k) holds
+    digits (i d + k) f ... (i d + k) f + f - 1."""
+    return tuple(c for row in A for a in row for c in a.coeffs)
+
+
+def _coefficients(G, prec) -> dict:
+    """{j: digits of G_j} for the nonzero coefficients G_j, j < prec, of G."""
+    d, f = len(G), G[0][0].ring.field.fp_degree
     Gj = {}
     for i, row in enumerate(G):
         for k, a in enumerate(row):
             for e, c in a.coeffs.items():
-                if 0 < e < prec:
-                    Gj.setdefault(e, [[base.zero] * d for _ in range(d)])[i][k] = c
-    Q = [matrix.scalar(d, base.one, base.zero)]
+                if e < prec and c:
+                    at = (i * d + k) * f
+                    Gj.setdefault(e, [0] * (d * d * f))[at:at + f] = c.coeffs
+    return Gj
+
+
+def _combine(digits, cols) -> int:
+    """The packed image of the digits under the map with columns cols."""
+    return sum(a * col for a, col in zip(digits, cols) if a)
+
+
+def _right_columns(H, d, base, w) -> list:
+    """X -> X H on d x d matrices over F_q, H given by its digits, as
+    packed columns, one per digit of X: x^t in entry (i, k) goes to row i
+    as x^t H[k][l], l < d, from the shift-and-reduce columns of H[k][l]."""
+    f = base.fp_degree
+    times = [base._times_columns(gf.FFElt(base, tuple(H[e:e + f])))
+             for e in range(0, d * d * f, f)]
+    rows = [gf.fp_pack([c for l in range(d) for c in times[k * d + l][t]], w)
+            for k in range(d) for t in range(f)]
+    shift = 8 * w * d * f
+    return [row << shift * i for i in range(d) for row in rows]
+
+
+def _frobenius_columns(A, right, base, w) -> list:
+    """X -> A sigma(X) B as packed columns, reduced, given the packed
+    columns `right` of X -> X B: sigma(x^t E_ik) = x^(tp) E_ik, and
+    A x^(tp) E_ik = sum_a (A[a][i] x^(tp)) E_ak.  A sum has at most
+    d f (p-1)^2 in a digit."""
+    d, f, p = len(A), base.fp_degree, base.p
+    n = d * d * f
+    frob = [base.frob_p(base.from_fp([int(u == t) for u in range(f)])) for t in range(f)]
+    return [gf.fp_reduce(sum(c * right[(a * d + k) * f + u] for a in range(d)
+                             for u, c in enumerate((A[a][i] * frob[t]).coeffs)), n, w, p)
+            for i in range(d) for k in range(d) for t in range(f)]
+
+
+def _trivialisation(G, G0, G0inv, prec) -> list:
+    """The F_p digits of Q_0, ..., Q_(M-1) over F_q, by the recursion: Q_m
+    is one packed sum of the maps X -> -X G_j G0^(-1) on Q_(m-j) and,
+    when p | m, X -> G0 sigma(X) G0^(-1) on Q_(m/p), unpacked once.  A
+    digit sums at most d f (p-1)^2 per map G_j and d^2 f (p-1)^2 for sigma."""
+    base = G0[0][0].field
+    d, f, p = len(G0), base.fp_degree, base.p
+    n = d * d * f
+    Gj = _coefficients(G, prec)
+    Gj.pop(0, None)
+    w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
+    inv = _right_columns(_digits(G0inv), d, base, w)
+    maps = [(j, _right_columns(gf.fp_unpack(_combine([-c % p for c in Gm], inv), n, w, p),
+                               d, base, w))
+            for j, Gm in Gj.items()]
+    frob = _frobenius_columns(G0, inv, base, w) if p < prec else None
+    Q = [_digits(matrix.scalar(d, base.one, base.zero))]
     for m in range(1, prec):
-        if m % p:
-            rhs = [[base.zero] * d for _ in range(d)]
-        else:
-            rhs = matrix.mul(G0, [[base.frob_p(a) for a in row] for row in Q[m // p]])
-        for j, Gm in Gj.items():
-            if j <= m:
-                QG = matrix.mul(Q[m - j], Gm)
-                rhs = [[a - b for a, b in zip(r, t)] for r, t in zip(rhs, QG)]
-        Q.append([ff_vec_mat(row, G0inv) for row in rhs])
+        acc = sum(_combine(Q[m - j], cols) for j, cols in maps if j <= m)
+        if m % p == 0:
+            acc += _combine(Q[m // p], frob)
+        Q.append(gf.fp_unpack(acc, n, w, p))
     return Q
 
 
 def _times_Q(residues, Q, base):
-    """The solutions x0 Q, a d-tuple of series per residue x0.  As F_q
-    embeds F_p-linearly, (x0 Q_m)_i = sum_{j,t} (Q_m[j][i])_t x0_j x^t: on
-    packed ints, x0 Q = sum_{j,t} C[j][t] P[j][t], where C[j][t] holds
-    (Q_m[j][i])_t at digit (i M + m) n and P[j][t] the n coordinates of
-    x0_j x^t, x^t in F_q.  A digit sums at most d f (p-1)^2 < 256^w."""
+    """The solutions x0 Q, a d-tuple of series per residue x0, Q by its
+    digits.  As F_q embeds F_p-linearly, (x0 Q_m)_i = sum_{j,t}
+    (Q_m[j][i])_t x0_j x^t: on packed ints, x0 Q = sum_{j,t} C[j][t] P[j][t],
+    where C[j][t] holds (Q_m[j][i])_t at digit (i M + m) n and P[j][t] the
+    n coordinates of x0_j x^t, x^t in F_q.  A digit sums at most
+    d f (p-1)^2 < 256^w."""
     ext = residues[0][0].field
-    d, f, n, p, prec = len(Q[0]), base.fp_degree, ext.fp_degree, ext.p, len(Q)
+    d, f, n, p, prec = len(residues[0]), base.fp_degree, ext.fp_degree, ext.p, len(Q)
     w = gf.fp_width(d * f * (p - 1) ** 2)
     lifted = [ext.coerce(base.from_fp([int(i == t) for i in range(f)])) for t in range(f)]
-    C = [[gf.fp_pack([Qm[j][i].coeffs[t] for i in range(d) for Qm in Q], n * w)
+    C = [[gf.fp_pack([Qm[(j * d + i) * f + t] for i in range(d) for Qm in Q], n * w)
           for t in range(f)] for j in range(d)]
     return [_series(gf.fp_unpack(sum(c * gf.fp_pack((a * b).coeffs, w)
                                      for a, Cj in zip(x0, C) for b, c in zip(lifted, Cj)),
@@ -169,15 +225,25 @@ def _times_Q(residues, Q, base):
 
 
 def _check_solutions(G, G0e, Q, residues, prec):
-    """ArithmeticError unless G0 phi(Q) = Q G over F_q at precision M and
-    sigma(x0) = x0 G0 for every residue x0: then every x0 Q solves."""
-    ring, d = G[0][0].ring, len(G)
-    G0 = _residue_matrix(G)
-    Qs = [[TruncSeries(ring, {m: Qm[i][j] for m, Qm in enumerate(Q)}, prec)
-           for j in range(d)] for i in range(d)]
-    lhs = matrix.mul(G0, [[a.frobenius() for a in row] for row in Qs])
-    for lrow, rrow in zip(lhs, matrix.mul(Qs, G)):
-        if any(not (a - b).truncate(prec).is_zero() for a, b in zip(lrow, rrow)):
+    """ArithmeticError unless sum_{j>=0} Q_(m-j) G_j = [p | m] G0 sigma(Q_(m/p))
+    for every m < M, i.e. G0 phi(Q) = Q G at precision M, and
+    sigma(x0) = x0 G0 for every residue x0: then every x0 Q solves.  The
+    maps come from G's own coefficients, G_0 included and no G0^(-1),
+    not from the recursion's; Q is given by its digits."""
+    base = G[0][0].ring.field
+    d, f, p = len(G), base.fp_degree, base.p
+    n = d * d * f
+    Gj = _coefficients(G, prec)
+    w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
+    maps = [(j, _right_columns(Gm, d, base, w)) for j, Gm in Gj.items()]
+    minus_G0 = [[-a for a in row] for row in _residue_matrix(G)]
+    identity = [1 << 8 * w * k for k in range(n)]     # X -> X I
+    frob = _frobenius_columns(minus_G0, identity, base, w)
+    for m in range(prec):
+        acc = sum(_combine(Q[m - j], cols) for j, cols in maps if j <= m)
+        if m % p == 0:
+            acc += _combine(Q[m // p], frob)
+        if any(gf.fp_unpack(acc, n, w, p)):
             raise ArithmeticError("the trivialisation Q fails G0 phi(Q) = Q G")
     ext = G0e[0][0].field
     for x0 in residues:
@@ -297,25 +363,25 @@ def unramified_to_phimod(A, q: int, prec: int = 20) -> PhiModule:
 # ---------------------------------------------------------------------------
 
 
-def solve_rank1(a: int, c, base_field: gf.GF, s_max: int = 16, prec=8):
+def solve_rank1(a: int, c, base_field: gf.GF, prec=8):
     """Solutions of x^(p) = c u^a x in the fractional-exponent model:
     zero plus the F_p^x multiples of gamma u^(a/(p-1)) with
     gamma^(p-1) = c.  The exponent a/(p-1) is the tame-character datum.
+    The degree s is the order of an element of F_p^x, so s <= p - 1.
     """
     p = base_field.p
     c = base_field.coerce(c)
     if not c:
         raise ValueError("c must be nonzero")
     if a == 0:
+        # N = c sigma(c) ... sigma^(f-1)(c) is the norm of c, in F_p^x
         ring = FFRing(base_field)
         G = [[TruncSeries(ring, {0: c}, int(prec))]]
-        return solve_unit_root(G, s_max=s_max)
+        return solve_unit_root(G, s_max=p - 1)
     # gamma^(p-1) = c is solvable in F_(q^s) iff c^(s (q-1)/(p-1)) = 1, so
     # s is the order of c^((q-1)/(p-1)), an element of F_p^x
     norm = c ** ((base_field.order - 1) // (p - 1))
     s = next(k for k in range(1, p) if norm ** k == base_field.one)
-    if s > s_max:
-        raise ExtensionCapExceeded(f"a (p-1)-st root of {c!r} needs degree {s} > {s_max}")
     fld = gf.extension(base_field, s)
     roots = fld.frobenius_solutions(fld.coerce(c))
     if len(roots) < 2:

@@ -12,9 +12,13 @@ kernels _mulmod and _invmod, shared by GF and the modulus search.
 An F_p vector packs into one int, a w-byte digit per entry (fp_pack):
 an F_p-combination of packed vectors is then a few int multiply-adds,
 exact while no digit sum reaches 256^w, and fp_unpack reads the digits
-back reduced mod p.  The Frobenius x -> x^p and its inverse are stored
-so, as packed matrix columns.  The F_p linear algebra (fp_rref,
-fp_kernel, fp_solve, fp_inverse) works on lists of int rows.
+back reduced mod p.  At w = 1 the codec is bytes() and one
+bytes.translate against a mod-p table; fp_reduce also reduces two-byte
+digits by translating their byte planes.  The Frobenius x -> x^p and its
+inverse are stored so, as packed matrix columns.  fp_rref row-reduces
+rows packed so, with w = fp_width(p (p-1)): a row operation is one int
+multiply-add and one digit reduction (fp_reduce).  fp_kernel, fp_solve
+and fp_inverse take and return lists of int rows.
 
 Every residue equation the library meets is F_p-linear in x: the rows
 of x -> x^p - x A on F^d come from the Frobenius and from
@@ -444,41 +448,77 @@ def fp_width(bound: int) -> int:
 
 def fp_pack(vec, w: int) -> int:
     """The ints of vec, each below 256^w, as one int of w-byte digits."""
+    if w == 1:
+        return int.from_bytes(bytes(vec), "little")
     return int.from_bytes(b"".join(a.to_bytes(w, "little") for a in vec), "little")
+
+
+@functools.cache
+def _mod_table(p: int, scale: int = 1) -> bytes:
+    """Each byte value times scale, reduced mod p, for bytes.translate."""
+    return bytes(b * scale % p for b in range(256))
+
+
+_TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
 def fp_unpack(acc: int, n: int, w: int, p: int) -> tuple:
     """The n w-byte digits of acc, each reduced mod p."""
     raw = acc.to_bytes(n * w, "little")
     if w == 1:
-        return tuple(b % p for b in raw)
+        return tuple(raw.translate(_mod_table(p)))
     return tuple(int.from_bytes(raw[i:i + w], "little") % p for i in range(0, n * w, w))
 
 
-# --- exact linear algebra over F_p on lists of int rows ---
+def fp_reduce(acc: int, n: int, w: int, p: int) -> int:
+    """acc with each of its n w-byte digits reduced mod p.  A two-byte
+    digit lo + 256 hi is congruent to s = (lo mod p) + (256 hi mod p),
+    each term one translate of its byte plane; s < 2p < 2^15, so bit 15
+    of s + 2^15 - p flags the digits where s - p is the residue."""
+    if w == 1:
+        return int.from_bytes(acc.to_bytes(n, "little").translate(_mod_table(p)), "little")
+    if w == 2:
+        raw, plane = acc.to_bytes(2 * n, "little"), bytearray(2 * n)
+        plane[0::2] = raw[0::2].translate(_mod_table(p))
+        s = int.from_bytes(plane, "little")
+        plane[0::2] = raw[1::2].translate(_mod_table(p, 256))
+        s += int.from_bytes(plane, "little")
+        bias = int.from_bytes((2 ** 15 - p).to_bytes(2, "little") * n, "little")
+        plane[0::2] = (s + bias).to_bytes(2 * n, "little")[1::2].translate(_TOP_BIT)
+        return s - p * int.from_bytes(plane, "little")
+    return fp_pack(fp_unpack(acc, n, w, p), w)
+
+
+# --- exact linear algebra over F_p ---
 
 def fp_rref(rows, p: int):
-    """Row-reduce mod p.  Returns (rref rows, pivot column list)."""
-    m = [[a % p for a in row] for row in rows]
+    """Row-reduce mod p.  Returns (rref rows, pivot column list).  Each
+    row is held as one int of w-byte digits, column c at digit c, with
+    w = fp_width(p (p-1)): a row operation a + (p - k) b leaves every
+    digit at most p (p-1), and fp_reduce brings it back below p."""
+    ncols = len(rows[0]) if rows else 0
+    w = fp_width(p * (p - 1))
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    m = [fp_pack([a % p for a in row], w) for row in rows]
     nrows = len(m)
     pivots = []
     r = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+    for c in range(ncols):
+        shift = c * bits
+        pivot = next((i for i in range(r, nrows) if m[i] >> shift & mask), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        top = m[r] = [a * inv % p for a in m[r]]
+        top = m[r] = fp_reduce(pow(m[r] >> shift & mask, -1, p) * m[r], ncols, w, p)
         for i in range(nrows):
-            k = m[i][c]
+            k = m[i] >> shift & mask
             if k and i != r:
-                m[i] = [(a - k * b) % p for a, b in zip(m[i], top)]
+                m[i] = fp_reduce(m[i] + (p - k) * top, ncols, w, p)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return [list(fp_unpack(row, ncols, w, p)) for row in m], pivots
 
 
 def fp_kernel(rows, p: int) -> list:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from padiclab import galrep, gf
 from padiclab.cli import main
 
 CMD = [sys.executable, "-m", "padiclab.cli"]
@@ -67,7 +68,18 @@ def test_failed_self_check_exits_3_in_one_line(monkeypatch, capsys):
     assert main(["galois", "solve", "--p", "3", "--q", "3", "--matrix", "2"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "internal error: the trivialisation Q fails G0 phi(Q) = Q G\n"
+    assert err == "internal error: ArithmeticError: the trivialisation Q fails G0 phi(Q) = Q G\n"
+
+
+def test_any_escaping_exception_exits_3_in_one_line(monkeypatch, capsys):
+    def fail(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(galrep, "_trivialisation", fail)
+    assert main(["galois", "solve", "--p", "3", "--q", "3", "--matrix", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: KeyError: 'lost'\n"
 
 
 def test_logm_hand_value():
@@ -219,6 +231,15 @@ def test_galois_rank1_reads_fq_code():
     bad = run(base + ["9"])
     assert bad.returncode == 2 and "input error" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+def test_galois_rank1_degree_is_bounded_by_p_minus_1_only():
+    # 3 has order 30 in F_31^x: the root lies in F_(31^30), not below
+    r = run(["galois", "rank1", "--p", "31", "--c", "3", "--a", "1"])
+    assert r.returncode == 0, r.stderr
+    vals = {x["name"]: x["value"] for x in json.loads(r.stdout)["results"]}
+    assert vals == {"solutions": "31", "tame-exponent": "1/30"}
+    assert galrep.solve_rank1(1, 3, gf.field(31)).s == 30
 
 
 def test_cli_import_leaves_numpy_out():

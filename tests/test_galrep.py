@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -208,6 +211,44 @@ def _verify_solution(G, sol, ext):
             raise ArithmeticError("recursion produced a non-solution")
 
 
+def _trivialisation_by_products(G, G0, G0inv, prec):
+    """Q_0, ..., Q_(M-1) over F_q as FFElt matrices, by the recursion
+    with one vector-matrix product over F_q per row."""
+    base = G0[0][0].field
+    d, p = len(G), base.p
+    Gj = {}
+    for i, row in enumerate(G):
+        for k, a in enumerate(row):
+            for e, c in a.coeffs.items():
+                if 0 < e < prec:
+                    Gj.setdefault(e, [[base.zero] * d for _ in range(d)])[i][k] = c
+    Q = [matrix.scalar(d, base.one, base.zero)]
+    for m in range(1, prec):
+        if m % p:
+            rhs = [[base.zero] * d for _ in range(d)]
+        else:
+            rhs = matrix.mul(G0, [[base.frob_p(a) for a in row] for row in Q[m // p]])
+        for j, Gm in Gj.items():
+            if j <= m:
+                QG = matrix.mul(Q[m - j], Gm)
+                rhs = [[a - b for a, b in zip(r, t)] for r, t in zip(rhs, QG)]
+        Q.append([galrep.ff_vec_mat(row, G0inv) for row in rhs])
+    return Q
+
+
+def _check_by_series(G, Q, prec):
+    """G0 phi(Q) = Q G over F_q[[u]]/u^M, Q given by its digits, by
+    series products."""
+    ring, d = G[0][0].ring, len(G)
+    base, f = ring.field, ring.field.fp_degree
+    Qs = [[TruncSeries(ring, {m: base.from_fp(Qm[(i * d + j) * f:(i * d + j + 1) * f])
+                              for m, Qm in enumerate(Q)}, prec)
+           for j in range(d)] for i in range(d)]
+    lhs = matrix.mul(galrep._residue_matrix(G), [[a.frobenius() for a in row] for row in Qs])
+    return all((a - b).truncate(prec).is_zero()
+               for lrow, rrow in zip(lhs, matrix.mul(Qs, G)) for a, b in zip(lrow, rrow))
+
+
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 BASES = {3: FFRing(F3), 9: R9, 25: FFRing(gf.field(5, 2))}
 COST_BUDGET = 40_000    # p^d solutions x (degree of F_(q^s))^2 x M: under a second
@@ -305,17 +346,35 @@ def _check_inputs():
     residues = galrep._residue_basis(G0e, ext)
     Q = galrep._trivialisation(G, G0, galrep.ff_mat_inv(G0), 12)
     galrep._check_solutions(G, G0e, Q, residues, 12)
+    assert _check_by_series(G, Q, 12)
     return G, G0e, Q, residues
 
 
 def test_check_rejects_a_changed_coefficient_of_Q():
+    """Every m >= 1, every entry of Q_m, every nonzero shift in F_9: each
+    F_p digit alone and both together."""
     G, G0e, Q, residues = _check_inputs()
-    for m in range(1, len(Q)):
-        for i, j in product(range(2), repeat=2):
-            bad = [[list(row) for row in Qm] for Qm in Q]
-            bad[m][i][j] = bad[m][i][j] + F9.from_code(1 + m % 8)
-            with pytest.raises(ArithmeticError):
-                galrep._check_solutions(G, G0e, bad, residues, 12)
+    for m, e, code in product(range(1, len(Q)), range(0, len(Q[0]), 2), range(1, 9)):
+        bad = [list(Qm) for Qm in Q]
+        bad[m][e:e + 2] = [(a + b) % 3 for a, b in zip(bad[m][e:e + 2], F9.from_code(code).coeffs)]
+        with pytest.raises(ArithmeticError):
+            galrep._check_solutions(G, G0e, bad, residues, 12)
+        if (m, e, code) == (len(Q) - 1, len(Q[0]) - 2, 8):
+            assert not _check_by_series(G, bad, 12)
+
+
+def test_check_rejects_a_changed_coefficient_of_G():
+    """Q solves for G, not for G with one coefficient G_j changed: every
+    j < M, every entry, every nonzero shift in F_9."""
+    G, G0e, Q, residues = _check_inputs()
+    for j, i, k, code in product(range(12), range(2), range(2), range(1, 9)):
+        bad = [list(row) for row in G]
+        a = bad[i][k]
+        bad[i][k] = TruncSeries(a.ring, {**a.coeffs,
+                                         j: a.coeffs.get(j, F9.zero) + F9.from_code(code)},
+                                a.prec)
+        with pytest.raises(ArithmeticError):
+            galrep._check_solutions(bad, G0e, Q, residues, 12)
 
 
 def test_check_rejects_a_changed_residue_entry():
@@ -433,7 +492,7 @@ def test_packed_x0_Q_matches_the_products(p, data):
     prec = data.draw(st.integers(1, 6))
     Q = [[[base.random(rng) for _ in range(d)] for _ in range(d)] for _ in range(prec)]
     residues = [[ext.random(rng) for _ in range(d)] for _ in range(rng.randint(1, d))]
-    got = galrep._times_Q(residues, Q, base)
+    got = galrep._times_Q(residues, [galrep._digits(Qm) for Qm in Q], base)
     assert _series_data(got) == _series_data(_times_Q_by_products(residues, Q, ext))
 
 
@@ -452,3 +511,56 @@ def test_packed_solutions_match_scale_and_add(p, data):
              for _ in range(k)]
     S = galrep.SolutionSet(base, ext, 1, d, prec, basis)
     assert _series_data(S.solutions()) == _series_data(_solutions_by_scale_and_add(S))
+
+
+@PACKED_P
+@PACKED_SETTINGS
+@given(data=st.data())
+def test_packed_trivialisation_matches_the_products(p, data):
+    """M up to 20, so p | m occurs at every p here, and G_j may vanish."""
+    base, _, d, rng = data.draw(packed_fields(p))
+    prec = data.draw(st.integers(1, 20))
+    ring = FFRing(base)
+    while True:
+        G = [[TruncSeries(ring, {e: base.random(rng) for e in range(prec)
+                                 if e == 0 or rng.random() < 0.5}, prec)
+              for _ in range(d)] for _ in range(d)]
+        G0 = galrep._residue_matrix(G)
+        try:
+            G0inv = galrep.ff_mat_inv(G0)
+            break
+        except ZeroDivisionError:
+            continue
+    Q = galrep._trivialisation(G, G0, G0inv, prec)
+    assert Q == [galrep._digits(Qm) for Qm in _trivialisation_by_products(G, G0, G0inv, prec)]
+    assert _check_by_series(G, Q, prec)
+
+
+# --- outputs pinned before the solver moved onto packed digits ---
+
+PINNED = os.path.join(os.path.dirname(__file__), "data", "modp_pinned.json")
+
+
+def _codes(x):
+    return [x.prec, sorted([e, x.ring.field.code(c)] for e, c in x.coeffs.items())]
+
+
+def test_pinned_outputs():
+    """s, the basis, the ordered solutions (coefficients and precision,
+    as a sha256 of their codes) and the action, for d in {1, 2, 3},
+    q in {3, 9} and s up to 26."""
+    with open(PINNED) as fh:
+        cases = json.load(fh)
+    assert {(len(c["G"]), c["q"]) for c in cases} == set(product((1, 2, 3), (3, 9)))
+    assert max(c["s"] for c in cases) == 26
+    for case in cases:
+        ring = FFRing(gf.field(3, gf.degree(case["q"], 3)))
+        fld = ring.field
+        G = [[TruncSeries(ring, {e: fld.from_code(c) for e, c in enumerate(entry)}, case["M"])
+              for entry in row] for row in case["G"]]
+        S = solve_unit_root(G)
+        assert S.s == case["s"]
+        assert [[_codes(x) for x in b] for b in S.basis] == case["basis"]
+        sols = json.dumps([[_codes(x) for x in v] for v in S.solutions()])
+        assert hashlib.sha256(sols.encode()).hexdigest() == case["solutions_sha256"]
+        assert frobenius_action(S).matrix == case["action"]

@@ -150,6 +150,44 @@ def test_fp_inverse_against_enumeration(case):
             gf.fp_inverse(A, p)
 
 
+def _fp_rref_lists(rows, p):
+    """Row reduction on lists of ints, one list comprehension per row
+    operation: the reference for the packed fp_rref."""
+    m = [[a % p for a in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        top = m[r] = [a * inv % p for a in m[r]]
+        for i in range(nrows):
+            k = m[i][c]
+            if k and i != r:
+                m[i] = [(a - k * b) % p for a, b in zip(m[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+@SETTINGS
+@given(st.sampled_from([3, 5, 7, 13, 17, 31, 131, 257]), st.integers(0, 12), st.integers(1, 30),
+       st.data())
+def test_packed_rref_matches_the_list_elimination(p, nrows, ncols, data):
+    """p <= 13 has one-byte digits, 17, 31 and 131 two-byte ones, 257
+    three-byte ones; entries outside [0, p) and dependent rows occur too."""
+    entries = st.integers(-2 * p, 2 * p) | st.sampled_from([0, 0, 1, p - 1])
+    rows = [data.draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 1 and data.draw(st.booleans()):
+        rows[-1] = [(a + 2 * b) for a, b in zip(rows[0], rows[1])]
+    assert gf.fp_rref(rows, p) == _fp_rref_lists(rows, p)
+
+
 # (p, f): F_(3^52) is the largest field the mod-p functor builds; at p = 7,
 # 17 and 31 the packed Frobenius digit is two bytes wide
 FROB_FIELDS = [(3, 1), (3, 2), (3, 7), (3, 52), (5, 1), (5, 12), (7, 8), (17, 3), (31, 2)]
@@ -175,7 +213,31 @@ def test_packed_digit_widths():
 
 
 @SETTINGS
-@given(st.sampled_from([3, 5, 7, 17, 31]), st.integers(1, 8), st.integers(1, 4), st.data())
+@given(st.sampled_from([3, 5, 13, 17, 31, 131]), st.sampled_from([1, 2, 3]), st.integers(0, 12),
+       st.data())
+def test_codec_round_trips_at_one_and_two_bytes(p, w, n, data):
+    """fp_pack puts entry i at digit i, fp_unpack reads the digits back
+    reduced mod p, and fp_reduce reduces them in place: by translated
+    byte planes at w = 1 and 2, through the unpacked digits at w = 3."""
+    vec = data.draw(st.lists(st.integers(0, 256 ** w - 1), min_size=n, max_size=n))
+    acc = gf.fp_pack(vec, w)
+    assert [acc >> 8 * w * i & (256 ** w - 1) for i in range(n)] == vec
+    assert acc < 256 ** (w * n)
+    assert gf.fp_unpack(acc, n, w, p) == tuple(a % p for a in vec)
+    assert gf.fp_reduce(acc, n, w, p) == gf.fp_pack([a % p for a in vec], w)
+
+
+@pytest.mark.parametrize("p", [3, 17, 127, 131, 251])
+def test_two_byte_reduction_on_every_digit_value(p):
+    """Every two-byte digit value, for p on both sides of 128, where the
+    sum of the two reduced byte planes stops fitting one byte, up to 251,
+    the largest p with two-byte digits."""
+    vec = list(range(256 ** 2))
+    assert gf.fp_reduce(gf.fp_pack(vec, 2), len(vec), 2, p) == gf.fp_pack([a % p for a in vec], 2)
+
+
+@SETTINGS
+@given(st.sampled_from([3, 5, 7, 13, 17, 31]), st.integers(1, 8), st.integers(1, 4), st.data())
 def test_packed_combinations_match_the_loop(p, n, k, data):
     """An F_p-combination of k packed vectors, unpacked, is the
     combination computed entry by entry, at the width fp_width gives for
