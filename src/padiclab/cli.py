@@ -26,6 +26,7 @@ from .errors import Indeterminate, PadicLabError
 from .padic import PadicInt
 from .rings import FFRing, Zmod
 from .series import EisensteinPoly, TruncSeries, kisin_lambda, newton_polygon, weierstrass
+from .suites import record
 from .witt import from_zmod, generate_laws, to_zmod, WittVector
 
 
@@ -45,8 +46,7 @@ class RunConfig:
     trials: int = 100
 
     def validate(self):
-        if self.p < 3 or any(self.p % k == 0 for k in range(2, int(self.p ** 0.5) + 1)):
-            raise ValueError("p must be an odd prime")
+        padic.check_odd_prime(self.p)
         if self.q == 0:
             self.q = self.p
         gf.degree(self.q, self.p)
@@ -73,11 +73,6 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _result(name, value, exact=True, precision="exact", anchor=""):
-    return {"name": name, "value": str(value), "exact": bool(exact),
-            "precision": str(precision), "anchor": anchor}
-
-
 def _parse_matrix(text: str, entry=int):
     """The square matrix "a,b;c,d" with each entry read by entry; the
     one check of every --matrix.  ValueError on any other shape."""
@@ -94,25 +89,25 @@ def _cmd_padic(args, cfg: RunConfig):
     p, N = cfg.p, cfg.N
     if args.op == "valuation":
         v = padic.valuation(PadicInt(p, N, args.x))
-        return [_result("valuation", "inf" if v == padic.INFINITY else int(v),
+        return [record("valuation", "inf" if v == padic.INFINITY else int(v),
                         precision=f"O({p}^{N})", anchor="padic-valuation")]
     if args.op == "log":
         r = padic.log_unit(PadicInt(p, N, args.x))
-        return [_result("log", r.residue, precision=f"O({p}^{r.prec})", anchor="padic-log")]
+        return [record("log", r.residue, precision=f"O({p}^{r.prec})", anchor="padic-log")]
     if args.op == "exp":
         r = padic.exp_unit(PadicInt(p, N, args.x))
-        return [_result("exp", r.residue, precision=f"O({p}^{r.prec})", anchor="padic-exp")]
+        return [record("exp", r.residue, precision=f"O({p}^{r.prec})", anchor="padic-exp")]
     if args.op == "qanalogue":
         r = padic.q_analogue(PadicInt(p, N, args.a), PadicInt(p, N, args.qq))
-        return [_result("qanalogue", r.residue, precision=f"O({p}^{r.prec})",
+        return [record("qanalogue", r.residue, precision=f"O({p}^{r.prec})",
                         anchor="qanalogue")]
     if args.op == "qinverse":
         r = padic.q_analogue_inverse(PadicInt(p, N, args.b), PadicInt(p, N, args.qq))
-        return [_result("qinverse", r.residue, precision=f"O({p}^{r.prec})",
+        return [record("qinverse", r.residue, precision=f"O({p}^{r.prec})",
                         anchor="qanalogue-inverse")]
     if args.op == "chitau":
         r = padic.chi_tau(PadicInt(p, N, args.chig), PadicInt(p, N, args.qq))
-        return [_result("chitau", r.residue, precision=f"O({p}^{r.prec})",
+        return [record("chitau", r.residue, precision=f"O({p}^{r.prec})",
                         anchor="chi-tau")]
     raise ValueError(f"unknown padic op {args.op}")
 
@@ -124,22 +119,22 @@ def _cmd_witt(args, cfg: RunConfig):
         table = generate_laws(p, n)
         out = []
         for k, poly in enumerate(table.sum_polys):
-            out.append(_result(f"S{k}", _poly_str(poly, n), anchor="witt-laws"))
+            out.append(record(f"S{k}", _poly_str(poly, n), anchor="witt-laws"))
         for k, poly in enumerate(table.prod_polys):
-            out.append(_result(f"P{k}", _poly_str(poly, n), anchor="witt-laws"))
+            out.append(record(f"P{k}", _poly_str(poly, n), anchor="witt-laws"))
         return out
     if args.op in ("add", "mul"):
         x = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.x)])
         y = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.y)])
         z = x + y if args.op == "add" else x * y
-        return [_result(args.op, [ring.field.code(c) for c in z.coords],
+        return [record(args.op, [ring.field.code(c) for c in z.coords],
                         anchor="witt-ring")]
     if args.op == "tozmod":
         x = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.x)])
-        return [_result("tozmod", to_zmod(x), anchor="witt-zmod-iso")]
+        return [record("tozmod", to_zmod(x), anchor="witt-zmod-iso")]
     if args.op == "fromzmod":
         z = from_zmod(args.value, p, n, ring)
-        return [_result("fromzmod", [ring.field.code(c) for c in z.coords],
+        return [record("fromzmod", [ring.field.code(c) for c in z.coords],
                         anchor="witt-zmod-iso")]
     raise ValueError(f"unknown witt op {args.op}")
 
@@ -169,23 +164,23 @@ def _cmd_series(args, cfg: RunConfig):
     if args.op == "lambda":
         E = _eisenstein(args, cfg)
         lam = kisin_lambda(E, cfg.M)
-        res = [_result(f"u^{k}", lam.coeffs.get(k, Fraction(0)),
+        res = [record(f"u^{k}", lam.coeffs.get(k, Fraction(0)),
                        precision=f"O(u^{cfg.M})", anchor="lambda-series")
                for k in range(min(cfg.M, 12))]
         return res
     if args.op == "newton":
         pts = [tuple(_ints(pair)) for pair in args.points.split(";")]
         np_ = newton_polygon([(i, v) for i, v in pts])
-        return [_result("newton", [[str(s), m] for s, m in np_],
+        return [record("newton", [[str(s), m] for s, m in np_],
                         anchor="newton-polygon")]
     if args.op == "weierstrass":
         ring = Zmod(p, cfg.n)
         f = TruncSeries(ring, dict(enumerate(_ints(args.coeffs))), cfg.M)
         unit, dist = weierstrass(f)
         return [
-            _result("distinguished", sorted(dist.coeffs.items()),
+            record("distinguished", sorted(dist.coeffs.items()),
                     precision=f"O(u^{dist.prec})", anchor="weierstrass"),
-            _result("unit", sorted(unit.coeffs.items())[:8],
+            record("unit", sorted(unit.coeffs.items())[:8],
                     precision=f"O(u^{unit.prec})", anchor="weierstrass"),
         ]
     if args.op == "solvev":
@@ -196,9 +191,9 @@ def _cmd_series(args, cfg: RunConfig):
         ring = perfseries.PerfRing(field, cfg.lattice_D, cfg.jmax, Fraction(cfg.M))
         res = perfseries.frobenius_fixed_residual(U, V, ring, cfg.n)
         zero = all(c.is_zero() for c in res.coords)
-        out = [_result("residual-zero", zero, anchor="frobenius-fixed-point")]
+        out = [record("residual-zero", zero, anchor="frobenius-fixed-point")]
         for i, c in enumerate(V.coords):
-            out.append(_result(f"V[{i}] support", [str(e) for e in sorted(c.coeffs)[:8]],
+            out.append(record(f"V[{i}] support", [str(e) for e in sorted(c.coeffs)[:8]],
                                precision=f"O(u^{c.prec})", anchor="frobenius-fixed-point"))
         return out
     raise ValueError(f"unknown series op {args.op}")
@@ -206,13 +201,13 @@ def _cmd_series(args, cfg: RunConfig):
 
 def _cmd_phimod(args, cfg: RunConfig):
     p, q, M = cfg.p, cfg.q, cfg.M
-    ring = FFRing(gf.field(p, gf.degree(q, p))) if cfg.n == 1 else Zmod(p, cfg.n)
+    ring = phimod.module_ring(p, q, cfg.n)
     if args.op == "cyclotomic":
         E = _eisenstein(args, cfg)
         mod = phimod.cyclotomic_module(args.m, cfg.n, E, q=q, prec=M)
-        out = [_result("etale", phimod.is_etale(mod), anchor="cyclotomic-module")]
+        out = [record("etale", phimod.is_etale(mod), anchor="cyclotomic-module")]
         if cfg.n == 1 and args.m >= 0:
-            out.append(_result("uheight", phimod.u_height(phimod.PhiLattice(mod)),
+            out.append(record("uheight", phimod.u_height(phimod.PhiLattice(mod)),
                                anchor="cyclotomic-height"))
         return out
     coeff = _coeff_reader(ring)
@@ -221,21 +216,21 @@ def _cmd_phimod(args, cfg: RunConfig):
         _series_matrix(args.matrix, coeff, ring, M)
     mod = phimod.PhiModule(p, q, cfg.n, G)
     if args.op == "etale":
-        return [_result("etale", phimod.is_etale(mod), anchor="etale-test")]
+        return [record("etale", phimod.is_etale(mod), anchor="etale-test")]
     if args.op == "uheight":
         h = phimod.u_height(phimod.PhiLattice(mod))
-        return [_result("uheight", h, anchor="uheight")]
+        return [record("uheight", h, anchor="uheight")]
     if args.op == "heightdiv":
         U = TruncSeries(ring, {e: coeff(c) for e, c in enumerate(_ints(args.U))}, M)
         try:
             r = phimod.height_divides(mod, U)
-            return [_result("height-divides", r, anchor="height-divides")]
+            return [record("height-divides", r, anchor="height-divides")]
         except Indeterminate as exc:
-            return [_result("height-divides", f"indeterminate: {exc}", exact=False,
+            return [record("height-divides", f"indeterminate: {exc}", exact=False,
                             precision=f"O(u^{M})", anchor="height-divides")]
     if args.op == "stabilize":
         L = phimod.stabilize_lattice(mod)
-        return [_result("stable-basis-valuation",
+        return [record("stable-basis-valuation",
                         L.basis[0][0].valuation(), anchor="stabilize-lattice")]
     raise ValueError(f"unknown phimod op {args.op}")
 
@@ -262,24 +257,24 @@ def _field_code(field, code: int):
 
 def _cmd_galois(args, cfg: RunConfig):
     p, q = cfg.p, cfg.q
-    field = gf.field(p, gf.degree(q, p))
-    ring = FFRing(field)
+    ring = phimod.module_ring(p, q, 1)
+    field = ring.field
     if args.op == "solve":
         G = [[TruncSeries(ring, {0: _field_code(field, v)}, cfg.M) for v in row]
              for row in _parse_matrix(args.matrix)]
         S = galrep.solve_unit_root(G)
         act = galrep.frobenius_action(S)
         return [
-            _result("solutions", S.cardinality, anchor="modp-functor-cardinality"),
-            _result("extension-degree", S.s, anchor="modp-functor"),
-            _result("action", str(act.matrix), anchor="unramified-action"),
-            _result("charpoly", list(act.char_poly()), anchor="unramified-action"),
+            record("solutions", S.cardinality, anchor="modp-functor-cardinality"),
+            record("extension-degree", S.s, anchor="modp-functor"),
+            record("action", str(act.matrix), anchor="unramified-action"),
+            record("charpoly", list(act.char_poly()), anchor="unramified-action"),
         ]
     if args.op == "rank1":
         S = galrep.solve_rank1(args.a, _field_code(field, args.c), field, prec=cfg.M)
         return [
-            _result("solutions", S.cardinality, anchor="rank1-solutions"),
-            _result("tame-exponent", str(Fraction(args.a, p - 1)),
+            record("solutions", S.cardinality, anchor="rank1-solutions"),
+            record("tame-exponent", str(Fraction(args.a, p - 1)),
                     anchor="rank1-tame-character"),
         ]
     raise ValueError(f"unknown galois op {args.op}")
@@ -290,15 +285,15 @@ def _cmd_logm(args, cfg: RunConfig):
     A = logtrunc.BoundedOp.of(p, N, _parse_matrix(args.matrix))
     if args.op == "value":
         L = logtrunc.log_m(A, args.m)
-        return [_result("logm", L.value_mod(L.certified),
+        return [record("logm", L.value_mod(L.certified),
                         precision=f"O({p}^{L.certified})", anchor="logm-value")]
     if args.op == "bounded":
-        return [_result("bounded", logtrunc.is_bounded(A, args.m, args.c),
+        return [record("bounded", logtrunc.is_bounded(A, args.m, args.c),
                         anchor="lambda-bounded")]
     if args.op == "rdc":
         r = logtrunc.rdc_valuation_check(_parse_matrix(args.matrix), p, N,
                                          args.t, args.i)
-        return [_result("rdc", r, anchor="nilpotent-log-estimate")]
+        return [record("rdc", r, anchor="nilpotent-log-estimate")]
     raise ValueError(f"unknown logm op {args.op}")
 
 
@@ -307,34 +302,34 @@ def _cmd_ramif(args, cfg: RunConfig):
     if args.op == "bound-gk":
         b = ramif.bound_GK(args.h, n, e, p, s0=args.s0, c0=args.c0,
                            tame=args.tame, refined=args.refined)
-        return [_result("bound", b, exact=b.is_exact(), anchor="bound-gk")]
+        return [record("bound", b, exact=b.is_exact(), anchor="bound-gk")]
     if args.op == "bound-ginf":
-        return [_result("bound", ramif.bound_Ginf(args.h, n, p), anchor="bound-ginf")]
+        return [record("bound", ramif.bound_Ginf(args.h, n, p), anchor="bound-ginf")]
     if args.op == "bound-sst":
-        return [_result("bound", ramif.bound_semistable(args.r, n, e, p),
+        return [record("bound", ramif.bound_semistable(args.r, n, e, p),
                         anchor="bound-semistable")]
     if args.op == "bound-converse":
         thr, hb = ramif.bound_converse(args.h, e, p)
-        return [_result("threshold", thr, exact=thr.is_exact(), anchor="bound-converse"),
-                _result("height-bound", hb, anchor="bound-converse")]
+        return [record("threshold", thr, exact=thr.is_exact(), anchor="bound-converse"),
+                record("height-bound", hb, anchor="bound-converse")]
     if args.op == "bound-tau":
-        return [_result("s0", ramif.bound_tau_congruence(args.h, args.cprime, p),
+        return [record("s0", ramif.bound_tau_congruence(args.h, args.cprime, p),
                         anchor="tau-congruence-depth")]
     if args.op == "gamma":
-        return [_result("depth", ramif.gamma_lower_bound(args.s, e, args.c0 or 0),
+        return [record("depth", ramif.gamma_lower_bound(args.s, e, args.c0 or 0),
                         anchor="gamma-depth")]
     if args.op == "phi-kinf":
         f = ramif.phi_Kinf(e, p, args.s)
-        return [_result("vertices", [[str(a), str(b)] for a, b in f.vertices],
+        return [record("vertices", [[str(a), str(b)] for a, b in f.vertices],
                         anchor="phi-kinf"),
-                _result("final-slope", f.final_slope, anchor="phi-kinf")]
+                record("final-slope", f.final_slope, anchor="phi-kinf")]
     if args.op == "herbrand":
         jumps = [tuple(Fraction(t) for t in pair.split(","))
                  for pair in args.jumps.split(";")]
         f = ramif.herbrand_phi([(l, int(o)) for l, o in jumps])
-        return [_result("vertices", [[str(a), str(b)] for a, b in f.vertices],
+        return [record("vertices", [[str(a), str(b)] for a, b in f.vertices],
                         anchor="herbrand"),
-                _result("concave", f.is_concave(), anchor="herbrand")]
+                record("concave", f.is_concave(), anchor="herbrand")]
     raise ValueError(f"unknown ramif op {args.op}")
 
 
@@ -348,7 +343,7 @@ def _cmd_tau(args, cfg: RunConfig):
     perm = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     M = taumod.trivial_restriction_module(perm, 1, F, tau, cfg.W)
     if args.op == "order":
-        return [_result("order-exponent", M.tau_order_exponent(), anchor="tau-order")]
+        return [record("order-exponent", M.tau_order_exponent(), anchor="tau-order")]
     if args.op == "commutation":
         bad = 0
         for _ in range(cfg.trials):
@@ -357,7 +352,7 @@ def _cmd_tau(args, cfg: RunConfig):
                                         for _ in range(3)}, cfg.W) for _ in range(3)]
             if not taumod.check_commutation(M, g, x):
                 bad += 1
-        return [_result("commutation-failures", bad, anchor="tau-commutation")]
+        return [record("commutation-failures", bad, anchor="tau-commutation")]
     raise ValueError(f"unknown tau op {args.op}")
 
 
@@ -380,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 1 on indeterminate or failing results")
     for f in fields(RunConfig):
         shared.add_argument(f"--{f.name}", type=int)
-    top = argparse.ArgumentParser(prog="padiclab", parents=[shared],
+    # no abbreviations at the top level, which read ramif's --s as --strict or --seed
+    top = argparse.ArgumentParser(prog="padiclab", parents=[shared], allow_abbrev=False,
                                   description="exact p-adic semilinear algebra, batch mode")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -507,7 +503,7 @@ def main(argv=None) -> int:
     try:
         results = args.func(args, cfg)
     except PadicLabError as exc:
-        results = [_result("error", f"{type(exc).__name__}: {exc}", exact=False,
+        results = [record("error", f"{type(exc).__name__}: {exc}", exact=False,
                            precision="n/a", anchor="error")]
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

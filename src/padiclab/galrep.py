@@ -36,7 +36,7 @@ from itertools import product
 
 from . import gf, matrix, perfseries
 from .errors import ExtensionCapExceeded, Unsupported
-from .phimod import PhiModule
+from .phimod import PhiModule, module_ring
 from .rings import FFRing
 from .series import TruncSeries
 
@@ -149,11 +149,6 @@ def _coefficients(G, prec) -> dict:
     return Gj
 
 
-def _combine(digits, cols) -> int:
-    """The packed image of the digits under the map with columns cols."""
-    return sum(a * col for a, col in zip(digits, cols) if a)
-
-
 def _right_columns(H, d, base, w) -> list:
     """X -> X H on d x d matrices over F_q, H given by its digits, as
     packed columns, one per digit of X: x^t in entry (i, k) goes to row i
@@ -192,15 +187,15 @@ def _trivialisation(G, G0, G0inv, prec) -> list:
     Gj.pop(0, None)
     w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
     inv = _right_columns(_digits(G0inv), d, base, w)
-    maps = [(j, _right_columns(gf.fp_unpack(_combine([-c % p for c in Gm], inv), n, w, p),
+    maps = [(j, _right_columns(gf.fp_unpack(gf.fp_combine([-c % p for c in Gm], inv), n, w, p),
                                d, base, w))
             for j, Gm in Gj.items()]
     frob = _frobenius_columns(G0, inv, base, w) if p < prec else None
     Q = [_digits(matrix.scalar(d, base.one, base.zero))]
     for m in range(1, prec):
-        acc = sum(_combine(Q[m - j], cols) for j, cols in maps if j <= m)
+        acc = sum(gf.fp_combine(Q[m - j], cols) for j, cols in maps if j <= m)
         if m % p == 0:
-            acc += _combine(Q[m // p], frob)
+            acc += gf.fp_combine(Q[m // p], frob)
         Q.append(gf.fp_unpack(acc, n, w, p))
     return Q
 
@@ -240,9 +235,9 @@ def _check_solutions(G, G0e, Q, residues, prec):
     identity = [1 << 8 * w * k for k in range(n)]     # X -> X I
     frob = _frobenius_columns(minus_G0, identity, base, w)
     for m in range(prec):
-        acc = sum(_combine(Q[m - j], cols) for j, cols in maps if j <= m)
+        acc = sum(gf.fp_combine(Q[m - j], cols) for j, cols in maps if j <= m)
         if m % p == 0:
-            acc += _combine(Q[m // p], frob)
+            acc += gf.fp_combine(Q[m // p], frob)
         if any(gf.fp_unpack(acc, n, w, p)):
             raise ArithmeticError("the trivialisation Q fails G0 phi(Q) = Q G")
     ext = G0e[0][0].field
@@ -291,12 +286,9 @@ def _splitting_degree(G0, base, s_max):
     for _ in range(base.fp_degree - 1):
         Gi = [[base.frob_p(a) for a in row] for row in Gi]
         N = matrix.mul(N, Gi)
-    ident = matrix.scalar(len(G0), base.one, base.zero)
-    power = N
-    for k in range(1, s_max + 1):
-        if power == ident:
-            return k
-        power = matrix.mul(power, N)
+    s = matrix.order(N, base.one, base.zero, s_max)
+    if s is not None:
+        return s
     raise ExtensionCapExceeded(
         f"the residue equation splits in no extension of degree <= {s_max}: "
         f"N = G0 sigma(G0) ... sigma^(f-1)(G0) has order > {s_max} in GL_{len(G0)}(F_{base.order})")
@@ -320,7 +312,9 @@ class GaloisActionRep:
         order there (a Singer cycle attains it)."""
         if matrix.det(self.matrix) % self.p == 0:
             raise ArithmeticError("action is not invertible mod p")
-        return matrix.order_mod(self.matrix, self.p, self.p ** len(self.matrix) - 1)
+        F = gf.field(self.p)
+        A = [[F.el(a) for a in row] for row in self.matrix]
+        return matrix.order(A, F.one, F.zero, self.p ** len(A) - 1)
 
 
 def frobenius_action(S: SolutionSet) -> GaloisActionRep:
@@ -353,7 +347,7 @@ def unramified_to_phimod(A, q: int, prec: int = 20) -> PhiModule:
     """Constant-matrix module whose solution set carries the unramified
     representation with arithmetic Frobenius A (over F_p)."""
     p = min((k for k in range(2, q + 1) if q % k == 0), default=0)  # least prime factor
-    ring = FFRing(gf.field(p, gf.degree(q, p)))
+    ring = module_ring(p, q, 1)
     d = len(A)
     G = [[TruncSeries(ring, {0: ring.of_int(A[i][j])}, prec) for j in range(d)]
          for i in range(d)]

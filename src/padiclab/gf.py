@@ -9,16 +9,19 @@ Ben-Or's irreducibility test, which keeps every computation
 reproducible.  Products and inverses mod (p, m) are the module-level
 kernels _mulmod and _invmod, shared by GF and the modulus search.
 
-An F_p vector packs into one int, a w-byte digit per entry (fp_pack):
-an F_p-combination of packed vectors is then a few int multiply-adds,
-exact while no digit sum reaches 256^w, and fp_unpack reads the digits
-back reduced mod p.  At w = 1 the codec is bytes() and one
-bytes.translate against a mod-p table; fp_reduce also reduces two-byte
-digits by translating their byte planes.  The Frobenius x -> x^p and its
-inverse are stored so, as packed matrix columns.  fp_rref row-reduces
-rows packed so, with w = fp_width(p (p-1)): a row operation is one int
-multiply-add and one digit reduction (fp_reduce).  fp_kernel, fp_solve
-and fp_inverse take and return lists of int rows.
+An F_p vector packs into one int, a w-byte digit per entry (fp_pack),
+w = 1, 2, 4 or 8 (fp_width): an F_p-combination of packed vectors, such
+as the image sum a_i col_i of a map with packed columns (fp_combine), is
+then a few int multiply-adds, exact while no digit sum reaches 256^w,
+and fp_unpack reads the digits back reduced mod p.  At w = 1 the codec
+is bytes() and one bytes.translate against a mod-p table; fp_reduce
+also reduces two-byte digits by translating their byte planes, and 4-
+and 8-byte digits are machine words read through struct.  The Frobenius
+x -> x^p and its inverse are stored so, as packed matrix columns.
+fp_rref row-reduces rows packed so, with w = fp_width(p (p-1)): a row
+operation is one int multiply-add and one digit reduction (fp_reduce).
+fp_kernel, fp_solve and fp_inverse take and return lists of int rows.
+The field of each (p, f) is built once (field).
 
 Every residue equation the library meets is F_p-linear in x: the rows
 of x -> x^p - x A on F^d come from the Frobenius and from
@@ -31,7 +34,10 @@ is one fp_solve and one fp_kernel on the d = 1 rows
 from __future__ import annotations
 
 import functools
+import struct
 from itertools import product
+
+from .padic import check_odd_prime, vp
 
 
 def _mulmod(u, v, mod, p):
@@ -179,8 +185,7 @@ class GF:
     irreducible modulus unless one is given."""
 
     def __init__(self, p: int, degree: int = 1, modulus: tuple | None = None):
-        if p < 3 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        check_odd_prime(p)
         self.p = p
         self.fp_degree = degree
         self.order = p ** degree
@@ -228,11 +233,7 @@ class GF:
 
     def from_code(self, code: int) -> FFElt:
         """Element from its integer code in [0, order); base-p digits."""
-        coeffs = []
-        for _ in range(self.fp_degree):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FFElt(self, tuple(coeffs))
+        return FFElt(self, _base_p(code, self.p, self.fp_degree))
 
     def code(self, x: FFElt) -> int:
         c = 0
@@ -260,11 +261,7 @@ class GF:
 
     def _apply(self, cols, x: FFElt) -> FFElt:
         """The F_p-linear map with packed columns cols, applied to x."""
-        acc = 0
-        for a, col in zip(x.coeffs, cols):
-            if a:
-                acc += a * col
-        return FFElt(self, fp_unpack(acc, self.fp_degree, self._w, self.p))
+        return FFElt(self, fp_unpack(fp_combine(x.coeffs, cols), self.fp_degree, self._w, self.p))
 
     def _powers(self, y: FFElt, k: int) -> list:
         """1, y, ..., y^(k-1): the images of 1, x, ..., x^(k-1) under the
@@ -358,6 +355,11 @@ class GF:
         return sorted(map(self.from_fp, sols), key=self.code)
 
 
+def _base_p(code: int, p: int, n: int) -> tuple:
+    """The n lowest base-p digits of code, least significant first."""
+    return tuple(code // p ** i % p for i in range(n))
+
+
 def _find_modulus_prime(p: int, s: int) -> tuple:
     """First monic irreducible of degree s over F_p in lexicographic
     coefficient order, by Ben-Or's test (FOCS 1981): f is irreducible iff
@@ -369,11 +371,7 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
     for code in range(p ** s):
         if s > 1 and code % p == 0:
             continue                      # x divides it
-        mod = []
-        c = code
-        for _ in range(s):
-            mod.append(c % p)
-            c //= p
+        mod = _base_p(code, p, s)
         g = x
         for _ in range(s // 2):
             result, acc, n = (1,) + (0,) * (s - 1), g, p
@@ -388,7 +386,7 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
             except ZeroDivisionError:
                 break
         else:
-            return tuple(mod)
+            return mod
     raise RuntimeError("no irreducible polynomial found")
 
 
@@ -397,34 +395,18 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
 _cache: dict = {}
 
 
-def prime_field(p: int) -> GF:
-    key = ("prime", p)
-    if key not in _cache:
-        _cache[key] = GF(p)
-    return _cache[key]
-
-
 def degree(q: int, p: int) -> int:
     """The f >= 1 with q = p^f; ValueError when q is not such a power."""
-    if p < 2 or q < p:
+    if p < 2 or q < p or q != p ** vp(q, p):
         raise ValueError("q must be a power of p")
-    f = 0
-    while q % p == 0:
-        q //= p
-        f += 1
-    if q != 1:
-        raise ValueError("q must be a power of p")
-    return f
+    return vp(q, p)
 
 
 def field(p: int, f: int = 1) -> GF:
-    """F_{p^f} over the prime field."""
-    if f == 1:
-        return prime_field(p)
-    key = ("ext", p, f)
-    if key not in _cache:
-        _cache[key] = GF(p, f)
-    return _cache[key]
+    """F_{p^f} over the prime field, built once per (p, f)."""
+    if (p, f) not in _cache:
+        _cache[p, f] = GF(p, f)
+    return _cache[p, f]
 
 
 def extension(base: GF, s: int) -> GF:
@@ -441,16 +423,23 @@ def extension(base: GF, s: int) -> GF:
 # --- F_p vectors packed into ints ---
 
 def fp_width(bound: int) -> int:
-    """The least digit width w in bytes with bound < 256^w: digits that
-    sum to at most bound never carry into the next."""
-    return (bound.bit_length() + 7) // 8
+    """The least power of two w with bound < 256^w, a digit width in
+    bytes: digits that sum to at most bound never carry into the next."""
+    return 1 << ((bound.bit_length() + 7) // 8 - 1).bit_length()
 
 
 def fp_pack(vec, w: int) -> int:
     """The ints of vec, each below 256^w, as one int of w-byte digits."""
     if w == 1:
         return int.from_bytes(bytes(vec), "little")
+    if w in _WORDS:
+        return int.from_bytes(struct.pack(f"<{len(vec)}{_WORDS[w]}", *vec), "little")
     return int.from_bytes(b"".join(a.to_bytes(w, "little") for a in vec), "little")
+
+
+def fp_combine(digits, cols) -> int:
+    """sum_i a_i col_i: the digits a_i under the map with packed columns, unreduced."""
+    return sum(a * col for a, col in zip(digits, cols) if a)
 
 
 @functools.cache
@@ -460,6 +449,7 @@ def _mod_table(p: int, scale: int = 1) -> bytes:
 
 
 _TOP_BIT = bytes(b >> 7 for b in range(256))
+_WORDS = {4: "I", 8: "Q"}   # struct codes of 4- and 8-byte little-endian digits
 
 
 def fp_unpack(acc: int, n: int, w: int, p: int) -> tuple:
@@ -467,6 +457,8 @@ def fp_unpack(acc: int, n: int, w: int, p: int) -> tuple:
     raw = acc.to_bytes(n * w, "little")
     if w == 1:
         return tuple(raw.translate(_mod_table(p)))
+    if w in _WORDS:
+        return tuple(a % p for a in struct.unpack(f"<{n}{_WORDS[w]}", raw))
     return tuple(int.from_bytes(raw[i:i + w], "little") % p for i in range(0, n * w, w))
 
 
@@ -474,7 +466,8 @@ def fp_reduce(acc: int, n: int, w: int, p: int) -> int:
     """acc with each of its n w-byte digits reduced mod p.  A two-byte
     digit lo + 256 hi is congruent to s = (lo mod p) + (256 hi mod p),
     each term one translate of its byte plane; s < 2p < 2^15, so bit 15
-    of s + 2^15 - p flags the digits where s - p is the residue."""
+    of s + 2^15 - p flags the digits where s - p is the residue.  Wider
+    digits (4 or 8 bytes from fp_width) go through struct as machine words."""
     if w == 1:
         return int.from_bytes(acc.to_bytes(n, "little").translate(_mod_table(p)), "little")
     if w == 2:

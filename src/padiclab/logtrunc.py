@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrecisionError
-from .padic import _series_cutoff_log
+from .padic import _series_cutoff_log, ndigits, vp
 
 # --- exact integer matrices mod p^k ---
 
@@ -59,21 +59,8 @@ def entry_valuation(A, p: int, cap: int) -> int:
     for row in A:
         for a in row:
             a %= q
-            if a == 0:
-                continue
-            w = 0
-            while a % p == 0:
-                a //= p
-                w += 1
-            v = min(v, w)
-    return v
-
-
-def _vp(i: int, p: int) -> int:
-    v = 0
-    while i % p == 0:
-        i //= p
-        v += 1
+            if a:
+                v = min(v, vp(a, p))
     return v
 
 
@@ -185,7 +172,7 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     power = mident(d)
     for i in range(1, p ** m):
         power = mmul(power, one_minus, mod)
-        v = _vp(i, p)
+        v = vp(i, p)
         unit = i // p ** v
         coef = p ** (m - v) * pow(unit, -1, mod) % mod
         acc = madd(acc, mscale(power, coef, mod), mod)
@@ -202,7 +189,7 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     power = mident(d)
     for i in range(1, p ** m + 1):
         power = mmul(power, one_minus, mod)
-        need = _vp(i, p) - c
+        need = vp(i, p) - c
         if need <= 0:
             continue
         if need > N:
@@ -220,15 +207,13 @@ def log_full(A: BoundedOp) -> ScaledMatrix:
     if entry_valuation(t, p, N) < 1:
         raise ValueError("log_full needs A = id mod p")
     cutoff = _series_cutoff_log(p, N)
-    extra = 1
-    while p ** extra <= cutoff:
-        extra += 1
+    extra = ndigits(cutoff, p)
     mod = p ** (N + extra)
     acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
     power = mident(d)
     for i in range(1, cutoff + 1):
         power = mmul(power, t, mod)
-        v = _vp(i, p)
+        v = vp(i, p)
         unit = i // p ** v
         coef = pow(unit, -1, mod)
         term = tuple(tuple(a // p ** v * coef % mod for a in row) for row in power)
@@ -249,8 +234,8 @@ def exp_full(B: BoundedOp) -> ScaledMatrix:
     fact_v, fact_u = 0, 1
     for i in range(1, 2 * N + 5):
         power = mmul(power, B.mat, mod_big)
-        fact_v += _vp(i, p)
-        fact_u = fact_u * (i // p ** _vp(i, p)) % mod_big
+        fact_v += vp(i, p)
+        fact_u = fact_u * (i // p ** vp(i, p)) % mod_big
         if entry_valuation(power, p, 2 * N + 6) < fact_v:
             raise PrecisionError("exp series left the integral lattice")
         term = tuple(tuple(a // p ** fact_v * pow(fact_u, -1, mod_big) % mod_big

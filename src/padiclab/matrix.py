@@ -5,7 +5,8 @@ with Python + - * (TruncSeries, FFElt, int).  Sums fold left from the
 first product, so no zero is needed and a truncated series keeps the
 precision its terms give it.
 
-Only inverse divides.  The characteristic polynomial is Berkowitz's
+Only inverse divides; order is the one power loop for the order of a
+matrix in GL_d.  The characteristic polynomial is Berkowitz's
 division-free algorithm (S. J. Berkowitz, IPL 18, 1984), O(d^4) ring
 operations, so det and the adjugate (Cayley-Hamilton, Horner in A) are
 valid over rings with zero divisors such as W_n(F_q)[[u]]/u^M.
@@ -110,13 +111,13 @@ def inverse(A, one, zero):
     return [row[d:] for row in work]
 
 
-def order_mod(A, p, bound):
-    """The least k in [1, bound] with A^k = I over Z/p (int entries),
-    or None: the power loop, reducing after every product."""
-    ident = scalar(len(A), 1, 0)
-    acc = [[a % p for a in row] for row in A]
+def order(A, one, zero, bound):
+    """The least k in [1, bound] with A^k = I, or None: the power loop,
+    over a ring whose elements compare by ==."""
+    ident = scalar(len(A), one, zero)
+    power = A
     for k in range(1, bound + 1):
-        if acc == ident:
+        if power == ident:
             return k
-        acc = [[a % p for a in row] for row in mul(acc, A)]
+        power = mul(power, A)
     return None

@@ -3,8 +3,8 @@
 The substrate for every p-adic scalar in the library: truncated p-adic
 integers, the Iwasawa logarithm and exponential on the relevant unit
 balls, q-analogues [a]_q = (q^a - 1)/(q - 1) and their inverse
-bijection.  p = 2 is rejected everywhere; the convergence arguments
-used here need p odd.
+bijection.  vp, ndigits and check_odd_prime answer the library's integer
+questions about p; p = 2 is rejected, as the convergence needs p odd.
 
 Precision model: every value carries its own precision N; binary
 operations take the min; dividing by p^k costs k digits.  All
@@ -21,11 +21,28 @@ from .errors import PrecisionError
 INFINITY = inf
 
 
-def _check_p(p: int):
-    if p == 2:
-        raise ValueError("p = 2 is not supported")
+def check_odd_prime(p: int):
+    """ValueError unless p is an odd prime."""
     if p < 3 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def vp(k: int, p: int) -> int:
+    """The exponent of p in the nonzero integer k."""
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+def ndigits(k: int, p: int) -> int:
+    """The number of base-p digits of k >= 1."""
+    n = 1
+    while k >= p:
+        k //= p
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -37,7 +54,7 @@ class PadicInt:
     residue: int
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_odd_prime(self.p)
         if self.prec < 1:
             raise PrecisionError("precision exhausted")
         object.__setattr__(self, "residue", self.residue % self.p ** self.prec)
@@ -147,29 +164,16 @@ def as_unit(x: PadicInt) -> PadicUnit:
 
 def valuation(x: PadicInt):
     """Largest k <= N with p^k | x; INFINITY when x = 0 at precision."""
-    if x.residue == 0:
-        return INFINITY
-    v = 0
-    r = x.residue
-    while r % x.p == 0:
-        r //= x.p
-        v += 1
-    return v
+    return INFINITY if x.residue == 0 else vp(x.residue, x.p)
 
 
 def _series_cutoff_log(p: int, n: int) -> int:
     # smallest I with I - floor(log_p I) >= n; i - log_p(i) is increasing,
     # so all terms beyond I vanish mod p^n when v(t) >= 1
     i = n
-    while True:
-        logp = 0
-        k = i
-        while k >= p:
-            k //= p
-            logp += 1
-        if i - logp >= n:
-            return i
+    while i - (ndigits(i, p) - 1) < n:
         i += 1
+    return i
 
 
 def log_unit(x: PadicInt) -> PadicInt:
@@ -189,11 +193,8 @@ def log_unit(x: PadicInt) -> PadicInt:
     tpow = 1
     for i in range(1, cutoff + 1):
         tpow = tpow * t  # exact integer power of the lift
-        vi, iu = 0, i
-        while iu % p == 0:
-            iu //= p
-            vi += 1
-        term = (tpow // p ** vi) * pow(iu, -1, mod)
+        vi = vp(i, p)
+        term = (tpow // p ** vi) * pow(i // p ** vi, -1, mod)
         if i % 2 == 0:
             term = -term
         acc = (acc + term) % mod
@@ -215,12 +216,9 @@ def exp_unit(y: PadicInt) -> PadicInt:
     # v(t^i/i!) >= i(p-2)/(p-1) >= i/2 for p odd, so 2n+4 terms suffice
     for i in range(1, 2 * n + 5):
         term_num *= t
-        iv, iu = 0, i
-        while iu % p == 0:
-            iu //= p
-            iv += 1
+        iv = vp(i, p)
         fact_v += iv
-        fact_u = (fact_u * iu) % big
+        fact_u = (fact_u * (i // p ** iv)) % big
         term = (term_num // p ** fact_v) * pow(fact_u, -1, mod)
         acc = (acc + term) % mod
     return PadicInt(p, n, acc)

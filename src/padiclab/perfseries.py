@@ -212,7 +212,7 @@ def root_p_minus_1(U: PerfSeries) -> PerfSeries:
     return root_body.scale(zeta).shift(h / (p - 1))
 
 
-def solve_additive(U: PerfSeries, a: PerfSeries, max_steps: int | None = None) -> PerfSeries:
+def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
     """x with x^p - U*x = a, certified to the returned precision.
 
     Leading-exponent peeling: compare v(a) with the balance point
@@ -224,7 +224,9 @@ def solve_additive(U: PerfSeries, a: PerfSeries, max_steps: int | None = None) -
     p), so the fixed lattice can certify only finitely many terms.
     When the next peel would leave the lattice, the partial solution is
     returned with its precision capped at v(remainder)/p, which is
-    exactly where any completion of it starts to differ.
+    exactly where any completion of it starts to differ.  A pass that does
+    not return lifts v(remainder) by 1/L or more, L = a.lattice_den()
+    (else PrecisionError), so floor((target - v(a)) L) + 2 passes suffice.
     """
     p = U.p
     h = U.valuation()
@@ -234,11 +236,8 @@ def solve_additive(U: PerfSeries, a: PerfSeries, max_steps: int | None = None) -
     target = min(a.prec, U.prec + thresh / p)
     x = zero_series(a.field, a.D, a.jmax, max(target / p, target - h))
     rem = a
-    if max_steps is None:
-        span = max(Fraction(0), target - min(rem._veff(), Fraction(0)))
-        max_steps = int(span * a.lattice_den()) + 8 * (a.lattice_den() + p) + 32
     U0 = U.leading()[1]
-    for _ in range(max_steps):
+    for _ in range(int(max(target - a._veff(), 0) * a.lattice_den()) + 2):
         va = rem.valuation()
         if va is None or va >= target:
             return x

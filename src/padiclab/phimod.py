@@ -6,7 +6,8 @@ matrix has nonnegative exponents (phi-stability).  Heights are decided
 two independent ways: elementary divisors over k[[u]] (Smith form with
 valuation pivoting) and direct membership solving through the adjugate
 over W_n(F_q)[[u]]/u^M.  Decisions the truncation cannot certify raise
-Indeterminate rather than guess.
+Indeterminate rather than guess.  module_ring is the one coefficient
+ring of a module over (p, q, n).
 """
 
 from __future__ import annotations
@@ -18,27 +19,17 @@ from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
 # small exact matrices over TruncSeries: the arithmetic is padiclab.matrix;
-# mat_det and mat_adjugate stay defined here for perfbench's tracer
+# mat_det and mat_adjugate are named for perfbench's tracer; mat_mul is public
 
 
-def mat_identity(ring, d, prec):
-    return mat_scalar(ring, d, TruncSeries.one(ring, prec))
-
-
-def mat_scalar(ring, d, f: TruncSeries):
-    return matrix.scalar(d, f, TruncSeries.zero(ring, f.prec))
+def module_ring(p: int, q: int, n: int):
+    """The coefficient ring of a module over (p, q, n): F_q at n = 1,
+    Z/p^n at n >= 2."""
+    return FFRing(gf.field(p, gf.degree(q, p))) if n == 1 else Zmod(p, n)
 
 
 def mat_mul(A, B):
     return matrix.mul(A, B)
-
-
-def mat_frobenius(A, p):
-    return [[a.frobenius(p) for a in row] for row in A]
-
-
-def mat_scale(A, f):
-    return [[a * f for a in row] for row in A]
 
 
 def _balanced(A):
@@ -82,12 +73,9 @@ class PhiModule:
         self.d = len(G)
         self.G = G
         self.E = eisenstein
-        if n == 1:
-            self.ring = FFRing(gf.field(p, gf.degree(q, p)))
-        else:
-            if q != p:
-                raise Unsupported("torsion level n >= 2 implemented for q = p")
-            self.ring = Zmod(p, n)
+        if n > 1 and q != p:
+            raise Unsupported("torsion level n >= 2 implemented for q = p")
+        self.ring = module_ring(p, q, n)
         for row in G:
             if len(row) != self.d:
                 raise ValueError("G must be square")
@@ -109,13 +97,15 @@ class PhiModule:
         return f"PhiModule(d={self.d}, n={self.n}, q={self.q})"
 
 
+def _zero_mod_p(f: TruncSeries) -> bool:
+    """Whether f is 0 mod p at its truncation."""
+    return (f.reduce_mod_p() if isinstance(f.ring, Zmod) else f).is_zero()
+
+
 def is_etale(M: PhiModule) -> bool:
     """id (x) phi is invertible iff det G is a unit in the Laurent ring,
     i.e. nonzero mod p at this truncation."""
-    det = M.det()
-    if isinstance(M.ring, Zmod):
-        return not det.reduce_mod_p().is_zero()
-    return not det.is_zero()
+    return not _zero_mod_p(M.det())
 
 
 class PhiLattice:
@@ -130,12 +120,13 @@ class PhiLattice:
         self.module = module
         ring, d, prec = module.ring, module.d, module.prec
         if basis is None:
-            basis = mat_identity(ring, d, prec)
+            basis = matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
         self.basis = basis
         det = mat_det(basis)
         det_inv = det.inverse()
-        binv = mat_scale(mat_adjugate(basis), det_inv)
-        GL = mat_mul(mat_mul(binv, module.G), mat_frobenius(basis, module.p))
+        binv = [[a * det_inv for a in row] for row in mat_adjugate(basis)]
+        frob = [[a.frobenius(module.p) for a in row] for row in basis]
+        GL = mat_mul(mat_mul(binv, module.G), frob)
         for row in GL:
             for a in row:
                 me = a.valuation()
@@ -166,7 +157,7 @@ def stabilize_lattice(M: PhiModule) -> PhiLattice:
                 vmin = min(vmin, me)
     k = 0 if vmin >= 0 else (-vmin + M.p - 2) // (M.p - 1)
     uk = TruncSeries.monomial(M.ring, k, M.ring.one, M.prec)
-    return PhiLattice(M, mat_scalar(M.ring, M.d, uk))
+    return PhiLattice(M, matrix.scalar(M.d, uk, TruncSeries.zero(M.ring, uk.prec)))
 
 
 # --- elementary divisors over k[[u]]/u^M ---
@@ -236,10 +227,7 @@ def solve_in_lattice(B, columns):
     of its support could then not be read off).
     """
     det = mat_det(B)
-    if isinstance(det.ring, Zmod):
-        if det.reduce_mod_p().is_zero():
-            raise ValueError("matrix not invertible over the Laurent ring")
-    elif det.is_zero():
+    if _zero_mod_p(det):
         raise ValueError("matrix not invertible over the Laurent ring")
     det_inv = det.inverse()
     adj = mat_adjugate(B)
@@ -266,7 +254,7 @@ def height_divides(L, U: TruncSeries) -> bool:
     phi-lattice and the answer is False.  ValueError when U is divisible
     by p, at every n: at n = 1 that means U = 0.
     """
-    if (U.reduce_mod_p() if isinstance(U.ring, Zmod) else U).is_zero():
+    if _zero_mod_p(U):
         raise ValueError("U must not be divisible by p")
     if isinstance(L, PhiModule):
         try:
@@ -311,9 +299,7 @@ def cyclotomic_module(m: int, n: int, E, q: int | None = None,
     p = E.p
     if q is None:
         q = p
-    ring = FFRing(gf.field(p, gf.degree(q, p))) if n == 1 else Zmod(p, n)
-    if n > 1 and q != p:
-        raise Unsupported("torsion level n >= 2 implemented for q = p")
+    ring = module_ring(p, q, n)
     Eser = E.as_series(ring, prec)
     cinv = ring.inv(ring.of_int(E.c_unit))
     base = Eser.scale(cinv)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gf import GF, FFElt
+from .padic import vp
 
 
 class OperatorRing:
@@ -135,15 +136,7 @@ class QRing(OperatorRing):
     def vp(self, a: Fraction):
         if a == 0:
             return None
-        v = 0
-        num, den = a.numerator, a.denominator
-        while num % self.p == 0:
-            num //= self.p
-            v += 1
-        while den % self.p == 0:
-            den //= self.p
-            v -= 1
-        return v
+        return vp(a.numerator, self.p) - vp(a.denominator, self.p)
 
     def inv(self, a):
         return 1 / a

@@ -270,7 +270,7 @@ class TruncSeries(SparseSeries):
         """Reduction to F_p (ring must be Zmod)."""
         if not isinstance(self.ring, Zmod):
             raise ValueError("reduce_mod_p needs a Zmod coefficient ring")
-        target = FFRing(gf.prime_field(self.ring.p))
+        target = FFRing(gf.field(self.ring.p))
         return TruncSeries(target, {e: target.of_int(c) for e, c in self.coeffs.items()},
                            self.prec)
 
@@ -354,7 +354,6 @@ def weierstrass(f: TruncSeries):
     if fbar.is_zero():
         raise ValueError("f = 0 mod p: Weierstrass degree undefined at truncation")
     d = fbar.valuation()
-    fp = gf.prime_field(ring.p)
     ubar_inv = fbar.shift(-d)
     unit = lift_mod_p(ubar_inv, ring)
     dist = TruncSeries.monomial(ring, d, ring.one, f.prec)
@@ -378,7 +377,7 @@ def _divide_out_p(f: TruncSeries, k: int) -> TruncSeries:
     """(f / p^k) mod p for a Zmod series with all coefficients in p^k Z."""
     ring: Zmod = f.ring
     q = ring.p ** k
-    target = FFRing(gf.prime_field(ring.p))
+    target = FFRing(gf.field(ring.p))
     out = {}
     for e, c in f.coeffs.items():
         if c % q:

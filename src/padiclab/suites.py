@@ -19,20 +19,21 @@ from .series import EisensteinPoly, TruncSeries, kisin_lambda, lambda_residual, 
     n_nabla_commutation_defect
 
 
-def _rec(name, value, exact=True, precision="exact", anchor=""):
+def record(name, value, exact=True, precision="exact", anchor=""):
     return {"name": name, "value": str(value), "exact": bool(exact),
             "precision": str(precision), "anchor": anchor}
 
 
 def _passfail(name, ok, detail, anchor):
-    return _rec(name, "pass" if ok else f"FAIL: {detail}", True, "exact", anchor)
+    return record(name, "pass" if ok else f"FAIL: {detail}", True, "exact", anchor)
 
 
-def run_qanalogue(trials: int, seed: int, primes=(3, 5, 7), prec: int = 8):
+def run_qanalogue(trials: int, seed: int):
     rng = random.Random(seed)
+    prec = 8
     bad = 0
     for _ in range(trials):
-        p = rng.choice(list(primes))
+        p = rng.choice([3, 5, 7])
         w = rng.choice([1, 1, 1, 2])
         unit = rng.randrange(1, p ** (prec - w))
         if unit % p == 0:
@@ -61,8 +62,9 @@ def run_qanalogue(trials: int, seed: int, primes=(3, 5, 7), prec: int = 8):
                       f"{bad} failures", "qanalogue-roundtrip")]
 
 
-def run_cocycle(trials: int, seed: int, p: int = 3, prec: int = 8):
+def run_cocycle(trials: int, seed: int):
     rng = random.Random(seed)
+    p, prec = 3, 8
 
     def rand_elt():
         chi = rng.randrange(1, p ** prec)
@@ -139,8 +141,9 @@ def run_witt(trials: int, seed: int):
     return out
 
 
-def incwitt_fixture(p=3, n=2, h=1, prec=Fraction(12), jmax=4):
-    """U = u(1+u) over Z/p^n, V with phi(V)=UV, and Z = UV."""
+def incwitt_fixture():
+    """U = u(1+u) over Z/9, V with phi(V)=UV, and Z = UV."""
+    p, n, prec, jmax = 3, 2, Fraction(12), 4
     field = gf.field(p)
     U = TruncSeries(Zmod(p, n), {1: 1, 2: 1}, int(prec))
     V = perfseries.solve_frobenius_fixed(U, field, n, jmax=jmax, prec=prec)
@@ -152,7 +155,7 @@ def incwitt_fixture(p=3, n=2, h=1, prec=Fraction(12), jmax=4):
 def run_incwitt(trials: int, seed: int):
     rng = random.Random(seed)
     p, n, h = 3, 2, 1
-    field, ring, Z = incwitt_fixture(p, n, h)
+    field, ring, Z = incwitt_fixture()
     m = Fraction(h * p ** n, p - 1)
     lat = (p - 1) * p ** ring.jmax
     pos = neg = 0
@@ -263,8 +266,9 @@ def run_fontaine(trials: int, seed: int):
     ]
 
 
-def run_heights(trials: int, seed: int, M: int = 24):
+def run_heights(trials: int, seed: int):
     rng = random.Random(seed)
+    M = 24
     r3 = FFRing(gf.field(3))
     bad = 0
     for _ in range(trials):
@@ -297,9 +301,9 @@ def run_heights(trials: int, seed: int, M: int = 24):
     ]
 
 
-def run_tau(trials: int, seed: int, W: int = 12):
+def run_tau(trials: int, seed: int):
     rng = random.Random(seed)
-    p, N = 3, 8
+    p, N, W = 3, 8, 12
     F3 = gf.field(3)
     tau = gskel.elt(p, N, 1, 1)
     M = taumod.trivial_restriction_module([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1, F3, tau, W)
@@ -366,8 +370,9 @@ def run_logm(trials: int, seed: int, p: int = 3, m: int = 2):
     ]
 
 
-def run_lambda(trials: int, seed: int, p: int = 3, M: int = 30):
+def run_lambda(trials: int, seed: int):
     rng = random.Random(seed)
+    p, M = 3, 30
     from .rings import QRing
     out = []
     for e in (1, 2):

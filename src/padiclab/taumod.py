@@ -26,7 +26,7 @@ from . import gskel, matrix
 from .errors import Indeterminate, PrecisionError
 from .gf import GF
 from .gskel import GaloisElt
-from .padic import PadicInt
+from .padic import PadicInt, ndigits, vp
 from .rings import FFRing
 from .series import SparseSeries, TruncSeries
 
@@ -142,11 +142,7 @@ def binom_power(z, field: GF, prec, wu=1, weta=1) -> BivarSeries:
     weta = Fraction(weta)
     kmax = int(Fraction(prec) / weta) + 1
     if isinstance(z, PadicInt):
-        digits_needed = 1
-        k = kmax
-        while k >= p:
-            k //= p
-            digits_needed += 1
+        digits_needed = ndigits(kmax, p)
         if z.prec < digits_needed:
             raise PrecisionError(
                 f"exponent needs {digits_needed} base-{p} digits, has {z.prec}")
@@ -290,19 +286,16 @@ def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
     """
     p = field.p
     d = len(tau_T)
-    order = matrix.order_mod(tau_T, p, p ** s)
+    Tf = [[field.el(a) for a in row] for row in tau_T]
+    order = matrix.order(Tf, field.one, field.zero, p ** s)
     if order is None:
         raise ValueError(f"tau_T has no order <= p^{s}")
-    o = order
-    while o % p == 0:
-        o //= p
-    if o != 1:
+    if order != p ** vp(order, p):
         raise ValueError(f"tau_T has order {order}, not a power of p")
     ring = FFRing(field)
     uprec = int(Fraction(prec) / Fraction(wu))
     G = matrix.scalar(d, TruncSeries.one(ring, uprec), TruncSeries.zero(ring, uprec))
-    T = [[BivarSeries(field, {(0, 0): field.el(tau_T[i][j])}, prec, wu, weta)
-          for j in range(d)] for i in range(d)]
+    T = [[BivarSeries(field, {(0, 0): a}, prec, wu, weta) for a in row] for row in Tf]
     return PhiTauModP(p, d, G, T, tau, order_cap)
 
 

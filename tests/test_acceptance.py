@@ -187,7 +187,7 @@ def test_c03_witt_laws():
 def test_c04_incwitt_witness():
     rng = random.Random(104)
     p, n, h = 3, 2, 1
-    field, ring, Z = incwitt_fixture(p, n, h)
+    field, ring, Z = incwitt_fixture()
     m = F(h * p ** n, p - 1)
     assert m == F(9, 2)
     lat = (p - 1) * p ** ring.jmax

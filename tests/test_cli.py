@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from padiclab import galrep, gf
-from padiclab.cli import main
+from padiclab.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "padiclab.cli"]
 
@@ -247,3 +248,39 @@ def test_cli_import_leaves_numpy_out():
                         "import sys, padiclab.cli; assert 'numpy' not in sys.modules"],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def _sample_value(action):
+    """An argv value for the option and the value it should parse to."""
+    if action.nargs == 0:
+        return [], action.const
+    if action.choices:
+        return [action.choices[-1]], action.choices[-1]
+    if action.type is int:
+        return ["7"], 7
+    return ["x1"], "x1"
+
+
+def test_every_subcommand_option_round_trips():
+    """Each option of each subcommand, spelled out in full after it,
+    reaches the namespace.  The top-level parser once read ramif's --s
+    as an ambiguous abbreviation of --strict and --seed and exited 2."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        pos = [a for a in sub._actions if not a.option_strings]
+        head = [name] + [a.choices[0] for a in pos]
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt in ("-h", "--help"):
+                    continue
+                argv, want = _sample_value(action)
+                args = parser.parse_args(head + [opt] + argv)
+                assert getattr(args, action.dest) == want, (name, opt)
+
+
+@pytest.mark.parametrize("op, s, name", [("phi-kinf", "4", "final-slope"), ("gamma", "5", "depth")])
+def test_ramif_reads_its_s(op, s, name):
+    r = run(["ramif", op, "--s", s])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["results"][-1]["name"] == name

@@ -1,6 +1,7 @@
 import functools
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,50 @@ def test_degree_of_prime_power():
     for q, p in [(1, 3), (0, 3), (6, 3), (2, 3), (-3, 3), (4, 1)]:
         with pytest.raises(ValueError):
             gf.degree(q, p)
+
+
+def _degree_loop(q, p):
+    """The division loop gf.degree ran before it called padic.vp: the
+    reference for it."""
+    if p < 2 or q < p:
+        raise ValueError("q must be a power of p")
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    if q != 1:
+        raise ValueError("q must be a power of p")
+    return f
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-5, 3 ** 12), st.sampled_from([1, 2, 3, 5, 7, 31]))
+def test_degree_matches_the_division_loop(q, p):
+    assert _outcome(gf.degree, q, p) == _outcome(_degree_loop, q, p)
+    assert _outcome(gf.degree, p ** (q % 9), p) == _outcome(_degree_loop, p ** (q % 9), p)
+
+
+def _from_code_loop(F, code):
+    """GF.from_code's digit loop before the shared _base_p: the reference."""
+    coeffs = []
+    for _ in range(F.fp_degree):
+        coeffs.append(code % F.p)
+        code //= F.p
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 4), (5, 3), (17, 2)])
+def test_codes_match_the_digit_loop(p, f):
+    F = gf.field(p, f)
+    codes = range(F.order) if F.order < 1000 else range(0, F.order, 7)
+    assert all(F.from_code(c).coeffs == _from_code_loop(F, c) for c in codes)
 
 
 # --- differential tests against brute force and plain powering ---
@@ -176,11 +221,12 @@ def _fp_rref_lists(rows, p):
 
 
 @SETTINGS
-@given(st.sampled_from([3, 5, 7, 13, 17, 31, 131, 257]), st.integers(0, 12), st.integers(1, 30),
-       st.data())
+@given(st.sampled_from([3, 5, 7, 13, 17, 31, 131, 257, 65521, 65537]), st.integers(0, 12),
+       st.integers(1, 30), st.data())
 def test_packed_rref_matches_the_list_elimination(p, nrows, ncols, data):
     """p <= 13 has one-byte digits, 17, 31 and 131 two-byte ones, 257
-    three-byte ones; entries outside [0, p) and dependent rows occur too."""
+    and 65521 four-byte ones and 65537 eight-byte ones; entries outside
+    [0, p) and dependent rows occur too."""
     entries = st.integers(-2 * p, 2 * p) | st.sampled_from([0, 0, 1, p - 1])
     rows = [data.draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     if nrows > 1 and data.draw(st.booleans()):
@@ -213,18 +259,35 @@ def test_packed_digit_widths():
 
 
 @SETTINGS
-@given(st.sampled_from([3, 5, 13, 17, 31, 131]), st.sampled_from([1, 2, 3]), st.integers(0, 12),
-       st.data())
+@given(st.sampled_from([3, 5, 13, 17, 31, 131, 257, 65521, 65537]),
+       st.sampled_from([1, 2, 3, 4, 8]), st.integers(0, 12), st.data())
 def test_codec_round_trips_at_one_and_two_bytes(p, w, n, data):
     """fp_pack puts entry i at digit i, fp_unpack reads the digits back
     reduced mod p, and fp_reduce reduces them in place: by translated
-    byte planes at w = 1 and 2, through the unpacked digits at w = 3."""
+    byte planes at w = 1 and 2, through little-endian machine words at
+    the wider widths fp_width gives, 4 and 8, and digit by digit at any
+    other width, the path the words must agree with.  The
+    byte planes hold residues only for p < 256, and fp_width never gives
+    one or two bytes for larger p."""
     vec = data.draw(st.lists(st.integers(0, 256 ** w - 1), min_size=n, max_size=n))
-    acc = gf.fp_pack(vec, w)
-    assert [acc >> 8 * w * i & (256 ** w - 1) for i in range(n)] == vec
-    assert acc < 256 ** (w * n)
-    assert gf.fp_unpack(acc, n, w, p) == tuple(a % p for a in vec)
-    assert gf.fp_reduce(acc, n, w, p) == gf.fp_pack([a % p for a in vec], w)
+    for words in (gf._WORDS, {}):
+        with mock.patch.object(gf, "_WORDS", words):
+            acc = gf.fp_pack(vec, w)
+            assert [acc >> 8 * w * i & (256 ** w - 1) for i in range(n)] == vec
+            assert acc < 256 ** (w * n)
+            assert gf.fp_unpack(acc, n, w, p) == tuple(a % p for a in vec)
+            if p < 256 or w > 2:
+                assert gf.fp_reduce(acc, n, w, p) == gf.fp_pack([a % p for a in vec], w)
+
+
+def test_widths_are_powers_of_two():
+    """The least power of two w with bound < 256^w, the bound of every
+    digit sum; 4 and 8 are the machine-word widths."""
+    for bound in [1, 255, 256, 65535, 65536, 256 ** 3, 256 ** 4 - 1, 256 ** 4, 256 ** 8,
+                  257 * 256, 65521 * 65520, 65537 * 65536]:
+        w = gf.fp_width(bound)
+        assert w & (w - 1) == 0 and bound < 256 ** w and (w == 1 or bound >= 256 ** (w // 2))
+    assert set(gf._WORDS) == {4, 8}
 
 
 @pytest.mark.parametrize("p", [3, 17, 127, 131, 251])
@@ -234,6 +297,29 @@ def test_two_byte_reduction_on_every_digit_value(p):
     the largest p with two-byte digits."""
     vec = list(range(256 ** 2))
     assert gf.fp_reduce(gf.fp_pack(vec, 2), len(vec), 2, p) == gf.fp_pack([a % p for a in vec], 2)
+
+
+def _apply_loop(F, cols, x):
+    """GF._apply's own loop before the shared gf.fp_combine: the reference."""
+    acc = 0
+    for a, col in zip(x.coeffs, cols):
+        if a:
+            acc += a * col
+    return gf.FFElt(F, gf.fp_unpack(acc, F.fp_degree, F._w, F.p))
+
+
+@SETTINGS
+@given(st.sampled_from(FROB_FIELDS + [(257, 2), (65521, 1)]), st.data())
+def test_packed_column_image_matches_the_apply_loop(pf, data):
+    """F._apply through gf.fp_combine, on the Frobenius columns and on
+    random packed columns, against the loop it replaced."""
+    F = gf.field(*pf)
+    n, p = F.fp_degree, F.p
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    x = F.from_fp(data.draw(digits))
+    F.frob_p(F.one)
+    for cols in (F._frob_cols, [gf.fp_pack(data.draw(digits), F._w) for _ in range(n)]):
+        assert F._apply(cols, x) == _apply_loop(F, cols, x)
 
 
 @SETTINGS

@@ -139,6 +139,40 @@ def test_order_in_gl_d_fp():
     C = [[0, 0, 2], [1, 0, 1], [0, 1, 0]]
     assert charpoly_mod_p(C, 3) == (1, 2, 0, 1)
     assert GaloisActionRep(3, C).order() == 26
-    assert matrix.order_mod(C, 3, 25) is None
+    assert matrix.order(*over_fp(C, 3), 25) is None
     with pytest.raises(ArithmeticError, match="not invertible"):
         GaloisActionRep(3, [[1, 1], [1, 1]]).order()
+
+
+def over_fp(A, p):
+    """The int matrix A over F_p, with F_p's one and zero: the arguments
+    of matrix.order."""
+    F = gf.field(p)
+    return [[F.el(a) for a in row] for row in A], F.one, F.zero
+
+
+def _order_mod(A, p, bound):
+    """The int power loop, reducing after every product, that
+    matrix.order replaced: the reference for it."""
+    ident = matrix.scalar(len(A), 1, 0)
+    acc = [[a % p for a in row] for row in A]
+    for k in range(1, bound + 1):
+        if acc == ident:
+            return k
+        acc = [[a % p for a in row] for row in matrix.mul(acc, A)]
+    return None
+
+
+@SETTINGS
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.data())
+def test_order_matches_the_int_power_loop(p, d, data):
+    """Every bound up to p^d - 1 and one below the order, so that both
+    the found and the not-found answers are compared; singular A too."""
+    A = data.draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=d, max_size=d),
+                           min_size=d, max_size=d))
+    bound = data.draw(st.integers(1, p ** d - 1))
+    assert matrix.order(*over_fp(A, p), bound) == _order_mod(A, p, bound)
+    k = _order_mod(A, p, p ** d - 1)
+    if k is not None:
+        assert matrix.order(*over_fp(A, p), k) == k
+        assert matrix.order(*over_fp(A, p), k - 1) is None

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import padic
 from padiclab.errors import PrecisionError
 from padiclab.padic import (INFINITY, PadicInt, PadicUnit, chi_tau, exp_unit,
                             log_unit, q_analogue, q_analogue_inverse, valuation)
+from padiclab.rings import QRing
 
 
 def test_valuation_examples():
@@ -17,6 +21,75 @@ def test_valuation_examples():
 def test_p_two_rejected():
     with pytest.raises(ValueError):
         PadicInt(2, 4, 1)
+
+
+# --- the integer helpers against the loops they replaced ---
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PRIMES = st.sampled_from([3, 5, 7, 31, 257])
+
+
+def _qring_vp_loop(a, p):
+    """QRing.vp's own loops before padic.vp: the reference."""
+    if a == 0:
+        return None
+    v = 0
+    num, den = a.numerator, a.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _digits_loop(k, p):
+    """binom_power's count of base-p digits before padic.ndigits."""
+    digits = 1
+    while k >= p:
+        k //= p
+        digits += 1
+    return digits
+
+
+def _cutoff_loop(p, n):
+    """padic._series_cutoff_log before it called ndigits: the reference."""
+    i = n
+    while True:
+        logp = 0
+        k = i
+        while k >= p:
+            k //= p
+            logp += 1
+        if i - logp >= n:
+            return i
+        i += 1
+
+
+@SETTINGS
+@given(PRIMES, st.integers(0, 12), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+def test_vp_matches_the_rational_loop(p, e, k):
+    a = Fraction(k * p ** e, p ** (abs(k) % 5) * (1 + abs(k) % 4 * p))
+    assert QRing(p).vp(a) == _qring_vp_loop(a, p)
+    assert padic.vp(k * p ** e, p) == _qring_vp_loop(Fraction(k * p ** e), p)
+    assert QRing(p).vp(Fraction(0)) is None
+
+
+@SETTINGS
+@given(PRIMES, st.integers(1, 10 ** 9), st.integers(1, 60))
+def test_ndigits_matches_the_digit_loops(p, k, n):
+    assert padic.ndigits(k, p) == _digits_loop(k, p)
+    assert p ** (padic.ndigits(k, p) - 1) <= k < p ** padic.ndigits(k, p)
+    assert padic._series_cutoff_log(p, n) == _cutoff_loop(p, n)
+
+
+def test_odd_prime_check_has_one_message():
+    for p in (-3, 0, 1, 2, 4, 9, 15, 49):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+            padic.check_odd_prime(p)
+    for p in (3, 5, 7, 65521):
+        padic.check_odd_prime(p)
 
 
 def test_log_examples():

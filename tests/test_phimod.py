@@ -2,16 +2,20 @@ import random
 
 import pytest
 
-from padiclab import galrep, gf, phimod
+from padiclab import galrep, gf, matrix, phimod
 from padiclab.errors import Unsupported
 from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_divides,
-                             is_etale, lattice_contains, mat_det, mat_identity,
-                             mat_mul, stabilize_lattice, tensor_lattice, u_height)
+                             is_etale, lattice_contains, mat_det, mat_mul,
+                             stabilize_lattice, tensor_lattice, u_height)
 from padiclab.rings import FFRing, Zmod
 from padiclab.series import EisensteinPoly, TruncSeries
 
 M = 24
 R3 = FFRing(gf.field(3))
+
+
+def mat_identity(ring, d, prec):
+    return matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
 
 
 def rand_unit_matrix(rng, ring, d, prec):
@@ -53,6 +57,19 @@ def test_u_height_examples():
         assert u_height(PhiLattice(PhiModule(3, 3, 1, [[u_mono(a)]]))) == a
     with pytest.raises(Unsupported):
         u_height(PhiLattice(PhiModule(3, 3, 2, [[TruncSeries.one(Zmod(3, 2), M)]])))
+
+
+def test_module_ring_and_the_unsupported_torsion_levels():
+    """One coefficient ring per (p, q, n); n >= 2 with q != p is refused
+    alike by PhiModule and by the cyclotomic family built on it."""
+    assert phimod.module_ring(3, 9, 1) == FFRing(gf.field(3, 2))
+    assert phimod.module_ring(5, 5, 3) == Zmod(5, 3)
+    E = EisensteinPoly(3, (3, 0, 1))
+    for build in (lambda: PhiModule(3, 9, 2, [[TruncSeries.one(Zmod(3, 2), M)]]),
+                  lambda: cyclotomic_module(1, 2, E, q=9, prec=M)):
+        with pytest.raises(Unsupported, match="torsion level n >= 2 implemented for q = p"):
+            build()
+    assert cyclotomic_module(1, 2, E, q=3, prec=M).ring == Zmod(3, 2)
 
 
 def test_height_divides():
