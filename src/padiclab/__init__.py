@@ -15,10 +15,13 @@ taumod      the two-variable Galois action and tau-commutation checks
 logtrunc    truncated operator logarithms and their congruences
 ramif       Herbrand transforms and explicit ramification bounds
 cli         batch command surface (JSON/CSV), property suites
+
+Importing the package loads none of them: each submodule is imported on
+first use, as ``padiclab.galrep``, ``from padiclab import galrep`` or
+``from padiclab import *`` (PEP 562).
 """
 
-from . import (errors, galrep, gf, gskel, logtrunc, padic, perfseries,
-               phimod, ramif, rings, series, taumod, witt)
+import importlib
 
 __all__ = [
     "errors", "galrep", "gf", "gskel", "logtrunc", "padic",
@@ -26,3 +29,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,10 @@ configuration and seed give byte-identical output.  Exit status 2 on
 configuration errors, 1 when --strict is set and a result is
 indeterminate or failing, 3 when one of the library's self-checks fails
 (an internal defect, reported in one line on stderr).
+
+Start-up loads only what a subcommand runs: at import this module loads
+the standard library, errors, padic and witt, and each handler imports
+the rest of its modules when it is called.
 """
 
 from __future__ import annotations
@@ -19,15 +23,21 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 
-from . import galrep, gf, logtrunc, padic, perfseries, phimod, ramif, suites
+from . import padic
 from .errors import Indeterminate, PadicLabError
 from .padic import PadicInt
-from .rings import FFRing, Zmod
-from .series import EisensteinPoly, TruncSeries, kisin_lambda, newton_polygon, weierstrass
-from .suites import record
-from .witt import from_zmod, generate_laws, to_zmod, WittVector
+from .witt import WittVector, from_zmod, generate_laws, to_zmod
+
+# sorted(suites.SUITES), named here so that build_parser loads no suite
+SUITE_NAMES = ("cocycle", "existv", "fontaine", "heights", "incwitt", "lambda",
+               "logm", "qanalogue", "ramif", "tau", "witt")
+
+
+def record(name, value, exact=True, precision="exact", anchor=""):
+    """One result of the document; the suites report through it too."""
+    return {"name": name, "value": str(value), "exact": bool(exact),
+            "precision": str(precision), "anchor": anchor}
 
 
 @dataclass
@@ -49,7 +59,7 @@ class RunConfig:
         padic.check_odd_prime(self.p)
         if self.q == 0:
             self.q = self.p
-        gf.degree(self.q, self.p)
+        padic.degree(self.q, self.p)
         for fname in ("e", "n", "N", "M", "W", "wittlen", "jmax", "trials"):
             if getattr(self, fname) <= 0:
                 raise ValueError(f"{fname} must be positive")
@@ -114,7 +124,6 @@ def _cmd_padic(args, cfg: RunConfig):
 
 def _cmd_witt(args, cfg: RunConfig):
     p, n = cfg.p, cfg.wittlen
-    ring = FFRing(gf.field(p))
     if args.op == "laws":
         table = generate_laws(p, n)
         out = []
@@ -123,6 +132,9 @@ def _cmd_witt(args, cfg: RunConfig):
         for k, poly in enumerate(table.prod_polys):
             out.append(record(f"P{k}", _poly_str(poly, n), anchor="witt-laws"))
         return out
+    from . import gf
+    from .rings import FFRing
+    ring = FFRing(gf.field(p))
     if args.op in ("add", "mul"):
         x = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.x)])
         y = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.y)])
@@ -153,13 +165,17 @@ def _poly_str(poly, n):
     return " + ".join(terms) if terms else "0"
 
 
-def _eisenstein(args, cfg) -> EisensteinPoly:
+def _eisenstein(args, cfg):
+    from .series import EisensteinPoly
     if args.E:
         return EisensteinPoly(cfg.p, _ints(args.E))
     return EisensteinPoly(cfg.p, tuple([cfg.p] + [0] * (cfg.e - 1) + [1]))
 
 
 def _cmd_series(args, cfg: RunConfig):
+    from fractions import Fraction
+    from .rings import Zmod
+    from .series import TruncSeries, kisin_lambda, newton_polygon, weierstrass
     p = cfg.p
     if args.op == "lambda":
         E = _eisenstein(args, cfg)
@@ -184,6 +200,7 @@ def _cmd_series(args, cfg: RunConfig):
                     precision=f"O(u^{unit.prec})", anchor="weierstrass"),
         ]
     if args.op == "solvev":
+        from . import gf, perfseries
         U = TruncSeries(Zmod(p, cfg.n), dict(enumerate(_ints(args.coeffs))), cfg.M)
         field = gf.field(p)
         V = perfseries.solve_frobenius_fixed(U, field, cfg.n, D=cfg.lattice_D,
@@ -200,6 +217,8 @@ def _cmd_series(args, cfg: RunConfig):
 
 
 def _cmd_phimod(args, cfg: RunConfig):
+    from . import phimod
+    from .series import TruncSeries
     p, q, M = cfg.p, cfg.q, cfg.M
     ring = phimod.module_ring(p, q, cfg.n)
     if args.op == "cyclotomic":
@@ -237,6 +256,7 @@ def _cmd_phimod(args, cfg: RunConfig):
 
 def _series_matrix(text, coeff, ring, M):
     """Entries are coefficient lists "c0:c1:...", low degree first."""
+    from .series import TruncSeries
     return _parse_matrix(text, lambda ent: TruncSeries(
         ring, {e: coeff(int(t)) for e, t in enumerate(ent.split(":"))}, M))
 
@@ -244,6 +264,7 @@ def _series_matrix(text, coeff, ring, M):
 def _coeff_reader(ring):
     """How phimod reads an integer coefficient: an F_q code at n = 1,
     a residue mod p^n at n >= 2."""
+    from .rings import FFRing
     if isinstance(ring, FFRing):
         return lambda code: _field_code(ring.field, code)
     return ring.of_int
@@ -256,6 +277,9 @@ def _field_code(field, code: int):
 
 
 def _cmd_galois(args, cfg: RunConfig):
+    from fractions import Fraction
+    from . import galrep, phimod
+    from .series import TruncSeries
     p, q = cfg.p, cfg.q
     ring = phimod.module_ring(p, q, 1)
     field = ring.field
@@ -281,6 +305,7 @@ def _cmd_galois(args, cfg: RunConfig):
 
 
 def _cmd_logm(args, cfg: RunConfig):
+    from . import logtrunc
     p, N = cfg.p, cfg.N
     A = logtrunc.BoundedOp.of(p, N, _parse_matrix(args.matrix))
     if args.op == "value":
@@ -298,6 +323,8 @@ def _cmd_logm(args, cfg: RunConfig):
 
 
 def _cmd_ramif(args, cfg: RunConfig):
+    from fractions import Fraction
+    from . import ramif
     p, e, n = cfg.p, cfg.e, cfg.n
     if args.op == "bound-gk":
         b = ramif.bound_GK(args.h, n, e, p, s0=args.s0, c0=args.c0,
@@ -336,7 +363,7 @@ def _cmd_ramif(args, cfg: RunConfig):
 def _cmd_tau(args, cfg: RunConfig):
     import random as _random
 
-    from . import gskel, taumod
+    from . import gf, gskel, taumod
     rng = _random.Random(cfg.seed)
     F = gf.field(cfg.p)
     tau = gskel.elt(cfg.p, cfg.N, 1, 1)
@@ -357,6 +384,7 @@ def _cmd_tau(args, cfg: RunConfig):
 
 
 def _cmd_suite(args, cfg: RunConfig):
+    from . import suites
     kwargs = {}
     if args.name == "logm":
         kwargs = {"p": cfg.p, "m": args.m if args.m else 2}
@@ -454,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_ramif)
 
     sp = sub.add_parser("suite", parents=[shared])
-    sp.add_argument("name", choices=sorted(suites.SUITES))
+    sp.add_argument("name", choices=SUITE_NAMES)
     sp.add_argument("--m", type=int, default=None)
     sp.set_defaults(func=_cmd_suite)
 
@@ -523,4 +551,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # run as `python -m padiclab.cli`: let suites' `from .cli import record`
+    # find this module rather than execute the file a second time
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

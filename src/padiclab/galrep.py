@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from . import gf, matrix, perfseries
+from . import gf, matrix
 from .errors import ExtensionCapExceeded, Unsupported
 from .phimod import PhiModule, module_ring
 from .rings import FFRing
@@ -382,6 +382,7 @@ def solve_rank1(a: int, c, base_field: gf.GF, prec=8):
         raise ArithmeticError(f"no (p-1)-st root of {c!r} in {fld.tag}")
     gamma = roots[1]
     from fractions import Fraction
+    from . import perfseries
     D = p - 1
     sol = perfseries.monomial(fld, D, 1, Fraction(a, p - 1), gamma, Fraction(prec))
     zero = perfseries.zero_series(fld, D, 1, Fraction(prec))

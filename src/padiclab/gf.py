@@ -37,7 +37,7 @@ import functools
 import struct
 from itertools import product
 
-from .padic import check_odd_prime, vp
+from .padic import check_odd_prime
 
 
 def _mulmod(u, v, mod, p):
@@ -393,13 +393,6 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
 # --- module-level field cache ---
 
 _cache: dict = {}
-
-
-def degree(q: int, p: int) -> int:
-    """The f >= 1 with q = p^f; ValueError when q is not such a power."""
-    if p < 2 or q < p or q != p ** vp(q, p):
-        raise ValueError("q must be a power of p")
-    return vp(q, p)
 
 
 def field(p: int, f: int = 1) -> GF:

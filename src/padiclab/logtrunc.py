@@ -164,6 +164,8 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     (1-A)^i with valuation >= N, and the division by i costs at most
     v_p(i) <= m-1 digits.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     p, N, d = A.p, A.prec, A.d
     work = N + m
     mod = p ** work
@@ -183,6 +185,8 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
 def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     """Lambda-boundedness at order m, scale c: (1-A)^i / i must have
     entries in p^-c Z for every i <= p^m."""
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     p, N, d = A.p, A.prec, A.d
     mod = p ** N
     one_minus = msub(mident(d), A.mat, mod)
@@ -254,6 +258,8 @@ def rdc_valuation_check(f, p: int, prec: int, t: int, i: int) -> bool:
     Hypotheses checked: d >= p^(t-1)(p-1), and f - id nilpotent mod p
     (equivalent to f^(p^n) = id mod p for some n)."""
     d = len(f)
+    if t < 0 or i < 0:
+        raise ValueError(f"t and i must be nonnegative, got t = {t}, i = {i}")
     if t >= 1 and d < p ** (t - 1) * (p - 1):
         raise ValueError(f"need d >= p^(t-1)(p-1) = {p ** (t - 1) * (p - 1)}")
     mod = p ** prec

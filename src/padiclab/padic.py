@@ -3,7 +3,7 @@
 The substrate for every p-adic scalar in the library: truncated p-adic
 integers, the Iwasawa logarithm and exponential on the relevant unit
 balls, q-analogues [a]_q = (q^a - 1)/(q - 1) and their inverse
-bijection.  vp, ndigits and check_odd_prime answer the library's integer
+bijection.  vp, ndigits, degree and check_odd_prime answer the integer
 questions about p; p = 2 is rejected, as the convergence needs p odd.
 
 Precision model: every value carries its own precision N; binary
@@ -13,6 +13,7 @@ arithmetic is on exact integer residues.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import inf
 
@@ -21,8 +22,10 @@ from .errors import PrecisionError
 INFINITY = inf
 
 
+@functools.cache
 def check_odd_prime(p: int):
-    """ValueError unless p is an odd prime."""
+    """ValueError unless p is an odd prime.  Memoised per p; a raise is
+    not cached, so an invalid p raises on every call."""
     if p < 3 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"p must be an odd prime, got {p}")
 
@@ -34,6 +37,13 @@ def vp(k: int, p: int) -> int:
         k //= p
         v += 1
     return v
+
+
+def degree(q: int, p: int) -> int:
+    """The f >= 1 with q = p^f; ValueError when q is not such a power."""
+    if p < 2 or q < p or q != p ** vp(q, p):
+        raise ValueError("q must be a power of p")
+    return vp(q, p)
 
 
 def ndigits(k: int, p: int) -> int:

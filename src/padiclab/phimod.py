@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from . import gf, matrix
 from .errors import Indeterminate, Unsupported
+from .padic import degree
 from .rings import FFRing, Zmod
 from .series import TruncSeries
 
@@ -25,7 +26,7 @@ from .series import TruncSeries
 def module_ring(p: int, q: int, n: int):
     """The coefficient ring of a module over (p, q, n): F_q at n = 1,
     Z/p^n at n >= 2."""
-    return FFRing(gf.field(p, gf.degree(q, p))) if n == 1 else Zmod(p, n)
+    return FFRing(gf.field(p, degree(q, p))) if n == 1 else Zmod(p, n)
 
 
 def mat_mul(A, B):
@@ -104,8 +105,12 @@ def _zero_mod_p(f: TruncSeries) -> bool:
 
 def is_etale(M: PhiModule) -> bool:
     """id (x) phi is invertible iff det G is a unit in the Laurent ring,
-    i.e. nonzero mod p at this truncation."""
-    return not _zero_mod_p(M.det())
+    i.e. nonzero mod p.  True when a coefficient below the truncation
+    shows it; a truncation cannot certify a non-unit, so otherwise
+    Indeterminate."""
+    if _zero_mod_p(M.det()):
+        raise Indeterminate("det G is 0 mod p to its precision; a unit may lie beyond it")
+    return True
 
 
 class PhiLattice:
@@ -207,11 +212,11 @@ def snf_u_exponents(A, p=None):
 
 def u_height(L: PhiLattice) -> int:
     """Smallest h with u^h killing coker(id (x) phi); the largest
-    elementary divisor exponent.  Torsion level 1 only."""
+    elementary divisor exponent.  Torsion level 1 only; Indeterminate
+    unless the module is visibly etale."""
     if L.module.n != 1:
         raise Unsupported("u_height is the n = 1 notion; use height_divides for n >= 2")
-    if not is_etale(L.module):
-        raise ValueError("module is not etale")
+    is_etale(L.module)
     return max(snf_u_exponents(L.lattice_frobenius))
 
 
@@ -228,7 +233,7 @@ def solve_in_lattice(B, columns):
     """
     det = mat_det(B)
     if _zero_mod_p(det):
-        raise ValueError("matrix not invertible over the Laurent ring")
+        raise Indeterminate("det is 0 mod p to its precision; invertibility is not visible")
     det_inv = det.inverse()
     adj = mat_adjugate(B)
     for b in columns:

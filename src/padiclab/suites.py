@@ -12,16 +12,12 @@ import random
 from fractions import Fraction
 
 from . import galrep, gf, gskel, logtrunc, matrix, padic, perfseries, phimod, ramif, taumod, witt
+from .cli import record
 from .errors import NotDivisible
 from .padic import PadicInt
 from .rings import FFRing, IntRing, Zmod
 from .series import EisensteinPoly, TruncSeries, kisin_lambda, lambda_residual, \
     n_nabla_commutation_defect
-
-
-def record(name, value, exact=True, precision="exact", anchor=""):
-    return {"name": name, "value": str(value), "exact": bool(exact),
-            "precision": str(precision), "anchor": anchor}
 
 
 def _passfail(name, ok, detail, anchor):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -196,6 +197,20 @@ def test_malformed_matrix_exit_2(args):
     assert "input error" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["logm", "value", "--matrix", "4", "--m", "-1"],
+    ["logm", "bounded", "--matrix", "4", "--m", "-1"],
+    ["logm", "rdc", "--matrix", "4", "--t", "-1"],
+    ["logm", "rdc", "--matrix", "4", "--i", "-2"],
+    ["suite", "logm", "--m", "-1", "--trials", "2"],
+])
+def test_negative_logm_orders_exit_2(args):
+    # p ** -1 is a float, which range() and pow() refused: exit 3
+    r = run(args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("input error: ") and "Traceback" not in r.stderr
+
+
 def _value(r):
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)["results"][0]["value"]
@@ -205,11 +220,12 @@ def test_phimod_reads_fq_codes_at_n1():
     # 3 is not an F_3 code; 3 = 0 in F_3 was read as a nonzero int
     bad = run(["phimod", "etale", "--p", "3", "--matrix", "3"])
     assert bad.returncode == 2 and "input error" in bad.stderr
-    assert _value(run(["phimod", "etale", "--p", "3", "--matrix", "0"])) == "False"
+    assert _value(run(["phimod", "etale", "--p", "3", "--matrix", "0"])).startswith(
+        "Indeterminate: ")
     # code 4 is 1 + x in F_9, no longer read mod 3 as 1: det(4,1;1,1) = x
     base = ["phimod", "etale", "--p", "3", "--q", "9", "--constant", "--matrix"]
     assert _value(run(base + ["4,1;1,1"])) == "True"
-    assert _value(run(base + ["1,1;1,1"])) == "False"
+    assert _value(run(base + ["1,1;1,1"])).startswith("Indeterminate: ")
     assert run(base + ["9"]).returncode == 2
     # at n = 2 entries are residues mod p^n: 3 + u is a Laurent unit
     r = run(["phimod", "etale", "--p", "3", "--n", "2", "--matrix", "3:1"])
@@ -248,6 +264,54 @@ def test_cli_import_leaves_numpy_out():
                         "import sys, padiclab.cli; assert 'numpy' not in sys.modules"],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def _loaded(code):
+    """The padiclab modules a fresh interpreter holds after running code."""
+    probe = "import sys; print(*sorted(m for m in sys.modules if m.startswith('padiclab')))"
+    r = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.splitlines()[-1].split())
+
+
+def _after_cli(*argv):
+    return _loaded(f"from padiclab.cli import main; main({list(argv)!r} + ['--out', {os.devnull!r}])")
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded("import padiclab") == {"padiclab"}
+
+
+def test_witt_laws_loads_only_its_modules():
+    assert _after_cli("witt", "laws") == {"padiclab", "padiclab.cli", "padiclab.errors",
+                                          "padiclab.padic", "padiclab.witt"}
+
+
+def test_galois_solve_leaves_the_other_subcommands_unloaded():
+    loaded = _after_cli("galois", "solve", "--matrix", "1,1;0,1")
+    assert "padiclab.galrep" in loaded
+    assert not loaded & {f"padiclab.{m}" for m in ("suites", "perfseries", "taumod",
+                                                    "ramif", "logtrunc")}
+
+
+def test_submodules_resolve_on_first_use():
+    code = """
+import padiclab
+assert padiclab.galrep.__name__ == "padiclab.galrep"
+ns = {}
+exec("from padiclab import *", ns)
+assert sorted(k for k in ns if k != "__builtins__") == sorted(padiclab.__all__)
+assert len(padiclab.__all__) == 13
+"""
+    assert _loaded(code) >= {f"padiclab.{m}" for m in ("galrep", "gf", "ramif", "witt")}
+    import padiclab
+    with pytest.raises(AttributeError):
+        padiclab.no_such_module
+
+
+def test_suite_names_are_the_suites():
+    from padiclab import cli, suites
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
 
 
 def _sample_value(action):

@@ -76,41 +76,6 @@ def test_fp_linear_algebra():
         gf.fp_inverse([[1, 1], [2, 2]], 3)
 
 
-def test_degree_of_prime_power():
-    assert [gf.degree(q, 3) for q in (3, 9, 27)] == [1, 2, 3]
-    for q, p in [(1, 3), (0, 3), (6, 3), (2, 3), (-3, 3), (4, 1)]:
-        with pytest.raises(ValueError):
-            gf.degree(q, p)
-
-
-def _degree_loop(q, p):
-    """The division loop gf.degree ran before it called padic.vp: the
-    reference for it."""
-    if p < 2 or q < p:
-        raise ValueError("q must be a power of p")
-    f = 0
-    while q % p == 0:
-        q //= p
-        f += 1
-    if q != 1:
-        raise ValueError("q must be a power of p")
-    return f
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(-5, 3 ** 12), st.sampled_from([1, 2, 3, 5, 7, 31]))
-def test_degree_matches_the_division_loop(q, p):
-    assert _outcome(gf.degree, q, p) == _outcome(_degree_loop, q, p)
-    assert _outcome(gf.degree, p ** (q % 9), p) == _outcome(_degree_loop, p ** (q % 9), p)
-
-
 def _from_code_loop(F, code):
     """GF.from_code's digit loop before the shared _base_p: the reference."""
     coeffs = []

@@ -92,6 +92,50 @@ def test_odd_prime_check_has_one_message():
         padic.check_odd_prime(p)
 
 
+def test_degree_of_prime_power():
+    assert [padic.degree(q, 3) for q in (3, 9, 27)] == [1, 2, 3]
+    for q, p in [(1, 3), (0, 3), (6, 3), (2, 3), (-3, 3), (4, 1)]:
+        with pytest.raises(ValueError):
+            padic.degree(q, p)
+
+
+def _degree_loop(q, p):
+    """The division loop degree ran before it called vp: the
+    reference for it."""
+    if p < 2 or q < p:
+        raise ValueError("q must be a power of p")
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    if q != 1:
+        raise ValueError("q must be a power of p")
+    return f
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-5, 3 ** 12), st.sampled_from([1, 2, 3, 5, 7, 31]))
+def test_degree_matches_the_division_loop(q, p):
+    assert _outcome(padic.degree, q, p) == _outcome(_degree_loop, q, p)
+    assert _outcome(padic.degree, p ** (q % 9), p) == _outcome(_degree_loop, p ** (q % 9), p)
+
+
+def test_odd_prime_check_raises_on_every_call():
+    # memoised per p; a raise is not cached
+    for _ in range(3):
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            padic.check_odd_prime(9)
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            PadicInt(9, 2, 1)
+
+
 def test_log_examples():
     assert log_unit(PadicInt(3, 5, 1)) == 0
     x = PadicInt(3, 3, 4)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from padiclab import galrep, gf, matrix, phimod
-from padiclab.errors import Unsupported
+from padiclab.errors import Indeterminate, Unsupported
 from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_divides,
                              is_etale, lattice_contains, mat_det, mat_mul,
                              stabilize_lattice, tensor_lattice, u_height)
@@ -37,12 +37,15 @@ def test_is_etale():
     z = TruncSeries.zero(R3, M)
     one = TruncSeries.one(R3, M)
     assert is_etale(PhiModule(3, 3, 1, [[u_mono(1), z], [z, one]]))
-    assert not is_etale(PhiModule(3, 3, 1, [[z, z], [z, z]]))
+    # a truncation cannot certify a non-unit
+    with pytest.raises(Indeterminate):
+        is_etale(PhiModule(3, 3, 1, [[z, z], [z, z]]))
     # n = 2: p + u is a Laurent unit although p | constant term
     Z9 = Zmod(3, 2)
     f = TruncSeries(Z9, {0: 3, 1: 1}, M)
     assert is_etale(PhiModule(3, 3, 2, [[f]]))
-    assert not is_etale(PhiModule(3, 3, 2, [[f.scale(3)]]))
+    with pytest.raises(Indeterminate):
+        is_etale(PhiModule(3, 3, 2, [[f.scale(3)]]))
 
 
 def test_u_height_examples():
@@ -202,7 +205,6 @@ def test_propB_rank1_smoke():
 
 
 def test_snf_indeterminate_paths():
-    from padiclab.errors import Indeterminate
     # pivot valuation too close to the truncation
     tiny = 5
     G = [[TruncSeries.monomial(R3, 3, R3.one, tiny)]]
@@ -215,7 +217,6 @@ def test_snf_indeterminate_paths():
 
 
 def test_height_divides_indeterminate():
-    from padiclab.errors import Indeterminate
     # inverting u^3 at precision 5 leaves no certified digits for the
     # constant-term membership question
     G = [[TruncSeries.monomial(R3, 3, R3.one, 5)]]
