@@ -210,7 +210,7 @@ def _cmd_series(args, cfg: RunConfig):
         zero = all(c.is_zero() for c in res.coords)
         out = [record("residual-zero", zero, anchor="frobenius-fixed-point")]
         for i, c in enumerate(V.coords):
-            out.append(record(f"V[{i}] support", [str(e) for e in sorted(c.coeffs)[:8]],
+            out.append(record(f"V[{i}] support", [str(e) for e, _ in c.terms()[:8]],
                                precision=f"O(u^{c.prec})", anchor="frobenius-fixed-point"))
         return out
     raise ValueError(f"unknown series op {args.op}")
@@ -387,7 +387,7 @@ def _cmd_suite(args, cfg: RunConfig):
     from . import suites
     kwargs = {}
     if args.name == "logm":
-        kwargs = {"p": cfg.p, "m": args.m if args.m else 2}
+        kwargs = {"p": cfg.p, "m": 2 if args.m is None else args.m}
     return suites.run_suite(args.name, cfg.trials, cfg.seed, **kwargs)
 
 

@@ -385,7 +385,7 @@ def solve_rank1(a: int, c, base_field: gf.GF, prec=8):
     from . import perfseries
     D = p - 1
     sol = perfseries.monomial(fld, D, 1, Fraction(a, p - 1), gamma, Fraction(prec))
-    zero = perfseries.zero_series(fld, D, 1, Fraction(prec))
+    zero = perfseries.PerfSeries(fld, D, 1, {}, Fraction(prec))
     sols = [zero] + [sol.scale(z) for z in range(1, p)]
     cu = perfseries.monomial(fld, D, 1, Fraction(a), fld.coerce(c), Fraction(prec))
     for x in sols:

@@ -3,8 +3,9 @@
 The substrate for every p-adic scalar in the library: truncated p-adic
 integers, the Iwasawa logarithm and exponential on the relevant unit
 balls, q-analogues [a]_q = (q^a - 1)/(q - 1) and their inverse
-bijection.  vp, ndigits, degree and check_odd_prime answer the integer
-questions about p; p = 2 is rejected, as the convergence needs p odd.
+bijection.  vp, ndigits, degree, check_odd_prime and binomials_mod_p
+answer the integer questions about p; p = 2 is rejected, as the
+convergence needs p odd.
 
 Precision model: every value carries its own precision N; binary
 operations take the min; dividing by p^k costs k digits.  All
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import inf
+from fractions import Fraction
+from math import comb, inf
 
 from .errors import PrecisionError
 
@@ -53,6 +55,25 @@ def ndigits(k: int, p: int) -> int:
         k //= p
         n += 1
     return n
+
+
+def binomials_mod_p(alpha, kmax: int, p: int) -> list:
+    """[C(alpha, k) mod p for k = 0..kmax], alpha an int or a Fraction in
+    Z_(p): Lucas's theorem on the lift z of alpha mod p^t, p^t > kmax,
+    since C(alpha, k) = C(z, k) mod p for every k < p^t."""
+    alpha = Fraction(alpha)
+    if alpha.denominator % p == 0:
+        raise ValueError("exponent not a p-adic integer")
+    big = p ** ndigits(max(kmax, 1), p)
+    z = alpha.numerator * pow(alpha.denominator, -1, big) % big
+    out = []
+    for k in range(kmax + 1):
+        c, zr = 1, z
+        while k and c:
+            c = c * comb(zr % p, k % p) % p
+            zr, k = zr // p, k // p
+        out.append(c)
+    return out
 
 
 @dataclass(frozen=True)

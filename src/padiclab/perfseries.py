@@ -17,38 +17,47 @@ z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import factorial
 
 from . import witt
 from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from .gf import GF, FFElt
+from .padic import binomials_mod_p
 from .rings import OperatorRing
-from .series import SparseSeries
+from .series import SparseSeries, code_bound
 
 
 class PerfSeries(SparseSeries):
-    """Series over a finite field with exponents in (1/L) Z, L = D p^jmax."""
+    """Series over a finite field with exponents in (1/L) Z, L = D p^jmax;
+    coeffs is keyed by the integer code e*L of each exponent e."""
 
-    __slots__ = ("field", "D", "jmax")
+    __slots__ = ("field", "D", "jmax", "L")
 
     def __init__(self, field: GF, D: int, jmax: int, coeffs: dict, prec):
-        self.field = field
-        self.D = D
-        self.jmax = jmax
-        self.prec = Fraction(prec)
-        L = D * field.p ** jmax
-        clean = {}
+        """coeffs maps exponents to coefficients; each exponent is coded once."""
+        self.field, self.D, self.jmax = field, D, jmax
+        self.L = L = D * field.p ** jmax
+        codes = {}
         for e, c in coeffs.items():
-            e = Fraction(e)
-            if (e * L).denominator != 1:
-                raise LatticeTooCoarse(f"exponent {e} outside lattice 1/{L} Z")
-            if e < self.prec and c:
-                clean[e] = clean.get(e, field.zero) + c if e in clean else c
-        self.coeffs = {e: c for e, c in clean.items() if c}
+            k = Fraction(e) * L
+            if k.denominator != 1:
+                raise LatticeTooCoarse(f"exponent {Fraction(e)} outside lattice 1/{L} Z")
+            k = k.numerator
+            codes[k] = codes[k] + c if k in codes else c
+        self._fill(codes, prec)
 
     def _like(self, coeffs, prec):
-        return PerfSeries(self.field, self.D, self.jmax, coeffs, prec)
+        out = object.__new__(PerfSeries)
+        out.field, out.D, out.jmax, out.L = self.field, self.D, self.jmax, self.L
+        out._fill(coeffs, prec)
+        return out
+
+    def _fill(self, coeffs, prec):
+        """Set prec and keep the nonzero terms with code below prec*L."""
+        self.prec = prec if type(prec) is Fraction else Fraction(prec)
+        bound = code_bound(self.prec, self.L)
+        self.coeffs = {k: c for k, c in coeffs.items() if k < bound and c}
 
     def _model(self):
         return self.field, self.D, self.jmax
@@ -60,8 +69,25 @@ class PerfSeries(SparseSeries):
     def p(self):
         return self.field.p
 
-    def lattice_den(self) -> int:
-        return self.D * self.field.p ** self.jmax
+    def valuation(self):
+        """Least exponent, a Fraction; None when zero at this precision."""
+        return Fraction(min(self.coeffs), self.L) if self.coeffs else None
+
+    def terms(self):
+        L = self.L
+        return [(Fraction(k, L), c) for k, c in sorted(self.coeffs.items())]
+
+    def _codes(self, other, prec):
+        return self.coeffs, other.coeffs, code_bound(prec, self.L), None
+
+    def shift(self, e):
+        """Multiply by u^e."""
+        k = Fraction(e) * self.L
+        if k.denominator != 1 and self.coeffs:
+            e = Fraction(next(iter(self.coeffs)), self.L) + e
+            raise LatticeTooCoarse(f"exponent {e} outside lattice 1/{self.L} Z")
+        k = k.numerator
+        return self._like({c + k: v for c, v in self.coeffs.items()}, self.prec + e)
 
     # --- arithmetic: the shared kernel, with __mul__ and inverse bound
     # here by name for perfbench's tracer ---
@@ -77,8 +103,7 @@ class PerfSeries(SparseSeries):
         return self * other.inverse()
 
     def __repr__(self):
-        items = sorted(self.coeffs.items())[:5]
-        body = " + ".join(f"{c!r}*u^{e}" for e, c in items) or "0"
+        body = " + ".join(f"{c!r}*u^{e}" for e, c in self.terms()[:5]) or "0"
         if len(self.coeffs) > 5:
             body += " + ..."
         return f"<{body} + O(u^{self.prec})>"
@@ -88,15 +113,14 @@ class PerfSeries(SparseSeries):
     def pth_power(self):
         """Exact: no cross terms in characteristic p."""
         p = self.p
-        return self._like({e * p: c ** p for e, c in self.coeffs.items()}, self.prec * p)
+        return self._like({k * p: c ** p for k, c in self.coeffs.items()}, self.prec * p)
 
     def pth_root(self):
         p = self.p
-        L = self.lattice_den()
-        for e in self.coeffs:
-            if (e / p * L).denominator != 1:
-                raise LatticeTooCoarse(f"p-th root of u^{e} leaves the lattice")
-        return self._like({e / p: self.field.pth_root(c) for e, c in self.coeffs.items()},
+        for k in self.coeffs:
+            if k % p:
+                raise LatticeTooCoarse(f"p-th root of u^{Fraction(k, self.L)} leaves the lattice")
+        return self._like({k // p: self.field.pth_root(c) for k, c in self.coeffs.items()},
                           self.prec / p)
 
     def binomial_power(self, alpha: Fraction):
@@ -106,7 +130,6 @@ class PerfSeries(SparseSeries):
         mod p; exact at truncation since v(w^k) grows.
         """
         fld = self.field
-        p = self.p
         onep = one_like(self, self.prec)
         w = self - onep
         if w.is_zero():
@@ -114,44 +137,21 @@ class PerfSeries(SparseSeries):
         wv = w._veff()
         if wv <= 0:
             raise ValueError("binomial power needs constant term 1")
-        alpha = Fraction(alpha)
-        if alpha.denominator % p == 0:
-            raise ValueError("exponent not a p-adic integer")
-        acc = onep
-        term = onep
-        k = 0
-        while (k + 1) * wv < self.prec:
-            k += 1
+        acc = term = onep
+        # every k >= 1 with k v(w) < prec
+        for ck in binomials_mod_p(alpha, math.ceil(self.prec / wv) - 1, self.p)[1:]:
             term = term * w
-            ck = _binom_mod_p(alpha, k, p)
             if ck:
                 acc = acc + term.scale(fld.el(ck))
         return acc
 
 
-def _binom_mod_p(alpha: Fraction, k: int, p: int) -> int:
-    num = Fraction(1)
-    for i in range(k):
-        num *= (alpha - i)
-    c = num / factorial(k)
-    den = c.denominator
-    if den % p == 0:
-        raise ArithmeticError("binomial left Z_(p)")
-    return c.numerator * pow(den, -1, p) % p
-
-
-def zero_series(field: GF, D: int, jmax: int, prec) -> PerfSeries:
-    return PerfSeries(field, D, jmax, {}, prec)
-
-
 def one_like(model: PerfSeries, prec=None) -> PerfSeries:
-    return PerfSeries(model.field, model.D, model.jmax,
-                      {Fraction(0): model.field.one},
-                      model.prec if prec is None else prec)
+    return model._like({0: model.field.one}, model.prec if prec is None else prec)
 
 
 def monomial(field: GF, D: int, jmax: int, exp, coeff, prec) -> PerfSeries:
-    return PerfSeries(field, D, jmax, {Fraction(exp): coeff}, prec)
+    return PerfSeries(field, D, jmax, {exp: coeff}, prec)
 
 
 class PerfRing(OperatorRing):
@@ -167,11 +167,11 @@ class PerfRing(OperatorRing):
         self.D = D
         self.jmax = jmax
         self.prec = Fraction(prec)
-        self.zero = zero_series(field, D, jmax, self.prec)
+        self.zero = PerfSeries(field, D, jmax, {}, self.prec)
         self.one = monomial(field, D, jmax, 0, field.one, self.prec)
 
     def of_int(self, k):
-        return monomial(self.field, self.D, self.jmax, 0, self.field.el(k), self.prec)
+        return self.one._like({0: self.field.el(k)}, self.prec)
 
     def frob(self, a):
         return a.pth_power()
@@ -200,16 +200,13 @@ def root_p_minus_1(U: PerfSeries) -> PerfSeries:
     """
     p = U.p
     h, lead = U.leading()
-    L = U.lattice_den()
-    if (h / (p - 1) * L).denominator != 1:
+    if (h / (p - 1) * U.L).denominator != 1:
         raise LatticeTooCoarse(f"exponent {h}/{p - 1} not representable")
     roots = U.field.frobenius_solutions(lead)     # 0, then the roots
     if len(roots) < 2:
         raise ExtensionTooSmall(f"no {p - 1}-th root of {lead!r} in {U.field.tag}")
-    zeta = roots[1]
     body = U.shift(-h).scale(lead.inverse())
-    root_body = body.binomial_power(Fraction(1, p - 1))
-    return root_body.scale(zeta).shift(h / (p - 1))
+    return body.binomial_power(Fraction(1, p - 1)).scale(roots[1]).shift(h / (p - 1))
 
 
 def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
@@ -225,7 +222,7 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
     When the next peel would leave the lattice, the partial solution is
     returned with its precision capped at v(remainder)/p, which is
     exactly where any completion of it starts to differ.  A pass that does
-    not return lifts v(remainder) by 1/L or more, L = a.lattice_den()
+    not return lifts v(remainder) by 1/L or more, L = a.L
     (else PrecisionError), so floor((target - v(a)) L) + 2 passes suffice.
     """
     p = U.p
@@ -234,10 +231,10 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
         raise ValueError("U must be nonzero")
     thresh = Fraction(p) * h / (p - 1)
     target = min(a.prec, U.prec + thresh / p)
-    x = zero_series(a.field, a.D, a.jmax, max(target / p, target - h))
+    x = PerfSeries(a.field, a.D, a.jmax, {}, max(target / p, target - h))
     rem = a
     U0 = U.leading()[1]
-    for _ in range(int(max(target - a._veff(), 0) * a.lattice_den()) + 2):
+    for _ in range(int(max(target - a._veff(), 0) * a.L) + 2):
         va = rem.valuation()
         if va is None or va >= target:
             return x
@@ -249,14 +246,13 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
             except LatticeTooCoarse:
                 return x.truncate(va / p)
         else:
-            a0 = rem.coeffs[va]
+            a0 = rem.leading()[1]
             roots = U0.field.frobenius_solutions(U0, a0)
             if not roots:
                 raise ExtensionTooSmall(f"residue equation x^{p} - {U0!r} x = {a0!r} "
                                         f"has no root in {U0.field.tag}")
             gamma = roots[0]
-            L = a.lattice_den()
-            if (va / p * L).denominator != 1:
+            if (va / p * a.L).denominator != 1:
                 return x.truncate(va / p)
             x0 = monomial(a.field, a.D, a.jmax, va / p, gamma, rem.prec / p)
         x = x + x0
@@ -299,15 +295,11 @@ def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,
     Z_p^x times the result.
     """
     p = field.p
-    if D is None:
-        D = p - 1
-    if jmax is None:
-        jmax = n + 1
-    if prec is None:
-        prec = Fraction(U.prec)
+    D = p - 1 if D is None else D
+    jmax = n + 1 if jmax is None else jmax
+    prec = Fraction(U.prec) if prec is None else prec
     ring = PerfRing(field, D, jmax, prec)
-    Ubar = PerfSeries(field, D, jmax,
-                      {Fraction(e): field.el(int(c) % p) for e, c in U.coeffs.items()},
+    Ubar = PerfSeries(field, D, jmax, {e: field.el(int(c) % p) for e, c in U.coeffs.items()},
                       prec)
     if Ubar.is_zero():
         raise ValueError("U must not be divisible by p")

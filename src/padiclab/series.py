@@ -11,10 +11,11 @@ honestly; equality means equality at the shared precision.
 SparseSeries is the shared kernel of the three truncated rings: this
 module's TruncSeries (integer exponents), perfseries.PerfSeries
 (exponents in a lattice (1/L) Z) and taumod.BivarSeries (exponents
-(i, j) truncated by a weight).  It holds the coefficient dict and the
-precision, sums, the one product loop, scaling, truncation, equality
-and the geometric-series inverse over a field; each subclass keeps its
-exponent model, its construction checks and its own operators.
+(i, j) truncated by a weight).  It holds the coefficient dict, keyed by
+integer exponent codes, the precision, sums, the one product loop,
+scaling, truncation, equality and the geometric-series inverse over a
+field; each subclass keeps its exponent model and code, its
+construction checks and its own operators.  Per-term work is on ints.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .rings import FFRing, OperatorRing, QRing, Zmod
 
 
 class SparseSeries:
-    """A dict exponent -> nonzero coefficient, tracked below a precision.
+    """A dict exponent code -> nonzero coefficient, below a precision.
 
-    The weight of an exponent is the exponent itself unless a subclass
-    says otherwise; precision bounds the weight.  Subclasses define
-    _like (same model, new data) and _model (what two series must share
-    to combine), and may override _codes.  leading, shift and the field
-    inverse (which needs _one) assume an exponent that is its own weight.
+    An exponent's code, and its weight, is the exponent itself unless a
+    subclass says otherwise; precision bounds the weight.
+    Subclasses define _like (same model, new data keyed by codes) and
+    _model (what two series must share to combine), and may override
+    valuation, terms and _codes.  leading, shift and the field inverse
+    (which needs _one) assume an exponent that is its own weight.
     """
 
     __slots__ = ("coeffs", "prec")
@@ -50,10 +52,13 @@ class SparseSeries:
         return self.prec if v is None else v
 
     def leading(self):
-        v = self.valuation()
-        if v is None:
+        if not self.coeffs:
             raise ValueError("zero series has no leading coefficient")
-        return v, self.coeffs[v]
+        return self.valuation(), self.coeffs[min(self.coeffs)]
+
+    def terms(self):
+        """The (exponent, coefficient) pairs in increasing order."""
+        return sorted(self.coeffs.items())
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -81,12 +86,12 @@ class SparseSeries:
         return self + (-other)
 
     def _codes(self, other, prec):
-        """The operands' coefficient dicts keyed by codes for the product
-        loop, the bound on codes, and the decoder back to exponents.
+        """The operands' coefficient dicts keyed by product codes, the
+        bound on those codes, and the decoder back to the keys of coeffs.
 
-        Codes add as exponents do, and a code is below the bound exactly
-        when the weight of its exponent is below prec.  By default each
-        exponent is its own code (decoder None).
+        Product codes add as exponents do, and one is below the bound
+        exactly when the weight of its exponent is below prec.  By
+        default they are the codes of coeffs (decoder None).
         """
         return self.coeffs, other.coeffs, prec, None
 
@@ -157,6 +162,11 @@ class SparseSeries:
         return acc.scale(linv).shift(-v).truncate(self.prec - 2 * v)
 
 
+def code_bound(prec, unit: int) -> int:
+    """ceil(prec * unit) in ints: an int k has k / unit < prec iff k < it."""
+    return -(-prec.numerator * unit // prec.denominator)
+
+
 class TruncSeries(SparseSeries):
     """Series in u with integer exponents over a ring adapter; each
     coefficient is stored as the ring's reduced representative."""
@@ -202,9 +212,6 @@ class TruncSeries(SparseSeries):
         if e >= self.prec:
             raise PrecisionError(f"coefficient u^{e} beyond precision {self.prec}")
         return self.coeffs.get(e, self.ring.zero)
-
-    def support(self):
-        return sorted(self.coeffs)
 
     # --- arithmetic: the shared kernel, bound here by name so that
     # perfbench's tracer, which looks methods up in the class itself,

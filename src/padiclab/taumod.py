@@ -18,6 +18,7 @@ through a verified p-power order of tau_M at the truncation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,57 +27,65 @@ from . import gskel, matrix
 from .errors import Indeterminate, PrecisionError
 from .gf import GF
 from .gskel import GaloisElt
-from .padic import PadicInt, ndigits, vp
+from .padic import PadicInt, binomials_mod_p, ndigits, vp
 from .rings import FFRing
-from .series import SparseSeries, TruncSeries
+from .series import SparseSeries, TruncSeries, code_bound
+
+
+@functools.cache
+def _weights(wu, weta):
+    """wu and weta as Fractions, and the ints (a, b, den): wu = a/den, weta = b/den."""
+    wu, weta = Fraction(wu), Fraction(weta)
+    if wu <= 0 or weta <= 0:
+        raise ValueError("weights must be positive")
+    den = math.lcm(wu.denominator, weta.denominator)
+    return wu, weta, (wu.numerator * den // wu.denominator,
+                      weta.numerator * den // weta.denominator, den)
 
 
 class BivarSeries(SparseSeries):
     """Series in u and eta with exponents (i, j), j >= 0, truncated by
-    the weight i*wu + j*weta (both weights positive)."""
+    the weight i*wu + j*weta (both weights positive), which is worked
+    in the int units (i*a + j*b) / den of _weights."""
 
-    __slots__ = ("field", "wu", "weta")
+    __slots__ = ("field", "wu", "weta", "_w")
 
     def __init__(self, field: GF, coeffs: dict, prec, wu=1, weta=1):
         self.field = field
-        self.wu = Fraction(wu)
-        self.weta = Fraction(weta)
-        if self.wu <= 0 or self.weta <= 0:
-            raise ValueError("weights must be positive")
-        self.prec = Fraction(prec)
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if j < 0:
-                raise ValueError("eta-exponents are nonnegative")
-            if c and i * self.wu + j * self.weta < self.prec:
-                key = (i, j)
-                clean[key] = clean[key] + c if key in clean else c
-        self.coeffs = {k: c for k, c in clean.items() if c}
+        self.wu, self.weta, self._w = _weights(wu, weta)
+        if any(j < 0 for _, j in coeffs):
+            raise ValueError("eta-exponents are nonnegative")
+        self._fill(coeffs, prec)
 
     def _like(self, coeffs, prec):
-        return BivarSeries(self.field, coeffs, prec, self.wu, self.weta)
+        out = object.__new__(BivarSeries)
+        out.field, out.wu, out.weta, out._w = self.field, self.wu, self.weta, self._w
+        out._fill(coeffs, prec)
+        return out
+
+    def _fill(self, coeffs, prec):
+        """Set prec and keep the nonzero terms of weight below it."""
+        self.prec = prec if type(prec) is Fraction else Fraction(prec)
+        a, b, den = self._w
+        bound = code_bound(self.prec, den)
+        self.coeffs = {k: c for k, c in coeffs.items() if c and k[0] * a + k[1] * b < bound}
 
     def _model(self):
         return self.field, self.wu, self.weta
-
-    def weight(self, i, j):
-        return i * self.wu + j * self.weta
 
     def valuation(self):
         """Least weight of a term; None when zero at this precision."""
         if not self.coeffs:
             return None
-        return min(self.weight(i, j) for i, j in self.coeffs)
+        a, b, den = self._w
+        return Fraction(min(i * a + j * b for i, j in self.coeffs), den)
 
     def _codes(self, other, prec):
-        # Kronecker substitution u^i eta^j -> x^(W*B + j): W is the
-        # weight in units of 1/den, and B exceeds every eta-degree of
-        # the product, so codes add as exponents do and compare as
-        # weights do; i comes back from W because wu > 0
-        wu, weta = self.wu, self.weta
-        den = math.lcm(wu.denominator, weta.denominator)
-        a = wu.numerator * (den // wu.denominator)
-        b = weta.numerator * (den // weta.denominator)
+        # Kronecker substitution u^i eta^j -> x^(W*B + j): W = i*a + j*b
+        # is the weight in units of 1/den, and B exceeds every
+        # eta-degree of the product, so codes add as exponents do and
+        # compare as weights do; i comes back from W because a > 0
+        a, b, den = self._w
         B = 1 + sum(max((j for _, j in f.coeffs), default=0) for f in (self, other))
 
         def code(f):
@@ -86,7 +95,7 @@ class BivarSeries(SparseSeries):
             w, j = divmod(k, B)
             return (w - j * b) // a, j
 
-        return code(self), code(other), math.ceil(prec * den) * B, decode
+        return code(self), code(other), code_bound(prec, den) * B, decode
 
     # the shared kernel, bound here by name for perfbench's tracer
     def __mul__(self, other):
@@ -98,16 +107,14 @@ class BivarSeries(SparseSeries):
                           p * self.prec)
 
     def __repr__(self):
-        items = sorted(self.coeffs.items())[:6]
-        body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in items) or "0"
+        body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in self.terms()[:6]) or "0"
         if len(self.coeffs) > 6:
             body += " + ..."
         return f"<{body} + O(weight {self.prec})>"
 
 
 def bivar_from_series(f: TruncSeries, prec, wu=1, weta=1) -> BivarSeries:
-    fld = f.ring.field
-    return BivarSeries(fld, {(e, 0): c for e, c in f.coeffs.items()},
+    return BivarSeries(f.ring.field, {(e, 0): c for e, c in f.coeffs.items()},
                        min(Fraction(prec), Fraction(f.prec) * Fraction(wu)), wu, weta)
 
 
@@ -118,47 +125,18 @@ def bivar_one(field: GF, prec, wu=1, weta=1) -> BivarSeries:
 # ---------------------------------------------------------------------------
 
 
-def _binom_lucas(z: int, k: int, p: int) -> int:
-    """C(z, k) mod p by Lucas, z given as a (sufficiently long) lift."""
-    out = 1
-    while k:
-        zd, kd = z % p, k % p
-        z //= p
-        k //= p
-        if kd > zd:
-            return 0
-        num = den = 1
-        for t in range(kd):
-            num = num * (zd - t) % p
-            den = den * (t + 1) % p
-        out = out * num * pow(den, -1, p) % p
-    return out
-
-
 def binom_power(z, field: GF, prec, wu=1, weta=1) -> BivarSeries:
     """(1 + eta)^z truncated by weight; z may be an int, Fraction in
     Z_(p), or PadicInt with enough tracked digits."""
     p = field.p
-    weta = Fraction(weta)
-    kmax = int(Fraction(prec) / weta) + 1
+    kmax = int(Fraction(prec) / Fraction(weta)) + 1
     if isinstance(z, PadicInt):
         digits_needed = ndigits(kmax, p)
         if z.prec < digits_needed:
             raise PrecisionError(
                 f"exponent needs {digits_needed} base-{p} digits, has {z.prec}")
-        zlift = z.residue
-    elif isinstance(z, Fraction):
-        if z.denominator % p == 0:
-            raise ValueError("exponent not a p-adic integer")
-        big = p ** (len(bin(kmax)) + 4)
-        zlift = z.numerator * pow(z.denominator, -1, big) % big
-    else:
-        zlift = int(z) % p ** (kmax.bit_length() + 4)
-    coeffs = {}
-    for k in range(kmax + 1):
-        c = _binom_lucas(zlift, k, p)
-        if c:
-            coeffs[(0, k)] = field.el(c)
+        z = z.residue
+    coeffs = {(0, k): field.el(c) for k, c in enumerate(binomials_mod_p(z, kmax, p)) if c}
     return BivarSeries(field, coeffs, prec, wu, weta)
 
 
@@ -186,8 +164,8 @@ def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
         if key not in bin_cache:
             bin_cache[key] = binom_power(exponent, fld, f.prec - 0, f.wu, f.weta)
         term = bin_cache[key] * ppow_cache[j]
-        shifted = BivarSeries(fld, {(a + i, b): v for (a, b), v in term.coeffs.items()},
-                              term.prec + i * f.wu, f.wu, f.weta)
+        shifted = term._like({(a + i, b): v for (a, b), v in term.coeffs.items()},
+                             term.prec + i * f.wu)
         out = out + shifted.scale(c)
     return out.truncate(f.prec)
 

@@ -211,6 +211,14 @@ def test_negative_logm_orders_exit_2(args):
     assert r.stderr.startswith("input error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("flag, m", [(["--m", "0"], 0), (["--m", "1"], 1), ([], 2)])
+def test_suite_logm_reads_m(capsys, flag, m):
+    # --m 0 was read as unset and ran m = 2
+    assert main(["suite", "logm", "--trials", "2"] + flag) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][0]["name"] == f"log additivity mod p^{m - 1} x2"
+
+
 def _value(r):
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)["results"][0]["value"]

@@ -104,7 +104,7 @@ def ref_eq(m, a, b):
 
 
 def state(s):
-    return s.coeffs, s.prec
+    return dict(s.terms()), s.prec
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
