@@ -72,6 +72,7 @@ class RunConfig:
 
 
 def _parse_config_file(path: str) -> dict:
+    names = {f.name for f in fields(RunConfig)}
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -79,7 +80,10 @@ def _parse_config_file(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            out[key.strip()] = int(val.strip())
+            key = key.strip()
+            if key not in names:
+                raise ValueError(f"unknown config key {key!r} in {path}")
+            out[key] = int(val.strip())
     return out
 
 
@@ -135,15 +139,21 @@ def _cmd_witt(args, cfg: RunConfig):
     from . import gf
     from .rings import FFRing
     ring = FFRing(gf.field(p))
+
+    def vector(flag, text):
+        """The --wittlen F_p codes of text; zero when it is omitted."""
+        codes = [0] * n if text is None else _ints(text)
+        if len(codes) != n:
+            raise ValueError(f"--{flag} has {len(codes)} coordinates, --wittlen is {n}")
+        return WittVector(p, ring, [_field_code(ring.field, c) for c in codes])
+
     if args.op in ("add", "mul"):
-        x = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.x)])
-        y = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.y)])
+        x, y = vector("x", args.x), vector("y", args.y)
         z = x + y if args.op == "add" else x * y
         return [record(args.op, [ring.field.code(c) for c in z.coords],
                         anchor="witt-ring")]
     if args.op == "tozmod":
-        x = WittVector(p, ring, [ring.of_int(c) for c in _ints(args.x)])
-        return [record("tozmod", to_zmod(x), anchor="witt-zmod-iso")]
+        return [record("tozmod", to_zmod(vector("x", args.x)), anchor="witt-zmod-iso")]
     if args.op == "fromzmod":
         z = from_zmod(args.value, p, n, ring)
         return [record("fromzmod", [ring.field.code(c) for c in z.coords],
@@ -420,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("witt", parents=[shared])
     sp.add_argument("op", choices=["laws", "add", "mul", "tozmod", "fromzmod"])
-    sp.add_argument("--x", default="0")
-    sp.add_argument("--y", default="0")
+    sp.add_argument("--x", help="--wittlen F_p codes c0,c1,...; zero when omitted")
+    sp.add_argument("--y", help="--wittlen F_p codes c0,c1,...; zero when omitted")
     sp.add_argument("--value", type=int, default=0)
     sp.set_defaults(func=_cmd_witt)
 
@@ -522,8 +532,7 @@ def main(argv=None) -> int:
             v = getattr(args, f.name, None)
             if v is not None:
                 base[f.name] = v
-        cfg = RunConfig(**{k: v for k, v in base.items()
-                           if k in {f.name for f in fields(RunConfig)}})
+        cfg = RunConfig(**base)
         cfg.validate()
     except (ValueError, OSError, TypeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

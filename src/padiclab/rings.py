@@ -1,18 +1,19 @@
 """Coefficient-ring adapters.
 
-Witt vectors and truncated series are generic over a small ring
-protocol: constants (zero, one, of_int), arithmetic, equality, a
-coefficient Frobenius, inversion of units, and reduce, which maps a
-value to its canonical representative.
+Witt vectors and truncated series compute on their coefficients with
+Python's + - * == and truth values.  An adapter supplies only what an
+operator cannot: the constants zero, one and of_int, reduce (a value's
+canonical representative), inv (the inverse of a unit), frob (the
+coefficient Frobenius) and char_p.
 
-OperatorRing is the one adapter: its arithmetic is Python's operators,
-and reduce is the identity.  Zmod(p, n), Z/p^n with plain int residues
-(this is W_n(F_p)), overrides only its reductions mod p^n: reduce and
-the four operations, besides its constants, inverse and name.  The
-other adapters built on it are IntRing() (exact integers, the
-p-torsion-free ghost oracle), QRing(p) (rationals with p-adic valuation
-bookkeeping), FFRing(F) (a finite field from padiclab.gf) and, with
-series as coefficients, perfseries.PerfRing and series.TruncSeriesRing.
+OperatorRing is the one adapter, with reduce the identity.  Zmod(p, n)
+is Z/p^n on plain ints (this is W_n(F_p)) and reduces mod p^n; int
+operators do not, so TruncSeries and WittVector reduce each coefficient
+once when they are built.  The others are IntRing() (exact integers,
+the p-torsion-free ghost oracle), QRing(p) (rationals with p-adic
+valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf)
+and, with series as coefficients, perfseries.PerfRing and
+series.TruncSeriesRing.
 """
 
 from __future__ import annotations
@@ -26,34 +27,14 @@ from .padic import vp
 class OperatorRing:
     """Ring protocol over values with Python arithmetic operators.
 
-    reduce maps a value to its canonical representative, and a zero
-    test is the truth value of that.  Subclasses set zero, one and
-    char_p and define of_int; inv and frob default to a.inverse() and
-    reduce.
+    Subclasses set zero, one and char_p and define of_int; reduce is
+    the identity, and inv and frob default to a.inverse() and reduce.
     """
 
     char_p = False
 
     def reduce(self, a):
         return a
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return not self.reduce(a)
-
-    def eq(self, a, b):
-        return self.reduce(a) == self.reduce(b)
 
     def inv(self, a):
         return a.inverse()
@@ -74,20 +55,7 @@ class Zmod(OperatorRing):
     def reduce(self, a):
         return a % self.modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def of_int(self, k):
-        return k % self.modulus
+    of_int = reduce
 
     def inv(self, a):
         return pow(a, -1, self.modulus)

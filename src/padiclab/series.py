@@ -237,7 +237,7 @@ class TruncSeries(SparseSeries):
         out = {}
         for e, c in self.coeffs.items():
             if e != 0:
-                out[e - 1] = ring.mul(ring.of_int(e), c)
+                out[e - 1] = ring.of_int(e) * c
         return TruncSeries(ring, out, self.prec - 1)
 
     def frobenius(self, p: int | None = None):

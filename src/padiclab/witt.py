@@ -8,6 +8,10 @@ assert it rather than trust it.
 
 Over a ring of characteristic p the Witt Frobenius coincides with the
 coordinatewise p-th power, which is what the series rings use.
+
+Coordinates compute with Python's + - * ==; the ring adapter
+(padiclab.rings) gives the constants and reduces each coordinate once,
+when a vector is built.
 """
 
 from __future__ import annotations
@@ -141,10 +145,10 @@ def eval_law(poly, values, ring):
                 best = max(k for k in cache if k <= e)
                 cur = cache[best]
                 for _ in range(e - best):
-                    cur = ring.mul(cur, v)
+                    cur = cur * v
                 cache[e] = cur
-            term = ring.mul(term, cache[e])
-        acc = ring.add(acc, term)
+            term = term * cache[e]
+        acc = acc + term
     return acc
 
 
@@ -153,8 +157,8 @@ def _ring_pow(ring, a, e: int):
     base = a
     while e:
         if e & 1:
-            result = ring.mul(result, base)
-        base = ring.mul(base, base)
+            result = result * base
+        base = base * base
         e >>= 1
     return result
 
@@ -164,11 +168,8 @@ def ghost_components(x: "WittVector"):
     ring, p = x.ring, x.p
     out = []
     for k in range(x.n):
-        acc = ring.zero
-        for i in range(k + 1):
-            power = _ring_pow(ring, x.coords[i], p ** (k - i))
-            acc = ring.add(acc, ring.mul(ring.of_int(p ** i), power))
-        out.append(acc)
+        out.append(sum((ring.of_int(p ** i) * _ring_pow(ring, x.coords[i], p ** (k - i))
+                        for i in range(k + 1)), ring.zero))
     return tuple(out)
 
 
@@ -181,7 +182,7 @@ class WittVector:
     def __init__(self, p: int, ring, coords):
         self.p = p
         self.ring = ring
-        self.coords = tuple(coords)
+        self.coords = tuple(map(ring.reduce, coords))
         self.n = len(self.coords)
 
     def _check(self, other):
@@ -205,7 +206,7 @@ class WittVector:
 
     def __neg__(self):
         # p odd: -(a_0, a_1, ...) = (-a_0, -a_1, ...)
-        return WittVector(self.p, self.ring, [self.ring.neg(c) for c in self.coords])
+        return WittVector(self.p, self.ring, [-c for c in self.coords])
 
     def __sub__(self, other):
         return self + (-other)
@@ -213,14 +214,13 @@ class WittVector:
     def __eq__(self, other):
         if not isinstance(other, WittVector):
             return NotImplemented
-        return (self.p, self.n) == (other.p, other.n) and all(
-            self.ring.eq(a, b) for a, b in zip(self.coords, other.coords))
+        return (self.p, self.n) == (other.p, other.n) and self.coords == other.coords
 
     def __hash__(self):
         return hash((self.p, self.n, self.coords))
 
     def is_zero(self):
-        return all(self.ring.is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def __repr__(self):
         return "W(" + ", ".join(repr(c) for c in self.coords) + ")"
@@ -272,7 +272,7 @@ def frobenius_w(x: WittVector) -> WittVector:
         for c in x.coords:
             acc = c
             for _ in range(x.p - 1):
-                acc = ring.mul(acc, c)
+                acc = acc * c
             coords.append(acc)
         return WittVector(x.p, ring, coords)
     if x.n < 2:
@@ -310,10 +310,7 @@ def _zmod_to_coords(c: int, p: int, n: int):
 
 def to_zmod(x: WittVector) -> int:
     """Ring isomorphism W_n(F_p) -> Z/p^n (as an int in [0, p^n))."""
-    lifts = []
-    for c in x.coords:
-        lifts.append(_ff_lift(c, x.p))
-    return _coords_to_zmod(lifts, x.p, x.n)
+    return _coords_to_zmod([_ff_lift(c, x.p) for c in x.coords], x.p, x.n)
 
 
 def from_zmod(c: int, p: int, n: int, ring) -> WittVector:
@@ -347,13 +344,13 @@ def witt_divide(x: WittVector, z: WittVector) -> WittVector:
     x._check(z)
     ring, p, n = x.ring, x.p, x.n
     z0 = z.coords[0]
-    if ring.is_zero(z0):
+    if not z0:
         raise NotDivisible("leading coordinate of divisor vanishes")
     ycoords = []
     for k in range(n):
         partial = WittVector(p, ring, list(ycoords) + [ring.zero] * (n - k))
         cur = (z * partial).coords[k]
-        defect = ring.sub(x.coords[k], cur)
+        defect = x.coords[k] - cur
         denom = _ring_pow(ring, z0, p ** k)
         q = defect / denom
         v = q.valuation()

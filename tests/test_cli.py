@@ -115,6 +115,15 @@ def test_config_file_and_override(tmp_path):
     assert json.loads(r2.stdout)["results"][0]["value"] == "0"
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelt key was dropped and the run went on at p = 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pp=5\n")
+    assert main(["--config", str(cfg), "padic", "valuation", "--x", "25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config key 'pp'")
+
+
 def test_config_error_exit_2():
     assert run(["padic", "valuation", "--p", "4"]).returncode == 2
     assert run(["padic", "valuation", "--p", "9"]).returncode == 2
@@ -217,6 +226,39 @@ def test_suite_logm_reads_m(capsys, flag, m):
     assert main(["suite", "logm", "--trials", "2"] + flag) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][0]["name"] == f"log additivity mod p^{m - 1} x2"
+
+
+@pytest.mark.parametrize("m, value", [
+    (0, "skipped: congruence mod p^(m-1) is vacuous"),
+    (1, "skipped: congruence mod p^(m-1) is vacuous"),
+    (2, "pass")])
+def test_suite_logm_skips_vacuous_congruences(capsys, m, value):
+    assert main(["suite", "logm", "--trials", "3", "--seed", "1", "--m", str(m)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["value"] for r in results[:3]] == [value] * 3
+    assert [r["value"] for r in results[3:]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("args", [
+    ["mul", "--x", "1,2,1", "--y", "2,2,0"],            # three coordinates, --wittlen 2
+    ["add", "--x", "1,2", "--y", "1"],
+    ["tozmod", "--x", "1,2", "--wittlen", "3"],
+    ["add", "--x", "5,0", "--y", "0,0"],                # 5 is not an F_3 code
+    ["mul", "--x", "1,-1", "--y", "0,0"],
+    ["tozmod", "--x", "3,0"]])
+def test_witt_vectors_take_wittlen_f_p_codes(capsys, args):
+    assert main(["witt"] + args) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("args, value", [
+    (["mul", "--x", "1,2,1", "--y", "2,2,0", "--wittlen", "3"], "[2, 0, 0]"),
+    (["add", "--x", "1,2,1", "--wittlen", "3"], "[1, 2, 1]"),   # --y omitted: zero
+    (["mul", "--p", "5", "--x", "4,4"], "[0, 0]"),
+    (["tozmod", "--wittlen", "3"], "0")])
+def test_witt_vectors_at_wittlen(capsys, args, value):
+    assert main(["witt"] + args) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == value
 
 
 def _value(r):
