@@ -240,10 +240,7 @@ def _cmd_phimod(args, cfg: RunConfig):
                                anchor="cyclotomic-height"))
         return out
     coeff = _coeff_reader(ring)
-    G = [[TruncSeries(ring, {0: coeff(v)}, M) for v in row]
-         for row in _parse_matrix(args.matrix)] if args.constant else \
-        _series_matrix(args.matrix, coeff, ring, M)
-    mod = phimod.PhiModule(p, q, cfg.n, G)
+    mod = phimod.PhiModule(p, q, cfg.n, _series_matrix(args.matrix, coeff, ring, M))
     if args.op == "etale":
         return [record("etale", phimod.is_etale(mod), anchor="etale-test")]
     if args.op == "uheight":
@@ -448,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", default="1",
                     help="series entries c0:c1:...; coefficients are F_q codes "
                          "at n = 1, residues mod p^n at n >= 2")
-    sp.add_argument("--constant", action="store_true",
-                    help="matrix entries are constants, not series")
     sp.add_argument("--U", default="1", help="coefficients of U for heightdiv, "
                                              "read as --matrix coefficients")
     sp.add_argument("--m", type=int, default=1, help="cyclotomic twist")

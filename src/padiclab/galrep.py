@@ -49,8 +49,7 @@ def ff_vec_mat(v, A):
 
 
 def ff_mat_inv(A):
-    fld = A[0][0].field
-    return matrix.inverse(A, fld.one, fld.zero)
+    return matrix.inverse(A, A[0][0].field.one)
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +59,8 @@ def ff_mat_inv(A):
 class SolutionSet:
     """All p^d solutions of x^(p) = x G, closed under F_p-combinations.
 
-    basis: d solutions x0 Q spanning the set, x0 the reversed reduced
-    echelon basis of the residues, the least in code order; solutions()
+    basis: d solutions x0 Q spanning the set, x0 the basis of the
+    residues least in code order (_residue_basis); solutions()
     are ordered lexicographically by the residue coordinates' codes,
     each made by d int multiply-adds on the packed basis and one unpack.
     """
@@ -115,19 +114,18 @@ def _residue_matrix(G):
 
 def _residue_basis(G0e, ext):
     """The F_p-basis of { x in ext^d : sigma(x) = x G0 } least in code
-    order: the kernel of sigma - (. G0), row-reduced with coordinates in
-    code-significance order (x_0's top coordinate first), its rows last
-    first.  That is the greedy pick over the residues sorted by codes:
-    the least vector outside the span of the later rows is the next row."""
-    d, m, p = len(G0e), ext.fp_degree, ext.p
-
-    def flip(v):    # natural order <-> code-significance order
-        return [c for j in range(0, d * m, m) for c in reversed(v[j:j + m])]
-
-    kernel = gf.fp_kernel(ext.frobenius_minus(G0e), p)
-    rows, pivots = gf.fp_rref([flip(v) for v in kernel], p)
-    return [[ext.from_fp(v[j:j + m]) for j in range(0, d * m, m)]
-            for v in map(flip, reversed(rows[:len(pivots)]))]
+    order: the kernel of sigma - (. G0) with its columns least significant
+    first (x_(d-1)'s coordinates, low degree first, up to x_0's top one).
+    fp_kernel gives one vector per free column c, 1 at c, 0 at the other
+    free columns and supported before c: the reduced echelon basis in
+    code order, least leading column first.  That is the greedy pick over
+    the residues sorted by codes: the least vector outside the span of
+    the rows before it is the next row."""
+    d, m = len(G0e), ext.fp_degree
+    blocks = range((d - 1) * m, -1, -m)        # x_(d-1), ..., x_0
+    rows = [[c for j in blocks for c in row[j:j + m]] for row in ext.frobenius_minus(G0e)]
+    return [[ext.from_fp(v[j:j + m]) for j in reversed(range(0, d * m, m))]
+            for v in gf.fp_kernel(rows, ext.p)]
 
 
 def _digits(A) -> tuple:
@@ -319,9 +317,12 @@ class GaloisActionRep:
 
 def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     """Matrix of x -> x^(q) (coefficientwise q-power, u fixed) on the
-    F_p-basis of the solution set."""
+    F_p-basis of the solution set, read on the coefficients at the least
+    exponent of the basis: 0 for x0 Q, a/(p-1) for gamma u^(a/(p-1)).
+    ArithmeticError when that matrix is singular mod p."""
     ext, base, p = S.field, S.base_field, S.base_field.p
-    res = [[bi.coeffs.get(0, ext.zero) for bi in b] for b in S.basis]
+    low = min(x.valuation() for b in S.basis for x in b if x)
+    res = [[dict(x.terms()).get(low, ext.zero) for x in b] for b in S.basis]
     basis_mat = list(zip(*[[a for c in x for a in c.coeffs] for x in res]))
     f = base.fp_degree  # q = p^f
     A = []
@@ -333,6 +334,8 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
         if coords is None:
             raise ArithmeticError("q-Frobenius does not preserve the solution space")
         A.append(coords)
+    if matrix.det(A) % p == 0:
+        raise ArithmeticError("the q-Frobenius action is singular mod p")
     # columns of the action matrix are the images
     return GaloisActionRep(p, [list(col) for col in zip(*A)])
 

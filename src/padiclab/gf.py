@@ -20,7 +20,7 @@ and 8-byte digits are machine words read through struct.  The Frobenius
 x -> x^p and its inverse are stored so, as packed matrix columns.
 fp_rref row-reduces rows packed so, with w = fp_width(p (p-1)): a row
 operation is one int multiply-add and one digit reduction (fp_reduce).
-fp_kernel, fp_solve and fp_inverse take and return lists of int rows.
+fp_kernel and fp_solve take and return lists of int rows.
 The field of each (p, f) is built once (field).
 
 Every residue equation the library meets is F_p-linear in x: the rows
@@ -34,10 +34,11 @@ is one fp_solve and one fp_kernel on the d = 1 rows
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 from itertools import product
 
-from .padic import check_odd_prime
+from .padic import check_odd_prime, power
 
 
 def _mulmod(u, v, mod, p):
@@ -148,14 +149,7 @@ class FFElt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, operator.mul, self.field.one)
 
     def inverse(self) -> "FFElt":
         if not self:
@@ -182,17 +176,14 @@ class FFElt:
 
 class GF:
     """F_{p^degree} realized as F_p[x]/(modulus), by the first
-    irreducible modulus unless one is given."""
+    irreducible modulus."""
 
-    def __init__(self, p: int, degree: int = 1, modulus: tuple | None = None):
+    def __init__(self, p: int, degree: int = 1):
         check_odd_prime(p)
         self.p = p
         self.fp_degree = degree
         self.order = p ** degree
-        if degree == 1:
-            self.modulus = None
-        else:
-            self.modulus = modulus if modulus is not None else _find_modulus_prime(p, degree)
+        self.modulus = None if degree == 1 else _find_modulus_prime(p, degree)
         self.zero = FFElt(self, (0,) * degree)
         self.one = FFElt(self, (1,) + (0,) * (degree - 1))
         self.tag = f"F{self.order}"
@@ -252,9 +243,6 @@ class GF:
         return self.from_code(rng.randrange(1, self.order))
 
     # --- F_p-linear structure ---
-
-    def to_fp(self, x: FFElt) -> tuple:
-        return x.coeffs
 
     def from_fp(self, vec) -> FFElt:
         return FFElt(self, tuple(v % self.p for v in vec))
@@ -367,20 +355,14 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
     factor of degree k <= s/2, which divides x^(p^k) - x.  The gcd is 1
     exactly when x^(p^k) - x is invertible mod f.  The test stops at the
     first k with a common factor."""
-    x = (0, 1) + (0,) * (s - 2)
+    x, one = (0, 1) + (0,) * (s - 2), (1,) + (0,) * (s - 1)
     for code in range(p ** s):
         if s > 1 and code % p == 0:
             continue                      # x divides it
         mod = _base_p(code, p, s)
         g = x
         for _ in range(s // 2):
-            result, acc, n = (1,) + (0,) * (s - 1), g, p
-            while n:                      # g = g^p mod f
-                if n & 1:
-                    result = _mulmod(result, acc, mod, p)
-                acc = _mulmod(acc, acc, mod, p)
-                n >>= 1
-            g = result
+            g = power(g, p, lambda u, v: _mulmod(u, v, mod, p), one)      # g^p mod f
             try:
                 _invmod(tuple((a - b) % p for a, b in zip(g, x)), mod, p)
             except ZeroDivisionError:
@@ -534,13 +516,3 @@ def fp_solve(rows, rhs, p: int):
         x[pc] = m[r][cols]
     return x
 
-
-def fp_inverse(rows, p: int) -> list:
-    """The inverse of a square matrix over F_p, as int rows;
-    ZeroDivisionError when it is singular."""
-    n = len(rows)
-    m, pivots = fp_rref([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(rows)], p)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix not invertible mod p")
-    return [row[n:] for row in m]

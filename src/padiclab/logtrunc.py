@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrecisionError
-from .padic import _series_cutoff_log, ndigits, vp
+from .padic import _series_cutoff_log, ndigits, power, vp
 
 # --- exact integer matrices mod p^k ---
 
@@ -41,15 +41,8 @@ def mmul(A, B, mod):
 
 
 def mpow(A, k, mod):
-    d = len(A)
-    result = mident(d)
-    base = A
-    while k:
-        if k & 1:
-            result = mmul(result, base, mod)
-        base = mmul(base, base, mod)
-        k >>= 1
-    return result
+    """A^k with its entries reduced mod mod, A's own included at k = 1."""
+    return power(mscale(A, 1, mod), k, lambda X, Y: mmul(X, Y, mod), mident(len(A)))
 
 
 def entry_valuation(A, p: int, cap: int) -> int:
@@ -119,10 +112,7 @@ class ScaledMatrix:
         return ScaledMatrix(a.p, madd(a.mat, b.mat, mod), a.scale, cert)
 
     def sub(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        a, b = _common_scale(self, other)
-        cert = min(a.certified, b.certified)
-        mod = a.p ** (cert + a.scale)
-        return ScaledMatrix(a.p, msub(a.mat, b.mat, mod), a.scale, cert)
+        return self.add(other.scale_int(-1))
 
     def scale_int(self, n: int) -> "ScaledMatrix":
         mod = self.p ** (self.certified + self.scale)
@@ -162,10 +152,13 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
 
     Certified precision: N - (m-1); the lift ambiguity of A enters
     (1-A)^i with valuation >= N, and the division by i costs at most
-    v_p(i) <= m-1 digits.
+    v_p(i) <= m-1 digits.  PrecisionError when that leaves no digit,
+    m > N.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    if m > A.prec:
+        raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
     p, N, d = A.p, A.prec, A.d
     work = N + m
     mod = p ** work

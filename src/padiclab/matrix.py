@@ -5,11 +5,11 @@ with Python + - * (TruncSeries, FFElt, int).  Sums fold left from the
 first product, so no zero is needed and a truncated series keeps the
 precision its terms give it.
 
-Only inverse divides; order is the one power loop for the order of a
-matrix in GL_d.  The characteristic polynomial is Berkowitz's
-division-free algorithm (S. J. Berkowitz, IPL 18, 1984), O(d^4) ring
-operations, so det and the adjugate (Cayley-Hamilton, Horner in A) are
-valid over rings with zero divisors such as W_n(F_q)[[u]]/u^M.
+Only inverse divides, once: adj(A) det(A)^-1.  order is the one power
+loop for the order of a matrix in GL_d.  The characteristic polynomial
+is Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18, 1984),
+O(d^4) ring operations, so det and the adjugate (Cayley-Hamilton, Horner
+in A) are valid over rings with zero divisors such as W_n(F_q)[[u]]/u^M.
 """
 
 from __future__ import annotations
@@ -92,23 +92,13 @@ def adjugate(A, one):
     return Q if d % 2 == 1 else [[-a for a in row] for row in Q]
 
 
-def inverse(A, one, zero):
-    """Gauss-Jordan inverse over a field whose elements have .inverse()
-    and are false exactly when zero; ZeroDivisionError when singular."""
-    d = len(A)
-    work = [list(row) + e for row, e in zip(A, scalar(d, one, zero))]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if work[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix not invertible")
-        work[c], work[piv] = work[piv], work[c]
-        inv = work[c][c].inverse()
-        work[c] = [x * inv for x in work[c]]
-        for r in range(d):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return [row[d:] for row in work]
+def inverse(A, one):
+    """adj(A) det(A)^-1 over a field whose elements have .inverse(),
+    which raises ZeroDivisionError when A is singular; det(A) is read off
+    A adj(A) = det(A) I, so the characteristic polynomial is built once."""
+    adj = adjugate(A, one)
+    inv = dot(A[0], [row[0] for row in adj]).inverse()
+    return [[a * inv for a in row] for row in adj]
 
 
 def order(A, one, zero, bound):

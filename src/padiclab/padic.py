@@ -5,7 +5,7 @@ integers, the Iwasawa logarithm and exponential on the relevant unit
 balls, q-analogues [a]_q = (q^a - 1)/(q - 1) and their inverse
 bijection.  vp, ndigits, degree, check_odd_prime and binomials_mod_p
 answer the integer questions about p; p = 2 is rejected, as the
-convergence needs p odd.
+convergence needs p odd.  power is the library's one square-and-multiply.
 
 Precision model: every value carries its own precision N; binary
 operations take the min; dividing by p^k costs k digits.  All
@@ -74,6 +74,22 @@ def binomials_mod_p(alpha, kmax: int, p: int) -> list:
             zr, k = zr // p, k // p
         out.append(c)
     return out
+
+
+def power(x, k: int, mul, one):
+    """x^k for k >= 0 under the associative product mul, by
+    square-and-multiply: one when k = 0, else a product of squarings of
+    x alone, so one is never multiplied in."""
+    if not k:
+        return one
+    acc = None
+    while True:
+        if k & 1:
+            acc = x if acc is None else mul(acc, x)
+        k >>= 1
+        if not k:
+            return acc
+        x = mul(x, x)
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def stabilize_lattice(M: PhiModule) -> PhiLattice:
 # --- elementary divisors over k[[u]]/u^M ---
 
 
-def snf_u_exponents(A, p=None):
+def snf_u_exponents(A):
     """Exponents of the elementary divisors of a matrix over k[[u]],
     by valuation-pivoted elimination.  Certification: every pivot
     valuation must be < (remaining precision)/2, else Indeterminate.

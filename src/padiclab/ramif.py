@@ -49,12 +49,7 @@ class PLFunction:
         """Affine evaluation on segment k; no comparisons, so exact
         algebraic arguments work as long as they support + and *."""
         xk, yk = self.vertices[k]
-        if k + 1 < len(self.vertices):
-            x2, y2 = self.vertices[k + 1]
-            slope = Fraction(y2 - yk, x2 - xk)
-        else:
-            slope = self.final_slope
-        return yk + (x - xk) * slope
+        return yk + (x - xk) * self.slopes()[k]
 
     def __call__(self, x):
         return self.eval_on_segment(self.segment_index(x), x)
@@ -151,8 +146,7 @@ def phi_Kinf_closed_form_ok(e: int, p: int, s_int: int, frac_num: int,
     # segment: lambda in [lambda_{s_int}, lambda_{s_int+1})
     k = s_int  # vertices are (0,0), (lam_1, mu_1), ...: segment s starts at vertex s
     xk, yk = f.vertices[k]
-    x2, y2 = f.vertices[k + 1]
-    slope = Fraction(y2 - yk, x2 - xk)
+    slope = f.slopes()[k]
     lhs = (yk + (lam_const - xk) * slope, lam_y * slope)  # (rational, coeff of y)
     s_frac = Fraction(frac_num, frac_den)
     rhs = (1 + e * (s_int + s_frac) - e * s_frac, Fraction(e, p - 1))

@@ -277,9 +277,7 @@ class TruncSeries(SparseSeries):
         """Reduction to F_p (ring must be Zmod)."""
         if not isinstance(self.ring, Zmod):
             raise ValueError("reduce_mod_p needs a Zmod coefficient ring")
-        target = FFRing(gf.field(self.ring.p))
-        return TruncSeries(target, {e: target.of_int(c) for e, c in self.coeffs.items()},
-                           self.prec)
+        return _divide_out_p(self, 0)
 
 
 def lift_mod_p(f: TruncSeries, target: Zmod) -> TruncSeries:

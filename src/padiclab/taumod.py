@@ -27,7 +27,7 @@ from . import gskel, matrix
 from .errors import Indeterminate, PrecisionError
 from .gf import GF
 from .gskel import GaloisElt
-from .padic import PadicInt, binomials_mod_p, ndigits, vp
+from .padic import PadicInt, binomials_mod_p, ndigits, power, vp
 from .rings import FFRing
 from .series import SparseSeries, TruncSeries, code_bound
 
@@ -209,17 +209,9 @@ class PhiTauModP:
     def tau_operator_power(self, k: int):
         """tau_M^k as a (matrix, group element) pair, by binary
         composition."""
-        base = (self.T, self.tau)
-        result = None
-        while k:
-            if k & 1:
-                result = base if result is None else self._compose(result, base)
-            k >>= 1
-            if k:
-                base = self._compose(base, base)
-        if result is None:
-            result = (self._identity(), gskel.identity(self.p, self.tau.c.prec))
-        return result
+        if not k:
+            return self._identity(), gskel.identity(self.p, self.tau.c.prec)
+        return power((self.T, self.tau), k, self._compose, None)
 
     def _identity(self):
         m = self.model()

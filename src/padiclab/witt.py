@@ -16,10 +16,12 @@ when a vector is built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotDivisible
+from .padic import power
 
 # ---------------------------------------------------------------------------
 # sparse integer polynomials: dict[exponent tuple -> int]
@@ -55,18 +57,6 @@ def _p_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _p_pow(a: dict, k: int) -> dict:
-    result = None
-    base = a
-    while k:
-        if k & 1:
-            result = base if result is None else _p_mul(result, base)
-        k >>= 1
-        if k:
-            base = _p_mul(base, base)
-    return result if result is not None else {}
-
-
 def _p_divexact(a: dict, k: int) -> dict:
     out = {}
     for m, c in a.items():
@@ -77,9 +67,10 @@ def _p_divexact(a: dict, k: int) -> dict:
     return out
 
 
-def _var(idx: int, nvars: int) -> dict:
+def _var(idx: int, nvars: int, e: int = 1) -> dict:
+    """The monomial X_idx^e."""
     m = [0] * nvars
-    m[idx] = 1
+    m[idx] = e
     return {tuple(m): 1}
 
 
@@ -87,7 +78,7 @@ def _ghost(p: int, k: int, offset: int, nvars: int) -> dict:
     """w_k = sum p^i X_{offset+i}^(p^(k-i))."""
     acc: dict = {}
     for i in range(k + 1):
-        acc = _p_add(acc, _p_scale(_p_pow(_var(offset + i, nvars), p ** (k - i)), p ** i))
+        acc = _p_add(acc, _p_scale(_var(offset + i, nvars, p ** (k - i)), p ** i))
     return acc
 
 
@@ -97,7 +88,7 @@ def _solve_laws(p: int, n: int, targets) -> list:
     for k in range(n):
         rhs = dict(targets[k])
         for i in range(k):
-            rhs = _p_add(rhs, _p_scale(_p_pow(laws[i], p ** (k - i)), -(p ** i)))
+            rhs = _p_add(rhs, _p_scale(power(laws[i], p ** (k - i), _p_mul, None), -(p ** i)))
         laws.append(_p_divexact(rhs, p ** k))
     return laws
 
@@ -152,24 +143,13 @@ def eval_law(poly, values, ring):
     return acc
 
 
-def _ring_pow(ring, a, e: int):
-    result = ring.one
-    base = a
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
-
-
 def ghost_components(x: "WittVector"):
     """Ghost vector (w_0,..,w_{n-1}); meaningful over torsion-free rings."""
     ring, p = x.ring, x.p
     out = []
     for k in range(x.n):
-        out.append(sum((ring.of_int(p ** i) * _ring_pow(ring, x.coords[i], p ** (k - i))
-                        for i in range(k + 1)), ring.zero))
+        out.append(sum((ring.of_int(p ** i) * power(c, p ** (k - i), operator.mul, ring.one)
+                        for i, c in enumerate(x.coords[:k + 1])), ring.zero))
     return tuple(out)
 
 
@@ -237,9 +217,7 @@ def one(p, n, ring) -> WittVector:
 def from_int(k: int, p: int, n: int, ring) -> WittVector:
     """Image of the integer k under Z -> W_n(A)."""
     if ring.char_p:
-        # go through W_n(F_p) = Z/p^n
-        coords = _zmod_to_coords(k % p ** n, p, n)
-        return WittVector(p, ring, [ring.of_int(c) for c in coords])
+        return from_zmod(k, p, n, ring)     # through W_n(F_p) = Z/p^n
     neg = k < 0
     k = abs(k)
     acc = zero(p, n, ring)
@@ -351,7 +329,7 @@ def witt_divide(x: WittVector, z: WittVector) -> WittVector:
         partial = WittVector(p, ring, list(ycoords) + [ring.zero] * (n - k))
         cur = (z * partial).coords[k]
         defect = x.coords[k] - cur
-        denom = _ring_pow(ring, z0, p ** k)
+        denom = power(z0, p ** k, operator.mul, ring.one)
         q = defect / denom
         v = q.valuation()
         if v is not None and v < 0:

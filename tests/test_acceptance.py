@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction as F
 
 
-from padiclab import galrep, gf, gskel, padic, perfseries, phimod, ramif, taumod, witt
+from padiclab import galrep, gf, gskel, matrix, padic, perfseries, phimod, ramif, taumod, witt
 from padiclab.errors import NotDivisible
 from padiclab.logtrunc import (BoundedOp, congruent_mod, log_m, madd, mmul,
                                mpow, mscale, rdc_valuation_check)
@@ -150,8 +150,8 @@ def test_c03_witt_laws():
     for _ in range(1000):
         xs = [F9.random(rng) for _ in range(n)]
         ys = [F9.random(rng) for _ in range(n)]
-        lx = [tuple(int(c) for c in F9.to_fp(v)) for v in xs]
-        ly = [tuple(int(c) for c in F9.to_fp(v)) for v in ys]
+        lx = [tuple(int(c) for c in v.coeffs) for v in xs]
+        ly = [tuple(int(c) for c in v.coeffs) for v in ys]
 
         def ghost(coords):
             return [tuple(map(sum, zip(*(
@@ -279,11 +279,8 @@ def test_c06_modp_functor():
         d = rng.choice([1, 2, 3])
         while True:
             A = [[rng.randrange(3) for _ in range(d)] for _ in range(d)]
-            try:
-                gf.fp_inverse(A, 3)
+            if matrix.det(A) % 3:
                 break
-            except ZeroDivisionError:
-                continue
         act = galrep.frobenius_action(
             galrep.solve_unit_root(galrep.unramified_to_phimod(A, 3)))
         if galrep.charpoly_mod_p(act.matrix, 3) != galrep.charpoly_mod_p(A, 3):

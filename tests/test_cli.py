@@ -131,7 +131,7 @@ def test_config_error_exit_2():
 
 def test_strict_mode_flags_errors():
     # u^2 + anything is fine; a non-etale input trips strict mode
-    r = run(["--strict", "phimod", "heightdiv", "--matrix", "0", "--constant",
+    r = run(["--strict", "phimod", "heightdiv", "--matrix", "0",
              "--U", "1", "--p", "3"])
     assert r.returncode in (1, 2)
 
@@ -198,7 +198,7 @@ def test_galois_solve_reads_fq_codes():
     ["galois", "solve", "--matrix", "1,2;3"],
     ["galois", "solve", "--matrix", ""],
     ["phimod", "uheight", "--matrix", "1:1,0;0"],
-    ["phimod", "etale", "--constant", "--matrix", "1,x;0,1"],
+    ["phimod", "etale", "--matrix", "1,x;0,1"],
 ])
 def test_malformed_matrix_exit_2(args):
     r = run(args)
@@ -273,13 +273,29 @@ def test_phimod_reads_fq_codes_at_n1():
     assert _value(run(["phimod", "etale", "--p", "3", "--matrix", "0"])).startswith(
         "Indeterminate: ")
     # code 4 is 1 + x in F_9, no longer read mod 3 as 1: det(4,1;1,1) = x
-    base = ["phimod", "etale", "--p", "3", "--q", "9", "--constant", "--matrix"]
+    base = ["phimod", "etale", "--p", "3", "--q", "9", "--matrix"]
     assert _value(run(base + ["4,1;1,1"])) == "True"
     assert _value(run(base + ["1,1;1,1"])).startswith("Indeterminate: ")
     assert run(base + ["9"]).returncode == 2
     # at n = 2 entries are residues mod p^n: 3 + u is a Laurent unit
     r = run(["phimod", "etale", "--p", "3", "--n", "2", "--matrix", "3:1"])
     assert _value(r) == "True"
+
+
+def test_phimod_has_no_constant_flag():
+    # one-coefficient series entries are the constants
+    r = run(["phimod", "etale", "--constant", "--matrix", "1"])
+    assert r.returncode == 2 and "unrecognized arguments: --constant" in r.stderr
+
+
+def test_logm_value_refuses_an_order_beyond_the_precision():
+    # log_m certifies N - (m - 1) digits, none at m > N: an error record,
+    # not a value "mod p^(N - m + 1)" below 1
+    r = run(["logm", "value", "--p", "3", "--N", "3", "--matrix", "4", "--m", "5"])
+    assert r.returncode == 0
+    assert _value(r) == "PrecisionError: log_m of order 5 certifies no digit at precision 3"
+    r = run(["logm", "value", "--p", "3", "--N", "3", "--matrix", "4", "--m", "3"])
+    assert json.loads(r.stdout)["results"][0]["precision"] == "O(3^1)"
 
 
 def test_phimod_has_no_dimension_cap():

@@ -1,0 +1,59 @@
+"""Byte-identity of the command line against pinned documents.
+
+tests/data/cli_pinned.json holds stdout and the exit status of the 11
+property suites at --trials 6 --seed 5 and of the README's example
+commands.  A change that alters any of them on purpose regenerates the
+file with `python tests/test_cli_pinned.py` and says why.
+"""
+
+import contextlib
+import io
+import json
+import os
+import shlex
+
+import pytest
+
+from padiclab.cli import SUITE_NAMES, main
+
+PINNED = os.path.join(os.path.dirname(__file__), "data", "cli_pinned.json")
+README = [
+    "ramif bound-gk --p 3 --e 1 --n 1 --h 1 --tame",
+    "ramif bound-sst --r 2 --n 1 --e 1 --p 3",
+    'galois solve --p 3 --q 3 --matrix "2" --M 20',
+    "logm value --p 3 --N 3 --matrix 4 --m 1",
+    "series solvev --p 3 --n 2 --coeffs 0,1,1 --M 10 --jmax 5",
+    "witt laws --p 3 --wittlen 2",
+    "phimod cyclotomic --p 3 --e 2 --m 1",
+    "suite logm --p 3 --m 2 --trials 200 --seed 7",
+]
+COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README
+
+
+def run(command):
+    """The exit status and stdout of `padiclab COMMAND`, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(shlex.split(command))
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with open(PINNED) as fh:
+        return json.load(fh)
+
+
+def test_the_pinned_commands_are_the_listed_ones(pinned):
+    assert sorted(pinned) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_is_byte_identical_to_the_pinned_document(command, pinned):
+    assert run(command) == pinned[command]
+
+
+if __name__ == "__main__":
+    with open(PINNED, "w") as fh:
+        json.dump({c: run(c) for c in COMMANDS}, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -19,6 +19,14 @@ def test_log_m_hand_value():
     assert L.value_mod(L.certified) == ((15,),)
 
 
+def test_log_m_refuses_to_certify_no_digit():
+    A = BoundedOp.of(3, 3, [[4]])
+    assert log_m(A, 3).certified == 1
+    for m in (4, 5, 9):
+        with pytest.raises(PrecisionError, match="certifies no digit"):
+            log_m(A, m)
+
+
 def test_log_m_identity():
     L = log_m(BoundedOp.of(3, 4, [[1, 0], [0, 1]]), 2)
     assert L.is_zero_mod(L.certified)
@@ -136,3 +144,10 @@ def test_rdc():
         rdc_valuation_check([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 3, 8, 1, 1)
     with pytest.raises(PrecisionError):
         rdc_valuation_check(f, 3, 3, 1, 40)
+
+
+def test_mpow_reduces_its_input():
+    # at d = 1 the nilpotency test is mpow(f - id, 1, p): 4 - 1 = 3 is 0 mod 3
+    assert mpow(((4, 9), (3, 1)), 1, 3) == ((1, 0), (0, 1))
+    assert mpow(((4,),), 0, 3) == ((1,),)
+    assert rdc_valuation_check([[4]], 3, 8, 0, 2)

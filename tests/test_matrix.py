@@ -128,9 +128,44 @@ def test_adjugate_identity_beyond_the_reference(name, data):
 
 def test_inverse_over_a_field():
     A = [[F9.from_code(c) for c in row] for row in ([4, 1], [1, 1])]
-    assert matrix.mul(A, matrix.inverse(A, F9.one, F9.zero)) == matrix.scalar(2, F9.one, F9.zero)
+    assert matrix.mul(A, matrix.inverse(A, F9.one)) == matrix.scalar(2, F9.one, F9.zero)
     with pytest.raises(ZeroDivisionError):
-        matrix.inverse([[F9.one, F9.one], [F9.one, F9.one]], F9.one, F9.zero)
+        matrix.inverse([[F9.one, F9.one], [F9.one, F9.one]], F9.one)
+
+
+def _gauss_jordan_inverse(A, one, zero):
+    """The Gauss-Jordan inverse that matrix.inverse replaced: the
+    reference for it.  ZeroDivisionError when A is singular."""
+    d = len(A)
+    work = [list(row) + e for row, e in zip(A, matrix.scalar(d, one, zero))]
+    for c in range(d):
+        piv = next((r for r in range(c, d) if work[r][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix not invertible")
+        work[c], work[piv] = work[piv], work[c]
+        inv = work[c][c].inverse()
+        work[c] = [x * inv for x in work[c]]
+        for r in range(d):
+            if r != c and work[r][c]:
+                f = work[r][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return [row[d:] for row in work]
+
+
+@SETTINGS
+@given(st.sampled_from([gf.field(3), F9]), st.integers(1, 4), st.data())
+def test_inverse_matches_gauss_jordan(F, d, data):
+    """adj(A) det(A)^-1 against the row reduction, singular A included:
+    both raise ZeroDivisionError there."""
+    codes = st.integers(0, F.order - 1) | st.just(0)      # favour rank drops
+    A = [[F.from_code(data.draw(codes)) for _ in range(d)] for _ in range(d)]
+    try:
+        want = _gauss_jordan_inverse(A, F.one, F.zero)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            matrix.inverse(A, F.one)
+    else:
+        assert matrix.inverse(A, F.one) == want
 
 
 def test_order_in_gl_d_fp():

@@ -255,3 +255,47 @@ def test_precision_model():
         q_analogue_inverse(qa, q)
     with pytest.raises(ValueError):
         PadicUnit(3, 4, 6)
+
+
+# --- padic.power, the one square-and-multiply, against repeated products ---
+
+def _repeated(x, k, mul, one):
+    acc = one
+    for _ in range(k):
+        acc = mul(acc, x)
+    return acc
+
+
+def _power_cases():
+    from padiclab import gf, witt
+    F9 = gf.field(3, 2)
+    poly = {(1, 0): 1, (0, 1): 2, (0, 0): -1}             # x + 2y - 1 over Z
+    return [
+        (lambda a, b: a * b % 35, 3, 1),
+        (lambda a, b: a * b % 81, 5, 1),
+        (lambda a, b: a * b, F9.from_code(7), F9.one),
+        (lambda a, b: a * b, F9.from_code(3), F9.one),
+        (witt._p_mul, poly, {(0, 0): 1}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_power_matches_repeated_products(case):
+    mul, x, one = _power_cases()[case]
+    for k in range(41):
+        assert padic.power(x, k, mul, one) == _repeated(x, k, mul, one)
+
+
+def test_power_never_multiplies_by_one():
+    one = object()
+
+    def mul(a, b):
+        assert a is not one and b is not one
+        calls.append(1)
+        return a + b
+
+    for k in range(1, 41):
+        calls = []
+        assert padic.power(1, k, mul, one) == k
+        assert len(calls) <= 2 * k.bit_length() - 2
+    assert padic.power(1, 0, mul, one) is one

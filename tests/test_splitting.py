@@ -35,7 +35,7 @@ def residue_rank(G0, ext, p):
         for k in range(m):
             xj = ext.from_fp([int(i == k) for i in range(m)])
             img = [(xj ** p if i == j else ext.zero) - xj * G0e[j][i] for i in range(d)]
-            cols.append([c for y in img for c in ext.to_fp(y)])
+            cols.append([c for y in img for c in y.coeffs])
     _, pivots = gf.fp_rref(list(zip(*cols)), p)
     return d * m - len(pivots)
 
