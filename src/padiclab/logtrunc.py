@@ -4,6 +4,9 @@ log_m(a) = sum_{i=1}^{p^m - 1} (1-a)^i / i is a finite sum; the
 divisions are performed on exact integer lifts with an explicit p-digit
 budget, and every result carries a certified precision so the
 congruences mod p^(m-1) are checked honestly rather than vacuously.
+The sum is a polynomial in b = 1 - a, reduced mod the characteristic
+polynomial of b and evaluated by Horner: by Cayley-Hamilton, which holds
+over any commutative ring, the reduction leaves the matrix unchanged.
 
 Matrices are plain tuples of int tuples; d stays small.
 """
@@ -91,6 +94,8 @@ class ScaledMatrix:
 
     def value_mod(self, k: int):
         """The value reduced mod p^k (requires p^scale | mat)."""
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
         if k > self.certified:
             raise PrecisionError(f"value certified only mod p^{self.certified}")
         ps = self.p ** self.scale
@@ -121,6 +126,8 @@ class ScaledMatrix:
 
     def is_zero_mod(self, k: int) -> bool:
         """Whether the value is 0 mod p^k (i.e. v_p >= k entrywise)."""
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
         if k > self.certified:
             raise PrecisionError(
                 f"congruence mod p^{k} asked, certified only mod p^{self.certified}")
@@ -150,11 +157,20 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     """Truncated logarithm of order m: the finite sum up to i = p^m - 1
     of (1-A)^i / i, computed on exact lifts.
 
+    With B = 1 - A the sum is the polynomial sum_i c_i x^i at x = B,
+    c_i = p^(m - v_p(i)) (i / p^(v_p(i)))^-1 mod p^(N+m), reduced mod the
+    characteristic polynomial chi_B (one O(d) step from x^i to x^(i+1))
+    and evaluated at B by Horner.  chi_B(B) = 0 over Z by Cayley-Hamilton,
+    so the remainder gives the same matrix mod p^(N+m) as the p^m - 1
+    matrix powers would, with d - 1 matrix products.
+
     Certified precision: N - (m-1); the lift ambiguity of A enters
     (1-A)^i with valuation >= N, and the division by i costs at most
     v_p(i) <= m-1 digits.  PrecisionError when that leaves no digit,
     m > N.
     """
+    from .matrix import charpoly
+
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m > A.prec:
@@ -163,21 +179,31 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     work = N + m
     mod = p ** work
     one_minus = msub(mident(d), A.mat, mod)
-    acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
-    power = mident(d)
+    chi = [c % mod for c in charpoly(one_minus)]  # x^d + chi[d-1] x^(d-1) + ... + chi[0]
+    rem = [1] + [0] * (d - 1)                     # x^i mod chi, lowest degree first
+    acc = [0] * d
     for i in range(1, p ** m):
-        power = mmul(power, one_minus, mod)
+        top = rem[-1]
+        rem = [(a - top * c) % mod for a, c in zip([0] + rem[:-1], chi)]
         v = vp(i, p)
         unit = i // p ** v
         coef = p ** (m - v) * pow(unit, -1, mod) % mod
-        acc = madd(acc, mscale(power, coef, mod), mod)
+        acc = [(a + coef * r) % mod for a, r in zip(acc, rem)]
+    ident = mident(d)
+    out = mscale(ident, acc[-1], mod)
+    for c in reversed(acc[:-1]):
+        out = madd(mmul(out, one_minus, mod), mscale(ident, c, mod), mod)
     cert = N - (m - 1) if m > 1 else N
-    return ScaledMatrix(p, acc, m, cert)
+    return ScaledMatrix(p, out, m, cert)
 
 
 def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     """Lambda-boundedness at order m, scale c: (1-A)^i / i must have
-    entries in p^-c Z for every i <= p^m."""
+    entries in p^-c Z for every i <= p^m.
+
+    It keeps the loop over every power (1-A)^i, where log_m reduces mod
+    the characteristic polynomial: the test reads the entry valuations of
+    each power, which a remainder does not carry."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     p, N, d = A.p, A.prec, A.d

@@ -173,10 +173,15 @@ def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhiTauModP:
     """Mod-p module with a Frobenius matrix G (one-variable) and a
-    tau-matrix T over the bivariate model."""
+    tau-matrix T over the bivariate model.
+
+    Frozen, so the p-power order of tau_M, found once and cached, cannot
+    outlive a reassigned T, tau or order_cap; the lists G and T must not
+    be changed in place either.  An Indeterminate from that search is not
+    cached: it is raised again, after the same search, on every call."""
 
     p: int
     d: int
@@ -228,12 +233,20 @@ class PhiTauModP:
         eta = BivarSeries(m.field, {(0, 1): m.field.one}, m.prec, m.wu, m.weta)
         return galois_act(g, u) == u and galois_act(g, eta) == eta
 
-    def tau_order_exponent(self) -> int:
-        """Smallest t with tau_M^(p^t) = id at this truncation."""
+    @functools.cached_property
+    def _order_exponent(self) -> int:
+        op = (self.T, self.tau)
         for t in range(self.order_cap + 1):
-            if self._is_identity_op(self.tau_operator_power(self.p ** t)):
+            if t:
+                op = power(op, self.p, self._compose, None)  # tau_M^(p^t)
+            if self._is_identity_op(op):
                 return t
         raise Indeterminate(f"tau_M^(p^t) not identity for t <= {self.order_cap}")
+
+    def tau_order_exponent(self) -> int:
+        """Smallest t with tau_M^(p^t) = id at this truncation, searched
+        once per module, each tau_M^(p^t) the p-th power of the last."""
+        return self._order_exponent
 
     def tau_power_apply(self, a, x):
         """tau_M^a for p-adic a, through the verified p-power order."""

@@ -1,11 +1,50 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab.errors import PrecisionError
-from padiclab.logtrunc import (BoundedOp, congruent_mod, exp_full, is_bounded,
-                               log_full, log_m, madd, mident, mmul, mpow, mscale,
-                               rdc_valuation_check)
+from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, exp_full,
+                               is_bounded, log_full, log_m, madd, mident, mmul, mpow,
+                               msub, mscale, rdc_valuation_check)
+from padiclab.padic import vp
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def log_m_terms(A, m):
+    """Reference for log_m: the term loop over the p^m - 1 matrix powers
+    (1-A)^i, each scaled by p^(m - v_p(i)) (i / p^(v_p(i)))^-1."""
+    p, N, d = A.p, A.prec, A.d
+    mod = p ** (N + m)
+    one_minus = msub(mident(d), A.mat, mod)
+    acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
+    power = mident(d)
+    for i in range(1, p ** m):
+        power = mmul(power, one_minus, mod)
+        v = vp(i, p)
+        coef = p ** (m - v) * pow(i // p ** v, -1, mod) % mod
+        acc = madd(acc, mscale(power, coef, mod), mod)
+    return ScaledMatrix(p, acc, m, N - (m - 1) if m > 1 else N)
+
+
+@st.composite
+def log_m_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    d, N = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    m = draw(st.integers(0, min(N, 3)))
+    rows = draw(st.lists(st.lists(st.integers(0, p ** N - 1), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    return BoundedOp.of(p, N, rows), m
+
+
+@SETTINGS
+@given(log_m_cases())
+def test_log_m_matches_term_loop(case):
+    # the sum reduced mod the characteristic polynomial is the same matrix
+    A, m = case
+    assert log_m(A, m) == log_m_terms(A, m)
 
 
 def rand_unipotent(rng, p, N, d):
@@ -25,6 +64,16 @@ def test_log_m_refuses_to_certify_no_digit():
     for m in (4, 5, 9):
         with pytest.raises(PrecisionError, match="certifies no digit"):
             log_m(A, m)
+
+
+def test_scaled_matrix_refuses_negative_k():
+    # p^k at k < 0 is a float: the value would come back as 8.3e-16
+    L = log_m(BoundedOp.of(3, 3, [[4]]), 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        L.value_mod(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        L.is_zero_mod(-2)
+    assert L.value_mod(0) == ((0,),) and L.is_zero_mod(0)
 
 
 def test_log_m_identity():

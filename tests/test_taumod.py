@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from padiclab import gf, gskel, taumod
-from padiclab.errors import PrecisionError
+from padiclab.errors import Indeterminate, PrecisionError
 from padiclab.padic import PadicInt
 from padiclab.taumod import (BivarSeries, binom_power, bivar_one, check_commutation,
                              check_phi_tau_commute, galois_act,
@@ -129,3 +130,61 @@ def test_eta_weighting():
     w_eta = F(3, 2)  # e = 1, p = 3
     f = BivarSeries(F3, {(0, 1): F3.one, (0, 8): F3.one}, 12, wu=1, weta=w_eta)
     assert (0, 1) in f.coeffs and (0, 8) not in f.coeffs  # weight 12 cut
+
+
+def order_exponent_from_scratch(M):
+    """Reference for tau_order_exponent: each tau_M^(p^t) rebuilt by
+    binary composition from tau_M itself."""
+    for t in range(M.order_cap + 1):
+        if M._is_identity_op(M.tau_operator_power(M.p ** t)):
+            return t
+    raise Indeterminate(f"tau_M^(p^t) not identity for t <= {M.order_cap}")
+
+
+def _order_modules():
+    tau = gskel.elt(3, 8, 1, 1)
+    perm = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    M = trivial_restriction_module(perm, 1, F3, tau, W)  # the tau suite's module
+    Tbad = [row[:] for row in M.T]
+    Tbad[0][1] = Tbad[0][1] + BivarSeries(F3, {(1, 0): F3.one}, W)
+    return {"suite": M,
+            "mutant": taumod.PhiTauModP(3, 3, M.G, Tbad, tau, 6),
+            "order-p^2": trivial_restriction_module(perm, 1, F3, tau, 9),
+            "rank-1": trivial_restriction_module([[1]], 0, F3, tau, W),
+            "chi-4": trivial_restriction_module(perm, 1, F3, gskel.elt(3, 8, 1, 4), W),
+            "capped": taumod.PhiTauModP(3, 3, M.G, Tbad, tau, 3)}
+
+
+@pytest.mark.parametrize("name,t", [("suite", 3), ("mutant", 4), ("order-p^2", 2),
+                                    ("rank-1", 3), ("chi-4", 3)])
+def test_order_exponent_matches_from_scratch(name, t):
+    M = _order_modules()[name]
+    assert order_exponent_from_scratch(M) == M.tau_order_exponent() == t
+
+
+def test_order_cap_refusal_is_raised_on_every_call():
+    M = _order_modules()["capped"]
+    with pytest.raises(Indeterminate, match="t <= 3"):
+        order_exponent_from_scratch(M)
+    for _ in range(2):
+        with pytest.raises(Indeterminate, match="t <= 3"):
+            M.tau_order_exponent()
+
+
+def test_order_is_searched_once(monkeypatch):
+    calls = []
+    is_identity = taumod.PhiTauModP._is_identity_op
+
+    def counting(self, op):
+        calls.append(op)
+        return is_identity(self, op)
+
+    monkeypatch.setattr(taumod.PhiTauModP, "_is_identity_op", counting)
+    rng = random.Random(42)
+    M = _order_modules()["suite"]
+    for _ in range(20):
+        assert check_commutation(M, rand_g(rng), sample_x(rng))
+    assert len(calls) == M.tau_order_exponent() + 1 == 4
+    # the cached order cannot outlive a changed tau-matrix
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.T = []
