@@ -48,7 +48,7 @@ class RunConfig:
     n: int = 1
     N: int = 8          # p-adic working precision
     M: int = 20         # u-adic truncation
-    W: int = 12         # bivariate weight truncation
+    W: int = 12         # bivariate truncation: terms u^i eta^j with i + j < W
     wittlen: int = 2
     D: int = 0          # 0 means p - 1
     jmax: int = 4

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, isqrt
 
 from .errors import PrecisionError
 
@@ -28,7 +28,7 @@ INFINITY = inf
 def check_odd_prime(p: int):
     """ValueError unless p is an odd prime.  Memoised per p; a raise is
     not cached, so an invalid p raises on every call."""
-    if p < 3 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+    if p < 3 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be an odd prime, got {p}")
 
 

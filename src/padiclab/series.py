@@ -11,11 +11,12 @@ honestly; equality means equality at the shared precision.
 SparseSeries is the shared kernel of the three truncated rings: this
 module's TruncSeries (integer exponents), perfseries.PerfSeries
 (exponents in a lattice (1/L) Z) and taumod.BivarSeries (exponents
-(i, j) truncated by a weight).  It holds the coefficient dict, keyed by
-integer exponent codes, the precision, sums, the one product loop,
-scaling, truncation, equality and the geometric-series inverse over a
-field; each subclass keeps its exponent model and code, its
-construction checks and its own operators.  Per-term work is on ints.
+(i, j) truncated by total degree i + j).  It holds the coefficient
+dict, keyed by integer exponent codes, the precision, sums, the one
+product loop, scaling, truncation, equality and the geometric-series
+inverse over a field; each subclass keeps its exponent model and code,
+its construction checks and its own operators.  Per-term work is on
+ints.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from .rings import FFRing, OperatorRing, QRing, Zmod
 class SparseSeries:
     """A dict exponent code -> nonzero coefficient, below a precision.
 
-    An exponent's code, and its weight, is the exponent itself unless a
-    subclass says otherwise; precision bounds the weight.
+    An exponent's code, and its degree, is the exponent itself unless a
+    subclass says otherwise (BivarSeries: the total degree i + j of
+    (i, j)); precision bounds the degree.
     Subclasses define _like (same model, new data keyed by codes) and
     _model (what two series must share to combine), and may override
     valuation, terms and _codes.  leading, shift and the field inverse
-    (which needs _one) assume an exponent that is its own weight.
+    (which needs _one) assume an exponent that is its own degree.
     """
 
     __slots__ = ("coeffs", "prec")
@@ -42,7 +44,7 @@ class SparseSeries:
     # --- structure ---
 
     def valuation(self):
-        """Least weight of a term; None when zero at this precision."""
+        """Least degree of a term; None when zero at this precision."""
         if not self.coeffs:
             return None
         return min(self.coeffs)
@@ -90,7 +92,7 @@ class SparseSeries:
         bound on those codes, and the decoder back to the keys of coeffs.
 
         Product codes add as exponents do, and one is below the bound
-        exactly when the weight of its exponent is below prec.  By
+        exactly when the degree of its exponent is below prec.  By
         default they are the codes of coeffs (decoder None).
         """
         return self.coeffs, other.coeffs, prec, None
@@ -537,7 +539,7 @@ class TruncSeriesRing(OperatorRing):
         return TruncSeries(self.base, {0: self.base.of_int(k)}, self.prec)
 
     def frob(self, a):
-        return a.frobenius(self.p).truncate(self.prec)
+        return a.frobenius(self.p)
 
     def __eq__(self, other):
         return isinstance(other, TruncSeriesRing) and self.base == other.base \

@@ -7,9 +7,8 @@ A group element g acts through the substitution
     eta ->  (1 + eta)^chi(g) - 1
 
 with p-adic exponents expanded by integer-valued binomials mod p
-(Lucas).  Monomials u^i eta^j are truncated by a configurable weight;
-eta's natural weight e*p/(p-1) is available but the default treats both
-variables as weight one.
+(Lucas).  Monomials u^i eta^j are truncated by total degree: a series
+at precision W keeps the terms with i + j < W.
 
 The commutation law (g (x) id) o tau_M = tau_M^(chi_tau(g)) on module
 elements is an executable check here; tau_M^a for p-adic a is defined
@@ -19,9 +18,7 @@ through a verified p-power order of tau_M at the truncation.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gskel, matrix
 from .errors import Indeterminate, PrecisionError
@@ -29,73 +26,48 @@ from .gf import GF
 from .gskel import GaloisElt
 from .padic import PadicInt, binomials_mod_p, ndigits, power, vp
 from .rings import FFRing
-from .series import SparseSeries, TruncSeries, code_bound
-
-
-@functools.cache
-def _weights(wu, weta):
-    """wu and weta as Fractions, and the ints (a, b, den): wu = a/den, weta = b/den."""
-    wu, weta = Fraction(wu), Fraction(weta)
-    if wu <= 0 or weta <= 0:
-        raise ValueError("weights must be positive")
-    den = math.lcm(wu.denominator, weta.denominator)
-    return wu, weta, (wu.numerator * den // wu.denominator,
-                      weta.numerator * den // weta.denominator, den)
+from .series import SparseSeries, TruncSeries
 
 
 class BivarSeries(SparseSeries):
     """Series in u and eta with exponents (i, j), j >= 0, truncated by
-    the weight i*wu + j*weta (both weights positive), which is worked
-    in the int units (i*a + j*b) / den of _weights."""
+    total degree: the terms with i + j < prec, an int."""
 
-    __slots__ = ("field", "wu", "weta", "_w")
+    __slots__ = ("field",)
 
-    def __init__(self, field: GF, coeffs: dict, prec, wu=1, weta=1):
-        self.field = field
-        self.wu, self.weta, self._w = _weights(wu, weta)
+    def __init__(self, field: GF, coeffs: dict, prec: int):
         if any(j < 0 for _, j in coeffs):
             raise ValueError("eta-exponents are nonnegative")
-        self._fill(coeffs, prec)
+        self.field = field
+        self.prec = prec
+        self.coeffs = {k: c for k, c in coeffs.items() if c and k[0] + k[1] < prec}
 
     def _like(self, coeffs, prec):
-        out = object.__new__(BivarSeries)
-        out.field, out.wu, out.weta, out._w = self.field, self.wu, self.weta, self._w
-        out._fill(coeffs, prec)
-        return out
-
-    def _fill(self, coeffs, prec):
-        """Set prec and keep the nonzero terms of weight below it."""
-        self.prec = prec if type(prec) is Fraction else Fraction(prec)
-        a, b, den = self._w
-        bound = code_bound(self.prec, den)
-        self.coeffs = {k: c for k, c in coeffs.items() if c and k[0] * a + k[1] * b < bound}
+        return BivarSeries(self.field, coeffs, prec)
 
     def _model(self):
-        return self.field, self.wu, self.weta
+        return self.field
 
     def valuation(self):
-        """Least weight of a term; None when zero at this precision."""
+        """Least total degree of a term; None when zero at this precision."""
         if not self.coeffs:
             return None
-        a, b, den = self._w
-        return Fraction(min(i * a + j * b for i, j in self.coeffs), den)
+        return min(i + j for i, j in self.coeffs)
 
     def _codes(self, other, prec):
-        # Kronecker substitution u^i eta^j -> x^(W*B + j): W = i*a + j*b
-        # is the weight in units of 1/den, and B exceeds every
-        # eta-degree of the product, so codes add as exponents do and
-        # compare as weights do; i comes back from W because a > 0
-        a, b, den = self._w
+        # Kronecker substitution u^i eta^j -> x^((i + j)*B + j): B exceeds
+        # every eta-degree of the product, so codes add as exponents do
+        # and compare as total degrees do
         B = 1 + sum(max((j for _, j in f.coeffs), default=0) for f in (self, other))
 
         def code(f):
-            return {(i * a + j * b) * B + j: c for (i, j), c in f.coeffs.items()}
+            return {(i + j) * B + j: c for (i, j), c in f.coeffs.items()}
 
         def decode(k):
-            w, j = divmod(k, B)
-            return (w - j * b) // a, j
+            d, j = divmod(k, B)
+            return d - j, j
 
-        return code(self), code(other), code_bound(prec, den) * B, decode
+        return code(self), code(other), prec * B, decode
 
     # the shared kernel, bound here by name for perfbench's tracer
     def __mul__(self, other):
@@ -110,26 +82,26 @@ class BivarSeries(SparseSeries):
         body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in self.terms()[:6]) or "0"
         if len(self.coeffs) > 6:
             body += " + ..."
-        return f"<{body} + O(weight {self.prec})>"
+        return f"<{body} + O(degree {self.prec})>"
 
 
-def bivar_from_series(f: TruncSeries, prec, wu=1, weta=1) -> BivarSeries:
+def bivar_from_series(f: TruncSeries, prec: int) -> BivarSeries:
     return BivarSeries(f.ring.field, {(e, 0): c for e, c in f.coeffs.items()},
-                       min(Fraction(prec), Fraction(f.prec) * Fraction(wu)), wu, weta)
+                       min(prec, f.prec))
 
 
-def bivar_one(field: GF, prec, wu=1, weta=1) -> BivarSeries:
-    return BivarSeries(field, {(0, 0): field.one}, prec, wu, weta)
+def bivar_one(field: GF, prec: int) -> BivarSeries:
+    return BivarSeries(field, {(0, 0): field.one}, prec)
 
 
 # ---------------------------------------------------------------------------
 
 
-def binom_power(z, field: GF, prec, wu=1, weta=1) -> BivarSeries:
-    """(1 + eta)^z truncated by weight; z may be an int, Fraction in
+def binom_power(z, field: GF, prec: int) -> BivarSeries:
+    """(1 + eta)^z truncated by degree; z may be an int, Fraction in
     Z_(p), or PadicInt with enough tracked digits."""
     p = field.p
-    kmax = int(Fraction(prec) / Fraction(weta)) + 1
+    kmax = prec + 1
     if isinstance(z, PadicInt):
         digits_needed = ndigits(kmax, p)
         if z.prec < digits_needed:
@@ -137,7 +109,7 @@ def binom_power(z, field: GF, prec, wu=1, weta=1) -> BivarSeries:
                 f"exponent needs {digits_needed} base-{p} digits, has {z.prec}")
         z = z.residue
     coeffs = {(0, k): field.el(c) for k, c in enumerate(binomials_mod_p(z, kmax, p)) if c}
-    return BivarSeries(field, coeffs, prec, wu, weta)
+    return BivarSeries(field, coeffs, prec)
 
 
 def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
@@ -147,11 +119,11 @@ def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
     act(g, act(h, x)) = act(mul(g, h), x).
     """
     fld = f.field
-    one = bivar_one(fld, f.prec, f.wu, f.weta)
-    P = binom_power(g.chi, fld, f.prec, f.wu, f.weta) - one  # image of eta
+    one = bivar_one(fld, f.prec)
+    P = binom_power(g.chi, fld, f.prec) - one  # image of eta
     ppow_cache = {0: one}
     bin_cache: dict = {}
-    out = BivarSeries(fld, {}, f.prec, f.wu, f.weta)
+    out = BivarSeries(fld, {}, f.prec)
     for (i, j), c in sorted(f.coeffs.items()):
         if j not in ppow_cache:
             jprev = max(k for k in ppow_cache if k <= j)
@@ -162,10 +134,10 @@ def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
         exponent = g.c * i
         key = exponent.residue % exponent.p ** exponent.prec
         if key not in bin_cache:
-            bin_cache[key] = binom_power(exponent, fld, f.prec - 0, f.wu, f.weta)
+            bin_cache[key] = binom_power(exponent, fld, f.prec)
         term = bin_cache[key] * ppow_cache[j]
         shifted = term._like({(a + i, b): v for (a, b), v in term.coeffs.items()},
-                             term.prec + i * f.wu)
+                             term.prec + i)
         out = out + shifted.scale(c)
     return out.truncate(f.prec)
 
@@ -195,8 +167,7 @@ class PhiTauModP:
 
     def phi_apply(self, x):
         """phi_M on a coordinate vector of BivarSeries."""
-        Gb = [[bivar_from_series(a, self.model().prec, self.model().wu,
-                                 self.model().weta) for a in row] for row in self.G]
+        Gb = [[bivar_from_series(a, self.model().prec) for a in row] for row in self.G]
         fx = [xi.frobenius().truncate(self.model().prec) for xi in x]
         return matrix.mat_vec(Gb, fx)
 
@@ -220,8 +191,7 @@ class PhiTauModP:
 
     def _identity(self):
         m = self.model()
-        return matrix.scalar(self.d, bivar_one(m.field, m.prec, m.wu, m.weta),
-                             BivarSeries(m.field, {}, m.prec, m.wu, m.weta))
+        return matrix.scalar(self.d, bivar_one(m.field, m.prec), BivarSeries(m.field, {}, m.prec))
 
     def _is_identity_op(self, op) -> bool:
         T, g = op
@@ -229,8 +199,8 @@ class PhiTauModP:
             return False
         # the substitution must fix u and eta at truncation
         m = self.model()
-        u = BivarSeries(m.field, {(1, 0): m.field.one}, m.prec, m.wu, m.weta)
-        eta = BivarSeries(m.field, {(0, 1): m.field.one}, m.prec, m.wu, m.weta)
+        u = BivarSeries(m.field, {(1, 0): m.field.one}, m.prec)
+        eta = BivarSeries(m.field, {(0, 1): m.field.one}, m.prec)
         return galois_act(g, u) == u and galois_act(g, eta) == eta
 
     @functools.cached_property
@@ -261,7 +231,7 @@ class PhiTauModP:
 
 
 def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
-                               prec, wu=1, weta=1, order_cap: int = 6) -> PhiTauModP:
+                               prec: int) -> PhiTauModP:
     """Module with trivial Frobenius part: G = id, tau-matrix the given
     constant matrix tensored with the coefficient action.
 
@@ -276,10 +246,9 @@ def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
     if order != p ** vp(order, p):
         raise ValueError(f"tau_T has order {order}, not a power of p")
     ring = FFRing(field)
-    uprec = int(Fraction(prec) / Fraction(wu))
-    G = matrix.scalar(d, TruncSeries.one(ring, uprec), TruncSeries.zero(ring, uprec))
-    T = [[BivarSeries(field, {(0, 0): a}, prec, wu, weta) for a in row] for row in Tf]
-    return PhiTauModP(p, d, G, T, tau, order_cap)
+    G = matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
+    T = [[BivarSeries(field, {(0, 0): a}, prec) for a in row] for row in Tf]
+    return PhiTauModP(p, d, G, T, tau)
 
 
 def check_commutation(M: PhiTauModP, g: GaloisElt, x) -> bool:

@@ -241,18 +241,13 @@ def verschiebung(x: WittVector) -> WittVector:
 def frobenius_w(x: WittVector) -> WittVector:
     """Witt Frobenius.
 
-    In characteristic p this is the coordinatewise p-th power (same
-    length n); over other rings it is the ghost Frobenius W_n -> W_{n-1}.
+    In characteristic p this is the ring's Frobenius on each coordinate
+    (same length n); over other rings it is the ghost Frobenius
+    W_n -> W_{n-1}.
     """
     ring = x.ring
     if ring.char_p:
-        coords = []
-        for c in x.coords:
-            acc = c
-            for _ in range(x.p - 1):
-                acc = acc * c
-            coords.append(acc)
-        return WittVector(x.p, ring, coords)
+        return WittVector(x.p, ring, [ring.frob(c) for c in x.coords])
     if x.n < 2:
         raise ValueError("ghost Frobenius needs n >= 2")
     table = generate_laws(x.p, x.n)

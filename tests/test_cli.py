@@ -129,6 +129,13 @@ def test_config_error_exit_2():
     assert run(["padic", "valuation", "--p", "9"]).returncode == 2
 
 
+def test_huge_composite_p_is_a_config_error(capsys):
+    # the trial division's bound was the float p ** 0.5, which overflows
+    p = 10 ** 400 + 1  # 353 divides it
+    assert main(["padic", "valuation", "--p", str(p), "--x", "3"]) == 2
+    assert capsys.readouterr().err == f"config error: p must be an odd prime, got {p}\n"
+
+
 def test_strict_mode_flags_errors():
     # u^2 + anything is fine; a non-etale input trips strict mode
     r = run(["--strict", "phimod", "heightdiv", "--matrix", "0",

@@ -1,8 +1,8 @@
 """Byte-identity of the command line against pinned documents.
 
 tests/data/cli_pinned.json holds stdout and the exit status of the 11
-property suites at --trials 6 --seed 5 and of the README's example
-commands.  A change that alters any of them on purpose regenerates the
+property suites at --trials 6 --seed 5, of the README's example
+commands and of the tau commands at several truncations.  A change that alters any of them on purpose regenerates the
 file with `python tests/test_cli_pinned.py` and says why.
 """
 
@@ -27,7 +27,12 @@ README = [
     "phimod cyclotomic --p 3 --e 2 --m 1",
     "suite logm --p 3 --m 2 --trials 200 --seed 7",
 ]
-COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README
+TAU = [f"tau order --p 3 --W {W}" for W in (4, 9, 12, 28)] + [
+    "tau order --p 5 --W 26",
+    "tau commutation --trials 10 --seed 4",
+    "tau commutation --p 5 --W 8 --trials 4 --seed 9",
+]
+COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU
 
 
 def run(command):

@@ -125,13 +125,6 @@ def test_mutation_control():
     assert not check_commutation(Mbad, gskel.elt(3, 8, 0, 4), sample_x(rng))
 
 
-def test_eta_weighting():
-    # the eta-weight e*p/(p-1) is available as truncation weighting
-    w_eta = F(3, 2)  # e = 1, p = 3
-    f = BivarSeries(F3, {(0, 1): F3.one, (0, 8): F3.one}, 12, wu=1, weta=w_eta)
-    assert (0, 1) in f.coeffs and (0, 8) not in f.coeffs  # weight 12 cut
-
-
 def order_exponent_from_scratch(M):
     """Reference for tau_order_exponent: each tau_M^(p^t) rebuilt by
     binary composition from tau_M itself."""

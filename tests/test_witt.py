@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import gf, witt
 from padiclab.errors import NotDivisible
 from padiclab.padic import power
-from padiclab.rings import FFRing, IntRing
+from padiclab.perfseries import PerfRing, PerfSeries
+from padiclab.rings import FFRing, IntRing, Zmod
+from padiclab.series import SparseSeries, TruncSeries, TruncSeriesRing
 from padiclab.suites import incwitt_fixture
 from padiclab.witt import (WittVector, from_zmod, frobenius_w, generate_laws,
                            ghost_components, mul_by_p, teichmuller, to_zmod,
@@ -197,9 +201,7 @@ def test_witt_ideal_inclusion_other_parameters(p, n, h):
 
 def test_witt_over_imperfect_series():
     """Witt vectors with truncated-series coordinates; the Frobenius is
-    coefficientwise with u -> u^p (and keeps the working truncation)."""
-    from padiclab.series import TruncSeries, TruncSeriesRing
-
+    coefficientwise with u -> u^p."""
     rng = random.Random(47)
     ring = TruncSeriesRing(F3R, 9)
 
@@ -220,3 +222,49 @@ def test_witt_over_imperfect_series():
     u = TruncSeries.monomial(F3R, 1, F3R.one, 9)
     tu = teichmuller(u, 3, 2, ring)
     assert frobenius_w(tu).coords[0] == TruncSeries.monomial(F3R, 3, F3R.one, 9)
+
+
+def frobenius_by_products(x):
+    """The reference for frobenius_w in characteristic p: each
+    coordinate's p-th power by p - 1 products."""
+    coords = []
+    for c in x.coords:
+        acc = c
+        for _ in range(x.p - 1):
+            acc = acc * c
+        coords.append(acc)
+    return WittVector(x.p, x.ring, coords)
+
+
+F3, F9 = gf.field(3), gf.field(3, 2)
+F3_CODES = st.integers(0, 2).map(F3.from_code)
+# (p, ring, coordinate) for the four characteristic-p adapters; series
+# coordinates at their own precisions, with positive valuations too
+CHAR_P = {
+    "Z/5": (5, Zmod(5, 1), st.integers(-30, 30)),
+    "F_9": (3, FFRing(F9), st.integers(0, 8).map(F9.from_code)),
+    "Perf(F_3)": (3, PerfRing(F3, 2, 2, Fraction(4)), st.builds(
+        lambda t, prec: PerfSeries(F3, 2, 2, t, prec),
+        st.dictionaries(st.integers(-4, 60).map(lambda k: Fraction(k, 18)), F3_CODES,
+                        max_size=5),
+        st.integers(1, 72).map(lambda k: Fraction(k, 18)))),
+    "F_3[[u]]/u^9": (3, TruncSeriesRing(F3R, 9), st.builds(
+        lambda t, prec: TruncSeries(F3R, t, prec),
+        st.dictionaries(st.integers(0, 8), F3_CODES, max_size=5), st.integers(1, 9))),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAR_P))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_frobenius_is_the_rings_frobenius(name, data):
+    # equal to the p - 1 products at their precision, never less precise;
+    # a Witt product gives coordinates above the ring's own truncation
+    p, ring, coords = CHAR_P[name]
+    x = WittVector(p, ring, data.draw(st.lists(coords, min_size=1, max_size=2)))
+    for v in (x, x * x):
+        for got, want in zip(frobenius_w(v).coords, frobenius_by_products(v).coords):
+            if isinstance(want, SparseSeries):
+                assert got.prec >= want.prec
+                got = got.truncate(want.prec)
+            assert got == want
