@@ -374,7 +374,8 @@ def _cmd_tau(args, cfg: RunConfig):
     rng = _random.Random(cfg.seed)
     F = gf.field(cfg.p)
     tau = gskel.elt(cfg.p, cfg.N, 1, 1)
-    perm = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    # the p x p cyclic permutation, of order p (at p = 3 the suite's 3-cycle)
+    perm = [[int(j == (i - 1) % cfg.p) for j in range(cfg.p)] for i in range(cfg.p)]
     M = taumod.trivial_restriction_module(perm, 1, F, tau, cfg.W)
     if args.op == "order":
         return [record("order-exponent", M.tau_order_exponent(), anchor="tau-order")]
@@ -383,7 +384,7 @@ def _cmd_tau(args, cfg: RunConfig):
         for _ in range(cfg.trials):
             g = gskel.elt(cfg.p, cfg.N, 0, 1 + cfg.p * rng.randrange(cfg.p ** (cfg.N - 1)))
             x = [taumod.BivarSeries(F, {(rng.randrange(0, 6), 0): F.random(rng)
-                                        for _ in range(3)}, cfg.W) for _ in range(3)]
+                                        for _ in range(3)}, cfg.W) for _ in range(cfg.p)]
             if not taumod.check_commutation(M, g, x):
                 bad += 1
         return [record("commutation-failures", bad, anchor="tau-commutation")]

@@ -378,7 +378,7 @@ def solve_rank1(a: int, c, base_field: gf.GF, prec=8):
     # gamma^(p-1) = c is solvable in F_(q^s) iff c^(s (q-1)/(p-1)) = 1, so
     # s is the order of c^((q-1)/(p-1)), an element of F_p^x
     norm = c ** ((base_field.order - 1) // (p - 1))
-    s = next(k for k in range(1, p) if norm ** k == base_field.one)
+    s = matrix.order([[norm]], base_field.one, base_field.zero, p - 1)
     fld = gf.extension(base_field, s)
     roots = fld.frobenius_solutions(fld.coerce(c))
     if len(roots) < 2:

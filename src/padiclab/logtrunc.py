@@ -65,13 +65,11 @@ def entry_valuation(A, p: int, cap: int) -> int:
 
 @dataclass(frozen=True)
 class BoundedOp:
-    """d x d matrix over Z/p^prec with optional boundedness data."""
+    """d x d matrix over Z/p^prec."""
 
     p: int
     prec: int
     mat: tuple
-    order_m: int | None = None
-    scale_c: int = 0
 
     @property
     def d(self):

@@ -3,9 +3,9 @@
 The substrate for every p-adic scalar in the library: truncated p-adic
 integers, the Iwasawa logarithm and exponential on the relevant unit
 balls, q-analogues [a]_q = (q^a - 1)/(q - 1) and their inverse
-bijection.  vp, ndigits, degree, check_odd_prime and binomials_mod_p
-answer the integer questions about p; p = 2 is rejected, as the
-convergence needs p odd.  power is the library's one square-and-multiply.
+bijection.  vp, ndigits, ceil_logp, degree, check_odd_prime and
+binomials_mod_p answer the integer questions about p (p = 2 is rejected:
+the convergence needs p odd); power is the one square-and-multiply.
 
 Precision model: every value carries its own precision N; binary
 operations take the min; dividing by p^k costs k digits.  All
@@ -17,19 +17,36 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, isqrt
+from math import ceil, comb, inf
 
 from .errors import PrecisionError
 
 INFINITY = inf
 
 
+# Miller-Rabin on these 13 bases is exact below PSI_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def _witness(a: int, p: int) -> bool:
+    """Whether the base a proves the odd p composite: a^d != 1 and
+    a^(d 2^r) != -1 for r < s, p - 1 = d 2^s with d odd."""
+    s = vp(p - 1, 2)
+    x = pow(a, (p - 1) >> s, p)
+    return x != 1 and p - 1 not in (pow(x, 2 ** r, p) for r in range(s))
+
+
 @functools.cache
 def check_odd_prime(p: int):
-    """ValueError unless p is an odd prime.  Memoised per p; a raise is
-    not cached, so an invalid p raises on every call."""
-    if p < 3 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+    """ValueError unless p is an odd prime below PSI_13.  Memoised per p;
+    a raise is not cached, so an invalid p raises on every call."""
+    if p < 3 or p % 2 == 0 or any(_witness(a, p) for a in MR_BASES if a % p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    if p >= PSI_13:
+        raise ValueError(f"p = {p} is not below {PSI_13}, the bound up to which "
+                         f"{len(MR_BASES)} Miller-Rabin bases prove primality")
 
 
 def vp(k: int, p: int) -> int:
@@ -55,6 +72,12 @@ def ndigits(k: int, p: int) -> int:
         k //= p
         n += 1
     return n
+
+
+def ceil_logp(x, p: int) -> int:
+    """The least k >= 0 with p^k >= x, x an int or a Fraction: p^k >= x
+    iff p^k > ceil(x) - 1."""
+    return ndigits(ceil(x) - 1, p) if x > 1 else 0
 
 
 def binomials_mod_p(alpha, kmax: int, p: int) -> list:

@@ -10,9 +10,11 @@ This module also houses the semilinear solvers: the (p-1)-st root
 giving the nonzero solutions of x^p = U*x, the additive equation
 x^p - U*x = a, and the Frobenius fixed-point construction of V with
 phi(V) = U*V in length-n Witt vectors, by one residue root plus
-successive coordinate corrections.  Their residue equations,
+successive coordinate corrections.  The solvers' residue equations,
 z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 (gf.GF.frobenius_solutions), never by enumerating the field.
+U enters W_n(PerfSeries) with no Witt product, as the Witt sum of its
+terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p).
 """
 
 from __future__ import annotations
@@ -265,21 +267,17 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
 
 def zmod_series_to_witt(U_out, ring: PerfRing, n: int):
     """Embed a Z/p^n-coefficient polynomial/series into W_n(PerfSeries)
-    by u -> Teichmuller(u) and integers through W_n(F_p)."""
+    by u -> Teichmuller(u) and integers through W_n(F_p) = Z/p^n, in
+    closed form: [u]^e = [u^e] and [x] (a_0, a_1, ...) = (a_0 x, a_1 x^p,
+    a_2 x^(p^2), ...) in any W_n(A) (compare ghost components), so c u^e
+    is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p)."""
     p = ring.p
     acc = witt.zero(p, n, ring)
-    tu = witt.teichmuller(monomial(ring.field, ring.D, ring.jmax, 1, ring.field.one,
-                                   ring.prec), p, n, ring)
-    tu_pow = witt.one(p, n, ring)
-    last = 0
-    for e in sorted(U_out.coeffs):
-        c = U_out.coeffs[e]
+    for e, c in U_out.coeffs.items():
         if e < 0:
             raise ValueError("nonnegative exponents only")
-        for _ in range(e - last):
-            tu_pow = tu_pow * tu
-        last = e
-        acc = acc + witt.from_int(int(c), p, n, ring) * tu_pow
+        digits = witt.from_zmod(int(c), p, n, ring).coords
+        acc = acc + witt.WittVector(p, ring, [a.shift(e * p ** i) for i, a in enumerate(digits)])
     return acc
 
 

@@ -66,14 +66,12 @@ class PhiModule:
     """Finite phi-module over the truncated Laurent ring, rank d,
     torsion level n, coefficient field F_q (q = p at n >= 2)."""
 
-    def __init__(self, p: int, q: int, n: int, G, prec: int | None = None,
-                 eisenstein=None):
+    def __init__(self, p: int, q: int, n: int, G):
         self.p = p
         self.q = q
         self.n = n
         self.d = len(G)
         self.G = G
-        self.E = eisenstein
         if n > 1 and q != p:
             raise Unsupported("torsion level n >= 2 implemented for q = p")
         self.ring = module_ring(p, q, n)
@@ -83,7 +81,7 @@ class PhiModule:
             for a in row:
                 if a.ring != self.ring:
                     raise ValueError("G entries must live over the module ring")
-        self.prec = prec if prec is not None else min(a.prec for r in G for a in r)
+        self.prec = min(a.prec for r in G for a in r)
 
     def det(self) -> TruncSeries:
         return mat_det(self.G)
@@ -92,7 +90,7 @@ class PhiModule:
         if self.n == 1:
             return self
         Gbar = [[a.reduce_mod_p() for a in row] for row in self.G]
-        return PhiModule(self.p, self.p, 1, Gbar, eisenstein=self.E)
+        return PhiModule(self.p, self.p, 1, Gbar)
 
     def __repr__(self):
         return f"PhiModule(d={self.d}, n={self.n}, q={self.q})"
@@ -130,7 +128,7 @@ class PhiLattice:
         det = mat_det(basis)
         det_inv = det.inverse()
         binv = [[a * det_inv for a in row] for row in mat_adjugate(basis)]
-        frob = [[a.frobenius(module.p) for a in row] for row in basis]
+        frob = [[a.frobenius() for a in row] for row in basis]
         GL = mat_mul(mat_mul(binv, module.G), frob)
         for row in GL:
             for a in row:
@@ -289,7 +287,7 @@ def tensor_lattice(L1: PhiLattice, L2: PhiLattice) -> PhiLattice:
     G = [[A[i1][j1] * B[i2][j2]
           for j1 in range(d1) for j2 in range(d2)]
          for i1 in range(d1) for i2 in range(d2)]
-    mod = PhiModule(M1.p, M1.q, M1.n, G, eisenstein=M1.E)
+    mod = PhiModule(M1.p, M1.q, M1.n, G)
     return PhiLattice(mod)
 
 
@@ -317,4 +315,4 @@ def cyclotomic_module(m: int, n: int, E, q: int | None = None,
         g = TruncSeries.one(ring, binv.prec)
         for _ in range(-m):
             g = g * binv
-    return PhiModule(p, q, n, [[g]], eisenstein=E)
+    return PhiModule(p, q, n, [[g]])

@@ -11,6 +11,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .padic import ceil_logp
+
 
 @dataclass(frozen=True)
 class PLFunction:
@@ -156,24 +158,9 @@ def phi_Kinf_closed_form_ok(e: int, p: int, s_int: int, frac_num: int,
 # ---------------------------------------------------------------------------
 
 
-def _ceil_logp(x: Fraction, p: int) -> int:
-    """Smallest integer k with p^k >= x (x > 0), by bracketing."""
-    if x <= 0:
-        raise ValueError("positive argument required")
-    k = 0
-    while Fraction(p) ** k < x:
-        k += 1
-    while k > 0 and Fraction(p) ** (k - 1) >= x:
-        k -= 1
-    return k
-
-
 def _logp_exact(x: Fraction, p: int):
     """log_p(x) when it is an integer, else None."""
-    if x <= 0:
-        return None
-    k = _ceil_logp(x, p)
-    if Fraction(p) ** k == x:
+    if x > 0 and p ** (k := ceil_logp(x, p)) == x:
         return k
     return None
 
@@ -304,9 +291,7 @@ def bound_semistable(r: int, n: int, e: int, p: int) -> Fraction:
     r/(p-1) = p^alpha beta with 1/p < beta <= 1."""
     if r < 1 or n < 1 or e < 1:
         raise ValueError("r, n, e >= 1")
-    alpha = 0
-    while Fraction(r, (p - 1) * p ** alpha) > 1:
-        alpha += 1
+    alpha = ceil_logp(Fraction(r, p - 1), p)
     beta = Fraction(r, (p - 1) * p ** alpha)
     assert Fraction(1, p) < beta <= 1
     return 1 + e * (n + alpha) + max(e * beta - Fraction(1, p ** (n + alpha)),
@@ -317,7 +302,7 @@ def bound_tau_congruence(h: int, cprime: int, p: int) -> int:
     """Smallest integer >= log_p(h) + c'."""
     if h < 1 or cprime < 0:
         raise ValueError("h >= 1 and c' >= 0")
-    return _ceil_logp(Fraction(h), p) + cprime
+    return ceil_logp(h, p) + cprime
 
 
 def gamma_lower_bound(s: int, e: int, c0) -> Fraction:

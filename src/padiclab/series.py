@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from . import gf
 from .errors import PrecisionError
+from .padic import ceil_logp
 from .rings import FFRing, OperatorRing, QRing, Zmod
 
 
@@ -242,13 +243,10 @@ class TruncSeries(SparseSeries):
                 out[e - 1] = ring.of_int(e) * c
         return TruncSeries(ring, out, self.prec - 1)
 
-    def frobenius(self, p: int | None = None):
+    def frobenius(self):
         """u -> u^p with the coefficient Frobenius; exact, so the
         precision multiplies by p."""
-        if p is None:
-            p = getattr(self.ring, "p", None)
-            if p is None:
-                raise ValueError("specify p for this coefficient ring")
+        p = self.ring.p
         return TruncSeries(self.ring, {p * e: self.ring.frob(c) for e, c in self.coeffs.items()},
                            p * self.prec)
 
@@ -435,10 +433,7 @@ class EisensteinPoly:
 def lambda_factor_count(E: EisensteinPoly, M: int) -> int:
     """Smallest K such that the K-factor partial product is exact to
     O(u^M): factor k is 1 + O(u^(e p^k))."""
-    K = 0
-    while E.e * E.p ** K < M:
-        K += 1
-    return K
+    return ceil_logp(Fraction(M, E.e), E.p)
 
 
 def kisin_lambda(E: EisensteinPoly, M: int) -> TruncSeries:
@@ -463,7 +458,7 @@ def lambda_residual(E: EisensteinPoly, lam: TruncSeries) -> TruncSeries:
     defining equation (E/E(0)) phi(lam) = lam."""
     ring = lam.ring
     Eser = E.as_series(ring, lam.prec)
-    lhs = Eser * lam.frobenius(E.p)
+    lhs = Eser * lam.frobenius()
     lhs = TruncSeries(ring, {e: c / E.p for e, c in lhs.coeffs.items()}, lhs.prec)
     rhs = lam.scale(Fraction(E.c_unit))
     return (lhs - rhs).truncate(min(lam.prec, lhs.prec))
@@ -487,10 +482,10 @@ def n_nabla_commutation_defect(f: TruncSeries, E: EisensteinPoly,
     ring = f.ring
     if lam is None:
         lam = kisin_lambda(E, max(f.prec * E.p, f.prec))
-    lhs = n_nabla(f.frobenius(E.p), E, lam)
+    lhs = n_nabla(f.frobenius(), E, lam)
     nf = n_nabla(f, E, lam)
     Eser = E.as_series(ring, lhs.prec)
-    rhs = Eser * nf.frobenius(E.p)
+    rhs = Eser * nf.frobenius()
     rhs = TruncSeries(ring, {e: c / E.c_unit for e, c in rhs.coeffs.items()}, rhs.prec)
     return (lhs - rhs).truncate(min(lhs.prec, rhs.prec))
 
@@ -539,7 +534,7 @@ class TruncSeriesRing(OperatorRing):
         return TruncSeries(self.base, {0: self.base.of_int(k)}, self.prec)
 
     def frob(self, a):
-        return a.frobenius(self.p)
+        return a.frobenius()
 
     def __eq__(self, other):
         return isinstance(other, TruncSeriesRing) and self.base == other.base \

@@ -218,16 +218,8 @@ def from_int(k: int, p: int, n: int, ring) -> WittVector:
     """Image of the integer k under Z -> W_n(A)."""
     if ring.char_p:
         return from_zmod(k, p, n, ring)     # through W_n(F_p) = Z/p^n
-    neg = k < 0
-    k = abs(k)
-    acc = zero(p, n, ring)
-    unit = one(p, n, ring)
-    if k:
-        for bit in bin(k)[2:]:
-            acc = acc + acc
-            if bit == "1":
-                acc = acc + unit
-    return -acc if neg else acc
+    acc = power(one(p, n, ring), abs(k), operator.add, zero(p, n, ring))
+    return -acc if k < 0 else acc
 
 
 def teichmuller(a, p: int, n: int, ring) -> WittVector:

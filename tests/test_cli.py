@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from padiclab import galrep, gf
+from padiclab import galrep, gf, padic
 from padiclab.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "padiclab.cli"]
@@ -134,6 +135,21 @@ def test_huge_composite_p_is_a_config_error(capsys):
     p = 10 ** 400 + 1  # 353 divides it
     assert main(["padic", "valuation", "--p", str(p), "--x", "3"]) == 2
     assert capsys.readouterr().err == f"config error: p must be an odd prime, got {p}\n"
+
+
+def test_large_prime_p_is_accepted_at_once(capsys):
+    # 10^18 + 3 is prime; trial division to its square root took 10^9 steps
+    start = time.perf_counter()
+    assert main(["padic", "valuation", "--p", str(10 ** 18 + 3), "--x", "3"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == "0"
+
+
+def test_p_beyond_the_proven_bound_is_a_config_error(capsys):
+    p = padic.PSI_13   # no base proves it composite
+    assert main(["padic", "valuation", "--p", str(p), "--x", "3"]) == 2
+    assert capsys.readouterr().err == (f"config error: p = {p} is not below {p}, the bound up "
+                                       "to which 13 Miller-Rabin bases prove primality\n")
 
 
 def test_strict_mode_flags_errors():

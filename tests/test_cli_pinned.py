@@ -29,6 +29,7 @@ README = [
 ]
 TAU = [f"tau order --p 3 --W {W}" for W in (4, 9, 12, 28)] + [
     "tau order --p 5 --W 26",
+    "tau order --p 7 --W 12",
     "tau commutation --trials 10 --seed 4",
     "tau commutation --p 5 --W 8 --trials 4 --seed 9",
 ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclab import galrep, gf, matrix, padic
+from padiclab import galrep, gf, matrix, padic, phimod
 from padiclab.errors import ExtensionCapExceeded, Unsupported
 from padiclab.galrep import (charpoly_mod_p, frobenius_action, solve_rank1,
                              solve_unit_root, unramified_to_phimod)
@@ -98,6 +98,27 @@ def test_direct_sum_functorial():
 
     assert {_series_key(x) for x, _ in S.solutions()} == embedded(Sa)
     assert {_series_key(y) for _, y in S.solutions()} == embedded(Sb)
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_det_functorial(p, f):
+    # the action on the solutions of det(G), a rank-1 module, is det of the
+    # action on those of G.  Rank d against rank 1, so a defect common to
+    # every action cancels; a lost sign (-1)^d of det shows at q = 3 and 5,
+    # where the norm of -1 is -1, and not at q = 9 or 25, where it is 1.
+    base = FFRing(gf.field(p, f))
+    rng = random.Random(p ** f)
+    for d in (1, 2, 3):
+        for _ in range(6):
+            while True:     # a unit-root G splitting within solve_unit_root's cap
+                G = rand_unit_root(rng, base, d, prec=8)
+                try:
+                    S = solve_unit_root(G)
+                    break
+                except ExtensionCapExceeded:
+                    continue
+            (a,), = frobenius_action(solve_unit_root([[phimod.mat_det(G)]])).matrix
+            assert a == matrix.det(frobenius_action(S).matrix) % p
 
 
 def _series_key(x):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -82,6 +83,77 @@ def test_ndigits_matches_the_digit_loops(p, k, n):
     assert padic.ndigits(k, p) == _digits_loop(k, p)
     assert p ** (padic.ndigits(k, p) - 1) <= k < p ** padic.ndigits(k, p)
     assert padic._series_cutoff_log(p, n) == _cutoff_loop(p, n)
+
+
+def _ceil_logp_bracketing(x, p):
+    """ramif._ceil_logp before padic.ceil_logp: the reference."""
+    k = 0
+    while Fraction(p) ** k < x:
+        k += 1
+    while k > 0 and Fraction(p) ** (k - 1) >= x:
+        k -= 1
+    return k
+
+
+def _lambda_factor_loop(e, p, M):
+    """series.lambda_factor_count's loop: the least K with e p^K >= M."""
+    K = 0
+    while e * p ** K < M:
+        K += 1
+    return K
+
+
+def _alpha_loop(r, p):
+    """bound_semistable's loop: the least alpha with r/((p-1) p^alpha) <= 1."""
+    alpha = 0
+    while Fraction(r, (p - 1) * p ** alpha) > 1:
+        alpha += 1
+    return alpha
+
+
+@SETTINGS
+@given(PRIMES, st.integers(1, 10 ** 12), st.integers(1, 10 ** 6), st.integers(1, 9))
+def test_ceil_logp_matches_the_loops(p, num, den, e):
+    x = Fraction(num, den)
+    assert padic.ceil_logp(x, p) == _ceil_logp_bracketing(x, p)
+    assert padic.ceil_logp(num, p) == _ceil_logp_bracketing(num, p)
+    assert padic.ceil_logp(p ** (num % 40), p) == num % 40
+    assert padic.ceil_logp(Fraction(den, e), p) == _lambda_factor_loop(e, p, den)
+    assert padic.ceil_logp(Fraction(num, p - 1), p) == _alpha_loop(num, p)
+
+
+def _is_odd_prime_by_division(p):
+    return p >= 3 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+
+def _accepts(p):
+    try:
+        padic.check_odd_prime(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_odd_prime_check_agrees_with_trial_division():
+    assert all(_accepts(p) == _is_odd_prime_by_division(p) for p in range(-3, 10 ** 5))
+
+
+@pytest.mark.parametrize("n", [
+    56052361,                   # 211 * 421 * 631, a Carmichael number prime to every base
+    3215031751,                 # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,        # ... to the primes up to 31
+    318665857834031151167461,   # ... to the primes up to 37
+])
+def test_odd_prime_check_refuses_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match=f"p must be an odd prime, got {n}$"):
+        padic.check_odd_prime(n)
+
+
+def test_odd_prime_check_refuses_at_the_proven_bound():
+    # psi_13 is a strong pseudoprime to all 13 bases: only the bound refuses it
+    assert not any(padic._witness(a, padic.PSI_13) for a in padic.MR_BASES)
+    with pytest.raises(ValueError, match=f"not below {padic.PSI_13}"):
+        padic.check_odd_prime(padic.PSI_13)
 
 
 def test_odd_prime_check_has_one_message():

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import gf, witt
 from padiclab.errors import ExtensionTooSmall, LatticeTooCoarse
 from padiclab.perfseries import (PerfRing, PerfSeries, frobenius_fixed_residual,
                                  monomial, one_like, root_p_minus_1, solve_additive,
-                                 solve_frobenius_fixed)
+                                 solve_frobenius_fixed, zmod_series_to_witt)
 from padiclab.rings import Zmod
 from padiclab.series import TruncSeries
 
@@ -179,3 +181,70 @@ def test_root_p_minus_1_takes_the_least_coded_root():
             else:
                 with pytest.raises(ExtensionTooSmall):
                     root_p_minus_1(U)
+
+
+def zmod_series_to_witt_by_products(U_out, ring, n):
+    """The embedding by Witt products, the reference for the closed form:
+    [u]^e as a running product of [u], then from_int(c) [u]^e per term."""
+    p = ring.p
+    acc = witt.zero(p, n, ring)
+    tu = witt.teichmuller(monomial(ring.field, ring.D, ring.jmax, 1, ring.field.one,
+                                   ring.prec), p, n, ring)
+    tu_pow = witt.one(p, n, ring)
+    last = 0
+    for e in sorted(U_out.coeffs):
+        c = U_out.coeffs[e]
+        if e < 0:
+            raise ValueError("nonnegative exponents only")
+        for _ in range(e - last):
+            tu_pow = tu_pow * tu
+        last = e
+        acc = acc + witt.from_int(int(c), p, n, ring) * tu_pow
+    return acc
+
+
+@st.composite
+def zmod_series_inputs(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    jmax = draw(st.integers(0, 6))
+    # precisions on the lattice (1/(D p^jmax)) Z and off it
+    prec = draw(st.sampled_from([F(10), F(7, 2), F(24), F(1, 3), F(29, 11), F(1, p ** 7)]))
+    q = p ** n
+    coeff = st.sampled_from([0, p, q - p, 1, q - 1]) | st.integers(0, q - 1)
+    coeffs = draw(st.lists(coeff, max_size=7))
+    U = TruncSeries(Zmod(p, n), dict(enumerate(coeffs)), 30)
+    return PerfRing(gf.field(p), p - 1, jmax, prec), n, U
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(zmod_series_inputs())
+def test_witt_image_matches_the_products(inputs):
+    ring, n, U = inputs
+    got = zmod_series_to_witt(U, ring, n)
+    want = zmod_series_to_witt_by_products(U, ring, n)
+    assert got.coords == want.coords
+    assert [c.prec for c in got.coords] == [c.prec for c in want.coords]
+
+
+def test_witt_image_makes_no_witt_product(monkeypatch):
+    calls = []
+    product = witt.WittVector.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(witt.WittVector, "__mul__", counted)
+    ring = PerfRing(F3, 2, 4, F(12))
+    U = TruncSeries(Zmod(3, 3), {0: 3, 1: 1, 2: 25, 4: 9, 5: 2}, 12)
+    image = zmod_series_to_witt(U, ring, 3)
+    assert not calls
+    assert zmod_series_to_witt_by_products(U, ring, 3) == image
+    assert len(calls) >= len(U.coeffs)
+
+
+def test_witt_image_refuses_negative_exponents():
+    U = TruncSeries(Zmod(3, 2), {-1: 1, 0: 1}, 6)
+    with pytest.raises(ValueError, match="nonnegative"):
+        zmod_series_to_witt(U, PerfRing(F3, 2, 2, F(6)), 2)

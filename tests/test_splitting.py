@@ -114,13 +114,17 @@ def test_rank1_degree_matches_the_root_search(p, f):
     base = gf.field(p, f)
     for code in range(1, base.order):
         c = base.from_code(code)
+        S = solve_rank1(1, c, base)
+        # the power scan that matrix.order replaced: the least k with
+        # N^k = 1, N = c^((q-1)/(p-1)) the norm of c
+        norm = c ** ((base.order - 1) // (p - 1))
+        assert S.s == next(k for k in range(1, p) if norm ** k == base.one)
         for s in range(1, p):
             if base.order ** s > 5000:
                 break
             ext = gf.extension(base, s)
             gamma = least_root(ext, ext.coerce(c), p - 1)
             if gamma is not None:
-                S = solve_rank1(1, c, base)
                 assert S.s == s and S.field is ext
                 assert S.basis[0][0].leading()[1] == gamma
                 break

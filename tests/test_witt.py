@@ -103,6 +103,23 @@ def test_verschiebung_frobenius():
         assert frobenius_w(verschiebung(x)) == mul_by_p(x)
 
 
+def from_int_by_doubling(k, p, n, ring):
+    """witt.from_int's own double-and-add before padic.power: the reference."""
+    acc, unit = witt.zero(p, n, ring), witt.one(p, n, ring)
+    for bit in bin(abs(k))[2:] if k else "":
+        acc = acc + acc
+        if bit == "1":
+            acc = acc + unit
+    return -acc if k < 0 else acc
+
+
+@pytest.mark.parametrize("p, n, ring", [(3, 3, IntRing()), (5, 2, IntRing()),
+                                        (3, 2, Zmod(3, 4)), (7, 2, Zmod(7, 3))])
+def test_from_int_matches_double_and_add(p, n, ring):
+    for k in range(-30, 31):
+        assert witt.from_int(k, p, n, ring) == from_int_by_doubling(k, p, n, ring)
+
+
 def test_ghost_functoriality():
     rng = random.Random(14)
     Z = IntRing()
