@@ -10,6 +10,7 @@ loop for the order of a matrix in GL_d.  The characteristic polynomial
 is Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18, 1984),
 O(d^4) ring operations, so det and the adjugate (Cayley-Hamilton, Horner
 in A) are valid over rings with zero divisors such as W_n(F_q)[[u]]/u^M.
+One characteristic polynomial serves each det/adjugate pair (det_adjugate).
 """
 
 from __future__ import annotations
@@ -76,28 +77,29 @@ def det(A):
     return c0 if len(A) % 2 == 0 else -c0
 
 
-def adjugate(A, one):
-    """adj(A) = (-1)^(d+1) (A^(d-1) + c_(d-1) A^(d-2) + ... + c_1 I), by
+def det_adjugate(A, one):
+    """(det A, adj A) from one characteristic polynomial: adj(A) =
+    (-1)^(d+1) (A^(d-1) + c_(d-1) A^(d-2) + ... + c_1 I), by
     Cayley-Hamilton, evaluated by Horner in A; one is used at d = 1."""
     d = len(A)
-    if d == 1:
-        return [[one]]
     c = charpoly(A)
+    det_a = c[0] if d % 2 == 0 else -c[0]
+    if d == 1:
+        return det_a, [[one]]
     Q = [row[:] for row in A]
     for k in range(d - 1, 0, -1):
         if k < d - 1:
             Q = mul(Q, A)
         for i in range(d):
             Q[i][i] = Q[i][i] + c[k]
-    return Q if d % 2 == 1 else [[-a for a in row] for row in Q]
+    return det_a, (Q if d % 2 == 1 else [[-a for a in row] for row in Q])
 
 
 def inverse(A, one):
     """adj(A) det(A)^-1 over a field whose elements have .inverse(),
-    which raises ZeroDivisionError when A is singular; det(A) is read off
-    A adj(A) = det(A) I, so the characteristic polynomial is built once."""
-    adj = adjugate(A, one)
-    inv = dot(A[0], [row[0] for row in adj]).inverse()
+    which raises ZeroDivisionError when A is singular."""
+    det_a, adj = det_adjugate(A, one)
+    inv = det_a.inverse()
     return [[a * inv for a in row] for row in adj]
 
 

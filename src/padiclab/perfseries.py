@@ -64,9 +64,6 @@ class PerfSeries(SparseSeries):
     def _model(self):
         return self.field, self.D, self.jmax
 
-    def _one(self, prec):
-        return one_like(self, prec)
-
     @property
     def p(self):
         return self.field.p

@@ -5,7 +5,8 @@ Lattices are basis-change certificates whose lattice-basis Frobenius
 matrix has nonnegative exponents (phi-stability).  Heights are decided
 two independent ways: elementary divisors over k[[u]] (Smith form with
 valuation pivoting) and direct membership solving through the adjugate
-over W_n(F_q)[[u]]/u^M.  Decisions the truncation cannot certify raise
+over W_n(F_q)[[u]]/u^M, where one characteristic polynomial serves each
+det/adjugate pair.  Decisions the truncation cannot certify raise
 Indeterminate rather than guess.  module_ring is the one coefficient
 ring of a module over (p, q, n).
 """
@@ -51,12 +52,14 @@ def mat_det(A) -> TruncSeries:
 
 
 def mat_adjugate(A):
-    """adj(A)_ij = u^(sum(c) - c_i + sum(r) - r_j) adj(B)_ij for the
-    balanced B."""
+    """(det A, adj A) from one characteristic polynomial of the balanced
+    B: det A = u^s det B and adj(A)_ij = u^(s - c_i - r_j) adj(B)_ij,
+    s = sum(r) + sum(c), the det equal to mat_det(A)."""
     r, c, B = _balanced(A)
     s = sum(r) + sum(c)
-    adj = matrix.adjugate(B, TruncSeries.one(A[0][0].ring, A[0][0].prec))
-    return [[a.shift(s - ci - rj) for a, rj in zip(row, r)] for row, ci in zip(adj, c)]
+    det, adj = matrix.det_adjugate(B, TruncSeries.one(A[0][0].ring, A[0][0].prec))
+    return det.shift(s), [[a.shift(s - ci - rj) for a, rj in zip(row, r)]
+                          for row, ci in zip(adj, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +128,9 @@ class PhiLattice:
         if basis is None:
             basis = matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
         self.basis = basis
-        det = mat_det(basis)
+        det, adj = mat_adjugate(basis)
         det_inv = det.inverse()
-        binv = [[a * det_inv for a in row] for row in mat_adjugate(basis)]
+        binv = [[a * det_inv for a in row] for row in adj]
         frob = [[a.frobenius() for a in row] for row in basis]
         GL = mat_mul(mat_mul(binv, module.G), frob)
         for row in GL:
@@ -223,17 +226,16 @@ def u_height(L: PhiLattice) -> int:
 
 def solve_in_lattice(B, columns):
     """The unique Laurent solutions x of B x = b, b running over
-    columns, via adj(B) b / det(B) with det and adj computed once.
+    columns, via adj(B) b / det(B), both from one characteristic polynomial.
 
     Yields the vectors of series in turn; a caller raises Indeterminate
     when the precision of some entry drops below 0 (the nonnegativity
     of its support could then not be read off).
     """
-    det = mat_det(B)
+    det, adj = mat_adjugate(B)
     if _zero_mod_p(det):
         raise Indeterminate("det is 0 mod p to its precision; invertibility is not visible")
     det_inv = det.inverse()
-    adj = mat_adjugate(B)
     for b in columns:
         yield [xi * det_inv for xi in matrix.mat_vec(adj, b)]
 

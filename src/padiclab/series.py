@@ -13,15 +13,16 @@ module's TruncSeries (integer exponents), perfseries.PerfSeries
 (exponents in a lattice (1/L) Z) and taumod.BivarSeries (exponents
 (i, j) truncated by total degree i + j).  It holds the coefficient
 dict, keyed by integer exponent codes, the precision, sums, the one
-product loop, scaling, truncation, equality and the geometric-series
-inverse over a field; each subclass keeps its exponent model and code,
-its construction checks and its own operators.  Per-term work is on
-ints.
+product loop, scaling, truncation, equality and the inverse over a
+field by the coefficient recurrence (Knuth, TAOCP vol. 2, 4.7), one
+product's work; each subclass keeps its exponent model and code, its
+construction checks and its own operators.  Per-term work is on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from . import gf
 from .errors import PrecisionError
 from .padic import ceil_logp
@@ -36,8 +37,9 @@ class SparseSeries:
     (i, j)); precision bounds the degree.
     Subclasses define _like (same model, new data keyed by codes) and
     _model (what two series must share to combine), and may override
-    valuation, terms and _codes.  leading, shift and the field inverse
-    (which needs _one) assume an exponent that is its own degree.
+    valuation, terms and _codes.  leading and shift assume an exponent
+    that is its own degree, and the field inverse one whose code is its
+    own product code (decoder None).
     """
 
     __slots__ = ("coeffs", "prec")
@@ -147,22 +149,34 @@ class SparseSeries:
     def _field_inverse(self, inv):
         """Inverse of a unit over a field; inv inverts a coefficient.
 
-        f = lead u^v (1 + w) gives 1/f = lead^-1 u^-v sum (-w)^k.
+        1/f = u^-v sum_n g_n u^n, v the leading code: g_0 = f_v^-1 and
+        g_n = -f_v^-1 sum_(k > 0) f_(v+k) g_(n-k), over the product codes
+        below the bound at precision prec - v.  A heap gives them in
+        increasing order, each reached from f's support by a nonzero g_n,
+        so the work is one product's.  The precision is prec - 2v.
         """
         v, lead = self.leading()
         linv = inv(lead)
-        one = self._one(self.prec - v)
-        w = self.shift(-v).scale(linv) - one
-        wv = w._veff()
-        if wv <= 0:
-            raise ValueError("not normalized")
-        acc = term = one
-        k = 0
-        while k * wv < self.prec - v:
-            term = term * (-w)
-            acc = acc + term
-            k += 1
-        return acc.scale(linv).shift(-v).truncate(self.prec - 2 * v)
+        left, _, bound, _ = self._codes(self, self.prec - v)
+        low = min(left)
+        tail = sorted((k - low, c) for k, c in left.items() if k != low)
+        out, sums, heap = {}, {}, [0]
+        while heap:
+            n = heappop(heap)
+            g = -sums.pop(n) * linv if n else linv
+            if not g:
+                continue
+            out[n - low] = g
+            for k, c in tail:
+                m = n + k
+                if m >= bound:
+                    break
+                if m in sums:
+                    sums[m] = sums[m] + c * g
+                else:
+                    sums[m] = c * g
+                    heappush(heap, m)
+        return self._like(out, self.prec - 2 * v)
 
 
 def code_bound(prec, unit: int) -> int:
@@ -186,9 +200,6 @@ class TruncSeries(SparseSeries):
 
     def _model(self):
         return (self.ring,)
-
-    def _one(self, prec):
-        return TruncSeries.one(self.ring, prec)
 
     # --- constructors ---
 
@@ -253,9 +264,9 @@ class TruncSeries(SparseSeries):
     def inverse(self):
         """Inverse of a unit in the truncated Laurent ring.
 
-        Over a field: geometric series.  Over Z/p^n: the mod-p
-        reduction must be nonzero; Newton iteration then lifts the
-        mod-p inverse.
+        Over a field: the coefficient recurrence of the shared kernel,
+        one product's work.  Over Z/p^n: the mod-p reduction must be
+        nonzero; Newton iteration then lifts the mod-p inverse.
         """
         ring = self.ring
         if isinstance(ring, (FFRing, QRing)):

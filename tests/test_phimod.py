@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import galrep, gf, matrix, phimod
 from padiclab.errors import Indeterminate, Unsupported
@@ -225,3 +228,75 @@ def test_height_divides_indeterminate():
         height_divides(mod, TruncSeries.one(R3, 5))
     # while a shifted question is honestly decidable at the same precision
     assert not height_divides(mod, TruncSeries.monomial(R3, 1, R3.one, 5))
+
+
+# --- the det/adjugate pair from one characteristic polynomial
+
+
+def ref_adjugate(A, one):
+    """adj(A) by Cayley-Hamilton and Horner in A, from a characteristic
+    polynomial of its own: matrix.adjugate before det_adjugate."""
+    d = len(A)
+    if d == 1:
+        return [[one]]
+    c = matrix.charpoly(A)
+    Q = [row[:] for row in A]
+    for k in range(d - 1, 0, -1):
+        if k < d - 1:
+            Q = matrix.mul(Q, A)
+        for i in range(d):
+            Q[i][i] = Q[i][i] + c[k]
+    return Q if d % 2 == 1 else [[-a for a in row] for row in Q]
+
+
+def ref_mat_adjugate(A):
+    """mat_adjugate before it returned the det: the adjugate alone."""
+    r, c, B = phimod._balanced(A)
+    s = sum(r) + sum(c)
+    adj = ref_adjugate(B, TruncSeries.one(A[0][0].ring, A[0][0].prec))
+    return [[a.shift(s - ci - rj) for a, rj in zip(row, r)] for row, ci in zip(adj, c)]
+
+
+def same_series(a, b):
+    return type(a.prec) is type(b.prec) and a.prec == b.prec and a.coeffs == b.coeffs
+
+
+PAIR_RINGS = {"F3": R3, "F9": FFRing(gf.field(3, 2)), "Z/9": Zmod(3, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_RINGS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_det_adjugate_pair_matches_det_and_the_old_adjugate(name, data):
+    """Entries u^(r_i + c_j) a_ij with row and column valuations up to 14,
+    where _balanced matters, and zero entries among them."""
+    ring = PAIR_RINGS[name]
+    d = data.draw(st.integers(1, 3))
+    prec = data.draw(st.integers(4, 24))
+    coeff = (st.integers(0, 8) if isinstance(ring, Zmod)
+             else st.integers(0, ring.field.order - 1).map(ring.field.from_code))
+    r = data.draw(st.lists(st.integers(-3, 14), min_size=d, max_size=d))
+    c = data.draw(st.lists(st.integers(-3, 14), min_size=d, max_size=d))
+    A = [[TruncSeries(ring, data.draw(st.dictionaries(st.integers(0, 7), coeff, max_size=5)),
+                      prec).shift(r[i] + c[j]) for j in range(d)] for i in range(d)]
+    det, adj = phimod.mat_adjugate(A)
+    assert same_series(det, mat_det(A))
+    for row, ref_row in zip(adj, ref_mat_adjugate(A)):
+        assert all(same_series(a, b) for a, b in zip(row, ref_row))
+
+
+def test_one_charpoly_per_lattice_and_per_solve():
+    """PhiLattice and solve_in_lattice each take det and adjugate from one
+    characteristic polynomial."""
+    rng = random.Random(27)
+    z = TruncSeries.zero(R3, M)
+    G = mat_mul([[u_mono(1), z, z], [z, u_mono(2), z], [z, z, u_mono(0)]],
+                rand_unit_matrix(rng, R3, 3, M))
+    basis = rand_unit_matrix(rng, R3, 3, M)
+    with mock.patch.object(matrix, "charpoly", side_effect=matrix.charpoly) as cp:
+        L = PhiLattice(PhiModule(3, 3, 1, G), basis)
+        assert cp.call_count == 1
+        cp.reset_mock()
+        columns = matrix.scalar(3, u_mono(2), z)
+        assert len(list(phimod.solve_in_lattice(L.lattice_frobenius, columns))) == 3
+        assert cp.call_count == 1

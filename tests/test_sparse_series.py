@@ -3,11 +3,15 @@
 Each model draws random sparse operands, and sums, products, equality
 and (over a field) inverses must match a slow reference written here:
 coefficients keyed by the exponent itself, combined pair by pair,
-kept when the exponent's weight is below the precision.
+kept when the exponent's weight is below the precision.  The inverse
+by coefficient recurrence must also give exactly the coefficients and
+precision of the geometric-series loop it replaced, kept here as
+geometric_inverse.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,9 +20,10 @@ from hypothesis import strategies as st
 from padiclab import gf
 from padiclab.perfseries import PerfSeries
 from padiclab.rings import FFRing, QRing, Zmod
-from padiclab.series import TruncSeries
+from padiclab.series import SparseSeries, TruncSeries, code_bound
 from padiclab.taumod import BivarSeries
 
+F3 = gf.field(3)
 F9 = gf.field(3, 2)
 F9_CODES = st.integers(0, 8).map(F9.from_code)
 
@@ -134,3 +139,123 @@ def test_field_inverse_matches_dict_convolution(name, data):
     assert g.prec == prec - 2 * v
     # f * g = 1 up to the product's precision, which pins g down
     assert ref_mul(m, F, G) == ref_form(m, {m.unit_exp: m.one}, prec - v)
+
+
+# ---------------------------------------------------------------------------
+# the recurrence inverse against the geometric-series loop it replaced
+
+
+def geometric_inverse(f, inv):
+    """f = lead u^v (1 + w) gives 1/f = lead^-1 u^-v sum_k (-w)^k, summed
+    while k v(w) < prec - v: about (prec - v)/v(w) full products."""
+    v, lead = f.leading()
+    linv = inv(lead)
+    one = f._like({0: lead * linv}, f.prec - v)
+    w = f.shift(-v).scale(linv) - one
+    wv = w._veff()
+    assert wv > 0
+    acc = term = one
+    k = 0
+    while k * wv < f.prec - v:
+        term = term * (-w)
+        acc = acc + term
+        k += 1
+    return acc.scale(linv).shift(-v).truncate(f.prec - 2 * v)
+
+
+def nonzero(codes, make):
+    return st.integers(1, codes - 1).map(make)
+
+
+# name -> (ring, coefficient strategy, nonzero-coefficient strategy)
+TRUNC_RINGS = {
+    "F3": (FFRing(F3), st.integers(0, 2).map(F3.from_code), nonzero(3, F3.from_code)),
+    "F9": (FFRing(F9), F9_CODES, nonzero(9, F9.from_code)),
+    "Q": (QRing(3), st.fractions(-4, 4, max_denominator=27),
+          st.fractions(-4, 4, max_denominator=27).map(lambda c: c or Fraction(1, 3))),
+    # through the Newton lift: the leading coefficient may be divisible by p
+    "Z/9": (Zmod(3, 2), st.integers(0, 8), st.integers(1, 8)),
+    "Z/125": (Zmod(5, 3), st.integers(0, 124), st.integers(1, 124)),
+    "Z/81": (Zmod(3, 4), st.integers(0, 80), st.integers(1, 80)),
+}
+
+
+@st.composite
+def trunc_units(draw, name):
+    """A TruncSeries with a nonzero term at v in [-3, 6] and, above it,
+    either every exponent up to past the precision (dense) or at most
+    four (sparse)."""
+    ring, coeff, lead = TRUNC_RINGS[name]
+    prec = draw(st.integers(1, 24))
+    v = draw(st.integers(-3, min(6, prec - 1)))
+    if draw(st.booleans()):
+        tail = {e: draw(coeff) for e in range(v + 1, prec + 2)}
+    else:
+        tail = draw(st.dictionaries(st.integers(v + 1, prec + 2), coeff, max_size=4))
+    f = TruncSeries(ring, {v: draw(lead), **tail}, prec)
+    assume(not isinstance(ring, Zmod) or not f.reduce_mod_p().is_zero())
+    return f
+
+
+@st.composite
+def perf_units(draw):
+    """A PerfSeries on (1/L) Z, L = D 3^jmax up to 1458, at a precision off
+    the lattice as often as not: a leading term at v in [-1, prec), then
+    either every multiple of a step through the window prec - v (dense)
+    or at most six codes, up to past the window (sparse).  Steps and
+    gaps are at least a twelfth of the window, so that the reference
+    loop stays short."""
+    field = draw(st.sampled_from([F3, F9]))
+    D, jmax = draw(st.integers(1, 2)), draw(st.integers(0, 6))
+    L = D * 3 ** jmax
+    prec = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 11)))
+    low = draw(st.integers(-L, code_bound(prec, L) - 1))
+    span = code_bound(prec, L) - low
+    least = max(1, span // 12)
+    if draw(st.booleans()):
+        step = draw(st.integers(least, max(least, span // 3)))
+        codes = range(low + step, low + span + step + 1, step)
+    else:
+        gaps = draw(st.lists(st.integers(least, span + L), max_size=6))
+        codes = [low + k for k in gaps]
+    coeff = F9_CODES if field is F9 else st.integers(0, 2).map(F3.from_code)
+    lead = nonzero(field.order, field.from_code)
+    terms = {Fraction(k, L): draw(coeff) for k in codes}
+    terms[Fraction(low, L)] = draw(lead)
+    return PerfSeries(field, D, jmax, terms, prec)
+
+
+def same_inverse(f):
+    new = f.inverse()
+    with mock.patch.object(SparseSeries, "_field_inverse", geometric_inverse):
+        old = f.inverse()
+    assert type(new.prec) is type(old.prec) and new.prec == old.prec
+    assert new.coeffs == old.coeffs
+    assert repr(new) == repr(old)
+
+
+@pytest.mark.parametrize("name", sorted(TRUNC_RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_trunc_inverse_matches_the_geometric_loop(name, data):
+    same_inverse(data.draw(trunc_units(name)))
+
+
+@SETTINGS
+@given(f=perf_units())
+def test_perf_inverse_matches_the_geometric_loop(f):
+    same_inverse(f)
+
+
+def test_field_inverse_makes_no_product():
+    """The recurrence makes no series product; the loop makes one per term."""
+    dense = TruncSeries(FFRing(F9), {e: F9.from_code(e % 9 or 1) for e in range(2, 26)}, 24)
+    sparse = PerfSeries(F3, 2, 6, {Fraction(1, 3): F3.one, Fraction(5, 1458): F3.one,
+                                   Fraction(7, 2): F3.el(2)}, Fraction(29, 3))
+    for f in (dense, sparse):
+        with mock.patch.object(SparseSeries, "__mul__", autospec=True,
+                               side_effect=SparseSeries.__mul__) as mul:
+            f.inverse()
+            assert mul.call_count == 0
+            geometric_inverse(f, lambda c: c.inverse())
+            assert mul.call_count > 0
