@@ -34,8 +34,8 @@ class ExtensionTooSmall(PadicLabError):
 
 
 class ExtensionCapExceeded(PadicLabError):
-    """The residue extension a solution needs has degree above the
-    configured cap; raised before any field of that degree is built."""
+    """A field the computation needs has order above gf.MAX_ORDER, the
+    one limit on the size of a built field; raised before it is built."""
 
 
 class Unsupported(PadicLabError):

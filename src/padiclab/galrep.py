@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from . import gf, matrix
+from . import gf, matrix, padic
 from .errors import ExtensionCapExceeded, Unsupported
 from .phimod import PhiModule, module_ring
 from .rings import FFRing
@@ -244,16 +244,15 @@ def _check_solutions(G, G0e, Q, residues, prec):
             raise ArithmeticError("a residue solution fails sigma(x0) = x0 G0")
 
 
-def solve_unit_root(G, s_max: int = 64) -> SolutionSet:
+def solve_unit_root(G) -> SolutionSet:
     """Solution set of x^(p) = x G for G with G(0) invertible.
 
     On residues the equation iterates to x^(q) = x N with
     N = G0 sigma(G0) ... sigma^(f-1)(G0) over F_q, so all p^d residue
     solutions lie in F_(q^s) exactly when N^s = I: the extension degree
-    s is the order of N, found by a power loop up to s_max, and only
-    F_(q^s) is built.  ExtensionCapExceeded is raised before any field
-    is built when the order exceeds s_max.  The basis is the residue
-    basis least in code order times Q, both checked first.
+    s is the order of N (_splitting_degree), and only F_(q^s) is built,
+    if it fits in gf.MAX_ORDER.  The basis is the residue basis least in
+    code order times Q, both checked first.
     """
     G = _as_matrix(G)
     ring = G[0][0].ring
@@ -267,7 +266,7 @@ def solve_unit_root(G, s_max: int = 64) -> SolutionSet:
         G0inv = ff_mat_inv(G0)
     except ZeroDivisionError:
         raise Unsupported("G(0) is not invertible: not the unit-root case") from None
-    s = _splitting_degree(G0, base, s_max)
+    s = _splitting_degree(G0, base)
     ext = gf.extension(base, s)
     G0e = [[ext.coerce(a) for a in row] for row in G0]
     residues = _residue_basis(G0e, ext)
@@ -278,18 +277,34 @@ def solve_unit_root(G, s_max: int = 64) -> SolutionSet:
     return SolutionSet(base, ext, s, d, prec, _times_Q(residues, Q, base))
 
 
-def _splitting_degree(G0, base, s_max):
-    """The order of N = G0 sigma(G0) ... sigma^(f-1)(G0) in GL_d(F_q), q = p^f."""
+def _frobenius_norm(G0, base):
+    """N = G0 sigma(G0) ... sigma^(f-1)(G0) over F_q, q = p^f."""
     N = Gi = G0
     for _ in range(base.fp_degree - 1):
         Gi = [[base.frob_p(a) for a in row] for row in Gi]
         N = matrix.mul(N, Gi)
-    s = matrix.order(N, base.one, base.zero, s_max)
+    return N
+
+
+def _splitting_degree(G0, base):
+    """The order s of N in GL_d(F_q), q = p^f, by a power loop up to
+    p^d - 1 and the largest s with q^s <= gf.MAX_ORDER; past the second,
+    ExtensionCapExceeded before any field is built.
+
+    s <= p^d - 1 by Lang's theorem ("Algebraic groups over finite
+    fields", 1956): G0 = X^-1 sigma(X) for an X in GL_d over the closure
+    of F_p, so N = X^-1 sigma^f(X), and X N X^-1 = sigma^f(X) X^-1 is
+    fixed by sigma (sigma(X) = X G0, sigma^f(G0) = G0): N is conjugate
+    into GL_d(F_p), whose elements have order at most p^d - 1."""
+    d, q = len(G0), base.order
+    lang, fits = base.p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
+    s = matrix.order(_frobenius_norm(G0, base), base.one, base.zero, min(lang, fits))
     if s is not None:
         return s
-    raise ExtensionCapExceeded(
-        f"the residue equation splits in no extension of degree <= {s_max}: "
-        f"N = G0 sigma(G0) ... sigma^(f-1)(G0) has order > {s_max} in GL_{len(G0)}(F_{base.order})")
+    if fits >= lang:
+        raise ArithmeticError(f"N has order above p^d - 1 = {lang} in GL_{d}(F_{q})")
+    raise ExtensionCapExceeded(f"N has order > {fits} in GL_{d}(F_{q}): the residue equation "
+                               f"needs F_({q}^s), s > {fits}, of order above gf.MAX_ORDER")
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +379,16 @@ def solve_rank1(a: int, c, base_field: gf.GF, prec=8):
     """Solutions of x^(p) = c u^a x in the fractional-exponent model:
     zero plus the F_p^x multiples of gamma u^(a/(p-1)) with
     gamma^(p-1) = c.  The exponent a/(p-1) is the tame-character datum.
-    The degree s is the order of an element of F_p^x, so s <= p - 1.
+    gamma exists in F_(q^s) iff c^(s (q-1)/(p-1)) = 1: s is the order of
+    the norm N = c^((q-1)/(p-1)) of c, _splitting_degree([[c]]).
     """
     p = base_field.p
     c = base_field.coerce(c)
     if not c:
         raise ValueError("c must be nonzero")
     if a == 0:
-        # N = c sigma(c) ... sigma^(f-1)(c) is the norm of c, in F_p^x
-        ring = FFRing(base_field)
-        G = [[TruncSeries(ring, {0: c}, int(prec))]]
-        return solve_unit_root(G, s_max=p - 1)
-    # gamma^(p-1) = c is solvable in F_(q^s) iff c^(s (q-1)/(p-1)) = 1, so
-    # s is the order of c^((q-1)/(p-1)), an element of F_p^x
-    norm = c ** ((base_field.order - 1) // (p - 1))
-    s = matrix.order([[norm]], base_field.one, base_field.zero, p - 1)
+        return solve_unit_root([[TruncSeries(FFRing(base_field), {0: c}, int(prec))]])
+    s = _splitting_degree([[c]], base_field)
     fld = gf.extension(base_field, s)
     roots = fld.frobenius_solutions(fld.coerce(c))
     if len(roots) < 2:

@@ -21,7 +21,7 @@ x -> x^p and its inverse are stored so, as packed matrix columns.
 fp_rref row-reduces rows packed so, with w = fp_width(p (p-1)): a row
 operation is one int multiply-add and one digit reduction (fp_reduce).
 fp_kernel and fp_solve take and return lists of int rows.
-The field of each (p, f) is built once (field).
+The field of each (p, f) is built once, up to order MAX_ORDER (field).
 
 Every residue equation the library meets is F_p-linear in x: the rows
 of x -> x^p - x A on F^d come from the Frobenius and from
@@ -38,6 +38,7 @@ import operator
 import struct
 from itertools import product
 
+from .errors import ExtensionCapExceeded
 from .padic import check_odd_prime, power
 
 
@@ -179,7 +180,6 @@ class GF:
     irreducible modulus."""
 
     def __init__(self, p: int, degree: int = 1):
-        check_odd_prime(p)
         self.p = p
         self.fp_degree = degree
         self.order = p ** degree
@@ -376,10 +376,18 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
 
 _cache: dict = {}
 
+# The largest field order built: cold builds up to it measured 1.6 s or
+# less (grid in CHANGES.md), and it admits F_(3^52), the largest in use.
+MAX_ORDER = 2 ** 128
+
 
 def field(p: int, f: int = 1) -> GF:
-    """F_{p^f} over the prime field, built once per (p, f)."""
+    """F_{p^f} over the prime field, built once per (p, f): the only
+    place a GF is made.  ExtensionCapExceeded past MAX_ORDER."""
     if (p, f) not in _cache:
+        check_odd_prime(p)
+        if p ** f > MAX_ORDER:
+            raise ExtensionCapExceeded(f"F_({p}^{f}) has order above gf.MAX_ORDER = 2^128")
         _cache[p, f] = GF(p, f)
     return _cache[p, f]
 

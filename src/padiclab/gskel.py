@@ -51,11 +51,6 @@ def mul(g: GaloisElt, h: GaloisElt) -> GaloisElt:
     return GaloisElt(g.c + g.chi * h.c, g.chi * h.chi)
 
 
-def inverse(g: GaloisElt) -> GaloisElt:
-    ci = g.chi.unit_inverse()
-    return GaloisElt(-(ci * g.c), ci)
-
-
 def pow(g: GaloisElt, a) -> GaloisElt:
     """g^a for a in Z_p; needs chi(g) = 1 mod p (pro-p part of the group).
 

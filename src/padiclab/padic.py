@@ -165,12 +165,6 @@ class PadicInt:
 
     __rmul__ = __mul__
 
-    def unit_inverse(self) -> "PadicInt":
-        if self.residue % self.p == 0:
-            raise ZeroDivisionError(f"{self} is not a unit")
-        return PadicInt(self.p, self.prec,
-                        pow(self.residue, -1, self.p ** self.prec))
-
     def divide(self, other: "PadicInt") -> "PadicInt":
         """Exact division; costs v(other) digits of precision."""
         n = self._join(other)
@@ -209,9 +203,6 @@ class PadicInt:
             raise PrecisionError("cannot raise precision")
         return PadicInt(self.p, n, self.residue)
 
-    def lift(self) -> int:
-        return self.residue
-
     def __repr__(self):
         return f"{self.residue} + O({self.p}^{self.prec})"
 
@@ -226,10 +217,6 @@ class PadicUnit(PadicInt):
 
     def __hash__(self):
         return super().__hash__()
-
-
-def as_unit(x: PadicInt) -> PadicUnit:
-    return PadicUnit(x.p, x.prec, x.residue)
 
 
 def valuation(x: PadicInt):
@@ -336,4 +323,4 @@ def chi_tau(chi_g: PadicInt, chi_tau_base: PadicInt) -> PadicUnit:
     if not chi_g.is_unit():
         raise ValueError("chi(g) must be a unit")
     a = q_analogue_inverse(chi_g, chi_tau_base)
-    return as_unit(a)
+    return PadicUnit(a.p, a.prec, a.residue)

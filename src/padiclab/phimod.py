@@ -13,6 +13,8 @@ ring of a module over (p, q, n).
 
 from __future__ import annotations
 
+import functools
+
 from . import gf, matrix
 from .errors import Indeterminate, Unsupported
 from .padic import degree
@@ -89,12 +91,6 @@ class PhiModule:
     def det(self) -> TruncSeries:
         return mat_det(self.G)
 
-    def reduce_mod_p(self) -> "PhiModule":
-        if self.n == 1:
-            return self
-        Gbar = [[a.reduce_mod_p() for a in row] for row in self.G]
-        return PhiModule(self.p, self.p, 1, Gbar)
-
     def __repr__(self):
         return f"PhiModule(d={self.d}, n={self.n}, q={self.q})"
 
@@ -130,6 +126,7 @@ class PhiLattice:
         self.basis = basis
         det, adj = mat_adjugate(basis)
         det_inv = det.inverse()
+        self._basis_inverse = adj, det_inv      # lattice_contains reads it
         binv = [[a * det_inv for a in row] for row in adj]
         frob = [[a.frobenius() for a in row] for row in basis]
         GL = mat_mul(mat_mul(binv, module.G), frob)
@@ -147,6 +144,14 @@ class PhiLattice:
     def d(self):
         return self.module.d
 
+    @functools.cached_property
+    def _frobenius_inverse(self):
+        """(adj, det^-1) of the lattice Frobenius, for height_divides."""
+        det, adj = mat_adjugate(self.lattice_frobenius)
+        if _zero_mod_p(det):
+            raise Indeterminate("det is 0 mod p to its precision; invertibility is not visible")
+        return adj, det.inverse()
+
     def __repr__(self):
         return f"PhiLattice(d={self.d}, n={self.module.n})"
 
@@ -155,13 +160,9 @@ def stabilize_lattice(M: PhiModule) -> PhiLattice:
     """Smallest k >= 0 with u^k * (coordinate lattice) phi-stable:
     scaling the basis by u^k rescales the Frobenius matrix by
     u^((p-1)k)."""
-    vmin = 0
-    for row in M.G:
-        for a in row:
-            me = a.valuation()
-            if me is not None:
-                vmin = min(vmin, me)
-    k = 0 if vmin >= 0 else (-vmin + M.p - 2) // (M.p - 1)
+    vals = [a.valuation() for row in M.G for a in row]
+    vmin = min([0] + [v for v in vals if v is not None])
+    k = (-vmin + M.p - 2) // (M.p - 1)          # ceil(-vmin / (p - 1))
     uk = TruncSeries.monomial(M.ring, k, M.ring.one, M.prec)
     return PhiLattice(M, matrix.scalar(M.d, uk, TruncSeries.zero(M.ring, uk.prec)))
 
@@ -224,29 +225,19 @@ def u_height(L: PhiLattice) -> int:
 # --- membership decisions through the adjugate ---
 
 
-def solve_in_lattice(B, columns):
-    """The unique Laurent solutions x of B x = b, b running over
-    columns, via adj(B) b / det(B), both from one characteristic polynomial.
-
-    Yields the vectors of series in turn; a caller raises Indeterminate
-    when the precision of some entry drops below 0 (the nonnegativity
-    of its support could then not be read off).
-    """
-    det, adj = mat_adjugate(B)
-    if _zero_mod_p(det):
-        raise Indeterminate("det is 0 mod p to its precision; invertibility is not visible")
-    det_inv = det.inverse()
+def _all_integral(inverse, columns) -> bool:
+    """Whether x = adj(B) b det(B)^-1 is integral for every b in columns,
+    inverse = (adj B, det(B)^-1).  Indeterminate when an entry's precision
+    drops below 0: the nonnegativity of its support is then not visible."""
+    adj, det_inv = inverse
     for b in columns:
-        yield [xi * det_inv for xi in matrix.mat_vec(adj, b)]
-
-
-def _vector_integral(x) -> bool:
-    for xi in x:
-        if xi.prec < 0:
-            raise Indeterminate("precision exhausted before integrality was visible")
-        me = xi.valuation()
-        if me is not None and me < 0:
-            return False
+        for xi in matrix.mat_vec(adj, b):
+            xi = xi * det_inv
+            if xi.prec < 0:
+                raise Indeterminate("precision exhausted before integrality was visible")
+            me = xi.valuation()
+            if me is not None and me < 0:
+                return False
     return True
 
 
@@ -269,14 +260,14 @@ def height_divides(L, U: TruncSeries) -> bool:
     ring, d = L.module.ring, L.module.d
     # the columns of U I, zero-padded at U's precision
     columns = matrix.scalar(d, U, TruncSeries.zero(ring, U.prec))
-    return all(_vector_integral(x) for x in solve_in_lattice(L.lattice_frobenius, columns))
+    return _all_integral(L._frobenius_inverse, columns)
 
 
 def lattice_contains(L1: PhiLattice, L2: PhiLattice, fmat) -> bool:
     """Whether f(L1) sits inside L2, for f given by a matrix over the
     Laurent ring in module coordinates."""
     target = mat_mul(fmat, L1.basis)
-    return all(_vector_integral(x) for x in solve_in_lattice(L2.basis, zip(*target)))
+    return _all_integral(L2._basis_inverse, zip(*target))
 
 
 def tensor_lattice(L1: PhiLattice, L2: PhiLattice) -> PhiLattice:

@@ -340,12 +340,35 @@ def test_galois_rank1_reads_fq_code():
 
 
 def test_galois_rank1_degree_is_bounded_by_p_minus_1_only():
-    # 3 has order 30 in F_31^x: the root lies in F_(31^30), not below
-    r = run(["galois", "rank1", "--p", "31", "--c", "3", "--a", "1"])
+    # 5 has order 22 in F_23^x: the root lies in F_(23^22), not below
+    r = run(["galois", "rank1", "--p", "23", "--c", "5", "--a", "1"])
     assert r.returncode == 0, r.stderr
     vals = {x["name"]: x["value"] for x in json.loads(r.stdout)["results"]}
-    assert vals == {"solutions": "31", "tame-exponent": "1/30"}
-    assert galrep.solve_rank1(1, 3, gf.field(31)).s == 30
+    assert vals == {"solutions": "23", "tame-exponent": "1/22"}
+    assert galrep.solve_rank1(1, 5, gf.field(23)).s == 22
+    # 3 has order 30 in F_31^x, and F_(31^30) is larger than gf.MAX_ORDER
+    assert 31 ** 30 > gf.MAX_ORDER
+    r = run(["galois", "rank1", "--p", "31", "--c", "3", "--a", "1"])
+    assert r.returncode == 0, r.stderr
+    assert _value(r).startswith("ExtensionCapExceeded: ")
+
+
+@pytest.mark.parametrize("p, c", [("1009", "11"), ("10007", "5")])
+def test_galois_rank1_past_the_field_limit_is_refused_at_once(p, c):
+    t0 = time.perf_counter()
+    r = run(["galois", "rank1", "--p", p, "--c", c, "--a", "1"])
+    assert time.perf_counter() - t0 < 2.0
+    assert r.returncode == 0, r.stderr
+    assert _value(r).startswith("ExtensionCapExceeded: ")
+
+
+@pytest.mark.parametrize("p, wittlen", [("3", "5"), ("17", "3")])
+def test_witt_laws_past_the_cost_bound_exit_2_at_once(p, wittlen):
+    t0 = time.perf_counter()
+    r = run(["witt", "laws", "--p", p, "--wittlen", wittlen])
+    assert time.perf_counter() - t0 < 2.0
+    assert r.returncode == 2 and "input error" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_import_leaves_numpy_out():

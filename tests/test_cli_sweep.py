@@ -25,8 +25,8 @@ TEXTS = st.sampled_from(["", "x", "1,2", "1;2", "0:1"])
 # file I/O and the help text are no library branch; --trials is fixed at 2
 SKIP = {"--help", "--out", "--config", "--trials"}
 # Two flags set a cost exponential in their value: the Witt length
-# (generate_laws(3, 5) takes longer than the whole sweep) and the order m
-# of log_m, a sum of p^m terms.  They are drawn from a smaller range.
+# (generate_laws(p, n) costs about p^(n^2 - 1) ns, refused past 2^31) and
+# the order m of log_m, a sum of p^m terms.  They are drawn from a smaller range.
 CAPS = {"--wittlen": st.integers(-2, 3), "--m": st.integers(-2, 3)}
 FLOAT = re.compile(r"\d\.\d|\d[eE][-+]?\d")
 

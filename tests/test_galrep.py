@@ -292,7 +292,7 @@ COST_BUDGET = 40_000    # p^d solutions x (degree of F_(q^s))^2 x M: under a sec
 
 def _reference_cost(G0, fld, d, prec):
     try:
-        s = galrep._splitting_degree(G0, fld, 64)
+        s = galrep._splitting_degree(G0, fld)
     except ExtensionCapExceeded:
         return float("inf")
     return fld.p ** d * (fld.fp_degree * s) ** 2 * prec
@@ -400,7 +400,7 @@ def _check_inputs():
         if all(row != [F9.one if i == j else F9.zero for j in range(2)]
                for i, row in enumerate(G0)):
             break
-    ext = gf.extension(F9, galrep._splitting_degree(G0, F9, 64))
+    ext = gf.extension(F9, galrep._splitting_degree(G0, F9))
     G0e = [[ext.coerce(a) for a in row] for row in G0]
     residues = galrep._residue_basis(G0e, ext)
     Q = galrep._trivialisation(G, G0, galrep.ff_mat_inv(G0), 12)
@@ -458,7 +458,7 @@ def test_basis_is_the_greedy_basis_of_the_enumeration():
         base = rng.choice([R3, R9])
         G = rand_unit_root(rng, base, d, prec=4)
         G0 = galrep._residue_matrix(G)
-        s = galrep._splitting_degree(G0, base.field, 64)
+        s = galrep._splitting_degree(G0, base.field)
         if base.field.order ** (s * d) > 3 ** 8 or seen[d] == 8:
             continue
         seen[d] += 1

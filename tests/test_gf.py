@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf
+from padiclab.errors import ExtensionCapExceeded
 
 
 def test_prime_field():
@@ -314,3 +315,22 @@ def test_frobenius_solutions_are_the_enumerated_ones(p, f, data):
         b = gp - a * g
     assert F.frobenius_solutions(a, b) == [g for g, gp, _ in table if gp - a * g == b]
     assert F.frobenius_solutions(a)[1:] == [g for g, _, gq in table if g and gq == a]
+
+
+@pytest.mark.parametrize("p, f", [(3, 81), (5, 56), (1009, 13), (10007, 10)])
+def test_fields_past_max_order_are_refused_before_the_search(p, f):
+    assert p ** (f - 1) <= gf.MAX_ORDER < p ** f
+    before = dict(gf._cache)
+    with mock.patch.object(gf, "_find_modulus_prime") as search:
+        with pytest.raises(ExtensionCapExceeded, match=rf"F_\({p}\^{f}\)"):
+            gf.field(p, f)
+        with pytest.raises(ExtensionCapExceeded):
+            gf.extension(gf.field(p), f)
+    search.assert_not_called()
+    assert gf._cache.keys() - before.keys() <= {(p, 1)}
+    assert (p, f) not in gf._cache
+
+
+def test_field_checks_the_prime_first():
+    with pytest.raises(ValueError, match="odd prime"):
+        gf.field(9, 100)

@@ -285,9 +285,10 @@ def test_det_adjugate_pair_matches_det_and_the_old_adjugate(name, data):
         assert all(same_series(a, b) for a, b in zip(row, ref_row))
 
 
-def test_one_charpoly_per_lattice_and_per_solve():
-    """PhiLattice and solve_in_lattice each take det and adjugate from one
-    characteristic polynomial."""
+def test_one_charpoly_per_lattice_and_per_lattice_frobenius():
+    """PhiLattice takes det and adjugate of its basis from one
+    characteristic polynomial, and height_divides those of the lattice
+    Frobenius from one more, however many U are asked."""
     rng = random.Random(27)
     z = TruncSeries.zero(R3, M)
     G = mat_mul([[u_mono(1), z, z], [z, u_mono(2), z], [z, z, u_mono(0)]],
@@ -297,6 +298,9 @@ def test_one_charpoly_per_lattice_and_per_solve():
         L = PhiLattice(PhiModule(3, 3, 1, G), basis)
         assert cp.call_count == 1
         cp.reset_mock()
-        columns = matrix.scalar(3, u_mono(2), z)
-        assert len(list(phimod.solve_in_lattice(L.lattice_frobenius, columns))) == 3
+        for h in range(5):
+            phimod.height_divides(L, u_mono(h))
         assert cp.call_count == 1
+        cp.reset_mock()
+        assert phimod.lattice_contains(L, L, matrix.scalar(3, u_mono(0), z))
+        assert cp.call_count == 0

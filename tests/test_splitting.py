@@ -10,13 +10,15 @@ search must return the first monic irreducible in lexicographic order,
 which the reference finds with Rabin's test on the Frobenius matrix.
 """
 
+import functools
 import time
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padiclab import gf, matrix
+from padiclab import galrep, gf, matrix
 from padiclab.errors import ExtensionCapExceeded
 from padiclab.galrep import solve_rank1, solve_unit_root, unramified_to_phimod
 from padiclab.rings import FFRing
@@ -91,17 +93,82 @@ def test_splitting_degree_of_a_constant_matrix_is_the_order_of_a_power(f, A):
     assert S.s == _order_mod_3(Af)
 
 
-def test_refusal_is_immediate_and_builds_no_field():
-    # the companion matrix of x^4 + x + 2, primitive over F_3: order 80 > 64
-    C = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 0, 0]]
-    assert _order_mod_3(C) == 80
-    G = unramified_to_phimod(C, 3)
+def _refused_at_once(solve, *args):
+    """solve(*args) raises ExtensionCapExceeded within a second and
+    builds no field."""
     before = set(gf._cache)
     t0 = time.perf_counter()
-    with pytest.raises(ExtensionCapExceeded, match="order > 64"):
-        solve_unit_root(G)
+    with pytest.raises(ExtensionCapExceeded, match="MAX_ORDER"):
+        solve(*args)
     assert time.perf_counter() - t0 < 1.0
     assert set(gf._cache) == before
+
+
+# the companion matrix of x^3 + 2x + 1, primitive over F_3: order 26
+CUBIC = [[0, 1, 0], [0, 0, 1], [2, 1, 0]]
+
+
+def test_refusal_is_immediate_and_builds_no_field():
+    # over F_(3^5), N = CUBIC^5 has order 26, and 243^26 = 3^130 > 2^128
+    assert _order_mod_3(CUBIC) == 26
+    assert _order_mod_3(functools.reduce(matrix.mul, [CUBIC] * 5)) == 26
+    G = unramified_to_phimod(CUBIC, 3 ** 5, prec=4)
+    _refused_at_once(solve_unit_root, G)
+
+
+@pytest.mark.parametrize("p, c", [(1009, 11), (10007, 5)])
+def test_rank1_refusal_is_immediate_and_builds_no_field(p, c):
+    _refused_at_once(solve_rank1, 1, c, gf.field(p))
+    _refused_at_once(solve_rank1, 0, c, gf.field(p))
+
+
+def test_an_order_80_matrix_over_F3_solves_at_the_limit():
+    # the companion matrix of x^4 + x + 2, primitive over F_3: 3^80 <= 2^128
+    C = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 0, 0]]
+    assert _order_mod_3(C) == 80
+    assert 3 ** 80 <= gf.MAX_ORDER < 3 ** 81
+    S = solve_unit_root(unramified_to_phimod(C, 3, prec=2))
+    assert S.s == 80 and S.field is gf.field(3, 80)
+
+
+def _power_order(A, one, zero):
+    """The least k >= 1 with A^k = I, by an unbounded power loop."""
+    ident = matrix.scalar(len(A), one, zero)
+    power, k = A, 1
+    while power != ident:
+        power, k = matrix.mul(power, A), k + 1
+    return k
+
+
+@SETTINGS
+@given(st.sampled_from([(3, 2), (5, 2), (3, 3)]).flatmap(lambda pf: st.tuples(
+    st.just(pf), st.integers(1, 3).flatmap(lambda d: st.lists(st.lists(
+        st.integers(0, pf[0] ** pf[1] - 1), min_size=d, max_size=d), min_size=d, max_size=d)))))
+def test_the_frobenius_norm_is_conjugate_into_GL_d_F_p(case):
+    # Lang: N = G0 sigma(G0) ... sigma^(f-1)(G0) is conjugate into
+    # GL_d(F_p), so its characteristic polynomial is over F_p and its
+    # order is at most p^d - 1
+    (p, f), codes = case
+    base = gf.field(p, f)
+    G0 = [[base.from_code(c) for c in row] for row in codes]
+    assume(matrix.det(G0))
+    N = galrep._frobenius_norm(G0, base)
+    assert all(base.frob_p(c) == c for c in matrix.charpoly(N))
+    assert _power_order(N, base.one, base.zero) <= p ** len(G0) - 1
+
+
+def test_splitting_degree_is_the_power_loop_on_all_of_GL2_F9():
+    F9 = gf.field(3, 2)
+    els = [F9.from_code(c) for c in range(9)]
+    count = 0
+    for a, b, c, d in product(els, repeat=4):
+        G0 = [[a, b], [c, d]]
+        if not matrix.det(G0):
+            continue
+        count += 1
+        N = matrix.mul(G0, [[F9.frob_p(x) for x in row] for row in G0])
+        assert galrep._splitting_degree(G0, F9) == _power_order(N, F9.one, F9.zero)
+    assert count == (81 - 1) * (81 - 9)
 
 
 def least_root(F, x, n):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -285,3 +286,21 @@ def test_frobenius_is_the_rings_frobenius(name, data):
                 assert got.prec >= want.prec
                 got = got.truncate(want.prec)
             assert got == want
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (17, 3), (5, 4), (7, 4), (23, 3), (1291, 2), (3, 10 ** 6)])
+def test_law_generation_past_the_cost_bound_is_refused_before_any_law(p, n):
+    with mock.patch.object(witt, "_solve_laws") as solve:
+        with pytest.raises(ValueError, match="too large to generate"):
+            generate_laws.__wrapped__(p, n)
+    solve.assert_not_called()
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 3)])
+def test_the_laws_in_use_generate(p, n):
+    # (3, 3), (5, 3) and (7, 3) are the largest the suites, demos and tests
+    # meet; 13^8 and 1289^3 are the largest costs admitted at n = 3 and 2
+    assert 13 ** 8 <= witt.MAX_LAW_COST < 17 ** 8
+    assert 1289 ** 3 <= witt.MAX_LAW_COST < 1291 ** 3
+    T = generate_laws(p, n)
+    assert len(T.sum_polys) == len(T.prod_polys) == n
