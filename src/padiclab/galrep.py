@@ -342,9 +342,7 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     f = base.fp_degree  # q = p^f
     A = []
     for x in res:
-        y = x
-        for _ in range(f):
-            y = [ext.frob_p(c) for c in y]
+        y = [ext.frob_p(c, f) for c in x]
         coords = gf.fp_solve(basis_mat, [a for c in y for a in c.coeffs], p)
         if coords is None:
             raise ArithmeticError("q-Frobenius does not preserve the solution space")

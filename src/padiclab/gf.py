@@ -16,8 +16,10 @@ then a few int multiply-adds, exact while no digit sum reaches 256^w,
 and fp_unpack reads the digits back reduced mod p.  At w = 1 the codec
 is bytes() and one bytes.translate against a mod-p table; fp_reduce
 also reduces two-byte digits by translating their byte planes, and 4-
-and 8-byte digits are machine words read through struct.  The Frobenius
-x -> x^p and its inverse are stored so, as packed matrix columns.
+and 8-byte digits are machine words read through struct.  Every
+F_p-linear field map is stored so, as packed columns applied by
+GF._apply: the Frobenius x -> x^p, one column set whose powers give
+sigma^k at any k (frob_p), and each registered embedding F_q -> F_(q^s).
 fp_rref row-reduces rows packed so, with w = fp_width(p (p-1)): a row
 operation is one int multiply-add and one digit reduction (fp_reduce).
 fp_kernel and fp_solve take and return lists of int rows.
@@ -187,10 +189,10 @@ class GF:
         self.zero = FFElt(self, (0,) * degree)
         self.one = FFElt(self, (1,) + (0,) * (degree - 1))
         self.tag = f"F{self.order}"
-        # packed Frobenius columns: a digit sums at most degree (p-1)^2
+        # packed columns of the Frobenius and the embeddings: a digit sums
+        # at most degree (p-1)^2
         self._w = fp_width(degree * (p - 1) ** 2)
         self._frob_cols = None
-        self._frob_inv_cols = None
         self._embeddings = {}
 
     # --- construction of elements ---
@@ -201,13 +203,9 @@ class GF:
                 return x
             if x.field.p == self.p and x.field.order == self.p:
                 return self.el(x.coeffs[0])
-            powers = self._embeddings.get(id(x.field))
-            if powers is not None:
-                acc = self.zero
-                for c, img in zip(x.coeffs, powers):
-                    if c:
-                        acc = acc + img * c
-                return acc
+            cols = self._embeddings.get(id(x.field))
+            if cols is not None:
+                return self._apply(cols, x)
             raise ValueError(f"cannot coerce element of {x.field.tag} into {self.tag}")
         if isinstance(x, int):
             return self.el(x)
@@ -259,36 +257,27 @@ class GF:
             out.append(out[-1] * y)
         return out
 
-    def frob_p(self, x: FFElt) -> FFElt:
-        """x^p, via the packed Frobenius columns."""
+    def frob_p(self, x: FFElt, k: int = 1) -> FFElt:
+        """sigma^k(x) = x^(p^k) for any int k, taken mod the degree: the
+        packed Frobenius columns applied (k mod degree) times."""
         if self._frob_cols is None:
             self._frob_cols = [fp_pack(v.coeffs, self._w) for v in
                                self._powers(self.gen ** self.p, self.fp_degree)]
-        return self._apply(self._frob_cols, x)
-
-    def pth_root(self, x: FFElt) -> FFElt:
-        """The unique y with y^p = x: Frobenius^(degree-1), packed."""
-        if self._frob_inv_cols is None:
-            y = self.gen
-            for _ in range(self.fp_degree - 1):
-                y = self.frob_p(y)
-            self._frob_inv_cols = [fp_pack(v.coeffs, self._w)
-                                   for v in self._powers(y, self.fp_degree)]
-        return self._apply(self._frob_inv_cols, x)
+        for _ in range(k % self.fp_degree):
+            x = self._apply(self._frob_cols, x)
+        return x
 
     def register_embedding(self, small: "GF"):
         """Record an embedding of the degree-f field ``small`` into this
         field: the image of its generator is the first root of its
-        modulus inside the fixed field of Frob^f."""
+        modulus inside the fixed field of Frob^f, stored as the packed
+        columns of the images of 1, x, ..., x^(f-1)."""
         if id(small) in self._embeddings or small.fp_degree == 1:
             return
         p, n, f = self.p, self.fp_degree, small.fp_degree
         if n % f:
             raise ValueError("no embedding: degree does not divide")
-        y = self.gen
-        for _ in range(f):
-            y = self.frob_p(y)
-        images = self._powers(y, n)  # Frob^f - 1 sends x^j to y^j - x^j
+        images = self._powers(self.frob_p(self.gen, f), n)  # Frob^f - 1: x^j -> images[j] - x^j
         basis = fp_kernel([[v.coeffs[i] - (i == j) for j, v in enumerate(images)]
                            for i in range(n)], p)
         if len(basis) != f:
@@ -302,7 +291,7 @@ class GF:
                 break
         else:
             raise RuntimeError("modulus has no root in the big field")  # impossible
-        self._embeddings[id(small)] = self._powers(x, f)
+        self._embeddings[id(small)] = [fp_pack(v.coeffs, self._w) for v in self._powers(x, f)]
 
     def _times_columns(self, y: FFElt) -> list:
         """Multiplication by y as columns x^k y, k < degree, by

@@ -240,8 +240,6 @@ def log_unit(x: PadicInt) -> PadicInt:
     """
     p, n = x.p, x.prec
     t = (x - 1).residue
-    if t == 0:
-        return PadicInt(p, n, 0)
     if t % p != 0:
         raise ValueError("log_unit needs x = 1 mod p")
     cutoff = _series_cutoff_log(p, n)

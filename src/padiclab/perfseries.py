@@ -111,15 +111,15 @@ class PerfSeries(SparseSeries):
 
     def pth_power(self):
         """Exact: no cross terms in characteristic p."""
-        p = self.p
-        return self._like({k * p: c ** p for k, c in self.coeffs.items()}, self.prec * p)
+        p, frob = self.p, self.field.frob_p
+        return self._like({k * p: frob(c) for k, c in self.coeffs.items()}, self.prec * p)
 
     def pth_root(self):
         p = self.p
         for k in self.coeffs:
             if k % p:
                 raise LatticeTooCoarse(f"p-th root of u^{Fraction(k, self.L)} leaves the lattice")
-        return self._like({k // p: self.field.pth_root(c) for k, c in self.coeffs.items()},
+        return self._like({k // p: self.field.frob_p(c, -1) for k, c in self.coeffs.items()},
                           self.prec / p)
 
     def binomial_power(self, alpha: Fraction):
@@ -285,7 +285,9 @@ def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,
 
     Residue level: V_0 = U_0^(1/(p-1)).  Each further coordinate is a
     p^k-th root of the residual followed by one additive semilinear
-    solve, mirroring the successive-approximation construction.
+    solve, mirroring the successive-approximation construction; a
+    residual that is zero at its precision is solved too, as it still
+    bounds the coordinate's precision.
     Normalized by the choice of (p-1)-st root; the full solution set is
     Z_p^x times the result.
     """
@@ -307,8 +309,6 @@ def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,
             if not resid.coords[j].is_zero():
                 raise PrecisionError("residual not divisible by p^k")
         rk = resid.coords[k]
-        if rk.is_zero():
-            continue
         try:
             a = rk
             for _ in range(k):

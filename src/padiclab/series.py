@@ -359,7 +359,9 @@ def weierstrass(f: TruncSeries):
     """Write f = unit * (u^d + p*(lower degree)) over Z/p^n[[u]].
 
     d is the u-valuation of f mod p; fails if f = 0 mod p at this
-    truncation.  The factorization is exact at the truncation.
+    truncation.  The factorization is exact at the truncation.  Every
+    lifting step spends precision, even one whose error is zero at its
+    precision: a truncated zero is not an exact zero.
     """
     ring = f.ring
     if not isinstance(ring, Zmod):
@@ -377,8 +379,6 @@ def weierstrass(f: TruncSeries):
     for k in range(1, ring.n):
         err = f - unit * dist
         eps = _divide_out_p(err, k)
-        if eps.is_zero():
-            continue
         q = eps * ubar_inv_inv
         dP = TruncSeries(q.ring, {e: c for e, c in q.coeffs.items() if e < d}, q.prec)
         dU = TruncSeries(q.ring, {e - d: c for e, c in q.coeffs.items() if e >= d},

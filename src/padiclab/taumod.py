@@ -74,8 +74,8 @@ class BivarSeries(SparseSeries):
         return SparseSeries.__mul__(self, other)
 
     def frobenius(self):
-        p = self.field.p
-        return self._like({(p * i, p * j): c ** p for (i, j), c in self.coeffs.items()},
+        p, frob = self.field.p, self.field.frob_p
+        return self._like({(p * i, p * j): frob(c) for (i, j), c in self.coeffs.items()},
                           p * self.prec)
 
     def __repr__(self):

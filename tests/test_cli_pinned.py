@@ -2,8 +2,9 @@
 
 tests/data/cli_pinned.json holds stdout and the exit status of the 11
 property suites at --trials 6 --seed 5, of the README's example
-commands and of the tau commands at several truncations.  A change that alters any of them on purpose regenerates the
-file with `python tests/test_cli_pinned.py` and says why.
+commands, of the tau commands at several truncations and of two
+precision examples.  A change that alters any of them on purpose
+regenerates the file with `python tests/test_cli_pinned.py` and says why.
 """
 
 import contextlib
@@ -33,7 +34,14 @@ TAU = [f"tau order --p 3 --W {W}" for W in (4, 9, 12, 28)] + [
     "tau commutation --trials 10 --seed 4",
     "tau commutation --p 5 --W 8 --trials 4 --seed 9",
 ]
-COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU
+# each runs a step whose correction is zero at its precision, which must
+# still spend that precision
+PRECISION = [
+    "--p 3 --n 3 --M 11 series weierstrass --coeffs 0,0,0,0,3,21,0,18,8,0,26",
+    "series solvev --p 3 --n 3 --coeffs 0,1,1 --M 10 --jmax 5",
+]
+COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
+    PRECISION
 
 
 def run(command):

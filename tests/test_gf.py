@@ -27,7 +27,7 @@ def test_f9():
         assert F9.frob_p(x) == x ** 3
         if x:
             assert x * x.inverse() == F9.one
-        assert F9.pth_root(x) ** 3 == x
+        assert F9.frob_p(x, -1) ** 3 == x
 
 
 def test_field_axioms_random():
@@ -192,16 +192,54 @@ def test_packed_frobenius_matches_powering(pf, data):
     p = F.p
     x = F.from_fp(data.draw(st.lists(st.integers(0, p - 1), min_size=F.fp_degree,
                                      max_size=F.fp_degree)))
+    n = F.fp_degree
     assert F.frob_p(x) == x ** p
-    y = F.pth_root(x)
+    y = F.frob_p(x, -1)
     assert y ** p == x
-    assert F.pth_root(x ** p) == x
+    assert F.frob_p(x ** p, -1) == x
+    k = data.draw(st.integers(-2 * n, 2 * n))
+    assert F.frob_p(x, k) == x ** (p ** (k % n))
     k = data.draw(st.integers(-2 * p, 2 * p))
     assert x * k == k * x == x * F.el(k)
 
 
 def test_packed_digit_widths():
     assert [gf.field(*pf)._w for pf in FROB_FIELDS] == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+
+
+def _coerce_loop(big, x):
+    """GF.coerce's FFElt loop before the packed embedding columns: the
+    reference, summing c_i y^i for the root y that x's generator maps to."""
+    col = big._embeddings[id(x.field)][1]
+    y = gf.FFElt(big, gf.fp_unpack(col, big.fp_degree, big._w, big.p))
+    acc = big.zero
+    for c, img in zip(x.coeffs, big._powers(y, x.field.fp_degree)):
+        if c:
+            acc = acc + img * c
+    return acc
+
+
+# (p, f, s): F_(p^f) into F_(p^(f s)), at one- and two-byte digit widths
+EMBEDDINGS = [(3, 2, 2), (3, 2, 3), (3, 3, 2), (3, 4, 3), (5, 2, 2), (5, 3, 2), (7, 2, 3),
+              (17, 2, 2)]
+
+
+@SETTINGS
+@given(st.sampled_from(EMBEDDINGS), st.data())
+def test_packed_embedding_matches_the_coerce_loop(pfs, data):
+    """coerce applies the embedding's packed columns; the image of the
+    generator is a root of the small field's modulus, and every image is
+    the FFElt sum the columns replaced."""
+    p, f, s = pfs
+    small = gf.field(p, f)
+    big = gf.extension(small, s)
+    y = big.coerce(small.gen)
+    acc = big.one
+    for c in reversed(small.modulus):
+        acc = acc * y + c
+    assert not acc
+    x = small.from_fp(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    assert big.coerce(x) == _coerce_loop(big, x)
 
 
 @SETTINGS

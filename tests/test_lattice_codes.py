@@ -79,7 +79,8 @@ class FracPerf(SparseSeries):
         for e in self.coeffs:
             if (e / p * self.L).denominator != 1:
                 raise LatticeTooCoarse(f"p-th root of u^{e} leaves the lattice")
-        return self._like({e / p: self.field.pth_root(c) for e, c in self.coeffs.items()},
+        return self._like({e / p: c ** p ** (self.field.fp_degree - 1)
+                           for e, c in self.coeffs.items()},
                           self.prec / p)
 
     def binomial_power(self, alpha):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf, witt
-from padiclab.errors import ExtensionTooSmall, LatticeTooCoarse
+from padiclab.errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from padiclab.perfseries import (PerfRing, PerfSeries, frobenius_fixed_residual,
                                  monomial, one_like, root_p_minus_1, solve_additive,
                                  solve_frobenius_fixed, zmod_series_to_witt)
@@ -84,6 +84,36 @@ def test_existv_rank1_residue():
     assert all(c.is_zero() for c in
                frobenius_fixed_residual(Us, V, ring, 1).coords)
     assert V.coords[0].valuation() == F(1, 2)
+
+
+SOLVE_ERRORS = (ExtensionTooSmall, LatticeTooCoarse, PrecisionError)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(3, 2), (3, 3), (5, 2)]), st.integers(3, 8), st.data())
+def test_fixed_point_claims_only_digits_every_completion_shares(pn, M, data):
+    """Perturbation oracle: V with phi(V) = U V for U at precision M
+    agrees with V for two completions of U to precision 3M wherever both
+    claim digits.  U mod p has leading coefficient 1, so every
+    completion picks the same (p-1)-st root; an input or completion the
+    field or lattice cannot solve is passed over.  A coordinate whose
+    residual is zero at its precision still spends precision."""
+    p, n = pn
+    R, Fp = Zmod(p, n), gf.field(p)
+    d = data.draw(st.integers(0, M - 1))
+    cs = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=M, max_size=M))
+    cs = [c - c % p for c in cs[:d]] + [cs[d] - cs[d] % p + 1] + cs[d + 1:]
+    try:
+        V = solve_frobenius_fixed(TruncSeries(R, dict(enumerate(cs)), M), Fp, n)
+    except SOLVE_ERRORS:
+        return
+    for _ in range(2):
+        tail = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=2 * M, max_size=2 * M))
+        try:
+            W = solve_frobenius_fixed(TruncSeries(R, dict(enumerate(cs + tail)), 3 * M), Fp, n)
+        except SOLVE_ERRORS:
+            continue
+        assert V.coords == W.coords
 
 
 def test_existv_unit_type_full_precision():

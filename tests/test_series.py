@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import gf
 from padiclab.rings import FFRing, QRing, Zmod
@@ -111,6 +113,26 @@ def test_weierstrass_random_reconstruction():
         unit, dist = weierstrass(f)
         assert unit * dist == f
         d = dist.valuation() if dist.coeffs else 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(3, 2), (5, 2), (3, 3), (3, 4)]), st.integers(2, 12), st.data())
+def test_weierstrass_claims_only_digits_every_completion_shares(pn, M, data):
+    """Perturbation oracle: the unit and distinguished part of f at
+    precision M agree with those of four completions of f to precision
+    3M wherever both claim digits.  The factorization is unique, so a
+    disagreement is a digit claimed without being determined: a lifting
+    step whose correction is zero still spends precision."""
+    p, n = pn
+    R = Zmod(p, n)
+    d = data.draw(st.integers(0, M - 1))
+    cs = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=M, max_size=M))
+    cs = [c - c % p for c in cs[:d]] + [cs[d] - cs[d] % p + 1] + cs[d + 1:]
+    unit, dist = weierstrass(TruncSeries(R, dict(enumerate(cs)), M))
+    for _ in range(4):
+        tail = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=2 * M, max_size=2 * M))
+        unit_g, dist_g = weierstrass(TruncSeries(R, dict(enumerate(cs + tail)), 3 * M))
+        assert dist == dist_g and unit == unit_g
 
 
 def test_eisenstein_validation():
