@@ -167,7 +167,7 @@ def _frobenius_columns(A, right, base, w) -> list:
     d f (p-1)^2 in a digit."""
     d, f, p = len(A), base.fp_degree, base.p
     n = d * d * f
-    frob = [base.frob_p(base.from_fp([int(u == t) for u in range(f)])) for t in range(f)]
+    frob = [gf.FFElt(base, col) for col in base.frobenius_columns()]
     return [gf.fp_reduce(sum(c * right[(a * d + k) * f + u] for a in range(d)
                              for u, c in enumerate((A[a][i] * frob[t]).coeffs)), n, w, p)
             for i in range(d) for k in range(d) for t in range(f)]

@@ -192,7 +192,6 @@ class GF:
         # packed columns of the Frobenius and the embeddings: a digit sums
         # at most degree (p-1)^2
         self._w = fp_width(degree * (p - 1) ** 2)
-        self._frob_cols = None
         self._embeddings = {}
 
     # --- construction of elements ---
@@ -257,12 +256,19 @@ class GF:
             out.append(out[-1] * y)
         return out
 
+    @functools.cached_property
+    def _frob_cols(self) -> list:
+        """sigma's packed columns: the images (x^k)^p, k < degree."""
+        return [fp_pack(v.coeffs, self._w)
+                for v in self._powers(self.gen ** self.p, self.fp_degree)]
+
+    def frobenius_columns(self) -> list:
+        """sigma's matrix over F_p by columns: the digits of (x^k)^p, k < degree."""
+        return [fp_unpack(c, self.fp_degree, self._w, self.p) for c in self._frob_cols]
+
     def frob_p(self, x: FFElt, k: int = 1) -> FFElt:
         """sigma^k(x) = x^(p^k) for any int k, taken mod the degree: the
         packed Frobenius columns applied (k mod degree) times."""
-        if self._frob_cols is None:
-            self._frob_cols = [fp_pack(v.coeffs, self._w) for v in
-                               self._powers(self.gen ** self.p, self.fp_degree)]
         for _ in range(k % self.fp_degree):
             x = self._apply(self._frob_cols, x)
         return x
@@ -308,8 +314,7 @@ class GF:
         rows over F_p, unreduced: column (j, k), the image of x^k in
         slot j, is (x^k)^p in slot j less x^k A[j][i] in slot i."""
         m = self.fp_degree
-        frob = [self.frob_p(self.from_fp([int(i == k) for i in range(m)])).coeffs
-                for k in range(m)]
+        frob = self.frobenius_columns()
         times = functools.cache(self._times_columns)    # once per distinct entry
         cols = []
         for j, row in enumerate(A):

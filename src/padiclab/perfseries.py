@@ -2,9 +2,11 @@
 perfection side.
 
 A PerfSeries has coefficients in a finite field and exponents in the
-fixed lattice (1/(D*p^jmax)) Z, supported below a precision bound.
-Operations that would need a finer lattice fail loudly with
-LatticeTooCoarse instead of refining silently.
+fixed lattice (1/L) Z, L = D*p^jmax, below a precision held as its code
+prec*L: an int on the lattice, an exact Fraction only off it; prec,
+valuation, leading and terms read exact Fractions.  Operations that
+would need a finer lattice fail loudly with LatticeTooCoarse instead of
+refining silently.
 
 This module also houses the semilinear solvers: the (p-1)-st root
 giving the nonzero solutions of x^p = U*x, the additive equation
@@ -19,7 +21,6 @@ terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import witt
@@ -27,12 +28,14 @@ from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from .gf import GF, FFElt
 from .padic import binomials_mod_p
 from .rings import OperatorRing
-from .series import SparseSeries, code_bound
+from .series import SparseSeries
 
 
 class PerfSeries(SparseSeries):
     """Series over a finite field with exponents in (1/L) Z, L = D p^jmax;
-    coeffs is keyed by the integer code e*L of each exponent e."""
+    coeffs is keyed by the integer code e*L of each exponent e, and pc
+    is prec*L, a Fraction only off the lattice (after a p-th root or a
+    cap at v/p)."""
 
     __slots__ = ("field", "D", "jmax", "L")
 
@@ -42,24 +45,21 @@ class PerfSeries(SparseSeries):
         self.L = L = D * field.p ** jmax
         codes = {}
         for e, c in coeffs.items():
-            k = Fraction(e) * L
-            if k.denominator != 1:
+            k = lattice_code(e, L)
+            if type(k) is not int:
                 raise LatticeTooCoarse(f"exponent {Fraction(e)} outside lattice 1/{L} Z")
-            k = k.numerator
             codes[k] = codes[k] + c if k in codes else c
-        self._fill(codes, prec)
+        self.pc = pc = lattice_code(prec, L)
+        self.coeffs = {k: c for k, c in codes.items() if k < pc and c}
 
-    def _like(self, coeffs, prec):
+    def _like(self, coeffs, pc):
         out = object.__new__(PerfSeries)
         out.field, out.D, out.jmax, out.L = self.field, self.D, self.jmax, self.L
-        out._fill(coeffs, prec)
+        if type(pc) is not int and pc.denominator == 1:
+            pc = pc.numerator
+        out.pc = pc
+        out.coeffs = {k: c for k, c in coeffs.items() if k < pc and c}
         return out
-
-    def _fill(self, coeffs, prec):
-        """Set prec and keep the nonzero terms with code below prec*L."""
-        self.prec = prec if type(prec) is Fraction else Fraction(prec)
-        bound = code_bound(self.prec, self.L)
-        self.coeffs = {k: c for k, c in coeffs.items() if k < bound and c}
 
     def _model(self):
         return self.field, self.D, self.jmax
@@ -68,25 +68,32 @@ class PerfSeries(SparseSeries):
     def p(self):
         return self.field.p
 
+    @property
+    def prec(self):
+        """The precision, a Fraction."""
+        return Fraction(self.pc, self.L)
+
     def valuation(self):
         """Least exponent, a Fraction; None when zero at this precision."""
         return Fraction(min(self.coeffs), self.L) if self.coeffs else None
+
+    def _veff(self):
+        return min(self.coeffs) if self.coeffs else self.pc
 
     def terms(self):
         L = self.L
         return [(Fraction(k, L), c) for k, c in sorted(self.coeffs.items())]
 
-    def _codes(self, other, prec):
-        return self.coeffs, other.coeffs, code_bound(prec, self.L), None
-
     def shift(self, e):
         """Multiply by u^e."""
-        k = Fraction(e) * self.L
-        if k.denominator != 1 and self.coeffs:
+        k = lattice_code(e, self.L)
+        if type(k) is not int and self.coeffs:
             e = Fraction(next(iter(self.coeffs)), self.L) + e
             raise LatticeTooCoarse(f"exponent {e} outside lattice 1/{self.L} Z")
-        k = k.numerator
-        return self._like({c + k: v for c, v in self.coeffs.items()}, self.prec + e)
+        return self._like({c + k: v for c, v in self.coeffs.items()}, self.pc + k)
+
+    def truncate(self, prec):
+        return SparseSeries.truncate(self, lattice_code(prec, self.L))
 
     # --- arithmetic: the shared kernel, with __mul__ and inverse bound
     # here by name for perfbench's tracer ---
@@ -112,15 +119,16 @@ class PerfSeries(SparseSeries):
     def pth_power(self):
         """Exact: no cross terms in characteristic p."""
         p, frob = self.p, self.field.frob_p
-        return self._like({k * p: frob(c) for k, c in self.coeffs.items()}, self.prec * p)
+        return self._like({k * p: frob(c) for k, c in self.coeffs.items()}, self.pc * p)
 
     def pth_root(self):
         p = self.p
         for k in self.coeffs:
             if k % p:
                 raise LatticeTooCoarse(f"p-th root of u^{Fraction(k, self.L)} leaves the lattice")
-        return self._like({k // p: self.field.frob_p(c, -1) for k, c in self.coeffs.items()},
-                          self.prec / p)
+        pc = self.pc
+        pc = pc // p if type(pc) is int and not pc % p else Fraction(pc, p)
+        return self._like({k // p: self.field.frob_p(c, -1) for k, c in self.coeffs.items()}, pc)
 
     def binomial_power(self, alpha: Fraction):
         """(1 + w)^alpha for self = 1 + w, v(w) > 0, alpha in Z_(p).
@@ -129,7 +137,7 @@ class PerfSeries(SparseSeries):
         mod p; exact at truncation since v(w^k) grows.
         """
         fld = self.field
-        onep = one_like(self, self.prec)
+        onep = one_like(self)
         w = self - onep
         if w.is_zero():
             return onep
@@ -137,16 +145,22 @@ class PerfSeries(SparseSeries):
         if wv <= 0:
             raise ValueError("binomial power needs constant term 1")
         acc = term = onep
-        # every k >= 1 with k v(w) < prec
-        for ck in binomials_mod_p(alpha, math.ceil(self.prec / wv) - 1, self.p)[1:]:
+        # every k >= 1 with k v(w) < prec, in codes: k < ceil(pc / wv)
+        for ck in binomials_mod_p(alpha, -(-self.pc // wv) - 1, self.p)[1:]:
             term = term * w
             if ck:
                 acc = acc + term.scale(fld.el(ck))
         return acc
 
 
-def one_like(model: PerfSeries, prec=None) -> PerfSeries:
-    return model._like({0: model.field.one}, model.prec if prec is None else prec)
+def one_like(model: PerfSeries) -> PerfSeries:
+    return model._like({0: model.field.one}, model.pc)
+
+
+def lattice_code(x, L: int):
+    """x*L, an int when x lies on the lattice (1/L) Z, else the exact Fraction."""
+    k = x * L if type(x) is int else Fraction(x) * L
+    return k.numerator if type(k) is not int and k.denominator == 1 else k
 
 
 def monomial(field: GF, D: int, jmax: int, exp, coeff, prec) -> PerfSeries:
@@ -170,7 +184,7 @@ class PerfRing(OperatorRing):
         self.one = monomial(field, D, jmax, 0, field.one, self.prec)
 
     def of_int(self, k):
-        return self.one._like({0: self.field.el(k)}, self.prec)
+        return self.one._like({0: self.field.el(k)}, self.one.pc)
 
     def frob(self, a):
         return a.pth_power()
@@ -233,7 +247,7 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
     x = PerfSeries(a.field, a.D, a.jmax, {}, max(target / p, target - h))
     rem = a
     U0 = U.leading()[1]
-    for _ in range(int(max(target - a._veff(), 0) * a.L) + 2):
+    for _ in range(int(max(target * a.L - a._veff(), 0)) + 2):
         va = rem.valuation()
         if va is None or va >= target:
             return x
@@ -256,8 +270,7 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
             x0 = monomial(a.field, a.D, a.jmax, va / p, gamma, rem.prec / p)
         x = x + x0
         rem = rem - (x0.pth_power() - U * x0)
-        new_va = rem._veff()
-        if new_va <= va and not rem.is_zero():
+        if not rem.is_zero() and rem.valuation() <= va:
             raise PrecisionError("no progress in semilinear solve")
     raise PrecisionError("semilinear solve did not converge")
 

@@ -12,11 +12,13 @@ SparseSeries is the shared kernel of the three truncated rings: this
 module's TruncSeries (integer exponents), perfseries.PerfSeries
 (exponents in a lattice (1/L) Z) and taumod.BivarSeries (exponents
 (i, j) truncated by total degree i + j).  It holds the coefficient
-dict, keyed by integer exponent codes, the precision, sums, the one
-product loop, scaling, truncation, equality and the inverse over a
-field by the coefficient recurrence (Knuth, TAOCP vol. 2, 4.7), one
-product's work; each subclass keeps its exponent model and code, its
-construction checks and its own operators.  Per-term work is on ints.
+dict, keyed by integer exponent codes, the precision as a code on the
+same scale, sums, the one product loop, scaling, truncation, equality
+and the inverse over a field by the coefficient recurrence (Knuth,
+TAOCP vol. 2, 4.7), one product's work; each subclass keeps its
+exponent model and code, its construction checks and its own
+operators.  The kernel is Fraction-free: codes and precision codes are
+ints, save a PerfSeries precision off its lattice, an exact Fraction.
 """
 
 from __future__ import annotations
@@ -30,21 +32,26 @@ from .rings import FFRing, OperatorRing, QRing, Zmod
 
 
 class SparseSeries:
-    """A dict exponent code -> nonzero coefficient, below a precision.
+    """A dict exponent code -> nonzero coefficient, below a precision code.
 
     An exponent's code, and its degree, is the exponent itself unless a
-    subclass says otherwise (BivarSeries: the total degree i + j of
-    (i, j)); precision bounds the degree.
-    Subclasses define _like (same model, new data keyed by codes) and
-    _model (what two series must share to combine), and may override
-    valuation, terms and _codes.  leading and shift assume an exponent
-    that is its own degree, and the field inverse one whose code is its
-    own product code (decoder None).
+    subclass says otherwise (PerfSeries: e*L for e in (1/L) Z; BivarSeries:
+    the total degree i + j of (i, j)).  The precision code pc bounds the
+    degree; prec reads the precision back from it (pc itself by default).
+    Subclasses define _like (same model, new data keyed by codes, a
+    precision code) and _model (what two series must share to combine),
+    and may override prec, valuation, _veff (the least degree, or pc),
+    terms and _codes.  shift and truncate take codes, and the field
+    inverse assumes a code that is its own product code (decoder None).
     """
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ("coeffs", "pc")
 
     # --- structure ---
+
+    @property
+    def prec(self):
+        return self.pc
 
     def valuation(self):
         """Least degree of a term; None when zero at this precision."""
@@ -53,8 +60,9 @@ class SparseSeries:
         return min(self.coeffs)
 
     def _veff(self):
+        """The least degree of a term, or pc when zero at this precision."""
         v = self.valuation()
-        return self.prec if v is None else v
+        return self.pc if v is None else v
 
     def leading(self):
         if not self.coeffs:
@@ -82,23 +90,23 @@ class SparseSeries:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out[e] + c if e in out else c
-        return self._like(out, min(self.prec, other.prec))
+        return self._like(out, min(self.pc, other.pc))
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self.coeffs.items()}, self.prec)
+        return self._like({e: -c for e, c in self.coeffs.items()}, self.pc)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def _codes(self, other, prec):
+    def _codes(self, other, pc):
         """The operands' coefficient dicts keyed by product codes, the
         bound on those codes, and the decoder back to the keys of coeffs.
 
         Product codes add as exponents do, and one is below the bound
-        exactly when the degree of its exponent is below prec.  By
-        default they are the codes of coeffs (decoder None).
+        exactly when its degree is below pc.  By default they are the
+        codes of coeffs (decoder None).
         """
-        return self.coeffs, other.coeffs, prec, None
+        return self.coeffs, other.coeffs, pc, None
 
     def __mul__(self, other):
         """The one product loop.  Coefficients combine with Python
@@ -107,8 +115,8 @@ class SparseSeries:
         if not isinstance(other, SparseSeries):
             return self.scale(other)
         self._check(other)
-        prec = min(self.prec + other._veff(), other.prec + self._veff())
-        left, right, bound, decode = self._codes(other, prec)
+        pc = min(self.pc + other._veff(), other.pc + self._veff())
+        left, right, bound, decode = self._codes(other, pc)
         right = right.items()
         out: dict = {}
         for k1, c1 in left.items():
@@ -119,29 +127,29 @@ class SparseSeries:
                     out[k] = out[k] + t if k in out else t
         if decode is not None:
             out = {decode(k): c for k, c in out.items()}
-        return self._like(out, prec)
+        return self._like(out, pc)
 
     def scale(self, c):
         """Multiply by a coefficient (or int)."""
-        return self._like({e: v * c for e, v in self.coeffs.items()}, self.prec)
+        return self._like({e: v * c for e, v in self.coeffs.items()}, self.pc)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def shift(self, k):
         """Multiply by u^k."""
-        return self._like({e + k: c for e, c in self.coeffs.items()}, self.prec + k)
+        return self._like({e + k: c for e, c in self.coeffs.items()}, self.pc + k)
 
-    def truncate(self, prec):
-        if prec >= self.prec:
+    def truncate(self, pc):
+        if pc >= self.pc:
             return self
-        return self._like(self.coeffs, prec)
+        return self._like(self.coeffs, pc)
 
     def __eq__(self, other):
         if type(other) is not type(self) or other._model() != self._model():
             return NotImplemented
-        low, high = (self, other) if self.prec <= other.prec else (other, self)
-        return low.coeffs == high.truncate(low.prec).coeffs
+        low, high = (self, other) if self.pc <= other.pc else (other, self)
+        return low.coeffs == SparseSeries.truncate(high, low.pc).coeffs
 
     def __hash__(self):
         raise TypeError("equality is precision-relative; not hashable")
@@ -151,22 +159,21 @@ class SparseSeries:
 
         1/f = u^-v sum_n g_n u^n, v the leading code: g_0 = f_v^-1 and
         g_n = -f_v^-1 sum_(k > 0) f_(v+k) g_(n-k), over the product codes
-        below the bound at precision prec - v.  A heap gives them in
+        below the bound at precision pc - v.  A heap gives them in
         increasing order, each reached from f's support by a nonzero g_n,
-        so the work is one product's.  The precision is prec - 2v.
+        so the work is one product's.  The precision code is pc - 2v.
         """
-        v, lead = self.leading()
-        linv = inv(lead)
-        left, _, bound, _ = self._codes(self, self.prec - v)
-        low = min(left)
-        tail = sorted((k - low, c) for k, c in left.items() if k != low)
+        linv = inv(self.leading()[1])
+        v = min(self.coeffs)
+        left, _, bound, _ = self._codes(self, self.pc - v)
+        tail = sorted((k - v, c) for k, c in left.items() if k != v)
         out, sums, heap = {}, {}, [0]
         while heap:
             n = heappop(heap)
             g = -sums.pop(n) * linv if n else linv
             if not g:
                 continue
-            out[n - low] = g
+            out[n - v] = g
             for k, c in tail:
                 m = n + k
                 if m >= bound:
@@ -176,12 +183,7 @@ class SparseSeries:
                 else:
                     sums[m] = c * g
                     heappush(heap, m)
-        return self._like(out, self.prec - 2 * v)
-
-
-def code_bound(prec, unit: int) -> int:
-    """ceil(prec * unit) in ints: an int k has k / unit < prec iff k < it."""
-    return -(-prec.numerator * unit // prec.denominator)
+        return self._like(out, self.pc - 2 * v)
 
 
 class TruncSeries(SparseSeries):
@@ -192,7 +194,7 @@ class TruncSeries(SparseSeries):
 
     def __init__(self, ring, coeffs: dict, prec: int):
         self.ring = ring
-        self.prec = prec
+        self.pc = prec
         self.coeffs = {e: r for e, c in coeffs.items() if e < prec and (r := ring.reduce(c))}
 
     def _like(self, coeffs, prec):

@@ -39,7 +39,7 @@ class BivarSeries(SparseSeries):
         if any(j < 0 for _, j in coeffs):
             raise ValueError("eta-exponents are nonnegative")
         self.field = field
-        self.prec = prec
+        self.pc = prec
         self.coeffs = {k: c for k, c in coeffs.items() if c and k[0] + k[1] < prec}
 
     def _like(self, coeffs, prec):
@@ -54,7 +54,7 @@ class BivarSeries(SparseSeries):
             return None
         return min(i + j for i, j in self.coeffs)
 
-    def _codes(self, other, prec):
+    def _codes(self, other, pc):
         # Kronecker substitution u^i eta^j -> x^((i + j)*B + j): B exceeds
         # every eta-degree of the product, so codes add as exponents do
         # and compare as total degrees do
@@ -67,7 +67,7 @@ class BivarSeries(SparseSeries):
             d, j = divmod(k, B)
             return d - j, j
 
-        return code(self), code(other), prec * B, decode
+        return code(self), code(other), pc * B, decode
 
     # the shared kernel, bound here by name for perfbench's tracer
     def __mul__(self, other):
@@ -76,7 +76,7 @@ class BivarSeries(SparseSeries):
     def frobenius(self):
         p, frob = self.field.p, self.field.frob_p
         return self._like({(p * i, p * j): frob(c) for (i, j), c in self.coeffs.items()},
-                          p * self.prec)
+                          p * self.pc)
 
     def __repr__(self):
         body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in self.terms()[:6]) or "0"

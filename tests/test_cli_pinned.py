@@ -3,7 +3,10 @@
 tests/data/cli_pinned.json holds stdout and the exit status of the 11
 property suites at --trials 6 --seed 5, of the README's example
 commands, of the tau commands at several truncations and of two
-precision examples.  A change that alters any of them on purpose
+precision examples, of `series solvev` at p = 5, on lattices too
+coarse for the solution (precisions off the lattice) and in a field
+too small, and of the two Witt-vector suites at their default trials
+over three seeds.  A change that alters any of them on purpose
 regenerates the file with `python tests/test_cli_pinned.py` and says why.
 """
 
@@ -40,8 +43,19 @@ PRECISION = [
     "--p 3 --n 3 --M 11 series weierstrass --coeffs 0,0,0,0,3,21,0,18,8,0,26",
     "series solvev --p 3 --n 3 --coeffs 0,1,1 --M 10 --jmax 5",
 ]
+# the lattice 1/(D p^jmax) Z: a coarse one caps a coordinate's
+# precision at the depth it can hold, off the lattice
+SOLVEV = [
+    "series solvev --p 5 --n 2 --coeffs 1,1,2 --M 8 --jmax 3",
+    "series solvev --p 5 --n 3 --coeffs 0,1,1 --M 6 --jmax 1",
+    "series solvev --p 5 --n 3 --coeffs 0,0,1,3 --M 7 --jmax 2",
+    "series solvev --p 3 --n 3 --coeffs 0,1,1 --M 10 --jmax 1",
+    "series solvev --p 3 --n 4 --coeffs 0,2,1 --M 9 --jmax 2",
+]
+WITT_SUITES = [f"suite {name} --seed {seed}"
+               for name in ("existv", "incwitt") for seed in (1, 2, 9)]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION
+    PRECISION + SOLVEV + WITT_SUITES
 
 
 def run(command):

@@ -23,7 +23,7 @@ from padiclab import gf
 from padiclab.errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from padiclab.gf import FFElt
 from padiclab.padic import binomials_mod_p
-from padiclab.perfseries import PerfSeries, root_p_minus_1, solve_additive
+from padiclab.perfseries import PerfRing, PerfSeries, root_p_minus_1, solve_additive
 from padiclab.series import SparseSeries
 from padiclab.taumod import BivarSeries
 
@@ -40,7 +40,7 @@ class FracPerf(SparseSeries):
 
     def __init__(self, field, D, jmax, coeffs, prec):
         self.field, self.D, self.jmax = field, D, jmax
-        self.prec = Fraction(prec)
+        self.pc = Fraction(prec)        # an exponent is its own code
         L = D * field.p ** jmax
         clean = {}
         for e, c in coeffs.items():
@@ -161,7 +161,7 @@ class FracBivar(SparseSeries):
 
     def __init__(self, field, coeffs, prec):
         self.field = field
-        self.prec = Fraction(prec)
+        self.pc = Fraction(prec)
         clean = {}
         for (i, j), c in coeffs.items():
             if j < 0:
@@ -354,11 +354,15 @@ def _fraction_news(monkeypatch, thunk):
 
 @pytest.mark.parametrize("size", [10, 30])
 def test_products_build_O1_fractions(monkeypatch, size):
-    # Fraction belongs to a PerfSeries' precision and valuations, once
-    # per series; the per-term work of a product is on ints.  A
-    # BivarSeries, truncated by an int degree, builds none at all
+    # a PerfSeries on its lattice holds its precision as an int code, so
+    # its products and sums, like those of a BivarSeries truncated by an
+    # int degree, build no Fraction; nor does a Witt law's integer
+    # constant in PerfRing
     f = PerfSeries(F9, 2, 2, {Fraction(k, 18): F9.from_code(k % 8 + 1) for k in range(size)}, 40)
     g = BivarSeries(F9, {(k, k % 3): F9.from_code(k % 8 + 1) for k in range(size)}, 100)
+    ring = PerfRing(F9, 2, 2, 40)
     assert len(f.coeffs) == len(g.coeffs) == size
-    assert _fraction_news(monkeypatch, lambda: f * f) <= 8
+    assert _fraction_news(monkeypatch, lambda: f * f) == 0
+    assert _fraction_news(monkeypatch, lambda: f + f) == 0
+    assert _fraction_news(monkeypatch, lambda: ring.of_int(size)) == 0
     assert _fraction_news(monkeypatch, lambda: g * g) == 0

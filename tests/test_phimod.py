@@ -304,3 +304,63 @@ def test_one_charpoly_per_lattice_and_per_lattice_frobenius():
         cp.reset_mock()
         assert phimod.lattice_contains(L, L, matrix.scalar(3, u_mono(0), z))
         assert cp.call_count == 0
+
+
+# --- perturbation oracle: decided heights hold for every completion
+
+
+def _decided(thunk):
+    """The answer, or Indeterminate (the class) when the truncation cannot decide."""
+    try:
+        return thunk()
+    except Indeterminate:
+        return Indeterminate
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 3), st.integers(4, 10), st.data())
+def test_heights_claim_only_what_every_completion_shares(p, d, M, data):
+    """Perturbation oracle: the elementary-divisor exponents of G and the
+    answer of height_divides(G, U), decided on entries each known to its
+    own precision in [2, M], are those of two completions of every entry
+    and of U to precision 3M.  G = A diag(u^a) B with A, B invertible
+    and a in [0, M], truncated; the first completion is that product, the
+    second random above each precision."""
+    ring = FFRing(gf.field(p))
+    N = 3 * M
+    digits = lambda n: data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+
+    def series(cs, prec):
+        return TruncSeries(ring, {e: ring.field.el(c) for e, c in enumerate(cs[:prec])}, prec)
+
+    def invertible(upper):
+        """Random entries whose constant terms form a unitriangular matrix."""
+        cs = [[digits(N) for _ in range(d)] for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                if i == j or (j < i) == upper:
+                    cs[i][j][0] = int(i == j)
+        return [[series(c, N) for c in row] for row in cs]
+
+    diag = [[u_mono(data.draw(st.integers(0, M)), N, ring) if i == j
+             else TruncSeries.zero(ring, N) for j in range(d)] for i in range(d)]
+    G = mat_mul(mat_mul(invertible(True), diag), invertible(False))
+    G = [[[ring.field.code(g.coeffs.get(e, ring.zero)) for e in range(N)] for g in row]
+         for row in G]
+    precs = [[data.draw(st.integers(2, M)) for _ in range(d)] for _ in range(d)]
+    h = data.draw(st.integers(0, M - 1))
+    U, U_prec = [0] * h + [1] + digits(N - h - 1), data.draw(st.integers(h + 1, M))
+
+    def answers(G, U, precs, U_prec):
+        A = [[series(g, k) for g, k in zip(row, ks)] for row, ks in zip(G, precs)]
+        return (_decided(lambda: phimod.snf_u_exponents(A)),
+                _decided(lambda: height_divides(PhiModule(p, p, 1, A), series(U, U_prec))))
+
+    at_M = answers(G, U, precs, U_prec)
+    full = [N] * d
+    random_tails = ([[g[:k] + digits(N - k) for g, k in zip(row, ks)] for row, ks in zip(G, precs)],
+                    U[:U_prec] + digits(N - U_prec))
+    for G2, U2 in ((G, U), random_tails):
+        got = answers(G2, U2, [full] * d, N)
+        assert [b for a, b in zip(at_M, got) if a is not Indeterminate] == \
+            [a for a in at_M if a is not Indeterminate]

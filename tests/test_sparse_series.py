@@ -9,6 +9,7 @@ precision of the geometric-series loop it replaced, kept here as
 geometric_inverse.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from padiclab import gf
 from padiclab.perfseries import PerfSeries
 from padiclab.rings import FFRing, QRing, Zmod
-from padiclab.series import SparseSeries, TruncSeries, code_bound
+from padiclab.series import SparseSeries, TruncSeries
 from padiclab.taumod import BivarSeries
 
 F3 = gf.field(3)
@@ -147,16 +148,18 @@ def test_field_inverse_matches_dict_convolution(name, data):
 
 def geometric_inverse(f, inv):
     """f = lead u^v (1 + w) gives 1/f = lead^-1 u^-v sum_k (-w)^k, summed
-    while k v(w) < prec - v: about (prec - v)/v(w) full products."""
+    while k v(w) < prec - v: about (prec - v)/v(w) full products.
+    Precisions and v(w) are compared as codes."""
     v, lead = f.leading()
     linv = inv(lead)
-    one = f._like({0: lead * linv}, f.prec - v)
-    w = f.shift(-v).scale(linv) - one
+    unit = f.shift(-v).scale(linv)
+    one = unit._like({0: lead * linv}, unit.pc)
+    w = unit - one
     wv = w._veff()
     assert wv > 0
     acc = term = one
     k = 0
-    while k * wv < f.prec - v:
+    while k * wv < unit.pc:
         term = term * (-w)
         acc = acc + term
         k += 1
@@ -209,8 +212,8 @@ def perf_units(draw):
     D, jmax = draw(st.integers(1, 2)), draw(st.integers(0, 6))
     L = D * 3 ** jmax
     prec = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 11)))
-    low = draw(st.integers(-L, code_bound(prec, L) - 1))
-    span = code_bound(prec, L) - low
+    low = draw(st.integers(-L, math.ceil(prec * L) - 1))
+    span = math.ceil(prec * L) - low
     least = max(1, span // 12)
     if draw(st.booleans()):
         step = draw(st.integers(least, max(least, span // 3)))
