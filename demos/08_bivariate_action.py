@@ -32,21 +32,14 @@ f = BivarSeries(F3, {(2, 1): F3.el(2), (-1, 0): F3.one}, 10)
 print(f"action composes along the group law: "
       f"{galois_act(g1, galois_act(g2, f)) == galois_act(gskel.mul(g1, g2), f)}")
 
-perm = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-M = taumod.trivial_restriction_module(perm, 1, F3, tau, W)
+M = taumod.cycle_module(3, 8, W)
 print(f"\norder-p module: tau_M^(3^{M.tau_order_exponent()}) = id at weight {W}")
-
-
-def sample():
-    return [BivarSeries(F3, {(rng.randrange(6), 0): F3.random(rng)
-                             for _ in range(3)}, W) for _ in range(3)]
-
 
 g = gskel.elt(3, 8, 0, 4)
 print(f"commutation (g x id) tau_M = tau_M^chi_tau(g) on module elements: "
-      f"{taumod.check_commutation(M, g, sample())}")
+      f"{taumod.check_commutation(M, g, taumod.sample_element(M, rng))}")
 Tbad = [row[:] for row in M.T]
 Tbad[0][1] = Tbad[0][1] + BivarSeries(F3, {(1, 0): F3.one}, W)
 Mbad = taumod.PhiTauModP(3, 3, M.G, Tbad, tau, 6)
 print(f"after corrupting one matrix entry: "
-      f"{taumod.check_commutation(Mbad, g, sample())}")
+      f"{taumod.check_commutation(Mbad, g, taumod.sample_element(M, rng))}")

@@ -99,31 +99,26 @@ def _parse_matrix(text: str, entry=int):
 # --- subcommand handlers -> list of result dicts ---
 
 
+# padic ops after valuation: op -> (function, the flags of its PadicInt
+# arguments, anchor), each answering (residue, O(p^prec))
+PADIC_OPS = {
+    "log": (padic.log_unit, ("x",), "padic-log"),
+    "exp": (padic.exp_unit, ("x",), "padic-exp"),
+    "qanalogue": (padic.q_analogue, ("a", "qq"), "qanalogue"),
+    "qinverse": (padic.q_analogue_inverse, ("b", "qq"), "qanalogue-inverse"),
+    "chitau": (padic.chi_tau, ("chig", "qq"), "chi-tau"),
+}
+
+
 def _cmd_padic(args, cfg: RunConfig):
     p, N = cfg.p, cfg.N
     if args.op == "valuation":
         v = padic.valuation(PadicInt(p, N, args.x))
         return [record("valuation", "inf" if v == padic.INFINITY else int(v),
                         precision=f"O({p}^{N})", anchor="padic-valuation")]
-    if args.op == "log":
-        r = padic.log_unit(PadicInt(p, N, args.x))
-        return [record("log", r.residue, precision=f"O({p}^{r.prec})", anchor="padic-log")]
-    if args.op == "exp":
-        r = padic.exp_unit(PadicInt(p, N, args.x))
-        return [record("exp", r.residue, precision=f"O({p}^{r.prec})", anchor="padic-exp")]
-    if args.op == "qanalogue":
-        r = padic.q_analogue(PadicInt(p, N, args.a), PadicInt(p, N, args.qq))
-        return [record("qanalogue", r.residue, precision=f"O({p}^{r.prec})",
-                        anchor="qanalogue")]
-    if args.op == "qinverse":
-        r = padic.q_analogue_inverse(PadicInt(p, N, args.b), PadicInt(p, N, args.qq))
-        return [record("qinverse", r.residue, precision=f"O({p}^{r.prec})",
-                        anchor="qanalogue-inverse")]
-    if args.op == "chitau":
-        r = padic.chi_tau(PadicInt(p, N, args.chig), PadicInt(p, N, args.qq))
-        return [record("chitau", r.residue, precision=f"O({p}^{r.prec})",
-                        anchor="chi-tau")]
-    raise ValueError(f"unknown padic op {args.op}")
+    fn, flags, anchor = PADIC_OPS[args.op]
+    r = fn(*(PadicInt(p, N, getattr(args, a)) for a in flags))
+    return [record(args.op, r.residue, precision=f"O({p}^{r.prec})", anchor=anchor)]
 
 
 def _cmd_witt(args, cfg: RunConfig):
@@ -370,23 +365,12 @@ def _cmd_ramif(args, cfg: RunConfig):
 def _cmd_tau(args, cfg: RunConfig):
     import random as _random
 
-    from . import gf, gskel, taumod
-    rng = _random.Random(cfg.seed)
-    F = gf.field(cfg.p)
-    tau = gskel.elt(cfg.p, cfg.N, 1, 1)
-    # the p x p cyclic permutation, of order p (at p = 3 the suite's 3-cycle)
-    perm = [[int(j == (i - 1) % cfg.p) for j in range(cfg.p)] for i in range(cfg.p)]
-    M = taumod.trivial_restriction_module(perm, 1, F, tau, cfg.W)
+    from . import taumod
+    M = taumod.cycle_module(cfg.p, cfg.N, cfg.W)
     if args.op == "order":
         return [record("order-exponent", M.tau_order_exponent(), anchor="tau-order")]
     if args.op == "commutation":
-        bad = 0
-        for _ in range(cfg.trials):
-            g = gskel.elt(cfg.p, cfg.N, 0, 1 + cfg.p * rng.randrange(cfg.p ** (cfg.N - 1)))
-            x = [taumod.BivarSeries(F, {(rng.randrange(0, 6), 0): F.random(rng)
-                                        for _ in range(3)}, cfg.W) for _ in range(cfg.p)]
-            if not taumod.check_commutation(M, g, x):
-                bad += 1
+        bad = taumod.commutation_failures(M, cfg.trials, _random.Random(cfg.seed))
         return [record("commutation-failures", bad, anchor="tau-commutation")]
     raise ValueError(f"unknown tau op {args.op}")
 
@@ -417,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("padic", parents=[shared])
-    sp.add_argument("op", choices=["valuation", "log", "exp", "qanalogue",
-                                   "qinverse", "chitau"])
+    sp.add_argument("op", choices=["valuation", *PADIC_OPS])
     sp.add_argument("--x", type=int, default=0)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--b", type=int, default=0)

@@ -191,11 +191,17 @@ def _trivialisation(G, G0, G0inv, prec) -> list:
     frob = _frobenius_columns(G0, inv, base, w) if p < prec else None
     Q = [_digits(matrix.scalar(d, base.one, base.zero))]
     for m in range(1, prec):
-        acc = sum(gf.fp_combine(Q[m - j], cols) for j, cols in maps if j <= m)
-        if m % p == 0:
-            acc += gf.fp_combine(Q[m // p], frob)
-        Q.append(gf.fp_unpack(acc, n, w, p))
+        Q.append(_image(Q, m, maps, frob, n, w, p))
     return Q
+
+
+def _image(Q, m, maps, frob, n, w, p) -> list:
+    """The digits at m of sum_j Q_(m-j) H_j + [p | m] A sigma(Q_(m/p)) B: one
+    packed sum of maps (j, columns of X -> X H_j) and frob (X -> A sigma(X) B)."""
+    acc = sum(gf.fp_combine(Q[m - j], cols) for j, cols in maps if j <= m)
+    if m % p == 0:
+        acc += gf.fp_combine(Q[m // p], frob)
+    return gf.fp_unpack(acc, n, w, p)
 
 
 def _times_Q(residues, Q, base):
@@ -232,12 +238,8 @@ def _check_solutions(G, G0e, Q, residues, prec):
     minus_G0 = [[-a for a in row] for row in _residue_matrix(G)]
     identity = [1 << 8 * w * k for k in range(n)]     # X -> X I
     frob = _frobenius_columns(minus_G0, identity, base, w)
-    for m in range(prec):
-        acc = sum(gf.fp_combine(Q[m - j], cols) for j, cols in maps if j <= m)
-        if m % p == 0:
-            acc += gf.fp_combine(Q[m // p], frob)
-        if any(gf.fp_unpack(acc, n, w, p)):
-            raise ArithmeticError("the trivialisation Q fails G0 phi(Q) = Q G")
+    if any(any(_image(Q, m, maps, frob, n, w, p)) for m in range(prec)):
+        raise ArithmeticError("the trivialisation Q fails G0 phi(Q) = Q G")
     ext = G0e[0][0].field
     for x0 in residues:
         if [ext.frob_p(a) for a in x0] != ff_vec_mat(x0, G0e):

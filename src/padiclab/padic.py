@@ -131,17 +131,18 @@ class PadicInt:
 
     # -- ring structure (min-precision semantics) --
 
-    def _join(self, other: "PadicInt") -> int:
+    def _join(self, other):
+        """other, an int lifted at self's precision, and the least precision."""
+        if isinstance(other, int):
+            other = PadicInt(self.p, self.prec, other)
         if not isinstance(other, PadicInt):
             raise TypeError(f"expected PadicInt, got {other!r}")
         if other.p != self.p:
             raise ValueError("prime mismatch")
-        return min(self.prec, other.prec)
+        return other, min(self.prec, other.prec)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.p, self.prec, other)
-        n = self._join(other)
+        other, n = self._join(other)
         return PadicInt(self.p, n, self.residue + other.residue)
 
     __radd__ = __add__
@@ -150,24 +151,20 @@ class PadicInt:
         return PadicInt(self.p, self.prec, -self.residue)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.p, self.prec, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.p, self.prec, other)
-        n = self._join(other)
+        other, n = self._join(other)
         return PadicInt(self.p, n, self.residue * other.residue)
 
     __rmul__ = __mul__
 
     def divide(self, other: "PadicInt") -> "PadicInt":
         """Exact division; costs v(other) digits of precision."""
-        n = self._join(other)
+        other, n = self._join(other)
         v = other.valuation()
         if v is INFINITY:
             raise ZeroDivisionError("division by zero-at-precision")
@@ -290,12 +287,12 @@ def q_analogue(a: PadicInt, q: PadicInt) -> PadicInt:
     """[a]_q: a itself if q = 1, else (q^a - 1)/(q - 1).
 
     Carries precision N - v(q-1); satisfies [a]_q = a mod p and
-    v(a - 1) = v([a]_q - 1).
+    v(a - 1) = v([a]_q - 1).  At q = 1 + O(p^N), [a]_q = a mod p^N only.
     """
     if isinstance(a, int):
         a = PadicInt(q.p, q.prec, a)
     if (q - 1).residue == 0:
-        return a
+        return a.lower_precision(min(a.prec, q.prec))
     if (q - 1).residue % q.p != 0:
         raise ValueError("q must be 1 mod p")
     qa = pow_unit(q, a)
@@ -307,7 +304,7 @@ def q_analogue_inverse(b: PadicInt, q: PadicInt) -> PadicInt:
     if isinstance(b, int):
         b = PadicInt(q.p, q.prec, b)
     if (q - 1).residue == 0:
-        return b
+        return b.lower_precision(min(b.prec, q.prec))
     if (q - 1).residue % q.p != 0:
         raise ValueError("q must be 1 mod p")
     num = log_unit((q - 1) * b + 1)

@@ -172,8 +172,8 @@ def stabilize_lattice(M: PhiModule) -> PhiLattice:
 
 def snf_u_exponents(A):
     """Exponents of the elementary divisors of a matrix over k[[u]],
-    by valuation-pivoted elimination.  Certification: every pivot
-    valuation must be < (remaining precision)/2, else Indeterminate.
+    by valuation-pivoted elimination.  Certification: every pivot valuation
+    must be below the block's least precision, else Indeterminate.
     """
     d = len(A)
     work = [row[:] for row in A]
@@ -189,7 +189,7 @@ def snf_u_exponents(A):
         prec_here = min(work[i][j].prec for i in range(step, d) for j in range(step, d))
         if pivot is None:
             raise Indeterminate("block vanishes at truncation; pivots uncertifiable")
-        if 2 * pv >= prec_here:
+        if pv >= prec_here:
             raise Indeterminate(f"pivot valuation {pv} too close to precision {prec_here}")
         i0, j0 = pivot
         work[step], work[i0] = work[i0], work[step]

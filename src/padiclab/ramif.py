@@ -199,18 +199,10 @@ class BoundExpr:
         if isinstance(other, BoundExpr):
             if other.p != self.p:
                 raise ValueError("different primes")
-            if other.x == self.x:
-                diff_r1 = self.r1 - other.r1
-                return BoundExpr(self.r0 - other.r0, diff_r1, self.x, self.p).compare(0)
-            if other.is_exact():
-                return self.compare(other.as_fraction())
-            if self.is_exact():
-                return -other.compare(self.as_fraction())
             # D*(self - other) = D(r0 - s0) + log_p(x1^(D r1) / x2^(D s1))
             D = self.r1.denominator * other.r1.denominator
             y = self.x ** int(D * self.r1) / other.x ** int(D * other.r1)
-            return BoundExpr(D * (self.r0 - other.r0), Fraction(1), y,
-                             self.p).compare(0)
+            return BoundExpr(D * (self.r0 - other.r0), Fraction(1), y, self.p).compare(0)
         t = Fraction(other)
         if self.r1 == 0 or self.x == 1:
             return _sign(self.r0 - t)

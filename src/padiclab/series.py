@@ -445,8 +445,9 @@ class EisensteinPoly:
 
 def lambda_factor_count(E: EisensteinPoly, M: int) -> int:
     """Smallest K such that the K-factor partial product is exact to
-    O(u^M): factor k is 1 + O(u^(e p^k))."""
-    return ceil_logp(Fraction(M, E.e), E.p)
+    O(u^M): factor k is 1 + O(u^(m p^k)), m the least j >= 1 with c_j != 0."""
+    m = next(j for j, c in enumerate(E.coeffs) if j and c)
+    return ceil_logp(Fraction(M, m), E.p)
 
 
 def kisin_lambda(E: EisensteinPoly, M: int) -> TruncSeries:

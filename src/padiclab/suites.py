@@ -300,23 +300,14 @@ def run_heights(trials: int, seed: int):
 def run_tau(trials: int, seed: int):
     rng = random.Random(seed)
     p, N, W = 3, 8, 12
-    F3 = gf.field(3)
-    tau = gskel.elt(p, N, 1, 1)
-    M = taumod.trivial_restriction_module([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1, F3, tau, W)
-
-    def sample_x():
-        return [taumod.BivarSeries(F3, {(rng.randrange(0, 6), 0): F3.random(rng)
-                                        for _ in range(3)}, W) for _ in range(3)]
-
-    bad = 0
-    for _ in range(trials):
-        g = gskel.elt(p, N, 0, 1 + p * rng.randrange(p ** (N - 1)))
-        if not taumod.check_commutation(M, g, sample_x()):
-            bad += 1
+    M = taumod.cycle_module(p, N, W)
+    bad = taumod.commutation_failures(M, trials, rng)
+    F3 = M.model().field
     Tbad = [row[:] for row in M.T]
     Tbad[0][1] = Tbad[0][1] + taumod.BivarSeries(F3, {(1, 0): F3.one}, W)
-    Mbad = taumod.PhiTauModP(p, 3, M.G, Tbad, tau, 6)
-    mut = not taumod.check_commutation(Mbad, gskel.elt(p, N, 0, 4), sample_x())
+    Mbad = taumod.PhiTauModP(p, 3, M.G, Tbad, M.tau, 6)
+    mut = not taumod.check_commutation(Mbad, gskel.elt(p, N, 0, 4),
+                                       taumod.sample_element(M, rng))
     return [
         _passfail(f"tau-commutation x{trials}", bad == 0, f"{bad}", "tau-commutation"),
         _passfail("mutated tau-matrix detected", mut, "", "tau-mutation-control"),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import gskel, matrix
 from .errors import Indeterminate, PrecisionError
-from .gf import GF
+from .gf import GF, field
 from .gskel import GaloisElt
 from .padic import PadicInt, binomials_mod_p, ndigits, power, vp
 from .rings import FFRing
@@ -258,6 +258,31 @@ def check_commutation(M: PhiTauModP, g: GaloisElt, x) -> bool:
     a = gskel.chi_tau(g, M.tau)
     rhs = M.tau_power_apply(a, x)
     return all(l == r for l, r in zip(lhs, rhs))
+
+
+def cycle_module(p: int, N: int, W: int) -> PhiTauModP:
+    """The module of `padiclab tau` and `suite tau`: over F_p, the p x p
+    cyclic permutation (order p) as tau-matrix, tau = (1, 1) at precision
+    N, truncation W."""
+    perm = [[int(j == (i - 1) % p) for j in range(p)] for i in range(p)]
+    return trivial_restriction_module(perm, 1, field(p), gskel.elt(p, N, 1, 1), W)
+
+
+def sample_element(M: PhiTauModP, rng) -> list:
+    """A seeded module element free of eta: three terms c u^i, i < 6, in
+    each coordinate, each drawn exponent first, then coefficient."""
+    m = M.model()
+    return [BivarSeries(m.field, {(rng.randrange(0, 6), 0): m.field.random(rng)
+                                  for _ in range(3)}, m.prec) for _ in range(M.d)]
+
+
+def commutation_failures(M: PhiTauModP, trials: int, rng) -> int:
+    """How many of trials seeded pairs (g, x) fail check_commutation: g =
+    (0, chi), chi = 1 mod p at the precision of tau, drawn first, then x
+    by sample_element."""
+    p, N = M.p, M.tau.chi.prec
+    return sum(not check_commutation(M, gskel.elt(p, N, 0, 1 + p * rng.randrange(p ** (N - 1))),
+                                     sample_element(M, rng)) for _ in range(trials))
 
 
 def check_phi_tau_commute(M: PhiTauModP, x) -> bool:

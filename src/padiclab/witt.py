@@ -177,19 +177,17 @@ class WittVector:
                 or other.ring != self.ring:
             raise ValueError("Witt vectors live in different rings")
 
-    def __add__(self, other):
+    def _law(self, name, other):
+        """The laws `name` of generate_laws(p, n) on the 2n slots (self, other)."""
         self._check(other)
-        table = generate_laws(self.p, self.n)
-        vals = self.coords + other.coords
-        return WittVector(self.p, self.ring,
-                          [eval_law(s, vals, self.ring) for s in table.sum_polys])
+        vals, laws = self.coords + other.coords, getattr(generate_laws(self.p, self.n), name)
+        return WittVector(self.p, self.ring, [eval_law(f, vals, self.ring) for f in laws])
+
+    def __add__(self, other):
+        return self._law("sum_polys", other)
 
     def __mul__(self, other):
-        self._check(other)
-        table = generate_laws(self.p, self.n)
-        vals = self.coords + other.coords
-        return WittVector(self.p, self.ring,
-                          [eval_law(m, vals, self.ring) for m in table.prod_polys])
+        return self._law("prod_polys", other)
 
     def __neg__(self):
         # p odd: -(a_0, a_1, ...) = (-a_0, -a_1, ...)
@@ -249,9 +247,7 @@ def frobenius_w(x: WittVector) -> WittVector:
         return WittVector(x.p, ring, [ring.frob(c) for c in x.coords])
     if x.n < 2:
         raise ValueError("ghost Frobenius needs n >= 2")
-    table = generate_laws(x.p, x.n)
-    vals = x.coords + tuple(ring.zero for _ in range(x.n))  # laws use 2n slots
-    return WittVector(x.p, ring, [eval_law(f, vals, ring) for f in table.frob_polys])
+    return x._law("frob_polys", zero(x.p, x.n, ring))
 
 
 def mul_by_p(x: WittVector) -> WittVector:

@@ -5,8 +5,8 @@ property suites at --trials 6 --seed 5, of the README's example
 commands, of the tau commands at several truncations and of two
 precision examples, of `series solvev` at p = 5, on lattices too
 coarse for the solution (precisions off the lattice) and in a field
-too small, and of the two Witt-vector suites at their default trials
-over three seeds.  A change that alters any of them on purpose
+too small, of two answers the perturbation oracles mended, and of the
+two Witt-vector suites at their default trials over three seeds.  A change that alters any of them on purpose
 regenerates the file with `python tests/test_cli_pinned.py` and says why.
 """
 
@@ -52,10 +52,17 @@ SOLVEV = [
     "series solvev --p 3 --n 3 --coeffs 0,1,1 --M 10 --jmax 1",
     "series solvev --p 3 --n 4 --coeffs 0,2,1 --M 9 --jmax 2",
 ]
+# decided since the perturbation oracles: a pivot u^3 below the block's
+# precision 5, and lambda for an E with a middle term, whose factors are
+# 1 + O(u^(p^k)), not 1 + O(u^(e p^k))
+ORACLES = [
+    "phimod uheight --p 3 --M 5 --matrix 0:0:0:1",
+    "series lambda --p 3 --E 3,3,1 --M 12",
+]
 WITT_SUITES = [f"suite {name} --seed {seed}"
                for name in ("existv", "incwitt") for seed in (1, 2, 9)]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION + SOLVEV + WITT_SUITES
+    PRECISION + SOLVEV + ORACLES + WITT_SUITES
 
 
 def run(command):

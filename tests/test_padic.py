@@ -371,3 +371,52 @@ def test_power_never_multiplies_by_one():
         assert padic.power(1, k, mul, one) == k
         assert len(calls) <= 2 * k.bit_length() - 2
     assert padic.power(1, 0, mul, one) is one
+
+
+# --- perturbation oracle: a division claims only digits every completion shares
+
+
+def _decision(thunk):
+    """The result, ValueError (the class) for a decided refusal, or None
+    when the precision cannot decide."""
+    try:
+        return thunk()
+    except ValueError:
+        return ValueError
+    except (PrecisionError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.data())
+def test_divisions_claim_only_what_every_completion_shares(p, N, data):
+    """Perturbation oracle for PadicInt.divide, q_analogue and
+    q_analogue_inverse: operands each known to its own precision in
+    [1, N], with a drawn valuation (at the precision: zero there), are
+    completed to 3N, once by zero digits and once by random ones.  A
+    result at the low precision agrees with each completion's result to
+    the lesser precision, and a refusal (ValueError) is refused again."""
+    def operand(least_v):
+        prec = data.draw(st.integers(1, N))
+        v = data.draw(st.integers(min(least_v, prec), prec))
+        return PadicInt(p, prec, p ** v * data.draw(st.integers(1, p ** N)))
+
+    def complete(x, tail):
+        return PadicInt(p, 3 * N, x.residue + p ** x.prec * tail)
+
+    x, y, b = operand(0), operand(0), operand(0)
+    q = operand(1) + 1
+
+    def answers(x, y, b, q):
+        return [_decision(lambda: x.divide(y)), _decision(lambda: q_analogue(x, q)),
+                _decision(lambda: q_analogue_inverse(b, q))]
+
+    low = answers(x, y, b, q)
+    ops = (x, y, b, q)
+    for tails in ([0] * 4, [data.draw(st.integers(0, p ** (2 * N))) for _ in ops]):
+        high = answers(*(complete(z, t) for z, t in zip(ops, tails)))
+        for a, h in zip(low, high):
+            if isinstance(a, PadicInt):
+                assert isinstance(h, PadicInt) and a == h
+            elif a is ValueError:
+                assert h is ValueError

@@ -208,9 +208,14 @@ def test_propB_rank1_smoke():
 
 
 def test_snf_indeterminate_paths():
-    # pivot valuation too close to the truncation
     tiny = 5
-    G = [[TruncSeries.monomial(R3, 3, R3.one, tiny)]]
+    # u^3 + O(u^5): every completion is u^3 times a unit
+    assert phimod.snf_u_exponents([[TruncSeries.monomial(R3, 3, R3.one, tiny)]]) == [3]
+    # least visible valuation 3 at or above the block's least precision 2:
+    # the O(u^2) entries may hide a pivot of valuation 2
+    z = TruncSeries.zero(R3, 2)
+    G = [[TruncSeries.monomial(R3, 3, R3.one, tiny), z],
+         [z, TruncSeries.monomial(R3, 3, R3.one, tiny)]]
     with pytest.raises(Indeterminate):
         phimod.snf_u_exponents(G)
     # block that vanishes at the truncation entirely
@@ -364,3 +369,52 @@ def test_heights_claim_only_what_every_completion_shares(p, d, M, data):
         got = answers(G2, U2, [full] * d, N)
         assert [b for a, b in zip(at_M, got) if a is not Indeterminate] == \
             [a for a in at_M if a is not Indeterminate]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2)]), st.integers(1, 3), st.integers(3, 8),
+       st.data())
+def test_etale_claims_only_what_every_completion_shares(pn, d, M, data):
+    """Perturbation oracle: is_etale's True, decided on entries each known
+    to its own precision in [1, M], holds for two completions of every
+    entry to precision 3M.  G = A D B with A, B invertible and D diagonal
+    of u^a, p u^a (n = 2) or 0, a in [0, 2], so that the first
+    completion, that product, may have det 0 mod p; the second is random
+    above each precision."""
+    p, n = pn
+    ring = FFRing(gf.field(p)) if n == 1 else Zmod(p, n)
+    code = ring.field.code if n == 1 else int
+    N = 3 * M
+    digits = lambda k: data.draw(st.lists(st.integers(0, p ** n - 1), min_size=k, max_size=k))
+
+    def series(cs, prec):
+        return TruncSeries.from_int_coeffs(ring, cs[:prec], prec)
+
+    def invertible(upper):
+        """Random entries whose constant terms form a unitriangular matrix."""
+        cs = [[digits(N) for _ in range(d)] for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                if i == j or (j < i) == upper:
+                    cs[i][j][0] = int(i == j)
+        return [[series(c, N) for c in row] for row in cs]
+
+    def diagonal():
+        a, k = data.draw(st.integers(0, 2)), data.draw(st.sampled_from([1, p, 0]))
+        return TruncSeries.monomial(ring, a, ring.of_int(k), N)
+
+    D = [[diagonal() if i == j else TruncSeries.zero(ring, N) for j in range(d)]
+         for i in range(d)]
+    G = mat_mul(mat_mul(invertible(True), D), invertible(False))
+    G = [[[code(g.coeffs.get(e, ring.zero)) for e in range(N)] for g in row] for row in G]
+    precs = [[data.draw(st.integers(1, M)) for _ in range(d)] for _ in range(d)]
+
+    def etale(G, precs):
+        A = [[series(g, k) for g, k in zip(row, ks)] for row, ks in zip(G, precs)]
+        return _decided(lambda: is_etale(PhiModule(p, p, n, A)))
+
+    if etale(G, precs) is True:
+        random_tails = [[g[:k] + digits(N - k) for g, k in zip(row, ks)]
+                        for row, ks in zip(G, precs)]
+        for G2 in (G, random_tails):
+            assert etale(G2, [[N] * d] * d) is True

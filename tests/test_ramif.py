@@ -3,6 +3,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab.ramif import (BoundExpr, PLFunction, bound_GK, bound_Ginf,
                             bound_converse, bound_converse_torsion,
@@ -180,3 +182,28 @@ def test_phi_kinf_minus_log_bounded():
             logterm = BoundExpr.of(0, e, lam, p)
             assert logterm.compare(val - C) > 0
             assert logterm.compare(val + C) < 0
+
+
+def ref_compare(a, b):
+    """BoundExpr.compare on two BoundExprs before the D-scaled reduction
+    alone: same x, then an exact operand, then the reduction."""
+    if b.x == a.x:
+        return BoundExpr(a.r0 - b.r0, a.r1 - b.r1, a.x, a.p).compare(0)
+    if b.is_exact():
+        return a.compare(b.as_fraction())
+    if a.is_exact():
+        return -b.compare(a.as_fraction())
+    return a.compare(b)
+
+
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+XS = st.sampled_from([F(1), F(3), F(9), F(1, 3), F(2), F(5, 2), F(4), F(6), F(1, 2)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(FRACTIONS, FRACTIONS, XS, FRACTIONS, FRACTIONS, XS)
+def test_compare_by_one_reduction_agrees_with_the_old_branches(r0, r1, x, s0, s1, y):
+    """The D-scaled reduction decides the pairs the same-x and exact-operand
+    branches took: powers of p, x = 1, r1 = 0 and equal x among them."""
+    a, b = BoundExpr(r0, r1, x, 3), BoundExpr(s0, s1, y, 3)
+    assert a.compare(b) == ref_compare(a, b) == -b.compare(a)

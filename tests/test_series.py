@@ -135,6 +135,20 @@ def test_weierstrass_claims_only_digits_every_completion_shares(pn, M, data):
         assert dist == dist_g and unit == unit_g
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(1, 30), st.data())
+def test_lambda_claims_only_digits_every_finer_truncation_shares(p, e, M, data):
+    """Perturbation oracle: lambda to O(u^M) is lambda to O(u^(3M))
+    truncated to M, for Eisenstein E of degree e <= 3, E(0)/p a unit and
+    the middle coefficients any multiples of p, zero among them.  A
+    product of too few factors phi^k(E/E(0)) leaves out terms below M."""
+    unit = data.draw(st.integers(-3 * p, 3 * p).filter(lambda c: c % p))
+    middle = data.draw(st.lists(st.integers(-2, 2), min_size=e - 1, max_size=e - 1))
+    E = EisensteinPoly(p, (p * unit, *(p * c for c in middle), 1))
+    lam, fine = kisin_lambda(E, M), kisin_lambda(E, 3 * M).truncate(M)
+    assert (lam.prec, lam.coeffs) == (fine.prec, fine.coeffs)
+
+
 def test_eisenstein_validation():
     EisensteinPoly(3, (3, 0, 1))
     with pytest.raises(ValueError):

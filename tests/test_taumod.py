@@ -181,3 +181,36 @@ def test_order_is_searched_once(monkeypatch):
     # the cached order cannot outlive a changed tau-matrix
     with pytest.raises(dataclasses.FrozenInstanceError):
         M.T = []
+
+
+def ref_commutation_failures(p, N, W, trials, seed):
+    """The loop `padiclab tau commutation` ran before taumod held it."""
+    rng = random.Random(seed)
+    F = gf.field(p)
+    tau = gskel.elt(p, N, 1, 1)
+    perm = [[int(j == (i - 1) % p) for j in range(p)] for i in range(p)]
+    M = trivial_restriction_module(perm, 1, F, tau, W)
+    bad = 0
+    for _ in range(trials):
+        g = gskel.elt(p, N, 0, 1 + p * rng.randrange(p ** (N - 1)))
+        x = [BivarSeries(F, {(rng.randrange(0, 6), 0): F.random(rng)
+                             for _ in range(3)}, W) for _ in range(p)]
+        if not check_commutation(M, g, x):
+            bad += 1
+    return bad, rng.random()
+
+
+@pytest.mark.parametrize("p, N, W, trials, seed", [(3, 8, 12, 5, 4), (5, 6, 8, 3, 9)])
+def test_cycle_module_and_its_sample_are_the_old_loop(p, N, W, trials, seed):
+    """cycle_module, sample_element and commutation_failures draw what the
+    old loop drew, in the same order, and count the same failures; the
+    mutated module fails every pair."""
+    M = taumod.cycle_module(p, N, W)
+    assert (M.p, M.d, M.tau) == (p, p, gskel.elt(p, N, 1, 1))
+    rng = random.Random(seed)
+    assert (taumod.commutation_failures(M, trials, rng), rng.random()) == \
+        ref_commutation_failures(p, N, W, trials, seed)
+    Tbad = [row[:] for row in M.T]
+    Tbad[0][1] = Tbad[0][1] + BivarSeries(M.model().field, {(1, 0): M.model().field.one}, W)
+    Mbad = taumod.PhiTauModP(p, p, M.G, Tbad, M.tau, 6)
+    assert taumod.commutation_failures(Mbad, 2, random.Random(seed)) == 2
