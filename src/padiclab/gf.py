@@ -10,19 +10,23 @@ reproducible.  Products and inverses mod (p, m) are the module-level
 kernels _mulmod and _invmod, shared by GF and the modulus search.
 
 An F_p vector packs into one int, a w-byte digit per entry (fp_pack),
-w = 1, 2, 4 or 8 (fp_width): an F_p-combination of packed vectors, such
+w a power of two (fp_width): an F_p-combination of packed vectors, such
 as the image sum a_i col_i of a map with packed columns (fp_combine), is
 then a few int multiply-adds, exact while no digit sum reaches 256^w,
-and fp_unpack reads the digits back reduced mod p.  At w = 1 the codec
-is bytes() and one bytes.translate against a mod-p table; fp_reduce
-also reduces two-byte digits by translating their byte planes, and 4-
-and 8-byte digits are machine words read through struct.  Every
-F_p-linear field map is stored so, as packed columns applied by
+and fp_unpack reads the digits back reduced mod p.  At w = 1 the codec is bytes() and one
+bytes.translate against a mod-p table; fp_reduce also reduces two-byte
+digits by translating their byte planes, 4- and 8-byte digits are
+machine words read through struct, and wider ones go one by one.
+Every F_p-linear field map is stored so, as packed columns applied by
 GF._apply: the Frobenius x -> x^p, one column set whose powers give
 sigma^k at any k (frob_p), and each registered embedding F_q -> F_(q^s).
 fp_rref row-reduces rows packed so, with w = fp_width(p (p-1)): a row
 operation is one int multiply-add and one digit reduction (fp_reduce).
-fp_kernel and fp_solve take and return lists of int rows.
+fp_kernel and fp_solve take and return lists of int rows.  The same
+codec multiplies series: a TruncSeries over Zmod or a prime field packs
+its residues, u^k at digit k, so that one int product is the product of
+the series (Kronecker substitution; series.TruncSeries.__mul__), w
+sized for the largest digit sum, and fp_unpack reads it back mod p^n.
 The field of each (p, f) is built once, up to order MAX_ORDER (field).
 
 Every residue equation the library meets is F_p-linear in x: the rows

@@ -13,6 +13,7 @@ Matrices are plain tuples of int tuples; d stays small.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import PrecisionError
@@ -155,9 +156,10 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     """Truncated logarithm of order m: the finite sum up to i = p^m - 1
     of (1-A)^i / i, computed on exact lifts.
 
-    With B = 1 - A the sum is the polynomial sum_i c_i x^i at x = B,
-    c_i = p^(m - v_p(i)) (i / p^(v_p(i)))^-1 mod p^(N+m), reduced mod the
-    characteristic polynomial chi_B (one O(d) step from x^i to x^(i+1))
+    With B = 1 - A the sum is the polynomial sum_i c_i x^i at x = B
+    (_log_coeffs), reduced mod the characteristic polynomial chi_B by one
+    Horner pass from the top (each step x r + c_i, x^d replaced by its
+    remainder mod chi_B, only the top coefficient reduced mod p^(N+m))
     and evaluated at B by Horner.  chi_B(B) = 0 over Z by Cayley-Hamilton,
     so the remainder gives the same matrix mod p^(N+m) as the p^m - 1
     matrix powers would, with d - 1 matrix products.
@@ -178,21 +180,30 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     mod = p ** work
     one_minus = msub(mident(d), A.mat, mod)
     chi = [c % mod for c in charpoly(one_minus)]  # x^d + chi[d-1] x^(d-1) + ... + chi[0]
-    rem = [1] + [0] * (d - 1)                     # x^i mod chi, lowest degree first
-    acc = [0] * d
-    for i in range(1, p ** m):
-        top = rem[-1]
-        rem = [(a - top * c) % mod for a, c in zip([0] + rem[:-1], chi)]
-        v = vp(i, p)
-        unit = i // p ** v
-        coef = p ** (m - v) * pow(unit, -1, mod) % mod
-        acc = [(a + coef * r) % mod for a, r in zip(acc, rem)]
+    low, high = chi[0], chi[1:]
+    acc = [0] * d                                 # lowest degree first
+    for c in reversed(_log_coeffs(p, m, N)):
+        top = acc[-1] % mod
+        acc = [c - top * low] + [a - top * h for a, h in zip(acc, high)]
+    acc = [a % mod for a in acc]
     ident = mident(d)
     out = mscale(ident, acc[-1], mod)
     for c in reversed(acc[:-1]):
         out = madd(mmul(out, one_minus, mod), mscale(ident, c, mod), mod)
     cert = N - (m - 1) if m > 1 else N
     return ScaledMatrix(p, out, m, cert)
+
+
+@functools.cache
+def _log_coeffs(p: int, m: int, N: int) -> tuple:
+    """c_0 = 0 and c_i = p^(m - v_p(i)) (i / p^(v_p(i)))^-1 mod p^(N+m)
+    for 0 < i < p^m: p^m / i as a residue, the same for every matrix."""
+    mod = p ** (N + m)
+    out = [0]
+    for i in range(1, p ** m):
+        v = vp(i, p)
+        out.append(p ** (m - v) * pow(i // p ** v, -1, mod) % mod)
+    return tuple(out)
 
 
 def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:

@@ -13,12 +13,22 @@ module's TruncSeries (integer exponents), perfseries.PerfSeries
 (exponents in a lattice (1/L) Z) and taumod.BivarSeries (exponents
 (i, j) truncated by total degree i + j).  It holds the coefficient
 dict, keyed by integer exponent codes, the precision as a code on the
-same scale, sums, the one product loop, scaling, truncation, equality
+same scale, sums, the product loop, scaling, truncation, equality
 and the inverse over a field by the coefficient recurrence (Knuth,
 TAOCP vol. 2, 4.7), one product's work; each subclass keeps its
 exponent model and code, its construction checks and its own
 operators.  The kernel is Fraction-free: codes and precision codes are
 ints, save a PerfSeries precision off its lattice, an exact Fraction.
+
+One product skips the loop: a TruncSeries whose coefficients are int
+residues mod m (over Zmod, or FFRing of a prime field) multiplies by
+Kronecker substitution on gf's packed codec, one int product for the
+whole series, with the loop's coefficients and precision.  The loop
+stays for the rest: a coefficient of F_q, f > 1, is f digits whose
+product reduces mod the field's modulus, not digit by digit; Q and the
+operator rings have no residues; and a PerfSeries or BivarSeries keys
+its terms by codes that do not pack as one run of digits (exponents on
+a lattice, pairs (i, j) truncated by total degree).
 """
 
 from __future__ import annotations
@@ -108,14 +118,19 @@ class SparseSeries:
         """
         return self.coeffs, other.coeffs, pc, None
 
+    def _product_pc(self, other):
+        """A product's precision code: each operand's own, shifted by the
+        other's least degree, whichever is lower."""
+        return min(self.pc + other._veff(), other.pc + self._veff())
+
     def __mul__(self, other):
-        """The one product loop.  Coefficients combine with Python
+        """The product loop.  Coefficients combine with Python
         operators; the constructor then normalises each finished
         coefficient and drops the zeros."""
         if not isinstance(other, SparseSeries):
             return self.scale(other)
         self._check(other)
-        pc = min(self.pc + other._veff(), other.pc + self._veff())
+        pc = self._product_pc(other)
         left, right, bound, decode = self._codes(other, pc)
         right = right.items()
         out: dict = {}
@@ -203,6 +218,13 @@ class TruncSeries(SparseSeries):
     def _model(self):
         return (self.ring,)
 
+    @staticmethod
+    def _reduced(ring, coeffs, prec):
+        """The series of coeffs already reduced, nonzero and below prec."""
+        s = object.__new__(TruncSeries)
+        s.ring, s.coeffs, s.pc = ring, coeffs, prec
+        return s
+
     # --- constructors ---
 
     @staticmethod
@@ -237,7 +259,36 @@ class TruncSeries(SparseSeries):
         return SparseSeries.__add__(self, other)
 
     def __mul__(self, other):
-        return SparseSeries.__mul__(self, other)
+        """Over residues mod m (_residue_modulus), one Kronecker product
+        on gf's packed codec; else the shared loop.  Each operand is one
+        int of w-byte digits from its valuation up, cut where it can no
+        longer reach below the bound, w holding the largest digit sum
+        min(len a, len b) (m - 1)^2 (Harvey, "Faster polynomial
+        multiplication via multipoint Kronecker substitution", 2009)."""
+        ring = self.ring
+        m = _residue_modulus(ring)
+        if m is None or type(other) is not TruncSeries or other.ring != ring \
+                or not self.coeffs or not other.coeffs:
+            return SparseSeries.__mul__(self, other)
+        a, b = self.coeffs, other.coeffs
+        pc = self._product_pc(other)
+        va, vb = min(a), min(b)
+        n = pc - va - vb                    # product digits below the bound
+        if n <= 0:
+            return TruncSeries(ring, {}, pc)
+        ints = isinstance(ring, Zmod)
+        da, db = _digits(a, va, n, ints), _digits(b, vb, n, ints)
+        w = gf.fp_width(min(len(a), len(b)) * (m - 1) ** 2)
+        n = min(n, len(da) + len(db) - 1)
+        acc = (gf.fp_pack(da, w) * gf.fp_pack(db, w)) & ((1 << 8 * w * n) - 1)
+        digits = gf.fp_unpack(acc, n, w, m)
+        v = va + vb
+        if ints:
+            out = {v + i: c for i, c in enumerate(digits) if c}
+        else:
+            F = ring.field
+            out = {v + i: gf.FFElt(F, (c,)) for i, c in enumerate(digits) if c}
+        return TruncSeries._reduced(ring, out, pc)
 
     def __repr__(self):
         terms = [f"{c!r}*u^{e}" for e, c in sorted(self.coeffs.items())[:6]]
@@ -291,6 +342,27 @@ class TruncSeries(SparseSeries):
         if not isinstance(self.ring, Zmod):
             raise ValueError("reduce_mod_p needs a Zmod coefficient ring")
         return _divide_out_p(self, 0)
+
+
+def _residue_modulus(ring):
+    """m when the ring's coefficients are the residues mod m, held as ints
+    (Zmod) or as one-digit FFElts (FFRing of a prime field); else None."""
+    if isinstance(ring, Zmod):
+        return ring.modulus
+    if isinstance(ring, FFRing) and ring.field.fp_degree == 1:
+        return ring.p
+    return None
+
+
+def _digits(coeffs, v, n, ints):
+    """The residues of coeffs at codes v, v + 1, ... as a list of ints,
+    cut to the first n codes and to the last term."""
+    out = [0] * min(max(coeffs) - v + 1, n)
+    top = len(out) + v
+    for e, c in coeffs.items():
+        if e < top:
+            out[e - v] = c if ints else c.coeffs[0]
+    return out
 
 
 def lift_mod_p(f: TruncSeries, target: Zmod) -> TruncSeries:

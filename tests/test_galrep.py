@@ -346,6 +346,24 @@ def test_solutions_match_the_reference_recursion(G):
 
 
 @SETTINGS
+@given(unit_root_matrices(), st.integers(0, 2 ** 32))
+def test_solutions_claim_only_what_every_completion_shares(G, seed):
+    """Perturbation oracle: complete every entry of G, known mod u^M, by
+    random coefficients to 3M and solve again.  The splitting degree and
+    its field are the same, and every solution of the completion,
+    truncated to M, is the solution at M in the same place."""
+    rng = random.Random(seed)
+    M = min(a.prec for row in G for a in row)
+    fld = G[0][0].ring.field
+    full = [[TruncSeries(a.ring, {**{e: fld.random(rng) for e in range(M, 3 * M)}, **a.coeffs},
+                         3 * M) for a in row] for row in G]
+    S, T = solve_unit_root(G), solve_unit_root(full)
+    assert (T.s, T.field, T.prec) == (S.s, S.field, 3 * M)
+    truncated = [[(x.truncate(M).coeffs, M) for x in sol] for sol in T.solutions()]
+    assert truncated == [[(x.coeffs, x.prec) for x in sol] for sol in S.solutions()]
+
+
+@SETTINGS
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.data())
 def test_reversed_echelon_rows_are_the_greedy_basis(p, n, data):
     """The rows of the reduced echelon form of V, last first, are the

@@ -47,6 +47,54 @@ def test_log_m_matches_term_loop(case):
     assert log_m(A, m) == log_m_terms(A, m)
 
 
+def log_m_step_loop(A, m):
+    """Reference for log_m's reduction: the loop that steps x^i mod chi_B
+    from i = 1 up to p^m - 1, computing each c_i and adding c_i x^i."""
+    from padiclab.matrix import charpoly
+    if m > A.prec:
+        raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
+    p, N, d = A.p, A.prec, A.d
+    mod = p ** (N + m)
+    one_minus = msub(mident(d), A.mat, mod)
+    chi = [c % mod for c in charpoly(one_minus)]
+    rem = [1] + [0] * (d - 1)
+    acc = [0] * d
+    for i in range(1, p ** m):
+        top = rem[-1]
+        rem = [(a - top * c) % mod for a, c in zip([0] + rem[:-1], chi)]
+        v = vp(i, p)
+        coef = p ** (m - v) * pow(i // p ** v, -1, mod) % mod
+        acc = [(a + coef * r) % mod for a, r in zip(acc, rem)]
+    ident = mident(d)
+    out = mscale(ident, acc[-1], mod)
+    for c in reversed(acc[:-1]):
+        out = madd(mmul(out, one_minus, mod), mscale(ident, c, mod), mod)
+    return ScaledMatrix(p, out, m, N - (m - 1) if m > 1 else N)
+
+
+@st.composite
+def step_loop_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    d, N, m = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, p ** N - 1), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    return BoundedOp.of(p, N, rows), m
+
+
+@SETTINGS
+@given(step_loop_cases())
+def test_log_m_horner_pass_matches_the_step_loop(case):
+    # the remainder mod chi_B is unique: one Horner pass from the top
+    # gives the step loop's matrix, and both refuse m > N
+    A, m = case
+    if m > A.prec:
+        for f in (log_m, log_m_step_loop):
+            with pytest.raises(PrecisionError, match="certifies no digit"):
+                f(A, m)
+    else:
+        assert log_m(A, m) == log_m_step_loop(A, m)
+
+
 def rand_unipotent(rng, p, N, d):
     return BoundedOp.of(p, N, [[(1 if i == j else 0) + p * rng.randrange(p ** (N - 1))
                                 for j in range(d)] for i in range(d)])

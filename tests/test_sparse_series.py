@@ -262,3 +262,49 @@ def test_field_inverse_makes_no_product():
             assert mul.call_count == 0
             geometric_inverse(f, lambda c: c.inverse())
             assert mul.call_count > 0
+
+
+# --- the packed product of TruncSeries over int residues ---
+#
+# Over Zmod and over FFRing of a prime field, TruncSeries.__mul__ is one
+# Kronecker product on gf's packed codec.  The shared loop,
+# SparseSeries.__mul__, is its reference: the same coeffs and pc.
+
+PACKED_RINGS = [FFRing(gf.field(p)) for p in (3, 5, 101, 1009)] + [
+    Zmod(3, 1), Zmod(3, 2), Zmod(5, 3), Zmod(3, 9), Zmod(7, 10), Zmod(3, 40)]
+
+
+def _modulus(ring):
+    return ring.modulus if isinstance(ring, Zmod) else ring.p
+
+
+def test_packed_rings_need_every_digit_width():
+    # one product of two top residues needs w = 1, 2, 4, 8 and wider
+    widths = {gf.fp_width((_modulus(r) - 1) ** 2) for r in PACKED_RINGS if isinstance(r, Zmod)}
+    assert {1, 2, 4, 8} < widths and max(widths) > 8
+
+
+@st.composite
+def packed_operand(draw, ring):
+    """Terms at Laurent exponents, dense or spread over a span far larger
+    than their number; coefficients often the top residue, whose digit
+    sums are the largest; the precision anywhere from below the first
+    term to past the last."""
+    m = _modulus(ring)
+    low = draw(st.integers(-12, 12))
+    span = draw(st.sampled_from([1, 4, 40, 3000]))
+    count = draw(st.integers(0, min(span, 80)))
+    exps = draw(st.lists(st.integers(low, low + span - 1), min_size=count, max_size=count))
+    codes = st.one_of(st.just(m - 1), st.integers(0, m - 1))
+    coeffs = {e: ring.of_int(draw(codes)) for e in exps}
+    return TruncSeries(ring, coeffs, draw(st.integers(low - 6, low + span + 6)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_product_matches_the_loop(data):
+    ring = data.draw(st.sampled_from(PACKED_RINGS))
+    a = data.draw(packed_operand(ring))
+    b = a if data.draw(st.booleans()) else data.draw(packed_operand(ring))
+    packed, loop = a * b, SparseSeries.__mul__(a, b)
+    assert packed.coeffs == loop.coeffs and packed.pc == loop.pc
