@@ -15,7 +15,7 @@ as the image sum a_i col_i of a map with packed columns (fp_combine), is
 then a few int multiply-adds, exact while no digit sum reaches 256^w,
 and fp_unpack reads the digits back reduced mod p.  At w = 1 the codec is bytes() and one
 bytes.translate against a mod-p table; fp_reduce also reduces two-byte
-digits by translating their byte planes, 4- and 8-byte digits are
+digits by translating their byte planes, 2-, 4- and 8-byte digits are
 machine words read through struct, and wider ones go one by one.
 Every F_p-linear field map is stored so, as packed columns applied by
 GF._apply: the Frobenius x -> x^p, one column set whose powers give
@@ -430,7 +430,7 @@ def _mod_table(p: int, scale: int = 1) -> bytes:
 
 
 _TOP_BIT = bytes(b >> 7 for b in range(256))
-_WORDS = {4: "I", 8: "Q"}   # struct codes of 4- and 8-byte little-endian digits
+_WORDS = {2: "H", 4: "I", 8: "Q"}   # struct codes of little-endian machine-word digits
 
 
 def fp_unpack(acc: int, n: int, w: int, p: int) -> tuple:

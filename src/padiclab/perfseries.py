@@ -186,6 +186,9 @@ class PerfRing(OperatorRing):
     def of_int(self, k):
         return self.one._like({0: self.field.el(k)}, self.one.pc)
 
+    def times_int(self, k, a):
+        return a.times_int(k, self.p, self.one.pc)
+
     def frob(self, a):
         return a.pth_power()
 
@@ -280,15 +283,20 @@ def zmod_series_to_witt(U_out, ring: PerfRing, n: int):
     by u -> Teichmuller(u) and integers through W_n(F_p) = Z/p^n, in
     closed form: [u]^e = [u^e] and [x] (a_0, a_1, ...) = (a_0 x, a_1 x^p,
     a_2 x^(p^2), ...) in any W_n(A) (compare ghost components), so c u^e
-    is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p)."""
-    p = ring.p
-    acc = witt.zero(p, n, ring)
+    is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p).  The sum starts at
+    the first term truncated to the ring's precision: with every exponent
+    >= 0, that is 0 + the first term."""
+    p, acc = ring.p, None
     for e, c in U_out.coeffs.items():
         if e < 0:
             raise ValueError("nonnegative exponents only")
         digits = witt.from_zmod(int(c), p, n, ring).coords
-        acc = acc + witt.WittVector(p, ring, [a.shift(e * p ** i) for i, a in enumerate(digits)])
-    return acc
+        coords = [a.shift(e * p ** i) for i, a in enumerate(digits)]
+        if acc is None:
+            acc = witt.WittVector(p, ring, [a.truncate(ring.prec) for a in coords])
+        else:
+            acc = acc + witt.WittVector(p, ring, coords)
+    return witt.zero(p, n, ring) if acc is None else acc
 
 
 def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,

@@ -299,6 +299,7 @@ def cyclotomic_module(m: int, n: int, E, q: int | None = None,
     Eser = E.as_series(ring, prec)
     cinv = ring.inv(ring.of_int(E.c_unit))
     base = Eser.scale(cinv)
+    # linear loops, not padic.power: the tracked precision depends on the product order
     if m >= 0:
         g = TruncSeries.one(ring, prec)
         for _ in range(m):

@@ -4,7 +4,8 @@ Witt vectors and truncated series compute on their coefficients with
 Python's + - * == and truth values.  An adapter supplies only what an
 operator cannot: the constants zero, one and of_int, reduce (a value's
 canonical representative), inv (the inverse of a unit), frob (the
-coefficient Frobenius) and char_p.
+coefficient Frobenius), char_p, and times_int(k, a), equal to
+of_int(k) * a, which the series adapters give with no product.
 
 OperatorRing is the one adapter, with reduce the identity.  Zmod(p, n)
 is Z/p^n on plain ints (this is W_n(F_p)) and reduces mod p^n; int
@@ -28,7 +29,8 @@ class OperatorRing:
     """Ring protocol over values with Python arithmetic operators.
 
     Subclasses set zero, one and char_p and define of_int; reduce is
-    the identity, and inv and frob default to a.inverse() and reduce.
+    the identity, and inv, frob and times_int default to a.inverse(),
+    reduce and of_int(k) * a.
     """
 
     char_p = False
@@ -41,6 +43,9 @@ class OperatorRing:
 
     def frob(self, a):
         return self.reduce(a)
+
+    def times_int(self, k, a):
+        return self.of_int(k) * a
 
 
 class Zmod(OperatorRing):

@@ -148,6 +148,15 @@ class SparseSeries:
         """Multiply by a coefficient (or int)."""
         return self._like({e: v * c for e, v in self.coeffs.items()}, self.pc)
 
+    def times_int(self, k, p, pc):
+        """(k + O(u^pc)) * self over a field of characteristic p, with no
+        product: the product's coefficients and precision code,
+        min(pc + v, self.pc) (v the least degree), or pc + v when k = 0."""
+        k, pc = k % p, pc + self._veff()
+        if not k:
+            return self._like({}, pc)
+        return SparseSeries.truncate(self if k == 1 else self.scale(k), pc)
+
     def __rmul__(self, c):
         return self.scale(c)
 
@@ -618,6 +627,9 @@ class TruncSeriesRing(OperatorRing):
 
     def of_int(self, k):
         return TruncSeries(self.base, {0: self.base.of_int(k)}, self.prec)
+
+    def times_int(self, k, a):
+        return a.times_int(k, self.p, self.prec)
 
     def frob(self, a):
         return a.frobenius()

@@ -11,7 +11,8 @@ coordinatewise p-th power, which is what the series rings use.
 
 Coordinates compute with Python's + - * ==; the ring adapter
 (padiclab.rings) gives the constants and reduces each coordinate once,
-when a vector is built.
+when a vector is built.  A law's integer coefficients enter through
+times_int(k, a) = of_int(k) * a, no product over the series rings.
 """
 
 from __future__ import annotations
@@ -129,11 +130,13 @@ def _freeze(poly: dict):
 
 
 def eval_law(poly, values, ring):
-    """Evaluate a frozen integer polynomial on ring elements."""
-    caches = [{0: ring.one} for _ in values]
+    """Evaluate a frozen integer polynomial on ring elements: each
+    monomial c X^e Y^f ... as (times_int(c, X^e) * Y^f) * ..., the powers
+    built up from X^1 = times_int(1, X) by products with X."""
+    caches = [{1: ring.times_int(1, v)} for v in values]
     acc = ring.zero
     for mono, coeff in poly:
-        term = ring.of_int(coeff)
+        term = None
         for idx, e in enumerate(mono):
             if not e:
                 continue
@@ -145,8 +148,8 @@ def eval_law(poly, values, ring):
                 for _ in range(e - best):
                     cur = cur * v
                 cache[e] = cur
-            term = term * cache[e]
-        acc = acc + term
+            term = ring.times_int(coeff, cache[e]) if term is None else term * cache[e]
+        acc = acc + (ring.of_int(coeff) if term is None else term)
     return acc
 
 

@@ -248,9 +248,9 @@ def test_packed_embedding_matches_the_coerce_loop(pfs, data):
 def test_codec_round_trips_at_one_and_two_bytes(p, w, n, data):
     """fp_pack puts entry i at digit i, fp_unpack reads the digits back
     reduced mod p, and fp_reduce reduces them in place: by translated
-    byte planes at w = 1 and 2, through little-endian machine words at
-    the wider widths fp_width gives, 4 and 8, and digit by digit at any
-    other width, the path the words must agree with.  The
+    byte planes at w = 1 and 2 (fp_reduce), through little-endian machine
+    words at w = 2, 4 and 8, and digit by digit at any other width or
+    with no words, the path the words must agree with.  The
     byte planes hold residues only for p < 256, and fp_width never gives
     one or two bytes for larger p."""
     vec = data.draw(st.lists(st.integers(0, 256 ** w - 1), min_size=n, max_size=n))
@@ -266,12 +266,12 @@ def test_codec_round_trips_at_one_and_two_bytes(p, w, n, data):
 
 def test_widths_are_powers_of_two():
     """The least power of two w with bound < 256^w, the bound of every
-    digit sum; 4 and 8 are the machine-word widths."""
+    digit sum; 2, 4 and 8 are the machine-word widths."""
     for bound in [1, 255, 256, 65535, 65536, 256 ** 3, 256 ** 4 - 1, 256 ** 4, 256 ** 8,
                   257 * 256, 65521 * 65520, 65537 * 65536]:
         w = gf.fp_width(bound)
         assert w & (w - 1) == 0 and bound < 256 ** w and (w == 1 or bound >= 256 ** (w // 2))
-    assert set(gf._WORDS) == {4, 8}
+    assert set(gf._WORDS) == {2, 4, 8}
 
 
 @pytest.mark.parametrize("p", [3, 17, 127, 131, 251])

@@ -257,6 +257,30 @@ def test_witt_image_matches_the_products(inputs):
     assert [c.prec for c in got.coords] == [c.prec for c in want.coords]
 
 
+def zmod_series_to_witt_from_zero(U_out, ring, n):
+    """The reference for the closed form's first term: the Witt sum from
+    zero, one term at a time."""
+    p = ring.p
+    acc = witt.zero(p, n, ring)
+    for e, c in U_out.coeffs.items():
+        if e < 0:
+            raise ValueError("nonnegative exponents only")
+        digits = witt.from_zmod(int(c), p, n, ring).coords
+        acc = acc + witt.WittVector(p, ring, [a.shift(e * p ** i) for i, a in enumerate(digits)])
+    return acc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(zmod_series_inputs())
+def test_witt_image_matches_the_sum_from_zero(inputs):
+    ring, n, U = inputs
+    got = zmod_series_to_witt(U, ring, n)
+    want = zmod_series_to_witt_from_zero(U, ring, n)
+    for g, w in zip(got.coords, want.coords):
+        assert g.coeffs == w.coeffs
+        assert type(g.pc) is type(w.pc) and g.pc == w.pc
+
+
 def test_witt_image_makes_no_witt_product(monkeypatch):
     calls = []
     product = witt.WittVector.__mul__

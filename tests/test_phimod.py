@@ -1,3 +1,4 @@
+import operator
 import random
 from unittest import mock
 
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from padiclab import galrep, gf, matrix, phimod
 from padiclab.errors import Indeterminate, Unsupported
+from padiclab.padic import power
 from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_divides,
-                             is_etale, lattice_contains, mat_det, mat_mul,
+                             is_etale, lattice_contains, mat_det, mat_mul, module_ring,
                              stabilize_lattice, tensor_lattice, u_height)
 from padiclab.rings import FFRing, Zmod
 from padiclab.series import EisensteinPoly, TruncSeries
@@ -131,6 +133,19 @@ def test_cyclotomic_module():
     for _ in range(4):
         assert not height_divides(cm1, cur)
         cur = cur * Ek
+
+
+def test_cyclotomic_module_keeps_the_linear_power_loops():
+    """Below valuation 0 a product's precision depends on the order of
+    the products: at m = -4 the loop's entry holds to u^-1, and
+    square-and-multiply on the same inverse would claim u^0."""
+    E = EisensteinPoly(3, (3, 1))
+    g = cyclotomic_module(-4, 1, E, prec=5).G[0][0]
+    ring = module_ring(3, 3, 1)
+    binv = E.as_series(ring, 5).scale(ring.inv(ring.of_int(E.c_unit))).inverse()
+    by_squares = power(binv, 4, operator.mul, None)
+    assert g == by_squares and g.terms() == [(-4, ring.one)]
+    assert (g.prec, by_squares.prec) == (-1, 0)
 
 
 def test_lattice_contains():

@@ -304,3 +304,81 @@ def test_the_laws_in_use_generate(p, n):
     assert 1289 ** 3 <= witt.MAX_LAW_COST < 1291 ** 3
     T = generate_laws(p, n)
     assert len(T.sum_polys) == len(T.prod_polys) == n
+
+
+def eval_law_by_constants(poly, values, ring):
+    """The reference for eval_law: every power built from X^0 = one,
+    every coefficient a product by the constant of_int(c)."""
+    caches = [{0: ring.one} for _ in values]
+    acc = ring.zero
+    for mono, coeff in poly:
+        term = ring.of_int(coeff)
+        for idx, e in enumerate(mono):
+            if not e:
+                continue
+            cache = caches[idx]
+            if e not in cache:
+                v = values[idx]
+                best = max(k for k in cache if k <= e)
+                cur = cache[best]
+                for _ in range(e - best):
+                    cur = cur * v
+                cache[e] = cur
+            term = term * cache[e]
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def perf_coordinate(draw, field, D, jmax):
+    """A PerfSeries with Laurent terms, possibly none; its p-th root
+    (precision code off the lattice) or p-th power (above the ring's)."""
+    p, L = field.p, D * field.p ** jmax
+    shape = draw(st.sampled_from(["plain", "root", "power"]))
+    step = p if shape == "root" else 1
+    codes = st.integers(-2, 3 * L // step).map(lambda k: Fraction(k * step, L))
+    terms = draw(st.dictionaries(codes, st.integers(0, field.order - 1).map(field.from_code),
+                                 max_size=3))
+    x = PerfSeries(field, D, jmax, terms, Fraction(draw(st.integers(1, 4 * L)), L))
+    return x.pth_root() if shape == "root" else x.pth_power() if shape == "power" else x
+
+
+@st.composite
+def trunc_coordinate(draw, base, prec):
+    """A TruncSeries with Laurent terms, possibly none, or its Frobenius
+    (precision above the ring's)."""
+    F = base.field
+    terms = draw(st.dictionaries(st.integers(-2, prec + 1), st.integers(0, F.order - 1)
+                                 .map(F.from_code), max_size=3))
+    x = TruncSeries(base, terms, draw(st.integers(-1, prec + 2)))
+    return x.frobenius() if draw(st.booleans()) else x
+
+
+# (field, D, jmax) of each PerfRing, whose precision is drawn on the
+# lattice or off it (29/11), and the base of each TruncSeriesRing
+LAW_RINGS = {"Perf(F_3)": (F3, 2, 2), "Perf(F_9)": (F9, 2, 1), "Perf(F_5)": (gf.field(5), 4, 1),
+             "Perf(F_7)": (gf.field(7), 6, 1), "F_3[[u]]": F3R, "F_9[[u]]": FFRing(F9)}
+LAW_CASES = [(name, n) for name in ("Perf(F_3)", "Perf(F_9)", "F_3[[u]]", "F_9[[u]]")
+             for n in (1, 2, 3)] + [("Perf(F_5)", 1), ("Perf(F_5)", 2), ("Perf(F_7)", 2)]
+
+
+@pytest.mark.parametrize("name, n", LAW_CASES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_laws_match_the_products_by_constants(name, n, data):
+    """Every sum and product law of W_n, evaluated by times_int, gives the
+    coefficients and precision code (value and type) of the products by
+    of_int(c) and one."""
+    model = LAW_RINGS[name]
+    if isinstance(model, tuple):
+        ring = PerfRing(*model, data.draw(st.sampled_from([Fraction(2), Fraction(29, 11)])))
+        coord = perf_coordinate(*model)
+    else:
+        ring = TruncSeriesRing(model, data.draw(st.integers(1, 6)))
+        coord = trunc_coordinate(model, ring.prec)
+    values = data.draw(st.lists(coord, min_size=2 * n, max_size=2 * n))
+    T = generate_laws(ring.p, n)
+    for law in T.sum_polys + T.prod_polys:
+        got, want = witt.eval_law(law, values, ring), eval_law_by_constants(law, values, ring)
+        assert got.coeffs == want.coeffs
+        assert type(got.pc) is type(want.pc) and got.pc == want.pc
