@@ -13,15 +13,18 @@ recursion over F_q, whatever s is:
     Q_m = ([p | m] G0 sigma(Q_{m/p}) - sum_{j=1..m} Q_{m-j} G_j) G0^{-1}.
 
 Every map the solver applies is F_p-linear, and runs on ints packed one
-digit per F_p coordinate (gf.fp_pack).  Each Q_m is its d d f digits
-over F_q, one packed sum of the maps X -> -X G_j G0^{-1} and
-X -> G0 sigma(X) G0^{-1}; the check G0 phi(Q) = Q G runs on the same
-digits with maps built from G's own coefficients.  Over F_(q^s) the
-residues are the kernel of sigma - (. G0) (gf.GF.frobenius_minus), as
-the basis least in code order (_residue_basis); x0 Q and the p^d
-solutions are F_p-combinations.  No field is enumerated: the rank-1
-root gamma^(p-1) = c is the least nonzero solution of gamma^p = c gamma
-(gf.GF.frobenius_solutions).
+digit per F_p coordinate (gf.fp_pack).  The order of N is found on N's
+digits, each power one packed sum of the columns of X -> X N
+(_splitting_degree).  Each Q_m is its d d f digits over F_q, one packed
+sum of the maps X -> -X G_j G0^{-1} and X -> G0 sigma(X) G0^{-1}; the
+check G0 phi(Q) = Q G runs on the same digits with maps built from G's
+own coefficients.  Over F_(q^s) the residues are the kernel of
+sigma - (. G0) (gf.GF.frobenius_minus), as the basis least in code
+order (_residue_basis); x0 Q and the p^d solutions are
+F_p-combinations, each unpacked once into series built reduced, from
+their nonzero digit blocks (_series).  No field is enumerated: the
+rank-1 root gamma^(p-1) = c is the least nonzero solution of
+gamma^p = c gamma (gf.GF.frobenius_solutions).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -93,11 +96,14 @@ class SolutionSet:
 
 
 def _series(digits, ext, prec):
-    """Series over ext at precision prec from their F_p coordinates, in order."""
-    ring, n = FFRing(ext), ext.fp_degree
-    return tuple(TruncSeries(ring, {m: gf.FFElt(ext, digits[i + m * n:i + m * n + n])
-                                    for m in range(prec)}, prec)
-                 for i in range(0, len(digits), prec * n))
+    """Series over ext at precision prec from their F_p coordinates, in
+    order, built reduced: each keeps its nonzero blocks of fp_degree
+    digits, the coefficients of u^m, m < prec."""
+    ring, zero = FFRing(ext), ext.zero.coeffs
+    blocks = list(zip(*[iter(digits)] * ext.fp_degree))
+    return tuple(TruncSeries._reduced(ring, {m: gf.FFElt(ext, c) for m, c
+                                             in enumerate(blocks[i:i + prec]) if c != zero}, prec)
+                 for i in range(0, len(blocks), prec))
 
 
 def _as_matrix(G):
@@ -291,18 +297,26 @@ def _frobenius_norm(G0, base):
 def _splitting_degree(G0, base):
     """The order s of N in GL_d(F_q), q = p^f, by a power loop up to
     p^d - 1 and the largest s with q^s <= gf.MAX_ORDER; past the second,
-    ExtensionCapExceeded before any field is built.
+    ExtensionCapExceeded before any field is built.  The loop runs on
+    N's F_p digits: P -> P N is one packed sum of the columns of
+    X -> X N (_right_columns) and one unpack per power, compared with
+    the digits of I.
 
     s <= p^d - 1 by Lang's theorem ("Algebraic groups over finite
     fields", 1956): G0 = X^-1 sigma(X) for an X in GL_d over the closure
     of F_p, so N = X^-1 sigma^f(X), and X N X^-1 = sigma^f(X) X^-1 is
     fixed by sigma (sigma(X) = X G0, sigma^f(G0) = G0): N is conjugate
     into GL_d(F_p), whose elements have order at most p^d - 1."""
-    d, q = len(G0), base.order
-    lang, fits = base.p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
-    s = matrix.order(_frobenius_norm(G0, base), base.one, base.zero, min(lang, fits))
-    if s is not None:
-        return s
+    d, q, p = len(G0), base.order, base.p
+    lang, fits = p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
+    N = _digits(_frobenius_norm(G0, base))
+    n, w = len(N), gf.fp_width(d * base.fp_degree * (p - 1) ** 2)
+    times_N = _right_columns(N, d, base, w)
+    ident, power = _digits(matrix.scalar(d, base.one, base.zero)), N
+    for s in range(1, min(lang, fits) + 1):
+        if power == ident:
+            return s
+        power = gf.fp_unpack(gf.fp_combine(power, times_N), n, w, p)
     if fits >= lang:
         raise ArithmeticError(f"N has order above p^d - 1 = {lang} in GL_{d}(F_{q})")
     raise ExtensionCapExceeded(f"N has order > {fits} in GL_{d}(F_{q}): the residue equation "

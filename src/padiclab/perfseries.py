@@ -168,7 +168,9 @@ def monomial(field: GF, D: int, jmax: int, exp, coeff, prec) -> PerfSeries:
 
 
 class PerfRing(OperatorRing):
-    """Coefficient-ring adapter so Witt vectors can run over PerfSeries."""
+    """Coefficient-ring adapter so Witt vectors can run over PerfSeries.
+    Two are equal when field, lattice and precision agree, as the
+    constants of the ring carry its precision."""
 
     char_p = True
 
@@ -194,10 +196,10 @@ class PerfRing(OperatorRing):
 
     def __eq__(self, other):
         return isinstance(other, PerfRing) and self.field is other.field \
-            and (self.D, self.jmax) == (other.D, other.jmax)
+            and (self.D, self.jmax, self.prec) == (other.D, other.jmax, other.prec)
 
     def __hash__(self):
-        return hash(("PerfRing", id(self.field), self.D, self.jmax))
+        return hash(("PerfRing", id(self.field), self.D, self.jmax, self.prec))
 
     def __repr__(self):
         return f"Perf({self.field.tag}, 1/{self.D}*{self.p}^-{self.jmax})"

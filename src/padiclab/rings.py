@@ -12,9 +12,10 @@ is Z/p^n on plain ints (this is W_n(F_p)) and reduces mod p^n; int
 operators do not, so TruncSeries and WittVector reduce each coefficient
 once when they are built.  The others are IntRing() (exact integers,
 the p-torsion-free ghost oracle), QRing(p) (rationals with p-adic
-valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf)
-and, with series as coefficients, perfseries.PerfRing and
-series.TruncSeriesRing.
+valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf,
+whose reduce makes each value an element of F, the digit tuple that
+series sums over F read) and, with series as coefficients,
+perfseries.PerfRing and series.TruncSeriesRing.
 """
 
 from __future__ import annotations
@@ -132,6 +133,11 @@ class FFRing(OperatorRing):
         self.p = field.p
         self.zero = field.zero
         self.one = field.one
+
+    def reduce(self, a):
+        """a as an element of the field: ints reduce mod p, elements of a
+        registered subfield embed, others raise."""
+        return self.field.coerce(a)
 
     def of_int(self, k):
         return self.field.el(k)

@@ -20,6 +20,13 @@ exponent model and code, its construction checks and its own
 operators.  The kernel is Fraction-free: codes and precision codes are
 ints, save a PerfSeries precision off its lattice, an exact Fraction.
 
+Sums and differences of TruncSeries over F_q skip the kernel's
+coefficient sums: each shared term is one pass on the two digit tuples,
+(a + k b) mod p with k = 1 or p - 1, zeros dropped and every term cut
+at the lower precision (_ff_sum); no negated series is built and no
+coefficient coerced.  A product with an operand zero at its precision
+is the empty series at the product's precision code, with no loop.
+
 One product skips the loop: a TruncSeries whose coefficients are int
 residues mod m (over Zmod, or FFRing of a prime field) multiplies by
 Kronecker substitution on gf's packed codec, one int product for the
@@ -126,11 +133,14 @@ class SparseSeries:
     def __mul__(self, other):
         """The product loop.  Coefficients combine with Python
         operators; the constructor then normalises each finished
-        coefficient and drops the zeros."""
+        coefficient and drops the zeros.  An operand with no terms
+        gives the empty series at once."""
         if not isinstance(other, SparseSeries):
             return self.scale(other)
         self._check(other)
         pc = self._product_pc(other)
+        if not self.coeffs or not other.coeffs:
+            return self._like({}, pc)
         left, right, bound, decode = self._codes(other, pc)
         right = right.items()
         out: dict = {}
@@ -264,8 +274,22 @@ class TruncSeries(SparseSeries):
     # perfbench's tracer, which looks methods up in the class itself,
     # counts TruncSeries calls apart from the other series ---
 
+    def _over_one_field(self, other):
+        """Whether both are TruncSeries over one FFRing."""
+        return isinstance(self.ring, FFRing) and type(other) is TruncSeries \
+            and other.ring == self.ring
+
     def __add__(self, other):
+        """Over F_q, one pass on the digit tuples (_ff_sum); else the
+        shared kernel."""
+        if self._over_one_field(other):
+            return _ff_sum(self, other, 1)
         return SparseSeries.__add__(self, other)
+
+    def __sub__(self, other):
+        if self._over_one_field(other):
+            return _ff_sum(self, other, self.ring.p - 1)
+        return SparseSeries.__sub__(self, other)
 
     def __mul__(self, other):
         """Over residues mod m (_residue_modulus), one Kronecker product
@@ -351,6 +375,27 @@ class TruncSeries(SparseSeries):
         if not isinstance(self.ring, Zmod):
             raise ValueError("reduce_mod_p needs a Zmod coefficient ring")
         return _divide_out_p(self, 0)
+
+
+def _ff_sum(a, b, k):
+    """a + k b over F_q, k = 1 or p - 1 (a - b), on the coefficients'
+    digit tuples: each shared term is one tuple of (x + k y) mod p, kept
+    when nonzero, and every term is cut at the lower precision."""
+    F = a.ring.field
+    p, pc = F.p, min(a.pc, b.pc)
+    out = {e: c for e, c in a.coeffs.items() if e < pc}
+    for e, c in b.coeffs.items():
+        if e >= pc:
+            continue
+        if e in out:
+            t = tuple([(x + k * y) % p for x, y in zip(out[e].coeffs, c.coeffs)])
+            if any(t):
+                out[e] = gf.FFElt(F, t)
+            else:
+                del out[e]
+        else:
+            out[e] = c if k == 1 else gf.FFElt(F, tuple([k * y % p for y in c.coeffs]))
+    return TruncSeries._reduced(a.ring, out, pc)
 
 
 def _residue_modulus(ring):

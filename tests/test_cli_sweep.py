@@ -83,7 +83,7 @@ def _some(flags, n):
 
 
 @pytest.mark.parametrize("command, op, own, common", list(_ops()))
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 @given(data=st.data())
 def test_every_subcommand_exits_0_1_or_2(command, op, own, common, data):
     chosen = data.draw(_some(own, 3)) + data.draw(_some(common, 2))

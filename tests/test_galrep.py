@@ -285,7 +285,7 @@ def _check_by_series(G, Q, prec):
                for lrow, rrow in zip(lhs, matrix.mul(Qs, G)) for a, b in zip(lrow, rrow))
 
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=40)
 BASES = {3: FFRing(F3), 9: R9, 25: FFRing(gf.field(5, 2))}
 COST_BUDGET = 40_000    # p^d solutions x (degree of F_(q^s))^2 x M: under a second
 
@@ -529,7 +529,7 @@ def _solutions_by_scale_and_add(S):
     return combos
 
 
-PACKED_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+PACKED_SETTINGS = settings(max_examples=15)
 PACKED_P = pytest.mark.parametrize("p", [3, 5, 7, 17])
 
 

@@ -92,7 +92,7 @@ def test_codes_match_the_digit_loop(p, f):
 
 # --- differential tests against brute force and plain powering ---
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=40)
 
 
 def vectors(p, n):
@@ -324,7 +324,7 @@ def test_packed_combinations_match_the_loop(p, n, k, data):
 
 # every field of at most 5000 elements at these p
 SMALL_FIELDS = [(p, f) for p in (3, 5, 7, 11, 13, 17, 31) for f in range(1, 8) if p ** f <= 5000]
-SOLVE_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+SOLVE_SETTINGS = settings(max_examples=8)
 
 
 @functools.cache

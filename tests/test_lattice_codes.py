@@ -28,7 +28,7 @@ from padiclab.series import SparseSeries
 from padiclab.taumod import BivarSeries
 
 F3, F9 = gf.field(3), gf.field(3, 2)
-SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=80)
 
 
 # ---------------------------------------------------------------------------

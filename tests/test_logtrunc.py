@@ -10,7 +10,7 @@ from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, exp_full,
                                msub, mscale, rdc_valuation_check)
 from padiclab.padic import vp
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 
 
 def log_m_terms(A, m):

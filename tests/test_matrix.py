@@ -41,7 +41,7 @@ RINGS = {
     "int-mod-5": (st.integers(-30, 30), Ring(0, 1)),
 }
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 def matrices(entry, dims):

@@ -1,0 +1,208 @@
+"""The mod-p functor's digit-level paths against the code they replaced,
+kept here as references.
+
+galrep._series builds each solution reduced, from its nonzero digit
+blocks; the reference builds it through TruncSeries.__init__, which
+filters every coefficient again.  TruncSeries sums and differences over
+F_q combine digit tuples in one pass; the reference is the shared
+kernel's dict sum, a difference being the sum with the negated series.
+galrep._splitting_degree finds the order of N on packed digits; the
+reference is matrix.order's power loop on FFElt matrices, with the same
+bound and the same two refusals.  Over F_3, F_9, F_27 and F_(3^26).
+"""
+
+import operator
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from padiclab import galrep, gf, matrix, padic
+from padiclab.errors import ExtensionCapExceeded
+from padiclab.rings import FFRing
+from padiclab.series import SparseSeries, TruncSeries
+
+FIELDS = [gf.field(3), gf.field(3, 2), gf.field(3, 3), gf.field(3, 26)]
+fields = st.sampled_from(FIELDS)
+
+
+def reference_series(digits, ext, prec):
+    """galrep._series through TruncSeries.__init__, every block kept."""
+    ring, n = FFRing(ext), ext.fp_degree
+    return tuple(TruncSeries(ring, {m: gf.FFElt(ext, digits[i + m * n:i + m * n + n])
+                                    for m in range(prec)}, prec)
+                 for i in range(0, len(digits), prec * n))
+
+
+def reference_sum(a, b, op):
+    """a + b or a - b by the shared kernel: FFElt sums, through a negated
+    series for a difference."""
+    return SparseSeries.__add__(a, b if op is operator.add else SparseSeries.__neg__(b))
+
+
+def reference_splitting_degree(G0, base):
+    """galrep._splitting_degree by matrix.order on FFElt matrices."""
+    d, q = len(G0), base.order
+    lang, fits = base.p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
+    s = matrix.order(galrep._frobenius_norm(G0, base), base.one, base.zero, min(lang, fits))
+    if s is not None:
+        return s
+    if fits >= lang:
+        raise ArithmeticError(f"N has order above p^d - 1 = {lang} in GL_{d}(F_{q})")
+    raise ExtensionCapExceeded(f"N has order > {fits} in GL_{d}(F_{q}): the residue equation "
+                               f"needs F_({q}^s), s > {fits}, of order above gf.MAX_ORDER")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ExtensionCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, ref):
+    """Equal coefficients and precision, no zero coefficient stored and
+    none at or above the precision."""
+    assert (got.coeffs, got.pc, type(got.pc)) == (ref.coeffs, ref.pc, type(ref.pc))
+    assert all(c and e < got.pc for e, c in got.coeffs.items())
+
+
+def codes(F):
+    """Element codes, zero a third of the time."""
+    return st.one_of(st.just(0), st.integers(0, F.order - 1), st.integers(1, F.order - 1))
+
+
+@settings(max_examples=150)
+@given(fields, st.integers(1, 8), st.integers(1, 3), st.data())
+def test_series_match_the_filtering_constructor(F, prec, count, data):
+    blocks = data.draw(st.lists(codes(F), min_size=prec * count, max_size=prec * count))
+    digits = tuple(c for code in blocks for c in F.from_code(code).coeffs)
+    got, ref = galrep._series(digits, F, prec), reference_series(digits, F, prec)
+    assert len(got) == len(ref) == count
+    for x, y in zip(got, ref):
+        assert x.ring == y.ring
+        assert_same(x, y)
+
+
+@st.composite
+def summands(draw):
+    """Two series over one field at precisions 1..10, exponents -3..12 (so
+    terms at or above the other operand's precision), b's terms on a's
+    exponents drawn to cancel a's, to equal them, to be b's own or absent."""
+    F, op = draw(fields), draw(st.sampled_from([operator.add, operator.sub]))
+    ring = FFRing(F)
+    exps = st.integers(-3, 12)
+    ta = {e: F.from_code(c) for e, c in
+          draw(st.dictionaries(exps, codes(F), max_size=10)).items()}
+    tb = {e: F.from_code(c) for e, c in
+          draw(st.dictionaries(exps, codes(F), max_size=6)).items()}
+    for e, c in ta.items():
+        how = draw(st.sampled_from(["cancel", "same", "own", "absent"]))
+        if how == "cancel":
+            tb[e] = c if op is operator.sub else -c
+        elif how == "same":
+            tb[e] = c
+        elif how == "absent":
+            tb.pop(e, None)
+    pa, pb = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    return TruncSeries(ring, ta, pa), TruncSeries(ring, tb, pb), op
+
+
+@settings(max_examples=400)
+@given(summands())
+def test_sums_match_the_kernel(args):
+    a, b, op = args
+    assert_same(op(a, b), reference_sum(a, b, op))
+    assert_same(op(b, a), reference_sum(b, a, op))
+
+
+@settings(max_examples=60)
+@given(fields, st.integers(1, 10), st.data())
+def test_full_cancellation_leaves_the_empty_series(F, prec, data):
+    ring = FFRing(F)
+    t = {e: F.from_code(c) for e, c in
+         data.draw(st.dictionaries(st.integers(-3, 12), codes(F), max_size=10)).items()}
+    a, other = TruncSeries(ring, t, prec), data.draw(st.integers(1, 10))
+    b = TruncSeries(ring, t, other)
+    for got, ref in ((a - b, reference_sum(a, b, operator.sub)),
+                     (a + (-b), reference_sum(a, -b, operator.add))):
+        assert_same(got, ref)
+        assert not got.coeffs and got.pc == min(prec, other)
+
+
+def test_coefficients_are_stored_as_elements_of_the_field():
+    """The digit sums read each coefficient's tuple, so the constructor
+    stores ints and prime-field elements as elements of the ring's field
+    and refuses an element of a field it does not embed."""
+    F3, F9, F27 = FIELDS[:3]
+    ring = FFRing(F9)
+    a = TruncSeries(ring, {0: 1, 1: 3, 2: -1, 3: F3.el(2)}, 5)
+    assert a.coeffs == {0: F9.one, 2: F9.el(2), 3: F9.el(2)}
+    b = TruncSeries(ring, {0: F9.gen, 2: F9.one}, 4)
+    for op in (operator.add, operator.sub):
+        assert_same(op(a, b), reference_sum(a, b, op))
+    with pytest.raises(ValueError, match="cannot coerce"):
+        TruncSeries(ring, {0: F27.one}, 5)
+
+
+def test_sums_of_different_fields_still_raise():
+    a = TruncSeries.one(FFRing(FIELDS[0]), 5)
+    b = TruncSeries.one(FFRing(FIELDS[1]), 5)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different models"):
+            op(a, b)
+
+
+@settings(max_examples=150)
+@given(fields, st.data())
+def test_splitting_degree_matches_the_power_loop(F, data):
+    d = data.draw(st.integers(1, 2 if F.fp_degree > 3 else 3))
+    G0 = [[F.from_code(data.draw(st.integers(0, F.order - 1))) for _ in range(d)]
+          for _ in range(d)]
+    assume(matrix.det(G0))
+    assert outcome(galrep._splitting_degree, G0, F) == \
+        outcome(reference_splitting_degree, G0, F)
+
+
+@pytest.mark.parametrize("f, d", [(1, 1), (1, 2), (2, 1), (3, 1)])
+def test_splitting_degree_on_every_small_group(f, d):
+    """All of GL_1(F_3), GL_2(F_3), GL_1(F_9) and GL_1(F_27): every order,
+    the bound p^d - 1 itself among them."""
+    F = gf.field(3, f)
+    seen = set()
+    for entries in product(range(F.order), repeat=d * d):
+        G0 = [[F.from_code(c) for c in entries[i * d:i * d + d]] for i in range(d)]
+        if matrix.det(G0):
+            s = galrep._splitting_degree(G0, F)
+            assert s == reference_splitting_degree(G0, F)
+            seen.add(s)
+    assert max(seen) == 3 ** d - 1
+
+
+def test_splitting_degree_keeps_both_refusals(monkeypatch):
+    """Past p^d - 1 (not met by any N, by Lang's theorem, so N is set
+    here to an element of order 8 in F_9 at d = 1) and past the largest
+    field gf builds: over F_(3^26) at d = 2, s <= 3.  There G0 from
+    GL_2(F_3) gives N = G0^26, of order 3 for a unipotent G0 (admitted,
+    the bound itself) and 4 for an element of order 8 (refused)."""
+    F3, F9, big = FIELDS[0], FIELDS[1], FIELDS[3]
+    monkeypatch.setattr(galrep, "_frobenius_norm", lambda G0, base: G0)
+    wild = [[next(x for x in F9.elements() if x ** 4 != F9.one and x ** 4)]]
+    got = outcome(galrep._splitting_degree, wild, F9)
+    assert got == outcome(reference_splitting_degree, wild, F9)
+    assert got[0] is ArithmeticError
+    monkeypatch.undo()
+    small = [[[F3.from_code(c) for c in cs[i:i + 2]] for i in (0, 2)]
+             for cs in product(range(3), repeat=4)]
+    unipotent = [[F3.one, F3.one], [F3.zero, F3.one]]
+    singer = next(A for A in small if matrix.det(A) and outcome(
+        reference_splitting_degree, A, F3) == 8)
+    lift = [[[big.coerce(a) for a in row] for row in A] for A in (unipotent, singer)]
+    assert outcome(galrep._splitting_degree, lift[0], big) == 3
+    got = outcome(galrep._splitting_degree, lift[1], big)
+    assert got == outcome(reference_splitting_degree, lift[1], big)
+    assert got[0] is ExtensionCapExceeded
+    G0 = [[big.gen, big.one], [big.one, big.zero]]
+    assert outcome(galrep._splitting_degree, G0, big) == \
+        outcome(reference_splitting_degree, G0, big)

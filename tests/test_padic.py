@@ -26,7 +26,7 @@ def test_p_two_rejected():
 
 # --- the integer helpers against the loops they replaced ---
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 PRIMES = st.sampled_from([3, 5, 7, 31, 257])
 
 
@@ -192,7 +192,7 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.integers(-5, 3 ** 12), st.sampled_from([1, 2, 3, 5, 7, 31]))
 def test_degree_matches_the_division_loop(q, p):
     assert _outcome(padic.degree, q, p) == _outcome(_degree_loop, q, p)
@@ -387,7 +387,7 @@ def _decision(thunk):
         return None
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.data())
 def test_divisions_claim_only_what_every_completion_shares(p, N, data):
     """Perturbation oracle for PadicInt.divide, q_analogue and

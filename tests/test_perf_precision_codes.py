@@ -188,7 +188,7 @@ class RefPerf(RefKernel):
 # ---------------------------------------------------------------------------
 
 F3, F5, F9 = gf.field(3), gf.field(5), gf.field(3, 2)
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 ERRORS = (LatticeTooCoarse, PrecisionError, ValueError, ZeroDivisionError)
 
 

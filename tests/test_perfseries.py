@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -89,7 +90,7 @@ def test_existv_rank1_residue():
 SOLVE_ERRORS = (ExtensionTooSmall, LatticeTooCoarse, PrecisionError)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from([(3, 2), (3, 3), (5, 2)]), st.integers(3, 8), st.data())
 def test_fixed_point_claims_only_digits_every_completion_shares(pn, M, data):
     """Perturbation oracle: V with phi(V) = U V for U at precision M
@@ -199,6 +200,20 @@ def test_perf_ring_needs_a_positive_denominator():
             PerfRing(F3, D, 2, F(8))
 
 
+def test_witt_vectors_over_rings_of_different_precision_do_not_combine():
+    """Rings of one lattice at precisions 4 and 8 differ, so neither order
+    of a sum or a product may take the left ring's precision."""
+    R4, R8 = PerfRing(F3, 2, 1, F(4)), PerfRing(F3, 2, 1, F(8))
+    assert R4 != R8 and R4 == PerfRing(F3, 2, 1, 4)
+    assert hash(R4) == hash(PerfRing(F3, 2, 1, 4))
+    coords = [monomial(F3, 2, 1, F(1, 2), F3.one, F(8)), monomial(F3, 2, 1, 1, F3.one, F(8))]
+    x, y = witt.WittVector(3, R4, coords), witt.WittVector(3, R8, coords)
+    for a, b in ((x, y), (y, x)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError, match="^Witt vectors live in different rings$"):
+                op(a, b)
+
+
 def test_root_p_minus_1_takes_the_least_coded_root():
     # V0 = zeta u^(1/(p-1)) with zeta the least-coded zeta^(p-1) = c
     for fld in (gf.field(5), gf.field(3, 2), gf.field(7, 2)):
@@ -247,7 +262,7 @@ def zmod_series_inputs(draw):
     return PerfRing(gf.field(p), p - 1, jmax, prec), n, U
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(zmod_series_inputs())
 def test_witt_image_matches_the_products(inputs):
     ring, n, U = inputs
@@ -270,7 +285,7 @@ def zmod_series_to_witt_from_zero(U_out, ring, n):
     return acc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(zmod_series_inputs())
 def test_witt_image_matches_the_sum_from_zero(inputs):
     ring, n, U = inputs

@@ -285,7 +285,7 @@ PAIR_RINGS = {"F3": R3, "F9": FFRing(gf.field(3, 2)), "Z/9": Zmod(3, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_RINGS))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_det_adjugate_pair_matches_det_and_the_old_adjugate(name, data):
     """Entries u^(r_i + c_j) a_ij with row and column valuations up to 14,
@@ -337,7 +337,7 @@ def _decided(thunk):
         return Indeterminate
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from([3, 5]), st.integers(1, 3), st.integers(4, 10), st.data())
 def test_heights_claim_only_what_every_completion_shares(p, d, M, data):
     """Perturbation oracle: the elementary-divisor exponents of G and the
@@ -386,7 +386,7 @@ def test_heights_claim_only_what_every_completion_shares(p, d, M, data):
             [a for a in at_M if a is not Indeterminate]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2)]), st.integers(1, 3), st.integers(3, 8),
        st.data())
 def test_etale_claims_only_what_every_completion_shares(pn, d, M, data):

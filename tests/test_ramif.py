@@ -200,7 +200,7 @@ FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 XS = st.sampled_from([F(1), F(3), F(9), F(1, 3), F(2), F(5, 2), F(4), F(6), F(1, 2)])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(FRACTIONS, FRACTIONS, XS, FRACTIONS, FRACTIONS, XS)
 def test_compare_by_one_reduction_agrees_with_the_old_branches(r0, r1, x, s0, s1, y):
     """The D-scaled reduction decides the pairs the same-x and exact-operand

@@ -18,7 +18,7 @@ from padiclab.rings import FFRing, IntRing, QRing, Zmod
 from padiclab.series import TruncSeriesRing
 from padiclab.witt import WittVector
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 ADAPTERS = {
     "Z/3^2": Zmod(3, 2),

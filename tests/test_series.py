@@ -115,7 +115,7 @@ def test_weierstrass_random_reconstruction():
         d = dist.valuation() if dist.coeffs else 0
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from([(3, 2), (5, 2), (3, 3), (3, 4)]), st.integers(2, 12), st.data())
 def test_weierstrass_claims_only_digits_every_completion_shares(pn, M, data):
     """Perturbation oracle: the unit and distinguished part of f at
@@ -135,7 +135,7 @@ def test_weierstrass_claims_only_digits_every_completion_shares(pn, M, data):
         assert dist == dist_g and unit == unit_g
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(1, 30), st.data())
 def test_lambda_claims_only_digits_every_finer_truncation_shares(p, e, M, data):
     """Perturbation oracle: lambda to O(u^M) is lambda to O(u^(3M))

@@ -58,7 +58,7 @@ MODELS = {
                        F9.zero, F9.one, (0, 0)),
 }
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 def terms(m, min_size=0):
@@ -123,6 +123,54 @@ def test_kernel_matches_dict_convolution(name, data):
     assert state(a * b) == ref_mul(m, A, B)
     assert state(a + b) == ref_add(m, A, B)
     assert (a == b) == ref_eq(m, A, B)
+
+
+def loop_product(a, b):
+    """The product loop as it ran on every pair of operands, an empty one
+    among them: precision code, product codes, the loop, _like."""
+    a._check(b)
+    pc = a._product_pc(b)
+    left, right, bound, decode = a._codes(b, pc)
+    out = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            k = k1 + k2
+            if k < bound:
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    if decode is not None:
+        out = {decode(k): c for k, c in out.items()}
+    return a._like(out, pc)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@SETTINGS
+@given(data=st.data())
+def test_empty_operand_products_match_the_loop(name, data):
+    """A product with an operand zero at its precision (no terms, or only
+    terms at or above it) is the loop's: the same empty coefficients and
+    the same precision code, of the same type, with no product codes made."""
+    m = MODELS[name]
+    a = m.make(data.draw(terms(m)), data.draw(m.precs))
+    prec = data.draw(m.precs)
+    high = {e: c for e, c in data.draw(terms(m)).items() if m.weight(e) >= prec}
+    empty = m.make(data.draw(st.sampled_from([{}, high])), prec)
+    assert not empty.coeffs
+    for x, y in ((a, empty), (empty, a)):
+        want = loop_product(x, y)
+        with mock.patch.object(type(x), "_codes", side_effect=AssertionError("loop ran")):
+            got = x * y
+        assert (got.coeffs, got.pc, type(got.pc)) == ({}, want.pc, type(want.pc))
+        assert want.coeffs == {}
+
+
+def test_empty_operand_products_of_different_models_still_raise():
+    pairs = [(TruncSeries(FFRing(F9), {}, 4), TruncSeries(Zmod(3, 2), {}, 4)),
+             (PerfSeries(F9, 2, 2, {}, 4), PerfSeries(F9, 1, 2, {}, 4)),
+             (PerfSeries(F9, 2, 2, {}, 4), TruncSeries(FFRing(F9), {}, 4))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different models"):
+                x * y
 
 
 @pytest.mark.parametrize("name", ["perf", "trunc-F9", "trunc-Q"])
@@ -300,7 +348,7 @@ def packed_operand(draw, ring):
     return TruncSeries(ring, coeffs, draw(st.integers(low - 6, low + span + 6)))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(data=st.data())
 def test_packed_product_matches_the_loop(data):
     ring = data.draw(st.sampled_from(PACKED_RINGS))

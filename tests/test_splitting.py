@@ -24,7 +24,7 @@ from padiclab.galrep import solve_rank1, solve_unit_root, unramified_to_phimod
 from padiclab.rings import FFRing
 from padiclab.series import TruncSeries
 
-SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=30)
 
 
 def residue_rank(G0, ext, p):

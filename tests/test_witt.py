@@ -273,7 +273,7 @@ CHAR_P = {
 
 
 @pytest.mark.parametrize("name", list(CHAR_P))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_frobenius_is_the_rings_frobenius(name, data):
     # equal to the p - 1 products at their precision, never less precise;
@@ -363,7 +363,7 @@ LAW_CASES = [(name, n) for name in ("Perf(F_3)", "Perf(F_9)", "F_3[[u]]", "F_9[[
 
 
 @pytest.mark.parametrize("name, n", LAW_CASES)
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_laws_match_the_products_by_constants(name, n, data):
     """Every sum and product law of W_n, evaluated by times_int, gives the
