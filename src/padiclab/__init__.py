@@ -18,7 +18,8 @@ cli         batch command surface (JSON/CSV), property suites
 
 Importing the package loads none of them: each submodule is imported on
 first use, as ``padiclab.galrep``, ``from padiclab import galrep`` or
-``from padiclab import *`` (PEP 562).
+``from padiclab import *`` (PEP 562).  The package defines only record,
+the result record of the CLI documents.
 """
 
 import importlib
@@ -29,6 +30,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def record(name, value, exact=True, precision="exact", anchor=""):
+    """One result of a CLI document; cli and the suites report through it."""
+    return {"name": name, "value": str(value), "exact": bool(exact),
+            "precision": str(precision), "anchor": anchor}
 
 
 def __getattr__(name):

@@ -24,7 +24,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from . import padic
+from . import padic, record
 from .errors import Indeterminate, PadicLabError
 from .padic import PadicInt
 from .witt import WittVector, from_zmod, generate_laws, to_zmod
@@ -32,12 +32,6 @@ from .witt import WittVector, from_zmod, generate_laws, to_zmod
 # sorted(suites.SUITES), named here so that build_parser loads no suite
 SUITE_NAMES = ("cocycle", "existv", "fontaine", "heights", "incwitt", "lambda",
                "logm", "qanalogue", "ramif", "tau", "witt")
-
-
-def record(name, value, exact=True, precision="exact", anchor=""):
-    """One result of the document; the suites report through it too."""
-    return {"name": name, "value": str(value), "exact": bool(exact),
-            "precision": str(precision), "anchor": anchor}
 
 
 @dataclass
@@ -223,9 +217,10 @@ def _cmd_series(args, cfg: RunConfig):
 
 def _cmd_phimod(args, cfg: RunConfig):
     from . import phimod
+    from .rings import module_ring
     from .series import TruncSeries
     p, q, M = cfg.p, cfg.q, cfg.M
-    ring = phimod.module_ring(p, q, cfg.n)
+    ring = module_ring(p, q, cfg.n)
     if args.op == "cyclotomic":
         E = _eisenstein(args, cfg)
         mod = phimod.cyclotomic_module(args.m, cfg.n, E, q=q, prec=M)
@@ -280,10 +275,11 @@ def _field_code(field, code: int):
 
 def _cmd_galois(args, cfg: RunConfig):
     from fractions import Fraction
-    from . import galrep, phimod
+    from . import galrep
+    from .rings import module_ring
     from .series import TruncSeries
     p, q = cfg.p, cfg.q
-    ring = phimod.module_ring(p, q, 1)
+    ring = module_ring(p, q, 1)
     field = ring.field
     if args.op == "solve":
         G = [[TruncSeries(ring, {0: _field_code(field, v)}, cfg.M) for v in row]
@@ -539,7 +535,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # run as `python -m padiclab.cli`: let suites' `from .cli import record`
-    # find this module rather than execute the file a second time
-    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -13,18 +13,18 @@ recursion over F_q, whatever s is:
     Q_m = ([p | m] G0 sigma(Q_{m/p}) - sum_{j=1..m} Q_{m-j} G_j) G0^{-1}.
 
 Every map the solver applies is F_p-linear, and runs on ints packed one
-digit per F_p coordinate (gf.fp_pack).  The order of N is found on N's
-digits, each power one packed sum of the columns of X -> X N
-(_splitting_degree).  Each Q_m is its d d f digits over F_q, one packed
-sum of the maps X -> -X G_j G0^{-1} and X -> G0 sigma(X) G0^{-1}; the
-check G0 phi(Q) = Q G runs on the same digits with maps built from G's
-own coefficients.  Over F_(q^s) the residues are the kernel of
-sigma - (. G0) (gf.GF.frobenius_minus), as the basis least in code
-order (_residue_basis); x0 Q and the p^d solutions are
-F_p-combinations, each unpacked once into series built reduced, from
-their nonzero digit blocks (_series).  No field is enumerated: the
-rank-1 root gamma^(p-1) = c is the least nonzero solution of
-gamma^p = c gamma (gf.GF.frobenius_solutions).
+digit per F_p coordinate (gf.fp_pack), each right multiplication
+X -> X H as the columns of gf.GF.right_columns.  The order of N is
+gf.GF.matrix_order's (_splitting_degree).  Each Q_m is its d d f digits
+over F_q, one packed sum of the maps X -> -X G_j G0^{-1} and
+X -> G0 sigma(X) G0^{-1}; the check G0 phi(Q) = Q G runs on the same
+digits with maps built from G's own coefficients.  Over F_(q^s) the
+residues are the kernel of sigma - (. G0) (gf.GF.frobenius_minus), as
+the basis least in code order (_residue_basis); x0 Q and the p^d
+solutions are F_p-combinations, each unpacked once into series built
+reduced, from their nonzero digit blocks (_series).  No field is
+enumerated: the rank-1 root gamma^(p-1) = c is the least nonzero
+solution of gamma^p = c gamma (gf.GF.frobenius_solutions).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -39,8 +39,7 @@ from itertools import product
 
 from . import gf, matrix, padic
 from .errors import ExtensionCapExceeded, Unsupported
-from .phimod import PhiModule, module_ring
-from .rings import FFRing
+from .rings import FFRing, module_ring
 from .series import TruncSeries
 
 # --- small dense linear algebra over a GF field: padiclab.matrix, named
@@ -107,7 +106,8 @@ def _series(digits, ext, prec):
 
 
 def _as_matrix(G):
-    if isinstance(G, PhiModule):
+    """G, or the matrix .G of a module (phimod.PhiModule) at level .n = 1."""
+    if hasattr(G, "G"):
         if G.n != 1:
             raise Unsupported("the mod-p functor takes torsion level 1")
         return G.G
@@ -153,19 +153,6 @@ def _coefficients(G, prec) -> dict:
     return Gj
 
 
-def _right_columns(H, d, base, w) -> list:
-    """X -> X H on d x d matrices over F_q, H given by its digits, as
-    packed columns, one per digit of X: x^t in entry (i, k) goes to row i
-    as x^t H[k][l], l < d, from the shift-and-reduce columns of H[k][l]."""
-    f = base.fp_degree
-    times = [base._times_columns(gf.FFElt(base, tuple(H[e:e + f])))
-             for e in range(0, d * d * f, f)]
-    rows = [gf.fp_pack([c for l in range(d) for c in times[k * d + l][t]], w)
-            for k in range(d) for t in range(f)]
-    shift = 8 * w * d * f
-    return [row << shift * i for i in range(d) for row in rows]
-
-
 def _frobenius_columns(A, right, base, w) -> list:
     """X -> A sigma(X) B as packed columns, reduced, given the packed
     columns `right` of X -> X B: sigma(x^t E_ik) = x^(tp) E_ik, and
@@ -173,7 +160,7 @@ def _frobenius_columns(A, right, base, w) -> list:
     d f (p-1)^2 in a digit."""
     d, f, p = len(A), base.fp_degree, base.p
     n = d * d * f
-    frob = [gf.FFElt(base, col) for col in base.frobenius_columns()]
+    frob = [base.frob_p(base.gen ** t) for t in range(f)]
     return [gf.fp_reduce(sum(c * right[(a * d + k) * f + u] for a in range(d)
                              for u, c in enumerate((A[a][i] * frob[t]).coeffs)), n, w, p)
             for i in range(d) for k in range(d) for t in range(f)]
@@ -190,9 +177,9 @@ def _trivialisation(G, G0, G0inv, prec) -> list:
     Gj = _coefficients(G, prec)
     Gj.pop(0, None)
     w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
-    inv = _right_columns(_digits(G0inv), d, base, w)
-    maps = [(j, _right_columns(gf.fp_unpack(gf.fp_combine([-c % p for c in Gm], inv), n, w, p),
-                               d, base, w))
+    inv = base.right_columns(_digits(G0inv), d, w)
+    maps = [(j, base.right_columns(gf.fp_unpack(gf.fp_combine([-c % p for c in Gm], inv),
+                                                n, w, p), d, w))
             for j, Gm in Gj.items()]
     frob = _frobenius_columns(G0, inv, base, w) if p < prec else None
     Q = [_digits(matrix.scalar(d, base.one, base.zero))]
@@ -240,7 +227,7 @@ def _check_solutions(G, G0e, Q, residues, prec):
     n = d * d * f
     Gj = _coefficients(G, prec)
     w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
-    maps = [(j, _right_columns(Gm, d, base, w)) for j, Gm in Gj.items()]
+    maps = [(j, base.right_columns(Gm, d, w)) for j, Gm in Gj.items()]
     minus_G0 = [[-a for a in row] for row in _residue_matrix(G)]
     identity = [1 << 8 * w * k for k in range(n)]     # X -> X I
     frob = _frobenius_columns(minus_G0, identity, base, w)
@@ -295,28 +282,20 @@ def _frobenius_norm(G0, base):
 
 
 def _splitting_degree(G0, base):
-    """The order s of N in GL_d(F_q), q = p^f, by a power loop up to
-    p^d - 1 and the largest s with q^s <= gf.MAX_ORDER; past the second,
-    ExtensionCapExceeded before any field is built.  The loop runs on
-    N's F_p digits: P -> P N is one packed sum of the columns of
-    X -> X N (_right_columns) and one unpack per power, compared with
-    the digits of I.
+    """The order s of N in GL_d(F_q), q = p^f, found by gf.GF.matrix_order
+    up to p^d - 1 and the largest s with q^s <= gf.MAX_ORDER; past the
+    second, ExtensionCapExceeded before any field is built.
 
     s <= p^d - 1 by Lang's theorem ("Algebraic groups over finite
     fields", 1956): G0 = X^-1 sigma(X) for an X in GL_d over the closure
     of F_p, so N = X^-1 sigma^f(X), and X N X^-1 = sigma^f(X) X^-1 is
     fixed by sigma (sigma(X) = X G0, sigma^f(G0) = G0): N is conjugate
     into GL_d(F_p), whose elements have order at most p^d - 1."""
-    d, q, p = len(G0), base.order, base.p
-    lang, fits = p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
-    N = _digits(_frobenius_norm(G0, base))
-    n, w = len(N), gf.fp_width(d * base.fp_degree * (p - 1) ** 2)
-    times_N = _right_columns(N, d, base, w)
-    ident, power = _digits(matrix.scalar(d, base.one, base.zero)), N
-    for s in range(1, min(lang, fits) + 1):
-        if power == ident:
-            return s
-        power = gf.fp_unpack(gf.fp_combine(power, times_N), n, w, p)
+    d, q = len(G0), base.order
+    lang, fits = base.p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
+    s = base.matrix_order(_frobenius_norm(G0, base), min(lang, fits))
+    if s is not None:
+        return s
     if fits >= lang:
         raise ArithmeticError(f"N has order above p^d - 1 = {lang} in GL_{d}(F_{q})")
     raise ExtensionCapExceeded(f"N has order > {fits} in GL_{d}(F_{q}): the residue equation "
@@ -341,9 +320,7 @@ class GaloisActionRep:
         order there (a Singer cycle attains it)."""
         if matrix.det(self.matrix) % self.p == 0:
             raise ArithmeticError("action is not invertible mod p")
-        F = gf.field(self.p)
-        A = [[F.el(a) for a in row] for row in self.matrix]
-        return matrix.order(A, F.one, F.zero, self.p ** len(A) - 1)
+        return gf.field(self.p).matrix_order(self.matrix, self.p ** len(self.matrix) - 1)
 
 
 def frobenius_action(S: SolutionSet) -> GaloisActionRep:
@@ -375,15 +352,16 @@ def charpoly_mod_p(A, p: int):
     return tuple(c % p for c in matrix.charpoly(A)) + (1,)
 
 
-def unramified_to_phimod(A, q: int, prec: int = 20) -> PhiModule:
+def unramified_to_phimod(A, q: int, prec: int = 20) -> phimod.PhiModule:
     """Constant-matrix module whose solution set carries the unramified
     representation with arithmetic Frobenius A (over F_p)."""
+    from . import phimod
     p = min((k for k in range(2, q + 1) if q % k == 0), default=0)  # least prime factor
     ring = module_ring(p, q, 1)
     d = len(A)
     G = [[TruncSeries(ring, {0: ring.of_int(A[i][j])}, prec) for j in range(d)]
          for i in range(d)]
-    return PhiModule(p, q, 1, G)
+    return phimod.PhiModule(p, q, 1, G)
 
 
 # ---------------------------------------------------------------------------

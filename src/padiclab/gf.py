@@ -13,33 +13,30 @@ An F_p vector packs into one int, a w-byte digit per entry (fp_pack),
 w a power of two (fp_width): an F_p-combination of packed vectors, such
 as the image sum a_i col_i of a map with packed columns (fp_combine), is
 then a few int multiply-adds, exact while no digit sum reaches 256^w,
-and fp_unpack reads the digits back reduced mod p.  At w = 1 the codec is bytes() and one
-bytes.translate against a mod-p table; fp_reduce also reduces two-byte
-digits by translating their byte planes, 2-, 4- and 8-byte digits are
-machine words read through struct, and wider ones go one by one.
-Every F_p-linear field map is stored so, as packed columns applied by
-GF._apply: the Frobenius x -> x^p, one column set whose powers give
-sigma^k at any k (frob_p), and each registered embedding F_q -> F_(q^s).
-fp_rref row-reduces rows packed so, with w = fp_width(p (p-1)): a row
-operation is one int multiply-add and one digit reduction (fp_reduce).
-fp_kernel and fp_solve take and return lists of int rows.  The same
-codec multiplies series: a TruncSeries over Zmod or a prime field packs
-its residues, u^k at digit k, so that one int product is the product of
-the series (Kronecker substitution; series.TruncSeries.__mul__), w
-sized for the largest digit sum, and fp_unpack reads it back mod p^n.
-The field of each (p, f) is built once, up to order MAX_ORDER (field).
-
-Every residue equation the library meets is F_p-linear in x: the rows
-of x -> x^p - x A on F^d come from the Frobenius and from
-multiplication columns made by shift-and-reduce (frobenius_minus), and
-x^p - a x = b, which covers the (p-1)-st roots y^(p-1) = c as y^p = c y,
-is one fp_solve and one fp_kernel on the d = 1 rows
-(frobenius_solutions).  No field is ever enumerated to solve one.
+and fp_unpack reads the digits back reduced mod p: bytes.translate at
+w = 1, struct words at w = 2, 4 and 8 (fp_reduce translates the two
+byte planes of two-byte digits), one by one above.  Every F_p-linear
+map is stored so, as packed columns: the Frobenius x -> x^p, one column
+set whose powers give sigma^k at any k (frob_p), each registered
+embedding F_q -> F_(q^s) (coerce), and each right multiplication
+X -> X H of matrices over the field (right_columns, from
+shift-and-reduce columns built once per distinct entry of H).  The
+last gives the order of a matrix, one packed sum a power
+(matrix_order), and with sigma the rows of x -> x^p - x A on F^d
+(frobenius_minus): x^p - a x = b, which covers the (p-1)-st roots
+y^(p-1) = c as y^p = c y, is one fp_solve and one fp_kernel on its
+d = 1 rows (frobenius_solutions), so no field is enumerated to solve
+one.  fp_rref row-reduces rows packed with w = fp_width(p (p-1)), a
+row operation one multiply-add and one fp_reduce.  The same codec
+multiplies series over Zmod or a prime field by Kronecker substitution
+(series.TruncSeries.__mul__).  The field of each (p, f) is built once,
+up to order MAX_ORDER (field).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import struct
 from itertools import product
@@ -266,10 +263,6 @@ class GF:
         return [fp_pack(v.coeffs, self._w)
                 for v in self._powers(self.gen ** self.p, self.fp_degree)]
 
-    def frobenius_columns(self) -> list:
-        """sigma's matrix over F_p by columns: the digits of (x^k)^p, k < degree."""
-        return [fp_unpack(c, self.fp_degree, self._w, self.p) for c in self._frob_cols]
-
     def frob_p(self, x: FFElt, k: int = 1) -> FFElt:
         """sigma^k(x) = x^(p^k) for any int k, taken mod the degree: the
         packed Frobenius columns applied (k mod degree) times."""
@@ -303,28 +296,55 @@ class GF:
             raise RuntimeError("modulus has no root in the big field")  # impossible
         self._embeddings[id(small)] = [fp_pack(v.coeffs, self._w) for v in self._powers(x, f)]
 
-    def _times_columns(self, y: FFElt) -> list:
-        """Multiplication by y as columns x^k y, k < degree, by
-        shift-and-reduce: x^degree = -modulus(x), O(degree) a column."""
-        cols = [list(y.coeffs)]
+    def _times_columns(self, y: tuple) -> list:
+        """Multiplication by y (a coefficient tuple) as columns x^k y, k <
+        degree, by shift-and-reduce: x^degree = -modulus(x)."""
+        cols = [list(y)]
         for _ in range(self.fp_degree - 1):
             col = cols[-1]
             cols.append([(a - col[-1] * c) % self.p
                          for a, c in zip([0] + col[:-1], self.modulus)])
         return cols
 
+    def right_columns(self, H, rows: int, w: int) -> list:
+        """X -> X H on rows x d matrices, H d x d by its digits (entry
+        (k, l) at (k d + l) f ...), as packed columns of w-byte digits below
+        p, one per digit of X: x^t in entry (i, k) goes to row i as
+        x^t H[k][l], l < d, by _times_columns, once per distinct entry."""
+        f = self.fp_degree
+        d = math.isqrt(len(H) // f)
+        times = functools.cache(self._times_columns)
+        prods = [times(tuple(H[e:e + f])) for e in range(0, d * d * f, f)]
+        cols = [fp_pack([c for l in range(d) for c in prods[k * d + l][t]], w)
+                for k in range(d) for t in range(f)]
+        return [col << 8 * w * d * f * i for i in range(rows) for col in cols]
+
+    def matrix_order(self, A, bound: int):
+        """The least k <= bound with A^k = I, or None, A a d x d matrix over
+        this field (ints read mod p), on digits: P -> P A is one packed
+        sum of the columns of X -> X A (right_columns), at most
+        d f (p-1)^2 in a digit, and one unpack; I has 1 at (i d + i) f."""
+        d, f, p = len(A), self.fp_degree, self.p
+        power = tuple(c for row in A for a in row for c in self.coerce(a).coeffs)
+        n, w = d * d * f, fp_width(d * f * (p - 1) ** 2)
+        times = self.right_columns(power, d, w)
+        ident = tuple(int(k % ((d + 1) * f) == 0) for k in range(n))
+        for k in range(1, bound + 1):
+            if power == ident:
+                return k
+            power = fp_unpack(fp_combine(power, times), n, w, p)
+        return None
+
     def frobenius_minus(self, A) -> list:
         """x -> x^p - x A on F^d, A a d x d matrix over this field, as int
-        rows over F_p, unreduced: column (j, k), the image of x^k in
-        slot j, is (x^k)^p in slot j less x^k A[j][i] in slot i."""
-        m = self.fp_degree
-        frob = self.frobenius_columns()
-        times = functools.cache(self._times_columns)    # once per distinct entry
-        cols = []
-        for j, row in enumerate(A):
-            prods = [times(a) for a in row]
-            cols += [[a * (i == j) - b for i, Mi in enumerate(prods)
-                      for a, b in zip(frob[k], Mi[k])] for k in range(m)]
+        rows over F_p: column (j, k), the image of x^k in slot j, is
+        sigma's column of x^k in slot j plus (p - 1) times the column of
+        X -> X A at one row (right_columns).  A digit sums at most p (p-1)
+        < 256^w, as 256^w, a square above (p-1)^2, is at least p^2."""
+        d, m, p, w = len(A), self.fp_degree, self.p, self._w
+        right = self.right_columns([c for row in A for a in row for c in a.coeffs], 1, w)
+        cols = [fp_unpack((frob << 8 * w * m * j) + (p - 1) * right[j * m + k], d * m, w, p)
+                for j in range(d) for k, frob in enumerate(self._frob_cols)]
         return [list(r) for r in zip(*cols)]
 
     def frobenius_solutions(self, a: FFElt, b: FFElt | None = None) -> list:

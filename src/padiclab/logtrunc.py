@@ -151,6 +151,19 @@ def congruent_mod(a: ScaledMatrix, b: ScaledMatrix, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 
+# log_m and is_bounded at order m run over p^m terms, about 3 and 12 us a
+# term at d = 3, N = 40 (2-vCPU x86_64, Python 3.11; grid in CHANGES.md):
+# up to this bound 0.2 and 0.8 s or less; at 3^11 terms, 0.6 and 2.1 s.
+MAX_LOG_TERMS = 2 ** 16
+
+
+def _check_order(p: int, m: int):
+    """ValueError unless m >= 0 and p^m <= MAX_LOG_TERMS."""
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    if m >= ndigits(MAX_LOG_TERMS, p):
+        raise ValueError(f"order {m} sums {p}^{m} terms, above logtrunc.MAX_LOG_TERMS = 2^16")
+
 
 def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     """Truncated logarithm of order m: the finite sum up to i = p^m - 1
@@ -167,14 +180,13 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     Certified precision: N - (m-1); the lift ambiguity of A enters
     (1-A)^i with valuation >= N, and the division by i costs at most
     v_p(i) <= m-1 digits.  PrecisionError when that leaves no digit,
-    m > N.
+    m > N; ValueError past MAX_LOG_TERMS terms.
     """
     from .matrix import charpoly
 
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
     if m > A.prec:
         raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
+    _check_order(A.p, m)
     p, N, d = A.p, A.prec, A.d
     work = N + m
     mod = p ** work
@@ -212,9 +224,9 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
 
     It keeps the loop over every power (1-A)^i, where log_m reduces mod
     the characteristic polynomial: the test reads the entry valuations of
-    each power, which a remainder does not carry."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    each power, which a remainder does not carry.  ValueError past
+    MAX_LOG_TERMS terms."""
+    _check_order(A.p, m)
     p, N, d = A.p, A.prec, A.d
     mod = p ** N
     one_minus = msub(mident(d), A.mat, mod)

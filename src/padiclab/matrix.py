@@ -5,8 +5,8 @@ with Python + - * (TruncSeries, FFElt, int).  Sums fold left from the
 first product, so no zero is needed and a truncated series keeps the
 precision its terms give it.
 
-Only inverse divides, once: adj(A) det(A)^-1.  order is the one power
-loop for the order of a matrix in GL_d.  The characteristic polynomial
+Only inverse divides, once: adj(A) det(A)^-1.  (The order of a matrix
+over a finite field is gf.GF.matrix_order's.)  The characteristic polynomial
 is Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18, 1984),
 O(d^4) ring operations, so det and the adjugate (Cayley-Hamilton, Horner
 in A) are valid over rings with zero divisors such as W_n(F_q)[[u]]/u^M.
@@ -102,14 +102,3 @@ def inverse(A, one):
     inv = det_a.inverse()
     return [[a * inv for a in row] for row in adj]
 
-
-def order(A, one, zero, bound):
-    """The least k in [1, bound] with A^k = I, or None: the power loop,
-    over a ring whose elements compare by ==."""
-    ident = scalar(len(A), one, zero)
-    power = A
-    for k in range(1, bound + 1):
-        if power == ident:
-            return k
-        power = mul(power, A)
-    return None

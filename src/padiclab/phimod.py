@@ -7,29 +7,22 @@ two independent ways: elementary divisors over k[[u]] (Smith form with
 valuation pivoting) and direct membership solving through the adjugate
 over W_n(F_q)[[u]]/u^M, where one characteristic polynomial serves each
 det/adjugate pair.  Decisions the truncation cannot certify raise
-Indeterminate rather than guess.  module_ring is the one coefficient
-ring of a module over (p, q, n).
+Indeterminate rather than guess.  A module's coefficient ring is
+rings.module_ring's.
 """
 
 from __future__ import annotations
 
 import functools
 
-from . import gf, matrix
+from . import matrix
 from .errors import Indeterminate, Unsupported
-from .padic import degree
-from .rings import FFRing, Zmod
+from .rings import Zmod, module_ring
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
 # small exact matrices over TruncSeries: the arithmetic is padiclab.matrix;
 # mat_det and mat_adjugate are named for perfbench's tracer; mat_mul is public
-
-
-def module_ring(p: int, q: int, n: int):
-    """The coefficient ring of a module over (p, q, n): F_q at n = 1,
-    Z/p^n at n >= 2."""
-    return FFRing(gf.field(p, degree(q, p))) if n == 1 else Zmod(p, n)
 
 
 def mat_mul(A, B):

@@ -15,15 +15,16 @@ the p-torsion-free ghost oracle), QRing(p) (rationals with p-adic
 valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf,
 whose reduce makes each value an element of F, the digit tuple that
 series sums over F read) and, with series as coefficients,
-perfseries.PerfRing and series.TruncSeriesRing.
+perfseries.PerfRing and series.TruncSeriesRing.  module_ring picks
+the coefficient ring of a phi-module over (p, q, n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import GF, FFElt
-from .padic import vp
+from .gf import GF, FFElt, field
+from .padic import degree, vp
 
 
 class OperatorRing:
@@ -153,3 +154,9 @@ class FFRing(OperatorRing):
 
     def __hash__(self):
         return hash(("FFRing", id(self.field)))
+
+
+def module_ring(p: int, q: int, n: int):
+    """The coefficient ring of a module over (p, q, n): F_q at n = 1,
+    Z/p^n at n >= 2."""
+    return FFRing(field(p, degree(q, p))) if n == 1 else Zmod(p, n)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import galrep, gf, gskel, logtrunc, matrix, padic, perfseries, phimod, ramif, taumod, witt
-from .cli import record
+from . import (galrep, gf, gskel, logtrunc, matrix, padic, perfseries, phimod, ramif, record,
+               taumod, witt)
 from .errors import NotDivisible
 from .padic import PadicInt
 from .rings import FFRing, IntRing, Zmod

@@ -240,7 +240,7 @@ def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,
     p = field.p
     d = len(tau_T)
     Tf = [[field.el(a) for a in row] for row in tau_T]
-    order = matrix.order(Tf, field.one, field.zero, p ** s)
+    order = field.matrix_order(Tf, p ** s)
     if order is None:
         raise ValueError(f"tau_T has no order <= p^{s}")
     if order != p ** vp(order, p):

@@ -243,6 +243,21 @@ def test_negative_logm_orders_exit_2(args):
     assert r.stderr.startswith("input error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["logm", "value", "--p", "3", "--N", "40", "--matrix", "4", "--m", "30"],
+    ["logm", "bounded", "--p", "3", "--N", "40", "--matrix", "4", "--m", "30"],
+    ["suite", "logm", "--m", "30"],
+    ["logm", "value", "--p", "3", "--N", "40", "--matrix", "4", "--m", "11"],
+])
+def test_logm_orders_past_the_term_bound_exit_2_at_once(args):
+    # 3^30 terms ran with no bound; 3^11 = 177147 > logtrunc.MAX_LOG_TERMS
+    start = time.perf_counter()
+    r = run(args)
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("input error: ") and "MAX_LOG_TERMS" in r.stderr
+
+
 @pytest.mark.parametrize("flag, m", [(["--m", "0"], 0), (["--m", "1"], 1), ([], 2)])
 def test_suite_logm_reads_m(capsys, flag, m):
     # --m 0 was read as unset and ran m = 2
@@ -403,7 +418,11 @@ def test_galois_solve_leaves_the_other_subcommands_unloaded():
     loaded = _after_cli("galois", "solve", "--matrix", "1,1;0,1")
     assert "padiclab.galrep" in loaded
     assert not loaded & {f"padiclab.{m}" for m in ("suites", "perfseries", "taumod",
-                                                    "ramif", "logtrunc")}
+                                                    "ramif", "logtrunc", "phimod")}
+
+
+def test_suites_do_not_load_the_command_line():
+    assert "padiclab.cli" not in _loaded("from padiclab import suites")
 
 
 def test_submodules_resolve_on_first_use():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiclab import logtrunc
 from padiclab.errors import PrecisionError
 from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, exp_full,
                                is_bounded, log_full, log_m, madd, mident, mmul, mpow,
@@ -112,6 +113,20 @@ def test_log_m_refuses_to_certify_no_digit():
     for m in (4, 5, 9):
         with pytest.raises(PrecisionError, match="certifies no digit"):
             log_m(A, m)
+
+
+def test_orders_past_the_term_bound_are_refused(monkeypatch):
+    """p^m terms at most MAX_LOG_TERMS: at the bound both run, one order
+    above it both raise ValueError, and m > N keeps its PrecisionError."""
+    monkeypatch.setattr(logtrunc, "MAX_LOG_TERMS", 27)
+    A = BoundedOp.of(3, 6, [[4, 3], [0, 1]])
+    assert log_m(A, 3) == log_m_terms(A, 3)
+    assert is_bounded(A, 3) in (True, False)
+    for fn in (log_m, is_bounded):
+        with pytest.raises(ValueError, match="MAX_LOG_TERMS"):
+            fn(A, 4)
+    with pytest.raises(PrecisionError, match="certifies no digit"):
+        log_m(A, 7)
 
 
 def test_scaled_matrix_refuses_negative_k():

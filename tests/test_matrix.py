@@ -176,21 +176,14 @@ def test_order_in_gl_d_fp():
     C = [[0, 0, 2], [1, 0, 1], [0, 1, 0]]
     assert charpoly_mod_p(C, 3) == (1, 2, 0, 1)
     assert GaloisActionRep(3, C).order() == 26
-    assert matrix.order(*over_fp(C, 3), 25) is None
+    assert gf.field(3).matrix_order(C, 25) is None
     with pytest.raises(ArithmeticError, match="not invertible"):
         GaloisActionRep(3, [[1, 1], [1, 1]]).order()
 
 
-def over_fp(A, p):
-    """The int matrix A over F_p, with F_p's one and zero: the arguments
-    of matrix.order."""
-    F = gf.field(p)
-    return [[F.el(a) for a in row] for row in A], F.one, F.zero
-
-
 def _order_mod(A, p, bound):
-    """The int power loop, reducing after every product, that
-    matrix.order replaced: the reference for it."""
+    """The int power loop, reducing after every product: the reference
+    for gf.GF.matrix_order on int matrices over F_p."""
     ident = matrix.scalar(len(A), 1, 0)
     acc = [[a % p for a in row] for row in A]
     for k in range(1, bound + 1):
@@ -208,8 +201,9 @@ def test_order_matches_the_int_power_loop(p, d, data):
     A = data.draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=d, max_size=d),
                            min_size=d, max_size=d))
     bound = data.draw(st.integers(1, p ** d - 1))
-    assert matrix.order(*over_fp(A, p), bound) == _order_mod(A, p, bound)
+    F = gf.field(p)
+    assert F.matrix_order(A, bound) == _order_mod(A, p, bound)
     k = _order_mod(A, p, p ** d - 1)
     if k is not None:
-        assert matrix.order(*over_fp(A, p), k) == k
-        assert matrix.order(*over_fp(A, p), k - 1) is None
+        assert F.matrix_order(A, k) == k
+        assert F.matrix_order(A, k - 1) is None

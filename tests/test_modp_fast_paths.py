@@ -6,12 +6,17 @@ blocks; the reference builds it through TruncSeries.__init__, which
 filters every coefficient again.  TruncSeries sums and differences over
 F_q combine digit tuples in one pass; the reference is the shared
 kernel's dict sum, a difference being the sum with the negated series.
-galrep._splitting_degree finds the order of N on packed digits; the
-reference is matrix.order's power loop on FFElt matrices, with the same
-bound and the same two refusals.  Over F_3, F_9, F_27 and F_(3^26).
+gf.GF.matrix_order finds the order of a matrix on packed digits, and
+galrep._splitting_degree through it; the reference is the power loop on
+FFElt matrices that matrix.order was, with the same bound and the same
+two refusals.  gf.GF.frobenius_minus builds its rows from sigma's packed
+columns and gf.GF.right_columns; the reference is the column loops it
+had, equal mod p.  Over F_3, F_9, F_27 and F_(3^26).
 """
 
+import functools
 import operator
+import random
 from itertools import product
 
 import pytest
@@ -41,11 +46,38 @@ def reference_sum(a, b, op):
     return SparseSeries.__add__(a, b if op is operator.add else SparseSeries.__neg__(b))
 
 
+def reference_order(A, one, zero, bound):
+    """The least k in [1, bound] with A^k = I, or None: the power loop,
+    over a ring whose elements compare by ==."""
+    ident = matrix.scalar(len(A), one, zero)
+    power = A
+    for k in range(1, bound + 1):
+        if power == ident:
+            return k
+        power = matrix.mul(power, A)
+    return None
+
+
+def reference_frobenius_minus(F, A) -> list:
+    """x -> x^p - x A on F^d as int rows over F_p, unreduced, by the
+    column loops: column (j, k), the image of x^k in slot j, is (x^k)^p
+    in slot j less x^k A[j][i] in slot i."""
+    m = F.fp_degree
+    frob = [F.frob_p(F.gen ** k).coeffs for k in range(m)]
+    times = functools.cache(lambda y: F._times_columns(y.coeffs))
+    cols = []
+    for j, row in enumerate(A):
+        prods = [times(a) for a in row]
+        cols += [[a * (i == j) - b for i, Mi in enumerate(prods)
+                  for a, b in zip(frob[k], Mi[k])] for k in range(m)]
+    return [list(r) for r in zip(*cols)]
+
+
 def reference_splitting_degree(G0, base):
-    """galrep._splitting_degree by matrix.order on FFElt matrices."""
+    """galrep._splitting_degree by the FFElt power loop."""
     d, q = len(G0), base.order
     lang, fits = base.p ** d - 1, padic.ndigits(gf.MAX_ORDER, q) - 1
-    s = matrix.order(galrep._frobenius_norm(G0, base), base.one, base.zero, min(lang, fits))
+    s = reference_order(galrep._frobenius_norm(G0, base), base.one, base.zero, min(lang, fits))
     if s is not None:
         return s
     if fits >= lang:
@@ -206,3 +238,63 @@ def test_splitting_degree_keeps_both_refusals(monkeypatch):
     G0 = [[big.gen, big.one], [big.one, big.zero]]
     assert outcome(galrep._splitting_degree, G0, big) == \
         outcome(reference_splitting_degree, G0, big)
+
+
+def conjugate_of_small_order(F, d, rng):
+    """P C P^-1 for C a random d x d matrix over F_3 and P a random
+    invertible matrix over F: C's order, at most 3^d - 1, or none when
+    C is singular."""
+    C = [[F.el(rng.randrange(3)) for _ in range(d)] for _ in range(d)]
+    while True:
+        P = [[F.random(rng) for _ in range(d)] for _ in range(d)]
+        if matrix.det(P):
+            return matrix.mul(matrix.mul(P, C), matrix.inverse(P, F.one))
+
+
+@settings(max_examples=120)
+@given(fields, st.integers(1, 3), st.integers(0, 2 ** 32), st.sampled_from(["small", "any"]))
+def test_matrix_order_matches_the_power_loop(F, d, seed, kind):
+    """Conjugates of F_3 matrices (orders up to 26, singular ones with
+    none) and arbitrary matrices, zero entries favoured; every bound up
+    to 3^d - 1 and, when the order k is found, the bounds k and k - 1."""
+    rng = random.Random(seed)
+    if kind == "small":
+        A = conjugate_of_small_order(F, d, rng)
+    else:
+        A = [[F.random(rng) if rng.random() < 0.6 else F.zero for _ in range(d)]
+             for _ in range(d)]
+    for bound in range(1, 3 ** d):
+        assert F.matrix_order(A, bound) == reference_order(A, F.one, F.zero, bound)
+    k = reference_order(A, F.one, F.zero, 3 ** d - 1)
+    if k is not None:
+        assert F.matrix_order(A, k) == k
+        assert F.matrix_order(A, k - 1) is None
+    if not matrix.det(A):
+        assert F.matrix_order(A, 3 ** d) is None
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(FIELDS + [gf.field(17), gf.field(17, 2), gf.field(5, 3)]),
+       st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_frobenius_minus_matches_the_column_loops(F, d, seed):
+    """Entries drawn from a pool of five, zero and one among them, so
+    that repeated entries share their multiplication columns."""
+    rng = random.Random(seed)
+    pool = [F.zero, F.one] + [F.random(rng) for _ in range(3)]
+    A = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
+    got = F.frobenius_minus(A)
+    ref = reference_frobenius_minus(F, A)
+    assert len(got) == len(ref) == d * F.fp_degree
+    assert [[a % F.p for a in row] for row in got] == [[a % F.p for a in row] for row in ref]
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_matrix_order_at_the_largest_digit_sums(p):
+    """I - J (J all ones) over F_p at d = 3: off the diagonal p - 1, so
+    the first product sums 2 (p-1)^2 in a digit, more than one byte at
+    p = 13.  Its order is that of -2 mod p (eigenvalues -2, 1, 1)."""
+    F = gf.field(p)
+    A = [[F.el(int(i == j) - 1) for j in range(3)] for i in range(3)]
+    k = next(k for k in range(1, p) if pow(-2, k, p) == 1)
+    assert F.matrix_order(A, p ** 3 - 1) == k == reference_order(A, F.one, F.zero, k)
+    assert F.matrix_order(A, k - 1) is None

@@ -10,9 +10,9 @@ from padiclab import galrep, gf, matrix, phimod
 from padiclab.errors import Indeterminate, Unsupported
 from padiclab.padic import power
 from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_divides,
-                             is_etale, lattice_contains, mat_det, mat_mul, module_ring,
+                             is_etale, lattice_contains, mat_det, mat_mul,
                              stabilize_lattice, tensor_lattice, u_height)
-from padiclab.rings import FFRing, Zmod
+from padiclab.rings import FFRing, Zmod, module_ring
 from padiclab.series import EisensteinPoly, TruncSeries
 
 M = 24
@@ -70,8 +70,8 @@ def test_u_height_examples():
 def test_module_ring_and_the_unsupported_torsion_levels():
     """One coefficient ring per (p, q, n); n >= 2 with q != p is refused
     alike by PhiModule and by the cyclotomic family built on it."""
-    assert phimod.module_ring(3, 9, 1) == FFRing(gf.field(3, 2))
-    assert phimod.module_ring(5, 5, 3) == Zmod(5, 3)
+    assert module_ring(3, 9, 1) == FFRing(gf.field(3, 2))
+    assert module_ring(5, 5, 3) == Zmod(5, 3)
     E = EisensteinPoly(3, (3, 0, 1))
     for build in (lambda: PhiModule(3, 9, 2, [[TruncSeries.one(Zmod(3, 2), M)]]),
                   lambda: cyclotomic_module(1, 2, E, q=9, prec=M)):

@@ -74,7 +74,7 @@ def test_splitting_degree_matches_the_s_loop(case):
 
 def _order_mod_3(A):
     """The order of the int matrix A in GL_d(F_3), by int powers reduced
-    mod 3: a reference apart from matrix.order, which the solver uses."""
+    mod 3: a reference apart from gf.GF.matrix_order, which the solver uses."""
     ident = matrix.scalar(len(A), 1, 0)
     power, k = [[a % 3 for a in row] for row in A], 1
     while power != ident:
@@ -182,7 +182,7 @@ def test_rank1_degree_matches_the_root_search(p, f):
     for code in range(1, base.order):
         c = base.from_code(code)
         S = solve_rank1(1, c, base)
-        # the power scan that matrix.order replaced: the least k with
+        # the power scan that the order loop replaced: the least k with
         # N^k = 1, N = c^((q-1)/(p-1)) the norm of c
         norm = c ** ((base.order - 1) // (p - 1))
         assert S.s == next(k for k in range(1, p) if norm ** k == base.one)

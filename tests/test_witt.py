@@ -382,3 +382,57 @@ def test_laws_match_the_products_by_constants(name, n, data):
         got, want = witt.eval_law(law, values, ring), eval_law_by_constants(law, values, ring)
         assert got.coeffs == want.coeffs
         assert type(got.pc) is type(want.pc) and got.pc == want.pc
+
+
+def _gr_mul(u, v, mod, N):
+    """u v in (Z/N)[x]/(x^f + mod(x)), coefficient tuples low degree first."""
+    f = len(u)
+    raw = [0] * (2 * f - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            raw[i + j] += a * b
+    for k in range(2 * f - 2, f - 1, -1):
+        for j in range(f):
+            raw[k - f + j] -= raw[k] * mod[j]
+    return tuple(c % N for c in raw[:f])
+
+
+def galois_ring_image(x):
+    """x = (a_0, a_1, ...) in W_n(F_q) as sum_i p^i [a_i^(1/p^i)] in the
+    Galois ring (Z/p^n)[x]/(m~), m~ the lift of F_q's modulus with digits
+    in [0, p) and [a] = a~^(q^(n-1)) mod p^n for any lift a~ of a: the
+    Teichmuller lift, as a~^q = a~ mod p.  V = p sigma^-1 on W(F_q), so
+    V^i [a] = p^i [a^(1/p^i)]."""
+    F, n = x.ring.field, x.n
+    p, f, N = F.p, F.fp_degree, F.p ** n
+    one = (1,) + (0,) * (f - 1)
+    acc = [0] * f
+    for i, a in enumerate(x.coords):
+        t = power(F.frob_p(a, -i).coeffs, F.order ** (n - 1),
+                  lambda u, v: _gr_mul(u, v, F.modulus, N), one)
+        acc = [(c + p ** i * e) % N for c, e in zip(acc, t)]
+    return tuple(acc)
+
+
+@pytest.mark.parametrize("p, f", [(3, 2), (5, 2), (3, 3), (7, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witt_vectors_over_Fq_match_the_galois_ring(p, f, n):
+    """W_n(F_q) is the Galois ring (Z/p^n)[x]/(m~), the map
+    galois_ring_image an isomorphism: + and * agree with it on random
+    vectors, zero coordinates favoured, and it is injective on them."""
+    F = gf.field(p, f)
+    ring, rng = FFRing(F), random.Random(p * 100 + f * 10 + n)
+    mod, N = F.modulus, p ** n
+
+    def vector():
+        return WittVector(p, ring, [F.random(rng) if rng.random() < 0.8 else F.zero
+                                    for _ in range(n)])
+
+    seen = {}
+    for _ in range(25):
+        x, y = vector(), vector()
+        gx, gy = galois_ring_image(x), galois_ring_image(y)
+        assert galois_ring_image(x + y) == tuple((a + b) % N for a, b in zip(gx, gy))
+        assert galois_ring_image(x * y) == _gr_mul(gx, gy, mod, N)
+        for v, g in ((x, gx), (y, gy)):
+            assert seen.setdefault(g, v) == v
