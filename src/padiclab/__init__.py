@@ -19,7 +19,8 @@ cli         batch command surface (JSON/CSV), property suites
 Importing the package loads none of them: each submodule is imported on
 first use, as ``padiclab.galrep``, ``from padiclab import galrep`` or
 ``from padiclab import *`` (PEP 562).  The package defines only record,
-the result record of the CLI documents.
+the result record of the CLI documents, and Fields and Frozen, the bases
+of the library's value classes.
 """
 
 import importlib
@@ -36,6 +37,47 @@ def record(name, value, exact=True, precision="exact", anchor=""):
     """One result of a CLI document; cli and the suites report through it."""
     return {"name": name, "value": str(value), "exact": bool(exact),
             "precision": str(precision), "anchor": anchor}
+
+
+class Fields:
+    """A value named by the attributes its class lists in _fields, which
+    __init__ takes in that order.  Equal to an instance of the same class
+    with equal fields, unhashable, and shown as Name(field=value, ...)."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the {len(self._fields)} fields "
+                            f"{', '.join(self._fields)}, got {len(values)} values")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Fields):
+    """Fields that refuse assignment and deletion (AttributeError) once
+    __init__ has set them, hashed as the tuple of their values."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def __getattr__(name):

@@ -12,8 +12,10 @@ indeterminate or failing, 3 when one of the library's self-checks fails
 (an internal defect, reported in one line on stderr).
 
 Start-up loads only what a subcommand runs: at import this module loads
-the standard library, errors, padic and witt, and each handler imports
-the rest of its modules when it is called.
+argparse, io and json from the standard library and errors and padic
+from the package, and each handler imports the rest of its modules when
+it is called.  WittVector, from_zmod, generate_laws and to_zmod, names
+of this module, load witt on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -22,32 +24,55 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 
-from . import padic, record
+from . import Fields, padic, record
 from .errors import Indeterminate, PadicLabError
 from .padic import PadicInt
-from .witt import WittVector, from_zmod, generate_laws, to_zmod
 
 # sorted(suites.SUITES), named here so that build_parser loads no suite
 SUITE_NAMES = ("cocycle", "existv", "fontaine", "heights", "incwitt", "lambda",
                "logm", "qanalogue", "ramif", "tau", "witt")
 
 
-@dataclass
-class RunConfig:
-    p: int = 3
-    q: int = 0          # 0 means q = p
-    e: int = 1
-    n: int = 1
-    N: int = 8          # p-adic working precision
-    M: int = 20         # u-adic truncation
-    W: int = 12         # bivariate truncation: terms u^i eta^j with i + j < W
-    wittlen: int = 2
-    D: int = 0          # 0 means p - 1
-    jmax: int = 4
-    seed: int = 0
-    trials: int = 100
+WITT_NAMES = ("WittVector", "from_zmod", "generate_laws", "to_zmod")
+
+
+def __getattr__(name):
+    """witt's names, loaded when first asked for: only `witt` runs them."""
+    if name in WITT_NAMES:
+        from . import witt
+        return getattr(witt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class RunConfig(Fields):
+    """RunConfig(**values): each flag of FIELDS, by keyword, else its
+    default.  FIELDS orders the flags in --help."""
+
+    FIELDS = (
+        ("p", 3),
+        ("q", 0),           # 0 means q = p
+        ("e", 1),
+        ("n", 1),
+        ("N", 8),           # p-adic working precision
+        ("M", 20),          # u-adic truncation
+        ("W", 12),          # bivariate truncation: terms u^i eta^j with i + j < W
+        ("wittlen", 2),
+        ("D", 0),           # 0 means p - 1
+        ("jmax", 4),
+        ("seed", 0),
+        ("trials", 100),
+    )
+    _fields = tuple(name for name, _ in FIELDS)
+
+    def __init__(self, **values):
+        unknown = values.keys() - set(self._fields)
+        if unknown:
+            raise TypeError(f"RunConfig has no field {min(unknown)!r}")
+        super().__init__(*(values.get(name, default) for name, default in self.FIELDS))
+
+    def as_dict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
 
     def validate(self):
         padic.check_odd_prime(self.p)
@@ -66,7 +91,7 @@ class RunConfig:
 
 
 def _parse_config_file(path: str) -> dict:
-    names = {f.name for f in fields(RunConfig)}
+    names = set(RunConfig._fields)
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -116,6 +141,7 @@ def _cmd_padic(args, cfg: RunConfig):
 
 
 def _cmd_witt(args, cfg: RunConfig):
+    from .witt import WittVector, from_zmod, generate_laws, to_zmod
     p, n = cfg.p, cfg.wittlen
     if args.op == "laws":
         table = generate_laws(p, n)
@@ -389,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "csv"))
     shared.add_argument("--strict", action="store_true",
                         help="exit 1 on indeterminate or failing results")
-    for f in fields(RunConfig):
-        shared.add_argument(f"--{f.name}", type=int)
+    for name in RunConfig._fields:
+        shared.add_argument(f"--{name}", type=int)
     # no abbreviations at the top level, which read ramif's --s as --strict or --seed
     top = argparse.ArgumentParser(prog="padiclab", parents=[shared], allow_abbrev=False,
                                   description="exact p-adic semilinear algebra, batch mode")
@@ -503,10 +529,10 @@ def main(argv=None) -> int:
         base = {}
         if getattr(args, "config", None):
             base.update(_parse_config_file(args.config))
-        for f in fields(RunConfig):
-            v = getattr(args, f.name, None)
+        for name in RunConfig._fields:
+            v = getattr(args, name, None)
             if v is not None:
-                base[f.name] = v
+                base[name] = v
         cfg = RunConfig(**base)
         cfg.validate()
     except (ValueError, OSError, TypeError) as exc:
@@ -526,8 +552,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
     doc = {"command": args.command + " " + getattr(args, "op", getattr(args, "name", "")),
-           "config": asdict(cfg), "results": results}
-    _emit(doc, fmt, out)
+           "config": cfg.as_dict(), "results": results}
+    try:
+        _emit(doc, fmt, out)
+    except OSError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
+        return 2
     if strict and any((not r["exact"]) or str(r["value"]).startswith("FAIL")
                       or r["anchor"] == "error" for r in results):
         return 1

@@ -34,10 +34,9 @@ where the tame character shows up through the exponent a/(p-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from . import gf, matrix, padic
+from . import Fields, gf, matrix, padic
 from .errors import ExtensionCapExceeded, Unsupported
 from .rings import FFRing, module_ring
 from .series import TruncSeries
@@ -57,23 +56,22 @@ def ff_mat_inv(A):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SolutionSet:
-    """All p^d solutions of x^(p) = x G, closed under F_p-combinations.
+class SolutionSet(Fields):
+    """All p^d solutions of x^(p) = x G, closed under F_p-combinations,
+    over field = F_(q^s), q the order of base_field, at u-precision prec.
 
     basis: d solutions x0 Q spanning the set, x0 the basis of the
     residues least in code order (_residue_basis); solutions()
     are ordered lexicographically by the residue coordinates' codes,
-    each made by d int multiply-adds on the packed basis and one unpack.
+    each made by d int multiply-adds on the packed basis and one unpack,
+    and kept in all.
     """
 
-    base_field: gf.GF
-    field: gf.GF
-    s: int
-    d: int
-    prec: int
-    basis: list
-    all: list = dc_field(default=None)
+    _fields = ("base_field", "field", "s", "d", "prec", "basis", "all")
+
+    def __init__(self, base_field: gf.GF, field: gf.GF, s: int, d: int, prec: int,
+                 basis: list, all: list = None):
+        super().__init__(base_field, field, s, d, prec, basis, all)
 
     @property
     def cardinality(self) -> int:
@@ -305,12 +303,11 @@ def _splitting_degree(G0, base):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GaloisActionRep:
-    """Arithmetic Frobenius acting on an F_p-basis of the solutions."""
+class GaloisActionRep(Fields):
+    """GaloisActionRep(p, matrix): arithmetic Frobenius acting on an
+    F_p-basis of the solutions, matrix d x d over F_p (ints)."""
 
-    p: int
-    matrix: list  # d x d over F_p (ints)
+    _fields = ("p", "matrix")
 
     def char_poly(self):
         return charpoly_mod_p(self.matrix, self.p)

@@ -8,22 +8,21 @@ default test fixture tau has c(tau) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import padic
+from . import Frozen, padic
 from .padic import PadicInt, q_analogue, q_analogue_inverse
 
 
-@dataclass(frozen=True)
-class GaloisElt:
-    c: PadicInt
-    chi: PadicInt
+class GaloisElt(Frozen):
+    """GaloisElt(c, chi), two PadicInts at one prime, chi a unit."""
 
-    def __post_init__(self):
-        if self.c.p != self.chi.p:
+    _fields = ("c", "chi")
+
+    def __init__(self, c: PadicInt, chi: PadicInt):
+        if c.p != chi.p:
             raise ValueError("mismatched primes")
-        if not self.chi.is_unit():
+        if not chi.is_unit():
             raise ValueError("chi must be a unit")
+        super().__init__(c, chi)
 
     @property
     def p(self) -> int:

@@ -14,8 +14,8 @@ Matrices are plain tuples of int tuples; d stays small.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
+from . import Frozen
 from .errors import PrecisionError
 from .padic import _series_cutoff_log, ndigits, power, vp
 
@@ -64,13 +64,10 @@ def entry_valuation(A, p: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedOp:
-    """d x d matrix over Z/p^prec."""
+class BoundedOp(Frozen):
+    """BoundedOp(p, prec, mat): the d x d matrix mat over Z/p^prec."""
 
-    p: int
-    prec: int
-    mat: tuple
+    _fields = ("p", "prec", "mat")
 
     @property
     def d(self):
@@ -82,14 +79,12 @@ class BoundedOp:
         return BoundedOp(p, prec, tuple(tuple(int(a) % q for a in r) for r in rows))
 
 
-@dataclass(frozen=True)
-class ScaledMatrix:
-    """An integer matrix divided by p^scale, known mod p^(certified)."""
+class ScaledMatrix(Frozen):
+    """ScaledMatrix(p, mat, scale, certified): the integer matrix mat
+    divided by p^scale, known mod p^certified (the digits of the value
+    that are meaningful)."""
 
-    p: int
-    mat: tuple
-    scale: int
-    certified: int  # digits of the VALUE that are meaningful
+    _fields = ("p", "mat", "scale", "certified")
 
     def value_mod(self, k: int):
         """The value reduced mod p^k (requires p^scale | mat)."""

@@ -15,10 +15,9 @@ arithmetic is on exact integer residues.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, comb, inf
 
+from . import Frozen
 from .errors import PrecisionError
 
 INFINITY = inf
@@ -82,9 +81,9 @@ def ceil_logp(x, p: int) -> int:
 
 def binomials_mod_p(alpha, kmax: int, p: int) -> list:
     """[C(alpha, k) mod p for k = 0..kmax], alpha an int or a Fraction in
-    Z_(p): Lucas's theorem on the lift z of alpha mod p^t, p^t > kmax,
-    since C(alpha, k) = C(z, k) mod p for every k < p^t."""
-    alpha = Fraction(alpha)
+    Z_(p), read through its numerator and denominator: Lucas's theorem on
+    the lift z of alpha mod p^t, p^t > kmax, since C(alpha, k) = C(z, k)
+    mod p for every k < p^t."""
     if alpha.denominator % p == 0:
         raise ValueError("exponent not a p-adic integer")
     big = p ** ndigits(max(kmax, 1), p)
@@ -115,19 +114,18 @@ def power(x, k: int, mul, one):
         x = mul(x, x)
 
 
-@dataclass(frozen=True)
-class PadicInt:
+class PadicInt(Frozen):
     """Integer mod p^N, N = tracked precision."""
 
-    p: int
-    prec: int
-    residue: int
+    _fields = ("p", "prec", "residue")
 
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if self.prec < 1:
+    def __init__(self, p: int, prec: int, residue: int):
+        check_odd_prime(p)
+        if prec < 1:
             raise PrecisionError("precision exhausted")
-        object.__setattr__(self, "residue", self.residue % self.p ** self.prec)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "residue", residue % p ** prec)
 
     # -- ring structure (min-precision semantics) --
 
@@ -207,8 +205,8 @@ class PadicInt:
 class PadicUnit(PadicInt):
     """A PadicInt whose residue is coprime to p."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, p: int, prec: int, residue: int):
+        super().__init__(p, prec, residue)
         if self.residue % self.p == 0:
             raise ValueError(f"{self.residue} is not a unit mod {self.p}")
 

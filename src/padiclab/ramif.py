@@ -8,26 +8,26 @@ resolved by integer power bracketing (p^a against x^b), never floats.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Frozen
 from .padic import ceil_logp
 
 
-@dataclass(frozen=True)
-class PLFunction:
-    """Continuous piecewise-linear function on [0, inf): vertex list
-    plus the slope after the last vertex."""
+class PLFunction(Frozen):
+    """Continuous piecewise-linear function on [0, inf): the vertex list
+    ((x0, y0), ..., (xk, yk)), x strictly increasing, plus the slope
+    after the last vertex."""
 
-    vertices: tuple  # ((x0, y0), ..., (xk, yk)), x strictly increasing
-    final_slope: Fraction
+    _fields = ("vertices", "final_slope")
 
-    def __post_init__(self):
-        xs = [v[0] for v in self.vertices]
+    def __init__(self, vertices: tuple, final_slope: Fraction):
+        xs = [v[0] for v in vertices]
         if not xs:
             raise ValueError("need at least one vertex")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("vertex abscissas must increase strictly")
+        super().__init__(vertices, final_slope)
 
     def slopes(self):
         out = []
@@ -68,11 +68,6 @@ class PLFunction:
             raise ValueError("only strictly increasing functions invert")
         verts = tuple((y, x) for x, y in self.vertices)
         return PLFunction(verts, 1 / Fraction(self.final_slope))
-
-    def __eq__(self, other):
-        if not isinstance(other, PLFunction):
-            return NotImplemented
-        return self.vertices == other.vertices and self.final_slope == other.final_slope
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +160,11 @@ def _logp_exact(x: Fraction, p: int):
     return None
 
 
-@dataclass(frozen=True)
-class BoundExpr:
-    """r0 + r1 * log_p(x), exact rationals; comparisons by integer
-    power bracketing."""
+class BoundExpr(Frozen):
+    """BoundExpr(r0, r1, x, p): r0 + r1 * log_p(x), exact rationals;
+    comparisons by integer power bracketing."""
 
-    r0: Fraction
-    r1: Fraction
-    x: Fraction
-    p: int
+    _fields = ("r0", "r1", "x", "p")
 
     @staticmethod
     def exact(value, p: int) -> "BoundExpr":

@@ -18,9 +18,8 @@ through a verified p-power order of tau_M at the truncation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from . import gskel, matrix
+from . import Frozen, gskel, matrix
 from .errors import Indeterminate, PrecisionError
 from .gf import GF, field
 from .gskel import GaloisElt
@@ -145,22 +144,20 @@ def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiTauModP:
-    """Mod-p module with a Frobenius matrix G (one-variable) and a
-    tau-matrix T over the bivariate model.
+class PhiTauModP(Frozen):
+    """Mod-p module PhiTauModP(p, d, G, T, tau, order_cap=6) with a
+    Frobenius matrix G (d x d TruncSeries over F_q, one-variable) and a
+    tau-matrix T (d x d BivarSeries) over the bivariate model.
 
     Frozen, so the p-power order of tau_M, found once and cached, cannot
     outlive a reassigned T, tau or order_cap; the lists G and T must not
     be changed in place either.  An Indeterminate from that search is not
     cached: it is raised again, after the same search, on every call."""
 
-    p: int
-    d: int
-    G: list           # d x d TruncSeries over F_q
-    T: list           # d x d BivarSeries
-    tau: GaloisElt
-    order_cap: int = 6
+    _fields = ("p", "d", "G", "T", "tau", "order_cap")
+
+    def __init__(self, p: int, d: int, G: list, T: list, tau: GaloisElt, order_cap: int = 6):
+        super().__init__(p, d, G, T, tau, order_cap)
 
     def model(self) -> BivarSeries:
         return self.T[0][0]

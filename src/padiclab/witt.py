@@ -18,9 +18,9 @@ times_int(k, a) = of_int(k) * a, no product over the series rings.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
+from . import Frozen
 from .errors import NotDivisible
 from .padic import power
 
@@ -94,13 +94,9 @@ def _solve_laws(p: int, n: int, targets) -> list:
     return laws
 
 
-@dataclass(frozen=True)
-class WittLawTable:
-    p: int
-    n: int
-    sum_polys: tuple
-    prod_polys: tuple
-    frob_polys: tuple  # length n-1: the ghost Frobenius W_n -> W_{n-1}
+class WittLawTable(Frozen):
+    # frob_polys has length n - 1: the ghost Frobenius W_n -> W_{n-1}
+    _fields = ("p", "n", "sum_polys", "prod_polys", "frob_polys")
 
 
 # generate_laws(p, n) takes about p^(n^2 - 1) ns, measured from (3, 4) to

@@ -175,6 +175,15 @@ def test_out_file(tmp_path):
     assert json.loads(out.read_text())["results"][0]["value"] == "8/3"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_exits_2_in_one_line(tmp_path, fmt, where):
+    out = tmp_path / "no" / "such" / "doc" if where == "missing" else tmp_path
+    r = run(["--format", fmt, "padic", "valuation", "--p", "3", "--x", "9", "--out", str(out)])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("output error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_main_inprocess():
     # entry point callable without a subprocess
     assert main(["ramif", "bound-tau", "--h", "9", "--cprime", "1", "--p", "3",
@@ -393,16 +402,26 @@ def test_cli_import_leaves_numpy_out():
     assert r.returncode == 0, r.stderr
 
 
-def _loaded(code):
-    """The padiclab modules a fresh interpreter holds after running code."""
-    probe = "import sys; print(*sorted(m for m in sys.modules if m.startswith('padiclab')))"
+def _modules(code):
+    """The modules a fresh interpreter holds after running code."""
+    probe = "import sys; print(*sorted(sys.modules))"
     r = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return set(r.stdout.splitlines()[-1].split())
 
 
+def _loaded(code):
+    """The padiclab modules a fresh interpreter holds after running code."""
+    return {m for m in _modules(code) if m.startswith("padiclab")}
+
+
+def _modules_after_cli(*argv):
+    return _modules("from padiclab.cli import main\n"
+                    f"assert main({list(argv)!r} + ['--out', {os.devnull!r}]) == 0")
+
+
 def _after_cli(*argv):
-    return _loaded(f"from padiclab.cli import main; main({list(argv)!r} + ['--out', {os.devnull!r}])")
+    return {m for m in _modules_after_cli(*argv) if m.startswith("padiclab")}
 
 
 def test_package_import_loads_no_submodule():
@@ -419,6 +438,45 @@ def test_galois_solve_leaves_the_other_subcommands_unloaded():
     assert "padiclab.galrep" in loaded
     assert not loaded & {f"padiclab.{m}" for m in ("suites", "perfseries", "taumod",
                                                     "ramif", "logtrunc", "phimod")}
+
+
+# one run of each subcommand that runs neither witt nor a dataclass
+LEAN_COMMANDS = [
+    ("galois", "solve", "--matrix", "1,1;0,1"),
+    ("phimod", "uheight", "--matrix", "1,0;0,1"),
+    ("padic", "log", "--x", "4"),
+    ("ramif", "bound-gk", "--h", "1", "--tame"),
+    ("logm", "value", "--matrix", "1,3;0,1", "--m", "2"),
+    ("tau", "commutation", "--trials", "3"),
+    ("series", "lambda"),
+]
+
+
+@pytest.mark.parametrize("argv", LEAN_COMMANDS, ids=" ".join)
+def test_commands_load_neither_witt_nor_dataclasses(argv):
+    # dataclasses alone cost a process 7 ms, through inspect, ast, dis and tokenize
+    assert not _modules_after_cli(*argv) & {"padiclab.witt", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [("padic", "log", "--x", "4"), ("witt", "laws"),
+                                  ("logm", "value", "--matrix", "1,3;0,1", "--m", "2")],
+                         ids=" ".join)
+def test_commands_without_rationals_load_no_fractions(argv):
+    assert not _modules_after_cli(*argv) & {"fractions", "decimal"}
+
+
+def test_cli_resolves_the_witt_names_on_first_use():
+    code = """
+from padiclab import cli
+import sys
+assert "padiclab.witt" not in sys.modules
+assert cli.generate_laws is sys.modules["padiclab.witt"].generate_laws
+assert cli.WittVector.__module__ == "padiclab.witt"
+"""
+    assert "padiclab.witt" in _loaded(code)
+    from padiclab import cli
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 def test_suites_do_not_load_the_command_line():

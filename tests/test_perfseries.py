@@ -317,3 +317,55 @@ def test_witt_image_refuses_negative_exponents():
     U = TruncSeries(Zmod(3, 2), {-1: 1, 0: 1}, 6)
     with pytest.raises(ValueError, match="nonnegative"):
         zmod_series_to_witt(U, PerfRing(F3, 2, 2, F(6)), 2)
+
+
+
+def _draw_terms(data, field, L, low, high, nterms):
+    """Terms at exponents k / L, k in [low, high), the one at low nonzero;
+    none when high <= low."""
+    if high <= low:
+        return {}
+    codes = data.draw(st.lists(st.integers(low, high - 1), max_size=nterms))
+    terms = {F(k, L): field.from_code(data.draw(st.integers(0, field.order - 1)))
+             for k in codes}
+    terms[F(low, L)] = field.from_code(data.draw(st.integers(1, field.order - 1)))
+    return terms
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(3, 1), (3, 2), (5, 1)]), st.integers(1, 2), st.integers(0, 2),
+       st.data())
+def test_additive_solve_claims_only_digits_every_completion_shares(pf, D, jmax, data):
+    """Perturbation oracle: x with x^p - U x = a, for U and a at their
+    own precisions, agrees with the solution for two completions of U
+    and a, each to three times its precision, wherever both claim
+    digits.  A completion adds terms at and above the precision only.
+    An input or completion the field or lattice cannot solve is passed
+    over."""
+    p, f = pf
+    field = gf.field(p, f)
+    L = D * p ** jmax
+
+    def series(terms, pc):
+        return PerfSeries(field, D, jmax, terms, F(pc, L))
+
+    pcU, pca = (data.draw(st.integers(1, 4 * L)) for _ in range(2))
+    vU = data.draw(st.integers(0, pcU - 1))
+    # v(a) often at the balance point p v(U)/(p-1), where the residue
+    # equation is solved, when that lies on the lattice
+    va = data.draw(st.integers(0, pca) | st.just(-(-p * vU // (p - 1))))
+    Ut = _draw_terms(data, field, L, vU, pcU, 4)
+    at = _draw_terms(data, field, L, va, pca, 4)
+    U, a = series(Ut, pcU), series(at, pca)
+    try:
+        x = solve_additive(U, a)
+    except SOLVE_ERRORS:
+        return
+    for _ in range(2):
+        U2 = series({**Ut, **_draw_terms(data, field, L, pcU, 3 * pcU, 6)}, 3 * pcU)
+        a2 = series({**at, **_draw_terms(data, field, L, pca, 3 * pca, 6)}, 3 * pca)
+        try:
+            x2 = solve_additive(U2, a2)
+        except SOLVE_ERRORS:
+            continue
+        assert x == x2, (U, a, x, x2)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -179,7 +178,7 @@ def test_order_is_searched_once(monkeypatch):
         assert check_commutation(M, rand_g(rng), sample_x(rng))
     assert len(calls) == M.tau_order_exponent() + 1 == 4
     # the cached order cannot outlive a changed tau-matrix
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         M.T = []
 
 
