@@ -14,15 +14,16 @@ recursion over F_q, whatever s is:
 
 Every map the solver applies is F_p-linear, and runs on ints packed one
 digit per F_p coordinate (gf.fp_pack), each right multiplication
-X -> X H as the columns of gf.GF.right_columns.  The order of N is
+X -> X H as the columns of gf.GF.right_columns; a matrix's digits are
+gf.GF.digits', a series' series.TruncSeries'.  The order of N is
 gf.GF.matrix_order's (_splitting_degree).  Each Q_m is its d d f digits
 over F_q, one packed sum of the maps X -> -X G_j G0^{-1} and
 X -> G0 sigma(X) G0^{-1}; the check G0 phi(Q) = Q G runs on the same
 digits with maps built from G's own coefficients.  Over F_(q^s) the
 residues are the kernel of sigma - (. G0) (gf.GF.frobenius_minus), as
 the basis least in code order (_residue_basis); x0 Q and the p^d
-solutions are F_p-combinations, each unpacked once into series built
-reduced, from their nonzero digit blocks (_series).  No field is
+solutions are F_p-combinations of packed series, each unpacked once
+into d series (_unpack).  No field is
 enumerated: the rank-1 root gamma^(p-1) = c is the least nonzero
 solution of gamma^p = c gamma (gf.GF.frobenius_solutions).
 
@@ -34,6 +35,7 @@ where the tame character shows up through the exponent a/(p-1).
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from . import Fields, gf, matrix, padic
@@ -81,26 +83,22 @@ class SolutionSet(Fields):
         if self.all is None:
             ext, p, prec = self.field, self.base_field.p, self.prec
             w = gf.fp_width(len(self.basis) * (p - 1) ** 2)
-            packed = [gf.fp_pack([a for x in b for m in range(prec)
-                                  for a in x.coeffs.get(m, ext.zero).coeffs], w)
+            packed = [gf.fp_pack([a for x in b for a in x.digits(0, prec)], w)
                       for b in self.basis]
-            combos = [_series(gf.fp_unpack(sum(c * v for c, v in zip(cs, packed)),
-                                           self.d * prec * ext.fp_degree, w, p), ext, prec)
+            combos = [_unpack(sum(c * v for c, v in zip(cs, packed)), ext, self.d, prec, w)
                       for cs in product(range(p), repeat=len(self.basis))]
             self.all = sorted(combos, key=lambda v: tuple(
                 ext.code(x.coeffs.get(0, ext.zero)) for x in v))
         return self.all
 
 
-def _series(digits, ext, prec):
-    """Series over ext at precision prec from their F_p coordinates, in
-    order, built reduced: each keeps its nonzero blocks of fp_degree
-    digits, the coefficients of u^m, m < prec."""
-    ring, zero = FFRing(ext), ext.zero.coeffs
-    blocks = list(zip(*[iter(digits)] * ext.fp_degree))
-    return tuple(TruncSeries._reduced(ring, {m: gf.FFElt(ext, c) for m, c
-                                             in enumerate(blocks[i:i + prec]) if c != zero}, prec)
-                 for i in range(0, len(blocks), prec))
+def _unpack(acc, ext, d, prec, w) -> tuple:
+    """The d series over ext at precision prec packed one after another in
+    acc, w-byte digits laid out as TruncSeries.digits(0, prec) gives them."""
+    ring, n = FFRing(ext), prec * ext.fp_degree
+    digits = gf.fp_unpack(acc, d * n, w, ext.p)
+    return tuple(TruncSeries.from_digits(ring, digits[i:i + n], 0, prec)
+                 for i in range(0, d * n, n))
 
 
 def _as_matrix(G):
@@ -132,23 +130,12 @@ def _residue_basis(G0e, ext):
             for v in gf.fp_kernel(rows, ext.p)]
 
 
-def _digits(A) -> tuple:
-    """The F_p digits of a d x d matrix over F_q: entry (i, k) holds
-    digits (i d + k) f ... (i d + k) f + f - 1."""
-    return tuple(c for row in A for a in row for c in a.coeffs)
-
-
 def _coefficients(G, prec) -> dict:
     """{j: digits of G_j} for the nonzero coefficients G_j, j < prec, of G."""
-    d, f = len(G), G[0][0].ring.field.fp_degree
-    Gj = {}
-    for i, row in enumerate(G):
-        for k, a in enumerate(row):
-            for e, c in a.coeffs.items():
-                if e < prec and c:
-                    at = (i * d + k) * f
-                    Gj.setdefault(e, [0] * (d * d * f))[at:at + f] = c.coeffs
-    return Gj
+    base = G[0][0].ring.field
+    exps = {e for row in G for a in row for e in a.coeffs if e < prec}
+    return {j: base.digits([[a.coeffs.get(j, base.zero) for a in row] for row in G])
+            for j in sorted(exps)}
 
 
 def _frobenius_columns(A, right, base, w) -> list:
@@ -175,12 +162,12 @@ def _trivialisation(G, G0, G0inv, prec) -> list:
     Gj = _coefficients(G, prec)
     Gj.pop(0, None)
     w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
-    inv = base.right_columns(_digits(G0inv), d, w)
+    inv = base.right_columns(base.digits(G0inv), d, w)
     maps = [(j, base.right_columns(gf.fp_unpack(gf.fp_combine([-c % p for c in Gm], inv),
                                                 n, w, p), d, w))
             for j, Gm in Gj.items()]
     frob = _frobenius_columns(G0, inv, base, w) if p < prec else None
-    Q = [_digits(matrix.scalar(d, base.one, base.zero))]
+    Q = [base.digits(matrix.scalar(d, 1, 0))]
     for m in range(1, prec):
         Q.append(_image(Q, m, maps, frob, n, w, p))
     return Q
@@ -208,9 +195,8 @@ def _times_Q(residues, Q, base):
     lifted = [ext.coerce(base.from_fp([int(i == t) for i in range(f)])) for t in range(f)]
     C = [[gf.fp_pack([Qm[(j * d + i) * f + t] for i in range(d) for Qm in Q], n * w)
           for t in range(f)] for j in range(d)]
-    return [_series(gf.fp_unpack(sum(c * gf.fp_pack((a * b).coeffs, w)
-                                     for a, Cj in zip(x0, C) for b, c in zip(lifted, Cj)),
-                                 d * prec * n, w, p), ext, prec)
+    return [_unpack(sum(c * gf.fp_pack((a * b).coeffs, w)
+                        for a, Cj in zip(x0, C) for b, c in zip(lifted, Cj)), ext, d, prec, w)
             for x0 in residues]
 
 
@@ -328,12 +314,12 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     ext, base, p = S.field, S.base_field, S.base_field.p
     low = min(x.valuation() for b in S.basis for x in b if x)
     res = [[dict(x.terms()).get(low, ext.zero) for x in b] for b in S.basis]
-    basis_mat = list(zip(*[[a for c in x for a in c.coeffs] for x in res]))
+    basis_mat = list(zip(*[ext.digits([x]) for x in res]))
     f = base.fp_degree  # q = p^f
     A = []
     for x in res:
         y = [ext.frob_p(c, f) for c in x]
-        coords = gf.fp_solve(basis_mat, [a for c in y for a in c.coeffs], p)
+        coords = gf.fp_solve(basis_mat, ext.digits([y]), p)
         if coords is None:
             raise ArithmeticError("q-Frobenius does not preserve the solution space")
         A.append(coords)
@@ -353,7 +339,7 @@ def unramified_to_phimod(A, q: int, prec: int = 20) -> phimod.PhiModule:
     """Constant-matrix module whose solution set carries the unramified
     representation with arithmetic Frobenius A (over F_p)."""
     from . import phimod
-    p = min((k for k in range(2, q + 1) if q % k == 0), default=0)  # least prime factor
+    p = next((k for k in range(2, math.isqrt(max(q, 0)) + 1) if q % k == 0), q)  # least factor
     ring = module_ring(p, q, 1)
     d = len(A)
     G = [[TruncSeries(ring, {0: ring.of_int(A[i][j])}, prec) for j in range(d)]

@@ -16,7 +16,8 @@ then a few int multiply-adds, exact while no digit sum reaches 256^w,
 and fp_unpack reads the digits back reduced mod p: bytes.translate at
 w = 1, struct words at w = 2, 4 and 8 (fp_reduce translates the two
 byte planes of two-byte digits), one by one above.  Every F_p-linear
-map is stored so, as packed columns: the Frobenius x -> x^p, one column
+map is stored so, as packed columns acting on digits (a matrix's are
+GF.digits', a series' series.TruncSeries'): the Frobenius x -> x^p, one column
 set whose powers give sigma^k at any k (frob_p), each registered
 embedding F_q -> F_(q^s) (coerce), and each right multiplication
 X -> X H of matrices over the field (right_columns, from
@@ -27,7 +28,7 @@ last gives the order of a matrix, one packed sum a power
 y^(p-1) = c as y^p = c y, is one fp_solve and one fp_kernel on its
 d = 1 rows (frobenius_solutions), so no field is enumerated to solve
 one.  fp_rref row-reduces rows packed with w = fp_width(p (p-1)), a
-row operation one multiply-add and one fp_reduce.  The same codec
+row operation one multiply-add and one fp_reduce.  The same packing
 multiplies series over Zmod or a prime field by Kronecker substitution
 (series.TruncSeries.__mul__).  The field of each (p, f) is built once,
 up to order MAX_ORDER (field).
@@ -306,11 +307,16 @@ class GF:
                          for a, c in zip([0] + col[:-1], self.modulus)])
         return cols
 
+    def digits(self, A) -> tuple:
+        """The F_p digits of a matrix (or a row, [x]), entries coerced (ints
+        mod p): entry (i, k) of a d-column matrix at (i d + k) f ... + f - 1."""
+        return tuple(c for row in A for a in row for c in self.coerce(a).coeffs)
+
     def right_columns(self, H, rows: int, w: int) -> list:
-        """X -> X H on rows x d matrices, H d x d by its digits (entry
-        (k, l) at (k d + l) f ...), as packed columns of w-byte digits below
-        p, one per digit of X: x^t in entry (i, k) goes to row i as
-        x^t H[k][l], l < d, by _times_columns, once per distinct entry."""
+        """X -> X H on rows x d matrices, H d x d by its digits (GF.digits),
+        as packed columns of w-byte digits below p, one per digit of X:
+        x^t in entry (i, k) goes to row i as x^t H[k][l], l < d, by
+        _times_columns, once per distinct entry."""
         f = self.fp_degree
         d = math.isqrt(len(H) // f)
         times = functools.cache(self._times_columns)
@@ -323,12 +329,12 @@ class GF:
         """The least k <= bound with A^k = I, or None, A a d x d matrix over
         this field (ints read mod p), on digits: P -> P A is one packed
         sum of the columns of X -> X A (right_columns), at most
-        d f (p-1)^2 in a digit, and one unpack; I has 1 at (i d + i) f."""
+        d f (p-1)^2 in a digit, and one unpack."""
+        from .matrix import scalar      # its callers, galrep and taumod, load it
         d, f, p = len(A), self.fp_degree, self.p
-        power = tuple(c for row in A for a in row for c in self.coerce(a).coeffs)
+        power, ident = self.digits(A), self.digits(scalar(d, 1, 0))
         n, w = d * d * f, fp_width(d * f * (p - 1) ** 2)
         times = self.right_columns(power, d, w)
-        ident = tuple(int(k % ((d + 1) * f) == 0) for k in range(n))
         for k in range(1, bound + 1):
             if power == ident:
                 return k
@@ -342,7 +348,7 @@ class GF:
         X -> X A at one row (right_columns).  A digit sums at most p (p-1)
         < 256^w, as 256^w, a square above (p-1)^2, is at least p^2."""
         d, m, p, w = len(A), self.fp_degree, self.p, self._w
-        right = self.right_columns([c for row in A for a in row for c in a.coeffs], 1, w)
+        right = self.right_columns(self.digits(A), 1, w)
         cols = [fp_unpack((frob << 8 * w * m * j) + (p - 1) * right[j * m + k], d * m, w, p)
                 for j in range(d) for k, frob in enumerate(self._frob_cols)]
         return [list(r) for r in zip(*cols)]

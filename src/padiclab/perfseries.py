@@ -242,7 +242,10 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
     exactly where any completion of it starts to differ.  A pass that does
     not return lifts v(remainder) by 1/L or more, L = a.L
     (else PrecisionError), so floor((target - v(a)) L) + 2 passes suffice.
+    U and a share one lattice (else ValueError), which holds v(a)/p at the
+    balance point: v(a) L = p v(U) L/(p-1) is an integer, p prime to p - 1.
     """
+    U._check(a)
     p = U.p
     h = U.valuation()
     if h is None:
@@ -269,10 +272,7 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
             if not roots:
                 raise ExtensionTooSmall(f"residue equation x^{p} - {U0!r} x = {a0!r} "
                                         f"has no root in {U0.field.tag}")
-            gamma = roots[0]
-            if (va / p * a.L).denominator != 1:
-                return x.truncate(va / p)
-            x0 = monomial(a.field, a.D, a.jmax, va / p, gamma, rem.prec / p)
+            x0 = monomial(a.field, a.D, a.jmax, va / p, roots[0], rem.prec / p)
         x = x + x0
         rem = rem - (x0.pth_power() - U * x0)
         if not rem.is_zero() and rem.valuation() <= va:

@@ -27,11 +27,14 @@ at the lower precision (_ff_sum); no negated series is built and no
 coefficient coerced.  A product with an operand zero at its precision
 is the empty series at the product's precision code, with no loop.
 
+This module owns a series' digits (a matrix's are gf.GF.digits'), one
+block per coefficient of u^v, u^(v+1), ...: a residue over Zmod, the f
+F_p coordinates over F_(p^f) (TruncSeries.digits; from_digits back).
 One product skips the loop: a TruncSeries whose coefficients are int
 residues mod m (over Zmod, or FFRing of a prime field) multiplies by
-Kronecker substitution on gf's packed codec, one int product for the
-whole series, with the loop's coefficients and precision.  The loop
-stays for the rest: a coefficient of F_q, f > 1, is f digits whose
+Kronecker substitution on its digits, one int product for the whole
+series, with the loop's coefficients and precision.  The loop stays
+for the rest: a coefficient of F_q, f > 1, is f digits whose
 product reduces mod the field's modulus, not digit by digit; Q and the
 operator rings have no residues; and a PerfSeries or BivarSeries keys
 its terms by codes that do not pack as one run of digits (exponents on
@@ -58,8 +61,7 @@ class SparseSeries:
     Subclasses define _like (same model, new data keyed by codes, a
     precision code) and _model (what two series must share to combine),
     and may override prec, valuation, _veff (the least degree, or pc),
-    terms and _codes.  shift and truncate take codes, and the field
-    inverse assumes a code that is its own product code (decoder None).
+    terms and _codes.  shift and truncate take codes.
     """
 
     __slots__ = ("coeffs", "pc")
@@ -192,15 +194,15 @@ class SparseSeries:
         """Inverse of a unit over a field; inv inverts a coefficient.
 
         1/f = u^-v sum_n g_n u^n, v the leading code: g_0 = f_v^-1 and
-        g_n = -f_v^-1 sum_(k > 0) f_(v+k) g_(n-k), over the product codes
-        below the bound at precision pc - v.  A heap gives them in
-        increasing order, each reached from f's support by a nonzero g_n,
-        so the work is one product's.  The precision code is pc - 2v.
+        g_n = -f_v^-1 sum_(k > 0) f_(v+k) g_(n-k), over the codes n below
+        pc - v.  A heap gives them in increasing order, each reached from
+        f's support by a nonzero g_n, so the work is one product's.  The
+        precision code is pc - 2v.
         """
         linv = inv(self.leading()[1])
         v = min(self.coeffs)
-        left, _, bound, _ = self._codes(self, self.pc - v)
-        tail = sorted((k - v, c) for k, c in left.items() if k != v)
+        bound = self.pc - v
+        tail = sorted((k - v, c) for k, c in self.coeffs.items() if k != v)
         out, sums, heap = {}, {}, [0]
         while heap:
             n = heappop(heap)
@@ -292,14 +294,16 @@ class TruncSeries(SparseSeries):
         return SparseSeries.__sub__(self, other)
 
     def __mul__(self, other):
-        """Over residues mod m (_residue_modulus), one Kronecker product
-        on gf's packed codec; else the shared loop.  Each operand is one
+        """Over residues mod m, ints (Zmod) or one-digit FFElts (FFRing of a
+        prime field), one Kronecker product on gf's packed codec; else the
+        shared loop.  Each operand is one
         int of w-byte digits from its valuation up, cut where it can no
         longer reach below the bound, w holding the largest digit sum
         min(len a, len b) (m - 1)^2 (Harvey, "Faster polynomial
         multiplication via multipoint Kronecker substitution", 2009)."""
         ring = self.ring
-        m = _residue_modulus(ring)
+        m = ring.modulus if isinstance(ring, Zmod) else ring.p \
+            if isinstance(ring, FFRing) and ring.field.fp_degree == 1 else None
         if m is None or type(other) is not TruncSeries or other.ring != ring \
                 or not self.coeffs or not other.coeffs:
             return SparseSeries.__mul__(self, other)
@@ -309,19 +313,41 @@ class TruncSeries(SparseSeries):
         n = pc - va - vb                    # product digits below the bound
         if n <= 0:
             return TruncSeries(ring, {}, pc)
-        ints = isinstance(ring, Zmod)
-        da, db = _digits(a, va, n, ints), _digits(b, vb, n, ints)
+        da = self.digits(va, min(max(a) - va + 1, n))
+        db = other.digits(vb, min(max(b) - vb + 1, n))
         w = gf.fp_width(min(len(a), len(b)) * (m - 1) ** 2)
         n = min(n, len(da) + len(db) - 1)
         acc = (gf.fp_pack(da, w) * gf.fp_pack(db, w)) & ((1 << 8 * w * n) - 1)
-        digits = gf.fp_unpack(acc, n, w, m)
-        v = va + vb
-        if ints:
-            out = {v + i: c for i, c in enumerate(digits) if c}
+        return TruncSeries.from_digits(ring, gf.fp_unpack(acc, n, w, m), va + vb, pc)
+
+    def digits(self, v, n) -> list:
+        """The digit blocks of u^v ... u^(v+n-1), zeros where there is no
+        term: a residue each over Zmod, f F_p coordinates over F_(p^f)."""
+        ints, top = isinstance(self.ring, Zmod), v + n
+        f = 1 if ints else self.ring.field.fp_degree
+        out = [0] * (n * f)
+        for e, c in self.coeffs.items():
+            if v <= e < top:
+                if f > 1:
+                    out[(e - v) * f:(e - v + 1) * f] = c.coeffs
+                else:
+                    out[e - v] = c if ints else c.coeffs[0]
+        return out
+
+    @staticmethod
+    def from_digits(ring, digits, v, prec):
+        """The series at precision prec, u^(v+i) from block i of reduced
+        digits laid out as digits(), built from the nonzero blocks below prec."""
+        n = max(prec - v, 0)
+        if isinstance(ring, Zmod):
+            coeffs = {v + i: c for i, c in enumerate(digits[:n]) if c}
+        elif (F := ring.field).fp_degree == 1:
+            coeffs = {v + i: gf.FFElt(F, (c,)) for i, c in enumerate(digits[:n]) if c}
         else:
-            F = ring.field
-            out = {v + i: gf.FFElt(F, (c,)) for i, c in enumerate(digits) if c}
-        return TruncSeries._reduced(ring, out, pc)
+            f, zero = F.fp_degree, F.zero.coeffs
+            blocks = zip(*[iter(digits[:n * f])] * f)
+            coeffs = {v + i: gf.FFElt(F, c) for i, c in enumerate(blocks) if c != zero}
+        return TruncSeries._reduced(ring, coeffs, prec)
 
     def __repr__(self):
         terms = [f"{c!r}*u^{e}" for e, c in sorted(self.coeffs.items())[:6]]
@@ -396,27 +422,6 @@ def _ff_sum(a, b, k):
         else:
             out[e] = c if k == 1 else gf.FFElt(F, tuple([k * y % p for y in c.coeffs]))
     return TruncSeries._reduced(a.ring, out, pc)
-
-
-def _residue_modulus(ring):
-    """m when the ring's coefficients are the residues mod m, held as ints
-    (Zmod) or as one-digit FFElts (FFRing of a prime field); else None."""
-    if isinstance(ring, Zmod):
-        return ring.modulus
-    if isinstance(ring, FFRing) and ring.field.fp_degree == 1:
-        return ring.p
-    return None
-
-
-def _digits(coeffs, v, n, ints):
-    """The residues of coeffs at codes v, v + 1, ... as a list of ints,
-    cut to the first n codes and to the last term."""
-    out = [0] * min(max(coeffs) - v + 1, n)
-    top = len(out) + v
-    for e, c in coeffs.items():
-        if e < top:
-            out[e - v] = c if ints else c.coeffs[0]
-    return out
 
 
 def lift_mod_p(f: TruncSeries, target: Zmod) -> TruncSeries:

@@ -144,6 +144,20 @@ def test_unramified_round_trip():
         assert act.order() >= 1
 
 
+def test_unramified_module_over_a_large_field_finds_p_at_once():
+    """p is q's least factor, found without reading every integer up to
+    q: at q = 3^40 that scan would not end in any test's lifetime."""
+    A = [[1, 2], [0, 1]]
+    M = unramified_to_phimod(A, 3 ** 40, prec=3)
+    F = gf.field(3, 40)
+    assert (M.p, M.q, M.n) == (3, 3 ** 40, 1)
+    assert all(a.ring == FFRing(F) and a.prec == 3 for row in M.G for a in row)
+    assert [[a.coeffs.get(0, F.zero) for a in row] for row in M.G] == \
+        [[F.el(c) for c in row] for row in A]
+    for q, p in ((3, 3), (25, 5), (7 ** 3, 7), (101, 101)):
+        assert unramified_to_phimod([[1]], q, prec=2).p == p
+
+
 def test_companion_round_trip():
     # companion matrix of x^2 + x + 2 over F_3
     C = [[0, 1], [1, 2]]
@@ -569,7 +583,7 @@ def test_packed_x0_Q_matches_the_products(p, data):
     prec = data.draw(st.integers(1, 6))
     Q = [[[base.random(rng) for _ in range(d)] for _ in range(d)] for _ in range(prec)]
     residues = [[ext.random(rng) for _ in range(d)] for _ in range(rng.randint(1, d))]
-    got = galrep._times_Q(residues, [galrep._digits(Qm) for Qm in Q], base)
+    got = galrep._times_Q(residues, [base.digits(Qm) for Qm in Q], base)
     assert _series_data(got) == _series_data(_times_Q_by_products(residues, Q, ext))
 
 
@@ -609,7 +623,7 @@ def test_packed_trivialisation_matches_the_products(p, data):
         except ZeroDivisionError:
             continue
     Q = galrep._trivialisation(G, G0, G0inv, prec)
-    assert Q == [galrep._digits(Qm) for Qm in _trivialisation_by_products(G, G0, G0inv, prec)]
+    assert Q == [base.digits(Qm) for Qm in _trivialisation_by_products(G, G0, G0inv, prec)]
     assert _check_by_series(G, Q, prec)
 
 

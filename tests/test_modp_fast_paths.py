@@ -1,9 +1,10 @@
 """The mod-p functor's digit-level paths against the code they replaced,
 kept here as references.
 
-galrep._series builds each solution reduced, from its nonzero digit
-blocks; the reference builds it through TruncSeries.__init__, which
-filters every coefficient again.  TruncSeries sums and differences over
+galrep._unpack builds each solution reduced, through
+TruncSeries.from_digits, from its nonzero digit blocks; the reference
+builds it through TruncSeries.__init__, which filters every coefficient
+again.  TruncSeries sums and differences over
 F_q combine digit tuples in one pass; the reference is the shared
 kernel's dict sum, a difference being the sum with the negated series.
 gf.GF.matrix_order finds the order of a matrix on packed digits, and
@@ -33,7 +34,7 @@ fields = st.sampled_from(FIELDS)
 
 
 def reference_series(digits, ext, prec):
-    """galrep._series through TruncSeries.__init__, every block kept."""
+    """galrep._unpack's series through TruncSeries.__init__, every block kept."""
     ring, n = FFRing(ext), ext.fp_degree
     return tuple(TruncSeries(ring, {m: gf.FFElt(ext, digits[i + m * n:i + m * n + n])
                                     for m in range(prec)}, prec)
@@ -110,7 +111,8 @@ def codes(F):
 def test_series_match_the_filtering_constructor(F, prec, count, data):
     blocks = data.draw(st.lists(codes(F), min_size=prec * count, max_size=prec * count))
     digits = tuple(c for code in blocks for c in F.from_code(code).coeffs)
-    got, ref = galrep._series(digits, F, prec), reference_series(digits, F, prec)
+    got = galrep._unpack(gf.fp_pack(digits, 1), F, count, prec, 1)
+    ref = reference_series(digits, F, prec)
     assert len(got) == len(ref) == count
     for x, y in zip(got, ref):
         assert x.ring == y.ring

@@ -194,6 +194,21 @@ def test_solve_additive_residue_branch():
     assert solvable == 2
 
 
+def test_solve_additive_refuses_mixed_lattices():
+    """U and a from different models raise as any mixed sum or product
+    does.  The first pair meets the balance point: v(U) = 1/3 on the
+    lattice 1/3 Z, v(a) = 1/2 = p v(U)/(p-1) on 1/2 Z, whose p-th part
+    1/6 lies on neither; there the solver once returned 0 + O(u^(1/6))."""
+    F27 = gf.field(3, 3)
+    U = PerfSeries(F27, 1, 1, {F(1, 3): F27.one}, F(4))
+    for a in (PerfSeries(F27, 2, 0, {F(1, 2): F27.one}, F(4)),
+              PerfSeries(F27, 1, 2, {F(1, 3): F27.one}, F(4)),
+              PerfSeries(gf.field(3), 1, 1, {F(1, 3): F3.one}, F(4))):
+        with pytest.raises(ValueError, match="^series from different models$"):
+            solve_additive(U, a)
+    assert solve_additive(U, PerfSeries(F27, 1, 1, {}, F(4))).is_zero()
+
+
 def test_perf_ring_needs_a_positive_denominator():
     for D in (0, -2):
         with pytest.raises(ValueError):
