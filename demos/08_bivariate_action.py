@@ -38,8 +38,5 @@ print(f"\norder-p module: tau_M^(3^{M.tau_order_exponent()}) = id at weight {W}"
 g = gskel.elt(3, 8, 0, 4)
 print(f"commutation (g x id) tau_M = tau_M^chi_tau(g) on module elements: "
       f"{taumod.check_commutation(M, g, taumod.sample_element(M, rng))}")
-Tbad = [row[:] for row in M.T]
-Tbad[0][1] = Tbad[0][1] + BivarSeries(F3, {(1, 0): F3.one}, W)
-Mbad = taumod.PhiTauModP(3, 3, M.G, Tbad, tau, 6)
 print(f"after corrupting one matrix entry: "
-      f"{taumod.check_commutation(Mbad, g, taumod.sample_element(M, rng))}")
+      f"{taumod.check_commutation(taumod.corrupted(M), g, taumod.sample_element(M, rng))}")

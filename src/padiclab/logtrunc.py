@@ -4,20 +4,19 @@ log_m(a) = sum_{i=1}^{p^m - 1} (1-a)^i / i is a finite sum; the
 divisions are performed on exact integer lifts with an explicit p-digit
 budget, and every result carries a certified precision so the
 congruences mod p^(m-1) are checked honestly rather than vacuously.
-The sum is a polynomial in b = 1 - a, reduced mod the characteristic
-polynomial of b and evaluated by Horner: by Cayley-Hamilton, which holds
-over any commutative ring, the reduction leaves the matrix unchanged.
+Each sum is a polynomial in one matrix, with padic's coefficients, reduced
+mod its characteristic polynomial and evaluated by Horner (_evaluate): by
+Cayley-Hamilton, over any commutative ring, the matrix is unchanged.
 
 Matrices are plain tuples of int tuples; d stays small.
 """
 
 from __future__ import annotations
 
-import functools
-
 from . import Frozen
 from .errors import PrecisionError
-from .padic import _series_cutoff_log, ndigits, power, vp
+from .padic import (_exp_coeffs, _log_coeffs, _series_cutoff_log, _unscale, ndigits,
+                    power, vp)
 
 # --- exact integer matrices mod p^k ---
 
@@ -164,53 +163,45 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     """Truncated logarithm of order m: the finite sum up to i = p^m - 1
     of (1-A)^i / i, computed on exact lifts.
 
-    With B = 1 - A the sum is the polynomial sum_i c_i x^i at x = B
-    (_log_coeffs), reduced mod the characteristic polynomial chi_B by one
-    Horner pass from the top (each step x r + c_i, x^d replaced by its
-    remainder mod chi_B, only the top coefficient reduced mod p^(N+m))
-    and evaluated at B by Horner.  chi_B(B) = 0 over Z by Cayley-Hamilton,
-    so the remainder gives the same matrix mod p^(N+m) as the p^m - 1
-    matrix powers would, with d - 1 matrix products.
+    With B = 1 - A the sum is p^-m times the polynomial sum_i c_i x^i at
+    x = B, c_i = p^m / i (padic._log_coeffs), evaluated by _evaluate with
+    d - 1 matrix products in place of p^m - 1 matrix powers.
 
     Certified precision: N - (m-1); the lift ambiguity of A enters
     (1-A)^i with valuation >= N, and the division by i costs at most
     v_p(i) <= m-1 digits.  PrecisionError when that leaves no digit,
     m > N; ValueError past MAX_LOG_TERMS terms.
     """
-    from .matrix import charpoly
-
     if m > A.prec:
         raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
     _check_order(A.p, m)
     p, N, d = A.p, A.prec, A.d
-    work = N + m
-    mod = p ** work
-    one_minus = msub(mident(d), A.mat, mod)
-    chi = [c % mod for c in charpoly(one_minus)]  # x^d + chi[d-1] x^(d-1) + ... + chi[0]
+    mod = p ** (N + m)
+    out = _evaluate(_log_coeffs(p, p ** m - 1, m, N + m), msub(mident(d), A.mat, mod), mod)
+    return ScaledMatrix(p, out, m, N - (m - 1) if m > 1 else N)
+
+
+def _evaluate(coeffs, X, mod):
+    """sum_i coeffs[i] X^i mod mod: the polynomial reduced mod chi_X by
+    one Horner pass from the top (each step x r + c_i, x^d replaced by its
+    remainder mod chi_X, only the top coefficient reduced), the remainder
+    evaluated at X by Horner.  chi_X(X) = 0 over Z (Cayley-Hamilton), so
+    this is the matrix the powers of X give, from d - 1 products."""
+    from .matrix import charpoly
+
+    d = len(X)
+    chi = [c % mod for c in charpoly(X)]          # x^d + chi[d-1] x^(d-1) + ... + chi[0]
     low, high = chi[0], chi[1:]
     acc = [0] * d                                 # lowest degree first
-    for c in reversed(_log_coeffs(p, m, N)):
+    for c in reversed(coeffs):
         top = acc[-1] % mod
         acc = [c - top * low] + [a - top * h for a, h in zip(acc, high)]
     acc = [a % mod for a in acc]
     ident = mident(d)
     out = mscale(ident, acc[-1], mod)
     for c in reversed(acc[:-1]):
-        out = madd(mmul(out, one_minus, mod), mscale(ident, c, mod), mod)
-    cert = N - (m - 1) if m > 1 else N
-    return ScaledMatrix(p, out, m, cert)
-
-
-@functools.cache
-def _log_coeffs(p: int, m: int, N: int) -> tuple:
-    """c_0 = 0 and c_i = p^(m - v_p(i)) (i / p^(v_p(i)))^-1 mod p^(N+m)
-    for 0 < i < p^m: p^m / i as a residue, the same for every matrix."""
-    mod = p ** (N + m)
-    out = [0]
-    for i in range(1, p ** m):
-        v = vp(i, p)
-        out.append(p ** (m - v) * pow(i // p ** v, -1, mod) % mod)
-    return tuple(out)
+        out = madd(mmul(out, X, mod), mscale(ident, c, mod), mod)
+    return out
 
 
 def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
@@ -239,48 +230,26 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
 
 
 def log_full(A: BoundedOp) -> ScaledMatrix:
-    """Convergent log for A = id mod p, summed past the point where
-    terms vanish mod p^N; certified to the full N digits."""
+    """Convergent log for A = id mod p: -sum_i (1-A)^i / i over the terms
+    nonzero mod p^N; certified to the full N digits."""
     p, N, d = A.p, A.prec, A.d
-    t = msub(A.mat, mident(d), p ** N)
-    if entry_valuation(t, p, N) < 1:
+    if entry_valuation(msub(A.mat, mident(d), p ** N), p, N) < 1:
         raise ValueError("log_full needs A = id mod p")
-    cutoff = _series_cutoff_log(p, N)
-    extra = ndigits(cutoff, p)
-    mod = p ** (N + extra)
-    acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
-    power = mident(d)
-    for i in range(1, cutoff + 1):
-        power = mmul(power, t, mod)
-        v = vp(i, p)
-        unit = i // p ** v
-        coef = pow(unit, -1, mod)
-        term = tuple(tuple(a // p ** v * coef % mod for a in row) for row in power)
-        if entry_valuation(power, p, N + extra) < v:
-            raise PrecisionError("series left the integral lattice")
-        acc = madd(acc, term if i % 2 else mscale(term, -1, mod), mod)
-    return ScaledMatrix(p, tuple(tuple(a % p ** N for a in r) for r in acc), 0, N)
+    last = _series_cutoff_log(p, N)
+    s = ndigits(last, p) - 1                   # the largest v_p(i), i <= last
+    mod = p ** (N + s)
+    S = _evaluate(_log_coeffs(p, last, s, N + s), msub(mident(d), A.mat, mod), mod)
+    return ScaledMatrix(p, tuple(tuple(_unscale(-a, p, s, N) for a in row) for row in S), 0, N)
 
 
 def exp_full(B: BoundedOp) -> ScaledMatrix:
-    """Convergent exp for B = 0 mod p (enough for p odd)."""
-    p, N, d = B.p, B.prec, B.d
+    """Convergent exp for B = 0 mod p (enough for p odd), as padic.exp_unit."""
+    p, N = B.p, B.prec
     if entry_valuation(B.mat, p, N) < 1:
         raise ValueError("exp_full needs B = 0 mod p")
-    mod_big = p ** (2 * N + 6)
-    acc = mident(d)
-    power = mident(d)
-    fact_v, fact_u = 0, 1
-    for i in range(1, 2 * N + 5):
-        power = mmul(power, B.mat, mod_big)
-        fact_v += vp(i, p)
-        fact_u = fact_u * (i // p ** vp(i, p)) % mod_big
-        if entry_valuation(power, p, 2 * N + 6) < fact_v:
-            raise PrecisionError("exp series left the integral lattice")
-        term = tuple(tuple(a // p ** fact_v * pow(fact_u, -1, mod_big) % mod_big
-                           for a in row) for row in power)
-        acc = madd(acc, term, mod_big)
-    return ScaledMatrix(p, tuple(tuple(a % p ** N for a in r) for r in acc), 0, N)
+    s, coeffs = _exp_coeffs(p, 2 * N + 4, N)
+    S = _evaluate(coeffs, B.mat, p ** (N + s))
+    return ScaledMatrix(p, tuple(tuple(_unscale(a, p, s, N) for a in row) for row in S), 0, N)
 
 
 # ---------------------------------------------------------------------------

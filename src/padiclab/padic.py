@@ -2,10 +2,12 @@
 
 The substrate for every p-adic scalar in the library: truncated p-adic
 integers, the Iwasawa logarithm and exponential on the relevant unit
-balls, q-analogues [a]_q = (q^a - 1)/(q - 1) and their inverse
-bijection.  vp, ndigits, ceil_logp, degree, check_odd_prime and
-binomials_mod_p answer the integer questions about p (p = 2 is rejected:
-the convergence needs p odd); power is the one square-and-multiply.
+balls (their coefficients, scaled to integers, defined here once and
+evaluated by logtrunc at matrices too), q-analogues
+[a]_q = (q^a - 1)/(q - 1) and their inverse bijection.  vp, ndigits,
+ceil_logp, degree, check_odd_prime and binomials_mod_p answer the
+integer questions about p (p = 2 is rejected: the convergence needs p
+odd); power is the one square-and-multiply.
 
 Precision model: every value carries its own precision N; binary
 operations take the min; dividing by p^k costs k digits.  All
@@ -15,7 +17,7 @@ arithmetic is on exact integer residues.
 from __future__ import annotations
 
 import functools
-from math import ceil, comb, inf
+from math import ceil, comb, factorial, inf
 
 from . import Frozen
 from .errors import PrecisionError
@@ -228,50 +230,71 @@ def _series_cutoff_log(p: int, n: int) -> int:
     return i
 
 
+@functools.cache
+def _log_coeffs(p: int, last: int, s: int, k: int) -> tuple:
+    """c_0 = 0 and c_i = p^(s - v_p(i)) (i / p^(v_p(i)))^-1 mod p^k for
+    0 < i <= last, s >= v_p(i): p^s / i as a residue, so that
+    sum_i c_i y^i = -p^s log(1 - y) up to the terms past last."""
+    mod = p ** k
+    out = [0]
+    for i in range(1, last + 1):
+        v = vp(i, p)
+        out.append(p ** (s - v) * pow(i // p ** v, -1, mod) % mod)
+    return tuple(out)
+
+
+@functools.cache
+def _exp_coeffs(p: int, last: int, n: int) -> tuple:
+    """(s, c): s = v_p(last!) and c_i = p^s / i! mod p^(n+s) for i <= last,
+    so that sum_i c_i y^i = p^s exp(y) up to the terms past last.  One
+    inversion, of last!'s unit part, gives c_last; then c_(i-1) = i c_i."""
+    f = factorial(last)
+    s = vp(f, p)
+    mod = p ** (n + s)
+    c = [pow(f // p ** s, -1, mod)]
+    for i in range(last, 0, -1):
+        c.append(i * c[-1] % mod)
+    return s, tuple(reversed(c))
+
+
+def _horner(coeffs, y: int, mod: int) -> int:
+    """sum_i coeffs[i] y^i mod mod."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * y + c) % mod
+    return acc
+
+
+def _unscale(a: int, p: int, s: int, n: int) -> int:
+    """a / p^s mod p^n; ArithmeticError unless p^s divides a."""
+    if a % p ** s:
+        raise ArithmeticError("a scaled series value is not divisible by its scale")
+    return a // p ** s % p ** n
+
+
 def log_unit(x: PadicInt) -> PadicInt:
-    """log on 1 + pZ/p^N: sum (-1)^(i+1) (x-1)^i / i, exact mod p^N.
+    """log on 1 + pZ/p^N: -sum_i (1-x)^i / i, exact mod p^N.
 
     The result has the same valuation as x - 1 (p odd).
     """
     p, n = x.p, x.prec
-    t = (x - 1).residue
-    if t % p != 0:
+    y = (1 - x).residue
+    if y % p != 0:
         raise ValueError("log_unit needs x = 1 mod p")
-    cutoff = _series_cutoff_log(p, n)
-    mod = p ** n
-    acc = 0
-    tpow = 1
-    for i in range(1, cutoff + 1):
-        tpow = tpow * t  # exact integer power of the lift
-        vi = vp(i, p)
-        term = (tpow // p ** vi) * pow(i // p ** vi, -1, mod)
-        if i % 2 == 0:
-            term = -term
-        acc = (acc + term) % mod
-    return PadicInt(p, n, acc)
+    last = _series_cutoff_log(p, n)
+    s = ndigits(last, p) - 1                   # the largest v_p(i), i <= last
+    acc = _horner(_log_coeffs(p, last, s, n + s), y, p ** (n + s))
+    return PadicInt(p, n, _unscale(-acc, p, s, n))
 
 
 def exp_unit(y: PadicInt) -> PadicInt:
     """exp on pZ/p^N (enough for p odd: 1 > 1/(p-1)); result is 1 mod p."""
     p, n = y.p, y.prec
-    t = y.residue
-    if t % p != 0:
+    if y.residue % p != 0:
         raise ValueError("exp_unit needs v(y) >= 1")
-    mod = p ** n
-    acc = 1
-    term_num = 1  # t^i as exact integer
-    fact_v = 0    # v_p(i!)
-    fact_u = 1    # unit part of i! mod big modulus
-    big = p ** (2 * n + 4)
-    # v(t^i/i!) >= i(p-2)/(p-1) >= i/2 for p odd, so 2n+4 terms suffice
-    for i in range(1, 2 * n + 5):
-        term_num *= t
-        iv = vp(i, p)
-        fact_v += iv
-        fact_u = (fact_u * (i // p ** iv)) % big
-        term = (term_num // p ** fact_v) * pow(fact_u, -1, mod)
-        acc = (acc + term) % mod
-    return PadicInt(p, n, acc)
+    # v(y^i/i!) >= i(p-2)/(p-1) >= i/2 for p odd, so 2n+4 terms suffice
+    s, coeffs = _exp_coeffs(p, 2 * n + 4, n)
+    return PadicInt(p, n, _unscale(_horner(coeffs, y.residue, p ** (n + s)), p, s, n))
 
 
 def pow_unit(q: PadicInt, a: PadicInt) -> PadicInt:
@@ -281,33 +304,36 @@ def pow_unit(q: PadicInt, a: PadicInt) -> PadicInt:
     return exp_unit(a * log_unit(q))
 
 
+def _q_one(fn):
+    """fn(a, q), [a]_q or its inverse, under the rules both share: an int
+    a is lifted to q's precision; at q = 1 + O(p^N) the answer is a, at
+    the lesser precision; q != 1 mod p is refused (ValueError)."""
+    @functools.wraps(fn)
+    def wrapped(a, q: PadicInt) -> PadicInt:
+        if isinstance(a, int):
+            a = PadicInt(q.p, q.prec, a)
+        if (q - 1).residue == 0:
+            return a.lower_precision(min(a.prec, q.prec))
+        if (q - 1).residue % q.p != 0:
+            raise ValueError("q must be 1 mod p")
+        return fn(a, q)
+    return wrapped
+
+
+@_q_one
 def q_analogue(a: PadicInt, q: PadicInt) -> PadicInt:
     """[a]_q: a itself if q = 1, else (q^a - 1)/(q - 1).
 
     Carries precision N - v(q-1); satisfies [a]_q = a mod p and
     v(a - 1) = v([a]_q - 1).  At q = 1 + O(p^N), [a]_q = a mod p^N only.
     """
-    if isinstance(a, int):
-        a = PadicInt(q.p, q.prec, a)
-    if (q - 1).residue == 0:
-        return a.lower_precision(min(a.prec, q.prec))
-    if (q - 1).residue % q.p != 0:
-        raise ValueError("q must be 1 mod p")
-    qa = pow_unit(q, a)
-    return (qa - 1).divide(q - 1)
+    return (pow_unit(q, a) - 1).divide(q - 1)
 
 
+@_q_one
 def q_analogue_inverse(b: PadicInt, q: PadicInt) -> PadicInt:
     """The unique a with [a]_q = b: log(1 + (q-1)b) / log(q)."""
-    if isinstance(b, int):
-        b = PadicInt(q.p, q.prec, b)
-    if (q - 1).residue == 0:
-        return b.lower_precision(min(b.prec, q.prec))
-    if (q - 1).residue % q.p != 0:
-        raise ValueError("q must be 1 mod p")
-    num = log_unit((q - 1) * b + 1)
-    den = log_unit(q)
-    return num.divide(den)
+    return log_unit((q - 1) * b + 1).divide(log_unit(q))
 
 
 def chi_tau(chi_g: PadicInt, chi_tau_base: PadicInt) -> PadicUnit:

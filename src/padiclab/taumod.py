@@ -265,6 +265,15 @@ def cycle_module(p: int, N: int, W: int) -> PhiTauModP:
     return trivial_restriction_module(perm, 1, field(p), gskel.elt(p, N, 1, 1), W)
 
 
+def corrupted(M: PhiTauModP) -> PhiTauModP:
+    """M with u added to its tau-matrix entry (0, 1): the mutant that
+    `suite tau` and demo 08 require check_commutation to refuse."""
+    m = M.model()
+    T = [row[:] for row in M.T]
+    T[0][1] = T[0][1] + BivarSeries(m.field, {(1, 0): m.field.one}, m.prec)
+    return PhiTauModP(M.p, M.d, M.G, T, M.tau, M.order_cap)
+
+
 def sample_element(M: PhiTauModP, rng) -> list:
     """A seeded module element free of eta: three terms c u^i, i < 6, in
     each coordinate, each drawn exponent first, then coefficient."""

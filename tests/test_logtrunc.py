@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclab import logtrunc
+from padiclab import logtrunc, padic
 from padiclab.errors import PrecisionError
-from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, exp_full,
-                               is_bounded, log_full, log_m, madd, mident, mmul, mpow,
-                               msub, mscale, rdc_valuation_check)
+from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, entry_valuation,
+                               exp_full, is_bounded, log_full, log_m, madd, mident, mmul,
+                               mpow, msub, mscale, rdc_valuation_check)
 from padiclab.padic import vp
 
 SETTINGS = settings(max_examples=300)
@@ -195,6 +195,84 @@ def test_log_exp_round_trip():
         log_full(BoundedOp.of(3, 4, [[2]]))
     with pytest.raises(ValueError):
         exp_full(BoundedOp.of(3, 4, [[1]]))
+
+
+def log_full_loop(A):
+    """log_full as the term loop sum (-1)^(i+1) (A-1)^i / i up to the
+    cutoff, each power divided on a lift with ndigits(cutoff) spare digits:
+    the reference for padic's coefficients and _evaluate."""
+    p, N, d = A.p, A.prec, A.d
+    t = msub(A.mat, mident(d), p ** N)
+    if entry_valuation(t, p, N) < 1:
+        raise ValueError("log_full needs A = id mod p")
+    cutoff = padic._series_cutoff_log(p, N)
+    mod = p ** (N + padic.ndigits(cutoff, p))
+    acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
+    power = mident(d)
+    for i in range(1, cutoff + 1):
+        power = mmul(power, t, mod)
+        v = vp(i, p)
+        coef = pow(i // p ** v, -1, mod)
+        term = tuple(tuple(a // p ** v * coef % mod for a in row) for row in power)
+        acc = madd(acc, term if i % 2 else mscale(term, -1, mod), mod)
+    return ScaledMatrix(p, tuple(tuple(a % p ** N for a in r) for r in acc), 0, N)
+
+
+def exp_full_loop(B):
+    """exp_full as the term loop sum B^i / i! for i <= 2N + 4, on powers
+    mod p^(2N+6): the reference for padic's coefficients and _evaluate."""
+    p, N, d = B.p, B.prec, B.d
+    if entry_valuation(B.mat, p, N) < 1:
+        raise ValueError("exp_full needs B = 0 mod p")
+    mod_big = p ** (2 * N + 6)
+    acc = mident(d)
+    power = mident(d)
+    fact_v, fact_u = 0, 1
+    for i in range(1, 2 * N + 5):
+        power = mmul(power, B.mat, mod_big)
+        fact_v += vp(i, p)
+        fact_u = fact_u * (i // p ** vp(i, p)) % mod_big
+        term = tuple(tuple(a // p ** fact_v * pow(fact_u, -1, mod_big) % mod_big
+                           for a in row) for row in power)
+        acc = madd(acc, term, mod_big)
+    return ScaledMatrix(p, tuple(tuple(a % p ** N for a in r) for r in acc), 0, N)
+
+
+def test_log_full_and_exp_full_match_the_term_loops():
+    rng = random.Random(30)
+    for _ in range(800):
+        p, N, d = rng.choice([3, 5, 7]), rng.randrange(1, 9), rng.randrange(1, 4)
+        A = rand_unipotent(rng, p, N, d)
+        B = BoundedOp.of(p, N, [[p * rng.randrange(p ** N) for _ in range(d)]
+                                for _ in range(d)])
+        assert log_full(A) == log_full_loop(A)
+        assert exp_full(B) == exp_full_loop(B)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(1, 5), st.data())
+def test_logs_and_exp_claim_only_what_every_completion_shares(p, d, N, data):
+    """Perturbation oracle for log_m, log_full and exp_full: an input known
+    mod p^N is completed to 3N digits, once by zero digits and once by
+    random ones.  Each result agrees with the completion's mod p^certified
+    (log_m's, not p-integral in general, through congruent_mod)."""
+    def matrix(lo, step):
+        return [[lo * (i == j) + step * data.draw(st.integers(0, p ** N - 1))
+                 for j in range(d)] for i in range(d)]
+
+    A, U, B = (BoundedOp.of(p, N, matrix(lo, step)) for lo, step in ((0, 1), (1, p), (0, p)))
+    m = data.draw(st.integers(0, min(N, 3)))
+
+    def complete(X, tail):
+        return BoundedOp.of(p, 3 * N, [[a + p ** N * tail() for a in row] for row in X.mat])
+
+    low = log_m(A, m), log_full(U), exp_full(B)
+    for tail in (lambda: 0, lambda: data.draw(st.integers(0, p ** (2 * N)))):
+        high = (log_m(complete(A, tail), m), log_full(complete(U, tail)),
+                exp_full(complete(B, tail)))
+        assert congruent_mod(low[0], high[0], low[0].certified)
+        for lo, hi in zip(low[1:], high[1:]):
+            assert lo.value_mod(lo.certified) == hi.value_mod(lo.certified)
 
 
 def test_log_of_powers():

@@ -237,6 +237,108 @@ def test_log_result_valuation():
         assert valuation(log_unit(x)) == w
 
 
+# --- log_unit, exp_unit and the coefficient loops as they summed before
+# padic's coefficients and one Horner evaluation: the references
+
+
+def _log_unit_loop(x):
+    """log_unit as the term loop sum (-1)^(i+1) (x-1)^i / i up to the
+    cutoff, each term divided on the exact power of the lift."""
+    p, n = x.p, x.prec
+    t = (x - 1).residue
+    if t % p != 0:
+        raise ValueError("log_unit needs x = 1 mod p")
+    mod = p ** n
+    acc, tpow = 0, 1
+    for i in range(1, padic._series_cutoff_log(p, n) + 1):
+        tpow = tpow * t
+        vi = padic.vp(i, p)
+        term = (tpow // p ** vi) * pow(i // p ** vi, -1, mod)
+        acc = (acc + (term if i % 2 else -term)) % mod
+    return PadicInt(p, n, acc)
+
+
+def _exp_unit_loop(y):
+    """exp_unit as the term loop sum t^i / i! for i <= 2n + 4, each i!'s
+    unit part inverted on its own."""
+    p, n = y.p, y.prec
+    t = y.residue
+    if t % p != 0:
+        raise ValueError("exp_unit needs v(y) >= 1")
+    mod = p ** n
+    acc, term_num, fact_v, fact_u = 1, 1, 0, 1
+    big = p ** (2 * n + 4)
+    for i in range(1, 2 * n + 5):
+        term_num *= t
+        iv = padic.vp(i, p)
+        fact_v += iv
+        fact_u = (fact_u * (i // p ** iv)) % big
+        acc = (acc + (term_num // p ** fact_v) * pow(fact_u, -1, mod)) % mod
+    return PadicInt(p, n, acc)
+
+
+def _log_m_coeffs_loop(p, m, N):
+    """logtrunc._log_coeffs(p, m, N) before it moved: p^m / i mod p^(N+m)
+    for 0 < i < p^m, c_0 = 0."""
+    mod = p ** (N + m)
+    out = [0]
+    for i in range(1, p ** m):
+        v = padic.vp(i, p)
+        out.append(p ** (m - v) * pow(i // p ** v, -1, mod) % mod)
+    return tuple(out)
+
+
+def _exp_coeffs_inverting_each(p, last, n):
+    """(s, p^s / i! mod p^(n+s)) with each i!'s unit part inverted."""
+    s = padic.vp(math.factorial(last), p)
+    mod = p ** (n + s)
+    out = []
+    for i in range(last + 1):
+        v = padic.vp(math.factorial(i), p)
+        out.append(p ** (s - v) * pow(math.factorial(i) // p ** v, -1, mod) % mod)
+    return s, tuple(out)
+
+
+def _same(a, b):
+    return (a.p, a.prec, a.residue) == (b.p, b.prec, b.residue)
+
+
+def test_log_and_exp_match_the_term_loops():
+    rng = random.Random(30)
+    for _ in range(4000):
+        p, n = rng.choice([3, 5, 7, 101]), rng.randrange(1, 30)
+        t = p * rng.randrange(p ** (n - 1))
+        assert _same(log_unit(PadicInt(p, n, 1 + t)), _log_unit_loop(PadicInt(p, n, 1 + t)))
+        assert _same(exp_unit(PadicInt(p, n, t)), _exp_unit_loop(PadicInt(p, n, t)))
+    for f, g, x in [(log_unit, _log_unit_loop, PadicInt(3, 4, 2)),
+                    (exp_unit, _exp_unit_loop, PadicInt(3, 4, 1))]:
+        for fn in (f, g):
+            with pytest.raises(ValueError, match="needs"):
+                fn(x)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_coefficients_match_their_loops(p):
+    for m in range(0, 4 if p < 101 else 2):
+        for N in (1, 2, 8):
+            assert padic._log_coeffs(p, p ** m - 1, m, N + m) == _log_m_coeffs_loop(p, m, N)
+    for last in range(0, 40):
+        for n in (1, 3, 30):
+            assert padic._exp_coeffs(p, last, n) == _exp_coeffs_inverting_each(p, last, n)
+
+
+def test_q_analogue_and_its_inverse_share_the_q_rules():
+    # an int is lifted to q's precision; q = 1 + O(p^N) gives a itself at
+    # the lesser precision; q != 1 mod p is refused
+    q = PadicInt(3, 6, 4)
+    for f in (q_analogue, q_analogue_inverse):
+        assert _same(f(5, q), f(PadicInt(3, 6, 5), q))
+        assert _same(f(PadicInt(3, 8, 7), PadicInt(3, 4, 1 + 3 ** 4)), PadicInt(3, 4, 7))
+        assert _same(f(7, PadicInt(3, 4, 1)), PadicInt(3, 4, 7))
+        with pytest.raises(ValueError, match="q must be 1 mod p"):
+            f(PadicInt(3, 6, 5), PadicInt(3, 6, 2))
+
+
 def test_q_analogue_values():
     q = PadicInt(3, 6, 4)
     assert q_analogue(PadicInt(3, 6, 2), q) == 5  # 1 + q
