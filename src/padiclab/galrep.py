@@ -19,13 +19,24 @@ gf.GF.digits', a series' series.TruncSeries'.  The order of N is
 gf.GF.matrix_order's (_splitting_degree).  Each Q_m is its d d f digits
 over F_q, one packed sum of the maps X -> -X G_j G0^{-1} and
 X -> G0 sigma(X) G0^{-1}; the check G0 phi(Q) = Q G runs on the same
-digits with maps built from G's own coefficients.  Over F_(q^s) the
-residues are the kernel of sigma - (. G0) (gf.GF.frobenius_minus), as
-the basis least in code order (_residue_basis); x0 Q and the p^d
+digits with maps built from G's own coefficients (entries read by
+gf.GF.entries).
+
+The residues V = { x0 : sigma(x0) = x0 G0 } need no elimination of size
+d n, n = [F_(q^s) : F_p].  C_k = G0 sigma(G0) ... sigma^(k-1)(G0) gives
+sigma^k(x) = x C_k on V and C_n = N^s = I, so the trace
+T(y) = sum_(k<n) sigma^k(y) C_k^(-1) has sigma(T(y)) = T(y) G0; and V is,
+by Lang's theorem, d-dimensional over F_p with V (x) F_(q^s) = F_(q^s)^d,
+so for y = sum lambda_i v_i over an F_p-basis of V, T(y) = sum Tr(lambda_i)
+v_i: T is onto V, and the T(y e_j), y over an F_p-basis of F_(q^s), span
+it before n elements y are used (_residue_trace).  Their reduced echelon
+form, the columns most significant first, is the basis least in code
+order.  Below d n = TRACE_SIZE one elimination, the kernel of
+sigma - (. G0) (gf.GF.frobenius_minus), was faster (_residue_basis).  x0 Q and the p^d
 solutions are F_p-combinations of packed series, each unpacked once
-into d series (_unpack).  No field is
-enumerated: the rank-1 root gamma^(p-1) = c is the least nonzero
-solution of gamma^p = c gamma (gf.GF.frobenius_solutions).
+into d series (_unpack).  No field is enumerated: the rank-1 root
+gamma^(p-1) = c is the least nonzero solution of gamma^p = c gamma
+(gf.GF.frobenius_solutions).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -114,20 +125,79 @@ def _residue_matrix(G):
     return [[a.coeffs.get(0, a.ring.field.zero) for a in row] for row in G]
 
 
-def _residue_basis(G0e, ext):
-    """The F_p-basis of { x in ext^d : sigma(x) = x G0 } least in code
-    order: the kernel of sigma - (. G0) with its columns least significant
-    first (x_(d-1)'s coordinates, low degree first, up to x_0's top one).
-    fp_kernel gives one vector per free column c, 1 at c, 0 at the other
-    free columns and supported before c: the reduced echelon basis in
-    code order, least leading column first.  That is the greedy pick over
-    the residues sorted by codes: the least vector outside the span of
-    the rows before it is the next row."""
-    d, m = len(G0e), ext.fp_degree
-    blocks = range((d - 1) * m, -1, -m)        # x_(d-1), ..., x_0
-    rows = [[c for j in blocks for c in row[j:j + m]] for row in ext.frobenius_minus(G0e)]
-    return [[ext.from_fp(v[j:j + m]) for j in reversed(range(0, d * m, m))]
+# The least d n at which the residues come from the trace (_residue_trace);
+# below it the one elimination of d n columns was faster (CHANGES.md).
+TRACE_SIZE = 18
+
+
+def _residue_basis(G0e, G0inv, ext):
+    """The F_p-basis of V = { x in ext^d : sigma(x) = x G0 } least in code
+    order, ext of degree n: by the trace from d n = TRACE_SIZE on, else
+    as the kernel of sigma - (. G0) with its columns least significant
+    first, where fp_kernel gives the same reduced echelon basis, least
+    first: one vector per free column c, 1 at c, 0 at the other free
+    columns and supported before c."""
+    d, n = len(G0e), ext.fp_degree
+    if d * n >= TRACE_SIZE:
+        return _residue_trace(G0inv, ext)
+    blocks = range((d - 1) * n, -1, -n)        # x_(d-1), ..., x_0
+    rows = [[c for j in blocks for c in row[j:j + n]] for row in ext.frobenius_minus(G0e)]
+    return [[ext.from_fp(v[j:j + n]) for j in reversed(range(0, d * n, n))]
             for v in gf.fp_kernel(rows, ext.p)]
+
+
+def _residue_trace(G0inv, ext):
+    """V as the image of the trace (module docstring), G0 over F_q by its
+    inverse, ext = F_(q^s) with N^s = I: the rows T(y_b e_j) for the
+    F_p-basis y_b = 1 + x + ... + x^b of ext, b from n - 1 down (a lone
+    x^b often has zero traces into the subfields, the moduli being
+    sparse), and while they add rank the rows T(sigma^r(y_b) e_j), r > 0,
+    which cost no Frobenius, reduced after each block until d are
+    independent; reversed, the reduced echelon rows are the greedy pick
+    over V sorted by codes."""
+    d, n, p = len(G0inv), ext.fp_degree, ext.p
+    trace, rows = _trace_map(G0inv, ext), []
+    for b in range(n - 1, -1, -1):
+        for block in trace(ext.from_fp([int(i <= b) for i in range(n)])):
+            rank = len(rows)
+            rows, pivots = gf.fp_rref(rows + block, p)
+            del rows[len(pivots):]
+            if len(rows) in (rank, d):
+                break
+        if len(rows) == d:
+            break
+    return [[ext.from_fp(v[i:i + n][::-1]) for i in range(0, d * n, n)] for v in reversed(rows)]
+
+
+def _trace_map(G0inv, ext):
+    """y -> for r < n, the d rows T(sigma^r(y) e_j), each its d n digits
+    most significant first (x_0's top one down to x_(d-1)'s constant one),
+    sigma^r(y)'s orbit being y's rotated by r.  T(y e_j)_i =
+    sum_(k,t) (C_k^(-1)[j][i])_t x^t sigma^k(y), x^t the image of F_q's x^t,
+    is one packed sum of n f terms, each at most (p-1)^2.  C_k^(-1) =
+    sigma(C_(k-1)^(-1)) G0^(-1) is one packed map on d d f digits."""
+    base = G0inv[0][0].field
+    d, f, n, p = len(G0inv), base.fp_degree, ext.fp_degree, ext.p
+    one = matrix.scalar(d, base.one, base.zero)
+    w = gf.fp_width(d * f * (p - 1) ** 2)
+    step = _frobenius_columns(one, base.right_columns(base.digits(G0inv), d, w), base, w)
+    inverses = [base.digits(one)]
+    for _ in range(n - 1):
+        inverses.append(gf.fp_unpack(gf.fp_combine(inverses[-1], step), d * d * f, w, p))
+    coeffs = [[[c for cs in zip(*entry) for c in cs] for entry in row]    # k, then t
+              for row in base.entries(list(zip(*inverses)))]
+    lifted = [ext.coerce(base.from_fp([int(i == t) for i in range(f)])) for t in range(1, f)]
+    w = gf.fp_width(n * f * (p - 1) ** 2)
+
+    def trace(y):
+        orbit = []
+        for k in range(n):
+            y = ext.frob_p(y) if k else y
+            orbit += [gf.fp_pack(z.coeffs, w) for z in [y, *(y * x for x in lifted)]]
+        for r in range(0, n * f, f):            # sigma^r(y)'s orbit: this one rotated
+            yield [[c for entry in row for c in reversed(gf.fp_unpack(
+                gf.fp_combine(entry, orbit[r:] + orbit[:r]), n, w, p))] for row in coeffs]
+    return trace
 
 
 def _coefficients(G, prec) -> dict:
@@ -144,10 +214,11 @@ def _frobenius_columns(A, right, base, w) -> list:
     A x^(tp) E_ik = sum_a (A[a][i] x^(tp)) E_ak.  A sum has at most
     d f (p-1)^2 in a digit."""
     d, f, p = len(A), base.fp_degree, base.p
-    n = d * d * f
+    cols = base.entries(right)
     frob = [base.frob_p(base.gen ** t) for t in range(f)]
-    return [gf.fp_reduce(sum(c * right[(a * d + k) * f + u] for a in range(d)
-                             for u, c in enumerate((A[a][i] * frob[t]).coeffs)), n, w, p)
+    images = [[[(a * x).coeffs for x in frob] for a in row] for row in A]
+    return [gf.fp_reduce(sum(gf.fp_combine(images[a][i][t], cols[a][k])
+                             for a in range(d)), d * d * f, w, p)
             for i in range(d) for k in range(d) for t in range(f)]
 
 
@@ -193,7 +264,8 @@ def _times_Q(residues, Q, base):
     d, f, n, p, prec = len(residues[0]), base.fp_degree, ext.fp_degree, ext.p, len(Q)
     w = gf.fp_width(d * f * (p - 1) ** 2)
     lifted = [ext.coerce(base.from_fp([int(i == t) for i in range(f)])) for t in range(f)]
-    C = [[gf.fp_pack([Qm[(j * d + i) * f + t] for i in range(d) for Qm in Q], n * w)
+    rows = [base.entries(Qm) for Qm in Q]
+    C = [[gf.fp_pack([Qm[j][i][t] for i in range(d) for Qm in rows], n * w)
           for t in range(f)] for j in range(d)]
     return [_unpack(sum(c * gf.fp_pack((a * b).coeffs, w)
                         for a, Cj in zip(x0, C) for b, c in zip(lifted, Cj)), ext, d, prec, w)
@@ -248,7 +320,7 @@ def solve_unit_root(G) -> SolutionSet:
     s = _splitting_degree(G0, base)
     ext = gf.extension(base, s)
     G0e = [[ext.coerce(a) for a in row] for row in G0]
-    residues = _residue_basis(G0e, ext)
+    residues = _residue_basis(G0e, G0inv, ext)
     if len(residues) != d:
         raise ArithmeticError(f"residue solutions of rank {len(residues)} in {ext.tag}, not {d}")
     Q = _trivialisation(G, G0, G0inv, prec)
@@ -314,19 +386,18 @@ def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     ext, base, p = S.field, S.base_field, S.base_field.p
     low = min(x.valuation() for b in S.basis for x in b if x)
     res = [[dict(x.terms()).get(low, ext.zero) for x in b] for b in S.basis]
-    basis_mat = list(zip(*[ext.digits([x]) for x in res]))
-    f = base.fp_degree  # q = p^f
-    A = []
-    for x in res:
-        y = [ext.frob_p(c, f) for c in x]
-        coords = gf.fp_solve(basis_mat, ext.digits([y]), p)
-        if coords is None:
-            raise ArithmeticError("q-Frobenius does not preserve the solution space")
-        A.append(coords)
+    d, f = len(res), base.fp_degree  # q = p^f
+    images = [[ext.frob_p(c, f) for c in x] for x in res]
+    rows, pivots = gf.fp_rref(list(zip(*[ext.digits([x]) for x in res + images])), p)
+    if any(c >= d for c in pivots):
+        raise ArithmeticError("q-Frobenius does not preserve the solution space")
+    # row r of the action matrix: the coordinate at basis vector pivots[r] of each image
+    A = [[0] * d for _ in range(d)]
+    for r, c in enumerate(pivots):
+        A[c] = rows[r][d:]
     if matrix.det(A) % p == 0:
         raise ArithmeticError("the q-Frobenius action is singular mod p")
-    # columns of the action matrix are the images
-    return GaloisActionRep(p, [list(col) for col in zip(*A)])
+    return GaloisActionRep(p, A)
 
 
 def charpoly_mod_p(A, p: int):

@@ -8,6 +8,12 @@ first monic irreducible in lexicographic coefficient order, found by
 Ben-Or's irreducibility test, which keeps every computation
 reproducible.  Products and inverses mod (p, m) are the module-level
 kernels _mulmod and _invmod, shared by GF and the modulus search.
+From degree KRONECKER_DEGREE on, a product is one Kronecker
+substitution: both operands packed as below, one int product, and its
+top d - 1 digits, reduced, folded back onto the low d through the packed
+columns of x^d ... x^(2d-2) mod m, built once per modulus (_folding).
+Below that degree the schoolbook loop's d^2 multiply-adds cost less than
+packing the operands and unpacking the product.
 
 An F_p vector packs into one int, a w-byte digit per entry (fp_pack),
 w a power of two (fp_width): an F_p-combination of packed vectors, such
@@ -17,7 +23,8 @@ and fp_unpack reads the digits back reduced mod p: bytes.translate at
 w = 1, struct words at w = 2, 4 and 8 (fp_reduce translates the two
 byte planes of two-byte digits), one by one above.  Every F_p-linear
 map is stored so, as packed columns acting on digits (a matrix's are
-GF.digits', a series' series.TruncSeries'): the Frobenius x -> x^p, one column
+GF.digits', read back by entry by GF.entries; a series' are
+series.TruncSeries'): the Frobenius x -> x^p, one column
 set whose powers give sigma^k at any k (frob_p), each registered
 embedding F_q -> F_(q^s) (coerce), and each right multiplication
 X -> X H of matrices over the field (right_columns, from
@@ -46,12 +53,26 @@ from .errors import ExtensionCapExceeded
 from .padic import check_odd_prime, power
 
 
+# The least degree multiplied by Kronecker substitution; below it the
+# schoolbook loop is as fast (crossover measured in CHANGES.md).
+KRONECKER_DEGREE = 5
+
+
 def _mulmod(u, v, mod, p):
     """u v in F_p[x]/(x^d + mod(x)), d = len(u); coefficient tuples,
-    low degree first, mod the d non-leading coefficients."""
+    low degree first, mod the d non-leading coefficients; from degree
+    KRONECKER_DEGREE on by Kronecker substitution (module docstring)."""
     d = len(u)
     if d == 1:
         return ((u[0] * v[0]) % p,)
+    if d >= KRONECKER_DEGREE:
+        w, reduce_low, cols = _folding(mod, p)
+        shift = 8 * w * d
+        prod = fp_pack(u, w) * fp_pack(v, w)
+        low = prod & (1 << shift) - 1
+        if reduce_low:
+            low = fp_reduce(low, d, w, p)
+        return fp_unpack(low + fp_combine(fp_unpack(prod >> shift, d - 1, w, p), cols), d, w, p)
     raw = [0] * (2 * d - 1)
     for i, a in enumerate(u):
         if a:
@@ -63,6 +84,27 @@ def _mulmod(u, v, mod, p):
             for j in range(d):
                 raw[k - d + j] -= c * mod[j]
     return tuple(x % p for x in raw[:d])
+
+
+@functools.lru_cache(maxsize=16)
+def _folding(mod, p):
+    """(w, reduce_low, cols) for Kronecker products mod x^d + mod(x) over
+    F_p: a digit of the product sums at most d (p-1)^2 < 256^w, and the
+    fold adds at most (d-1) (p-1)^2 to a low digit.  Where that sum could
+    carry, one-byte digits are reduced first (reduce_low: one translate),
+    wider ones widened (struct words cost less than fp_reduce's two byte
+    planes).  cols packs x^d ... x^(2d-2) mod the modulus, each x times
+    the one before by one shift and one reduce.  A few moduli are kept:
+    the modulus search tries one per candidate."""
+    d, bound = len(mod), (2 * len(mod) - 1) * (p - 1) ** 2
+    w = fp_width(d * (p - 1) ** 2)
+    w = w if w == 1 else fp_width(bound)
+    neg, bits = fp_pack([-c % p for c in mod], w), 8 * w * d
+    cols = [neg]                                    # x^d = -mod(x)
+    for _ in range(d - 2):
+        col = cols[-1] << 8 * w
+        cols.append(fp_reduce((col & (1 << bits) - 1) + (col >> bits) * neg, d, w, p))
+    return w, bound >= 256 ** w, cols
 
 
 def _invmod(u, mod, p):
@@ -312,16 +354,23 @@ class GF:
         mod p): entry (i, k) of a d-column matrix at (i d + k) f ... + f - 1."""
         return tuple(c for row in A for a in row for c in self.coerce(a).coeffs)
 
+    def entries(self, D) -> list:
+        """A square matrix laid out as GF.digits lays it out, read back as
+        rows of entries, each the slice of its f items: D may hold the
+        digits or one item per digit, such as a map's columns."""
+        f = self.fp_degree
+        d = math.isqrt(len(D) // f)
+        return [[D[e:e + f] for e in range(r, r + d * f, f)] for r in range(0, d * d * f, d * f)]
+
     def right_columns(self, H, rows: int, w: int) -> list:
         """X -> X H on rows x d matrices, H d x d by its digits (GF.digits),
         as packed columns of w-byte digits below p, one per digit of X:
         x^t in entry (i, k) goes to row i as x^t H[k][l], l < d, by
         _times_columns, once per distinct entry."""
-        f = self.fp_degree
-        d = math.isqrt(len(H) // f)
         times = functools.cache(self._times_columns)
-        prods = [times(tuple(H[e:e + f])) for e in range(0, d * d * f, f)]
-        cols = [fp_pack([c for l in range(d) for c in prods[k * d + l][t]], w)
+        prods = [[times(tuple(a)) for a in row] for row in self.entries(H)]
+        d, f = len(prods), self.fp_degree
+        cols = [fp_pack([c for l in range(d) for c in prods[k][l][t]], w)
                 for k in range(d) for t in range(f)]
         return [col << 8 * w * d * f * i for i in range(rows) for col in cols]
 

@@ -422,6 +422,191 @@ def test_kernel_on_reversed_columns_is_the_greedy_basis(p, data):
     assert [v[::-1] for v in basis] == _greedy(kernel, p, n)
 
 
+# --- residues by the trace against the elimination that was the only
+# path before galrep.TRACE_SIZE, kept as the reference; the action's one
+# elimination against its former solve per basis vector ---
+
+def _residues_by_elimination(G0e, ext):
+    """The kernel of sigma - (. G0) (gf.GF.frobenius_minus) by fp_kernel,
+    its columns least significant first: the residue basis least in code
+    order."""
+    d, m = len(G0e), ext.fp_degree
+    blocks = range((d - 1) * m, -1, -m)
+    rows = [[c for j in blocks for c in row[j:j + m]] for row in ext.frobenius_minus(G0e)]
+    return [[ext.from_fp(v[j:j + m]) for j in reversed(range(0, d * m, m))]
+            for v in gf.fp_kernel(rows, ext.p)]
+
+
+def _invertible(rng, F, d):
+    while True:
+        A = [[F.random(rng) for _ in range(d)] for _ in range(d)]
+        if matrix.det(A):
+            return A
+
+
+def _descent_case(rng, p, f, d):
+    """G0 = P D sigma(P)^(-1) over F_q with P random in GL_d(F_q) and D in
+    GL_d(F_p) block diagonal, blocks of size <= 2, so that N = P D^f P^(-1):
+    redrawn until F_(q^s) fits gf.MAX_ORDER and d n <= 120.  Returns F_q,
+    G0 and F_(q^s)."""
+    base, prime = gf.field(p, f), gf.field(p)
+    while True:
+        D = [[base.zero] * d for _ in range(d)]
+        i = 0
+        while i < d:
+            k = min(rng.choice((1, 2)), d - i)
+            for r, row in enumerate(_invertible(rng, prime, k)):
+                D[i + r][i:i + k] = [base.coerce(a) for a in row]
+            i += k
+        P = _invertible(rng, base, d)
+        G0 = matrix.mul(matrix.mul(P, D), galrep.ff_mat_inv([[base.frob_p(a) for a in row]
+                                                            for row in P]))
+        try:
+            s = galrep._splitting_degree(G0, base)
+        except ExtensionCapExceeded:
+            continue
+        if d * f * s <= 120:
+            return base, G0, gf.extension(base, s)
+
+
+GRID = [(p, f, d) for p in (3, 5, 7, 11) for f in (1, 2, 3) for d in (1, 2, 3, 4)]
+
+
+def test_residue_trace_matches_the_elimination():
+    """Two seeded draws per (p, f, d), p in {3, 5, 7, 11}, f <= 3, d <= 4:
+    the trace, called directly at every size, and _residue_basis, which
+    takes it from d n = TRACE_SIZE on, give the elimination's basis, with
+    draws on both sides of the crossover."""
+    rng = random.Random(2031)
+    sides = set()
+    for (p, f, d), _ in product(GRID, range(2)):
+        base, G0, ext = _descent_case(rng, p, f, d)
+        G0e = [[ext.coerce(a) for a in row] for row in G0]
+        G0inv = galrep.ff_mat_inv(G0)
+        ref = _residues_by_elimination(G0e, ext)
+        assert len(ref) == d
+        assert galrep._residue_trace(G0inv, ext) == ref, (p, f, d)
+        assert galrep._residue_basis(G0e, G0inv, ext) == ref, (p, f, d)
+        sides.add(d * ext.fp_degree >= galrep.TRACE_SIZE)
+    assert sides == {False, True}
+
+
+def _trace_by_definition(G0, ext):
+    """y -> the rows T(y e_j) = sum_(k<n) sigma^k(y) e_j C_k^(-1), C_0 = I
+    and C_(k+1) = G0 sigma(C_k), by matrix products and inverses over ext,
+    as digit lists x_0's top coordinate first; C_n = I is checked."""
+    d, n = len(G0), ext.fp_degree
+    G0e = [[ext.coerce(a) for a in row] for row in G0]
+    C = one = matrix.scalar(d, ext.one, ext.zero)
+    inverses = []
+    for _ in range(n):
+        inverses.append(matrix.inverse(C, ext.one))
+        C = matrix.mul(G0e, [[ext.frob_p(a) for a in row] for row in C])
+    assert C == one
+
+    def trace(y):
+        total = [[ext.zero] * d for _ in range(d)]
+        for k, inverse in enumerate(inverses):
+            yk = ext.frob_p(y, k)
+            total = [[t + yk * c for t, c in zip(trow, crow)] for trow, crow in zip(total, inverse)]
+        return [[c for a in row for c in reversed(a.coeffs)] for row in total]
+    return trace
+
+
+def test_trace_rows_match_the_definition():
+    """Over the grid, for y = 1 + x + ... + x^(n-1), a random y and x^(n-1),
+    and r < 3: each packed row of block r is T(sigma^r(y) e_j) as defined,
+    which solves sigma(x) = x G0."""
+    rng = random.Random(2034)
+    for p, f, d in GRID:
+        base, G0, ext = _descent_case(rng, p, f, d)
+        n = ext.fp_degree
+        trace = galrep._trace_map(galrep.ff_mat_inv(G0), ext)
+        reference = _trace_by_definition(G0, ext)
+        G0e = [[ext.coerce(a) for a in row] for row in G0]
+        for y in (ext.from_fp([1] * n), ext.random(rng), ext.gen ** (n - 1)):
+            blocks = list(trace(y))
+            assert len(blocks) == n
+            for r, rows in zip(range(3), blocks):
+                assert rows == reference(ext.frob_p(y, r)), (p, f, d, r)
+            for row in blocks[0]:
+                x = [ext.from_fp(row[i:i + n][::-1]) for i in range(0, d * n, n)]
+                assert [ext.frob_p(a) for a in x] == matrix.vec_mat(x, G0e)
+
+
+def test_small_residue_traces_are_the_greedy_basis():
+    """Where ext^d has at most 3^8 vectors, V enumerated and picked greedily
+    in code order (_greedy on digit tuples, x_0's top coordinate first) is
+    the trace's basis."""
+    rng = random.Random(2032)
+    checked = 0
+    for p, f, d in GRID:
+        base, G0, ext = _descent_case(rng, p, f, d)
+        n = ext.fp_degree
+        if p ** (d * n) > 3 ** 8:
+            continue
+        G0e = [[ext.coerce(a) for a in row] for row in G0]
+
+        def vector(v):
+            return [ext.from_fp(v[i:i + n][::-1]) for i in range(0, d * n, n)]
+        space = {v for v in product(range(p), repeat=d * n)
+                 if [ext.frob_p(a) for a in vector(v)] == matrix.vec_mat(vector(v), G0e)}
+        trace = galrep._residue_trace(galrep.ff_mat_inv(G0), ext)
+        assert [[c for a in x for c in reversed(a.coeffs)] for x in trace] == \
+            _greedy(space, p, d * n)
+        checked += 1
+    assert checked >= 8
+
+
+def _action_by_solves(S):
+    """frobenius_action as it was: one fp_solve of the basis matrix per
+    basis vector's image under x -> x^(q), the matrix or the refusal."""
+    ext, f, p = S.field, S.base_field.fp_degree, S.base_field.p
+    low = min(x.valuation() for b in S.basis for x in b if x)
+    res = [[dict(x.terms()).get(low, ext.zero) for x in b] for b in S.basis]
+    basis_mat = list(zip(*[ext.digits([x]) for x in res]))
+    A = []
+    for x in res:
+        coords = gf.fp_solve(basis_mat, ext.digits([[ext.frob_p(c, f) for c in x]]), p)
+        if coords is None:
+            return "q-Frobenius does not preserve the solution space"
+        A.append(coords)
+    if matrix.det(A) % p == 0:
+        return "the q-Frobenius action is singular mod p"
+    return [list(col) for col in zip(*A)]
+
+
+def _action(S):
+    try:
+        return frobenius_action(S).matrix
+    except ArithmeticError as e:
+        return str(e)
+
+
+def test_action_matches_one_solve_per_basis_vector():
+    """Unit-root draws over F_3 and F_9 with d <= 3, rank-1 solutions over
+    F_9, and the unit-root bases with their first vector scaled by x (not
+    q-Frobenius stable) or repeated (singular): the same coordinates, or
+    the same refusal."""
+    rng = random.Random(2033)
+    sets = [solve_unit_root(rand_unit_root(rng, base, d, prec=4))
+            for base, d in product((R3, R9), (1, 2, 3)) for _ in range(3)]
+    sets += [solve_rank1(1, F9.from_code(c), F9) for c in range(1, 9)]
+    for S in sets:
+        assert _action(S) == _action_by_solves(S)
+    refusals = set()
+    for S in sets[:18]:
+        first, rest = S.basis[0], S.basis[1:]
+        for changed in ([tuple(x.scale(S.field.gen) for x in first)], [first, first]):
+            S.basis = changed + rest
+            out = _action(S)
+            assert out == _action_by_solves(S)
+            if isinstance(out, str):
+                refusals.add(out)
+    assert {"q-Frobenius does not preserve the solution space",
+            "the q-Frobenius action is singular mod p"} <= refusals
+
+
 # --- the check is not vacuous: one changed coefficient fails it ---
 
 def _check_inputs():
@@ -434,8 +619,9 @@ def _check_inputs():
             break
     ext = gf.extension(F9, galrep._splitting_degree(G0, F9))
     G0e = [[ext.coerce(a) for a in row] for row in G0]
-    residues = galrep._residue_basis(G0e, ext)
-    Q = galrep._trivialisation(G, G0, galrep.ff_mat_inv(G0), 12)
+    G0inv = galrep.ff_mat_inv(G0)
+    residues = galrep._residue_basis(G0e, G0inv, ext)
+    Q = galrep._trivialisation(G, G0, G0inv, 12)
     galrep._check_solutions(G, G0e, Q, residues, 12)
     assert _check_by_series(G, Q, 12)
     return G, G0e, Q, residues
@@ -639,11 +825,13 @@ def _codes(x):
 def test_pinned_outputs():
     """s, the basis, the ordered solutions (coefficients and precision,
     as a sha256 of their codes) and the action, for d in {1, 2, 3},
-    q in {3, 9} and s up to 26."""
+    q in {3, 9} and s up to 26: at q = 9, d = 3, F_(3^26) once and
+    F_(3^52) twice, the largest fields, both past TRACE_SIZE."""
     with open(PINNED) as fh:
         cases = json.load(fh)
     assert {(len(c["G"]), c["q"]) for c in cases} == set(product((1, 2, 3), (3, 9)))
     assert max(c["s"] for c in cases) == 26
+    assert sorted(c["s"] for c in cases if (c["q"], len(c["G"])) == (9, 3))[-3:] == [13, 26, 26]
     for case in cases:
         ring = FFRing(gf.field(3, padic.degree(case["q"], 3)))
         fld = ring.field

@@ -372,3 +372,69 @@ def test_fields_past_max_order_are_refused_before_the_search(p, f):
 def test_field_checks_the_prime_first():
     with pytest.raises(ValueError, match="odd prime"):
         gf.field(9, 100)
+
+
+# --- Kronecker products against the schoolbook loop they replaced from
+# gf.KRONECKER_DEGREE on, kept as the reference ---
+
+def _mulmod_schoolbook(u, v, mod, p):
+    """u v mod (p, x^d + mod(x)): every coefficient product summed, then
+    the top d - 1 coefficients reduced from the highest down."""
+    d = len(u)
+    raw = [0] * (2 * d - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            raw[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c = raw[k] % p
+        for j in range(d):
+            raw[k - d + j] -= c * mod[j]
+    return tuple(x % p for x in raw[:d])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_products_match_the_schoolbook(p):
+    """Every degree below 2^128 (up to 24, and 26 and 52 at p = 3), on both
+    sides of KRONECKER_DEGREE, mod random monic moduli, irreducible or not
+    as in the modulus search, and x^d - 1 and x^d + (p-1)(1 + ... + x^(d-1)):
+    random operands and the all-(p-1) pair, whose product digits sum
+    highest.  The digit layouts met: one byte with and without the low
+    digits reduced first, and wider digits."""
+    rng = random.Random(p)
+    top = [d for d in range(1, 25) if p ** d <= gf.MAX_ORDER] + ([26, 52] if p == 3 else [])
+    for d in top:
+        moduli = [(p - 1,) + (0,) * (d - 1), (p - 1,) * d]
+        moduli += [tuple(rng.randrange(p) for _ in range(d)) for _ in range(3)]
+        for mod in moduli:
+            pairs = [((p - 1,) * d, (p - 1,) * d)]
+            pairs += [tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in "uv")
+                      for _ in range(12)]
+            for u, v in pairs:
+                assert gf._mulmod(u, v, mod, p) == _mulmod_schoolbook(u, v, mod, p), (d, mod)
+    if p == 3:
+        assert {gf._folding((0,) * d, 3)[:2] for d in (5, 52)} == {(1, False), (1, True)}
+    if p == 101:
+        assert gf._folding((0,) * 5, 101)[0] == 4
+
+
+def test_field_products_match_the_schoolbook():
+    """FFElt products in F_(3^52), F_(5^20) and F_(101^12), and x^(2d-2),
+    the top power that folds back."""
+    rng = random.Random(52)
+    for F in (gf.field(3, 52), gf.field(5, 20), gf.field(101, 12)):
+        d = F.fp_degree
+        for _ in range(40):
+            a, b = F.random(rng), F.random(rng)
+            assert (a * b).coeffs == _mulmod_schoolbook(a.coeffs, b.coeffs, F.modulus, F.p)
+        top = F.gen ** (d - 1)
+        assert (top * top).coeffs == _mulmod_schoolbook(top.coeffs, top.coeffs, F.modulus, F.p)
+
+
+def test_entries_read_the_digit_layout():
+    F = gf.field(3, 2)
+    rng = random.Random(5)
+    for d in (1, 2, 3):
+        A = [[F.random(rng) for _ in range(d)] for _ in range(d)]
+        assert F.entries(F.digits(A)) == [[a.coeffs for a in row] for row in A]
+        cols = list(range(d * d * 2))
+        assert F.entries(cols)[d - 1][0] == [(d - 1) * d * 2, (d - 1) * d * 2 + 1]

@@ -257,7 +257,8 @@ def rabin_first_irreducible(p, s):
             return tuple(coeffs)
 
 
-@pytest.mark.parametrize("p, degrees", [(3, range(2, 31)), (5, range(2, 13)), (7, range(2, 9))])
+@pytest.mark.parametrize("p, degrees", [(3, range(2, 31)), (5, range(2, 13)), (7, range(2, 9)),
+                                        (3, [52])])
 def test_ben_or_modulus_is_the_first_irreducible(p, degrees):
     for s in degrees:
         assert gf._find_modulus_prime(p, s) == rabin_first_irreducible(p, s), s
