@@ -179,11 +179,11 @@ def _trace_map(G0inv, ext):
     base = G0inv[0][0].field
     d, f, n, p = len(G0inv), base.fp_degree, ext.fp_degree, ext.p
     one = matrix.scalar(d, base.one, base.zero)
-    w = gf.fp_width(d * f * (p - 1) ** 2)
-    step = _frobenius_columns(one, base.right_columns(base.digits(G0inv), d, w), base, w)
+    v = gf.fp_width(d * f * (p - 1) ** 2)
+    step = _frobenius_columns(one, base.right_columns(base.digits(G0inv), d, v), base, v)
     inverses = [base.digits(one)]
     for _ in range(n - 1):
-        inverses.append(gf.fp_unpack(gf.fp_combine(inverses[-1], step), d * d * f, w, p))
+        inverses.append(gf.fp_unpack(gf.fp_combine(inverses[-1], step), d * d * f, v, p))
     coeffs = [[[c for cs in zip(*entry) for c in cs] for entry in row]    # k, then t
               for row in base.entries(list(zip(*inverses)))]
     lifted = [ext.coerce(base.from_fp([int(i == t) for i in range(f)])) for t in range(1, f)]
