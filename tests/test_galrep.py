@@ -558,6 +558,27 @@ def test_small_residue_traces_are_the_greedy_basis():
     assert checked >= 8
 
 
+def test_a_wrong_splitting_degree_is_refused_on_both_paths(monkeypatch):
+    """With s + 1 in place of the order s >= 2 of N, N^(s+1) != I: the
+    residues of F_(q^(s+1)) no longer span a d-dimensional V, and
+    solve_unit_root raises ArithmeticError, below TRACE_SIZE and above."""
+    rng = random.Random(2035)
+    sides = set()
+    while sides != {False, True}:
+        p, f, d = rng.choice([(3, 1, 2), (3, 2, 2), (3, 1, 3), (3, 2, 3)])
+        base, G0, ext = _descent_case(rng, p, f, d)
+        s = ext.fp_degree // f
+        if s < 2 or d * f * (s + 1) > 120:
+            continue
+        sides.add(d * f * (s + 1) >= galrep.TRACE_SIZE)
+        ring = FFRing(base)
+        G = [[TruncSeries(ring, {0: a}, 4) for a in row] for row in G0]
+        with monkeypatch.context() as m:
+            m.setattr(galrep, "_splitting_degree", lambda G0, base: s + 1)
+            with pytest.raises(ArithmeticError):
+                solve_unit_root(G)
+
+
 def _action_by_solves(S):
     """frobenius_action as it was: one fp_solve of the basis matrix per
     basis vector's image under x -> x^(q), the matrix or the refusal."""
