@@ -7,11 +7,16 @@ congruences mod p^(m-1) are checked honestly rather than vacuously.
 Each sum is a polynomial in one matrix, with padic's coefficients, reduced
 mod its characteristic polynomial and evaluated by Horner (_evaluate): by
 Cayley-Hamilton, over any commutative ring, the matrix is unchanged.
+log_m stops its sum where the valuation of 1 - a makes every later term
+vanish at the working precision (padic._series_cutoff_log), so a near
+the identity costs a few terms, not p^m - 1, for the same residues.
 
 Matrices are plain tuples of int tuples; d stays small.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from . import Frozen
 from .errors import PrecisionError
@@ -38,9 +43,8 @@ def mscale(A, k, mod):
 
 
 def mmul(A, B, mod):
-    d, e = len(A), len(B[0])
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) % mod
-                       for j in range(e)) for i in range(d))
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols) for row in A)
 
 
 def mpow(A, k, mod):
@@ -148,6 +152,8 @@ def congruent_mod(a: ScaledMatrix, b: ScaledMatrix, k: int) -> bool:
 # log_m and is_bounded at order m run over p^m terms, about 3 and 12 us a
 # term at d = 3, N = 40 (2-vCPU x86_64, Python 3.11; grid in CHANGES.md):
 # up to this bound 0.2 and 0.8 s or less; at 3^11 terms, 0.6 and 2.1 s.
+# log_m's figure is for 1 - A with a unit entry: when 1 - A = 0 mod p it
+# sums far fewer terms, but the bound is on the order m and stays.
 MAX_LOG_TERMS = 2 ** 16
 
 
@@ -167,6 +173,14 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     x = B, c_i = p^m / i (padic._log_coeffs), evaluated by _evaluate with
     d - 1 matrix products in place of p^m - 1 matrix powers.
 
+    The sum stops early when B = 0 mod p.  With v the least valuation of
+    B's entries mod p^(N+m), c_i has valuation m - v_p(i) and B^i = 0 mod
+    p^(i v), so c_i B^i = 0 mod p^(N+m) once i v - v_p(i) >= N; as
+    v_p(i) <= floor(log_p i), every i from padic._series_cutoff_log(p, N,
+    v) on qualifies.  Only terms that are zero mod p^(N+m) are dropped,
+    so the residues are those of the full sum.  At v = 0 all p^m - 1
+    terms are summed.
+
     Certified precision: N - (m-1); the lift ambiguity of A enters
     (1-A)^i with valuation >= N, and the division by i costs at most
     v_p(i) <= m-1 digits.  PrecisionError when that leaves no digit,
@@ -177,7 +191,12 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     _check_order(A.p, m)
     p, N, d = A.p, A.prec, A.d
     mod = p ** (N + m)
-    out = _evaluate(_log_coeffs(p, p ** m - 1, m, N + m), msub(mident(d), A.mat, mod), mod)
+    X = msub(mident(d), A.mat, mod)
+    last = p ** m - 1
+    v = entry_valuation(X, p, N + m)
+    if v:
+        last = min(last, _series_cutoff_log(p, N, v))
+    out = _evaluate(_log_coeffs(p, last, m, N + m), X, mod)
     return ScaledMatrix(p, out, m, N - (m - 1) if m > 1 else N)
 
 
@@ -197,10 +216,10 @@ def _evaluate(coeffs, X, mod):
         top = acc[-1] % mod
         acc = [c - top * low] + [a - top * h for a, h in zip(acc, high)]
     acc = [a % mod for a in acc]
-    ident = mident(d)
-    out = mscale(ident, acc[-1], mod)
+    out = mscale(mident(d), acc[-1], mod)
     for c in reversed(acc[:-1]):
-        out = madd(mmul(out, X, mod), mscale(ident, c, mod), mod)
+        out = tuple(tuple((a + c) % mod if i == j else a for j, a in enumerate(row))
+                    for i, row in enumerate(mmul(out, X, mod)))
     return out
 
 
@@ -235,7 +254,7 @@ def log_full(A: BoundedOp) -> ScaledMatrix:
     p, N, d = A.p, A.prec, A.d
     if entry_valuation(msub(A.mat, mident(d), p ** N), p, N) < 1:
         raise ValueError("log_full needs A = id mod p")
-    last = _series_cutoff_log(p, N)
+    last = _series_cutoff_log(p, N, 1)
     s = ndigits(last, p) - 1                   # the largest v_p(i), i <= last
     mod = p ** (N + s)
     S = _evaluate(_log_coeffs(p, last, s, N + s), msub(mident(d), A.mat, mod), mod)

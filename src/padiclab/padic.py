@@ -221,11 +221,14 @@ def valuation(x: PadicInt):
     return INFINITY if x.residue == 0 else vp(x.residue, x.p)
 
 
-def _series_cutoff_log(p: int, n: int) -> int:
-    # smallest I with I - floor(log_p I) >= n; i - log_p(i) is increasing,
-    # so all terms beyond I vanish mod p^n when v(t) >= 1
-    i = n
-    while i - (ndigits(i, p) - 1) < n:
+def _series_cutoff_log(p: int, n: int, v: int) -> int:
+    """The smallest I with I v - floor(log_p I) >= n, for v >= 1.
+
+    The log term y^i / i has valuation at least i v - v_p(i) when
+    v_p(y) >= v, and v_p(i) <= floor(log_p i); i v - floor(log_p i)
+    does not decrease in i, so every term from I on vanishes mod p^n."""
+    i = -(-n // v)
+    while i * v - (ndigits(i, p) - 1) < n:
         i += 1
     return i
 
@@ -281,7 +284,7 @@ def log_unit(x: PadicInt) -> PadicInt:
     y = (1 - x).residue
     if y % p != 0:
         raise ValueError("log_unit needs x = 1 mod p")
-    last = _series_cutoff_log(p, n)
+    last = _series_cutoff_log(p, n, 1)
     s = ndigits(last, p) - 1                   # the largest v_p(i), i <= last
     acc = _horner(_log_coeffs(p, last, s, n + s), y, p ** (n + s))
     return PadicInt(p, n, _unscale(-acc, p, s, n))

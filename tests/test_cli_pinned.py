@@ -5,9 +5,11 @@ property suites at --trials 6 --seed 5, of the README's example
 commands, of the tau commands at several truncations and of two
 precision examples, of `series solvev` at p = 5, on lattices too
 coarse for the solution (precisions off the lattice) and in a field
-too small, of two answers the perturbation oracles mended, and of the
-two Witt-vector suites at their default trials over three seeds.  A change that alters any of them on purpose
-regenerates the file with `python tests/test_cli_pinned.py` and says why.
+too small, of two answers the perturbation oracles mended, of the two
+Witt-vector suites at their default trials over three seeds, and of
+three log_m commands whose 1 - A vanishes mod p.  A change that alters
+any of them on purpose regenerates the file with
+`python tests/test_cli_pinned.py` and says why.
 """
 
 import contextlib
@@ -59,10 +61,17 @@ ORACLES = [
     "phimod uheight --p 3 --M 5 --matrix 0:0:0:1",
     "series lambda --p 3 --E 3,3,1 --M 12",
 ]
+# log_m where 1 - A = 0 mod p, so only the terms below the valuation
+# cut are summed
+LOGM_CUT = [
+    "logm value --p 5 --N 9 --matrix 26 --m 3",
+    'logm value --p 3 --N 9 --matrix "10,9,0;0,1,18;9,0,28" --m 3',
+    "suite logm --p 5 --m 3 --trials 20 --seed 3",
+]
 WITT_SUITES = [f"suite {name} --seed {seed}"
                for name in ("existv", "incwitt") for seed in (1, 2, 9)]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION + SOLVEV + ORACLES + WITT_SUITES
+    PRECISION + SOLVEV + ORACLES + LOGM_CUT + WITT_SUITES
 
 
 def run(command):

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiclab import logtrunc, padic
@@ -32,18 +33,27 @@ def log_m_terms(A, m):
 
 @st.composite
 def log_m_cases(draw):
+    """A uniform (e = 0) or A = I + p^e R with e in {1, 2, N - 1, N}, where
+    1 - A = 0 mod p^e and log_m stops its sum early; at e = N, A reduces
+    to I and 1 - A = 0 mod p^(N+m)."""
     p = draw(st.sampled_from([3, 5, 7]))
     d, N = draw(st.integers(1, 4)), draw(st.integers(1, 8))
-    m = draw(st.integers(0, min(N, 3)))
-    rows = draw(st.lists(st.lists(st.integers(0, p ** N - 1), min_size=d, max_size=d),
-                         min_size=d, max_size=d))
+    m = draw(st.integers(0, min(N, 4)))
+    e = draw(st.sampled_from([0, 1, 2, N - 1, N]))
+    rows = [[(e > 0 and i == j) + p ** e * draw(st.integers(0, p ** N - 1))
+             for j in range(d)] for i in range(d)]
     return BoundedOp.of(p, N, rows), m
 
 
-@SETTINGS
+@settings(max_examples=800)
 @given(log_m_cases())
+# v = 1 at p = 3, N = 8: term 9 survives (9 - v_p(9) < 8) past 9 v >= N,
+# so only the floor(log_p i) in the cut keeps it
+@example((BoundedOp.of(3, 8, [[4]]), 3))
+@example((BoundedOp.of(3, 8, [[4, 3], [0, 1]]), 4))
 def test_log_m_matches_term_loop(case):
-    # the sum reduced mod the characteristic polynomial is the same matrix
+    # the sum reduced mod the characteristic polynomial is the same
+    # matrix, and the terms past the cut are zero mod p^(N+m)
     A, m = case
     assert log_m(A, m) == log_m_terms(A, m)
 
@@ -139,6 +149,31 @@ def test_scaled_matrix_refuses_negative_k():
     assert L.value_mod(0) == ((0,),) and L.is_zero_mod(0)
 
 
+def test_scaled_matrices_of_unequal_scales_add_and_subtract_exactly():
+    # each operand brought to the larger scale by p^(s - scale): the
+    # result agrees with the exact rational sum mod p^certified
+    p = 3
+    a = ScaledMatrix(p, ((5, 7), (2, 10)), 1, 4)
+    b = ScaledMatrix(p, ((4, 1), (11, 8)), 3, 3)
+
+    def value(M):
+        return [[Fraction(x, p ** M.scale) for x in row] for row in M.mat]
+
+    def agree(M, exact):
+        for row, erow in zip(value(M), exact):
+            for x, y in zip(row, erow):
+                diff = x - y
+                assert diff == 0 or (vp(diff.numerator, p) - vp(diff.denominator, p)
+                                     >= M.certified)
+
+    va, vb = value(a), value(b)
+    for x, y, vx, vy in ((a, b, va, vb), (b, a, vb, va)):
+        s, t = x.add(y), x.sub(y)
+        assert (s.scale, s.certified, t.scale, t.certified) == (3, 3, 3, 3)
+        agree(s, [[u + w for u, w in zip(r, q)] for r, q in zip(vx, vy)])
+        agree(t, [[u - w for u, w in zip(r, q)] for r, q in zip(vx, vy)])
+
+
 def test_log_m_identity():
     L = log_m(BoundedOp.of(3, 4, [[1, 0], [0, 1]]), 2)
     assert L.is_zero_mod(L.certified)
@@ -205,7 +240,7 @@ def log_full_loop(A):
     t = msub(A.mat, mident(d), p ** N)
     if entry_valuation(t, p, N) < 1:
         raise ValueError("log_full needs A = id mod p")
-    cutoff = padic._series_cutoff_log(p, N)
+    cutoff = padic._series_cutoff_log(p, N, 1)
     mod = p ** (N + padic.ndigits(cutoff, p))
     acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
     power = mident(d)

@@ -54,16 +54,17 @@ def _digits_loop(k, p):
     return digits
 
 
-def _cutoff_loop(p, n):
-    """padic._series_cutoff_log before it called ndigits: the reference."""
-    i = n
+def _cutoff_loop(p, n, v):
+    """padic._series_cutoff_log before it called ndigits, from i = 0 and
+    with the valuation v: the reference."""
+    i = 0
     while True:
         logp = 0
         k = i
         while k >= p:
             k //= p
             logp += 1
-        if i - logp >= n:
+        if i * v - logp >= n:
             return i
         i += 1
 
@@ -78,11 +79,12 @@ def test_vp_matches_the_rational_loop(p, e, k):
 
 
 @SETTINGS
-@given(PRIMES, st.integers(1, 10 ** 9), st.integers(1, 60))
-def test_ndigits_matches_the_digit_loops(p, k, n):
+@given(PRIMES, st.integers(1, 10 ** 9), st.integers(1, 60), st.integers(1, 70))
+def test_ndigits_matches_the_digit_loops(p, k, n, v):
     assert padic.ndigits(k, p) == _digits_loop(k, p)
     assert p ** (padic.ndigits(k, p) - 1) <= k < p ** padic.ndigits(k, p)
-    assert padic._series_cutoff_log(p, n) == _cutoff_loop(p, n)
+    assert padic._series_cutoff_log(p, n, 1) == _cutoff_loop(p, n, 1)
+    assert padic._series_cutoff_log(p, n, v) == _cutoff_loop(p, n, v)
 
 
 def _ceil_logp_bracketing(x, p):
@@ -250,7 +252,7 @@ def _log_unit_loop(x):
         raise ValueError("log_unit needs x = 1 mod p")
     mod = p ** n
     acc, tpow = 0, 1
-    for i in range(1, padic._series_cutoff_log(p, n) + 1):
+    for i in range(1, padic._series_cutoff_log(p, n, 1) + 1):
         tpow = tpow * t
         vi = padic.vp(i, p)
         term = (tpow // p ** vi) * pow(i // p ** vi, -1, mod)

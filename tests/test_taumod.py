@@ -5,7 +5,7 @@ import pytest
 
 from padiclab import gf, gskel, taumod
 from padiclab.errors import Indeterminate, PrecisionError
-from padiclab.padic import PadicInt
+from padiclab.padic import PadicInt, ndigits
 from padiclab.taumod import (BivarSeries, binom_power, bivar_one, check_commutation,
                              check_phi_tau_commute, galois_act,
                              trivial_restriction_module)
@@ -39,6 +39,20 @@ def test_binom_power_precision_gate():
     z = PadicInt(3, 1, 1)
     with pytest.raises(PrecisionError):
         binom_power(z, F3, 12)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_binom_power_accepts_exactly_the_digits_it_needs(p):
+    # C(z, k) mod p for k <= prec reads the base-p digits of z up to
+    # those of prec + 1: that many are enough, one fewer is refused
+    field = gf.field(p)
+    rng = random.Random(p)
+    for prec in range(p - 1, 3 * p ** 2):   # from prec + 1 = p on, k >= 2
+        k = ndigits(prec + 1, p)
+        r = rng.randrange(p ** k)
+        assert binom_power(PadicInt(p, k, r), field, prec) == binom_power(r, field, prec)
+        with pytest.raises(PrecisionError, match=f"needs {k} base-{p} digits"):
+            binom_power(PadicInt(p, k - 1, r), field, prec)
 
 
 def test_galois_act_examples():
