@@ -8,8 +8,8 @@ Each sum is a polynomial in one matrix, with padic's coefficients, reduced
 mod its characteristic polynomial and evaluated by Horner (_evaluate): by
 Cayley-Hamilton, over any commutative ring, the matrix is unchanged.
 log_m stops its sum where the valuation of 1 - a makes every later term
-vanish at the working precision (padic._series_cutoff_log), so a near
-the identity costs a few terms, not p^m - 1, for the same residues.
+vanish at the working precision (padic._series_cutoff_log): for a = 1
+mod p it sums a few terms, not p^m - 1, with the same residues.
 
 Matrices are plain tuples of int tuples; d stays small.
 """
