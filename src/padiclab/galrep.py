@@ -29,14 +29,12 @@ T(y) = sum_(k<n) sigma^k(y) C_k^(-1) has sigma(T(y)) = T(y) G0; and V is,
 by Lang's theorem, d-dimensional over F_p with V (x) F_(q^s) = F_(q^s)^d,
 so for y = sum lambda_i v_i over an F_p-basis of V, T(y) = sum Tr(lambda_i)
 v_i: T is onto V, and the T(y e_j), y over an F_p-basis of F_(q^s), span
-it before n elements y are used (_residue_trace).  Their reduced echelon
+it before n elements y are used (_residue_basis).  Their reduced echelon
 form, the columns most significant first, is the basis least in code
-order.  Below d n = TRACE_SIZE one elimination, the kernel of
-sigma - (. G0) (gf.GF.frobenius_minus), was faster (_residue_basis).  x0 Q and the p^d
-solutions are F_p-combinations of packed series, each unpacked once
-into d series (_unpack).  No field is enumerated: the rank-1 root
-gamma^(p-1) = c is the least nonzero solution of gamma^p = c gamma
-(gf.GF.frobenius_solutions).
+order.  x0 Q and the p^d solutions are F_p-combinations of packed
+series, each unpacked once into d series (_unpack).  No field is
+enumerated: the rank-1 root gamma^(p-1) = c is the least nonzero
+solution of gamma^p = c gamma (gf.GF.frobenius_solutions).
 
 The arithmetic-Frobenius action on the solution space is the
 unramified Galois representation attached to G; rank-1 non-unit
@@ -73,11 +71,10 @@ class SolutionSet(Fields):
     """All p^d solutions of x^(p) = x G, closed under F_p-combinations,
     over field = F_(q^s), q the order of base_field, at u-precision prec.
 
-    basis: d solutions x0 Q spanning the set, x0 the basis of the
-    residues least in code order (_residue_basis); solutions()
-    are ordered lexicographically by the residue coordinates' codes,
-    each made by d int multiply-adds on the packed basis and one unpack,
-    and kept in all.
+    basis: d solutions x0 Q spanning the set, x0 the residue basis
+    least in code order (_residue_basis); solutions() are ordered
+    lexicographically by the residue coordinates' codes, each made by d
+    int multiply-adds on the packed basis and one unpack, and kept in all.
     """
 
     _fields = ("base_field", "field", "s", "d", "prec", "basis", "all")
@@ -125,30 +122,10 @@ def _residue_matrix(G):
     return [[a.coeffs.get(0, a.ring.field.zero) for a in row] for row in G]
 
 
-# The least d n at which the residues come from the trace (_residue_trace);
-# below it the one elimination of d n columns was faster (CHANGES.md).
-TRACE_SIZE = 18
-
-
-def _residue_basis(G0e, G0inv, ext):
-    """The F_p-basis of V = { x in ext^d : sigma(x) = x G0 } least in code
-    order, ext of degree n: by the trace from d n = TRACE_SIZE on, else
-    as the kernel of sigma - (. G0) with its columns least significant
-    first, where fp_kernel gives the same reduced echelon basis, least
-    first: one vector per free column c, 1 at c, 0 at the other free
-    columns and supported before c."""
-    d, n = len(G0e), ext.fp_degree
-    if d * n >= TRACE_SIZE:
-        return _residue_trace(G0inv, ext)
-    blocks = range((d - 1) * n, -1, -n)        # x_(d-1), ..., x_0
-    rows = [[c for j in blocks for c in row[j:j + n]] for row in ext.frobenius_minus(G0e)]
-    return [[ext.from_fp(v[j:j + n]) for j in reversed(range(0, d * n, n))]
-            for v in gf.fp_kernel(rows, ext.p)]
-
-
-def _residue_trace(G0inv, ext):
-    """V as the image of the trace (module docstring), G0 over F_q by its
-    inverse, ext = F_(q^s) with N^s = I: the rows T(y_b e_j) for the
+def _residue_basis(G0inv, ext):
+    """The F_p-basis of V = { x in ext^d : sigma(x) = x G0 } least in
+    code order, V the image of the trace (module docstring), G0 over F_q
+    by its inverse, ext = F_(q^s) with N^s = I: the rows T(y_b e_j) for the
     F_p-basis y_b = 1 + x + ... + x^b of ext, b from n - 1 down (a lone
     x^b often has zero traces into the subfields, the moduli being
     sparse), and while they add rank the rows T(sigma^r(y_b) e_j), r > 0,
@@ -320,7 +297,7 @@ def solve_unit_root(G) -> SolutionSet:
     s = _splitting_degree(G0, base)
     ext = gf.extension(base, s)
     G0e = [[ext.coerce(a) for a in row] for row in G0]
-    residues = _residue_basis(G0e, G0inv, ext)
+    residues = _residue_basis(G0inv, ext)
     if len(residues) != d:
         raise ArithmeticError(f"residue solutions of rank {len(residues)} in {ext.tag}, not {d}")
     Q = _trivialisation(G, G0, G0inv, prec)

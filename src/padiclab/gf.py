@@ -8,12 +8,10 @@ first monic irreducible in lexicographic coefficient order, found by
 Ben-Or's irreducibility test, which keeps every computation
 reproducible.  Products and inverses mod (p, m) are the module-level
 kernels _mulmod and _invmod, shared by GF and the modulus search.
-From degree KRONECKER_DEGREE on, a product is one Kronecker
-substitution: both operands packed as below, one int product, and its
-top d - 1 digits, reduced, folded back onto the low d through the packed
-columns of x^d ... x^(2d-2) mod m, built once per modulus (_folding).
-Below that degree the schoolbook loop's d^2 multiply-adds cost less than
-packing the operands and unpacking the product.
+From degree 2 on, a product is one Kronecker substitution: both
+operands packed as below, one int product, and its top d - 1 digits,
+reduced, folded back onto the low d through the packed columns of
+x^d ... x^(2d-2) mod m, built once per modulus (_folding).
 
 An F_p vector packs into one int, a w-byte digit per entry (fp_pack),
 w a power of two (fp_width): an F_p-combination of packed vectors, such
@@ -53,37 +51,20 @@ from .errors import ExtensionCapExceeded
 from .padic import check_odd_prime, power
 
 
-# The least degree multiplied by Kronecker substitution; below it the
-# schoolbook loop is as fast (crossover measured in CHANGES.md).
-KRONECKER_DEGREE = 5
-
-
 def _mulmod(u, v, mod, p):
     """u v in F_p[x]/(x^d + mod(x)), d = len(u); coefficient tuples,
-    low degree first, mod the d non-leading coefficients; from degree
-    KRONECKER_DEGREE on by Kronecker substitution (module docstring)."""
+    low degree first, mod the d non-leading coefficients (None at d = 1);
+    from degree 2 on by Kronecker substitution (module docstring)."""
     d = len(u)
     if d == 1:
         return ((u[0] * v[0]) % p,)
-    if d >= KRONECKER_DEGREE:
-        w, reduce_low, cols = _folding(mod, p)
-        shift = 8 * w * d
-        prod = fp_pack(u, w) * fp_pack(v, w)
-        low = prod & (1 << shift) - 1
-        if reduce_low:
-            low = fp_reduce(low, d, w, p)
-        return fp_unpack(low + fp_combine(fp_unpack(prod >> shift, d - 1, w, p), cols), d, w, p)
-    raw = [0] * (2 * d - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                raw[i + j] += a * b
-    for k in range(2 * d - 2, d - 1, -1):
-        c = raw[k] % p
-        if c:
-            for j in range(d):
-                raw[k - d + j] -= c * mod[j]
-    return tuple(x % p for x in raw[:d])
+    w, reduce_low, cols = _folding(mod, p)
+    shift = 8 * w * d
+    prod = fp_pack(u, w) * fp_pack(v, w)
+    low = prod & (1 << shift) - 1
+    if reduce_low:
+        low = fp_reduce(low, d, w, p)
+    return fp_unpack(low + fp_combine(fp_unpack(prod >> shift, d - 1, w, p), cols), d, w, p)
 
 
 @functools.lru_cache(maxsize=16)
@@ -108,46 +89,32 @@ def _folding(mod, p):
 
 
 def _invmod(u, mod, p):
-    """u^-1 in F_p[x]/(x^d + mod(x)) by the extended Euclidean algorithm;
-    ZeroDivisionError when u and the modulus are not coprime."""
+    """u^-1 in F_p[x]/(x^d + mod(x)) by the extended Euclidean algorithm,
+    each remainder kept without zero top coefficients, so its degree is
+    its length less one; ZeroDivisionError when u and the modulus are
+    not coprime."""
     d = len(u)
     if d == 1:
         return (pow(u[0], -1, p),)
-    r0 = list(mod) + [1]
-    r1 = list(u)
-    s0 = [0]
-    s1 = [1]
-
-    def deg(poly):
-        for k in range(len(poly) - 1, -1, -1):
-            if poly[k]:
-                return k
-        return -1
-
-    while True:
-        d1 = deg(r1)
-        if d1 < 0:
+    r0, r1, s0, s1 = list(mod) + [1], list(u), [0], [1]
+    while r1 and not r1[-1]:
+        r1.pop()
+    while len(r1) != 1:
+        if not r1:
             raise ZeroDivisionError("element not invertible")
-        if d1 == 0:
-            break
-        d0 = deg(r0)
-        if d0 < d1:
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
+        if len(r0) < len(r1):
+            r0, r1, s0, s1 = r1, r0, s1, s0
             continue
-        q_coef = r0[d0] * pow(r1[d1], -1, p) % p
-        shift = d0 - d1
-        for j in range(d1 + 1):
-            r0[j + shift] = (r0[j + shift] - q_coef * r1[j]) % p
-        need = shift + len(s1)
-        if len(s0) < need:
-            s0 = s0 + [0] * (need - len(s0))
-        for j in range(len(s1)):
-            s0[j + shift] = (s0[j + shift] - q_coef * s1[j]) % p
-    c_inv = pow(r1[0], -1, p)
-    out = [c * c_inv % p for c in s1]
-    out += [0] * (d - len(out))
-    return tuple(out[:d])
+        c, shift = r0[-1] * pow(r1[-1], -1, p) % p, len(r0) - len(r1)
+        for j, a in enumerate(r1):
+            r0[j + shift] = (r0[j + shift] - c * a) % p
+        s0 += [0] * (shift + len(s1) - len(s0))
+        for j, a in enumerate(s1):
+            s0[j + shift] = (s0[j + shift] - c * a) % p
+        while r0 and not r0[-1]:
+            r0.pop()
+    c = pow(r1[0], -1, p)
+    return tuple([a * c % p for a in s1] + [0] * (d - len(s1)))[:d]
 
 
 class FFElt:

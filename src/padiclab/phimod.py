@@ -292,14 +292,9 @@ def cyclotomic_module(m: int, n: int, E, q: int | None = None,
     Eser = E.as_series(ring, prec)
     cinv = ring.inv(ring.of_int(E.c_unit))
     base = Eser.scale(cinv)
-    # linear loops, not padic.power: the tracked precision depends on the product order
-    if m >= 0:
-        g = TruncSeries.one(ring, prec)
-        for _ in range(m):
-            g = g * base
-    else:
-        binv = base.inverse()
-        g = TruncSeries.one(ring, binv.prec)
-        for _ in range(-m):
-            g = g * binv
+    # a linear loop, not padic.power: the tracked precision depends on the product order
+    step = base if m >= 0 else base.inverse()
+    g = TruncSeries.one(ring, step.prec)
+    for _ in range(abs(m)):
+        g = g * step
     return PhiModule(p, q, n, [[g]])

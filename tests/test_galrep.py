@@ -410,9 +410,9 @@ def _greedy(space, p, n):
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_kernel_on_reversed_columns_is_the_greedy_basis(p, data):
     """fp_kernel with the columns least significant first gives the greedy
-    basis of the kernel, least first, as _residue_basis reads it: each
-    vector is 1 at its own free column, 0 at the others and supported
-    before it, the reduced echelon basis in lexicographic order."""
+    basis of the kernel, least first, as _residues_by_elimination reads
+    it: each vector is 1 at its own free column, 0 at the others and
+    supported before it, the reduced echelon basis in lexicographic order."""
     n = data.draw(st.integers(1, 6 if p == 3 else 4))
     rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
                               min_size=1, max_size=n))
@@ -422,9 +422,9 @@ def test_kernel_on_reversed_columns_is_the_greedy_basis(p, data):
     assert [v[::-1] for v in basis] == _greedy(kernel, p, n)
 
 
-# --- residues by the trace against the elimination that was the only
-# path before galrep.TRACE_SIZE, kept as the reference; the action's one
-# elimination against its former solve per basis vector ---
+# --- residues by the trace against the elimination that found them
+# before the trace, kept as the reference; the action's one elimination
+# against its former solve per basis vector ---
 
 def _residues_by_elimination(G0e, ext):
     """The kernel of sigma - (. G0) (gf.GF.frobenius_minus) by fp_kernel,
@@ -473,22 +473,16 @@ GRID = [(p, f, d) for p in (3, 5, 7, 11) for f in (1, 2, 3) for d in (1, 2, 3, 4
 
 
 def test_residue_trace_matches_the_elimination():
-    """Two seeded draws per (p, f, d), p in {3, 5, 7, 11}, f <= 3, d <= 4:
-    the trace, called directly at every size, and _residue_basis, which
-    takes it from d n = TRACE_SIZE on, give the elimination's basis, with
-    draws on both sides of the crossover."""
+    """Two seeded draws per (p, f, d), p in {3, 5, 7, 11}, f <= 3, d <= 4,
+    d n from 1 to 120: the trace gives the elimination's basis."""
     rng = random.Random(2031)
-    sides = set()
     for (p, f, d), _ in product(GRID, range(2)):
         base, G0, ext = _descent_case(rng, p, f, d)
         G0e = [[ext.coerce(a) for a in row] for row in G0]
         G0inv = galrep.ff_mat_inv(G0)
         ref = _residues_by_elimination(G0e, ext)
         assert len(ref) == d
-        assert galrep._residue_trace(G0inv, ext) == ref, (p, f, d)
-        assert galrep._residue_basis(G0e, G0inv, ext) == ref, (p, f, d)
-        sides.add(d * ext.fp_degree >= galrep.TRACE_SIZE)
-    assert sides == {False, True}
+        assert galrep._residue_basis(G0inv, ext) == ref, (p, f, d)
 
 
 def _trace_by_definition(G0, ext):
@@ -551,17 +545,18 @@ def test_small_residue_traces_are_the_greedy_basis():
             return [ext.from_fp(v[i:i + n][::-1]) for i in range(0, d * n, n)]
         space = {v for v in product(range(p), repeat=d * n)
                  if [ext.frob_p(a) for a in vector(v)] == matrix.vec_mat(vector(v), G0e)}
-        trace = galrep._residue_trace(galrep.ff_mat_inv(G0), ext)
+        trace = galrep._residue_basis(galrep.ff_mat_inv(G0), ext)
         assert [[c for a in x for c in reversed(a.coeffs)] for x in trace] == \
             _greedy(space, p, d * n)
         checked += 1
     assert checked >= 8
 
 
-def test_a_wrong_splitting_degree_is_refused_on_both_paths(monkeypatch):
+def test_a_wrong_splitting_degree_is_refused_at_small_and_large_sizes(monkeypatch):
     """With s + 1 in place of the order s >= 2 of N, N^(s+1) != I: the
     residues of F_(q^(s+1)) no longer span a d-dimensional V, and
-    solve_unit_root raises ArithmeticError, below TRACE_SIZE and above."""
+    solve_unit_root raises ArithmeticError, at d n below 18 and from 18
+    on (n = [F_(q^(s+1)) : F_p])."""
     rng = random.Random(2035)
     sides = set()
     while sides != {False, True}:
@@ -570,7 +565,7 @@ def test_a_wrong_splitting_degree_is_refused_on_both_paths(monkeypatch):
         s = ext.fp_degree // f
         if s < 2 or d * f * (s + 1) > 120:
             continue
-        sides.add(d * f * (s + 1) >= galrep.TRACE_SIZE)
+        sides.add(d * f * (s + 1) >= 18)
         ring = FFRing(base)
         G = [[TruncSeries(ring, {0: a}, 4) for a in row] for row in G0]
         with monkeypatch.context() as m:
@@ -641,7 +636,7 @@ def _check_inputs():
     ext = gf.extension(F9, galrep._splitting_degree(G0, F9))
     G0e = [[ext.coerce(a) for a in row] for row in G0]
     G0inv = galrep.ff_mat_inv(G0)
-    residues = galrep._residue_basis(G0e, G0inv, ext)
+    residues = galrep._residue_basis(G0inv, ext)
     Q = galrep._trivialisation(G, G0, G0inv, 12)
     galrep._check_solutions(G, G0e, Q, residues, 12)
     assert _check_by_series(G, Q, 12)
@@ -847,7 +842,7 @@ def test_pinned_outputs():
     """s, the basis, the ordered solutions (coefficients and precision,
     as a sha256 of their codes) and the action, for d in {1, 2, 3},
     q in {3, 9} and s up to 26: at q = 9, d = 3, F_(3^26) once and
-    F_(3^52) twice, the largest fields, both past TRACE_SIZE."""
+    F_(3^52) twice, the largest fields."""
     with open(PINNED) as fh:
         cases = json.load(fh)
     assert {(len(c["G"]), c["q"]) for c in cases} == set(product((1, 2, 3), (3, 9)))

@@ -374,8 +374,8 @@ def test_field_checks_the_prime_first():
         gf.field(9, 100)
 
 
-# --- Kronecker products against the schoolbook loop they replaced from
-# gf.KRONECKER_DEGREE on, kept as the reference ---
+# --- Kronecker products against the schoolbook loop they replaced, kept
+# as the reference ---
 
 def _mulmod_schoolbook(u, v, mod, p):
     """u v mod (p, x^d + mod(x)): every coefficient product summed, then
@@ -394,12 +394,12 @@ def _mulmod_schoolbook(u, v, mod, p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
 def test_products_match_the_schoolbook(p):
-    """Every degree below 2^128 (up to 24, and 26 and 52 at p = 3), on both
-    sides of KRONECKER_DEGREE, mod random monic moduli, irreducible or not
-    as in the modulus search, and x^d - 1 and x^d + (p-1)(1 + ... + x^(d-1)):
-    random operands and the all-(p-1) pair, whose product digits sum
-    highest.  The digit layouts met: one byte with and without the low
-    digits reduced first, and wider digits."""
+    """Every degree below 2^128 (up to 24, and 26 and 52 at p = 3), by
+    the Kronecker fold from degree 2 on, mod random monic moduli,
+    irreducible or not as in the modulus search, and x^d - 1 and
+    x^d + (p-1)(1 + ... + x^(d-1)): random operands and the all-(p-1)
+    pair, whose product digits sum highest.  The digit layouts met: one
+    byte with and without the low digits reduced first, and wider digits."""
     rng = random.Random(p)
     top = [d for d in range(1, 25) if p ** d <= gf.MAX_ORDER] + ([26, 52] if p == 3 else [])
     for d in top:
@@ -412,7 +412,7 @@ def test_products_match_the_schoolbook(p):
             for u, v in pairs:
                 assert gf._mulmod(u, v, mod, p) == _mulmod_schoolbook(u, v, mod, p), (d, mod)
     if p == 3:
-        assert {gf._folding((0,) * d, 3)[:2] for d in (5, 52)} == {(1, False), (1, True)}
+        assert {gf._folding((0,) * d, 3)[:2] for d in (2, 52)} == {(1, False), (1, True)}
     if p == 101:
         assert gf._folding((0,) * 5, 101)[0] == 4
 
@@ -428,6 +428,40 @@ def test_field_products_match_the_schoolbook():
             assert (a * b).coeffs == _mulmod_schoolbook(a.coeffs, b.coeffs, F.modulus, F.p)
         top = F.gen ** (d - 1)
         assert (top * top).coeffs == _mulmod_schoolbook(top.coeffs, top.coeffs, F.modulus, F.p)
+
+
+def _poly_mul(u, v, p):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_inverses_invert_and_common_factors_are_refused(p):
+    """In F_(p^d) for every d from 2 to 52 below 2^128: x _invmod(x) = 1
+    for 1, x, x^(d-1), the all-(p-1) element and random ones.  Mod the
+    reducible (x + a) g(x), g monic of degree d - 1: ZeroDivisionError
+    for (x + a) h(x), h nonzero of degree below d - 1, zero top
+    coefficients included, and for 0."""
+    rng = random.Random(p)
+    for d in (d for d in range(2, 53) if p ** d <= gf.MAX_ORDER):
+        F = gf.field(p, d)
+        xs = [(1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * (d - 1) + (1,),
+              (p - 1,) * d] + [F.random_nonzero(rng).coeffs for _ in range(6)]
+        for x in xs:
+            assert gf._mulmod(x, gf._invmod(x, F.modulus, p), F.modulus, p) == F.one.coeffs
+        for _ in range(4):
+            a = rng.randrange(p)
+            mod = tuple(_poly_mul([a, 1], [rng.randrange(p) for _ in range(d - 1)] + [1], p)[:d])
+            h = [rng.randrange(p) for _ in range(rng.randrange(1, d))]
+            h[0] = h[0] or 1
+            u = _poly_mul([a, 1], h, p)
+            u += [0] * (d - len(u))
+            for bad in (tuple(u), (0,) * d):
+                with pytest.raises(ZeroDivisionError):
+                    gf._invmod(bad, mod, p)
 
 
 def test_entries_read_the_digit_layout():
