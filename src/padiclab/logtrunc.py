@@ -227,21 +227,14 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     """Lambda-boundedness at order m, scale c: (1-A)^i / i must have
     entries in p^-c Z for every i <= p^m.
 
-    When 1 - A = 0 mod p and c >= 0 no power is formed: (1-A)^i = 0 mod
-    p^min(i, N) and i > v_p(i) >= v_p(i) - c, so only the precision can
-    fail, at i = p^m, when m - c > N.  Otherwise it loops over every
-    power (1-A)^i, where log_m reduces mod the characteristic polynomial:
-    the test reads the entry valuations of each power, which a remainder
-    does not carry.  PrecisionError when a needed valuation passes N;
-    ValueError past MAX_LOG_TERMS terms."""
+    It keeps the loop over every power (1-A)^i, where log_m reduces mod
+    the characteristic polynomial: the test reads the entry valuations of
+    each power, which a remainder does not carry.  ValueError past
+    MAX_LOG_TERMS terms."""
     _check_order(A.p, m)
     p, N, d = A.p, A.prec, A.d
     mod = p ** N
     one_minus = msub(mident(d), A.mat, mod)
-    if c >= 0 and entry_valuation(one_minus, p, N):
-        if m - c > N:
-            raise PrecisionError("budget too small to decide boundedness")
-        return True
     power = mident(d)
     for i in range(1, p ** m + 1):
         power = mmul(power, one_minus, mod)

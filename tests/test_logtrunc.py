@@ -222,60 +222,6 @@ def test_is_bounded():
     assert is_bounded(A, 1, 1)
 
 
-def is_bounded_by_powers(A, m, c):
-    """Reference for is_bounded: the loop over every power (1-A)^i,
-    i <= p^m, reading each power's entry valuations."""
-    p, N, d = A.p, A.prec, A.d
-    mod = p ** N
-    one_minus = msub(mident(d), A.mat, mod)
-    power = mident(d)
-    for i in range(1, p ** m + 1):
-        power = mmul(power, one_minus, mod)
-        need = vp(i, p) - c
-        if need <= 0:
-            continue
-        if need > N:
-            raise PrecisionError("budget too small to decide boundedness")
-        if entry_valuation(power, p, N) < need:
-            return False
-    return True
-
-
-def _bounded_or_refused(fn, A, m, c):
-    try:
-        return fn(A, m, c)
-    except PrecisionError as e:
-        return str(e)
-
-
-def test_is_bounded_matches_the_power_loop():
-    """600 seeded draws, p in {3, 5, 7}, N <= 5, d <= 3, c from -2 to 2,
-    A uniform or I + p^e R (e from 1 to N, where no power is formed
-    for c >= 0), and the boundary m - c = N (decided) and m - c = N + 1
-    (refused) at 1 - A = 0 mod p and at A = I: the same answer or the
-    same PrecisionError."""
-    rng = random.Random(2033)
-    cases = []
-    for _ in range(600):
-        p, N, d = rng.choice([3, 5, 7]), rng.randint(1, 5), rng.randint(1, 3)
-        e = rng.choice([0, rng.randint(1, N)])
-        R = [[rng.randrange(p ** N) for _ in range(d)] for _ in range(d)]
-        mat = [[(i == j) + p ** e * R[i][j] for j in range(d)] for i in range(d)]
-        cases.append((BoundedOp.of(p, N, mat), rng.randint(0, {3: 6, 5: 4, 7: 3}[p]),
-                      rng.randint(-2, 2)))
-    for p, N, c in [(3, 3, 0), (3, 4, 1), (5, 2, 0), (5, 1, 2), (7, 1, 1)]:
-        for mat in ([[1 + p, p], [0, 1]], [[1]]):
-            cases += [(BoundedOp.of(p, N, mat), N + c, c), (BoundedOp.of(p, N, mat), N + c + 1, c)]
-    outcomes = set()
-    for A, m, c in cases:
-        got = _bounded_or_refused(is_bounded, A, m, c)
-        assert got == _bounded_or_refused(is_bounded_by_powers, A, m, c), (A, m, c)
-        outcomes.add(got)
-        if c >= 0 and entry_valuation(msub(mident(A.d), A.mat, A.p ** A.prec), A.p, A.prec):
-            assert got is True if m - c <= A.prec else isinstance(got, str)
-    assert outcomes == {True, False, "budget too small to decide boundedness"}
-
-
 def test_log_exp_round_trip():
     A = BoundedOp.of(3, 5, [[1, 3], [0, 1]])
     lg = log_full(A)
