@@ -7,7 +7,9 @@ precision examples, of `series solvev` at p = 5, on lattices too
 coarse for the solution (precisions off the lattice) and in a field
 too small, of two answers the perturbation oracles mended, of the two
 Witt-vector suites at their default trials over three seeds, and of
-three log_m commands whose 1 - A vanishes mod p.  A change that alters
+three log_m commands whose 1 - A vanishes mod p, and of four galois
+commands through gf's two-byte digits, an embedding and the solutions
+of x^p - a x = b over an extension.  A change that alters
 any of them on purpose regenerates the file with
 `python tests/test_cli_pinned.py` and says why.
 """
@@ -68,10 +70,19 @@ LOGM_CUT = [
     'logm value --p 3 --N 9 --matrix "10,9,0;0,1,18;9,0,28" --m 3',
     "suite logm --p 5 --m 3 --trials 20 --seed 3",
 ]
+# gf's wider paths: two-byte digits in fp_reduce and in a Kronecker
+# folding (p = 17 and 23), an embedding into F_(5^12), and the solutions
+# of x^p - a x = b over an extension
+GF_PATHS = [
+    "galois solve --p 17 --q 17 --matrix 3 --M 8",
+    "galois rank1 --p 23 --c 5 --a 1 --M 6",
+    'galois solve --p 5 --q 125 --matrix "7,1;0,3" --M 6',
+    "galois rank1 --p 3 --q 9 --a 1 --c 5",
+]
 WITT_SUITES = [f"suite {name} --seed {seed}"
                for name in ("existv", "incwitt") for seed in (1, 2, 9)]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION + SOLVEV + ORACLES + LOGM_CUT + WITT_SUITES
+    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES
 
 
 def run(command):
