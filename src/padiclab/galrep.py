@@ -157,7 +157,7 @@ def _trace_map(G0inv, ext):
     d, f, n, p = len(G0inv), base.fp_degree, ext.fp_degree, ext.p
     one = matrix.scalar(d, base.one, base.zero)
     v = gf.fp_width(d * f * (p - 1) ** 2)
-    step = _frobenius_columns(one, base.right_columns(base.digits(G0inv), d, v), base, v)
+    step = _frobenius_columns(one, base.right_columns(base.digits(G0inv), v), base, v)
     inverses = [base.digits(one)]
     for _ in range(n - 1):
         inverses.append(gf.fp_unpack(gf.fp_combine(inverses[-1], step), d * d * f, v, p))
@@ -210,9 +210,9 @@ def _trivialisation(G, G0, G0inv, prec) -> list:
     Gj = _coefficients(G, prec)
     Gj.pop(0, None)
     w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
-    inv = base.right_columns(base.digits(G0inv), d, w)
+    inv = base.right_columns(base.digits(G0inv), w)
     maps = [(j, base.right_columns(gf.fp_unpack(gf.fp_combine([-c % p for c in Gm], inv),
-                                                n, w, p), d, w))
+                                                n, w, p), w))
             for j, Gm in Gj.items()]
     frob = _frobenius_columns(G0, inv, base, w) if p < prec else None
     Q = [base.digits(matrix.scalar(d, 1, 0))]
@@ -260,7 +260,7 @@ def _check_solutions(G, G0e, Q, residues, prec):
     n = d * d * f
     Gj = _coefficients(G, prec)
     w = gf.fp_width(d * f * (p - 1) ** 2 * (len(Gj) + d))
-    maps = [(j, base.right_columns(Gm, d, w)) for j, Gm in Gj.items()]
+    maps = [(j, base.right_columns(Gm, w)) for j, Gm in Gj.items()]
     minus_G0 = [[-a for a in row] for row in _residue_matrix(G)]
     identity = [1 << 8 * w * k for k in range(n)]     # X -> X I
     frob = _frobenius_columns(minus_G0, identity, base, w)

@@ -11,32 +11,33 @@ kernels _mulmod and _invmod, shared by GF and the modulus search.
 From degree 2 on, a product is one Kronecker substitution: both
 operands packed as below, one int product, and its top d - 1 digits,
 reduced, folded back onto the low d through the packed columns of
-x^d ... x^(2d-2) mod m, built once per modulus (_folding).
+x^d ... x^(2d-2) mod m, the folding each field builds once (_folding).
 
 An F_p vector packs into one int, a w-byte digit per entry (fp_pack),
 w a power of two (fp_width): an F_p-combination of packed vectors, such
 as the image sum a_i col_i of a map with packed columns (fp_combine), is
 then a few int multiply-adds, exact while no digit sum reaches 256^w,
 and fp_unpack reads the digits back reduced mod p: bytes.translate at
-w = 1, struct words at w = 2, 4 and 8 (fp_reduce translates the two
-byte planes of two-byte digits), one by one above.  Every F_p-linear
-map is stored so, as packed columns acting on digits (a matrix's are
+w = 1, struct words at w = 2, 4 and 8, one by one above (fp_reduce
+reduces in place, by one translate at w = 1).  Every F_p-linear map is
+stored so, as packed columns acting on digits (a matrix's are
 GF.digits', read back by entry by GF.entries; a series' are
 series.TruncSeries'): the Frobenius x -> x^p, one column
 set whose powers give sigma^k at any k (frob_p), each registered
 embedding F_q -> F_(q^s) (coerce), and each right multiplication
-X -> X H of matrices over the field (right_columns, from
+X -> X H of square matrices over the field (right_columns, from
 shift-and-reduce columns built once per distinct entry of H).  The
 last gives the order of a matrix, one packed sum a power
-(matrix_order), and with sigma the rows of x -> x^p - x A on F^d
-(frobenius_minus): x^p - a x = b, which covers the (p-1)-st roots
-y^(p-1) = c as y^p = c y, is one fp_solve and one fp_kernel on its
-d = 1 rows (frobenius_solutions), so no field is enumerated to solve
-one.  fp_rref row-reduces rows packed with w = fp_width(p (p-1)), a
-row operation one multiply-add and one fp_reduce.  The same packing
-multiplies series over Zmod or a prime field by Kronecker substitution
-(series.TruncSeries.__mul__).  The field of each (p, f) is built once,
-up to order MAX_ORDER (field).
+(matrix_order).  One builder gives the int rows over F_p of
+x -> x^(p^k) - a x (_frobenius_rows): their kernel at k = f, a = 1 is
+the subfield of order p^f (register_embedding), and x^p - a x = b,
+which covers the (p-1)-st roots y^(p-1) = c as y^p = c y, is one
+fp_solve and one fp_kernel on them at k = 1 (frobenius_solutions), so
+no field is enumerated to solve one.  fp_rref row-reduces rows packed
+with w = fp_width(p (p-1)), a row operation one multiply-add and one
+fp_reduce.  The same packing multiplies series over Zmod or a prime
+field by Kronecker substitution (series.TruncSeries.__mul__).  The
+field of each (p, f) is built once, up to order MAX_ORDER (field).
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ from .errors import ExtensionCapExceeded
 from .padic import check_odd_prime, power
 
 
-def _mulmod(u, v, mod, p):
-    """u v in F_p[x]/(x^d + mod(x)), d = len(u); coefficient tuples,
-    low degree first, mod the d non-leading coefficients (None at d = 1);
+def _mulmod(u, v, fold, p):
+    """u v in F_p[x]/(m), d = len(u), m monic of degree d; coefficient
+    tuples, low degree first, fold m's folding (_folding; None at d = 1);
     from degree 2 on by Kronecker substitution (module docstring)."""
     d = len(u)
     if d == 1:
         return ((u[0] * v[0]) % p,)
-    w, reduce_low, cols = _folding(mod, p)
+    w, reduce_low, cols = fold
     shift = 8 * w * d
     prod = fp_pack(u, w) * fp_pack(v, w)
     low = prod & (1 << shift) - 1
@@ -67,16 +68,15 @@ def _mulmod(u, v, mod, p):
     return fp_unpack(low + fp_combine(fp_unpack(prod >> shift, d - 1, w, p), cols), d, w, p)
 
 
-@functools.lru_cache(maxsize=16)
 def _folding(mod, p):
     """(w, reduce_low, cols) for Kronecker products mod x^d + mod(x) over
     F_p: a digit of the product sums at most d (p-1)^2 < 256^w, and the
     fold adds at most (d-1) (p-1)^2 to a low digit.  Where that sum could
     carry, one-byte digits are reduced first (reduce_low: one translate),
-    wider ones widened (struct words cost less than fp_reduce's two byte
-    planes).  cols packs x^d ... x^(2d-2) mod the modulus, each x times
-    the one before by one shift and one reduce.  A few moduli are kept:
-    the modulus search tries one per candidate."""
+    wider ones widened (cheaper than fp_reduce's unpack and pack there).
+    cols packs x^d ... x^(2d-2) mod the modulus, each x times the one
+    before by one shift and one reduce.  Each GF builds its own once, and
+    the modulus search one per candidate."""
     d, bound = len(mod), (2 * len(mod) - 1) * (p - 1) ** 2
     w = fp_width(d * (p - 1) ** 2)
     w = w if w == 1 else fp_width(bound)
@@ -149,7 +149,7 @@ class FFElt:
             return FFElt(f, tuple(a * other % f.p for a in self.coeffs))
         if not isinstance(other, FFElt) or other.field is not f:
             return NotImplemented
-        return FFElt(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
+        return FFElt(f, _mulmod(self.coeffs, other.coeffs, f._fold, f.p))
 
     __rmul__ = __mul__
 
@@ -197,6 +197,7 @@ class GF:
         self.fp_degree = degree
         self.order = p ** degree
         self.modulus = None if degree == 1 else _find_modulus_prime(p, degree)
+        self._fold = None if degree == 1 else _folding(self.modulus, p)
         self.zero = FFElt(self, (0,) * degree)
         self.one = FFElt(self, (1,) + (0,) * (degree - 1))
         self.tag = f"F{self.order}"
@@ -290,9 +291,7 @@ class GF:
         p, n, f = self.p, self.fp_degree, small.fp_degree
         if n % f:
             raise ValueError("no embedding: degree does not divide")
-        images = self._powers(self.frob_p(self.gen, f), n)  # Frob^f - 1: x^j -> images[j] - x^j
-        basis = fp_kernel([[v.coeffs[i] - (i == j) for j, v in enumerate(images)]
-                           for i in range(n)], p)
+        basis = fp_kernel(self._frobenius_rows(f, 1), p)
         if len(basis) != f:
             raise RuntimeError("subfield has wrong dimension")  # impossible
         for codes in product(range(p), repeat=f):
@@ -329,8 +328,8 @@ class GF:
         d = math.isqrt(len(D) // f)
         return [[D[e:e + f] for e in range(r, r + d * f, f)] for r in range(0, d * d * f, d * f)]
 
-    def right_columns(self, H, rows: int, w: int) -> list:
-        """X -> X H on rows x d matrices, H d x d by its digits (GF.digits),
+    def right_columns(self, H, w: int) -> list:
+        """X -> X H on d x d matrices, H d x d by its digits (GF.digits),
         as packed columns of w-byte digits below p, one per digit of X:
         x^t in entry (i, k) goes to row i as x^t H[k][l], l < d, by
         _times_columns, once per distinct entry."""
@@ -339,7 +338,7 @@ class GF:
         d, f = len(prods), self.fp_degree
         cols = [fp_pack([c for l in range(d) for c in prods[k][l][t]], w)
                 for k in range(d) for t in range(f)]
-        return [col << 8 * w * d * f * i for i in range(rows) for col in cols]
+        return [col << 8 * w * d * f * i for i in range(d) for col in cols]
 
     def matrix_order(self, A, bound: int):
         """The least k <= bound with A^k = I, or None, A a d x d matrix over
@@ -350,32 +349,30 @@ class GF:
         d, f, p = len(A), self.fp_degree, self.p
         power, ident = self.digits(A), self.digits(scalar(d, 1, 0))
         n, w = d * d * f, fp_width(d * f * (p - 1) ** 2)
-        times = self.right_columns(power, d, w)
+        times = self.right_columns(power, w)
         for k in range(1, bound + 1):
             if power == ident:
                 return k
             power = fp_unpack(fp_combine(power, times), n, w, p)
         return None
 
-    def frobenius_minus(self, A) -> list:
-        """x -> x^p - x A on F^d, A a d x d matrix over this field, as int
-        rows over F_p: column (j, k), the image of x^k in slot j, is
-        sigma's column of x^k in slot j plus (p - 1) times the column of
-        X -> X A at one row (right_columns).  A digit sums at most p (p-1)
-        < 256^w, as 256^w, a square above (p-1)^2, is at least p^2."""
-        d, m, p, w = len(A), self.fp_degree, self.p, self._w
-        right = self.right_columns(self.digits(A), 1, w)
-        cols = [fp_unpack((frob << 8 * w * m * j) + (p - 1) * right[j * m + k], d * m, w, p)
-                for j in range(d) for k, frob in enumerate(self._frob_cols)]
-        return [list(r) for r in zip(*cols)]
+    def _frobenius_rows(self, k: int, a) -> list:
+        """x -> x^(p^k) - a x on this field, a coerced into it, as int rows
+        over F_p: column j, the image of x^j, is sigma^k(x)^j less x^j a
+        (_times_columns)."""
+        n, p = self.fp_degree, self.p
+        images = self._powers(self.frob_p(self.gen, k), n)
+        times = self._times_columns(self.coerce(a).coeffs)
+        return [[(y.coeffs[i] - t[i]) % p for y, t in zip(images, times)] for i in range(n)]
 
-    def frobenius_solutions(self, a: FFElt, b: FFElt | None = None) -> list:
-        """Every x with x^p - a x = b (b = 0 by default), least code first.
-        The map is F_p-linear, so they are one solution plus its kernel,
-        of dimension at most 1 as x^p - a x has degree p: at most p
-        solutions.  For b = 0 the nonzero ones are the y with y^(p-1) = a."""
-        rows = self.frobenius_minus([[a]])
-        x0 = fp_solve(rows, (self.zero if b is None else b).coeffs, self.p)
+    def frobenius_solutions(self, a, b=0) -> list:
+        """Every x with x^p - a x = b (b = 0 by default), least code first;
+        a and b are coerced into this field.  The map is F_p-linear, so
+        they are one solution plus its kernel, of dimension at most 1 as
+        x^p - a x has degree p: at most p solutions.  For b = 0 the
+        nonzero ones are the y with y^(p-1) = a."""
+        rows = self._frobenius_rows(1, a)
+        x0 = fp_solve(rows, self.coerce(b).coeffs, self.p)
         if x0 is None:
             return []
         sols = [x0] + [[u + t * v for u, v in zip(x0, k)]
@@ -401,8 +398,9 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
             continue                      # x divides it
         mod = _base_p(code, p, s)
         g = x
+        fold = _folding(mod, p)
         for _ in range(s // 2):
-            g = power(g, p, lambda u, v: _mulmod(u, v, mod, p), one)      # g^p mod f
+            g = power(g, p, lambda u, v: _mulmod(u, v, fold, p), one)     # g^p mod f
             try:
                 _invmod(tuple((a - b) % p for a, b in zip(g, x)), mod, p)
             except ZeroDivisionError:
@@ -466,12 +464,11 @@ def fp_combine(digits, cols) -> int:
 
 
 @functools.cache
-def _mod_table(p: int, scale: int = 1) -> bytes:
-    """Each byte value times scale, reduced mod p, for bytes.translate."""
-    return bytes(b * scale % p for b in range(256))
+def _mod_table(p: int) -> bytes:
+    """Each byte value reduced mod p, for bytes.translate."""
+    return bytes(b % p for b in range(256))
 
 
-_TOP_BIT = bytes(b >> 7 for b in range(256))
 _WORDS = {2: "H", 4: "I", 8: "Q"}   # struct codes of little-endian machine-word digits
 
 
@@ -486,22 +483,10 @@ def fp_unpack(acc: int, n: int, w: int, p: int) -> tuple:
 
 
 def fp_reduce(acc: int, n: int, w: int, p: int) -> int:
-    """acc with each of its n w-byte digits reduced mod p.  A two-byte
-    digit lo + 256 hi is congruent to s = (lo mod p) + (256 hi mod p),
-    each term one translate of its byte plane; s < 2p < 2^15, so bit 15
-    of s + 2^15 - p flags the digits where s - p is the residue.  Wider
-    digits (4 or 8 bytes from fp_width) go through struct as machine words."""
+    """acc with each of its n w-byte digits reduced mod p: one translate
+    of its bytes at w = 1, fp_unpack and fp_pack at any wider w."""
     if w == 1:
         return int.from_bytes(acc.to_bytes(n, "little").translate(_mod_table(p)), "little")
-    if w == 2:
-        raw, plane = acc.to_bytes(2 * n, "little"), bytearray(2 * n)
-        plane[0::2] = raw[0::2].translate(_mod_table(p))
-        s = int.from_bytes(plane, "little")
-        plane[0::2] = raw[1::2].translate(_mod_table(p, 256))
-        s += int.from_bytes(plane, "little")
-        bias = int.from_bytes((2 ** 15 - p).to_bytes(2, "little") * n, "little")
-        plane[0::2] = (s + bias).to_bytes(2 * n, "little")[1::2].translate(_TOP_BIT)
-        return s - p * int.from_bytes(plane, "little")
     return fp_pack(fp_unpack(acc, n, w, p), w)
 
 
@@ -554,9 +539,10 @@ def fp_kernel(rows, p: int) -> list:
 
 
 def fp_solve(rows, rhs, p: int):
-    """One solution x of rows x = rhs over F_p (an int list), or None."""
+    """One solution x of rows x = rhs over F_p (an int list), or None;
+    ValueError unless rhs has one entry per row."""
     cols = len(rows[0])
-    m, pivots = fp_rref([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    m, pivots = fp_rref([list(row) + [b] for row, b in zip(rows, rhs, strict=True)], p)
     if cols in pivots:
         return None
     x = [0] * cols

@@ -16,6 +16,7 @@ from padiclab.galrep import (charpoly_mod_p, frobenius_action, solve_rank1,
 from padiclab.padic import binomials_mod_p
 from padiclab.rings import FFRing
 from padiclab.series import TruncSeries
+from test_modp_fast_paths import reference_frobenius_minus
 
 F3 = gf.field(3)
 R3 = FFRing(F3)
@@ -427,12 +428,14 @@ def test_kernel_on_reversed_columns_is_the_greedy_basis(p, data):
 # against its former solve per basis vector ---
 
 def _residues_by_elimination(G0e, ext):
-    """The kernel of sigma - (. G0) (gf.GF.frobenius_minus) by fp_kernel,
-    its columns least significant first: the residue basis least in code
+    """The kernel of sigma - (. G0) (the column loops of
+    test_modp_fast_paths.reference_frobenius_minus) by fp_kernel, its
+    columns least significant first: the residue basis least in code
     order."""
     d, m = len(G0e), ext.fp_degree
     blocks = range((d - 1) * m, -1, -m)
-    rows = [[c for j in blocks for c in row[j:j + m]] for row in ext.frobenius_minus(G0e)]
+    rows = [[c for j in blocks for c in row[j:j + m]]
+            for row in reference_frobenius_minus(ext, G0e)]
     return [[ext.from_fp(v[j:j + m]) for j in reversed(range(0, d * m, m))]
             for v in gf.fp_kernel(rows, ext.p)]
 
@@ -770,11 +773,11 @@ def _series_data(vecs):
 @PACKED_SETTINGS
 @given(data=st.data())
 def test_packed_residue_operator_matches_the_products(p, data):
-    _, ext, d, rng = data.draw(packed_fields(p))
-    pool = [ext.zero, ext.one] + [ext.random(rng) for _ in range(3)]   # repeated entries too
-    G0e = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
-    got = [[a % p for a in row] for row in ext.frobenius_minus(G0e)]
-    assert got == _operator_by_products(G0e, ext)
+    """The rows of x -> x^p - a x (gf.GF._frobenius_rows at k = 1) against
+    one product per column, a zero, one or random."""
+    _, ext, _, rng = data.draw(packed_fields(p))
+    a = rng.choice([ext.zero, ext.one, ext.random(rng)])
+    assert ext._frobenius_rows(1, a) == _operator_by_products([[a]], ext)
 
 
 @PACKED_P

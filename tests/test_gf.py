@@ -72,6 +72,24 @@ def test_fp_linear_algebra():
     M = [[1, 1], [0, 1]]
     x = gf.fp_solve(M, [0, 2], 3)
     assert x is not None and [(x[0] + x[1]) % 3, x[1] % 3] == [0, 2]
+    for rhs in ([0], [0, 2, 1]):
+        with pytest.raises(ValueError):
+            gf.fp_solve(M, rhs, 3)
+
+
+def test_frobenius_solutions_coerce_a_and_b():
+    """x^3 - a x = b over F_9 with b an element of F_9, of F_3 or an int,
+    and a of F_9, of F_3 or an int: one list, the enumerated solutions.
+    A b from F_3 once lost one of the two rows of the solve."""
+    F3, F9 = gf.field(3), gf.field(3, 2)
+    for code, k in product(range(9), range(3)):
+        a = F9.from_code(code)
+        want = [x for x in F9.elements() if x ** 3 - a * x == k]
+        assert F9.frobenius_solutions(a, F9.el(k)) == want
+        assert F9.frobenius_solutions(a, F3.el(k)) == F9.frobenius_solutions(a, k) == want
+        if code < 3:
+            assert F9.frobenius_solutions(F3.el(code), k) == F9.frobenius_solutions(code, k) == want
+    assert F9.frobenius_solutions(F9.from_code(4), F3.el(1))
 
 
 def _from_code_loop(F, code):
@@ -247,12 +265,10 @@ def test_packed_embedding_matches_the_coerce_loop(pfs, data):
        st.sampled_from([1, 2, 3, 4, 8]), st.integers(0, 12), st.data())
 def test_codec_round_trips_at_one_and_two_bytes(p, w, n, data):
     """fp_pack puts entry i at digit i, fp_unpack reads the digits back
-    reduced mod p, and fp_reduce reduces them in place: by translated
-    byte planes at w = 1 and 2 (fp_reduce), through little-endian machine
-    words at w = 2, 4 and 8, and digit by digit at any other width or
-    with no words, the path the words must agree with.  The
-    byte planes hold residues only for p < 256, and fp_width never gives
-    one or two bytes for larger p."""
+    reduced mod p, and fp_reduce reduces them in place: by one translate
+    at w = 1, through little-endian machine words at w = 2, 4 and 8, and
+    digit by digit at any other width or with no words, the path the
+    words must agree with."""
     vec = data.draw(st.lists(st.integers(0, 256 ** w - 1), min_size=n, max_size=n))
     for words in (gf._WORDS, {}):
         with mock.patch.object(gf, "_WORDS", words):
@@ -260,8 +276,7 @@ def test_codec_round_trips_at_one_and_two_bytes(p, w, n, data):
             assert [acc >> 8 * w * i & (256 ** w - 1) for i in range(n)] == vec
             assert acc < 256 ** (w * n)
             assert gf.fp_unpack(acc, n, w, p) == tuple(a % p for a in vec)
-            if p < 256 or w > 2:
-                assert gf.fp_reduce(acc, n, w, p) == gf.fp_pack([a % p for a in vec], w)
+            assert gf.fp_reduce(acc, n, w, p) == gf.fp_pack([a % p for a in vec], w)
 
 
 def test_widths_are_powers_of_two():
@@ -276,9 +291,8 @@ def test_widths_are_powers_of_two():
 
 @pytest.mark.parametrize("p", [3, 17, 127, 131, 251])
 def test_two_byte_reduction_on_every_digit_value(p):
-    """Every two-byte digit value, for p on both sides of 128, where the
-    sum of the two reduced byte planes stops fitting one byte, up to 251,
-    the largest p with two-byte digits."""
+    """Every two-byte digit value, for p on both sides of 128 up to 251,
+    the largest p whose digit sums fp_width gives two bytes."""
     vec = list(range(256 ** 2))
     assert gf.fp_reduce(gf.fp_pack(vec, 2), len(vec), 2, p) == gf.fp_pack([a % p for a in vec], 2)
 
@@ -409,8 +423,9 @@ def test_products_match_the_schoolbook(p):
             pairs = [((p - 1,) * d, (p - 1,) * d)]
             pairs += [tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in "uv")
                       for _ in range(12)]
+            fold = gf._folding(mod, p) if d > 1 else None
             for u, v in pairs:
-                assert gf._mulmod(u, v, mod, p) == _mulmod_schoolbook(u, v, mod, p), (d, mod)
+                assert gf._mulmod(u, v, fold, p) == _mulmod_schoolbook(u, v, mod, p), (d, mod)
     if p == 3:
         assert {gf._folding((0,) * d, 3)[:2] for d in (2, 52)} == {(1, False), (1, True)}
     if p == 101:
@@ -428,6 +443,20 @@ def test_field_products_match_the_schoolbook():
             assert (a * b).coeffs == _mulmod_schoolbook(a.coeffs, b.coeffs, F.modulus, F.p)
         top = F.gen ** (d - 1)
         assert (top * top).coeffs == _mulmod_schoolbook(top.coeffs, top.coeffs, F.modulus, F.p)
+
+
+def test_each_field_holds_its_own_folding():
+    """Products taken in turn in F_(3^k), k = 2 .. 21, more fields than
+    any few kept foldings would hold: each field's folding is its own
+    modulus', and every product the schoolbook's."""
+    fields = [gf.field(3, k) for k in range(2, 22)]
+    for F in fields:
+        assert F._fold == gf._folding(F.modulus, F.p)
+    rng = random.Random(21)
+    for _ in range(5):
+        for F in fields:
+            a, b = F.random(rng), F.random(rng)
+            assert (a * b).coeffs == _mulmod_schoolbook(a.coeffs, b.coeffs, F.modulus, F.p)
 
 
 def _poly_mul(u, v, p):
@@ -451,7 +480,7 @@ def test_inverses_invert_and_common_factors_are_refused(p):
         xs = [(1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * (d - 1) + (1,),
               (p - 1,) * d] + [F.random_nonzero(rng).coeffs for _ in range(6)]
         for x in xs:
-            assert gf._mulmod(x, gf._invmod(x, F.modulus, p), F.modulus, p) == F.one.coeffs
+            assert gf._mulmod(x, gf._invmod(x, F.modulus, p), F._fold, p) == F.one.coeffs
         for _ in range(4):
             a = rng.randrange(p)
             mod = tuple(_poly_mul([a, 1], [rng.randrange(p) for _ in range(d - 1)] + [1], p)[:d])

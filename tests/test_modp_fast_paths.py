@@ -10,9 +10,11 @@ kernel's dict sum, a difference being the sum with the negated series.
 gf.GF.matrix_order finds the order of a matrix on packed digits, and
 galrep._splitting_degree through it; the reference is the power loop on
 FFElt matrices that matrix.order was, with the same bound and the same
-two refusals.  gf.GF.frobenius_minus builds its rows from sigma's packed
-columns and gf.GF.right_columns; the reference is the column loops it
-had, equal mod p.  Over F_3, F_9, F_27 and F_(3^26).
+two refusals.  gf.GF._frobenius_rows builds the rows of
+x -> x^(p^k) - a x from the powers of sigma^k(x) and the
+multiplication columns of a; the reference is the column loops of
+x -> x^p - x A on F^d, and sigma^k applied to each x^j.  Over F_3, F_9,
+F_27 and F_(3^26).
 """
 
 import functools
@@ -71,6 +73,15 @@ def reference_frobenius_minus(F, A) -> list:
         prods = [times(a) for a in row]
         cols += [[a * (i == j) - b for i, Mi in enumerate(prods)
                   for a, b in zip(frob[k], Mi[k])] for k in range(m)]
+    return [list(r) for r in zip(*cols)]
+
+
+def reference_rows_of_sigma_k_minus_one(F, k) -> list:
+    """x -> x^(p^k) - x as int rows over F_p, unreduced: column j is
+    sigma^k(x^j) less x^j."""
+    n = F.fp_degree
+    cols = [[a - (i == j) for i, a in enumerate(F.frob_p(F.gen ** j, k).coeffs)]
+            for j in range(n)]
     return [list(r) for r in zip(*cols)]
 
 
@@ -277,17 +288,21 @@ def test_matrix_order_matches_the_power_loop(F, d, seed, kind):
 
 @settings(max_examples=100)
 @given(st.sampled_from(FIELDS + [gf.field(17), gf.field(17, 2), gf.field(5, 3)]),
-       st.integers(1, 3), st.integers(0, 2 ** 32))
-def test_frobenius_minus_matches_the_column_loops(F, d, seed):
-    """Entries drawn from a pool of five, zero and one among them, so
-    that repeated entries share their multiplication columns."""
+       st.integers(0, 2 ** 32))
+def test_frobenius_minus_matches_the_column_loops(F, seed):
+    """_frobenius_rows at k = 1 (frobenius_solutions) against the column
+    loops at d = 1, a zero, one or random, and at k = f, a = 1
+    (register_embedding), f a divisor of the degree, against sigma^f
+    applied to each x^j."""
     rng = random.Random(seed)
-    pool = [F.zero, F.one] + [F.random(rng) for _ in range(3)]
-    A = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
-    got = F.frobenius_minus(A)
-    ref = reference_frobenius_minus(F, A)
-    assert len(got) == len(ref) == d * F.fp_degree
-    assert [[a % F.p for a in row] for row in got] == [[a % F.p for a in row] for row in ref]
+    n = F.fp_degree
+    a = rng.choice([F.zero, F.one, F.random(rng)])
+    f = rng.choice([f for f in range(1, n + 1) if n % f == 0])
+    for (k, b), ref in [((1, a), reference_frobenius_minus(F, [[a]])),
+                        ((f, 1), reference_rows_of_sigma_k_minus_one(F, f))]:
+        got = F._frobenius_rows(k, b)
+        assert len(got) == len(ref) == n
+        assert got == [[c % F.p for c in row] for row in ref]
 
 
 @pytest.mark.parametrize("p", [13, 17])
