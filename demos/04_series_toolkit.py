@@ -9,10 +9,11 @@ Frobenius up to the factor p E(u)/E(0).
 
 from fractions import Fraction
 
+from padiclab.calculus import (EisensteinPoly, kisin_lambda, lambda_factor_count,
+                               lambda_residual, n_nabla, n_nabla_commutation_defect,
+                               newton_polygon, weierstrass)
 from padiclab.rings import QRing, Zmod
-from padiclab.series import (EisensteinPoly, TruncSeries, kisin_lambda,
-                             lambda_factor_count, lambda_residual, n_nabla,
-                             n_nabla_commutation_defect, newton_polygon, weierstrass)
+from padiclab.series import TruncSeries
 
 print("Newton polygon of x^2 + 3x + 3 (3-adic):",
       newton_polygon([(0, 1), (1, 1), (2, 0)]))

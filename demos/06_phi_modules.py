@@ -10,8 +10,9 @@ coordinate basis is not even phi-stable.
 import random
 
 from padiclab import gf, phimod
+from padiclab.calculus import EisensteinPoly
 from padiclab.rings import FFRing
-from padiclab.series import EisensteinPoly, TruncSeries
+from padiclab.series import TruncSeries
 
 M = 24
 R3 = FFRing(gf.field(3))

@@ -6,19 +6,26 @@ padic       truncated p-adic integers, log/exp, q-analogues
 gskel       the (cocycle, character) group model and its decompositions
 gf          finite fields and F_p-linear algebra
 witt        truncated Witt vectors, laws from ghost components
-series      truncated (Laurent) series, Newton polygons, Weierstrass
-            preparation, the operators lambda and N_nabla
+series      the truncated (Laurent) series kernel: sums, products,
+            inverses, packed digits
+calculus    Newton polygons, Weierstrass preparation, Eisenstein data,
+            the operators lambda and N_nabla, series as Witt coefficients
 perfseries  fractional-exponent series and the semilinear solvers
 phimod      etale phi-modules, lattices, heights
 galrep      the constructive mod-p functor and unramified round trips
 taumod      the two-variable Galois action and tau-commutation checks
 logtrunc    truncated operator logarithms and their congruences
 ramif       Herbrand transforms and explicit ramification bounds
-cli         batch command surface (JSON/CSV), property suites
+cli         batch command surface (JSON/CSV)
+suites      seeded property suites, run as ``padiclab suite <name>``
 
 Importing the package loads none of them: each submodule is imported on
 first use, as ``padiclab.galrep``, ``from padiclab import galrep`` or
-``from padiclab import *`` (PEP 562).  The package defines only record,
+``from padiclab import *`` (PEP 562).  So a ``padiclab`` process loads,
+and without a bytecode cache compiles, only cli and the modules its one
+subcommand runs: ``galois solve`` reads the series kernel and not its
+calculus, ``suite logm`` reads logtrunc and matrix and no other suite's
+modules.  The package defines only record,
 the result record of the CLI documents, and Fields and Frozen, the bases
 of the library's value classes.
 """
@@ -26,7 +33,7 @@ of the library's value classes.
 import importlib
 
 __all__ = [
-    "errors", "galrep", "gf", "gskel", "logtrunc", "padic",
+    "calculus", "errors", "galrep", "gf", "gskel", "logtrunc", "padic",
     "perfseries", "phimod", "ramif", "rings", "series", "taumod", "witt",
 ]
 

@@ -11,11 +11,14 @@ configuration errors, 1 when --strict is set and a result is
 indeterminate or failing, 3 when one of the library's self-checks fails
 (an internal defect, reported in one line on stderr).
 
-Start-up loads only what a subcommand runs: at import this module loads
-argparse, io and json from the standard library and errors and padic
-from the package, and each handler imports the rest of its modules when
-it is called.  WittVector, from_zmod, generate_laws and to_zmod, names
-of this module, load witt on first use (PEP 562).
+Start-up loads and builds only what a subcommand runs: at import this
+module loads argparse, io and json from the standard library and errors
+and padic from the package, and each handler imports the rest of its
+modules when it is called.  main builds the parser of the one
+subcommand its argv names (build_parser(argv)): all nine names, the
+arguments of that one; without argv, or when no subcommand can be read
+from it, every subcommand's.  WittVector, from_zmod, generate_laws and
+to_zmod, names of this module, load witt on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -115,6 +118,20 @@ def _parse_matrix(text: str, entry=int):
     return rows
 
 
+def _parse_pairs(text: str, flag: str, entry=int):
+    """The pairs "a,b;c,d;..." of --flag with each entry read by entry;
+    the one check of every pair list.  ValueError naming the flag and
+    the pair when one is not two entries."""
+    pairs = []
+    for pair in text.split(";"):
+        try:
+            a, b = map(entry, pair.split(","))
+        except ValueError:
+            raise ValueError(f"--{flag}: {pair!r} is not a pair a,b") from None
+        pairs.append((a, b))
+    return pairs
+
+
 # --- subcommand handlers -> list of result dicts ---
 
 
@@ -191,30 +208,29 @@ def _poly_str(poly, n):
 
 
 def _eisenstein(args, cfg):
-    from .series import EisensteinPoly
+    from .calculus import EisensteinPoly
     if args.E:
         return EisensteinPoly(cfg.p, _ints(args.E))
     return EisensteinPoly(cfg.p, tuple([cfg.p] + [0] * (cfg.e - 1) + [1]))
 
 
 def _cmd_series(args, cfg: RunConfig):
-    from fractions import Fraction
     from .rings import Zmod
-    from .series import TruncSeries, kisin_lambda, newton_polygon, weierstrass
+    from .series import TruncSeries
     p = cfg.p
     if args.op == "lambda":
-        E = _eisenstein(args, cfg)
-        lam = kisin_lambda(E, cfg.M)
-        res = [record(f"u^{k}", lam.coeffs.get(k, Fraction(0)),
+        from .calculus import kisin_lambda
+        lam = kisin_lambda(_eisenstein(args, cfg), cfg.M)
+        return [record(f"u^{k}", lam.coeffs.get(k, lam.ring.zero),
                        precision=f"O(u^{cfg.M})", anchor="lambda-series")
-               for k in range(min(cfg.M, 12))]
-        return res
+                for k in range(min(cfg.M, 12))]
     if args.op == "newton":
-        pts = [tuple(_ints(pair)) for pair in args.points.split(";")]
-        np_ = newton_polygon([(i, v) for i, v in pts])
+        from .calculus import newton_polygon
+        np_ = newton_polygon(_parse_pairs(args.points, "points"))
         return [record("newton", [[str(s), m] for s, m in np_],
                         anchor="newton-polygon")]
     if args.op == "weierstrass":
+        from .calculus import weierstrass
         ring = Zmod(p, cfg.n)
         f = TruncSeries(ring, dict(enumerate(_ints(args.coeffs))), cfg.M)
         unit, dist = weierstrass(f)
@@ -225,6 +241,7 @@ def _cmd_series(args, cfg: RunConfig):
                     precision=f"O(u^{unit.prec})", anchor="weierstrass"),
         ]
     if args.op == "solvev":
+        from fractions import Fraction
         from . import gf, perfseries
         U = TruncSeries(Zmod(p, cfg.n), dict(enumerate(_ints(args.coeffs))), cfg.M)
         field = gf.field(p)
@@ -300,7 +317,6 @@ def _field_code(field, code: int):
 
 
 def _cmd_galois(args, cfg: RunConfig):
-    from fractions import Fraction
     from . import galrep
     from .rings import module_ring
     from .series import TruncSeries
@@ -319,6 +335,7 @@ def _cmd_galois(args, cfg: RunConfig):
             record("charpoly", list(act.char_poly()), anchor="unramified-action"),
         ]
     if args.op == "rank1":
+        from fractions import Fraction
         S = galrep.solve_rank1(args.a, _field_code(field, args.c), field, prec=cfg.M)
         return [
             record("solutions", S.cardinality, anchor="rank1-solutions"),
@@ -375,8 +392,7 @@ def _cmd_ramif(args, cfg: RunConfig):
                         anchor="phi-kinf"),
                 record("final-slope", f.final_slope, anchor="phi-kinf")]
     if args.op == "herbrand":
-        jumps = [tuple(Fraction(t) for t in pair.split(","))
-                 for pair in args.jumps.split(";")]
+        jumps = _parse_pairs(args.jumps, "jumps", Fraction)
         f = ramif.herbrand_phi([(l, int(o)) for l, o in jumps])
         return [record("vertices", [[str(a), str(b)] for a, b in f.vertices],
                         anchor="herbrand"),
@@ -408,21 +424,7 @@ def _cmd_suite(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    shared.add_argument("--config", help="key=value config file; flags override")
-    shared.add_argument("--out", help="write the document to FILE instead of stdout")
-    shared.add_argument("--format", choices=("json", "csv"))
-    shared.add_argument("--strict", action="store_true",
-                        help="exit 1 on indeterminate or failing results")
-    for name in RunConfig._fields:
-        shared.add_argument(f"--{name}", type=int)
-    # no abbreviations at the top level, which read ramif's --s as --strict or --seed
-    top = argparse.ArgumentParser(prog="padiclab", parents=[shared], allow_abbrev=False,
-                                  description="exact p-adic semilinear algebra, batch mode")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("padic", parents=[shared])
+def _padic_args(sp):
     sp.add_argument("op", choices=["valuation", *PADIC_OPS])
     sp.add_argument("--x", type=int, default=0)
     sp.add_argument("--a", type=int, default=0)
@@ -431,21 +433,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chig", type=int, default=1)
     sp.set_defaults(func=_cmd_padic)
 
-    sp = sub.add_parser("witt", parents=[shared])
+
+def _witt_args(sp):
     sp.add_argument("op", choices=["laws", "add", "mul", "tozmod", "fromzmod"])
     sp.add_argument("--x", help="--wittlen F_p codes c0,c1,...; zero when omitted")
     sp.add_argument("--y", help="--wittlen F_p codes c0,c1,...; zero when omitted")
     sp.add_argument("--value", type=int, default=0)
     sp.set_defaults(func=_cmd_witt)
 
-    sp = sub.add_parser("series", parents=[shared])
+
+def _series_args(sp):
     sp.add_argument("op", choices=["lambda", "newton", "weierstrass", "solvev"])
     sp.add_argument("--E", default="", help="Eisenstein coefficients low..high")
     sp.add_argument("--points", default="", help="i,v;i,v;... pairs")
     sp.add_argument("--coeffs", default="0", help="series coefficients low..high")
     sp.set_defaults(func=_cmd_series)
 
-    sp = sub.add_parser("phimod", parents=[shared])
+
+def _phimod_args(sp):
     sp.add_argument("op", choices=["etale", "uheight", "heightdiv", "stabilize",
                                    "cyclotomic"])
     sp.add_argument("--matrix", default="1",
@@ -457,18 +462,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--E", default="")
     sp.set_defaults(func=_cmd_phimod)
 
-    sp = sub.add_parser("galois", parents=[shared])
+
+def _galois_args(sp):
     sp.add_argument("op", choices=["solve", "rank1"])
     sp.add_argument("--matrix", default="1", help="constant F_q matrix, codes")
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--c", type=int, default=1, help="nonzero F_q code")
     sp.set_defaults(func=_cmd_galois)
 
-    sp = sub.add_parser("tau", parents=[shared])
+
+def _tau_args(sp):
     sp.add_argument("op", choices=["order", "commutation"])
     sp.set_defaults(func=_cmd_tau)
 
-    sp = sub.add_parser("logm", parents=[shared])
+
+def _logm_args(sp):
     sp.add_argument("op", choices=["value", "bounded", "rdc"])
     sp.add_argument("--matrix", default="1")
     sp.add_argument("--m", type=int, default=1)
@@ -477,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--i", type=int, default=1)
     sp.set_defaults(func=_cmd_logm)
 
-    sp = sub.add_parser("ramif", parents=[shared])
+
+def _ramif_args(sp):
     sp.add_argument("op", choices=["bound-gk", "bound-ginf", "bound-sst",
                                    "bound-converse", "bound-tau", "gamma",
                                    "phi-kinf", "herbrand"])
@@ -492,11 +501,58 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jumps", default="1,3")
     sp.set_defaults(func=_cmd_ramif)
 
-    sp = sub.add_parser("suite", parents=[shared])
+
+def _suite_args(sp):
     sp.add_argument("name", choices=SUITE_NAMES)
     sp.add_argument("--m", type=int, default=None)
     sp.set_defaults(func=_cmd_suite)
 
+
+# each subcommand and the function that fills its parser, in --help order
+COMMANDS = {"padic": _padic_args, "witt": _witt_args, "series": _series_args,
+            "phimod": _phimod_args, "galois": _galois_args, "tau": _tau_args,
+            "logm": _logm_args, "ramif": _ramif_args, "suite": _suite_args}
+
+def _command(argv, valued):
+    """The subcommand that argv names, as argparse reads it: the first
+    word that is neither a flag nor the value of one of the top-level
+    flags valued, which take the next word unless written --flag=value.
+    None when there is no argv, or the word is no subcommand or follows --."""
+    words = iter(argv or ())
+    for word in words:
+        if word == "--":
+            return None
+        if not word.startswith("-"):
+            return word if word in COMMANDS else None
+        if word in valued:
+            next(words, None)
+    return None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given the argv of one
+    command, a parser that reads that argv alike and fills only the
+    subcommand it names: the other subparsers keep their names, so the
+    top-level help and errors are the same, and stay empty."""
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--config", help="key=value config file; flags override")
+    shared.add_argument("--out", help="write the document to FILE instead of stdout")
+    shared.add_argument("--format", choices=("json", "csv"))
+    shared.add_argument("--strict", action="store_true",
+                        help="exit 1 on indeterminate or failing results")
+    for name in RunConfig._fields:
+        shared.add_argument(f"--{name}", type=int)
+    # no abbreviations at the top level, which read ramif's --s as --strict or --seed
+    top = argparse.ArgumentParser(prog="padiclab", parents=[shared], allow_abbrev=False,
+                                  description="exact p-adic semilinear algebra, batch mode")
+    sub = top.add_subparsers(dest="command", required=True)
+    named = _command(argv, {opt for a in shared._actions if a.nargs != 0
+                            for opt in a.option_strings})
+    for name, fill in COMMANDS.items():
+        if named in (None, name):
+            fill(sub.add_parser(name, parents=[shared]))
+        else:
+            sub.add_parser(name, add_help=False)
     return top
 
 
@@ -520,8 +576,8 @@ def _emit(doc: dict, fmt: str, out: str | None) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     fmt = getattr(args, "format", "json")
     out = getattr(args, "out", None)
     strict = getattr(args, "strict", False)

@@ -358,12 +358,14 @@ class GF:
 
     def _frobenius_rows(self, k: int, a) -> list:
         """x -> x^(p^k) - a x on this field, a coerced into it, as int rows
-        over F_p: column j, the image of x^j, is sigma^k(x)^j less x^j a
-        (_times_columns)."""
+        over F_p: column j, the image of x^j, is sigma^k(x^j) less x^j a
+        (_times_columns), sigma^k(x^j) being sigma^(k-1) applied to column
+        j of sigma (_frob_cols), so no product at k = 1."""
         n, p = self.fp_degree, self.p
-        images = self._powers(self.frob_p(self.gen, k), n)
+        images = [self.frob_p(FFElt(self, fp_unpack(col, n, self._w, p)), k - 1).coeffs
+                  for col in self._frob_cols]
         times = self._times_columns(self.coerce(a).coeffs)
-        return [[(y.coeffs[i] - t[i]) % p for y, t in zip(images, times)] for i in range(n)]
+        return [[(y[i] - t[i]) % p for y, t in zip(images, times)] for i in range(n)]
 
     def frobenius_solutions(self, a, b=0) -> list:
         """Every x with x^p - a x = b (b = 0 by default), least code first;

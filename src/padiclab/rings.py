@@ -15,13 +15,12 @@ the p-torsion-free ghost oracle), QRing(p) (rationals with p-adic
 valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf,
 whose reduce makes each value an element of F, the digit tuple that
 series sums over F read) and, with series as coefficients,
-perfseries.PerfRing and series.TruncSeriesRing.  module_ring picks
-the coefficient ring of a phi-module over (p, q, n).
+perfseries.PerfRing and calculus.TruncSeriesRing.  module_ring picks
+the coefficient ring of a phi-module over (p, q, n).  QRing loads
+fractions when one is built, not when this module is imported.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .gf import GF, FFElt, field
 from .padic import degree, vp
@@ -97,18 +96,18 @@ class IntRing(OperatorRing):
 
 
 class QRing(OperatorRing):
-    """Rationals viewed inside Q_p."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
+    """Rationals viewed inside Q_p, as Fractions."""
 
     def __init__(self, p: int):
+        from fractions import Fraction
         self.p = p
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     def of_int(self, k):
-        return Fraction(k)
+        return self.one * k
 
-    def vp(self, a: Fraction):
+    def vp(self, a):
         if a == 0:
             return None
         return vp(a.numerator, self.p) - vp(a.denominator, self.p)

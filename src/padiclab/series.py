@@ -1,8 +1,9 @@
-"""Truncated (Laurent) series over Z/p^n, F_q, or Q, and the calculus
-on them: Frobenius, Newton polygons, Weierstrass preparation,
-Eisenstein data, the infinite-product solution of (E/E(0)) phi(f) = f,
-the derivation -u*lambda*d/du, and the membership test for the module
-of series sum P_n(u)/p^(n+1) u^(e(p^n-1)/(p-1)).
+"""The truncated series kernel: series in u over Z/p^n, F_q or Q, with
+their sums, products, inverses and packed digits.  Its calculus (Newton
+polygons, Weierstrass preparation, Eisenstein data, lambda, N_nabla and
+the series coefficient ring of Witt vectors) is padiclab.calculus, so a
+process that only multiplies series, as the mod-p functor does, loads
+neither that module nor fractions.
 
 Every series carries a precision: coefficients of u^k are tracked for
 k < prec and unknown beyond.  Products and inverses propagate precision
@@ -43,12 +44,11 @@ a lattice, pairs (i, j) truncated by total degree).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
+
 from . import gf
 from .errors import PrecisionError
-from .padic import ceil_logp
-from .rings import FFRing, OperatorRing, QRing, Zmod
+from .rings import FFRing, QRing, Zmod
 
 
 class SparseSeries:
@@ -431,97 +431,6 @@ def lift_mod_p(f: TruncSeries, target: Zmod) -> TruncSeries:
                        f.prec)
 
 
-# ---------------------------------------------------------------------------
-# Newton polygons
-
-
-def newton_polygon(points):
-    """Slopes of the Newton polygon of a polynomial, given as pairs
-    (index, valuation of coefficient), valuation None meaning +infinity.
-
-    Returns [(root valuation, multiplicity)] with valuations
-    nondecreasing; factors u^k (zero low coefficients) are stripped
-    first, consistent with reading off valuations of roots.
-    """
-    pts = [(i, v) for i, v in points if v is not None]
-    if not pts:
-        raise ValueError("zero polynomial")
-    pts.sort()
-    deg = max(i for i, _ in pts)
-    order = min(i for i, _ in pts)
-    # lower convex hull (Andrew monotone chain, exact rationals)
-    hull = []
-    for pt in pts:
-        x, y = Fraction(pt[0]), Fraction(pt[1])
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((x, y))
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        out.append((-slope, int(x2 - x1)))
-    out.reverse()  # root valuations in nondecreasing order
-    assert sum(m for _, m in out) == deg - order
-    return out
-
-
-def merge_polygons(np1, np2):
-    """Newton polygon of a product: concatenate and sort slopes."""
-    slopes = []
-    for s, m in np1 + np2:
-        slopes.extend([s] * m)
-    slopes.sort()
-    out = []
-    for s in slopes:
-        if out and out[-1][0] == s:
-            out[-1][1] += 1
-        else:
-            out.append([s, 1])
-    return [(s, m) for s, m in out]
-
-
-# ---------------------------------------------------------------------------
-# Weierstrass preparation over Z/p^n [[u]]
-
-
-def weierstrass(f: TruncSeries):
-    """Write f = unit * (u^d + p*(lower degree)) over Z/p^n[[u]].
-
-    d is the u-valuation of f mod p; fails if f = 0 mod p at this
-    truncation.  The factorization is exact at the truncation.  Every
-    lifting step spends precision, even one whose error is zero at its
-    precision: a truncated zero is not an exact zero.
-    """
-    ring = f.ring
-    if not isinstance(ring, Zmod):
-        raise ValueError("weierstrass preparation works over Z/p^n")
-    if any(e < 0 for e in f.coeffs):
-        raise ValueError("weierstrass preparation needs nonnegative exponents")
-    fbar = f.reduce_mod_p()
-    if fbar.is_zero():
-        raise ValueError("f = 0 mod p: Weierstrass degree undefined at truncation")
-    d = fbar.valuation()
-    ubar_inv = fbar.shift(-d)
-    unit = lift_mod_p(ubar_inv, ring)
-    dist = TruncSeries.monomial(ring, d, ring.one, f.prec)
-    ubar_inv_inv = ubar_inv.inverse()
-    for k in range(1, ring.n):
-        err = f - unit * dist
-        eps = _divide_out_p(err, k)
-        q = eps * ubar_inv_inv
-        dP = TruncSeries(q.ring, {e: c for e, c in q.coeffs.items() if e < d}, q.prec)
-        dU = TruncSeries(q.ring, {e - d: c for e, c in q.coeffs.items() if e >= d},
-                         q.prec - d) * ubar_inv
-        pk = ring.of_int(ring.p ** k)
-        dist = dist + lift_mod_p(dP, ring).scale(pk)
-        unit = unit + lift_mod_p(dU, ring).scale(pk)
-    return unit, dist
-
-
 def _divide_out_p(f: TruncSeries, k: int) -> TruncSeries:
     """(f / p^k) mod p for a Zmod series with all coefficients in p^k Z."""
     ring: Zmod = f.ring
@@ -533,163 +442,3 @@ def _divide_out_p(f: TruncSeries, k: int) -> TruncSeries:
             raise ArithmeticError("series not divisible by p^k")
         out[e] = target.of_int(c // q)
     return TruncSeries(target, out, f.prec)
-
-
-# ---------------------------------------------------------------------------
-# Eisenstein data and the operators lambda, N_nabla
-
-
-class EisensteinPoly:
-    """E(u) = u^e + p(...) with constant term p*c, c a p-adic unit.
-
-    Coefficients are exact integers (the W(F_p)-coefficient case, which
-    is all the desk needs).
-    """
-
-    def __init__(self, p: int, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) < 2:
-            raise ValueError("degree must be >= 1")
-        if coeffs[-1] != 1:
-            raise ValueError("E must be monic")
-        if any(c % p for c in coeffs[:-1]):
-            raise ValueError("non-leading coefficients must be divisible by p")
-        if (coeffs[0] // p) % p == 0:
-            raise ValueError("E(0)/p must be a unit")
-        self.p = p
-        self.coeffs = coeffs
-        self.e = len(coeffs) - 1
-
-    @property
-    def c_unit(self) -> int:
-        return self.coeffs[0] // self.p
-
-    def constant(self) -> int:
-        return self.coeffs[0]
-
-    def as_series(self, ring, prec) -> TruncSeries:
-        return TruncSeries.from_int_coeffs(ring, self.coeffs, prec)
-
-    def __repr__(self):
-        return f"Eisenstein(p={self.p}, coeffs={self.coeffs})"
-
-
-def lambda_factor_count(E: EisensteinPoly, M: int) -> int:
-    """Smallest K such that the K-factor partial product is exact to
-    O(u^M): factor k is 1 + O(u^(m p^k)), m the least j >= 1 with c_j != 0."""
-    m = next(j for j, c in enumerate(E.coeffs) if j and c)
-    return ceil_logp(Fraction(M, m), E.p)
-
-
-def kisin_lambda(E: EisensteinPoly, M: int) -> TruncSeries:
-    """The truncated product over k of phi^k(E(u)/E(0)), the fixed
-    point of f -> (E(u)/E(0)) phi(f) with constant term 1.
-
-    Coefficients are exact rationals with p-power denominators.
-    """
-    ring = QRing(E.p)
-    E0 = Fraction(E.constant())
-    acc = TruncSeries.one(ring, M)
-    for k in range(lambda_factor_count(E, M)):
-        q = E.p ** k
-        factor = TruncSeries(ring, {j * q: Fraction(cj) / E0
-                                    for j, cj in enumerate(E.coeffs)}, M)
-        acc = acc * factor
-    return acc.truncate(M)
-
-
-def lambda_residual(E: EisensteinPoly, lam: TruncSeries) -> TruncSeries:
-    """(E/p) phi(lam) - c*lam; zero at truncation iff lam solves the
-    defining equation (E/E(0)) phi(lam) = lam."""
-    ring = lam.ring
-    Eser = E.as_series(ring, lam.prec)
-    lhs = Eser * lam.frobenius()
-    lhs = TruncSeries(ring, {e: c / E.p for e, c in lhs.coeffs.items()}, lhs.prec)
-    rhs = lam.scale(Fraction(E.c_unit))
-    return (lhs - rhs).truncate(min(lam.prec, lhs.prec))
-
-
-def n_nabla(f: TruncSeries, E: EisensteinPoly, lam: TruncSeries | None = None) -> TruncSeries:
-    """The derivation -u * lambda * df/du.
-
-    Satisfies the Leibniz rule, and intertwines with Frobenius as
-    N(phi(f)) = p * (E/E(0)) * phi(N(f)) exactly at truncation.
-    """
-    if lam is None:
-        lam = kisin_lambda(E, f.prec)
-    df = f.derivative()
-    return -(df.shift(1) * lam)
-
-
-def n_nabla_commutation_defect(f: TruncSeries, E: EisensteinPoly,
-                               lam: TruncSeries | None = None) -> TruncSeries:
-    """N(phi(f)) - p (E/E(0)) phi(N(f)); identically zero at truncation."""
-    ring = f.ring
-    if lam is None:
-        lam = kisin_lambda(E, max(f.prec * E.p, f.prec))
-    lhs = n_nabla(f.frobenius(), E, lam)
-    nf = n_nabla(f, E, lam)
-    Eser = E.as_series(ring, lhs.prec)
-    rhs = Eser * nf.frobenius()
-    rhs = TruncSeries(ring, {e: c / E.c_unit for e, c in rhs.coeffs.items()}, rhs.prec)
-    return (lhs - rhs).truncate(min(lhs.prec, rhs.prec))
-
-
-def s_nabla_member(f: TruncSeries, e: int) -> bool:
-    """Membership in the module of series sum_n P_n(u)/p^(n+1) *
-    u^(e(p^n-1)/(p-1)): at exponent k the allowed p-denominator is
-    n(k) + 1 where n(k) = max { n >= 0 : e(p^n-1)/(p-1) <= k }."""
-    ring = f.ring
-    if not isinstance(ring, QRing):
-        raise ValueError("membership test expects exact rational coefficients")
-    p = ring.p
-    for k, c in f.coeffs.items():
-        v = ring.vp(c)
-        if v is None or v >= 0:
-            continue
-        if k < 0:
-            return False
-        nk = 0
-        while e * (p ** (nk + 1) - 1) // (p - 1) <= k:
-            nk += 1
-        if -v > nk + 1:
-            return False
-    return True
-
-
-class TruncSeriesRing(OperatorRing):
-    """Coefficient-ring adapter: Witt vectors over F_q[[u]]-truncations.
-
-    The Frobenius here is the imperfect one (coefficientwise p-th power
-    with u -> u^p); it is a ring map but not surjective, so p-th roots
-    of coordinates are generally unavailable, unlike the
-    fractional-exponent model.
-    """
-
-    char_p = True
-
-    def __init__(self, base: FFRing, prec: int):
-        self.base = base
-        self.p = base.p
-        self.prec = prec
-        self.zero = TruncSeries.zero(base, prec)
-        self.one = TruncSeries.one(base, prec)
-
-    def of_int(self, k):
-        return TruncSeries(self.base, {0: self.base.of_int(k)}, self.prec)
-
-    def times_int(self, k, a):
-        return a.times_int(k, self.p, self.prec)
-
-    def frob(self, a):
-        return a.frobenius()
-
-    def __eq__(self, other):
-        return isinstance(other, TruncSeriesRing) and self.base == other.base \
-            and self.prec == other.prec
-
-    def __hash__(self):
-        return hash(("TruncSeriesRing", self.base, self.prec))
-
-    def __repr__(self):
-        return f"W-coeff({self.base!r}[[u]]/u^{self.prec})"

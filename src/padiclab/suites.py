@@ -3,21 +3,16 @@
 Each suite draws its randomness from one Random(seed) and emits a list
 of result records {name, value, exact, precision, anchor}; rerunning
 with the same configuration and seed reproduces the records byte for
-byte.  The CLI exposes them under `padiclab suite <name>`.
+byte.  The CLI exposes them under `padiclab suite <name>`.  Each suite
+imports the modules it runs when it is called, so a process that runs
+one suite loads no other suite's modules.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from . import (galrep, gf, gskel, logtrunc, matrix, padic, perfseries, phimod, ramif, record,
-               taumod, witt)
-from .errors import NotDivisible
-from .padic import PadicInt
-from .rings import FFRing, IntRing, Zmod
-from .series import EisensteinPoly, TruncSeries, kisin_lambda, lambda_residual, \
-    n_nabla_commutation_defect
+from . import record
 
 
 def _passfail(name, ok, detail, anchor):
@@ -25,6 +20,8 @@ def _passfail(name, ok, detail, anchor):
 
 
 def run_qanalogue(trials: int, seed: int):
+    from . import padic
+    from .padic import PadicInt
     rng = random.Random(seed)
     prec = 8
     bad = 0
@@ -59,6 +56,7 @@ def run_qanalogue(trials: int, seed: int):
 
 
 def run_cocycle(trials: int, seed: int):
+    from . import gskel
     rng = random.Random(seed)
     p, prec = 3, 8
 
@@ -105,6 +103,8 @@ def run_cocycle(trials: int, seed: int):
 
 
 def run_witt(trials: int, seed: int):
+    from . import gf, witt
+    from .rings import FFRing, IntRing
     rng = random.Random(seed)
     out = []
     for (p, n) in ((3, 2), (3, 3), (5, 2)):
@@ -139,6 +139,10 @@ def run_witt(trials: int, seed: int):
 
 def incwitt_fixture():
     """U = u(1+u) over Z/9, V with phi(V)=UV, and Z = UV."""
+    from fractions import Fraction
+    from . import gf, perfseries
+    from .rings import Zmod
+    from .series import TruncSeries
     p, n, prec, jmax = 3, 2, Fraction(12), 4
     field = gf.field(p)
     U = TruncSeries(Zmod(p, n), {1: 1, 2: 1}, int(prec))
@@ -149,6 +153,9 @@ def incwitt_fixture():
 
 
 def run_incwitt(trials: int, seed: int):
+    from fractions import Fraction
+    from . import perfseries, witt
+    from .errors import NotDivisible
     rng = random.Random(seed)
     p, n, h = 3, 2, 1
     field, ring, Z = incwitt_fixture()
@@ -192,6 +199,10 @@ def run_incwitt(trials: int, seed: int):
 
 
 def run_existv(trials: int, seed: int):
+    from fractions import Fraction
+    from . import gf, perfseries, witt
+    from .rings import Zmod
+    from .series import TruncSeries
     rng = random.Random(seed)
     out = []
     for (p, n) in ((3, 2), (5, 1)):
@@ -218,6 +229,9 @@ def run_existv(trials: int, seed: int):
 
 
 def run_fontaine(trials: int, seed: int):
+    from . import galrep, gf, matrix
+    from .rings import FFRing
+    from .series import TruncSeries
     rng = random.Random(seed)
     fields = [FFRing(gf.field(3)), FFRing(gf.field(3, 2))]
     bad_card = bad_lin = 0
@@ -262,6 +276,10 @@ def run_fontaine(trials: int, seed: int):
 
 
 def run_heights(trials: int, seed: int):
+    from . import gf, phimod
+    from .calculus import EisensteinPoly
+    from .rings import FFRing
+    from .series import TruncSeries
     rng = random.Random(seed)
     M = 24
     r3 = FFRing(gf.field(3))
@@ -297,6 +315,7 @@ def run_heights(trials: int, seed: int):
 
 
 def run_tau(trials: int, seed: int):
+    from . import gskel, taumod
     rng = random.Random(seed)
     p, N, W = 3, 8, 12
     M = taumod.cycle_module(p, N, W)
@@ -310,6 +329,7 @@ def run_tau(trials: int, seed: int):
 
 
 def run_logm(trials: int, seed: int, p: int = 3, m: int = 2):
+    from . import logtrunc
     rng = random.Random(seed)
     N = m + 6
     mod = p ** N
@@ -357,9 +377,13 @@ def run_logm(trials: int, seed: int, p: int = 3, m: int = 2):
 
 
 def run_lambda(trials: int, seed: int):
+    from fractions import Fraction
+    from .calculus import EisensteinPoly, kisin_lambda, lambda_residual, \
+        n_nabla_commutation_defect
+    from .rings import QRing
+    from .series import TruncSeries
     rng = random.Random(seed)
     p, M = 3, 30
-    from .rings import QRing
     out = []
     for e in (1, 2):
         E = EisensteinPoly(p, tuple([p] + [0] * (e - 1) + [1]))
@@ -379,6 +403,8 @@ def run_lambda(trials: int, seed: int):
 
 
 def run_ramif(trials: int, seed: int):
+    from fractions import Fraction
+    from . import ramif
     rng = random.Random(seed)
     checks = [
         ("bound-gk tame(3,1,1,1)", str(ramif.bound_GK(1, 1, 1, 3, tame=True)), "7/2"),

@@ -12,13 +12,14 @@ from fractions import Fraction as F
 
 
 from padiclab import galrep, gf, gskel, matrix, padic, perfseries, phimod, ramif, taumod, witt
+from padiclab.calculus import (EisensteinPoly, kisin_lambda, lambda_residual,
+                               n_nabla_commutation_defect)
 from padiclab.errors import NotDivisible
 from padiclab.logtrunc import (BoundedOp, congruent_mod, log_m, madd, mmul,
                                mpow, mscale, rdc_valuation_check)
 from padiclab.padic import PadicInt
 from padiclab.rings import FFRing, Zmod
-from padiclab.series import (EisensteinPoly, TruncSeries, kisin_lambda,
-                             lambda_residual, n_nabla_commutation_defect)
+from padiclab.series import TruncSeries
 from padiclab.suites import SUITES, incwitt_fixture
 
 

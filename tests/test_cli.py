@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -8,7 +11,7 @@ import time
 import pytest
 
 from padiclab import galrep, gf, padic
-from padiclab.cli import build_parser, main
+from padiclab.cli import COMMANDS, build_parser, main
 
 CMD = [sys.executable, "-m", "padiclab.cli"]
 
@@ -433,6 +436,17 @@ def test_witt_laws_loads_only_its_modules():
                                           "padiclab.padic", "padiclab.witt"}
 
 
+def test_suite_logm_loads_only_its_modules():
+    # the suites import their modules inside each suite
+    assert _after_cli("suite", "logm", "--trials", "2") == {
+        "padiclab", "padiclab.cli", "padiclab.errors", "padiclab.padic", "padiclab.suites",
+        "padiclab.logtrunc", "padiclab.matrix"}
+
+
+def test_series_lambda_loads_the_calculus():
+    assert "padiclab.calculus" in _after_cli("series", "lambda")
+
+
 def test_galois_solve_leaves_the_other_subcommands_unloaded():
     loaded = _after_cli("galois", "solve", "--matrix", "1,1;0,1")
     assert "padiclab.galrep" in loaded
@@ -459,10 +473,15 @@ def test_commands_load_neither_witt_nor_dataclasses(argv):
 
 
 @pytest.mark.parametrize("argv", [("padic", "log", "--x", "4"), ("witt", "laws"),
-                                  ("logm", "value", "--matrix", "1,3;0,1", "--m", "2")],
+                                  ("logm", "value", "--matrix", "1,3;0,1", "--m", "2"),
+                                  ("galois", "solve", "--matrix", "1,1;0,1"),
+                                  ("phimod", "uheight", "--matrix", "1,0;0,1"),
+                                  ("tau", "order")],
                          ids=" ".join)
 def test_commands_without_rationals_load_no_fractions(argv):
-    assert not _modules_after_cli(*argv) & {"fractions", "decimal"}
+    # nor the series calculus (Fractions throughout) nor the suites
+    assert not _modules_after_cli(*argv) & {"fractions", "decimal", "padiclab.calculus",
+                                            "padiclab.suites"}
 
 
 def test_cli_resolves_the_witt_names_on_first_use():
@@ -490,7 +509,7 @@ assert padiclab.galrep.__name__ == "padiclab.galrep"
 ns = {}
 exec("from padiclab import *", ns)
 assert sorted(k for k in ns if k != "__builtins__") == sorted(padiclab.__all__)
-assert len(padiclab.__all__) == 13
+assert len(padiclab.__all__) == 14
 """
     assert _loaded(code) >= {f"padiclab.{m}" for m in ("galrep", "gf", "ramif", "witt")}
     import padiclab
@@ -537,3 +556,62 @@ def test_ramif_reads_its_s(op, s, name):
     r = run(["ramif", op, "--s", s])
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["results"][-1]["name"] == name
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--points", ["series", "newton", "--points", "1"]),
+    ("--jumps", ["ramif", "herbrand", "--jumps", "1"]),
+])
+def test_a_pair_list_with_a_single_value_names_its_flag(flag, argv):
+    # each exited 2 with "not enough values to unpack (expected 2, got 1)"
+    r = run(argv)
+    assert r.returncode == 2
+    assert r.stderr == f"input error: {flag}: '1' is not a pair a,b\n"
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(parser, argv):
+    """The namespace parser reads from argv, or, when it exits, the exit
+    status and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _parser_cases():
+    from test_cli_sweep import _ops
+    data = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(data, "tests", "data", "cli_pinned.json")) as fh:
+        commands = list(json.load(fh))
+    with open(os.path.join(data, "perfbench", "golden.json")) as fh:
+        commands += list(json.load(fh))
+    cases = [shlex.split(c) for c in dict.fromkeys(commands)]
+    cases += [list(param.values[:2]) for param in _ops()]
+    cases += [["--help"], ["-h", "galois"]] + [[name, "--help"] for name in COMMANDS]
+    cases += [[], ["bogus", "solve"], ["--bogus", "galois", "solve"],
+              ["--out", "suite", "galois", "solve"], ["--config=run.cfg", "galois", "solve"],
+              ["--config", "run.cfg", "--strict", "tau", "order"], ["--", "tau", "order"],
+              ["--p", "3", "--p"], ["--p", "galois", "solve"], ["tau", "order", "--bogus"]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
+def test_the_one_command_parser_reads_argv_as_the_full_parser(argv):
+    """build_parser(argv) fills only the subcommand argv names, found by
+    skipping each top-level flag's value: it gives build_parser()'s
+    namespace, or exits with its status and prints what it prints."""
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def test_the_one_command_parser_fills_only_its_subcommand():
+    assert list(_subparsers(build_parser()).choices) == list(COMMANDS)
+    for argv in (["galois", "solve"], ["--out", "suite", "--p", "5", "galois", "solve"]):
+        subs = _subparsers(build_parser(argv)).choices
+        assert list(subs) == list(COMMANDS)
+        assert [name for name, sp in subs.items() if sp._actions] == ["galois"]

@@ -11,10 +11,11 @@ gf.GF.matrix_order finds the order of a matrix on packed digits, and
 galrep._splitting_degree through it; the reference is the power loop on
 FFElt matrices that matrix.order was, with the same bound and the same
 two refusals.  gf.GF._frobenius_rows builds the rows of
-x -> x^(p^k) - a x from the powers of sigma^k(x) and the
-multiplication columns of a; the reference is the column loops of
-x -> x^p - x A on F^d, and sigma^k applied to each x^j.  Over F_3, F_9,
-F_27 and F_(3^26).
+x -> x^(p^k) - a x from sigma's packed columns and the
+multiplication columns of a; the references are the column loops of
+x -> x^p - x A on F^d and sigma^k applied to each x^j, over F_3, F_9,
+F_27 and F_(3^26), and the builder that formed sigma^k(x)^j by field
+products, over F_(3^n), n <= 52, and F_(23^22).
 """
 
 import functools
@@ -83,6 +84,16 @@ def reference_rows_of_sigma_k_minus_one(F, k) -> list:
     cols = [[a - (i == j) for i, a in enumerate(F.frob_p(F.gen ** j, k).coeffs)]
             for j in range(n)]
     return [list(r) for r in zip(*cols)]
+
+
+def reference_frobenius_rows(F, k, a) -> list:
+    """gf.GF._frobenius_rows as it was before it read sigma's packed
+    columns: column j is sigma^k(x)^j, by n - 1 field products, less
+    x^j a."""
+    n, p = F.fp_degree, F.p
+    images = F._powers(F.frob_p(F.gen, k), n)
+    times = F._times_columns(F.coerce(a).coeffs)
+    return [[(y.coeffs[i] - t[i]) % p for y, t in zip(images, times)] for i in range(n)]
 
 
 def reference_splitting_degree(G0, base):
@@ -303,6 +314,20 @@ def test_frobenius_minus_matches_the_column_loops(F, seed):
         got = F._frobenius_rows(k, b)
         assert len(got) == len(ref) == n
         assert got == [[c % F.p for c in row] for row in ref]
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(1, 53)] + [(23, 22)])
+def test_frobenius_rows_match_the_products(p, n):
+    """_frobenius_rows against the product-built reference over F_(3^n),
+    n <= 52, and F_(23^22): at k = 1 with a zero, one and random
+    (frobenius_solutions), and at each divisor k > 1 of the degree with
+    a = 1 (register_embedding)."""
+    F = gf.field(p, n)
+    rng = random.Random(n)
+    cases = [(1, a) for a in (F.zero, F.one, F.random(rng))]
+    cases += [(k, 1) for k in range(2, n + 1) if n % k == 0]
+    for k, a in cases:
+        assert F._frobenius_rows(k, a) == reference_frobenius_rows(F, k, a), (k, a)
 
 
 @pytest.mark.parametrize("p", [13, 17])

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from padiclab import galrep, gf, matrix, phimod
 from padiclab.errors import Indeterminate, Unsupported
 from padiclab.padic import power
+from padiclab.calculus import EisensteinPoly
 from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_divides,
                              is_etale, lattice_contains, mat_det, mat_mul,
                              stabilize_lattice, tensor_lattice, u_height)
 from padiclab.rings import FFRing, Zmod, module_ring
-from padiclab.series import EisensteinPoly, TruncSeries
+from padiclab.series import TruncSeries
 
 M = 24
 R3 = FFRing(gf.field(3))

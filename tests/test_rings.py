@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf
+from padiclab.calculus import TruncSeriesRing
 from padiclab.perfseries import PerfRing
 from padiclab.rings import FFRing, IntRing, QRing, Zmod
-from padiclab.series import TruncSeriesRing
 from padiclab.witt import WittVector
 
 SETTINGS = settings(max_examples=60)

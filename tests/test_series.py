@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf
+from padiclab.calculus import (EisensteinPoly, kisin_lambda, lambda_factor_count,
+                               lambda_residual, merge_polygons, n_nabla,
+                               n_nabla_commutation_defect, newton_polygon, s_nabla_member,
+                               weierstrass)
 from padiclab.rings import FFRing, QRing, Zmod
-from padiclab.series import (EisensteinPoly, TruncSeries, kisin_lambda,
-                             lambda_factor_count, lambda_residual, merge_polygons,
-                             n_nabla, n_nabla_commutation_defect, newton_polygon,
-                             s_nabla_member, weierstrass)
+from padiclab.series import TruncSeries
 
 F9R = FFRing(gf.field(3, 2))
 Z9 = Zmod(3, 2)

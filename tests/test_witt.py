@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf, witt
+from padiclab.calculus import TruncSeriesRing
 from padiclab.errors import NotDivisible
 from padiclab.padic import power
 from padiclab.perfseries import PerfRing, PerfSeries
 from padiclab.rings import FFRing, IntRing, Zmod
-from padiclab.series import SparseSeries, TruncSeries, TruncSeriesRing
+from padiclab.series import SparseSeries, TruncSeries
 from padiclab.suites import incwitt_fixture
 from padiclab.witt import (WittVector, from_zmod, frobenius_w, generate_laws,
                            ghost_components, mul_by_p, teichmuller, to_zmod,
