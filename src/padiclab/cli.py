@@ -127,7 +127,7 @@ def _parse_pairs(text: str, flag: str, entry=int):
         try:
             a, b = map(entry, pair.split(","))
         except ValueError:
-            raise ValueError(f"--{flag}: {pair!r} is not a pair a,b") from None
+            raise ValueError(f"--{flag}: {pair!r} is not two numbers a,b") from None
         pairs.append((a, b))
     return pairs
 

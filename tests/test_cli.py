@@ -566,7 +566,7 @@ def test_a_pair_list_with_a_single_value_names_its_flag(flag, argv):
     # each exited 2 with "not enough values to unpack (expected 2, got 1)"
     r = run(argv)
     assert r.returncode == 2
-    assert r.stderr == f"input error: {flag}: '1' is not a pair a,b\n"
+    assert r.stderr == f"input error: {flag}: '1' is not two numbers a,b\n"
 
 
 def _subparsers(parser):
@@ -586,10 +586,10 @@ def _parse(parser, argv):
 
 def _parser_cases():
     from test_cli_sweep import _ops
-    data = os.path.join(os.path.dirname(__file__), os.pardir)
-    with open(os.path.join(data, "tests", "data", "cli_pinned.json")) as fh:
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "tests", "data", "cli_pinned.json")) as fh:
         commands = list(json.load(fh))
-    with open(os.path.join(data, "perfbench", "golden.json")) as fh:
+    with open(os.path.join(root, "perfbench", "golden.json")) as fh:
         commands += list(json.load(fh))
     cases = [shlex.split(c) for c in dict.fromkeys(commands)]
     cases += [list(param.values[:2]) for param in _ops()]
