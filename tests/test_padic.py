@@ -98,7 +98,7 @@ def _ceil_logp_bracketing(x, p):
 
 
 def _lambda_factor_loop(e, p, M):
-    """series.lambda_factor_count's loop: the least K with e p^K >= M."""
+    """calculus.lambda_factor_count's loop: the least K with e p^K >= M."""
     K = 0
     while e * p ** K < M:
         K += 1
