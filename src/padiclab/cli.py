@@ -393,6 +393,9 @@ def _cmd_ramif(args, cfg: RunConfig):
                 record("final-slope", f.final_slope, anchor="phi-kinf")]
     if args.op == "herbrand":
         jumps = _parse_pairs(args.jumps, "jumps", Fraction)
+        for l, o in jumps:
+            if o.denominator != 1:
+                raise ValueError(f"--jumps: group order {o} is not an integer")
         f = ramif.herbrand_phi([(l, int(o)) for l, o in jumps])
         return [record("vertices", [[str(a), str(b)] for a, b in f.vertices],
                         anchor="herbrand"),
@@ -542,7 +545,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                         help="exit 1 on indeterminate or failing results")
     for name in RunConfig._fields:
         shared.add_argument(f"--{name}", type=int)
-    # no abbreviations at the top level, which read ramif's --s as --strict or --seed
+    # no abbreviations anywhere: they read ramif's --s as --strict, tau's --c as --config
     top = argparse.ArgumentParser(prog="padiclab", parents=[shared], allow_abbrev=False,
                                   description="exact p-adic semilinear algebra, batch mode")
     sub = top.add_subparsers(dest="command", required=True)
@@ -550,9 +553,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                             for opt in a.option_strings})
     for name, fill in COMMANDS.items():
         if named in (None, name):
-            fill(sub.add_parser(name, parents=[shared]))
+            fill(sub.add_parser(name, parents=[shared], allow_abbrev=False))
         else:
-            sub.add_parser(name, add_help=False)
+            sub.add_parser(name, add_help=False, allow_abbrev=False)
     return top
 
 

@@ -8,7 +8,9 @@ A group element g acts through the substitution
 
 with p-adic exponents expanded by integer-valued binomials mod p
 (Lucas).  Monomials u^i eta^j are truncated by total degree: a series
-at precision W keeps the terms with i + j < W.
+at precision W keeps the terms with i + j < W.  The action builds
+(1 + eta)^chi(g) - 1 only for a term with an eta and (1 + eta)^(c(g) i)
+only where it is not 1; a negative u-exponent lowers the precision.
 
 The commutation law (g (x) id) o tau_M = tau_M^(chi_tau(g)) on module
 elements is an executable check here; tau_M^a for p-adic a is defined
@@ -37,12 +39,15 @@ class BivarSeries(SparseSeries):
     def __init__(self, field: GF, coeffs: dict, prec: int):
         if any(j < 0 for _, j in coeffs):
             raise ValueError("eta-exponents are nonnegative")
-        self.field = field
-        self.pc = prec
+        self.field, self.pc = field, prec
         self.coeffs = {k: c for k, c in coeffs.items() if c and k[0] + k[1] < prec}
 
     def _like(self, coeffs, prec):
-        return BivarSeries(self.field, coeffs, prec)
+        # every caller keeps j >= 0, so only __init__ checks it
+        s = object.__new__(BivarSeries)
+        s.field, s.pc = self.field, prec
+        s.coeffs = {k: c for k, c in coeffs.items() if c and k[0] + k[1] < prec}
+        return s
 
     def _model(self):
         return self.field
@@ -96,49 +101,56 @@ def bivar_one(field: GF, prec: int) -> BivarSeries:
 # ---------------------------------------------------------------------------
 
 
+def _exponent(z, p: int, kmax: int):
+    """z as an int or Fraction: a PadicInt gives its residue if it has the
+    base-p digits that C(z, k) mod p reads for every k <= kmax."""
+    if isinstance(z, PadicInt):
+        need = ndigits(kmax, p)
+        if z.prec < need:
+            raise PrecisionError(f"exponent needs {need} base-{p} digits, has {z.prec}")
+        z = z.residue
+    return z
+
+
 def binom_power(z, field: GF, prec: int) -> BivarSeries:
     """(1 + eta)^z truncated by degree; z may be an int, Fraction in
     Z_(p), or PadicInt with enough tracked digits."""
-    p = field.p
-    kmax = prec + 1
-    if isinstance(z, PadicInt):
-        digits_needed = ndigits(kmax, p)
-        if z.prec < digits_needed:
-            raise PrecisionError(
-                f"exponent needs {digits_needed} base-{p} digits, has {z.prec}")
-        z = z.residue
+    p, kmax = field.p, prec + 1
+    z = _exponent(z, p, kmax)
     coeffs = {(0, k): field.el(c) for k, c in enumerate(binomials_mod_p(z, kmax, p)) if c}
     return BivarSeries(field, coeffs, prec)
 
 
 def galois_act(g: GaloisElt, f: BivarSeries) -> BivarSeries:
-    """Substitute u -> u(1+eta)^c(g), eta -> (1+eta)^chi(g) - 1.
+    """Substitute u -> u(1+eta)^c(g), eta -> (1+eta)^chi(g) - 1, a ring
+    endomorphism: act(g, act(h, x)) = act(mul(g, h), x).
 
-    Ring endomorphism; composing actions matches the group law:
-    act(g, act(h, x)) = act(mul(g, h), x).
+    a u^i eta^j goes to a u^i (1+eta)^(c(g) i) P^j, P = (1+eta)^chi(g) - 1,
+    with P^j built only for j > 0 and (1+eta)^(c(g) i) only when c(g) i
+    is not 0 mod p^prec(c(g)); no factor 1 is multiplied in.  The image's
+    precision is f's, lowered to each term's product precision plus i.
+    chi(g)'s digits are checked first, then c(g)'s if f has a term.
     """
-    fld = f.field
-    one = bivar_one(fld, f.prec)
-    P = binom_power(g.chi, fld, f.prec) - one  # image of eta
-    ppow_cache = {0: one}
-    bin_cache: dict = {}
-    out = BivarSeries(fld, {}, f.prec)
-    for (i, j), c in sorted(f.coeffs.items()):
-        if j not in ppow_cache:
-            jprev = max(k for k in ppow_cache if k <= j)
-            cur = ppow_cache[jprev]
-            for t in range(jprev, j):
-                cur = cur * P
-                ppow_cache[t + 1] = cur
-        exponent = g.c * i
-        key = exponent.residue % exponent.p ** exponent.prec
-        if key not in bin_cache:
-            bin_cache[key] = binom_power(exponent, fld, f.prec)
-        term = bin_cache[key] * ppow_cache[j]
-        shifted = term._like({(a + i, b): v for (a, b), v in term.coeffs.items()},
-                             term.prec + i)
-        out = out + shifted.scale(c)
-    return out.truncate(f.prec)
+    fld, prec, p = f.field, f.prec, f.field.p
+    chi = _exponent(g.chi, p, prec + 1)
+    c = _exponent(g.c, p, prec + 1) if f.coeffs else 0
+    one, mod = bivar_one(fld, prec), p ** g.c.prec
+    powers, binoms = [one], {0: one}   # P^j and (1+eta)^(c i), on first use
+    out, pc = {}, prec
+    for (i, j), a in f.coeffs.items():
+        while len(powers) <= j:
+            if len(powers) == 1:
+                P = binom_power(chi, fld, prec) - one
+            powers.append(powers[-1] * P)
+        key = c * i % mod
+        if key not in binoms:
+            binoms[key] = binom_power(key, fld, prec)
+        b, pj = binoms[key], powers[j]
+        pc = min(pc, b._product_pc(pj) + i)
+        for (e, k), v in (pj if b is one else b if pj is one else b * pj).coeffs.items():
+            e += i
+            out[e, k] = out[e, k] + v * a if (e, k) in out else v * a
+    return f._like(out, pc)
 
 
 # ---------------------------------------------------------------------------

@@ -569,6 +569,31 @@ def test_a_pair_list_with_a_single_value_names_its_flag(flag, argv):
     assert r.stderr == f"input error: {flag}: '1' is not two numbers a,b\n"
 
 
+def test_a_fractional_group_order_names_jumps():
+    # int(o) once read --jumps 1,3/2 as 1,1 and exited 0
+    r = run(["ramif", "herbrand", "--jumps", "1,3/2"])
+    assert r.returncode == 2
+    assert r.stderr == "input error: --jumps: group order 3/2 is not an integer\n"
+
+
+def test_every_proper_prefix_of_a_subcommand_flag_exits_2():
+    """No subcommand reads an abbreviation: each proper prefix of each of
+    its flags, given a value the flag would take, is an unrecognized
+    argument, unless the prefix is a flag of its own.  The subparsers
+    once read tau's --c as --config and galois solve's --mat as
+    --matrix."""
+    parser = build_parser()
+    for name, sub in _subparsers(parser).choices.items():
+        head = [name] + [a.choices[0] for a in sub._actions if not a.option_strings]
+        flags = sub._option_string_actions
+        for opt, action in flags.items():
+            argv, _ = _sample_value(action)
+            for k in range(3, len(opt)):
+                if opt[:k] not in flags:
+                    code, _, err = _parse(parser, head + [opt[:k]] + argv)
+                    assert code == 2 and "unrecognized arguments" in err, (name, opt[:k])
+
+
 def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 

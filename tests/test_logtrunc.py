@@ -371,6 +371,50 @@ def test_rdc():
         rdc_valuation_check(f, 3, 3, 1, 40)
 
 
+def exact_power(A, k):
+    """A^k over Z, no reduction: the direct computation for rdc."""
+    d = len(A)
+    out = [[int(r == c) for c in range(d)] for r in range(d)]
+    for _ in range(k):
+        out = [[sum(out[r][m] * A[m][c] for m in range(d)) for c in range(d)]
+               for r in range(d)]
+    return out
+
+
+def test_rdc_matches_the_exact_valuations():
+    """rdc_valuation_check against (id - f^(p^t))^i over Z, on f = id +
+    (strictly upper) + p R: each answer is the exact one, which the
+    theorem makes True, i = 0 included (the identity), and d exactly
+    p^(t-1)(p-1) is accepted while one less is refused."""
+    rng = random.Random(36)
+    decided = {"i=0": 0, "d=least": 0, "all": 0}
+    for _ in range(600):
+        p = rng.choice((3, 5))
+        t = rng.randrange(3 if p == 3 else 2)
+        least = p ** (t - 1) * (p - 1) if t else 1
+        d = rng.choice([least - 1, least, least, least + 1][least == 1:])
+        i, prec = rng.randrange(7), rng.randrange(4, 13)
+        f = [[int(r == c) + (rng.randrange(p) if c > r else 0) + p * rng.randrange(-2, 3)
+              for c in range(d)] for r in range(d)]
+        if d < least:
+            with pytest.raises(ValueError, match="need d >="):
+                rdc_valuation_check(f, p, prec, t, i)
+            continue
+        bound = -((-p ** t * i) // d) - 1
+        if bound >= prec:
+            with pytest.raises(PrecisionError):
+                rdc_valuation_check(f, p, prec, t, i)
+            continue
+        top = exact_power(f, p ** t)
+        top = [[int(r == c) - top[r][c] for c in range(d)] for r in range(d)]
+        want = all(a == 0 or vp(a, p) >= bound for row in exact_power(top, i) for a in row)
+        assert rdc_valuation_check(f, p, prec, t, i) is want, (f, p, prec, t, i)
+        decided["all"] += 1
+        decided["i=0"] += i == 0
+        decided["d=least"] += t >= 1 and d == least
+    assert min(decided.values()) > 40, decided
+
+
 def test_mpow_reduces_its_input():
     # at d = 1 the nilpotency test is mpow(f - id, 1, p): 4 - 1 = 3 is 0 mod 3
     assert mpow(((4, 9), (3, 1)), 1, 3) == ((1, 0), (0, 1))

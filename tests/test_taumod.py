@@ -177,6 +177,25 @@ def test_order_cap_refusal_is_raised_on_every_call():
             M.tau_order_exponent()
 
 
+def test_order_search_reaches_its_cap():
+    # the suite's module needs t = 3: a cap of 3 finds it, a cap of 2 refuses
+    M = _order_modules()["suite"]
+    assert taumod.PhiTauModP(3, 3, M.G, M.T, M.tau, 3).tau_order_exponent() == 3
+    with pytest.raises(Indeterminate, match="t <= 2"):
+        taumod.PhiTauModP(3, 3, M.G, M.T, M.tau, 2).tau_order_exponent()
+
+
+def test_order_search_asks_eta_itself_to_be_fixed():
+    # at W = 4, g = (0, 4) sends eta to (1+eta)^4 - 1 = eta + eta^3, whose
+    # square is eta^2 there: only g^3 = (0, 64) fixes eta
+    g = gskel.elt(3, 8, 0, 4)
+    eta = BivarSeries(F3, {(0, 1): F3.one}, 4)
+    assert galois_act(g, eta) == eta + BivarSeries(F3, {(0, 3): F3.one}, 4)
+    eta2 = BivarSeries(F3, {(0, 2): F3.one}, 4)
+    assert galois_act(g, eta2) == eta2
+    assert trivial_restriction_module([[1]], 0, F3, g, 4).tau_order_exponent() == 1
+
+
 def test_order_is_searched_once(monkeypatch):
     calls = []
     is_identity = taumod.PhiTauModP._is_identity_op
@@ -220,10 +239,13 @@ def test_cycle_module_and_its_sample_are_the_old_loop(p, N, W, trials, seed):
     mutated module fails every pair."""
     M = taumod.cycle_module(p, N, W)
     assert (M.p, M.d, M.tau) == (p, p, gskel.elt(p, N, 1, 1))
+    if p == 3:      # the tau-matrix of the suite's module and of perfbench's fixture
+        assert M.T == _order_modules()["suite"].T
     rng = random.Random(seed)
     assert (taumod.commutation_failures(M, trials, rng), rng.random()) == \
         ref_commutation_failures(p, N, W, trials, seed)
     Tbad = [row[:] for row in M.T]
     Tbad[0][1] = Tbad[0][1] + BivarSeries(M.model().field, {(1, 0): M.model().field.one}, W)
     Mbad = taumod.PhiTauModP(p, p, M.G, Tbad, M.tau, 6)
+    assert taumod.corrupted(M) == Mbad
     assert taumod.commutation_failures(Mbad, 2, random.Random(seed)) == 2

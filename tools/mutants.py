@@ -40,7 +40,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT = os.path.join(ROOT, "MUTANTS.json")
 MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                  "tests/test_digit_codecs.py"],
-          "calculus": ["tests/test_series.py"]}
+          "calculus": ["tests/test_series.py"],
+          "taumod": ["tests/test_taumod.py", "tests/test_galois_act.py"]}
 TIER1 = ["--continue-on-collection-errors"]
 
 BINARY = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
