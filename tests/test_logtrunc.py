@@ -400,7 +400,7 @@ def test_rdc_matches_the_exact_valuations():
             with pytest.raises(ValueError, match="need d >="):
                 rdc_valuation_check(f, p, prec, t, i)
             continue
-        bound = -((-p ** t * i) // d) - 1
+        bound = (p ** t * i + d - 1) // d - 1          # ceil(p^t i / d) - 1
         if bound >= prec:
             with pytest.raises(PrecisionError):
                 rdc_valuation_check(f, p, prec, t, i)
