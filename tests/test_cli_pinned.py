@@ -9,7 +9,8 @@ too small, of two answers the perturbation oracles mended, of the two
 Witt-vector suites at their default trials over three seeds, and of
 three log_m commands whose 1 - A vanishes mod p, and of four galois
 commands through gf's two-byte digits, an embedding and the solutions
-of x^p - a x = b over an extension.  A change that alters
+of x^p - a x = b over an extension, and of one command for each op
+that none of these runs.  A change that alters
 any of them on purpose regenerates the file with
 `python tests/test_cli_pinned.py` and says why.
 """
@@ -81,8 +82,30 @@ GF_PATHS = [
 ]
 WITT_SUITES = [f"suite {name} --seed {seed}"
                for name in ("existv", "incwitt") for seed in (1, 2, 9)]
+# one command for each op that no other pinned document runs
+OPS = [
+    "witt add --p 3 --wittlen 2 --x 1,2 --y 2,2",
+    "witt mul --p 3 --wittlen 2 --x 2,1 --y 2,2",
+    "witt tozmod --p 3 --wittlen 3 --x 1,2,1",
+    "witt fromzmod --p 5 --wittlen 2 --value 17",
+    'series newton --points "0,3;1,1;2,2;4,0"',
+    'ramif herbrand --jumps "1,9;2,3"',
+    "ramif bound-ginf --p 3 --h 2 --n 2",
+    "ramif bound-converse --p 3 --e 2 --h 1",
+    "ramif bound-tau --p 3 --h 2 --cprime 1",
+    "ramif gamma --p 3 --e 2 --s 4 --c0 1",
+    "ramif phi-kinf --p 3 --e 2 --s 3",
+    'phimod etale --p 3 --matrix "0:1,1;1,0"',
+    'phimod heightdiv --p 3 --M 8 --matrix "0:1,1;1,0" --U 0,1',
+    'phimod stabilize --p 3 --matrix "0:1,1;1,0"',
+    'logm bounded --p 3 --N 6 --matrix "4,3;0,1" --m 2 --c 1',
+    'logm rdc --p 3 --N 6 --matrix "1,3;0,1" --t 1 --i 2',
+    "padic exp --p 3 --N 8 --x 3",
+    "padic qinverse --p 3 --N 8 --b 5 --qq 4",
+    "padic chitau --p 3 --N 8 --chig 4 --qq 4",
+]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES
+    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS
 
 
 def run(command):
