@@ -1,9 +1,7 @@
 """The calculus on truncated series: Newton polygons, Weierstrass
 preparation over Z/p^n[[u]], Eisenstein data, the infinite-product
-solution lambda of (E/E(0)) phi(f) = f, the derivation
-N_nabla = -u*lambda*d/du, the membership test for the module of series
-sum P_n(u)/p^(n+1) u^(e(p^n-1)/(p-1)), and TruncSeriesRing, truncated
-series over F_q as the coefficients of Witt vectors.
+solution lambda of (E/E(0)) phi(f) = f and the derivation
+N_nabla = -u*lambda*d/du.
 
 It computes on series.TruncSeries, whose kernel it leaves to that
 module.  Slopes and the coefficients of lambda are exact Fractions, so
@@ -16,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padic import ceil_logp
-from .rings import FFRing, OperatorRing, QRing, Zmod
+from .rings import QRing, Zmod
 from .series import TruncSeries, _divide_out_p, lift_mod_p
 
 
@@ -56,21 +54,6 @@ def newton_polygon(points):
     out.reverse()  # root valuations in nondecreasing order
     assert sum(m for _, m in out) == deg - order
     return out
-
-
-def merge_polygons(np1, np2):
-    """Newton polygon of a product: concatenate and sort slopes."""
-    slopes = []
-    for s, m in np1 + np2:
-        slopes.extend([s] * m)
-    slopes.sort()
-    out = []
-    for s in slopes:
-        if out and out[-1][0] == s:
-            out[-1][1] += 1
-        else:
-            out.append([s, 1])
-    return [(s, m) for s, m in out]
 
 
 # ---------------------------------------------------------------------------
@@ -209,63 +192,3 @@ def n_nabla_commutation_defect(f: TruncSeries, E: EisensteinPoly,
     rhs = Eser * nf.frobenius()
     rhs = TruncSeries(ring, {e: c / E.c_unit for e, c in rhs.coeffs.items()}, rhs.prec)
     return (lhs - rhs).truncate(min(lhs.prec, rhs.prec))
-
-
-def s_nabla_member(f: TruncSeries, e: int) -> bool:
-    """Membership in the module of series sum_n P_n(u)/p^(n+1) *
-    u^(e(p^n-1)/(p-1)): at exponent k the allowed p-denominator is
-    n(k) + 1 where n(k) = max { n >= 0 : e(p^n-1)/(p-1) <= k }."""
-    ring = f.ring
-    if not isinstance(ring, QRing):
-        raise ValueError("membership test expects exact rational coefficients")
-    p = ring.p
-    for k, c in f.coeffs.items():
-        v = ring.vp(c)
-        if v is None or v >= 0:
-            continue
-        if k < 0:
-            return False
-        nk = 0
-        while e * (p ** (nk + 1) - 1) // (p - 1) <= k:
-            nk += 1
-        if -v > nk + 1:
-            return False
-    return True
-
-
-class TruncSeriesRing(OperatorRing):
-    """Coefficient-ring adapter: Witt vectors over F_q[[u]]-truncations.
-
-    The Frobenius here is the imperfect one (coefficientwise p-th power
-    with u -> u^p); it is a ring map but not surjective, so p-th roots
-    of coordinates are generally unavailable, unlike the
-    fractional-exponent model.
-    """
-
-    char_p = True
-
-    def __init__(self, base: FFRing, prec: int):
-        self.base = base
-        self.p = base.p
-        self.prec = prec
-        self.zero = TruncSeries.zero(base, prec)
-        self.one = TruncSeries.one(base, prec)
-
-    def of_int(self, k):
-        return TruncSeries(self.base, {0: self.base.of_int(k)}, self.prec)
-
-    def times_int(self, k, a):
-        return a.times_int(k, self.p, self.prec)
-
-    def frob(self, a):
-        return a.frobenius()
-
-    def __eq__(self, other):
-        return isinstance(other, TruncSeriesRing) and self.base == other.base \
-            and self.prec == other.prec
-
-    def __hash__(self):
-        return hash(("TruncSeriesRing", self.base, self.prec))
-
-    def __repr__(self):
-        return f"W-coeff({self.base!r}[[u]]/u^{self.prec})"

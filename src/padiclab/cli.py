@@ -9,13 +9,14 @@ as canonical JSON (sorted keys) or a flat CSV projection; identical
 configuration and seed give byte-identical output.  Exit status 2 on
 configuration errors, 1 when --strict is set and a result is
 indeterminate or failing, 3 when one of the library's self-checks fails
-(an internal defect, reported in one line on stderr).
+(an internal defect, reported in one line on stderr).  A library
+warning, such as a clamped bound, is one line "warning: ..." on stderr.
 
 Start-up loads and builds only what a subcommand runs: at import this
-module loads argparse, io and json from the standard library and errors
-and padic from the package, and each handler imports the rest of its
-modules when it is called.  main builds the parser of the one
-subcommand its argv names (build_parser(argv)): all nine names, the
+module loads argparse, io, json and warnings from the standard library
+and errors and padic from the package, and each handler imports the
+rest of its modules when it is called.  main builds the parser of the
+one subcommand its argv names (build_parser(argv)): all nine names, the
 arguments of that one; without argv, or when no subcommand can be read
 from it, every subcommand's.  WittVector, from_zmod, generate_laws and
 to_zmod, names of this module, load witt on first use (PEP 562).
@@ -27,6 +28,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 
 from . import Fields, padic, record
 from .errors import Indeterminate, PadicLabError
@@ -109,26 +111,37 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+def _ints(text: str, entry=int):
+    """The list "a,b,..." with each entry read by entry."""
+    return [entry(t) for t in text.split(",")]
+
+
+def _read(args, flag: str, parse=_ints):
+    """parse(args.<flag>); a ValueError or ZeroDivisionError names --flag."""
+    try:
+        return parse(getattr(args, flag))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
+
+
 def _parse_matrix(text: str, entry=int):
     """The square matrix "a,b;c,d" with each entry read by entry; the
     one check of every --matrix.  ValueError on any other shape."""
-    rows = [[entry(x) for x in row.split(",")] for row in text.split(";")]
+    rows = [_ints(row, entry) for row in text.split(";")]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(f"matrix {text!r} is not square")
     return rows
 
 
-def _parse_pairs(text: str, flag: str, entry=int):
-    """The pairs "a,b;c,d;..." of --flag with each entry read by entry;
-    the one check of every pair list.  ValueError naming the flag and
-    the pair when one is not two entries."""
+def _parse_pairs(text: str, entries=(int, int)):
+    """The pairs "a,b;c,d;..." with a read by entries[0], b by entries[1];
+    ValueError naming the pair when one is not two entries."""
     pairs = []
     for pair in text.split(";"):
-        try:
-            a, b = map(entry, pair.split(","))
-        except ValueError:
-            raise ValueError(f"--{flag}: {pair!r} is not two numbers a,b") from None
-        pairs.append((a, b))
+        ab = pair.split(",")
+        if len(ab) != 2:
+            raise ValueError(f"{pair!r} is not two numbers a,b")
+        pairs.append((entries[0](ab[0]), entries[1](ab[1])))
     return pairs
 
 
@@ -172,29 +185,25 @@ def _cmd_witt(args, cfg: RunConfig):
     from .rings import FFRing
     ring = FFRing(gf.field(p))
 
-    def vector(flag, text):
-        """The --wittlen F_p codes of text; zero when it is omitted."""
-        codes = [0] * n if text is None else _ints(text)
-        if len(codes) != n:
-            raise ValueError(f"--{flag} has {len(codes)} coordinates, --wittlen is {n}")
-        return WittVector(p, ring, [_field_code(ring.field, c) for c in codes])
+    def vector(flag):
+        """The --wittlen F_p codes of --flag; zero when it is omitted."""
+        code = _field_code(ring.field)
+        coords = _read(args, flag, lambda t: [code(0)] * n if t is None else _ints(t, code))
+        if len(coords) != n:
+            raise ValueError(f"--{flag}: {len(coords)} coordinates, --wittlen is {n}")
+        return WittVector(p, ring, coords)
 
     if args.op in ("add", "mul"):
-        x, y = vector("x", args.x), vector("y", args.y)
+        x, y = vector("x"), vector("y")
         z = x + y if args.op == "add" else x * y
         return [record(args.op, [ring.field.code(c) for c in z.coords],
                         anchor="witt-ring")]
     if args.op == "tozmod":
-        return [record("tozmod", to_zmod(vector("x", args.x)), anchor="witt-zmod-iso")]
+        return [record("tozmod", to_zmod(vector("x")), anchor="witt-zmod-iso")]
     if args.op == "fromzmod":
         z = from_zmod(args.value, p, n, ring)
         return [record("fromzmod", [ring.field.code(c) for c in z.coords],
                         anchor="witt-zmod-iso")]
-    raise ValueError(f"unknown witt op {args.op}")
-
-
-def _ints(text):
-    return [int(t) for t in text.split(",")]
 
 
 def _poly_str(poly, n):
@@ -210,7 +219,7 @@ def _poly_str(poly, n):
 def _eisenstein(args, cfg):
     from .calculus import EisensteinPoly
     if args.E:
-        return EisensteinPoly(cfg.p, _ints(args.E))
+        return EisensteinPoly(cfg.p, _read(args, "E"))
     return EisensteinPoly(cfg.p, tuple([cfg.p] + [0] * (cfg.e - 1) + [1]))
 
 
@@ -226,13 +235,13 @@ def _cmd_series(args, cfg: RunConfig):
                 for k in range(min(cfg.M, 12))]
     if args.op == "newton":
         from .calculus import newton_polygon
-        np_ = newton_polygon(_parse_pairs(args.points, "points"))
+        np_ = newton_polygon(_read(args, "points", _parse_pairs))
         return [record("newton", [[str(s), m] for s, m in np_],
                         anchor="newton-polygon")]
     if args.op == "weierstrass":
         from .calculus import weierstrass
         ring = Zmod(p, cfg.n)
-        f = TruncSeries(ring, dict(enumerate(_ints(args.coeffs))), cfg.M)
+        f = TruncSeries(ring, dict(enumerate(_read(args, "coeffs"))), cfg.M)
         unit, dist = weierstrass(f)
         return [
             record("distinguished", sorted(dist.coeffs.items()),
@@ -243,7 +252,7 @@ def _cmd_series(args, cfg: RunConfig):
     if args.op == "solvev":
         from fractions import Fraction
         from . import gf, perfseries
-        U = TruncSeries(Zmod(p, cfg.n), dict(enumerate(_ints(args.coeffs))), cfg.M)
+        U = TruncSeries(Zmod(p, cfg.n), dict(enumerate(_read(args, "coeffs"))), cfg.M)
         field = gf.field(p)
         V = perfseries.solve_frobenius_fixed(U, field, cfg.n, D=cfg.lattice_D,
                                              jmax=cfg.jmax, prec=Fraction(cfg.M))
@@ -255,7 +264,6 @@ def _cmd_series(args, cfg: RunConfig):
             out.append(record(f"V[{i}] support", [str(e) for e, _ in c.terms()[:8]],
                                precision=f"O(u^{c.prec})", anchor="frobenius-fixed-point"))
         return out
-    raise ValueError(f"unknown series op {args.op}")
 
 
 def _cmd_phimod(args, cfg: RunConfig):
@@ -272,15 +280,21 @@ def _cmd_phimod(args, cfg: RunConfig):
             out.append(record("uheight", phimod.u_height(phimod.PhiLattice(mod)),
                                anchor="cyclotomic-height"))
         return out
-    coeff = _coeff_reader(ring)
-    mod = phimod.PhiModule(p, q, cfg.n, _series_matrix(args.matrix, coeff, ring, M))
+    # a coefficient is an F_q code at n = 1, a residue mod p^n at n >= 2
+    coeff = _field_code(ring.field) if cfg.n == 1 else lambda t: ring.of_int(int(t))
+
+    def series(entry):
+        """An entry of --matrix: its coefficients "c0:c1:...", low degree first."""
+        return TruncSeries(ring, {e: coeff(c) for e, c in enumerate(entry.split(":"))}, M)
+
+    mod = phimod.PhiModule(p, q, cfg.n, _read(args, "matrix", lambda t: _parse_matrix(t, series)))
     if args.op == "etale":
         return [record("etale", phimod.is_etale(mod), anchor="etale-test")]
     if args.op == "uheight":
         h = phimod.u_height(phimod.PhiLattice(mod))
         return [record("uheight", h, anchor="uheight")]
     if args.op == "heightdiv":
-        U = TruncSeries(ring, {e: coeff(c) for e, c in enumerate(_ints(args.U))}, M)
+        U = TruncSeries(ring, dict(enumerate(_read(args, "U", lambda t: _ints(t, coeff)))), M)
         try:
             r = phimod.height_divides(mod, U)
             return [record("height-divides", r, anchor="height-divides")]
@@ -291,29 +305,15 @@ def _cmd_phimod(args, cfg: RunConfig):
         L = phimod.stabilize_lattice(mod)
         return [record("stable-basis-valuation",
                         L.basis[0][0].valuation(), anchor="stabilize-lattice")]
-    raise ValueError(f"unknown phimod op {args.op}")
 
 
-def _series_matrix(text, coeff, ring, M):
-    """Entries are coefficient lists "c0:c1:...", low degree first."""
-    from .series import TruncSeries
-    return _parse_matrix(text, lambda ent: TruncSeries(
-        ring, {e: coeff(int(t)) for e, t in enumerate(ent.split(":"))}, M))
-
-
-def _coeff_reader(ring):
-    """How phimod reads an integer coefficient: an F_q code at n = 1,
-    a residue mod p^n at n >= 2."""
-    from .rings import FFRing
-    if isinstance(ring, FFRing):
-        return lambda code: _field_code(ring.field, code)
-    return ring.of_int
-
-
-def _field_code(field, code: int):
-    if not 0 <= code < field.order:
-        raise ValueError(f"entry {code} is not an F_{field.order} code")
-    return field.from_code(code)
+def _field_code(field):
+    """The reader of an F_q code, an int or its text."""
+    def read(code):
+        if not 0 <= (code := int(code)) < field.order:
+            raise ValueError(f"entry {code} is not an F_{field.order} code")
+        return field.from_code(code)
+    return read
 
 
 def _cmd_galois(args, cfg: RunConfig):
@@ -324,8 +324,8 @@ def _cmd_galois(args, cfg: RunConfig):
     ring = module_ring(p, q, 1)
     field = ring.field
     if args.op == "solve":
-        G = [[TruncSeries(ring, {0: _field_code(field, v)}, cfg.M) for v in row]
-             for row in _parse_matrix(args.matrix)]
+        G = [[TruncSeries(ring, {0: c}, cfg.M) for c in row]
+             for row in _read(args, "matrix", lambda t: _parse_matrix(t, _field_code(field)))]
         S = galrep.solve_unit_root(G)
         act = galrep.frobenius_action(S)
         return [
@@ -336,19 +336,18 @@ def _cmd_galois(args, cfg: RunConfig):
         ]
     if args.op == "rank1":
         from fractions import Fraction
-        S = galrep.solve_rank1(args.a, _field_code(field, args.c), field, prec=cfg.M)
+        S = galrep.solve_rank1(args.a, _read(args, "c", _field_code(field)), field, prec=cfg.M)
         return [
             record("solutions", S.cardinality, anchor="rank1-solutions"),
             record("tame-exponent", str(Fraction(args.a, p - 1)),
                     anchor="rank1-tame-character"),
         ]
-    raise ValueError(f"unknown galois op {args.op}")
 
 
 def _cmd_logm(args, cfg: RunConfig):
     from . import logtrunc
     p, N = cfg.p, cfg.N
-    A = logtrunc.BoundedOp.of(p, N, _parse_matrix(args.matrix))
+    A = logtrunc.BoundedOp.of(p, N, _read(args, "matrix", _parse_matrix))
     if args.op == "value":
         L = logtrunc.log_m(A, args.m)
         return [record("logm", L.value_mod(L.certified),
@@ -357,10 +356,9 @@ def _cmd_logm(args, cfg: RunConfig):
         return [record("bounded", logtrunc.is_bounded(A, args.m, args.c),
                         anchor="lambda-bounded")]
     if args.op == "rdc":
-        r = logtrunc.rdc_valuation_check(_parse_matrix(args.matrix), p, N,
+        r = logtrunc.rdc_valuation_check(_read(args, "matrix", _parse_matrix), p, N,
                                          args.t, args.i)
         return [record("rdc", r, anchor="nilpotent-log-estimate")]
-    raise ValueError(f"unknown logm op {args.op}")
 
 
 def _cmd_ramif(args, cfg: RunConfig):
@@ -392,15 +390,14 @@ def _cmd_ramif(args, cfg: RunConfig):
                         anchor="phi-kinf"),
                 record("final-slope", f.final_slope, anchor="phi-kinf")]
     if args.op == "herbrand":
-        jumps = _parse_pairs(args.jumps, "jumps", Fraction)
-        for l, o in jumps:
-            if o.denominator != 1:
-                raise ValueError(f"--jumps: group order {o} is not an integer")
-        f = ramif.herbrand_phi([(l, int(o)) for l, o in jumps])
+        def order(text):
+            if (o := Fraction(text)).denominator != 1:
+                raise ValueError(f"group order {o} is not an integer")
+            return o
+        f = ramif.herbrand_phi(_read(args, "jumps", lambda t: _parse_pairs(t, (Fraction, order))))
         return [record("vertices", [[str(a), str(b)] for a, b in f.vertices],
                         anchor="herbrand"),
                 record("concave", f.is_concave(), anchor="herbrand")]
-    raise ValueError(f"unknown ramif op {args.op}")
 
 
 def _cmd_tau(args, cfg: RunConfig):
@@ -413,7 +410,6 @@ def _cmd_tau(args, cfg: RunConfig):
     if args.op == "commutation":
         bad = taumod.commutation_failures(M, cfg.trials, _random.Random(cfg.seed))
         return [record("commutation-failures", bad, anchor="tau-commutation")]
-    raise ValueError(f"unknown tau op {args.op}")
 
 
 def _cmd_suite(args, cfg: RunConfig):
@@ -598,7 +594,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     try:
-        results = args.func(args, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            results = args.func(args, cfg)
+        for w in caught:
+            sys.stderr.write(f"warning: {w.message}\n")
     except PadicLabError as exc:
         results = [record("error", f"{type(exc).__name__}: {exc}", exact=False,
                            precision="n/a", anchor="error")]

@@ -347,13 +347,6 @@ class GaloisActionRep(Fields):
     def char_poly(self):
         return charpoly_mod_p(self.matrix, self.p)
 
-    def order(self) -> int:
-        """The order in GL_d(F_p), found below p^d - 1, the largest
-        order there (a Singer cycle attains it)."""
-        if matrix.det(self.matrix) % self.p == 0:
-            raise ArithmeticError("action is not invertible mod p")
-        return gf.field(self.p).matrix_order(self.matrix, self.p ** len(self.matrix) - 1)
-
 
 def frobenius_action(S: SolutionSet) -> GaloisActionRep:
     """Matrix of x -> x^(q) (coefficientwise q-power, u fixed) on the

@@ -119,7 +119,6 @@ class PhiLattice:
         self.basis = basis
         det, adj = mat_adjugate(basis)
         det_inv = det.inverse()
-        self._basis_inverse = adj, det_inv      # lattice_contains reads it
         binv = [[a * det_inv for a in row] for row in adj]
         frob = [[a.frobenius() for a in row] for row in basis]
         GL = mat_mul(mat_mul(binv, module.G), frob)
@@ -133,10 +132,6 @@ class PhiLattice:
                     raise Indeterminate("truncation too small to certify phi-stability")
         self.lattice_frobenius = GL
 
-    @property
-    def d(self):
-        return self.module.d
-
     @functools.cached_property
     def _frobenius_inverse(self):
         """(adj, det^-1) of the lattice Frobenius, for height_divides."""
@@ -146,7 +141,7 @@ class PhiLattice:
         return adj, det.inverse()
 
     def __repr__(self):
-        return f"PhiLattice(d={self.d}, n={self.module.n})"
+        return f"PhiLattice(d={self.module.d}, n={self.module.n})"
 
 
 def stabilize_lattice(M: PhiModule) -> PhiLattice:
@@ -254,13 +249,6 @@ def height_divides(L, U: TruncSeries) -> bool:
     # the columns of U I, zero-padded at U's precision
     columns = matrix.scalar(d, U, TruncSeries.zero(ring, U.prec))
     return _all_integral(L._frobenius_inverse, columns)
-
-
-def lattice_contains(L1: PhiLattice, L2: PhiLattice, fmat) -> bool:
-    """Whether f(L1) sits inside L2, for f given by a matrix over the
-    Laurent ring in module coordinates."""
-    target = mat_mul(fmat, L1.basis)
-    return _all_integral(L2._basis_inverse, zip(*target))
 
 
 def tensor_lattice(L1: PhiLattice, L2: PhiLattice) -> PhiLattice:

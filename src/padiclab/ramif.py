@@ -106,10 +106,6 @@ def herbrand_phi(jumps) -> PLFunction:
     return PLFunction(tuple(verts), Fraction(1, norm))
 
 
-def herbrand_psi(jumps) -> PLFunction:
-    return herbrand_phi(jumps).inverse()
-
-
 def phi_Kinf(e: int, p: int, s_max: int) -> PLFunction:
     """The Herbrand transform of the Kummer tower: vertices at
     lambda_s = 1 + e p^s/(p-1), mu_s = 1 + e(s + 1/(p-1)), slope p^-s
@@ -122,32 +118,6 @@ def phi_Kinf(e: int, p: int, s_max: int) -> PLFunction:
         mu = 1 + e * (s + Fraction(1, p - 1))
         verts.append((lam, mu))
     return PLFunction(tuple(verts), Fraction(1, p ** s_max))
-
-
-def phi_Kinf_closed_form_ok(e: int, p: int, s_int: int, frac_num: int,
-                            frac_den: int) -> bool:
-    """Compare the PL function against the closed form at the point
-    lambda with log_p((p-1)(lambda-1)/e) = s_int + frac_num/frac_den.
-
-    Both sides are affine in the irrational y = p^(frac_num/frac_den),
-    so the comparison is exact on (rational, coefficient-of-y) pairs.
-    """
-    if not (0 <= frac_num < frac_den):
-        raise ValueError("fractional part out of range")
-    if s_int < 1:
-        raise ValueError("the closed form holds for s >= 1")
-    f = phi_Kinf(e, p, s_int + 2)
-    # lambda = 1 + (e/(p-1)) p^s_int * y where y = p^(frac_num/frac_den)
-    lam_const = Fraction(1)
-    lam_y = Fraction(e * p ** s_int, p - 1)
-    # segment: lambda in [lambda_{s_int}, lambda_{s_int+1})
-    k = s_int  # vertices are (0,0), (lam_1, mu_1), ...: segment s starts at vertex s
-    xk, yk = f.vertices[k]
-    slope = f.slopes()[k]
-    lhs = (yk + (lam_const - xk) * slope, lam_y * slope)  # (rational, coeff of y)
-    s_frac = Fraction(frac_num, frac_den)
-    rhs = (1 + e * (s_int + s_frac) - e * s_frac, Fraction(e, p - 1))
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +230,6 @@ def bound_converse(h: int, e: int, p: int):
         raise ValueError("h, e >= 1")
     thr = BoundExpr.of(1 + Fraction(e, p - 1) + e, e, Fraction(h, e), p)
     return thr, h * p
-
-
-def bound_converse_torsion(h: int, e: int, p: int, n: int):
-    """Torsion variant: same threshold; any U with v_R(U mod p) >= h*p
-    then bounds the U-height by n."""
-    thr, _ = bound_converse(h, e, p)
-    return thr, n
 
 
 def bound_semistable(r: int, n: int, e: int, p: int) -> Fraction:

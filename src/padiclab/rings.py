@@ -15,7 +15,7 @@ the p-torsion-free ghost oracle), QRing(p) (rationals with p-adic
 valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf,
 whose reduce makes each value an element of F, the digit tuple that
 series sums over F read) and, with series as coefficients,
-perfseries.PerfRing and calculus.TruncSeriesRing.  module_ring picks
+perfseries.PerfRing.  module_ring picks
 the coefficient ring of a phi-module over (p, q, n).  QRing loads
 fractions when one is built, not when this module is imported.
 """

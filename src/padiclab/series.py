@@ -47,7 +47,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from . import gf
-from .errors import PrecisionError
 from .rings import FFRing, QRing, Zmod
 
 
@@ -264,13 +263,6 @@ class TruncSeries(SparseSeries):
     def from_int_coeffs(ring, coeffs, prec):
         """Polynomial from integer coefficients, low degree first."""
         return TruncSeries(ring, {i: ring.of_int(c) for i, c in enumerate(coeffs)}, prec)
-
-    # --- structure ---
-
-    def coeff(self, e):
-        if e >= self.prec:
-            raise PrecisionError(f"coefficient u^{e} beyond precision {self.prec}")
-        return self.coeffs.get(e, self.ring.zero)
 
     # --- arithmetic: the shared kernel, bound here by name so that
     # perfbench's tracer, which looks methods up in the class itself,

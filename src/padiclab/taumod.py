@@ -77,21 +77,11 @@ class BivarSeries(SparseSeries):
     def __mul__(self, other):
         return SparseSeries.__mul__(self, other)
 
-    def frobenius(self):
-        p, frob = self.field.p, self.field.frob_p
-        return self._like({(p * i, p * j): frob(c) for (i, j), c in self.coeffs.items()},
-                          p * self.pc)
-
     def __repr__(self):
         body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in self.terms()[:6]) or "0"
         if len(self.coeffs) > 6:
             body += " + ..."
         return f"<{body} + O(degree {self.prec})>"
-
-
-def bivar_from_series(f: TruncSeries, prec: int) -> BivarSeries:
-    return BivarSeries(f.ring.field, {(e, 0): c for e, c in f.coeffs.items()},
-                       min(prec, f.prec))
 
 
 def bivar_one(field: GF, prec: int) -> BivarSeries:
@@ -173,12 +163,6 @@ class PhiTauModP(Frozen):
 
     def model(self) -> BivarSeries:
         return self.T[0][0]
-
-    def phi_apply(self, x):
-        """phi_M on a coordinate vector of BivarSeries."""
-        Gb = [[bivar_from_series(a, self.model().prec) for a in row] for row in self.G]
-        fx = [xi.frobenius().truncate(self.model().prec) for xi in x]
-        return matrix.mat_vec(Gb, fx)
 
     def tau_apply(self, x):
         tx = [galois_act(self.tau, xi) for xi in x]
@@ -301,9 +285,3 @@ def commutation_failures(M: PhiTauModP, trials: int, rng) -> int:
     p, N = M.p, M.tau.chi.prec
     return sum(not check_commutation(M, gskel.elt(p, N, 0, 1 + p * rng.randrange(p ** (N - 1))),
                                      sample_element(M, rng)) for _ in range(trials))
-
-
-def check_phi_tau_commute(M: PhiTauModP, x) -> bool:
-    lhs = M.tau_apply(M.phi_apply(x))
-    rhs = M.phi_apply(M.tau_apply(x))
-    return all(l == r for l, r in zip(lhs, rhs))

@@ -551,6 +551,22 @@ def test_every_subcommand_option_round_trips():
                 assert getattr(args, action.dest) == want, (name, opt)
 
 
+def test_a_zero_denominator_names_jumps():
+    # Fraction("1/0") raises ZeroDivisionError, which no reader caught
+    r = run(["ramif", "herbrand", "--jumps", "1/0,3"])
+    assert r.returncode == 2
+    assert r.stderr == "input error: --jumps: Fraction(1, 0)\n"
+
+
+def test_a_library_warning_is_one_line_on_stderr(capsys):
+    # 1 + e s - c0 = -1: gamma_lower_bound clamps the depth at 0 and warns,
+    # which in-process under an error filter once exited 3
+    assert main(["ramif", "gamma", "--s", "3", "--c0", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"][0]["value"] == "0"
+    assert err == "warning: c0 exceeds 1 + e*s; clamping the depth at 0\n"
+
+
 @pytest.mark.parametrize("op, s, name", [("phi-kinf", "4", "final-slope"), ("gamma", "5", "depth")])
 def test_ramif_reads_its_s(op, s, name):
     r = run(["ramif", op, "--s", s])

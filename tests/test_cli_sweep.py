@@ -6,6 +6,8 @@ status is 0, 1 or 2 and nothing prints a traceback: exit 3 reports a
 defect, such as a handler that lost one of its function-local imports
 (a NameError) in some branch.  No result value holds a float literal:
 the library is exact, so one would be a value computed off its domain.
+An input error that one of NUMBERS causes names the flag that carried
+it, as "input error: --flag: ...".
 """
 
 import argparse
@@ -21,7 +23,9 @@ from hypothesis import strategies as st
 from padiclab.cli import build_parser, main
 
 INTS = st.integers(-2, 12)
-TEXTS = st.sampled_from(["", "x", "1,2", "1;2", "0:1"])
+# numbers that int() refuses, or reads as 0 however it is signed
+NUMBERS = ["3/2", "2/1", "1.5", "-0"]
+TEXTS = st.sampled_from(["", "x", "1,2", "1;2", "0:1"] + NUMBERS)
 # file I/O and the help text are no library branch; --trials is fixed at 2
 SKIP = {"--help", "--out", "--config", "--trials"}
 # Two flags set a cost exponential in their value: the Witt length
@@ -93,4 +97,7 @@ def test_every_subcommand_exits_0_1_or_2(command, op, own, common, data):
     code, out, err = _exit(argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err, (argv, err)
+    carriers = [opt for opt, v in zip(argv, argv[1:]) if v in NUMBERS and v in err]
+    if code == 2 and err.startswith("input error: ") and carriers:
+        assert any(err.startswith(f"input error: {opt}: ") for opt in carriers), (argv, err)
     assert not any(FLOAT.search(v) for v in _values(out)), (argv, out)

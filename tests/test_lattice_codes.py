@@ -194,11 +194,6 @@ class FracBivar(SparseSeries):
 
         return code(self), code(other), math.ceil(prec) * B, decode
 
-    def frobenius(self):
-        p = self.field.p
-        return self._like({(p * i, p * j): c ** p for (i, j), c in self.coeffs.items()},
-                          p * self.prec)
-
 
 # ---------------------------------------------------------------------------
 
@@ -322,8 +317,8 @@ def test_bivar_codes_match_fraction_weights(ta, tb):
     x, rx = BivarSeries(F9, *ta), FracBivar(F9, *ta)
     y, ry = BivarSeries(F9, *tb), FracBivar(F9, *tb)
     for op in (lambda f, g: f, lambda f, g: f * g, lambda f, g: f + g,
-               lambda f, g: f.frobenius(), lambda f, g: f.valuation(),
-               lambda f, g: f.truncate(g.prec), lambda f, g: f == g):
+               lambda f, g: f.valuation(), lambda f, g: f.truncate(g.prec),
+               lambda f, g: f == g):
         assert outcome(lambda: op(x, y)) == outcome(lambda: op(rx, ry))
     with pytest.raises(ValueError, match="eta-exponents are nonnegative"):
         BivarSeries(F9, {(0, -1): F9.one}, 1)

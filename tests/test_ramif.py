@@ -6,11 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclab.ramif import (BoundExpr, PLFunction, bound_GK, bound_Ginf,
-                            bound_converse, bound_converse_torsion,
-                            bound_semistable, bound_tau_congruence,
-                            gamma_lower_bound, herbrand_phi, herbrand_psi,
-                            phi_Kinf, phi_Kinf_closed_form_ok)
+from padiclab.ramif import (BoundExpr, PLFunction, bound_GK, bound_Ginf, bound_converse,
+                            bound_semistable, bound_tau_congruence, gamma_lower_bound,
+                            herbrand_phi, phi_Kinf)
+
+
+def phi_Kinf_closed_form_ok(e: int, p: int, s_int: int, frac_num: int,
+                            frac_den: int) -> bool:
+    """The oracle of phi_Kinf: compare the PL function against the
+    closed form at the point lambda with
+    log_p((p-1)(lambda-1)/e) = s_int + frac_num/frac_den.
+
+    Both sides are affine in the irrational y = p^(frac_num/frac_den),
+    so the comparison is exact on (rational, coefficient-of-y) pairs.
+    """
+    if not (0 <= frac_num < frac_den):
+        raise ValueError("fractional part out of range")
+    if s_int < 1:
+        raise ValueError("the closed form holds for s >= 1")
+    f = phi_Kinf(e, p, s_int + 2)
+    # lambda = 1 + (e/(p-1)) p^s_int * y where y = p^(frac_num/frac_den)
+    lam_const = F(1)
+    lam_y = F(e * p ** s_int, p - 1)
+    # segment: lambda in [lambda_{s_int}, lambda_{s_int+1})
+    k = s_int  # vertices are (0,0), (lam_1, mu_1), ...: segment s starts at vertex s
+    xk, yk = f.vertices[k]
+    slope = f.slopes()[k]
+    lhs = (yk + (lam_const - xk) * slope, lam_y * slope)  # (rational, coeff of y)
+    s_frac = F(frac_num, frac_den)
+    rhs = (1 + e * (s_int + s_frac) - e * s_frac, F(e, p - 1))
+    return lhs == rhs
 
 
 def test_herbrand_trivial():
@@ -34,8 +59,6 @@ def test_herbrand_inversion():
         x = F(rng.randrange(0, 500), rng.randrange(1, 50))
         assert ps(hb(x)) == x
         assert hb(ps(x)) == x
-    psd = herbrand_psi(jumps)
-    assert psd(hb(F(5, 3))) == F(5, 3)
 
 
 def test_herbrand_validation():
@@ -43,10 +66,16 @@ def test_herbrand_validation():
         herbrand_phi([(1, 3), (2, 9)])  # orders increase
     with pytest.raises(ValueError):
         herbrand_phi([(2, 3), (1, 3)])  # abscissas decrease
+    # order 1, the trivial group, is a jump; order 0 is no group
+    assert herbrand_phi([(1, 3), (2, 1)]).vertices == ((0, 0), (1, 1), (2, F(4, 3)))
+    with pytest.raises(ValueError, match="group orders must be positive"):
+        herbrand_phi([(1, 3), (2, 0)])
 
 
 def test_phi_kinf_fixed_point():
     f = phi_Kinf(1, 3, 5)
+    # segments are half-open: each vertex starts its own
+    assert [f.segment_index(x) for x, _ in f.vertices] == [0, 1, 2, 3, 4, 5]
     assert f.vertices[1] == (F(5, 2), F(5, 2))
     assert f(F(11, 2)) == F(7, 2)
     assert f(F(2)) == F(2)
@@ -83,6 +112,10 @@ def test_bound_gk_values():
     assert bound_GK(1, 1, 1, 3, tame=True).as_fraction() == F(7, 2)
     assert bound_GK(1, 1, 1, 3, refined=True).as_fraction() == F(5, 2)
     assert bound_GK(1, 1, 1, 3, s0=1, c0=0).as_fraction() == F(7, 2)
+    # the max on both sides of 1/(p-1): n + log_3(h/e) is 0 at (h, e) =
+    # (1, 3), and 1 + log_3(2/3), about 0.63, at (2, 3)
+    assert str(bound_GK(1, 1, 3, 3, tame=True)) == "7"
+    assert str(bound_GK(2, 1, 3, 3, tame=True)) == "17/2 + 3*log_3(2/3)"
     with pytest.raises(ValueError):
         bound_GK(1, 1, 2, 3, refined=True)  # needs h >= e
     with pytest.raises(ValueError):
@@ -133,7 +166,6 @@ def test_bound_converse():
         if prev is not None:
             assert cur.compare(prev) >= 0
         prev = cur
-    assert bound_converse_torsion(2, 1, 3, 4)[1] == 4
 
 
 def test_bound_semistable():
@@ -160,6 +192,11 @@ def test_gamma_lower_bound():
         warnings.simplefilter("always")
         assert gamma_lower_bound(0, 1, 5) == 0
         assert w
+    # a depth of 0, or one between 0 and 1, is no clamp and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_lower_bound(1, 1, 2) == 0
+        assert gamma_lower_bound(0, 1, F(1, 2)) == F(1, 2)
 
 
 def test_plfunction_validation():

@@ -13,12 +13,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf
-from padiclab.calculus import TruncSeriesRing
 from padiclab.perfseries import PerfRing
-from padiclab.rings import FFRing, IntRing, QRing, Zmod
+from padiclab.rings import FFRing, IntRing, OperatorRing, QRing, Zmod
+from padiclab.series import TruncSeries
 from padiclab.witt import WittVector
 
 SETTINGS = settings(max_examples=60)
+
+
+class TruncSeriesRing(OperatorRing):
+    """Coefficient-ring adapter: Witt vectors over F_q[[u]]-truncations,
+    a fixture of the ring protocol and of the Witt-vector tests.
+
+    The Frobenius here is the imperfect one (coefficientwise p-th power
+    with u -> u^p); it is a ring map but not surjective, so p-th roots
+    of coordinates are generally unavailable, unlike the
+    fractional-exponent model.
+    """
+
+    char_p = True
+
+    def __init__(self, base: FFRing, prec: int):
+        self.base = base
+        self.p = base.p
+        self.prec = prec
+        self.zero = TruncSeries.zero(base, prec)
+        self.one = TruncSeries.one(base, prec)
+
+    def of_int(self, k):
+        return TruncSeries(self.base, {0: self.base.of_int(k)}, self.prec)
+
+    def times_int(self, k, a):
+        return a.times_int(k, self.p, self.prec)
+
+    def frob(self, a):
+        return a.frobenius()
+
+    def __eq__(self, other):
+        return isinstance(other, TruncSeriesRing) and self.base == other.base \
+            and self.prec == other.prec
+
+    def __hash__(self):
+        return hash(("TruncSeriesRing", self.base, self.prec))
+
+    def __repr__(self):
+        return f"W-coeff({self.base!r}[[u]]/u^{self.prec})"
+
 
 ADAPTERS = {
     "Z/3^2": Zmod(3, 2),

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclab import gf, witt
-from padiclab.calculus import TruncSeriesRing
 from padiclab.errors import NotDivisible
 from padiclab.padic import power
 from padiclab.perfseries import PerfRing, PerfSeries
@@ -17,6 +16,7 @@ from padiclab.suites import incwitt_fixture
 from padiclab.witt import (WittVector, from_zmod, frobenius_w, generate_laws,
                            ghost_components, mul_by_p, teichmuller, to_zmod,
                            verschiebung, witt_divide)
+from test_rings import TruncSeriesRing
 
 F3R = FFRing(gf.field(3))
 
