@@ -64,6 +64,8 @@ class Fields:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import Frozen
 from .padic import ceil_logp
 from .rings import QRing, Zmod
 from .series import TruncSeries, _divide_out_p, lift_mod_p
@@ -28,8 +29,14 @@ def newton_polygon(points):
 
     Returns [(root valuation, multiplicity)] with valuations
     nondecreasing; factors u^k (zero low coefficients) are stripped
-    first, consistent with reading off valuations of roots.
+    first, consistent with reading off valuations of roots.  ValueError
+    names an index given twice.
     """
+    seen = set()
+    for i, _ in points:
+        if i in seen:
+            raise ValueError(f"index {i} given twice")
+        seen.add(i)
     pts = [(i, v) for i, v in points if v is not None]
     if not pts:
         raise ValueError("zero polynomial")
@@ -98,12 +105,14 @@ def weierstrass(f: TruncSeries):
 # Eisenstein data and the operators lambda, N_nabla
 
 
-class EisensteinPoly:
+class EisensteinPoly(Frozen):
     """E(u) = u^e + p(...) with constant term p*c, c a p-adic unit.
 
     Coefficients are exact integers (the W(F_p)-coefficient case, which
     is all the desk needs).
     """
+
+    _fields = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -115,9 +124,11 @@ class EisensteinPoly:
             raise ValueError("non-leading coefficients must be divisible by p")
         if (coeffs[0] // p) % p == 0:
             raise ValueError("E(0)/p must be a unit")
-        self.p = p
-        self.coeffs = coeffs
-        self.e = len(coeffs) - 1
+        super().__init__(p, coeffs)
+
+    @property
+    def e(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def c_unit(self) -> int:
@@ -128,9 +139,6 @@ class EisensteinPoly:
 
     def as_series(self, ring, prec) -> TruncSeries:
         return TruncSeries.from_int_coeffs(ring, self.coeffs, prec)
-
-    def __repr__(self):
-        return f"Eisenstein(p={self.p}, coeffs={self.coeffs})"
 
 
 def lambda_factor_count(E: EisensteinPoly, M: int) -> int:

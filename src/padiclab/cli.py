@@ -99,15 +99,16 @@ def _parse_config_file(path: str) -> dict:
     names = set(RunConfig._fields)
     out = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for at, line in enumerate(fh, 1):
+            key, eq, val = map(str.strip, line.partition("="))
+            if not (key or eq) or key.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            key = key.strip()
             if key not in names:
                 raise ValueError(f"unknown config key {key!r} in {path}")
-            out[key] = int(val.strip())
+            try:
+                out[key] = int(val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{at}: {key}: {exc}") from None
     return out
 
 
@@ -235,9 +236,8 @@ def _cmd_series(args, cfg: RunConfig):
                 for k in range(min(cfg.M, 12))]
     if args.op == "newton":
         from .calculus import newton_polygon
-        np_ = newton_polygon(_read(args, "points", _parse_pairs))
-        return [record("newton", [[str(s), m] for s, m in np_],
-                        anchor="newton-polygon")]
+        np_ = _read(args, "points", lambda t: newton_polygon(_parse_pairs(t)))
+        return [record("newton", [[str(s), m] for s, m in np_], anchor="newton-polygon")]
     if args.op == "weierstrass":
         from .calculus import weierstrass
         ring = Zmod(p, cfg.n)

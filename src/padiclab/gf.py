@@ -206,6 +206,9 @@ class GF:
         self._w = fp_width(degree * (p - 1) ** 2)
         self._embeddings = {}
 
+    def __repr__(self):
+        return self.tag
+
     # --- construction of elements ---
 
     def coerce(self, x) -> FFElt:

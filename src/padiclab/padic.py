@@ -212,9 +212,6 @@ class PadicUnit(PadicInt):
         if self.residue % self.p == 0:
             raise ValueError(f"{self.residue} is not a unit mod {self.p}")
 
-    def __hash__(self):
-        return super().__hash__()
-
 
 def valuation(x: PadicInt):
     """Largest k <= N with p^k | x; INFINITY when x = 0 at precision."""

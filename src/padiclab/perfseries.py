@@ -108,12 +108,6 @@ class PerfSeries(SparseSeries):
         self._check(other)
         return self * other.inverse()
 
-    def __repr__(self):
-        body = " + ".join(f"{c!r}*u^{e}" for e, c in self.terms()[:5]) or "0"
-        if len(self.coeffs) > 5:
-            body += " + ..."
-        return f"<{body} + O(u^{self.prec})>"
-
     # --- Frobenius structure ---
 
     def pth_power(self):
@@ -172,6 +166,7 @@ class PerfRing(OperatorRing):
     Two are equal when field, lattice and precision agree, as the
     constants of the ring carry its precision."""
 
+    _fields = ("field", "D", "jmax", "prec")
     char_p = True
 
     def __init__(self, field: GF, D: int, jmax: int, prec):
@@ -193,16 +188,6 @@ class PerfRing(OperatorRing):
 
     def frob(self, a):
         return a.pth_power()
-
-    def __eq__(self, other):
-        return isinstance(other, PerfRing) and self.field is other.field \
-            and (self.D, self.jmax, self.prec) == (other.D, other.jmax, other.prec)
-
-    def __hash__(self):
-        return hash(("PerfRing", id(self.field), self.D, self.jmax, self.prec))
-
-    def __repr__(self):
-        return f"Perf({self.field.tag}, 1/{self.D}*{self.p}^-{self.jmax})"
 
 
 # ---------------------------------------------------------------------------

@@ -11,27 +11,28 @@ OperatorRing is the one adapter, with reduce the identity.  Zmod(p, n)
 is Z/p^n on plain ints (this is W_n(F_p)) and reduces mod p^n; int
 operators do not, so TruncSeries and WittVector reduce each coefficient
 once when they are built.  The others are IntRing() (exact integers,
-the p-torsion-free ghost oracle), QRing(p) (rationals with p-adic
-valuation bookkeeping), FFRing(F) (a finite field from padiclab.gf,
-whose reduce makes each value an element of F, the digit tuple that
-series sums over F read) and, with series as coefficients,
-perfseries.PerfRing.  module_ring picks
-the coefficient ring of a phi-module over (p, q, n).  QRing loads
-fractions when one is built, not when this module is imported.
+the p-torsion-free ghost oracle), QRing(p) (rationals inside Q_p),
+FFRing(F) (a finite field from padiclab.gf, whose reduce makes each
+value an element of F, the digit tuple that series sums over F read)
+and, with series as coefficients, perfseries.PerfRing.  module_ring
+picks the coefficient ring of a phi-module over (p, q, n).  QRing
+loads fractions when one is built, not when this module is imported.
 """
 
 from __future__ import annotations
 
+from . import Fields
 from .gf import GF, FFElt, field
-from .padic import degree, vp
+from .padic import degree
 
 
-class OperatorRing:
+class OperatorRing(Fields):
     """Ring protocol over values with Python arithmetic operators.
 
     Subclasses set zero, one and char_p and define of_int; reduce is
     the identity, and inv, frob and times_int default to a.inverse(),
-    reduce and of_int(k) * a.
+    reduce and of_int(k) * a.  Two rings of one class are equal when
+    the fields they list in _fields are.
     """
 
     char_p = False
@@ -50,6 +51,8 @@ class OperatorRing:
 
 
 class Zmod(OperatorRing):
+    _fields = ("p", "n")
+
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
@@ -66,15 +69,6 @@ class Zmod(OperatorRing):
     def inv(self, a):
         return pow(a, -1, self.modulus)
 
-    def __repr__(self):
-        return f"Z/{self.p}^{self.n}"
-
-    def __eq__(self, other):
-        return isinstance(other, Zmod) and (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash(("Zmod", self.p, self.n))
-
 
 class IntRing(OperatorRing):
     """Exact integers; used as the torsion-free lift when checking Witt
@@ -86,17 +80,11 @@ class IntRing(OperatorRing):
     def of_int(self, k):
         return k
 
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
-
-    def __repr__(self):
-        return "Z"
-
 
 class QRing(OperatorRing):
     """Rationals viewed inside Q_p, as Fractions."""
+
+    _fields = ("p",)
 
     def __init__(self, p: int):
         from fractions import Fraction
@@ -107,25 +95,12 @@ class QRing(OperatorRing):
     def of_int(self, k):
         return self.one * k
 
-    def vp(self, a):
-        if a == 0:
-            return None
-        return vp(a.numerator, self.p) - vp(a.denominator, self.p)
-
     def inv(self, a):
         return 1 / a
 
-    def __repr__(self):
-        return f"Q(p={self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, QRing) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("QRing", self.p))
-
 
 class FFRing(OperatorRing):
+    _fields = ("field",)
     char_p = True
 
     def __init__(self, field: GF):
@@ -144,15 +119,6 @@ class FFRing(OperatorRing):
 
     def frob(self, a: FFElt):
         return self.field.frob_p(a)
-
-    def __repr__(self):
-        return f"FF({self.field.tag})"
-
-    def __eq__(self, other):
-        return isinstance(other, FFRing) and self.field is other.field
-
-    def __hash__(self):
-        return hash(("FFRing", id(self.field)))
 
 
 def module_ring(p: int, q: int, n: int):

@@ -180,14 +180,18 @@ class SparseSeries:
             return self
         return self._like(self.coeffs, pc)
 
+    # with __eq__ and no __hash__, a series is unhashable: equality is
+    # precision-relative
     def __eq__(self, other):
         if type(other) is not type(self) or other._model() != self._model():
             return NotImplemented
         low, high = (self, other) if self.pc <= other.pc else (other, self)
         return low.coeffs == SparseSeries.truncate(high, low.pc).coeffs
 
-    def __hash__(self):
-        raise TypeError("equality is precision-relative; not hashable")
+    def __repr__(self):
+        terms = self.terms()
+        body = " + ".join(f"{c!r}*u^{e}" for e, c in terms[:6]) + " + ..." * (len(terms) > 6)
+        return f"<{body or '0'} + O(u^{self.prec})>"
 
     def _field_inverse(self, inv):
         """Inverse of a unit over a field; inv inverts a coefficient.
@@ -340,13 +344,6 @@ class TruncSeries(SparseSeries):
             blocks = zip(*[iter(digits[:n * f])] * f)
             coeffs = {v + i: gf.FFElt(F, c) for i, c in enumerate(blocks) if c != zero}
         return TruncSeries._reduced(ring, coeffs, prec)
-
-    def __repr__(self):
-        terms = [f"{c!r}*u^{e}" for e, c in sorted(self.coeffs.items())[:6]]
-        if len(self.coeffs) > 6:
-            terms.append("...")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(u^{self.prec}) over {self.ring!r}>"
 
     # --- calculus ---
 

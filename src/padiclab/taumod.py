@@ -77,12 +77,6 @@ class BivarSeries(SparseSeries):
     def __mul__(self, other):
         return SparseSeries.__mul__(self, other)
 
-    def __repr__(self):
-        body = " + ".join(f"{c!r}*u^{i}eta^{j}" for (i, j), c in self.terms()[:6]) or "0"
-        if len(self.coeffs) > 6:
-            body += " + ..."
-        return f"<{body} + O(degree {self.prec})>"
-
 
 def bivar_one(field: GF, prec: int) -> BivarSeries:
     return BivarSeries(field, {(0, 0): field.one}, prec)

@@ -128,6 +128,18 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert err.startswith("config error: unknown config key 'pp'")
 
 
+@pytest.mark.parametrize("text, line, value", [("p = 3/1\n", 1, "'3/1'"),
+                                               ("# p\n\nN = 4\np =\n", 4, "''")])
+def test_a_config_value_that_is_no_int_names_file_line_and_key(tmp_path, capsys, text, line,
+                                                               value):
+    # each once answered only "invalid literal for int() with base 10: ..."
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "padic", "valuation", "--x", "25"]) == 2
+    assert capsys.readouterr().err == (f"config error: {cfg}:{line}: p: invalid literal for "
+                                       f"int() with base 10: {value}\n")
+
+
 def test_config_error_exit_2():
     assert run(["padic", "valuation", "--p", "4"]).returncode == 2
     assert run(["padic", "valuation", "--p", "9"]).returncode == 2
@@ -583,6 +595,14 @@ def test_a_pair_list_with_a_single_value_names_its_flag(flag, argv):
     r = run(argv)
     assert r.returncode == 2
     assert r.stderr == f"input error: {flag}: '1' is not two numbers a,b\n"
+
+
+@pytest.mark.parametrize("points, index", [("0,1;0,1", 0), ("1,0;0,1;1,5", 1)])
+def test_a_repeated_newton_index_names_points(points, index):
+    # each exited 2 with "input error: Fraction(..., 0)", a division by x2 - x1 = 0
+    r = run(["series", "newton", "--points", points])
+    assert r.returncode == 2
+    assert r.stderr == f"input error: --points: index {index} given twice\n"
 
 
 def test_a_fractional_group_order_names_jumps():

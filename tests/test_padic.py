@@ -10,7 +10,13 @@ from padiclab import padic
 from padiclab.errors import PrecisionError
 from padiclab.padic import (INFINITY, PadicInt, PadicUnit, chi_tau, exp_unit,
                             log_unit, q_analogue, q_analogue_inverse, valuation)
-from padiclab.rings import QRing
+
+
+def vp_q(a: Fraction, p: int):
+    """The p-adic valuation of a rational, None at 0."""
+    if a == 0:
+        return None
+    return padic.vp(a.numerator, p) - padic.vp(a.denominator, p)
 
 
 def test_valuation_examples():
@@ -31,7 +37,7 @@ PRIMES = st.sampled_from([3, 5, 7, 31, 257])
 
 
 def _qring_vp_loop(a, p):
-    """QRing.vp's own loops before padic.vp: the reference."""
+    """The valuation of a rational by dividing out p: vp_q's reference."""
     if a == 0:
         return None
     v = 0
@@ -73,9 +79,9 @@ def _cutoff_loop(p, n, v):
 @given(PRIMES, st.integers(0, 12), st.integers(-10 ** 6, 10 ** 6).filter(bool))
 def test_vp_matches_the_rational_loop(p, e, k):
     a = Fraction(k * p ** e, p ** (abs(k) % 5) * (1 + abs(k) % 4 * p))
-    assert QRing(p).vp(a) == _qring_vp_loop(a, p)
+    assert vp_q(a, p) == _qring_vp_loop(a, p)
     assert padic.vp(k * p ** e, p) == _qring_vp_loop(Fraction(k * p ** e), p)
-    assert QRing(p).vp(Fraction(0)) is None
+    assert vp_q(Fraction(0), p) is None
 
 
 @SETTINGS
@@ -152,6 +158,8 @@ def test_odd_prime_check_refuses_strong_pseudoprimes(n):
 
 
 def test_odd_prime_check_refuses_at_the_proven_bound():
+    # the bound is proven for the first 13 primes as bases, and no others
+    assert padic.MR_BASES == (2, *filter(_is_odd_prime_by_division, range(42)))
     # psi_13 is a strong pseudoprime to all 13 bases: only the bound refuses it
     assert not any(padic._witness(a, padic.PSI_13) for a in padic.MR_BASES)
     with pytest.raises(ValueError, match=f"not below {padic.PSI_13}"):

@@ -31,6 +31,7 @@ class TruncSeriesRing(OperatorRing):
     fractional-exponent model.
     """
 
+    _fields = ("base", "prec")
     char_p = True
 
     def __init__(self, base: FFRing, prec: int):
@@ -48,16 +49,6 @@ class TruncSeriesRing(OperatorRing):
 
     def frob(self, a):
         return a.frobenius()
-
-    def __eq__(self, other):
-        return isinstance(other, TruncSeriesRing) and self.base == other.base \
-            and self.prec == other.prec
-
-    def __hash__(self):
-        return hash(("TruncSeriesRing", self.base, self.prec))
-
-    def __repr__(self):
-        return f"W-coeff({self.base!r}[[u]]/u^{self.prec})"
 
 
 ADAPTERS = {

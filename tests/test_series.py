@@ -11,6 +11,7 @@ from padiclab.calculus import (EisensteinPoly, kisin_lambda, lambda_factor_count
                                newton_polygon, weierstrass)
 from padiclab.rings import FFRing, QRing, Zmod
 from padiclab.series import TruncSeries
+from test_padic import vp_q
 
 F9R = FFRing(gf.field(3, 2))
 Z9 = Zmod(3, 2)
@@ -69,6 +70,15 @@ def test_newton_polygon_examples():
         newton_polygon([(0, None)])
 
 
+@pytest.mark.parametrize("points, index", [
+    ([(0, 1), (0, 1)], 0), ([(1, 0), (0, 1), (1, 5)], 1), ([(0, None), (0, 1), (2, 0)], 0),
+    ([(0, 1), (2, None), (2, None)], 2)])
+def test_newton_polygon_refuses_an_index_given_twice(points, index):
+    """Not a division by zero, nor a polygon of whichever point came last."""
+    with pytest.raises(ValueError, match=f"^index {index} given twice$"):
+        newton_polygon(points)
+
+
 def test_newton_polygon_merge_under_products():
     # products of (x - p^a) factors: polygon = sorted multiset of the a's
     rng = random.Random(18)
@@ -83,12 +93,7 @@ def test_newton_polygon_merge_under_products():
                 new[i + 1] += c
                 new[i] -= c * p ** a
             coeffs = new
-        QR = QRing(3)
-
-        def vp(c):
-            return QR.vp(c)
-
-        pts = [(i, vp(c)) for i, c in enumerate(coeffs)]
+        pts = [(i, vp_q(c, 3)) for i, c in enumerate(coeffs)]
         got = newton_polygon(pts)
         want = []
         for a in vals:
@@ -234,7 +239,6 @@ def test_newton_polygon_unit_invariance():
     # multiplying by a polynomial of pure slope 0 (a p-adic unit with
     # unit leading term) leaves the finite slopes untouched
     rng = random.Random(46)
-    QR = QRing(3)
     for _ in range(40):
         vals = sorted(rng.randrange(0, 4) for _ in range(rng.randrange(1, 4)))
         coeffs = [Fraction(1)]
@@ -253,8 +257,8 @@ def test_newton_polygon_unit_invariance():
         for i, c in enumerate(coeffs):
             for j, d in enumerate(unit):
                 prod[i + j] += c * d
-        np1 = newton_polygon([(i, QR.vp(c)) for i, c in enumerate(coeffs)])
-        np2 = newton_polygon([(i, QR.vp(c)) for i, c in enumerate(prod)])
+        np1 = newton_polygon([(i, vp_q(c, 3)) for i, c in enumerate(coeffs)])
+        np2 = newton_polygon([(i, vp_q(c, 3)) for i, c in enumerate(prod)])
         zero_part = [(s, m) for s, m in np2 if s == 0]
         rest = [(s, m) for s, m in np2 if s != 0]
         assert rest == [(s, m) for s, m in np1 if s != 0]

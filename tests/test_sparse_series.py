@@ -356,3 +356,16 @@ def test_packed_product_matches_the_loop(data):
     b = a if data.draw(st.booleans()) else data.draw(packed_operand(ring))
     packed, loop = a * b, SparseSeries.__mul__(a, b)
     assert packed.coeffs == loop.coeffs and packed.pc == loop.pc
+
+
+def test_every_series_has_the_one_repr_of_its_terms_and_precision():
+    assert repr(TruncSeries(Zmod(3, 2), {2: 4, 0: 10}, 5)) == "<1*u^0 + 4*u^2 + O(u^5)>"
+    assert repr(TruncSeries(Zmod(3, 2), {}, 5)) == "<0 + O(u^5)>"
+    assert repr(TruncSeries(Zmod(3, 2), dict.fromkeys(range(8), 1), 9)) == \
+        "<" + " + ".join(f"1*u^{e}" for e in range(6)) + " + ... + O(u^9)>"
+    half = PerfSeries(F3, 2, 1, {Fraction(1, 2): F3.one}, Fraction(7, 2))
+    assert repr(half) == "<ff(F3:1)*u^1/2 + O(u^7/2)>"
+    assert repr(BivarSeries(F3, {(1, 2): F3.one}, 4)) == "<ff(F3:1)*u^(1, 2) + O(u^4)>"
+    for series in (half, BivarSeries(F3, {}, 4)):
+        with pytest.raises(TypeError):
+            hash(series)

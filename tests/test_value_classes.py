@@ -8,7 +8,8 @@ as the reference, the same repr and the same refusals of bad input;
 frozen classes give the same hash (or the same TypeError) and refuse
 assignment and deletion; RunConfig keeps the field order, defaults and
 dict of the reference, which set the order of its flags in --help and
-the keys of a document's "config".
+the keys of a document's "config".  The ring adapters compare as the
+__eq__ each once wrote itself, kept here as functions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from padiclab import cli, galrep, gf, gskel, logtrunc, padic, ramif, taumod, witt
+from padiclab import (calculus, cli, galrep, gf, gskel, logtrunc, padic, perfseries, ramif,
+                      rings, taumod, witt)
 from padiclab.errors import PrecisionError
 from padiclab.padic import check_odd_prime
 
@@ -396,3 +398,76 @@ def test_solution_set_of_a_solve_equals_itself_rebuilt():
     S.solutions()
     assert S != T and S.all is not None
     assert T.solutions() == S.all and S == T
+
+
+# --- the ring adapters ---------------------------------------------------
+# Each reference is the __eq__ the ring wrote itself; Fields gives == now.
+
+
+def zmod_eq(a, b):
+    return isinstance(b, rings.Zmod) and (a.p, a.n) == (b.p, b.n)
+
+
+def qring_eq(a, b):
+    return isinstance(b, rings.QRing) and a.p == b.p
+
+
+def ffring_eq(a, b):
+    return isinstance(b, rings.FFRing) and a.field is b.field
+
+
+def perfring_eq(a, b):
+    return isinstance(b, perfseries.PerfRing) and a.field is b.field \
+        and (a.D, a.jmax, a.prec) == (b.D, b.jmax, b.prec)
+
+
+# a second F_3, apart from gf.field's: a ring over it differs from one over
+# gf.field(3), as a ring's field compares by identity
+OTHER_F3 = gf.GF(3)
+
+
+def ring_args():
+    """(reference, ring) pairs, built afresh on every call."""
+    F3, F9, F27 = gf.field(3), gf.field(3, 2), gf.field(3, 3)
+    P = perfseries.PerfRing
+    return [*((zmod_eq, rings.Zmod(p, n)) for p, n in ((3, 1), (3, 2), (5, 1), (5, 2))),
+            *((qring_eq, rings.QRing(p)) for p in (3, 5)),
+            *((ffring_eq, rings.FFRing(f)) for f in (F3, F9, F27, gf.field(5), OTHER_F3)),
+            *((perfring_eq, r) for r in (P(F3, 2, 1, 4), P(F3, 2, 1, F(4)), P(F3, 2, 1, F(8)),
+                                         P(F3, 1, 1, 4), P(F3, 2, 2, 4), P(F9, 2, 1, 4),
+                                         P(OTHER_F3, 2, 1, 4), P(F3, 2, 1, F(9, 2))))]
+
+
+def test_ring_equality_matches_the_eq_it_replaced():
+    again = [ring for _, ring in ring_args()]
+    for (ref, x), y in itertools.product(ring_args(), again):
+        assert (x == y) == ref(x, y), (x, y)
+        assert (x != y) == (not ref(x, y)), (x, y)
+    assert all(x == x and x != object() for x in again)
+    # each of the 19 equals its rebuilt self, and prec 4 equals prec F(4) both ways
+    assert sum(ref(x, y) for (ref, x), y in itertools.product(ring_args(), again)) == 21
+
+
+def test_rings_are_unhashable_and_print_their_fields():
+    for _, ring in ring_args():
+        with pytest.raises(TypeError):
+            hash(ring)
+    assert repr(rings.FFRing(gf.field(3, 2))) == "FFRing(field=F9)"
+    assert repr(rings.Zmod(3, 2)) == "Zmod(p=3, n=2)"
+    assert repr(rings.QRing(5)) == "QRing(p=5)"
+    assert repr(perfseries.PerfRing(gf.field(3), 2, 1, 4)) == \
+        "PerfRing(field=F3, D=2, jmax=1, prec=Fraction(4, 1))"
+    assert rings.IntRing() == rings.IntRing() and repr(rings.IntRing()) == "IntRing()"
+
+
+def test_eisenstein_poly_is_frozen_on_p_and_coeffs():
+    E = calculus.EisensteinPoly(3, [3, 0, 1])
+    assert E == calculus.EisensteinPoly(3, (3, 0, 1)) and hash(E) == hash((3, (3, 0, 1)))
+    assert E != calculus.EisensteinPoly(3, (6, 0, 1)) != calculus.EisensteinPoly(5, (5, 0, 1))
+    assert E.e == 2 and repr(E) == "EisensteinPoly(p=3, coeffs=(3, 0, 1))"
+    for name in ("p", "coeffs", "e"):
+        with pytest.raises(AttributeError):
+            setattr(E, name, 1)
+    for bad in ((1,), (3, 0, 2), (3, 1, 1), (9, 0, 1)):
+        with pytest.raises(ValueError):
+            calculus.EisensteinPoly(3, bad)

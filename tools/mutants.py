@@ -41,6 +41,7 @@ REPORT = os.path.join(ROOT, "MUTANTS.json")
 MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                  "tests/test_digit_codecs.py"],
           "calculus": ["tests/test_series.py"],
+          "padic": ["tests/test_padic.py", "tests/test_value_classes.py"],
           "taumod": ["tests/test_taumod.py", "tests/test_galois_act.py"]}
 TIER1 = ["--continue-on-collection-errors"]
 
