@@ -256,10 +256,8 @@ def _cmd_series(args, cfg: RunConfig):
         field = gf.field(p)
         V = perfseries.solve_frobenius_fixed(U, field, cfg.n, D=cfg.lattice_D,
                                              jmax=cfg.jmax, prec=Fraction(cfg.M))
-        ring = perfseries.PerfRing(field, cfg.lattice_D, cfg.jmax, Fraction(cfg.M))
-        res = perfseries.frobenius_fixed_residual(U, V, ring, cfg.n)
-        zero = all(c.is_zero() for c in res.coords)
-        out = [record("residual-zero", zero, anchor="frobenius-fixed-point")]
+        res = perfseries.frobenius_fixed_residual(U, V, V.ring, cfg.n)
+        out = [record("residual-zero", res.is_zero(), anchor="frobenius-fixed-point")]
         for i, c in enumerate(V.coords):
             out.append(record(f"V[{i}] support", [str(e) for e, _ in c.terms()[:8]],
                                precision=f"O(u^{c.prec})", anchor="frobenius-fixed-point"))

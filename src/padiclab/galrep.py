@@ -44,12 +44,11 @@ where the tame character shows up through the exponent a/(p-1).
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
 from . import Fields, gf, matrix, padic
 from .errors import ExtensionCapExceeded, Unsupported
-from .rings import FFRing, module_ring
+from .rings import FFRing
 from .series import TruncSeries
 
 # --- small dense linear algebra over a GF field: padiclab.matrix, named
@@ -376,16 +375,16 @@ def charpoly_mod_p(A, p: int):
     return tuple(c % p for c in matrix.charpoly(A)) + (1,)
 
 
-def unramified_to_phimod(A, q: int, prec: int = 20) -> phimod.PhiModule:
-    """Constant-matrix module whose solution set carries the unramified
-    representation with arithmetic Frobenius A (over F_p)."""
+def unramified_to_phimod(A, p: int, f: int = 1, prec: int = 20) -> phimod.PhiModule:
+    """Constant-matrix module over F_(p^f), p and f as gf.field takes
+    them, whose solution set carries the unramified representation with
+    arithmetic Frobenius A (over F_p)."""
     from . import phimod
-    p = next((k for k in range(2, math.isqrt(max(q, 0)) + 1) if q % k == 0), q)  # least factor
-    ring = module_ring(p, q, 1)
+    ring = FFRing(gf.field(p, f))
     d = len(A)
     G = [[TruncSeries(ring, {0: ring.of_int(A[i][j])}, prec) for j in range(d)]
          for i in range(d)]
-    return phimod.PhiModule(p, q, 1, G)
+    return phimod.PhiModule(p, p ** f, 1, G)
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,11 @@ def congruent_mod(a: ScaledMatrix, b: ScaledMatrix, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 
-# log_m and is_bounded at order m run over p^m terms, about 3 and 12 us a
-# term at d = 3, N = 40 (2-vCPU x86_64, Python 3.11; grid in CHANGES.md):
-# up to this bound 0.2 and 0.8 s or less; at 3^11 terms, 0.6 and 2.1 s.
-# log_m's figure is for 1 - A with a unit entry: when 1 - A = 0 mod p it
-# sums far fewer terms, but the bound is on the order m and stays.
+# log_m and is_bounded at order m run over p^m terms (is_bounded over
+# p^(m-c-1) at c >= 0), about 3 and 12 us a term at d = 3, N = 40 (2-vCPU
+# x86_64, Python 3.11; grid in CHANGES.md): up to this bound 0.2 and 0.8 s
+# or less.  When 1 - A = 0 mod p, log_m sums far fewer terms, but the
+# bound is on the order m and stays.
 MAX_LOG_TERMS = 2 ** 16
 
 
@@ -227,20 +227,21 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     """Lambda-boundedness at order m, scale c: (1-A)^i / i must have
     entries in p^-c Z for every i <= p^m.
 
-    It keeps the loop over every power (1-A)^i, where log_m reduces mod
-    the characteristic polynomial: the test reads the entry valuations of
-    each power, which a remainder does not carry.  ValueError past
-    MAX_LOG_TERMS terms."""
+    Only the i with v_p(i) > c ask anything, the multiples of step =
+    p^max(c+1, 0): X = (1-A)^step is formed once, and each tested power
+    is one more product by X, whose entry valuations are read (log_m's
+    remainder does not carry them).  At c >= m no i is tested: True.
+    ValueError past MAX_LOG_TERMS terms."""
     _check_order(A.p, m)
+    if c >= m:
+        return True
     p, N, d = A.p, A.prec, A.d
-    mod = p ** N
-    one_minus = msub(mident(d), A.mat, mod)
+    mod, step = p ** N, p ** max(c + 1, 0)
+    X = mpow(msub(mident(d), A.mat, mod), step, mod)
     power = mident(d)
-    for i in range(1, p ** m + 1):
-        power = mmul(power, one_minus, mod)
+    for i in range(step, p ** m + 1, step):
+        power = mmul(power, X, mod)
         need = vp(i, p) - c
-        if need <= 0:
-            continue
         if need > N:
             raise PrecisionError("budget too small to decide boundedness")
         if entry_valuation(power, p, N) < need:

@@ -14,7 +14,8 @@ only where it is not 1; a negative u-exponent lowers the precision.
 
 The commutation law (g (x) id) o tau_M = tau_M^(chi_tau(g)) on module
 elements is an executable check here; tau_M^a for p-adic a is defined
-through a verified p-power order of tau_M at the truncation.
+through a verified p-power order p^t of tau_M at the truncation: rung
+tau_M^(p^i) of the order search taken a_i times, a_i the digits of a.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class PhiTauModP(Frozen):
     Frobenius matrix G (d x d TruncSeries over F_q, one-variable) and a
     tau-matrix T (d x d BivarSeries) over the bivariate model.
 
-    Frozen, so the p-power order of tau_M, found once and cached, cannot
+    Frozen, so the ladder tau_M^(p^i), built once and cached, cannot
     outlive a reassigned T, tau or order_cap; the lists G and T must not
     be changed in place either.  An Indeterminate from that search is not
     cached: it is raised again, after the same search, on every call."""
@@ -158,9 +159,13 @@ class PhiTauModP(Frozen):
     def model(self) -> BivarSeries:
         return self.T[0][0]
 
+    def _apply(self, op, x):
+        """The operator (T, g) on x: x -> T g(x)."""
+        T, g = op
+        return matrix.mat_vec(T, [galois_act(g, xi) for xi in x])
+
     def tau_apply(self, x):
-        tx = [galois_act(self.tau, xi) for xi in x]
-        return matrix.mat_vec(self.T, tx)
+        return self._apply((self.T, self.tau), x)
 
     def _compose(self, op1, op2):
         """(T1, g1) after (T2, g2): x -> T1 g1(T2 g2(x))."""
@@ -168,13 +173,6 @@ class PhiTauModP(Frozen):
         T2, g2 = op2
         T2g = [[galois_act(g1, a) for a in row] for row in T2]
         return (matrix.mul(T1, T2g), gskel.mul(g1, g2))
-
-    def tau_operator_power(self, k: int):
-        """tau_M^k as a (matrix, group element) pair, by binary
-        composition."""
-        if not k:
-            return self._identity(), gskel.identity(self.p, self.tau.c.prec)
-        return power((self.T, self.tau), k, self._compose, None)
 
     def _identity(self):
         m = self.model()
@@ -191,30 +189,32 @@ class PhiTauModP(Frozen):
         return galois_act(g, u) == u and galois_act(g, eta) == eta
 
     @functools.cached_property
-    def _order_exponent(self) -> int:
-        op = (self.T, self.tau)
-        for t in range(self.order_cap + 1):
-            if t:
-                op = power(op, self.p, self._compose, None)  # tau_M^(p^t)
-            if self._is_identity_op(op):
-                return t
-        raise Indeterminate(f"tau_M^(p^t) not identity for t <= {self.order_cap}")
+    def _ladder(self) -> list:
+        """[tau_M^(p^i) for i < t], t the least with tau_M^(p^t) = id at
+        this truncation, each rung the p-th power of the one before."""
+        op, ladder = (self.T, self.tau), []
+        while not self._is_identity_op(op):
+            if len(ladder) == self.order_cap:
+                raise Indeterminate(f"tau_M^(p^t) not identity for t <= {self.order_cap}")
+            ladder.append(op)
+            op = power(op, self.p, self._compose, None)
+        return ladder
 
     def tau_order_exponent(self) -> int:
-        """Smallest t with tau_M^(p^t) = id at this truncation, searched
-        once per module, each tau_M^(p^t) the p-th power of the last."""
-        return self._order_exponent
+        """Smallest t with tau_M^(p^t) = id at this truncation: the
+        length of the ladder."""
+        return len(self._ladder)
 
-    def tau_power_apply(self, a, x):
-        """tau_M^a for p-adic a, through the verified p-power order."""
-        if isinstance(a, PadicInt):
-            t = self.tau_order_exponent()
-            if a.prec < t:
-                raise Indeterminate("exponent precision below the order exponent")
-            a = a.residue % self.p ** t
-        T, g = self.tau_operator_power(a)
-        gx = [galois_act(g, xi) for xi in x]
-        return matrix.mat_vec(T, gx)
+    def tau_power_apply(self, a: PadicInt, x):
+        """tau_M^a for p-adic a: rung i composed a_i times, a_i the base-p
+        digits of a mod p^t, applied once; the identity at a = 0 mod p^t."""
+        ladder, p = self._ladder, self.p
+        if a.prec < len(ladder):
+            raise Indeterminate("exponent precision below the order exponent")
+        ops = [rung for i, rung in enumerate(ladder) for _ in range(a.residue // p ** i % p)]
+        op = (functools.reduce(self._compose, ops) if ops
+              else (self._identity(), gskel.identity(p, self.tau.c.prec)))
+        return self._apply(op, x)
 
 
 def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,

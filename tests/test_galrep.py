@@ -146,17 +146,19 @@ def test_unramified_round_trip():
 
 
 def test_unramified_module_over_a_large_field_finds_p_at_once():
-    """p is q's least factor, found without reading every integer up to
-    q: at q = 3^40 that scan would not end in any test's lifetime."""
+    """p and f are given, as gf.field takes them: no factor of q is
+    searched for, so F_(3^40) is built at once."""
     A = [[1, 2], [0, 1]]
-    M = unramified_to_phimod(A, 3 ** 40, prec=3)
+    M = unramified_to_phimod(A, 3, 40, prec=3)
     F = gf.field(3, 40)
     assert (M.p, M.q, M.n) == (3, 3 ** 40, 1)
     assert all(a.ring == FFRing(F) and a.prec == 3 for row in M.G for a in row)
     assert [[a.coeffs.get(0, F.zero) for a in row] for row in M.G] == \
         [[F.el(c) for c in row] for row in A]
-    for q, p in ((3, 3), (25, 5), (7 ** 3, 7), (101, 101)):
-        assert unramified_to_phimod([[1]], q, prec=2).p == p
+    for p, f in ((3, 1), (5, 2), (7, 3), (101, 1)):
+        M = unramified_to_phimod([[1]], p, f, prec=2)
+        assert (M.p, M.q, M.ring) == (p, p ** f, FFRing(gf.field(p, f)))
+    assert unramified_to_phimod([[1]], 3).q == 3
 
 
 def test_companion_round_trip():

@@ -222,6 +222,66 @@ def test_is_bounded():
     assert is_bounded(A, 1, 1)
 
 
+def is_bounded_loop(A, m, c=0):
+    """Reference for is_bounded: the loop over every power (1-A)^i, i <=
+    p^m, that it ran before it stepped by p^(c+1)."""
+    p, N, d = A.p, A.prec, A.d
+    mod = p ** N
+    one_minus = msub(mident(d), A.mat, mod)
+    power = mident(d)
+    for i in range(1, p ** m + 1):
+        power = mmul(power, one_minus, mod)
+        need = vp(i, p) - c
+        if need <= 0:
+            continue
+        if need > N:
+            raise PrecisionError("budget too small to decide boundedness")
+        if entry_valuation(power, p, N) < need:
+            return False
+    return True
+
+
+def _bounded_outcome(fn, A, m, c):
+    try:
+        return fn(A, m, c)
+    except PrecisionError as e:
+        return str(e)
+
+
+def test_is_bounded_matches_the_loop_over_every_power(monkeypatch):
+    """Seeded differential run against the loop: the same answers and
+    refusals, and the powers whose valuation is read are (1-A)^i for the
+    multiples i of p^(c+1), in increasing i, up to where the answer is
+    known."""
+    read = []
+    monkeypatch.setattr(logtrunc, "entry_valuation",
+                        lambda X, p, cap: read.append(X) or entry_valuation(X, p, cap))
+    rng, seen = random.Random(39), set()
+    for _ in range(1500):
+        p, N, d = rng.choice([3, 5, 7]), rng.randint(1, 8), rng.randint(1, 3)
+        m, c, e = rng.randint(0, 4 if p == 3 else 3), rng.randint(-2, 4), rng.choice([0, 1, 2])
+        A = BoundedOp.of(p, N, [[(e > 0 and i == j) + p ** e * rng.randrange(p ** N)
+                                 for j in range(d)] for i in range(d)])
+        read.clear()
+        got = _bounded_outcome(is_bounded, A, m, c)
+        assert got == _bounded_outcome(is_bounded_loop, A, m, c), (A, m, c)
+        tested = [i for i in range(1, p ** m + 1) if vp(i, p) > c]
+        one_minus = msub(mident(d), A.mat, p ** N)
+        assert read == [mpow(one_minus, i, p ** N) for i in tested[:len(read)]]
+        assert got is not True or len(read) == len(tested)
+        seen.add((got if isinstance(got, bool) else "refused", c < 0, c >= m))
+    assert seen >= {(True, True, False), (False, True, False), ("refused", True, False),
+                    (True, False, False), (False, False, False), ("refused", False, False),
+                    (True, False, True)}
+
+
+def test_is_bounded_forms_no_power_when_no_i_is_tested(monkeypatch):
+    # p^(c+1) > p^m: the answer is True before 1 - A is raised to any power
+    monkeypatch.setattr(logtrunc, "mpow", None)
+    A = BoundedOp.of(3, 6, [[0]])
+    assert is_bounded(A, 2, 2) and is_bounded(A, 2, 10 ** 18)
+
+
 def test_log_exp_round_trip():
     A = BoundedOp.of(3, 5, [[1, 3], [0, 1]])
     lg = log_full(A)
@@ -282,6 +342,24 @@ def test_log_full_and_exp_full_match_the_term_loops():
                                 for _ in range(d)])
         assert log_full(A) == log_full_loop(A)
         assert exp_full(B) == exp_full_loop(B)
+
+
+def test_exp_full_keeps_every_term_nonzero_mod_p_N():
+    """At p = 3 the term B^k / k! of B = 0 mod p has valuation k - v_3(k!),
+    about k/2, so exp_full needs terms far past N (past N + 6 from N = 11
+    on): the exact sum over k <= 4N, in Fractions, agrees with it mod p^N."""
+    rng, p = random.Random(39), 3
+    for N in range(9, 17):
+        B = BoundedOp.of(p, N, [[p * rng.randrange(p ** N) for _ in range(2)] for _ in range(2)])
+        term = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
+        total = term
+        for k in range(1, 4 * N + 1):
+            term = [[sum(term[i][l] * B.mat[l][j] for l in range(2)) / k for j in range(2)]
+                    for i in range(2)]
+            total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
+        want = tuple(tuple(x.numerator * pow(x.denominator, -1, p ** N) % p ** N for x in row)
+                     for row in total)
+        assert exp_full(B).value_mod(N) == want, N
 
 
 @settings(max_examples=300)

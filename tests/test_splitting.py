@@ -89,7 +89,7 @@ def _order_mod_3(A):
 def test_splitting_degree_of_a_constant_matrix_is_the_order_of_a_power(f, A):
     assume(matrix.det(A) % 3)
     Af = A if f == 1 else matrix.mul(A, A)
-    S = solve_unit_root(unramified_to_phimod(A, 3 ** f, prec=4))
+    S = solve_unit_root(unramified_to_phimod(A, 3, f, prec=4))
     assert S.s == _order_mod_3(Af)
 
 
@@ -112,7 +112,7 @@ def test_refusal_is_immediate_and_builds_no_field():
     # over F_(3^5), N = CUBIC^5 has order 26, and 243^26 = 3^130 > 2^128
     assert _order_mod_3(CUBIC) == 26
     assert _order_mod_3(functools.reduce(matrix.mul, [CUBIC] * 5)) == 26
-    G = unramified_to_phimod(CUBIC, 3 ** 5, prec=4)
+    G = unramified_to_phimod(CUBIC, 3, 5, prec=4)
     _refused_at_once(solve_unit_root, G)
 
 

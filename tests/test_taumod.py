@@ -5,7 +5,7 @@ import pytest
 
 from padiclab import gf, gskel, taumod
 from padiclab.errors import Indeterminate, PrecisionError
-from padiclab.padic import PadicInt, ndigits
+from padiclab.padic import PadicInt, ndigits, power
 from padiclab.taumod import (BivarSeries, binom_power, bivar_one, check_commutation,
                              galois_act, trivial_restriction_module)
 
@@ -136,11 +136,20 @@ def test_mutation_control():
     assert not check_commutation(Mbad, gskel.elt(3, 8, 0, 4), sample_x(rng))
 
 
+def ref_operator_power(M, k):
+    """Reference for tau_power_apply's operator: tau_M^k as a (matrix,
+    group element) pair by binary composition, as the deleted
+    PhiTauModP.tau_operator_power built it."""
+    if not k:
+        return M._identity(), gskel.identity(M.p, M.tau.c.prec)
+    return power((M.T, M.tau), k, M._compose, None)
+
+
 def order_exponent_from_scratch(M):
     """Reference for tau_order_exponent: each tau_M^(p^t) rebuilt by
     binary composition from tau_M itself."""
     for t in range(M.order_cap + 1):
-        if M._is_identity_op(M.tau_operator_power(M.p ** t)):
+        if M._is_identity_op(ref_operator_power(M, M.p ** t)):
             return t
     raise Indeterminate(f"tau_M^(p^t) not identity for t <= {M.order_cap}")
 
@@ -211,6 +220,40 @@ def test_order_is_searched_once(monkeypatch):
     # the cached order cannot outlive a changed tau-matrix
     with pytest.raises(AttributeError):
         M.T = []
+
+
+def _negative_x(rng, d, w):
+    """A seeded element with a u^-2 term in each coordinate, so applying
+    any operator, the identity included, lowers its precision."""
+    return [BivarSeries(F3, {**{(rng.randrange(-2, 4), 0): F3.random(rng) for _ in range(2)},
+                             (-2, 0): F3.one}, w) for _ in range(d)]
+
+
+@pytest.mark.parametrize("name", ["suite", "mutant", "order-p^2", "rank-1", "chi-4", "identity"])
+def test_tau_power_apply_matches_binary_composition(name):
+    """Every a < p^t: the ladder's digit product applied to x equals
+    tau_M^a by binary composition, coefficients and precision; at a = 0
+    that is the identity operator, which lowers the precision of x."""
+    if name == "identity":   # tau_M = id, so t = 0 and only a = 0 is read
+        M = trivial_restriction_module([[1]], 0, F3, gskel.identity(3, 8), W)
+    else:
+        M = _order_modules()[name]
+    t, rng = M.tau_order_exponent(), random.Random(name)
+    for a in range(M.p ** t):
+        x = _negative_x(rng, M.d, M.model().prec)
+        got = M.tau_power_apply(PadicInt(3, 8, a + 3 ** t * rng.randrange(3 ** (8 - t))), x)
+        ref = M._apply(ref_operator_power(M, a), x)
+        assert [(v.coeffs, v.pc) for v in got] == [(v.coeffs, v.pc) for v in ref], a
+        if not a:
+            assert [v.pc for v in got] != [v.pc for v in x]
+
+
+def test_tau_power_apply_refuses_an_exponent_below_the_order():
+    M = _order_modules()["suite"]
+    x = sample_x(random.Random(1))
+    with pytest.raises(Indeterminate, match="below the order exponent"):
+        M.tau_power_apply(PadicInt(3, 2, 1), x)
+    assert M.tau_power_apply(PadicInt(3, 3, 1), x) == M.tau_apply(x)
 
 
 def ref_commutation_failures(p, N, W, trials, seed):
