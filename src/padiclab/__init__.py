@@ -66,9 +66,13 @@ class Fields:
     def __eq__(self, other):
         if other is self:
             return True
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is not b and not a == b:
+                return False
+        return True
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -6,8 +6,10 @@ F_{q^s} the same way and registers the inclusion of F_q, found
 deterministically inside the Frobenius-fixed subfield.  Moduli are the
 first monic irreducible in lexicographic coefficient order, found by
 Ben-Or's irreducibility test, which keeps every computation
-reproducible.  Products and inverses mod (p, m) are the module-level
-kernels _mulmod and _invmod, shared by GF and the modulus search.
+reproducible: the test asks only whether a gcd is 1, by a remainder
+sequence (_coprime).  Products mod (p, m) are the module-level kernel
+_mulmod, shared by GF and the modulus search, and an inverse in F_q is
+x^(q-2), powered by those products.
 From degree 2 on, a product is one Kronecker substitution: both
 operands packed as below, one int product, and its top d - 1 digits,
 reduced, folded back onto the low d through the packed columns of
@@ -88,33 +90,23 @@ def _folding(mod, p):
     return w, bound >= 256 ** w, cols
 
 
-def _invmod(u, mod, p):
-    """u^-1 in F_p[x]/(x^d + mod(x)) by the extended Euclidean algorithm,
-    each remainder kept without zero top coefficients, so its degree is
-    its length less one; ZeroDivisionError when u and the modulus are
-    not coprime."""
-    d = len(u)
-    if d == 1:
-        return (pow(u[0], -1, p),)
-    r0, r1, s0, s1 = list(mod) + [1], list(u), [0], [1]
-    while r1 and not r1[-1]:
-        r1.pop()
-    while len(r1) != 1:
-        if not r1:
-            raise ZeroDivisionError("element not invertible")
-        if len(r0) < len(r1):
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        c, shift = r0[-1] * pow(r1[-1], -1, p) % p, len(r0) - len(r1)
-        for j, a in enumerate(r1):
-            r0[j + shift] = (r0[j + shift] - c * a) % p
-        s0 += [0] * (shift + len(s1) - len(s0))
-        for j, a in enumerate(s1):
-            s0[j + shift] = (s0[j + shift] - c * a) % p
-        while r0 and not r0[-1]:
-            r0.pop()
-    c = pow(r1[0], -1, p)
-    return tuple([a * c % p for a in s1] + [0] * (d - len(s1)))[:d]
+def _coprime(u, mod, p):
+    """Whether gcd(u, x^d + mod(x)) = 1 over F_p, d = len(mod), by the
+    remainder sequence alone (no cofactor): each remainder kept without
+    zero top coefficients, so its degree is its length less one, until
+    one is a nonzero constant (coprime) or 0 (not; u = 0 included)."""
+    a, b = list(mod) + [1], list(u)
+    while b and not b[-1]:
+        b.pop()
+    while len(b) > 1:
+        inv, n = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > n:
+            c, shift = a.pop() * inv % p, len(a) - n
+            a[shift:] = [(x - c * y) % p for x, y in zip(a[shift:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 class FFElt:
@@ -166,10 +158,13 @@ class FFElt:
         return power(self, n, operator.mul, self.field.one)
 
     def inverse(self) -> "FFElt":
+        """self^(q-2) in a field of order q; pow(c, -1, p) in F_p."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        return FFElt(f, _invmod(self.coeffs, f.modulus, f.p))
+        if f.fp_degree == 1:
+            return FFElt(f, (pow(self.coeffs[0], -1, f.p),))
+        return self ** (f.order - 2)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -394,9 +389,8 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
     """First monic irreducible of degree s over F_p in lexicographic
     coefficient order, by Ben-Or's test (FOCS 1981): f is irreducible iff
     gcd(x^(p^k) - x, f) = 1 for k = 1 .. s/2, since a reducible f has a
-    factor of degree k <= s/2, which divides x^(p^k) - x.  The gcd is 1
-    exactly when x^(p^k) - x is invertible mod f.  The test stops at the
-    first k with a common factor."""
+    factor of degree k <= s/2, which divides x^(p^k) - x.  The test
+    (_coprime) stops at the first k with a common factor."""
     x, one = (0, 1) + (0,) * (s - 2), (1,) + (0,) * (s - 1)
     for code in range(p ** s):
         if s > 1 and code % p == 0:
@@ -406,9 +400,7 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
         fold = _folding(mod, p)
         for _ in range(s // 2):
             g = power(g, p, lambda u, v: _mulmod(u, v, fold, p), one)     # g^p mod f
-            try:
-                _invmod(tuple((a - b) % p for a, b in zip(g, x)), mod, p)
-            except ZeroDivisionError:
+            if not _coprime([(a - b) % p for a, b in zip(g, x)], mod, p):
                 break
         else:
             return mod

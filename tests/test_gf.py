@@ -459,6 +459,65 @@ def test_each_field_holds_its_own_folding():
             assert (a * b).coeffs == _mulmod_schoolbook(a.coeffs, b.coeffs, F.modulus, F.p)
 
 
+# --- the extended Euclid that inverted field elements and answered
+# Ben-Or's question by raising, kept as the reference for _coprime and
+# for inverses by powering ---
+
+def _invmod_reference(u, mod, p):
+    """u^-1 in F_p[x]/(x^d + mod(x)) by the extended Euclidean algorithm,
+    each remainder kept without zero top coefficients, so its degree is
+    its length less one; ZeroDivisionError when u and the modulus are
+    not coprime."""
+    d = len(u)
+    if d == 1:
+        return (pow(u[0], -1, p),)
+    r0, r1, s0, s1 = list(mod) + [1], list(u), [0], [1]
+    while r1 and not r1[-1]:
+        r1.pop()
+    while len(r1) != 1:
+        if not r1:
+            raise ZeroDivisionError("element not invertible")
+        if len(r0) < len(r1):
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        c, shift = r0[-1] * pow(r1[-1], -1, p) % p, len(r0) - len(r1)
+        for j, a in enumerate(r1):
+            r0[j + shift] = (r0[j + shift] - c * a) % p
+        s0 += [0] * (shift + len(s1) - len(s0))
+        for j, a in enumerate(s1):
+            s0[j + shift] = (s0[j + shift] - c * a) % p
+        while r0 and not r0[-1]:
+            r0.pop()
+    c = pow(r1[0], -1, p)
+    return tuple([a * c % p for a in s1] + [0] * (d - len(s1)))[:d]
+
+
+def _invertible_reference(u, mod, p):
+    try:
+        _invmod_reference(tuple(u), mod, p)
+    except ZeroDivisionError:
+        return False
+    return True
+
+
+def _find_modulus_prime_reference(p, s):
+    """The Ben-Or search as it asked through the extended Euclid: the
+    first monic f of degree s with x^(p^k) - x invertible mod f for
+    k = 1 .. s/2."""
+    x, one = (0, 1) + (0,) * (s - 2), (1,) + (0,) * (s - 1)
+    for code in range(p ** s):
+        if s > 1 and code % p == 0:
+            continue
+        mod = gf._base_p(code, p, s)
+        g, fold = x, gf._folding(mod, p)
+        for _ in range(s // 2):
+            g = gf.power(g, p, lambda u, v: gf._mulmod(u, v, fold, p), one)
+            if not _invertible_reference([(a - b) % p for a, b in zip(g, x)], mod, p):
+                break
+        else:
+            return mod
+
+
 def _poly_mul(u, v, p):
     out = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
@@ -467,20 +526,25 @@ def _poly_mul(u, v, p):
     return out
 
 
+def _grid(p):
+    return [d for d in range(2, 53) if p ** d <= gf.MAX_ORDER]
+
+
 @pytest.mark.parametrize("p", [3, 5, 101])
 def test_inverses_invert_and_common_factors_are_refused(p):
-    """In F_(p^d) for every d from 2 to 52 below 2^128: x _invmod(x) = 1
-    for 1, x, x^(d-1), the all-(p-1) element and random ones.  Mod the
-    reducible (x + a) g(x), g monic of degree d - 1: ZeroDivisionError
-    for (x + a) h(x), h nonzero of degree below d - 1, zero top
-    coefficients included, and for 0."""
+    """In F_(p^d) for every d from 2 to 52 below 2^128: x x.inverse() = 1
+    for 1, x, x^(d-1), the all-(p-1) element and random ones, each of
+    them coprime to the modulus.  Mod the reducible (x + a) g(x), g monic
+    of degree d - 1: not coprime for (x + a) h(x), h nonzero of degree
+    below d - 1, zero top coefficients included, and for 0."""
     rng = random.Random(p)
-    for d in (d for d in range(2, 53) if p ** d <= gf.MAX_ORDER):
+    for d in _grid(p):
         F = gf.field(p, d)
         xs = [(1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2), (0,) * (d - 1) + (1,),
               (p - 1,) * d] + [F.random_nonzero(rng).coeffs for _ in range(6)]
-        for x in xs:
-            assert gf._mulmod(x, gf._invmod(x, F.modulus, p), F._fold, p) == F.one.coeffs
+        for x in map(F.from_fp, xs):
+            assert x * x.inverse() == F.one
+            assert gf._coprime(x.coeffs, F.modulus, p)
         for _ in range(4):
             a = rng.randrange(p)
             mod = tuple(_poly_mul([a, 1], [rng.randrange(p) for _ in range(d - 1)] + [1], p)[:d])
@@ -489,8 +553,37 @@ def test_inverses_invert_and_common_factors_are_refused(p):
             u = _poly_mul([a, 1], h, p)
             u += [0] * (d - len(u))
             for bad in (tuple(u), (0,) * d):
-                with pytest.raises(ZeroDivisionError):
-                    gf._invmod(bad, mod, p)
+                assert not gf._coprime(bad, mod, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_coprimality_moduli_and_inverses_match_the_extended_euclid(p):
+    """Seeded differential against the extended Euclid: _coprime answers
+    as the reference inverts or refuses, for random u (some sharing a
+    factor of low degree with the modulus) mod random monic moduli of
+    every degree in the grid; the modulus search returns the reference
+    search's modulus; and x.inverse() is the reference inverse."""
+    rng = random.Random(40 + p)
+    for d in _grid(p):
+        for _ in range(8):
+            mod = tuple(rng.randrange(p) for _ in range(d))
+            if rng.randrange(2):
+                k = rng.randrange(1, d)
+                g = [rng.randrange(p) for _ in range(k)] + [1]
+                f = _poly_mul(g, [rng.randrange(p) for _ in range(d - k)] + [1], p)
+                mod = tuple(f[:d])
+                u = _poly_mul(g, [rng.randrange(p) for _ in range(rng.randrange(1, d - k + 1))], p)
+            else:
+                u = [rng.randrange(p) for _ in range(d)]
+            u = tuple(u + [0] * (d - len(u)))
+            assert gf._coprime(u, mod, p) == _invertible_reference(u, mod, p), (d, mod, u)
+        F = gf.field(p, d)
+        assert F.modulus == _find_modulus_prime_reference(p, d), d
+        for x in [F.gen] + [F.random_nonzero(rng) for _ in range(3)]:
+            assert x.inverse().coeffs == _invmod_reference(x.coeffs, F.modulus, p), (d, x)
+    F = gf.field(p)
+    assert [x.inverse().coeffs for x in F.elements() if x] == \
+        [_invmod_reference(x.coeffs, None, p) for x in F.elements() if x]
 
 
 def test_entries_read_the_digit_layout():
