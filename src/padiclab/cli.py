@@ -97,7 +97,7 @@ class RunConfig(Fields):
 
 def _parse_config_file(path: str) -> dict:
     names = set(RunConfig._fields)
-    out = {}
+    out, first = {}, {}
     with open(path) as fh:
         for at, line in enumerate(fh, 1):
             key, eq, val = map(str.strip, line.partition("="))
@@ -105,6 +105,9 @@ def _parse_config_file(path: str) -> dict:
                 continue
             if key not in names:
                 raise ValueError(f"unknown config key {key!r} in {path}")
+            if key in first:
+                raise ValueError(f"{path}:{at}: {key} given twice (first on line {first[key]})")
+            first[key] = at
             try:
                 out[key] = int(val)
             except ValueError as exc:
@@ -392,7 +395,7 @@ def _cmd_ramif(args, cfg: RunConfig):
             if (o := Fraction(text)).denominator != 1:
                 raise ValueError(f"group order {o} is not an integer")
             return o
-        f = ramif.herbrand_phi(_read(args, "jumps", lambda t: _parse_pairs(t, (Fraction, order))))
+        f = _read(args, "jumps", lambda t: ramif.herbrand_phi(_parse_pairs(t, (Fraction, order))))
         return [record("vertices", [[str(a), str(b)] for a, b in f.vertices],
                         anchor="herbrand"),
                 record("concave", f.is_concave(), anchor="herbrand")]
@@ -415,6 +418,8 @@ def _cmd_suite(args, cfg: RunConfig):
     kwargs = {}
     if args.name == "logm":
         kwargs = {"p": cfg.p, "m": 2 if args.m is None else args.m}
+    elif args.m is not None:
+        raise ValueError(f"--m: only suite logm reads it, not suite {args.name}")
     return suites.run_suite(args.name, cfg.trials, cfg.seed, **kwargs)
 
 

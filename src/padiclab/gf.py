@@ -132,9 +132,6 @@ class FFElt:
     def __sub__(self, other):
         return self + (-self.field.coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + self.field.coerce(other)
-
     def __mul__(self, other):
         f = self.field
         if isinstance(other, int):
@@ -144,13 +141,6 @@ class FFElt:
         return FFElt(f, _mulmod(self.coeffs, other.coeffs, f._fold, f.p))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self.field.coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.field.coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -238,10 +228,6 @@ class GF:
         for a in reversed(x.coeffs):
             c = c * self.p + a
         return c
-
-    def elements(self):
-        for code in range(self.order):
-            yield self.from_code(code)
 
     def random(self, rng) -> FFElt:
         return self.from_code(rng.randrange(self.order))

@@ -39,10 +39,6 @@ def elt(p: int, prec: int, c: int, chi: int) -> GaloisElt:
     return GaloisElt(PadicInt(p, prec, c), PadicInt(p, prec, chi))
 
 
-def identity(p: int, prec: int) -> GaloisElt:
-    return elt(p, prec, 0, 1)
-
-
 def mul(g: GaloisElt, h: GaloisElt) -> GaloisElt:
     """Cocycle law: c(gh) = c(g) + chi(g) c(h), chi multiplicative."""
     if g.p != h.p:

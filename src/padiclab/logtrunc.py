@@ -20,8 +20,7 @@ from operator import mul
 
 from . import Frozen
 from .errors import PrecisionError
-from .padic import (_exp_coeffs, _log_coeffs, _series_cutoff_log, _unscale, ndigits,
-                    power, vp)
+from .padic import _log_coeffs, _series_cutoff_log, ndigits, power, vp
 
 # --- exact integer matrices mod p^k ---
 
@@ -247,29 +246,6 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
         if entry_valuation(power, p, N) < need:
             return False
     return True
-
-
-def log_full(A: BoundedOp) -> ScaledMatrix:
-    """Convergent log for A = id mod p: -sum_i (1-A)^i / i over the terms
-    nonzero mod p^N; certified to the full N digits."""
-    p, N, d = A.p, A.prec, A.d
-    if entry_valuation(msub(A.mat, mident(d), p ** N), p, N) < 1:
-        raise ValueError("log_full needs A = id mod p")
-    last = _series_cutoff_log(p, N, 1)
-    s = ndigits(last, p) - 1                   # the largest v_p(i), i <= last
-    mod = p ** (N + s)
-    S = _evaluate(_log_coeffs(p, last, s, N + s), msub(mident(d), A.mat, mod), mod)
-    return ScaledMatrix(p, tuple(tuple(_unscale(-a, p, s, N) for a in row) for row in S), 0, N)
-
-
-def exp_full(B: BoundedOp) -> ScaledMatrix:
-    """Convergent exp for B = 0 mod p (enough for p odd), as padic.exp_unit."""
-    p, N = B.p, B.prec
-    if entry_valuation(B.mat, p, N) < 1:
-        raise ValueError("exp_full needs B = 0 mod p")
-    s, coeffs = _exp_coeffs(p, 2 * N + 4, N)
-    S = _evaluate(coeffs, B.mat, p ** (N + s))
-    return ScaledMatrix(p, tuple(tuple(_unscale(a, p, s, N) for a in row) for row in S), 0, N)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def zmod_series_to_witt(U_out, ring: PerfRing, n: int):
             acc = witt.WittVector(p, ring, [a.truncate(ring.prec) for a in coords])
         else:
             acc = acc + witt.WittVector(p, ring, coords)
-    return witt.zero(p, n, ring) if acc is None else acc
+    return witt.WittVector(p, ring, [ring.zero] * n) if acc is None else acc
 
 
 def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,

@@ -251,20 +251,6 @@ def height_divides(L, U: TruncSeries) -> bool:
     return _all_integral(L._frobenius_inverse, columns)
 
 
-def tensor_lattice(L1: PhiLattice, L2: PhiLattice) -> PhiLattice:
-    """Kronecker product of the lattice Frobenius presentations."""
-    M1, M2 = L1.module, L2.module
-    if (M1.p, M1.q, M1.n) != (M2.p, M2.q, M2.n):
-        raise ValueError("tensor factors over different base data")
-    A, B = L1.lattice_frobenius, L2.lattice_frobenius
-    d1, d2 = len(A), len(B)
-    G = [[A[i1][j1] * B[i2][j2]
-          for j1 in range(d1) for j2 in range(d2)]
-         for i1 in range(d1) for i2 in range(d2)]
-    mod = PhiModule(M1.p, M1.q, M1.n, G)
-    return PhiLattice(mod)
-
-
 # --- the cyclotomic family ---
 
 

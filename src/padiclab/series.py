@@ -168,9 +168,6 @@ class SparseSeries:
             return self._like({}, pc)
         return SparseSeries.truncate(self if k == 1 else self.scale(k), pc)
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def shift(self, k):
         """Multiply by u^k."""
         return self._like({e + k: c for e, c in self.coeffs.items()}, self.pc + k)

@@ -213,7 +213,7 @@ class PhiTauModP(Frozen):
             raise Indeterminate("exponent precision below the order exponent")
         ops = [rung for i, rung in enumerate(ladder) for _ in range(a.residue // p ** i % p)]
         op = (functools.reduce(self._compose, ops) if ops
-              else (self._identity(), gskel.identity(p, self.tau.c.prec)))
+              else (self._identity(), gskel.elt(p, self.tau.c.prec, 0, 1)))
         return self._apply(op, x)
 
 

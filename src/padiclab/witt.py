@@ -210,19 +210,12 @@ class WittVector:
         return "W(" + ", ".join(repr(c) for c in self.coords) + ")"
 
 
-def zero(p, n, ring) -> WittVector:
-    return WittVector(p, ring, [ring.zero] * n)
-
-
-def one(p, n, ring) -> WittVector:
-    return teichmuller(ring.one, p, n, ring)
-
-
 def from_int(k: int, p: int, n: int, ring) -> WittVector:
     """Image of the integer k under Z -> W_n(A)."""
     if ring.char_p:
         return from_zmod(k, p, n, ring)     # through W_n(F_p) = Z/p^n
-    acc = power(one(p, n, ring), abs(k), operator.add, zero(p, n, ring))
+    acc = power(teichmuller(ring.one, p, n, ring), abs(k), operator.add,
+                WittVector(p, ring, [ring.zero] * n))
     return -acc if k < 0 else acc
 
 
@@ -246,7 +239,7 @@ def frobenius_w(x: WittVector) -> WittVector:
         return WittVector(x.p, ring, [ring.frob(c) for c in x.coords])
     if x.n < 2:
         raise ValueError("ghost Frobenius needs n >= 2")
-    return x._law("frob_polys", zero(x.p, x.n, ring))
+    return x._law("frob_polys", WittVector(x.p, ring, [ring.zero] * x.n))
 
 
 def mul_by_p(x: WittVector) -> WittVector:

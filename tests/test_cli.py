@@ -11,7 +11,7 @@ import time
 import pytest
 
 from padiclab import galrep, gf, padic
-from padiclab.cli import COMMANDS, build_parser, main
+from padiclab.cli import COMMANDS, SUITE_NAMES, build_parser, main
 
 CMD = [sys.executable, "-m", "padiclab.cli"]
 
@@ -138,6 +138,14 @@ def test_a_config_value_that_is_no_int_names_file_line_and_key(tmp_path, capsys,
     assert main(["--config", str(cfg), "padic", "valuation", "--x", "25"]) == 2
     assert capsys.readouterr().err == (f"config error: {cfg}:{line}: p: invalid literal for "
                                        f"int() with base 10: {value}\n")
+
+
+def test_a_config_key_given_twice_is_refused(tmp_path, capsys):
+    # the second p once won silently, and the run went on at p = 7
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 5\n# p = 3\nN = 6\np = 7\n")
+    assert main(["--config", str(cfg), "padic", "valuation", "--x", "25"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:4: p given twice (first on line 1)\n"
 
 
 def test_config_error_exit_2():
@@ -288,6 +296,15 @@ def test_suite_logm_reads_m(capsys, flag, m):
     assert main(["suite", "logm", "--trials", "2"] + flag) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][0]["name"] == f"log additivity mod p^{m - 1} x2"
+
+
+@pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "logm"])
+def test_only_suite_logm_reads_m(capsys, name):
+    # suite heights --m 3 once ran, its --m unread, and exited 0
+    assert main(["suite", name, "--m", "3", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --m: only suite logm reads it, not suite {name}\n"
 
 
 @pytest.mark.parametrize("m, value", [

@@ -9,8 +9,9 @@ too small, of two answers the perturbation oracles mended, of the two
 Witt-vector suites at their default trials over three seeds, and of
 three log_m commands whose 1 - A vanishes mod p, and of four galois
 commands through gf's two-byte digits, an embedding and the solutions
-of x^p - a x = b over an extension, and of one command for each op
-that none of these runs.  A change that alters
+of x^p - a x = b over an extension, of one command for each op that
+none of these runs, and of the one user path of two library functions
+(tests/test_reach.py).  A change that alters
 any of them on purpose regenerates the file with
 `python tests/test_cli_pinned.py` and says why.
 """
@@ -104,8 +105,15 @@ OPS = [
     "padic qinverse --p 3 --N 8 --b 5 --qq 4",
     "padic chitau --p 3 --N 8 --chig 4 --qq 4",
 ]
+# the only user path of a library function: the cyclotomic module over
+# Z/9, whose Eisenstein unit Zmod.inv inverts, and a bound-gk whose log
+# branch n + log_p(h/e) is below 1/(p-1), the bound BoundExpr.exact builds
+REACH = [
+    "phimod cyclotomic --p 3 --n 2 --e 2 --m 1",
+    "ramif bound-gk --p 3 --e 2 --n 1 --h 1 --tame",
+]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS
+    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS + REACH
 
 
 def run(command):

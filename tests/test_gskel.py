@@ -16,7 +16,7 @@ def rand_ginf(rng, p=3, prec=8):
 def test_mul_examples():
     p, n = 3, 8
     g = gskel.elt(p, n, 5, 7)
-    assert gskel.mul(g, gskel.identity(p, n)).c == g.c
+    assert gskel.mul(g, gskel.elt(p, n, 0, 1)).c == g.c
     tau = gskel.elt(p, n, 1, 4)
     h = gskel.elt(p, n, 0, 5)
     ht = gskel.mul(h, tau)
@@ -46,7 +46,7 @@ def test_pow():
     sq = gskel.pow(g, 2)
     assert sq.c == 1 + 4 and sq.chi == 16
     # integer powers match iterated multiplication
-    acc = gskel.identity(p, n)
+    acc = gskel.elt(p, n, 0, 1)
     for k in range(1, 7):
         acc = gskel.mul(acc, g)
         pk = gskel.pow(g, k)
@@ -80,7 +80,7 @@ def test_conj_into_Ginf():
     rng = random.Random(7)
     p, n = 3, 8
     tau = gskel.elt(p, n, 1, 4)
-    ident = gskel.identity(p, n)
+    ident = gskel.elt(p, n, 0, 1)
     r = gskel.conj_into_Ginf(ident, tau)
     assert r.c == 0 and r.chi == 1
     # chi(tau) = 1: the exponent is chi(g) itself

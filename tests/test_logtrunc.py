@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from padiclab import logtrunc, padic
 from padiclab.errors import PrecisionError
 from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, entry_valuation,
-                               exp_full, is_bounded, log_full, log_m, madd, mident, mmul,
-                               mpow, msub, mscale, rdc_valuation_check)
-from padiclab.padic import vp
+                               is_bounded, log_m, madd, mident, mmul, mpow, msub, mscale,
+                               rdc_valuation_check)
+from padiclab.padic import PadicInt, exp_unit, log_unit, vp
 
 SETTINGS = settings(max_examples=300)
 
@@ -208,7 +208,7 @@ def test_log_m_agrees_with_convergent_series():
         want = tuple(tuple(a % p ** 4 for a in row) for row in acc)
         assert got == want
         # and it is minus the classical log
-        assert congruent_mod(Lm, log_full(A).scale_int(-1), 4)
+        assert congruent_mod(Lm, classical_log(A).scale_int(-1), 4)
 
 
 def test_is_bounded():
@@ -282,24 +282,15 @@ def test_is_bounded_forms_no_power_when_no_i_is_tested(monkeypatch):
     assert is_bounded(A, 2, 2) and is_bounded(A, 2, 10 ** 18)
 
 
-def test_log_exp_round_trip():
-    A = BoundedOp.of(3, 5, [[1, 3], [0, 1]])
-    lg = log_full(A)
-    assert exp_full(BoundedOp.of(3, 5, lg.value_mod(5))).value_mod(5) == A.mat
-    with pytest.raises(ValueError):
-        log_full(BoundedOp.of(3, 4, [[2]]))
-    with pytest.raises(ValueError):
-        exp_full(BoundedOp.of(3, 4, [[1]]))
-
-
-def log_full_loop(A):
-    """log_full as the term loop sum (-1)^(i+1) (A-1)^i / i up to the
-    cutoff, each power divided on a lift with ndigits(cutoff) spare digits:
-    the reference for padic's coefficients and _evaluate."""
+def classical_log(A):
+    """The convergent log of A = id mod p as the term loop sum
+    (-1)^(i+1) (A-1)^i / i up to padic's cutoff, each power divided on a
+    lift with ndigits(cutoff) spare digits: the classical log that log_m
+    is minus of."""
     p, N, d = A.p, A.prec, A.d
     t = msub(A.mat, mident(d), p ** N)
     if entry_valuation(t, p, N) < 1:
-        raise ValueError("log_full needs A = id mod p")
+        raise ValueError("the log needs A = id mod p")
     cutoff = padic._series_cutoff_log(p, N, 1)
     mod = p ** (N + padic.ndigits(cutoff, p))
     acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
@@ -313,87 +304,38 @@ def log_full_loop(A):
     return ScaledMatrix(p, tuple(tuple(a % p ** N for a in r) for r in acc), 0, N)
 
 
-def exp_full_loop(B):
-    """exp_full as the term loop sum B^i / i! for i <= 2N + 4, on powers
-    mod p^(2N+6): the reference for padic's coefficients and _evaluate."""
-    p, N, d = B.p, B.prec, B.d
-    if entry_valuation(B.mat, p, N) < 1:
-        raise ValueError("exp_full needs B = 0 mod p")
-    mod_big = p ** (2 * N + 6)
-    acc = mident(d)
-    power = mident(d)
-    fact_v, fact_u = 0, 1
-    for i in range(1, 2 * N + 5):
-        power = mmul(power, B.mat, mod_big)
-        fact_v += vp(i, p)
-        fact_u = fact_u * (i // p ** vp(i, p)) % mod_big
-        term = tuple(tuple(a // p ** fact_v * pow(fact_u, -1, mod_big) % mod_big
-                           for a in row) for row in power)
-        acc = madd(acc, term, mod_big)
-    return ScaledMatrix(p, tuple(tuple(a % p ** N for a in r) for r in acc), 0, N)
-
-
-def test_log_full_and_exp_full_match_the_term_loops():
-    rng = random.Random(30)
-    for _ in range(800):
-        p, N, d = rng.choice([3, 5, 7]), rng.randrange(1, 9), rng.randrange(1, 4)
-        A = rand_unipotent(rng, p, N, d)
-        B = BoundedOp.of(p, N, [[p * rng.randrange(p ** N) for _ in range(d)]
-                                for _ in range(d)])
-        assert log_full(A) == log_full_loop(A)
-        assert exp_full(B) == exp_full_loop(B)
-
-
-def test_exp_full_keeps_every_term_nonzero_mod_p_N():
-    """At p = 3 the term B^k / k! of B = 0 mod p has valuation k - v_3(k!),
-    about k/2, so exp_full needs terms far past N (past N + 6 from N = 11
-    on): the exact sum over k <= 4N, in Fractions, agrees with it mod p^N."""
-    rng, p = random.Random(39), 3
-    for N in range(9, 17):
-        B = BoundedOp.of(p, N, [[p * rng.randrange(p ** N) for _ in range(2)] for _ in range(2)])
-        term = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
-        total = term
-        for k in range(1, 4 * N + 1):
-            term = [[sum(term[i][l] * B.mat[l][j] for l in range(2)) / k for j in range(2)]
-                    for i in range(2)]
-            total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
-        want = tuple(tuple(x.numerator * pow(x.denominator, -1, p ** N) % p ** N for x in row)
-                     for row in total)
-        assert exp_full(B).value_mod(N) == want, N
-
-
 @settings(max_examples=300)
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(1, 5), st.data())
 def test_logs_and_exp_claim_only_what_every_completion_shares(p, d, N, data):
-    """Perturbation oracle for log_m, log_full and exp_full: an input known
-    mod p^N is completed to 3N digits, once by zero digits and once by
-    random ones.  Each result agrees with the completion's mod p^certified
-    (log_m's, not p-integral in general, through congruent_mod)."""
-    def matrix(lo, step):
-        return [[lo * (i == j) + step * data.draw(st.integers(0, p ** N - 1))
-                 for j in range(d)] for i in range(d)]
+    """Perturbation oracle for log_m and for the log_unit and exp_unit
+    that share padic's coefficients with it: an input known mod p^N is
+    completed to 3N digits, once by zero digits and once by random ones.
+    Each result agrees with the completion's mod p^certified (log_m's,
+    not p-integral in general, through congruent_mod; the scalars claim
+    all N digits)."""
+    def digits(step):
+        return step * data.draw(st.integers(0, p ** N - 1))
 
-    A, U, B = (BoundedOp.of(p, N, matrix(lo, step)) for lo, step in ((0, 1), (1, p), (0, p)))
+    A = BoundedOp.of(p, N, [[digits(1) for _ in range(d)] for _ in range(d)])
+    x, y = 1 + digits(p), digits(p)
     m = data.draw(st.integers(0, min(N, 3)))
-
-    def complete(X, tail):
-        return BoundedOp.of(p, 3 * N, [[a + p ** N * tail() for a in row] for row in X.mat])
-
-    low = log_m(A, m), log_full(U), exp_full(B)
+    low = log_m(A, m), log_unit(PadicInt(p, N, x)), exp_unit(PadicInt(p, N, y))
     for tail in (lambda: 0, lambda: data.draw(st.integers(0, p ** (2 * N)))):
-        high = (log_m(complete(A, tail), m), log_full(complete(U, tail)),
-                exp_full(complete(B, tail)))
+        high = (log_m(BoundedOp.of(p, 3 * N, [[a + p ** N * tail() for a in row]
+                                              for row in A.mat]), m),
+                log_unit(PadicInt(p, 3 * N, x + p ** N * tail())),
+                exp_unit(PadicInt(p, 3 * N, y + p ** N * tail())))
         assert congruent_mod(low[0], high[0], low[0].certified)
         for lo, hi in zip(low[1:], high[1:]):
-            assert lo.value_mod(lo.certified) == hi.value_mod(lo.certified)
+            assert (lo.prec, lo.residue) == (N, hi.residue % p ** N)
 
 
 def test_log_of_powers():
     base = BoundedOp.of(3, 8, [[1 + 3, 3], [9, 1]])
-    lb = log_full(base)
+    lb = classical_log(base)
     for k in range(1, 11):
         Ak = BoundedOp.of(3, 8, mpow(base.mat, k, 3 ** 8))
-        assert congruent_mod(log_full(Ak), lb.scale_int(k), 8)
+        assert congruent_mod(classical_log(Ak), lb.scale_int(k), 8)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2)])

@@ -80,7 +80,7 @@ def ref_charpoly(A, R):
         for i in range(d):
             term = pmul(term, [-A[i][perm[i]]] + ([R.one] if perm[i] == i else []))
         s = sign(perm)
-        acc = [a + s * t for a, t in zip(acc, term + [R.zero] * (d + 1 - len(term)))]
+        acc = [a + t * s for a, t in zip(acc, term + [R.zero] * (d + 1 - len(term)))]
     return acc
 
 
@@ -88,8 +88,8 @@ def ref_adjugate(A, R):
     d = len(A)
     if d == 1:
         return [[R.one]]
-    return [[(-1) ** (i + j) * leibniz([[A[r][c] for c in range(d) if c != j]
-                                        for r in range(d) if r != i], R.zero)
+    return [[leibniz([[A[r][c] for c in range(d) if c != j]
+                      for r in range(d) if r != i], R.zero) * (-1) ** (i + j)
              for i in range(d)] for j in range(d)]
 
 

@@ -238,6 +238,21 @@ def test_exp_examples():
         exp_unit(PadicInt(3, 4, 1))
 
 
+def test_exp_unit_keeps_every_term_nonzero_mod_p_N():
+    """At p = 3 the term y^k / k! of y = 0 mod p has valuation k - v_3(k!),
+    about k/2, so exp_unit needs terms far past n (past n + 6 from n = 11
+    on): the exact sum over k <= 4n, in Fractions, agrees with it mod p^n."""
+    rng, p = random.Random(39), 3
+    for n in range(9, 17):
+        y = p * rng.randrange(p ** n)
+        term = total = Fraction(1)
+        for k in range(1, 4 * n + 1):
+            term = term * y / k
+            total += term
+        want = total.numerator * pow(total.denominator, -1, p ** n) % p ** n
+        assert exp_unit(PadicInt(p, n, y)).residue == want, n
+
+
 def test_log_result_valuation():
     rng = random.Random(0)
     for _ in range(200):

@@ -12,7 +12,7 @@ from padiclab.padic import power
 from padiclab.calculus import EisensteinPoly
 from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_divides,
                              is_etale, mat_adjugate, mat_det, mat_mul, stabilize_lattice,
-                             tensor_lattice, u_height)
+                             u_height)
 from padiclab.rings import FFRing, Zmod, module_ring
 from padiclab.series import TruncSeries
 
@@ -167,21 +167,6 @@ def test_lattice_contains():
     assert lattice_contains(L1, L1, I1)
     assert not lattice_contains(L1, L2, I1)
     assert lattice_contains(L2, L1, I1)
-
-
-def test_tensor_height_subadditive():
-    rng = random.Random(27)
-    for _ in range(12):
-        ds = [rng.choice([1, 2]), rng.choice([1, 2])]
-        lats = []
-        for d in ds:
-            W = rand_unit_matrix(rng, R3, d, M)
-            z = TruncSeries.zero(R3, M)
-            D = [[u_mono(rng.randrange(3)) if i == j else z for j in range(d)]
-                 for i in range(d)]
-            lats.append(PhiLattice(PhiModule(3, 3, 1, mat_mul(D, W))))
-        hT = u_height(tensor_lattice(lats[0], lats[1]))
-        assert hT <= u_height(lats[0]) + u_height(lats[1])
 
 
 def _solve_phi_eigen(Wser, prec):

@@ -62,7 +62,7 @@ def test_galois_act_examples():
     assert galois_act(tau, u) == u * (bivar_one(F3, W) + eta)
     assert galois_act(tau, eta) == eta
     f = BivarSeries(F3, {(2, 1): F3.el(2), (-1, 0): F3.one}, W)
-    assert galois_act(gskel.identity(p, N), f) == f
+    assert galois_act(gskel.elt(p, N, 0, 1), f) == f
     # g in the c = 0 subgroup fixes u
     g = gskel.elt(p, N, 0, 4)
     assert galois_act(g, u) == u
@@ -141,7 +141,7 @@ def ref_operator_power(M, k):
     group element) pair by binary composition, as the deleted
     PhiTauModP.tau_operator_power built it."""
     if not k:
-        return M._identity(), gskel.identity(M.p, M.tau.c.prec)
+        return M._identity(), gskel.elt(M.p, M.tau.c.prec, 0, 1)
     return power((M.T, M.tau), k, M._compose, None)
 
 
@@ -235,7 +235,7 @@ def test_tau_power_apply_matches_binary_composition(name):
     tau_M^a by binary composition, coefficients and precision; at a = 0
     that is the identity operator, which lowers the precision of x."""
     if name == "identity":   # tau_M = id, so t = 0 and only a = 0 is read
-        M = trivial_restriction_module([[1]], 0, F3, gskel.identity(3, 8), W)
+        M = trivial_restriction_module([[1]], 0, F3, gskel.elt(3, 8, 0, 1), W)
     else:
         M = _order_modules()[name]
     t, rng = M.tau_order_exponent(), random.Random(name)

@@ -1,4 +1,5 @@
-"""A reach census of src/padiclab: every function that no user path calls.
+"""A reach census of src/padiclab: every function that no user path calls,
+the list that the tier-1 gate tests/test_reach.py checks.
 
     python tools/reach.py
 
@@ -18,7 +19,9 @@ It then prints each function of src/padiclab/*.py (every def, nested
 and methods included) whose code never ran, as file:line, qualified
 name and its lines (decorators, docstring and body), and the totals.
 Stdout of the paths runs to os.devnull.  Stdlib only, and outside
-pytest's testpaths; it reports and checks nothing.
+pytest's testpaths: tests/test_reach.py runs it in a subprocess and
+fails on each function printed here that its allow-list does not name
+with a reason, and on each allow-list entry that a path now reaches.
 """
 
 from __future__ import annotations
