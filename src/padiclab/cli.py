@@ -322,6 +322,8 @@ def _cmd_galois(args, cfg: RunConfig):
     from .rings import module_ring
     from .series import TruncSeries
     p, q = cfg.p, cfg.q
+    if cfg.n != 1:
+        raise ValueError(f"--n: galois takes torsion level n = 1 only, not {cfg.n}")
     ring = module_ring(p, q, 1)
     field = ring.field
     if args.op == "solve":
@@ -558,6 +560,32 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return top
 
 
+def _actions(parser):
+    """The actions of parser and of each subparser it holds."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+def _attach_values(parser, argv):
+    """argv with each word that starts with - and is none of the parser's
+    option strings joined to the valued flag before it, --flag=word:
+    argparse would read that word as a flag, and --jumps -1,9 would lose
+    its value before its check."""
+    actions = list(_actions(parser))
+    options = {opt for a in actions for opt in a.option_strings} | {"--"}
+    valued = {opt for a in actions if a.nargs != 0 for opt in a.option_strings}
+    out = []
+    for word in argv:
+        if out and out[-1] in valued and word.startswith("-") and word not in options:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _emit(doc: dict, fmt: str, out: str | None) -> str:
     if fmt == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -579,7 +607,8 @@ def _emit(doc: dict, fmt: str, out: str | None) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args = parser.parse_args(_attach_values(parser, argv))
     fmt = getattr(args, "format", "json")
     out = getattr(args, "out", None)
     strict = getattr(args, "strict", False)

@@ -38,7 +38,8 @@ fp_solve and one fp_kernel on them at k = 1 (frobenius_solutions), so
 no field is enumerated to solve one.  fp_rref row-reduces rows packed
 with w = fp_width(p (p-1)), a row operation one multiply-add and one
 fp_reduce.  The same packing multiplies series over Zmod or a prime
-field by Kronecker substitution (series.TruncSeries.__mul__).  The
+field by Kronecker substitution (series.TruncSeries.__mul__ and dot), and
+inverts series over a prime field by Newton doubling.  The
 field of each (p, f) is built once, up to order MAX_ORDER (field).
 """
 

@@ -3,21 +3,27 @@
 A matrix is a list of rows and a vector a list; entries are any values
 with Python + - * (TruncSeries, FFElt, int).  Sums fold left from the
 first product, so no zero is needed and a truncated series keeps the
-precision its terms give it.
+precision its terms give it; series over residues (Zmod, a prime field)
+sum in one packed pass with the same result (series.TruncSeries.dot).
 
 Only inverse divides, once: adj(A) det(A)^-1.  (The order of a matrix
 over a finite field is gf.GF.matrix_order's.)  The characteristic polynomial
 is Berkowitz's division-free algorithm (S. J. Berkowitz, IPL 18, 1984),
 O(d^4) ring operations, so det and the adjugate (Cayley-Hamilton, Horner
 in A) are valid over rings with zero divisors such as W_n(F_q)[[u]]/u^M.
-One characteristic polynomial serves each det/adjugate pair (det_adjugate).
+One characteristic polynomial serves each det/adjugate pair: a caller
+builds it once (charpoly) and asks charpoly_det and adjugate of it.
 """
 
 from __future__ import annotations
 
 
 def dot(u, v):
-    """sum u_i v_i, folded left from the first product."""
+    """sum u_i v_i, folded left from the first product, or by the first
+    entry's class when it sums rows itself (series.TruncSeries.dot)."""
+    own = getattr(type(u[0]), "dot", None)
+    if own is not None:
+        return own(u, v)
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
@@ -72,33 +78,36 @@ def charpoly(A):
     return P[::-1]
 
 
+def charpoly_det(c):
+    """det A = (-1)^d c_0 from c = charpoly(A)."""
+    return c[0] if len(c) % 2 == 0 else -c[0]
+
+
 def det(A):
-    c0 = charpoly(A)[0]
-    return c0 if len(A) % 2 == 0 else -c0
+    return charpoly_det(charpoly(A))
 
 
-def det_adjugate(A, one):
-    """(det A, adj A) from one characteristic polynomial: adj(A) =
-    (-1)^(d+1) (A^(d-1) + c_(d-1) A^(d-2) + ... + c_1 I), by
-    Cayley-Hamilton, evaluated by Horner in A; one is used at d = 1."""
+def adjugate(A, c, one):
+    """adj(A) = (-1)^(d+1) (A^(d-1) + c_(d-1) A^(d-2) + ... + c_1 I) from
+    c = charpoly(A), by Cayley-Hamilton, evaluated by Horner in A; one
+    is used at d = 1."""
     d = len(A)
-    c = charpoly(A)
-    det_a = c[0] if d % 2 == 0 else -c[0]
     if d == 1:
-        return det_a, [[one]]
+        return [[one]]
     Q = [row[:] for row in A]
     for k in range(d - 1, 0, -1):
         if k < d - 1:
             Q = mul(Q, A)
         for i in range(d):
             Q[i][i] = Q[i][i] + c[k]
-    return det_a, (Q if d % 2 == 1 else [[-a for a in row] for row in Q])
+    return Q if d % 2 == 1 else [[-a for a in row] for row in Q]
 
 
 def inverse(A, one):
     """adj(A) det(A)^-1 over a field whose elements have .inverse(),
-    which raises ZeroDivisionError when A is singular."""
-    det_a, adj = det_adjugate(A, one)
-    inv = det_a.inverse()
-    return [[a * inv for a in row] for row in adj]
+    which raises ZeroDivisionError when A is singular; det and adjugate
+    from one characteristic polynomial."""
+    c = charpoly(A)
+    inv = charpoly_det(c).inverse()
+    return [[a * inv for a in row] for row in adjugate(A, c, one)]
 

@@ -5,9 +5,14 @@ Lattices are basis-change certificates whose lattice-basis Frobenius
 matrix has nonnegative exponents (phi-stability).  Heights are decided
 two independent ways: elementary divisors over k[[u]] (Smith form with
 valuation pivoting) and direct membership solving through the adjugate
-over W_n(F_q)[[u]]/u^M, where one characteristic polynomial serves each
-det/adjugate pair.  Decisions the truncation cannot certify raise
-Indeterminate rather than guess.  A module's coefficient ring is
+over W_n(F_q)[[u]]/u^M.  One characteristic polynomial serves each
+det/adjugate pair, and a module builds one for G, once: is_etale reads
+its det, and a lattice whose Frobenius equals G entry by entry (in
+coefficients and precision) takes the module's adjugate; any other
+lattice builds its own.  The coordinate lattice's change of basis, I,
+its inverse and its Frobenius, is built once per ring, rank and
+precision (_coordinates).  Decisions the truncation cannot certify
+raise Indeterminate rather than guess.  A module's coefficient ring is
 rings.module_ring's.
 """
 
@@ -41,20 +46,43 @@ def _balanced(A):
     return r, c, [[a.shift(-cj) for a, cj in zip(row, c)] for row in B]
 
 
+class _Charpoly:
+    """A = diag(u^r) B diag(u^c) (_balanced) and the one characteristic
+    polynomial of B that det A and adj A share: det A = u^s det B and
+    adj(A)_ij = u^(s - c_i - r_j) adj(B)_ij, s = sum(r) + sum(c); the
+    adjugate by Horner on it (matrix.adjugate), whose d = 1 case is
+    1 at the precision of A's entry."""
+
+    def __init__(self, A):
+        self.one = TruncSeries.one(A[0][0].ring, A[0][0].prec)
+        self.r, self.c, self.B = _balanced(A)
+        self.s = sum(self.r) + sum(self.c)
+        self.poly = matrix.charpoly(self.B)
+
+    def det(self) -> TruncSeries:
+        return matrix.charpoly_det(self.poly).shift(self.s)
+
+    def det_adjugate(self):
+        s = self.s
+        adj = matrix.adjugate(self.B, self.poly, self.one)
+        return self.det(), [[a.shift(s - ci - rj) for a, rj in zip(row, self.r)]
+                            for row, ci in zip(adj, self.c)]
+
+
+def _charpoly_of(A):
+    """A itself when it is a _Charpoly (a module's, built once), else A's."""
+    return A if isinstance(A, _Charpoly) else _Charpoly(A)
+
+
 def mat_det(A) -> TruncSeries:
-    r, c, B = _balanced(A)
-    return matrix.det(B).shift(sum(r) + sum(c))
+    """det A, A a matrix or its _Charpoly."""
+    return _charpoly_of(A).det()
 
 
 def mat_adjugate(A):
-    """(det A, adj A) from one characteristic polynomial of the balanced
-    B: det A = u^s det B and adj(A)_ij = u^(s - c_i - r_j) adj(B)_ij,
-    s = sum(r) + sum(c), the det equal to mat_det(A)."""
-    r, c, B = _balanced(A)
-    s = sum(r) + sum(c)
-    det, adj = matrix.det_adjugate(B, TruncSeries.one(A[0][0].ring, A[0][0].prec))
-    return det.shift(s), [[a.shift(s - ci - rj) for a, rj in zip(row, r)]
-                          for row, ci in zip(adj, c)]
+    """(det A, adj A) from one characteristic polynomial, the det equal
+    to mat_det(A); A a matrix or its _Charpoly."""
+    return _charpoly_of(A).det_adjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +90,8 @@ def mat_adjugate(A):
 
 class PhiModule:
     """Finite phi-module over the truncated Laurent ring, rank d,
-    torsion level n, coefficient field F_q (q = p at n >= 2)."""
+    torsion level n, coefficient field F_q (q = p at n >= 2).  G is not
+    changed after construction: its det and adjugate are kept."""
 
     def __init__(self, p: int, q: int, n: int, G):
         self.p = p
@@ -81,8 +110,16 @@ class PhiModule:
                     raise ValueError("G entries must live over the module ring")
         self.prec = min(a.prec for r in G for a in r)
 
+    @functools.cached_property
+    def _charpoly(self):
+        return _Charpoly(self.G)
+
+    @functools.cached_property
+    def _det_adjugate(self):
+        return mat_adjugate(self._charpoly)
+
     def det(self) -> TruncSeries:
-        return mat_det(self.G)
+        return mat_det(self._charpoly)
 
     def __repr__(self):
         return f"PhiModule(d={self.d}, n={self.n}, q={self.q})"
@@ -113,14 +150,11 @@ class PhiLattice:
 
     def __init__(self, module: PhiModule, basis=None):
         self.module = module
-        ring, d, prec = module.ring, module.d, module.prec
         if basis is None:
-            basis = matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
+            basis, binv, frob = _coordinates(module.ring, module.d, module.prec)
+        else:
+            binv, frob = _inverse_and_frobenius(basis)
         self.basis = basis
-        det, adj = mat_adjugate(basis)
-        det_inv = det.inverse()
-        binv = [[a * det_inv for a in row] for row in adj]
-        frob = [[a.frobenius() for a in row] for row in basis]
         GL = mat_mul(mat_mul(binv, module.G), frob)
         for row in GL:
             for a in row:
@@ -134,14 +168,46 @@ class PhiLattice:
 
     @functools.cached_property
     def _frobenius_inverse(self):
-        """(adj, det^-1) of the lattice Frobenius, for height_divides."""
-        det, adj = mat_adjugate(self.lattice_frobenius)
+        """(adj, det^-1) of the lattice Frobenius, for height_divides: the
+        module's det and adjugate when the two matrices agree entry by
+        entry, in coefficients and precision code."""
+        GL, G = self.lattice_frobenius, self.module.G
+        if all(a.pc == b.pc and a.coeffs == b.coeffs
+               for row, grow in zip(GL, G) for a, b in zip(row, grow)):
+            det, adj = self.module._det_adjugate
+        else:
+            det, adj = mat_adjugate(GL)
         if _zero_mod_p(det):
             raise Indeterminate("det is 0 mod p to its precision; invertibility is not visible")
         return adj, det.inverse()
 
     def __repr__(self):
         return f"PhiLattice(d={self.module.d}, n={self.module.n})"
+
+
+def _inverse_and_frobenius(basis):
+    """(C^-1, phi(C)) of a change of basis C, C^-1 = adj(C) det(C)^-1."""
+    det, adj = mat_adjugate(basis)
+    det_inv = det.inverse()
+    return ([[a * det_inv for a in row] for row in adj],
+            [[a.frobenius() for a in row] for row in basis])
+
+
+_COORDINATES: dict = {}
+
+
+def _coordinates(ring, d, prec):
+    """(C, C^-1, phi(C)) of the coordinate basis C = I at prec, as
+    tuples, built once per ring value, d and prec and shared by every
+    lattice that asks: callers build a module's ring afresh for each
+    question, so the key is the ring's class and fields, not its
+    identity.  The entries are few, one per such triple a process meets."""
+    key = type(ring), ring._values(), d, prec
+    if key not in _COORDINATES:
+        basis = matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
+        _COORDINATES[key] = tuple(tuple(map(tuple, m))
+                                  for m in (basis, *_inverse_and_frobenius(basis)))
+    return _COORDINATES[key]
 
 
 def stabilize_lattice(M: PhiModule) -> PhiLattice:

@@ -31,20 +31,29 @@ is the empty series at the product's precision code, with no loop.
 This module owns a series' digits (a matrix's are gf.GF.digits'), one
 block per coefficient of u^v, u^(v+1), ...: a residue over Zmod, the f
 F_p coordinates over F_(p^f) (TruncSeries.digits; from_digits back).
-One product skips the loop: a TruncSeries whose coefficients are int
-residues mod m (over Zmod, or FFRing of a prime field) multiplies by
-Kronecker substitution on its digits, one int product for the whole
-series, with the loop's coefficients and precision.  The loop stays
-for the rest: a coefficient of F_q, f > 1, is f digits whose
-product reduces mod the field's modulus, not digit by digit; Q and the
-operator rings have no residues; and a PerfSeries or BivarSeries keys
-its terms by codes that do not pack as one run of digits (exponents on
-a lattice, pairs (i, j) truncated by total degree).
+Three kernels skip the loops for a TruncSeries whose coefficients are
+int residues mod m (over Zmod, or FFRing of a prime field), each with
+the loop's coefficients and precision:
+- a sum of products sum u_i v_i (TruncSeries.dot, which matrix.dot
+  hands series rows to) is one packed sum: each product one Kronecker
+  substitution on its digits, one int product for the whole series,
+  shifted to the least valuation of all, and the sum unpacked once; a
+  product is its one-pair case;
+- over a prime field, an inverse is Newton doubling on packed digits,
+  two int products per doubling and one unpacking at the end; over
+  Z/p^n the inverse mod p starts the p-adic lift.
+The loops stay for the rest: a coefficient of F_q, f > 1, is f digits
+whose product reduces mod the field's modulus, not digit by digit; Q
+and the operator rings have no residues; and a PerfSeries or
+BivarSeries keys its terms by codes that do not pack as one run of
+digits (exponents on a lattice, pairs (i, j) truncated by total degree).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heappop, heappush
+from operator import add, mul
 
 from . import gf
 from .rings import FFRing, QRing, Zmod
@@ -288,30 +297,25 @@ class TruncSeries(SparseSeries):
 
     def __mul__(self, other):
         """Over residues mod m, ints (Zmod) or one-digit FFElts (FFRing of a
-        prime field), one Kronecker product on gf's packed codec; else the
-        shared loop.  Each operand is one
-        int of w-byte digits from its valuation up, cut where it can no
-        longer reach below the bound, w holding the largest digit sum
-        min(len a, len b) (m - 1)^2 (Harvey, "Faster polynomial
-        multiplication via multipoint Kronecker substitution", 2009)."""
+        prime field), the one-pair case of dot's packed sum (_kronecker_sum);
+        else the shared loop."""
         ring = self.ring
-        m = ring.modulus if isinstance(ring, Zmod) else ring.p \
-            if isinstance(ring, FFRing) and ring.field.fp_degree == 1 else None
-        if m is None or type(other) is not TruncSeries or other.ring != ring \
-                or not self.coeffs or not other.coeffs:
+        m = _residue_modulus(ring)
+        if m is None or type(other) is not TruncSeries or other.ring != ring:
             return SparseSeries.__mul__(self, other)
-        a, b = self.coeffs, other.coeffs
-        pc = self._product_pc(other)
-        va, vb = min(a), min(b)
-        n = pc - va - vb                    # product digits below the bound
-        if n <= 0:
-            return TruncSeries(ring, {}, pc)
-        da = self.digits(va, min(max(a) - va + 1, n))
-        db = other.digits(vb, min(max(b) - vb + 1, n))
-        w = gf.fp_width(min(len(a), len(b)) * (m - 1) ** 2)
-        n = min(n, len(da) + len(db) - 1)
-        acc = (gf.fp_pack(da, w) * gf.fp_pack(db, w)) & ((1 << 8 * w * n) - 1)
-        return TruncSeries.from_digits(ring, gf.fp_unpack(acc, n, w, m), va + vb, pc)
+        return _kronecker_sum(ring, m, ((self, other),))
+
+    @staticmethod
+    def dot(us, vs):
+        """sum u_i v_i, as matrix.dot's fold from the first product gives
+        it: over residues mod m, when every entry is a TruncSeries over
+        the first's ring, one packed sum (_kronecker_sum); else the fold."""
+        ring = us[0].ring
+        m = _residue_modulus(ring)
+        if m is None or any(type(x) is not TruncSeries or x.ring != ring
+                            for x in (*us, *vs)):
+            return reduce(add, map(mul, us, vs))
+        return _kronecker_sum(ring, m, zip(us, vs))
 
     def digits(self, v, n) -> list:
         """The digit blocks of u^v ... u^(v+n-1), zeros where there is no
@@ -362,11 +366,15 @@ class TruncSeries(SparseSeries):
     def inverse(self):
         """Inverse of a unit in the truncated Laurent ring.
 
-        Over a field: the coefficient recurrence of the shared kernel,
-        one product's work.  Over Z/p^n: the mod-p reduction must be
-        nonzero; Newton iteration then lifts the mod-p inverse.
+        Over a prime field: Newton doubling on packed digits
+        (_prime_field_inverse).  Over F_q, f > 1, or Q: the coefficient
+        recurrence of the shared kernel, one product's work.  Over Z/p^n:
+        the mod-p reduction must be nonzero; Newton iteration then lifts
+        its inverse in the p-adic direction.
         """
         ring = self.ring
+        if isinstance(ring, FFRing) and ring.field.fp_degree == 1:
+            return self._prime_field_inverse(ring.p)
         if isinstance(ring, (FFRing, QRing)):
             return self._field_inverse(ring.inv)
         if isinstance(ring, Zmod):
@@ -382,11 +390,86 @@ class TruncSeries(SparseSeries):
             return y
         raise ValueError(f"no inversion over {ring!r}")
 
+    def _prime_field_inverse(self, p):
+        """Inverse of a unit over F_p, the recurrence's coefficients and
+        precision code pc - 2v (v the valuation), by Newton doubling on
+        gf's packed codec: with f = u^-v self cut to its n = pc - v digits
+        and g = f^-1 mod u^k, f g = 1 + t u^k mod u^2k, so g (1 - f g) =
+        (p - 1) t g u^k extends g to 2k digits.  Two products per
+        doubling, each digit below 256^w: a digit sums at most
+        n (p - 1)^3."""
+        lead = self.leading()[1].coeffs[0]
+        v = min(self.coeffs)
+        n = self.pc - v
+        w = gf.fp_width(n * (p - 1) ** 3)
+        b = 8 * w
+        f = gf.fp_pack(self.digits(v, n), w)
+        g, k = pow(lead, -1, p), 1
+        while k < n:
+            k2 = min(2 * k, n)
+            high = (1 << b * (k2 - k)) - 1
+            t = gf.fp_reduce((f & (1 << b * k2) - 1) * g >> b * k & high, k2 - k, w, p)
+            g += gf.fp_reduce(g * t * (p - 1) & high, k2 - k, w, p) << b * k
+            k = k2
+        return TruncSeries.from_digits(self.ring, gf.fp_unpack(g, n, w, p), -v, self.pc - 2 * v)
+
     def reduce_mod_p(self) -> "TruncSeries":
         """Reduction to F_p (ring must be Zmod)."""
         if not isinstance(self.ring, Zmod):
             raise ValueError("reduce_mod_p needs a Zmod coefficient ring")
         return _divide_out_p(self, 0)
+
+
+def _residue_modulus(ring):
+    """m when the coefficients over ring are int residues mod m: the
+    modulus of Zmod, p for the FFRing of a prime field; else None."""
+    if isinstance(ring, Zmod):
+        return ring.modulus
+    if isinstance(ring, FFRing) and ring.field.fp_degree == 1:
+        return ring.p
+    return None
+
+
+def _kronecker_sum(ring, m, pairs):
+    """sum a b over the pairs (a, b) of TruncSeries over ring, whose
+    coefficients are int residues mod m, with the fold's coefficients and
+    precision code, the least _product_pc.  Each product is one Kronecker
+    product on gf's packed codec: each operand one int of w-byte digits
+    from its valuation up, cut where it can no longer reach below the
+    precision, the product shifted to the least valuation of all and
+    added, and the sum unpacked once.  w holds the largest digit sum,
+    the sum over the pairs of min(len a, len b) (m - 1)^2 (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", 2009)."""
+    pc = low = None
+    live, width = [], 0
+    for a, b in pairs:
+        x, y = a.coeffs, b.coeffs
+        if x and y:
+            va, vb = min(x), min(y)
+            here = a.pc + vb if a.pc + vb < b.pc + va else b.pc + va
+            live.append((a, b, va, vb))
+            width += len(x) if len(x) < len(y) else len(y)
+            if low is None or va + vb < low:
+                low = va + vb
+        else:
+            here = a._product_pc(b)
+        if pc is None or here < pc:
+            pc = here
+    if not live:
+        return TruncSeries._reduced(ring, {}, pc)
+    w = gf.fp_width(width * (m - 1) ** 2)
+    acc = top = 0
+    for a, b, va, vb in live:
+        n = pc - va - vb                    # product digits below the precision
+        if n > 0:
+            da = a.digits(va, min(max(a.coeffs) - va + 1, n))
+            db = b.digits(vb, min(max(b.coeffs) - vb + 1, n))
+            n, at = min(n, len(da) + len(db) - 1), va + vb - low
+            acc += (gf.fp_pack(da, w) * gf.fp_pack(db, w) & (1 << 8 * w * n) - 1) << 8 * w * at
+            if at + n > top:
+                top = at + n
+    return TruncSeries.from_digits(ring, gf.fp_unpack(acc, top, w, m), low, pc)
 
 
 def _ff_sum(a, b, k):

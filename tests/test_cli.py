@@ -307,6 +307,53 @@ def test_only_suite_logm_reads_m(capsys, name):
     assert captured.err == f"input error: --m: only suite logm reads it, not suite {name}\n"
 
 
+@pytest.mark.parametrize("op", [["solve", "--matrix", "2"], ["rank1", "--c", "1"]])
+@pytest.mark.parametrize("n", [2, 3])
+def test_galois_reads_torsion_level_1_only(capsys, op, n):
+    # galois solve --n 2 once ran the n = 1 functor and echoed "n":2
+    assert main(["galois", *op, "--p", "3", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --n: galois takes torsion level n = 1 only, not {n}\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["ramif", "herbrand", "--jumps", "-1,9"],
+     "input error: --jumps: jump abscissas must be positive\n"),
+    (["series", "newton", "--points", "-1,2;-1,3"],
+     "input error: --points: index -1 given twice\n"),
+    (["phimod", "uheight", "--matrix", "-1"],
+     "input error: --matrix: entry -1 is not an F_3 code\n"),
+    (["series", "weierstrass", "--coeffs", "-1,x"],
+     "input error: --coeffs: invalid literal for int() with base 10: 'x'\n")])
+def test_a_value_that_starts_with_a_dash_reaches_its_check(capsys, args, err):
+    # argparse read -1,9 as a flag: "argument --jumps: expected one argument"
+    assert main(args) == 2
+    assert capsys.readouterr().err == err
+    assert main(args[:-2] + [f"{args[-2]}={args[-1]}"]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["series", "newton", "--points", "-1,2;0,1"], 2),
+    (["series", "weierstrass", "--p", "3", "--n", "2", "--coeffs", "-3,1"], 6),
+    (["logm", "value", "--p", "3", "--N", "4", "--matrix", "-2", "--m", "1"], 6)])
+def test_a_dash_value_reads_as_the_one_word_form(capsys, args, flag):
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    joined = args[:flag] + [f"{args[flag]}={args[flag + 1]}"] + args[flag + 2:]
+    assert main(joined) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_a_flag_after_a_valued_flag_stays_a_flag(capsys):
+    # an option string is never taken as a value, so the flag still lacks one
+    with pytest.raises(SystemExit) as exc:
+        main(["phimod", "etale", "--matrix", "--p", "3"])
+    assert exc.value.code == 2
+    assert "argument --matrix: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("m, value", [
     (0, "skipped: congruence mod p^(m-1) is vacuous"),
     (1, "skipped: congruence mod p^(m-1) is vacuous"),

@@ -11,7 +11,8 @@ three log_m commands whose 1 - A vanishes mod p, and of four galois
 commands through gf's two-byte digits, an embedding and the solutions
 of x^p - a x = b over an extension, of one command for each op that
 none of these runs, and of the one user path of two library functions
-(tests/test_reach.py).  A change that alters
+(tests/test_reach.py), and of five commands whose flag values start
+with a dash or that galois refuses for its --n.  A change that alters
 any of them on purpose regenerates the file with
 `python tests/test_cli_pinned.py` and says why.
 """
@@ -112,8 +113,17 @@ REACH = [
     "phimod cyclotomic --p 3 --n 2 --e 2 --m 1",
     "ramif bound-gk --p 3 --e 2 --n 1 --h 1 --tame",
 ]
+# refusals and values of the flags: galois reads torsion level 1 only,
+# and a value that starts with a dash reaches its flag's check
+FLAGS = [
+    "galois solve --p 3 --n 2 --matrix 2",
+    "ramif herbrand --jumps -1,9",
+    'series newton --points "-1,2;-1,3"',
+    "series weierstrass --p 3 --n 2 --coeffs -3,1",
+    "logm value --p 3 --N 4 --matrix -2 --m 1",
+]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
-    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS + REACH
+    PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS + REACH + FLAGS
 
 
 def run(command):

@@ -249,7 +249,8 @@ def test_height_divides_indeterminate():
 
 def ref_adjugate(A, one):
     """adj(A) by Cayley-Hamilton and Horner in A, from a characteristic
-    polynomial of its own: matrix.adjugate before det_adjugate."""
+    polynomial of its own, as matrix computed it before det and adjugate
+    shared one."""
     d = len(A)
     if d == 1:
         return [[one]]

@@ -1,6 +1,7 @@
-"""Input refusals that no other test drives, each through the public API
-and asserted by its message; where a command-line flag reaches one, the
-command exits 2 with that message too."""
+"""Input refusals that no other test drives, and every refusal of
+phimod, each through the public API and asserted by its message; where a
+command-line flag reaches one, the command exits 2 with that message
+too."""
 
 import re
 from fractions import Fraction
@@ -10,10 +11,11 @@ import pytest
 from padiclab import gf, gskel, ramif
 from padiclab.calculus import weierstrass
 from padiclab.cli import main
-from padiclab.errors import Unsupported
+from padiclab.errors import Indeterminate, Unsupported
 from padiclab.galrep import solve_unit_root
 from padiclab.perfseries import PerfSeries, monomial, solve_additive
-from padiclab.phimod import PhiModule
+from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
+                             snf_u_exponents, u_height)
 from padiclab.rings import FFRing, IntRing, Zmod
 from padiclab.series import TruncSeries
 from padiclab.witt import WittVector, frobenius_w, to_zmod
@@ -23,6 +25,17 @@ F3, F9 = gf.field(3), gf.field(3, 2)
 
 def series(ring, coeffs, prec=6):
     return TruncSeries(ring, coeffs, prec)
+
+
+def f3(coeffs, prec):
+    """A series over F_3 from {exponent: int}."""
+    return series(FFRing(F3), {e: F3.el(c) for e, c in coeffs.items()}, prec)
+
+
+# rank 1 over F_3: G = 0 + O(u^2), whose det no truncation shows a unit,
+# and G = u^2 + O(u^3), a unit of valuation 2 known to one more place
+ZERO = PhiModule(3, 3, 1, [[f3({}, 2)]])
+DEEP = PhiModule(3, 3, 1, [[f3({2: 1}, 3)]])
 
 
 REFUSALS = {
@@ -47,6 +60,39 @@ REFUSALS = {
     "phimod an entry over Z/9 at level 1": (
         lambda: PhiModule(3, 3, 1, [[series(Zmod(3, 2), {0: 1})]]),
         ValueError, "G entries must live over the module ring"),
+    "phimod is_etale of a det 0 to its precision": (
+        lambda: is_etale(ZERO),
+        Indeterminate, "det G is 0 mod p to its precision; a unit may lie beyond it"),
+    # u_height asks is_etale first: the module's det, not the lattice's
+    "phimod u_height of a det 0 to its precision": (
+        lambda: u_height(PhiLattice(ZERO)),
+        Indeterminate, "det G is 0 mod p to its precision; a unit may lie beyond it"),
+    # C = u^-3: C^-1 G phi(C) = u^-6 (0 + O(u^2)) has no term and precision -4
+    "phimod a lattice Frobenius of negative precision": (
+        lambda: PhiLattice(ZERO, [[f3({-3: 1}, 4)]]),
+        Indeterminate, "truncation too small to certify phi-stability"),
+    # the coordinate lattice's Frobenius is G itself: the module's det
+    "phimod height_divides through the module's det": (
+        lambda: height_divides(ZERO, f3({0: 1}, 4)),
+        Indeterminate, "det is 0 mod p to its precision; invertibility is not visible"),
+    # C = u: the lattice Frobenius 0 + O(u^4) differs from G in its
+    # precision, so the det is the lattice's own
+    "phimod height_divides through the lattice's own det": (
+        lambda: height_divides(PhiLattice(ZERO, [[f3({1: 1}, 6)]]), f3({0: 1}, 4)),
+        Indeterminate, "det is 0 mod p to its precision; invertibility is not visible"),
+    "phimod Smith form of a block 0 at its truncation": (
+        lambda: snf_u_exponents([[f3({}, 4)]]),
+        Indeterminate, "block vanishes at truncation; pivots uncertifiable"),
+    "phimod Smith form with a pivot at the block's precision": (
+        lambda: snf_u_exponents([[f3({3: 1}, 10), f3({}, 2)], [f3({}, 2), f3({3: 1}, 10)]]),
+        Indeterminate, "pivot valuation 3 too close to precision 2"),
+    "phimod u_height at torsion level 2": (
+        lambda: u_height(PhiLattice(PhiModule(3, 3, 2, [[series(Zmod(3, 2), {0: 1}, 4)]]))),
+        Unsupported, "u_height is the n = 1 notion; use height_divides for n >= 2"),
+    # x = U u^-2 with U = 1 + O(u): precision 1 - 2 - 2 < 0 and no term
+    "phimod height_divides with U known to one place": (
+        lambda: height_divides(DEEP, f3({0: 1}, 1)),
+        Indeterminate, "precision exhausted before integrality was visible"),
     "series inverse over the integers": (
         lambda: series(IntRing(), {0: 1}).inverse(),
         ValueError, "no inversion over IntRing()"),

@@ -45,6 +45,13 @@ MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                  "tests/test_digit_codecs.py"],
           "calculus": ["tests/test_series.py"],
           "padic": ["tests/test_padic.py", "tests/test_value_classes.py"],
+          "series": ["tests/test_series.py", "tests/test_sparse_series.py",
+                     "tests/test_height_kernels.py", "tests/test_lattice_codes.py",
+                     "tests/test_matrix.py", "tests/test_phimod.py", "tests/test_refusals.py",
+                     "tests/test_rings.py", "tests/test_digit_codecs.py",
+                     "tests/test_modp_fast_paths.py", "tests/test_perfseries.py",
+                     "tests/test_witt.py", "tests/test_galrep.py", "tests/test_splitting.py",
+                     "tests/test_value_classes.py", "tests/test_acceptance.py"],
           "taumod": ["tests/test_taumod.py", "tests/test_galois_act.py"]}
 TIER1 = ["--continue-on-collection-errors"]
 MARGIN = 60
