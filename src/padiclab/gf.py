@@ -9,7 +9,9 @@ Ben-Or's irreducibility test, which keeps every computation
 reproducible: the test asks only whether a gcd is 1, by a remainder
 sequence (_coprime).  Products mod (p, m) are the module-level kernel
 _mulmod, shared by GF and the modulus search, and an inverse in F_q is
-x^(q-2), powered by those products.
+x^(q-2), powered by those products.  In F_p, a sum, difference,
+negation or product of elements is one int operation mod p (pow(c, -1,
+p) an inverse), with no coercion and no tuple built digit by digit.
 From degree 2 on, a product is one Kronecker substitution: both
 operands packed as below, one int product, and its top d - 1 digits,
 reduced, folded back onto the low d through the packed columns of
@@ -120,21 +122,31 @@ class FFElt:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        other = self.field.coerce(other)
-        p = self.field.p
-        return FFElt(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if f.fp_degree == 1 and type(other) is FFElt and other.field is f:
+            return FFElt(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
+        other = f.coerce(other)
+        p = f.p
+        return FFElt(f, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FFElt(self.field, tuple(-a % p for a in self.coeffs))
+        f, p = self.field, self.field.p
+        if f.fp_degree == 1:
+            return FFElt(f, (-self.coeffs[0] % p,))
+        return FFElt(f, tuple(-a % p for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self.field.coerce(other))
+        f = self.field
+        if f.fp_degree == 1 and type(other) is FFElt and other.field is f:
+            return FFElt(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
+        return self + (-f.coerce(other))
 
     def __mul__(self, other):
         f = self.field
+        if f.fp_degree == 1 and type(other) is FFElt and other.field is f:
+            return FFElt(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
         if isinstance(other, int):
             return FFElt(f, tuple(a * other % f.p for a in self.coeffs))
         if not isinstance(other, FFElt) or other.field is not f:

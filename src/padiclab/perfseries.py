@@ -16,7 +16,11 @@ successive coordinate corrections.  The solvers' residue equations,
 z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 (gf.GF.frobenius_solutions), never by enumerating the field.
 U enters W_n(PerfSeries) with no Witt product, as the Witt sum of its
-terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p).
+terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p),
+each coordinate built as one monomial.  The (p-1)-st root's binomial
+power (1 + w)^alpha is a product over the base-p digits of alpha of
+powers of 1 + w^(p^i), each the p-th power of the one before: no term
+loop over C(alpha, k) w^k.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from fractions import Fraction
 from . import witt
 from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from .gf import GF, FFElt
-from .padic import binomials_mod_p
 from .rings import OperatorRing
 from .series import SparseSeries
 
@@ -127,24 +130,35 @@ class PerfSeries(SparseSeries):
     def binomial_power(self, alpha: Fraction):
         """(1 + w)^alpha for self = 1 + w, v(w) > 0, alpha in Z_(p).
 
-        Uses integer-valued binomial coefficients C(alpha, k) reduced
-        mod p; exact at truncation since v(w^k) grows.
+        In characteristic p, the product over the base-p digits z_i of
+        alpha mod p^t of (1 + w^(p^i))^(z_i), with p^t above the largest
+        k with k v(w) < prec: alpha's other digits only add terms of
+        valuation p^t v(w) >= prec.  Each 1 + w^(p^i) is the p-th power of
+        the one before, cut at the precision code, so no product builds
+        it; the term loop sum C(alpha, k) w^k gives the same coefficients
+        and precision code.
         """
-        fld = self.field
         onep = one_like(self)
         w = self - onep
         if w.is_zero():
             return onep
-        wv = w._veff()
+        wv, p, pc = w._veff(), self.p, self.pc
         if wv <= 0:
             raise ValueError("binomial power needs constant term 1")
-        acc = term = onep
-        # every k >= 1 with k v(w) < prec, in codes: k < ceil(pc / wv)
-        for ck in binomials_mod_p(alpha, -(-self.pc // wv) - 1, self.p)[1:]:
-            term = term * w
-            if ck:
-                acc = acc + term.scale(fld.el(ck))
-        return acc
+        if alpha.denominator % p == 0:
+            raise ValueError("exponent not a p-adic integer")
+        top = p
+        while top * wv < pc:                # p^t > k for every k v(w) < prec
+            top *= p
+        digits = alpha.numerator * pow(alpha.denominator, -1, top) % top
+        acc, factor = None, self            # factor = 1 + w^(p^i)
+        while digits:
+            digits, z = divmod(digits, p)
+            for _ in range(z):
+                acc = factor if acc is None else acc * factor
+            if digits:
+                factor = SparseSeries.truncate(factor.pth_power(), pc)
+        return onep if acc is None else acc
 
 
 def one_like(model: PerfSeries) -> PerfSeries:
@@ -270,19 +284,20 @@ def zmod_series_to_witt(U_out, ring: PerfRing, n: int):
     by u -> Teichmuller(u) and integers through W_n(F_p) = Z/p^n, in
     closed form: [u]^e = [u^e] and [x] (a_0, a_1, ...) = (a_0 x, a_1 x^p,
     a_2 x^(p^2), ...) in any W_n(A) (compare ghost components), so c u^e
-    is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p).  The sum starts at
-    the first term truncated to the ring's precision: with every exponent
-    >= 0, that is 0 + the first term."""
-    p, acc = ring.p, None
+    is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p), each coordinate one
+    monomial at precision code one.pc + e p^i L, as ring.of_int(a_i)
+    shifted by e p^i.  The sum starts at the first term cut to the ring's
+    precision code: with every exponent >= 0, that is 0 + the first term."""
+    p, one, acc = ring.p, ring.one, None
+    el, pc = ring.field.el, one.pc
     for e, c in U_out.coeffs.items():
         if e < 0:
             raise ValueError("nonnegative exponents only")
-        digits = witt.from_zmod(int(c), p, n, ring).coords
-        coords = [a.shift(e * p ** i) for i, a in enumerate(digits)]
-        if acc is None:
-            acc = witt.WittVector(p, ring, [a.truncate(ring.prec) for a in coords])
-        else:
-            acc = acc + witt.WittVector(p, ring, coords)
+        codes = [e * p ** i * one.L for i in range(n)]
+        coords = [one._like({k: el(a)}, pc if acc is None else pc + k)
+                  for k, a in zip(codes, witt.zmod_to_coords(int(c) % p ** n, p, n))]
+        term = witt.WittVector(p, ring, coords)
+        acc = term if acc is None else acc + term
     return witt.WittVector(p, ring, [ring.zero] * n) if acc is None else acc
 
 

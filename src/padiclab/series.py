@@ -25,7 +25,8 @@ Sums and differences of TruncSeries over F_q skip the kernel's
 coefficient sums: each shared term is one pass on the two digit tuples,
 (a + k b) mod p with k = 1 or p - 1, zeros dropped and every term cut
 at the lower precision (_ff_sum); no negated series is built and no
-coefficient coerced.  A product with an operand zero at its precision
+coefficient coerced.  The kernel's difference is one pass too, each
+shared coefficient a - b, with no negated series.  A product with an operand zero at its precision
 is the empty series at the product's precision code, with no loop.
 
 This module owns a series' digits (a matrix's are gf.GF.digits'), one
@@ -123,7 +124,12 @@ class SparseSeries:
         return self._like({e: -c for e, c in self.coeffs.items()}, self.pc)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self + (-other) in one pass: no negated series is built."""
+        self._check(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out[e] - c if e in out else -c
+        return self._like(out, min(self.pc, other.pc))
 
     def _codes(self, other, pc):
         """The operands' coefficient dicts keyed by product codes, the

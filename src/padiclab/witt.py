@@ -13,6 +13,10 @@ Coordinates compute with Python's + - * ==; the ring adapter
 (padiclab.rings) gives the constants and reduces each coordinate once,
 when a vector is built.  A law's integer coefficients enter through
 times_int(k, a) = of_int(k) * a, no product over the series rings.
+eval_law evaluates one law: the powers of a variable are built when a
+monomial first reads them, a coefficient 1 takes its power as it is,
+and the terms are summed from the first, cut once to the ring zero's
+precision at the end.
 """
 
 from __future__ import annotations
@@ -128,15 +132,22 @@ def _freeze(poly: dict):
 def eval_law(poly, values, ring):
     """Evaluate a frozen integer polynomial on ring elements: each
     monomial c X^e Y^f ... as (times_int(c, X^e) * Y^f) * ..., the powers
-    built up from X^1 = times_int(1, X) by products with X."""
-    caches = [{1: ring.times_int(1, v)} for v in values]
-    acc = ring.zero
+    built up from X^1 = times_int(1, X) by products with X, a variable's
+    only when a monomial reads it.  At c = 1 the power is taken as it is:
+    over the series rings pc(X^e) <= pc(X^1) + (e - 1) v(X) <= one.pc +
+    e v(X), so times_int(1, X^e) would cut nothing.  The sum starts at
+    the first term and is cut once, at the end, to the ring zero's
+    precision code, as ring.zero + sum does."""
+    caches = [None] * len(values)
+    acc = None
     for mono, coeff in poly:
         term = None
         for idx, e in enumerate(mono):
             if not e:
                 continue
             cache = caches[idx]
+            if cache is None:
+                cache = caches[idx] = {1: ring.times_int(1, values[idx])}
             if e not in cache:
                 v = values[idx]
                 best = max(k for k in cache if k <= e)
@@ -144,9 +155,18 @@ def eval_law(poly, values, ring):
                 for _ in range(e - best):
                     cur = cur * v
                 cache[e] = cur
-            term = ring.times_int(coeff, cache[e]) if term is None else term * cache[e]
-        acc = acc + (ring.of_int(coeff) if term is None else term)
-    return acc
+            if term is not None:
+                term = term * cache[e]
+            else:
+                term = cache[e] if coeff == 1 else ring.times_int(coeff, cache[e])
+        if term is None:
+            term = ring.of_int(coeff)
+        acc = term if acc is None else acc + term
+    zero = ring.zero
+    if acc is None:
+        return zero
+    # a series at or below the zero's precision code is zero + acc already
+    return acc if getattr(acc, "pc", None) is not None and acc.pc <= zero.pc else zero + acc
 
 
 def ghost_components(x: "WittVector"):
@@ -257,7 +277,8 @@ def _coords_to_zmod(coords, p, n) -> int:
     return acc
 
 
-def _zmod_to_coords(c: int, p: int, n: int):
+def zmod_to_coords(c: int, p: int, n: int) -> list:
+    """The coordinates in W_n(F_p), ints in [0, p), of c in [0, p^n)."""
     coords = []
     for level in range(n, 0, -1):
         mod = p ** level
@@ -274,7 +295,7 @@ def to_zmod(x: WittVector) -> int:
 
 
 def from_zmod(c: int, p: int, n: int, ring) -> WittVector:
-    coords = _zmod_to_coords(c % p ** n, p, n)
+    coords = zmod_to_coords(c % p ** n, p, n)
     return WittVector(p, ring, [ring.of_int(a) for a in coords])
 
 

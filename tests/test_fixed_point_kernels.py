@@ -1,0 +1,153 @@
+"""Differential tests of the kernels under the Frobenius fixed points,
+each against the code it replaced, kept here as the reference:
+
+- PerfSeries.binomial_power, the product over base-p digits, against the
+  term loop sum C(alpha, k) w^k, on coefficients and on the precision
+  code's value and type, over F_3, F_5, F_7, F_9 and F_27, on and off
+  the lattice, at alpha = +-1/(p-1) and at random alpha;
+- FFElt's one-step arithmetic at degree 1 against the coefficient-tuple
+  path that every other field takes, on every pair of F_3, F_5 and F_7
+  and on seeded pairs of F_101, int operands and the reflected operators
+  included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from padiclab import gf
+from padiclab.gf import FFElt, _mulmod
+from padiclab.padic import binomials_mod_p
+from padiclab.perfseries import PerfSeries, one_like
+
+
+def binomial_power_by_terms(x, alpha):
+    """(1 + w)^alpha by the term loop: one product per k with k v(w) < prec."""
+    fld = x.field
+    onep = one_like(x)
+    w = x - onep
+    if w.is_zero():
+        return onep
+    wv = w._veff()
+    if wv <= 0:
+        raise ValueError("binomial power needs constant term 1")
+    acc = term = onep
+    for ck in binomials_mod_p(alpha, -(-x.pc // wv) - 1, x.p)[1:]:
+        term = term * w
+        if ck:
+            acc = acc + term.scale(fld.el(ck))
+    return acc
+
+
+FIELDS = [gf.field(3), gf.field(5), gf.field(7), gf.field(3, 2), gf.field(3, 3)]
+
+
+def binomial_case(rng):
+    """(1 + w, alpha): the precision code pc on the lattice or a multiple
+    of 1/p off it; w of one to four terms, the least of code v = pc/j
+    rounded, j < 41, so the loop stays short (w = 0 where pc <= 1); alpha
+    +-1/(p-1), an int or a random element of Z_(p)."""
+    F = rng.choice(FIELDS)
+    p = F.p
+    D, jmax = rng.choice([1, 2, p - 1]), rng.randrange(3)
+    L = D * p ** jmax
+    pc = Fraction(rng.randrange(1, 6 * L * p), p)
+    top = -(-pc // 1)
+    v = max(1, top // rng.randrange(1, 41))
+    w = {Fraction(k, L): F.random_nonzero(rng)
+         for k in [v] + [rng.randrange(v, 2 * top) for _ in range(rng.randrange(4))]}
+    x = PerfSeries(F, D, jmax, {0: F.one, **w}, pc / L)
+    kind = rng.randrange(4)
+    if kind < 2:
+        alpha = Fraction((-1) ** kind, p - 1)
+    elif kind == 2:
+        alpha = Fraction(rng.randrange(-60, 60))
+    else:
+        den = rng.choice([b for b in range(1, 30) if b % p])
+        alpha = Fraction(rng.randrange(-400, 400), den)
+    return x, alpha
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_binomial_power_matches_the_term_loop(seed):
+    rng = random.Random(f"binomial-digits:{seed}")
+    off_lattice = 0
+    for _ in range(100):
+        x, alpha = binomial_case(rng)
+        got, want = x.binomial_power(alpha), binomial_power_by_terms(x, alpha)
+        assert got.coeffs == want.coeffs, (x, alpha)
+        assert type(got.pc) is type(want.pc) and got.pc == want.pc, (x, alpha)
+        off_lattice += type(got.pc) is not int
+    assert off_lattice > 10
+
+
+def test_binomial_power_refuses_as_the_term_loop_did():
+    F = gf.field(5)
+    x = PerfSeries(F, 4, 1, {0: F.one, Fraction(1, 4): F.el(2)}, Fraction(3))
+    for alpha in (Fraction(1, 5), Fraction(7, 10)):
+        with pytest.raises(ValueError, match="^exponent not a p-adic integer$"):
+            x.binomial_power(alpha)
+        with pytest.raises(ValueError, match="^exponent not a p-adic integer$"):
+            binomial_power_by_terms(x, alpha)
+    one = one_like(x)      # w = 0 answers before alpha is read
+    for power in (one.binomial_power, lambda alpha: binomial_power_by_terms(one, alpha)):
+        got = power(Fraction(1, 5))
+        assert got.coeffs == one.coeffs and got.pc == one.pc
+
+
+# --- FFElt at degree 1 ---
+
+def by_tuples(op, a, b):
+    """a op b as the coefficient-tuple path computes it: b coerced into
+    a's field, sums digit by digit, products by _mulmod."""
+    F = a.field
+    p, x = F.p, a.coeffs
+    if op == "neg":
+        return FFElt(F, tuple(-c % p for c in x))
+    y = F.coerce(b).coeffs
+    if op == "add":
+        return FFElt(F, tuple((c + d) % p for c, d in zip(x, y)))
+    if op == "sub":
+        return FFElt(F, tuple((c - d) % p for c, d in zip(x, y)))
+    return FFElt(F, _mulmod(x, y, F._fold, p))
+
+
+def same(got, want):
+    return type(got) is FFElt and got.field is want.field and type(got.coeffs) is tuple \
+        and got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs)
+
+
+def check_pair(a, b):
+    """Every operator on the pair (a, b) of one prime field, with b also as
+    an int operand on either side."""
+    k = b.coeffs[0] + b.field.p * 3 - 7      # an int of b's residue, any size
+    cases = [(a + b, "add", a, b), (a - b, "sub", a, b), (a * b, "mul", a, b),
+             (-a, "neg", a, None), (a + k, "add", a, k), (k + a, "add", a, k),
+             (a - k, "sub", a, k), (a * k, "mul", a, k), (k * a, "mul", a, k),
+             (a.__radd__(b), "add", b, a), (a.__rmul__(b), "mul", b, a)]
+    for got, op, x, y in cases:
+        assert same(got, by_tuples(op, x, y)), (op, x, y)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_prime_field_arithmetic_matches_the_tuple_path_on_every_pair(p):
+    F = gf.field(p)
+    for a in map(F.from_code, range(p)):
+        for b in map(F.from_code, range(p)):
+            check_pair(a, b)
+
+
+def test_prime_field_arithmetic_matches_the_tuple_path_on_seeded_pairs():
+    F, rng = gf.field(101), random.Random("ffelt-degree-1")
+    for _ in range(2000):
+        check_pair(F.random(rng), F.random(rng))
+
+
+def test_degree_one_arithmetic_leaves_other_operands_to_the_tuple_path():
+    F3, F9 = gf.field(3), gf.field(3, 2)
+    a, b = F9.gen, F3.el(2)
+    for op, got in (("add", a + b), ("sub", a - b)):
+        assert same(got, by_tuples(op, a, b))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        b + Fraction(1, 2)

@@ -32,7 +32,6 @@ ALLOWED = {
                                       "tests/test_cli.py drives it instead",
     ("cli.py", "__getattr__"): "perfbench/test_perfbench.py reads cli.generate_laws through "
                                "it; it goes with ROADMAP item 2",
-    ("gf.py", "FFElt.__sub__"): "the coefficient-ring protocol of rings.py requires it",
     ("rings.py", "QRing.inv"): "the coefficient-ring protocol of rings.py requires it",
 }
 

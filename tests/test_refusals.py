@@ -12,7 +12,7 @@ from padiclab import gf, gskel, ramif
 from padiclab.calculus import weierstrass
 from padiclab.cli import main
 from padiclab.errors import Indeterminate, Unsupported
-from padiclab.galrep import solve_unit_root
+from padiclab.galrep import solve_rank1, solve_unit_root
 from padiclab.perfseries import PerfSeries, monomial, solve_additive
 from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
                              snf_u_exponents, u_height)
@@ -126,11 +126,48 @@ REFUSALS = {
     "ramif compare across primes": (
         lambda: ramif.BoundExpr.of(1, 1, 2, 3).compare(ramif.BoundExpr.of(1, 1, 2, 5)),
         ValueError, "different primes"),
+    "ramif bound-ginf at h = -1": (
+        lambda: ramif.bound_Ginf(-1, 1, 3), ValueError, "h >= 0 and n >= 1"),
+    "ramif bound-ginf at n = 0": (
+        lambda: ramif.bound_Ginf(1, 0, 3), ValueError, "h >= 0 and n >= 1"),
+    "ramif bound-gk at h = 0": (
+        lambda: ramif.bound_GK(0, 1, 1, 3, tame=True), ValueError, "h, e, n >= 1"),
+    "ramif bound-gk refined at h < e": (
+        lambda: ramif.bound_GK(1, 1, 2, 3, refined=True),
+        ValueError, "the refined constant needs h >= e"),
+    "ramif bound-gk with no (s0, c0)": (
+        lambda: ramif.bound_GK(1, 1, 1, 3, s0=1),
+        ValueError, "supply (s0, c0) or set tame=True"),
+    "ramif bound-converse at h = 0": (
+        lambda: ramif.bound_converse(0, 1, 3), ValueError, "h, e >= 1"),
+    "ramif bound-sst at r = 0": (
+        lambda: ramif.bound_semistable(0, 1, 1, 3), ValueError, "r, n, e >= 1"),
+    "ramif bound-tau at h = 0": (
+        lambda: ramif.bound_tau_congruence(0, 0, 3), ValueError, "h >= 1 and c' >= 0"),
+    "ramif bound-tau at c' = -1": (
+        lambda: ramif.bound_tau_congruence(1, -1, 3), ValueError, "h >= 1 and c' >= 0"),
+    "ramif gamma at s = -1": (
+        lambda: ramif.gamma_lower_bound(-1, 1, 0), ValueError, "s >= 0"),
+    "galrep unit root over Z/3": (
+        lambda: solve_unit_root([[series(Zmod(3, 1), {0: 1})]]),
+        Unsupported, "unit-root solver works mod p"),
+    "galrep rank 1 at c = 0": (
+        lambda: solve_rank1(1, 0, F3), ValueError, "c must be nonzero"),
 }
 
 # the refusals a flag reaches: the command, and its message on stderr
 COMMANDS = {
     "ramif herbrand jump at 0": ("ramif herbrand --jumps 0,9", "--jumps: "),
+    "ramif bound-ginf at h = -1": ("ramif bound-ginf --h -1", ""),
+    "ramif bound-gk at h = 0": ("ramif bound-gk --h 0 --tame", ""),
+    "ramif bound-gk refined at h < e": ("ramif bound-gk --e 2 --refined", ""),
+    "ramif bound-gk with no (s0, c0)": ("ramif bound-gk --s0 1", ""),
+    "ramif bound-converse at h = 0": ("ramif bound-converse --h 0", ""),
+    "ramif bound-sst at r = 0": ("ramif bound-sst --r 0 --n 1 --e 1 --p 3", ""),
+    "ramif bound-tau at h = 0": ("ramif bound-tau --h 0", ""),
+    "ramif bound-tau at c' = -1": ("ramif bound-tau --cprime -1", ""),
+    "ramif gamma at s = -1": ("ramif gamma --s -1", ""),
+    "galrep rank 1 at c = 0": ("galois rank1 --a 1 --c 0", ""),
 }
 
 

@@ -45,6 +45,11 @@ MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                  "tests/test_digit_codecs.py"],
           "calculus": ["tests/test_series.py"],
           "padic": ["tests/test_padic.py", "tests/test_value_classes.py"],
+          "perfseries": ["tests/test_perfseries.py", "tests/test_fixed_point_kernels.py",
+                         "tests/test_lattice_codes.py", "tests/test_perf_precision_codes.py",
+                         "tests/test_refusals.py", "tests/test_rings.py",
+                         "tests/test_sparse_series.py", "tests/test_value_classes.py",
+                         "tests/test_witt.py", "tests/test_acceptance.py"],
           "series": ["tests/test_series.py", "tests/test_sparse_series.py",
                      "tests/test_height_kernels.py", "tests/test_lattice_codes.py",
                      "tests/test_matrix.py", "tests/test_phimod.py", "tests/test_refusals.py",
