@@ -19,8 +19,7 @@ U enters W_n(PerfSeries) with no Witt product, as the Witt sum of its
 terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p),
 each coordinate built as one monomial.  The (p-1)-st root's binomial
 power (1 + w)^alpha is a product over the base-p digits of alpha of
-powers of 1 + w^(p^i), each the p-th power of the one before: no term
-loop over C(alpha, k) w^k.
+powers of 1 + w^(p^i), each the p-th power of the one before.
 """
 
 from __future__ import annotations

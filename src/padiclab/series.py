@@ -26,8 +26,9 @@ coefficient sums: each shared term is one pass on the two digit tuples,
 (a + k b) mod p with k = 1 or p - 1, zeros dropped and every term cut
 at the lower precision (_ff_sum); no negated series is built and no
 coefficient coerced.  The kernel's difference is one pass too, each
-shared coefficient a - b, with no negated series.  A product with an operand zero at its precision
-is the empty series at the product's precision code, with no loop.
+shared coefficient a - b, with no negated series.  A product with an
+operand zero at its precision is the empty series at the product's
+precision code, with no loop.
 
 This module owns a series' digits (a matrix's are gf.GF.digits'), one
 block per coefficient of u^v, u^(v+1), ...: a residue over Zmod, the f
