@@ -24,10 +24,10 @@ first use, as ``padiclab.galrep``, ``from padiclab import galrep`` or
 ``from padiclab import *`` (PEP 562).  So a ``padiclab`` process loads,
 and without a bytecode cache compiles, only cli and the modules its one
 subcommand runs: ``galois solve`` reads the series kernel and not its
-calculus, ``suite logm`` reads logtrunc and matrix and no other suite's
-modules.  The package defines only record,
-the result record of the CLI documents, and Fields and Frozen, the bases
-of the library's value classes.
+calculus, ``suite logm`` reads logtrunc and no other suite's modules.
+The package defines only record, the result record of the CLI
+documents, and Fields and Frozen, the bases of the library's value
+classes.
 """
 
 import importlib

@@ -149,8 +149,9 @@ class FFElt:
             return FFElt(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
         if isinstance(other, int):
             return FFElt(f, tuple(a * other % f.p for a in self.coeffs))
-        if not isinstance(other, FFElt) or other.field is not f:
+        if not isinstance(other, FFElt):
             return NotImplemented
+        other = f.coerce(other)         # an element of a subfield, as + takes it
         return FFElt(f, _mulmod(self.coeffs, other.coeffs, f._fold, f.p))
 
     __rmul__ = __mul__

@@ -5,8 +5,9 @@ divisions are performed on exact integer lifts with an explicit p-digit
 budget, and every result carries a certified precision so the
 congruences mod p^(m-1) are checked honestly rather than vacuously.
 Each sum is a polynomial in one matrix, with padic's coefficients, reduced
-mod its characteristic polynomial and evaluated by Horner (_evaluate): by
-Cayley-Hamilton, over any commutative ring, the matrix is unchanged.
+mod its characteristic polynomial (Berkowitz on int rows, _charpoly) and
+evaluated at the matrix from its powers (_evaluate): by Cayley-Hamilton,
+over any commutative ring, the matrix is unchanged.
 log_m stops its sum where the valuation of 1 - a makes every later term
 vanish at the working precision (padic._series_cutoff_log): for a = 1
 mod p it sums a few terms, not p^m - 1, with the same residues.
@@ -16,6 +17,7 @@ Matrices are plain tuples of int tuples; d stays small.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from . import Frozen
@@ -30,37 +32,42 @@ def mident(d: int):
 
 
 def madd(A, B, mod):
-    return tuple(tuple((a + b) % mod for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+    return tuple([tuple([(a + b) % mod for a, b in zip(ra, rb)]) for ra, rb in zip(A, B)])
 
 
 def msub(A, B, mod):
-    return tuple(tuple((a - b) % mod for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+    return tuple([tuple([(a - b) % mod for a, b in zip(ra, rb)]) for ra, rb in zip(A, B)])
 
 
 def mscale(A, k, mod):
-    return tuple(tuple(a * k % mod for a in row) for row in A)
+    return tuple([tuple([a * k % mod for a in row]) for row in A])
 
 
 def mmul(A, B, mod):
     cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols) for row in A)
+    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in A])
+
+
+def _one_minus(A, mod):
+    """1 - A mod mod, the identity entered on the diagonal only."""
+    return tuple([tuple([((i == j) - a) % mod for j, a in enumerate(row)])
+                  for i, row in enumerate(A)])
 
 
 def mpow(A, k, mod):
-    """A^k with its entries reduced mod mod, A's own included at k = 1."""
-    return power(mscale(A, 1, mod), k, lambda X, Y: mmul(X, Y, mod), mident(len(A)))
+    """A^k with its entries reduced mod mod, A's own included at k = 1;
+    the identity at k = 0."""
+    if not k:
+        return mident(len(A))
+    return power(mscale(A, 1, mod), k, lambda X, Y: mmul(X, Y, mod), None)
 
 
 def entry_valuation(A, p: int, cap: int) -> int:
-    """min_p-valuation over entries, residues taken mod p^cap."""
-    v = cap
+    """min_p-valuation over entries, residues taken mod p^cap: that of
+    their gcd, cap when every residue is 0."""
     q = p ** cap
-    for row in A:
-        for a in row:
-            a %= q
-            if a:
-                v = min(v, vp(a, p))
-    return v
+    g = gcd(*[a % q for row in A for a in row])
+    return vp(g, p) if g else cap
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +78,10 @@ class BoundedOp(Frozen):
 
     _fields = ("p", "prec", "mat")
 
-    @property
-    def d(self):
-        return len(self.mat)
-
     @staticmethod
     def of(p, prec, rows) -> "BoundedOp":
         q = p ** prec
-        return BoundedOp(p, prec, tuple(tuple(int(a) % q for a in r) for r in rows))
+        return BoundedOp(p, prec, tuple([tuple([int(a) % q for a in r]) for r in rows]))
 
 
 class ScaledMatrix(Frozen):
@@ -113,7 +116,10 @@ class ScaledMatrix(Frozen):
         return ScaledMatrix(a.p, madd(a.mat, b.mat, mod), a.scale, cert)
 
     def sub(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        return self.add(other.scale_int(-1))
+        a, b = _common_scale(self, other)
+        cert = min(a.certified, b.certified)
+        mod = a.p ** (cert + a.scale)
+        return ScaledMatrix(a.p, msub(a.mat, b.mat, mod), a.scale, cert)
 
     def scale_int(self, n: int) -> "ScaledMatrix":
         mod = self.p ** (self.certified + self.scale)
@@ -127,7 +133,8 @@ class ScaledMatrix(Frozen):
         if k > self.certified:
             raise PrecisionError(
                 f"congruence mod p^{k} asked, certified only mod p^{self.certified}")
-        return entry_valuation(self.mat, self.p, k + self.scale) >= k + self.scale
+        q = self.p ** (k + self.scale)
+        return not any(a % q for row in self.mat for a in row)
 
 
 def _common_scale(a: ScaledMatrix, b: ScaledMatrix):
@@ -170,7 +177,7 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
 
     With B = 1 - A the sum is p^-m times the polynomial sum_i c_i x^i at
     x = B, c_i = p^m / i (padic._log_coeffs), evaluated by _evaluate with
-    d - 1 matrix products in place of p^m - 1 matrix powers.
+    d - 2 matrix products in place of p^m - 1 matrix powers.
 
     The sum stops early when B = 0 mod p.  With v the least valuation of
     B's entries mod p^(N+m), c_i has valuation m - v_p(i) and B^i = 0 mod
@@ -188,9 +195,9 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     if m > A.prec:
         raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
     _check_order(A.p, m)
-    p, N, d = A.p, A.prec, A.d
+    p, N = A.p, A.prec
     mod = p ** (N + m)
-    X = msub(mident(d), A.mat, mod)
+    X = _one_minus(A.mat, mod)
     last = p ** m - 1
     v = entry_valuation(X, p, N + m)
     if v:
@@ -199,27 +206,58 @@ def log_m(A: BoundedOp, m: int) -> ScaledMatrix:
     return ScaledMatrix(p, out, m, N - (m - 1) if m > 1 else N)
 
 
-def _evaluate(coeffs, X, mod):
-    """sum_i coeffs[i] X^i mod mod: the polynomial reduced mod chi_X by
-    one Horner pass from the top (each step x r + c_i, x^d replaced by its
-    remainder mod chi_X, only the top coefficient reduced), the remainder
-    evaluated at X by Horner.  chi_X(X) = 0 over Z (Cayley-Hamilton), so
-    this is the matrix the powers of X give, from d - 1 products."""
-    from .matrix import charpoly
+def _charpoly(X, mod):
+    """[c_0, ..., c_(d-1)] with det(x I - X) = x^d + c_(d-1) x^(d-1) + ...
+    + c_0 mod mod: matrix.charpoly's Berkowitz recurrence on int rows,
+    each coefficient and each vector X_k^j C reduced as it is formed (a
+    row zipped with a shorter vector reads only its leading block)."""
+    P = []                      # det(x I - X_k) below its leading 1, highest first
+    for k, row in enumerate(X):
+        above = X[:k]
+        v = [r[k] for r in above]
+        t = [-row[k]]
+        for j in range(k):
+            t.append(-sum(map(mul, row, v)))
+            if j + 1 < k:
+                v = [sum(map(mul, r, v)) % mod for r in above]
+        # (1, P) convolved with (1, t), as in matrix.charpoly
+        t.reverse()
+        P = [(sum(map(mul, t[k + 1 - i:], P)) + (t[0] if i == k else P[i] + t[k - i])) % mod
+             for i in range(k + 1)]
+    return P[::-1]
 
+
+def _evaluate(coeffs, X, mod):
+    """sum_i coeffs[i] X^i mod mod, coeffs residues mod mod: the
+    polynomial reduced mod chi_X by one Horner pass from the top, the
+    remainder r = sum_(j<d) r_j x^j evaluated at X in one pass over the
+    powers X^j, 0 < j < d, with r_0 on the diagonal.  chi_X(X) = 0 over Z
+    (Cayley-Hamilton), so this is the matrix the powers of X give, from
+    d - 2 products.
+
+    The Horner pass holds r packed, r_j in bits [j w, (j + 1) w): each
+    step x r + c drops the top digit t, reduced mod mod, shifts the rest
+    up and adds c + t (-chi_X mod mod).  A digit gains at most mod - 1 +
+    d (mod - 1)^2 < d mod^2 < 2^w before it is the top one, so no digit
+    carries into the next."""
     d = len(X)
-    chi = [c % mod for c in charpoly(X)]          # x^d + chi[d-1] x^(d-1) + ... + chi[0]
-    low, high = chi[0], chi[1:]
-    acc = [0] * d                                 # lowest degree first
+    w = (d * mod * mod).bit_length()
+    neg = 0                             # -chi_X mod mod below x^d, packed
+    for c in reversed(_charpoly(X, mod)):
+        neg = (neg << w) + -c % mod
+    top_at = w * (d - 1)
+    below_top = (1 << top_at) - 1
+    acc = 0
     for c in reversed(coeffs):
-        top = acc[-1] % mod
-        acc = [c - top * low] + [a - top * h for a, h in zip(acc, high)]
-    acc = [a % mod for a in acc]
-    out = mscale(mident(d), acc[-1], mod)
-    for c in reversed(acc[:-1]):
-        out = tuple(tuple((a + c) % mod if i == j else a for j, a in enumerate(row))
-                    for i, row in enumerate(mmul(out, X, mod)))
-    return out
+        acc = ((acc & below_top) << w) + c + (acc >> top_at) % mod * neg
+    digit = (1 << w) - 1
+    r0, *rest = [(acc >> (w * j) & digit) % mod for j in range(d)]
+    powers = [X]
+    for _ in range(d - 2):
+        powers.append(mmul(powers[-1], X, mod))
+    return tuple([tuple([(sum(map(mul, rest, cell)) + (r0 if i == j else 0)) % mod
+                         for j, cell in enumerate(zip(*rows))])
+                  for i, rows in enumerate(zip(*powers))])
 
 
 def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
@@ -229,22 +267,34 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
     Only the i with v_p(i) > c ask anything, the multiples of step =
     p^max(c+1, 0): X = (1-A)^step is formed once, and each tested power
     is one more product by X, whose entry valuations are read (log_m's
-    remainder does not carry them).  At c >= m no i is tested: True.
-    ValueError past MAX_LOG_TERMS terms."""
+    remainder does not carry them).  The first tested i with v_p(i) - c
+    > N, p^max(N+c+1, 0), is refused (PrecisionError) if it is <= p^m.
+    The powers stop where the bound decides: with v >= 1 the least
+    valuation of 1 - A, (1-A)^i has valuation >= min(N, i v), and from
+    i = padic._series_cutoff_log(p, max(-c, 1), v) on, i v -
+    floor(log_p i) >= -c (it does not decrease in i), so i v >= v_p(i)
+    - c and every later power below the refusal passes.  At c >= m no i
+    is tested: True.  ValueError past MAX_LOG_TERMS terms."""
     _check_order(A.p, m)
     if c >= m:
         return True
-    p, N, d = A.p, A.prec, A.d
-    mod, step = p ** N, p ** max(c + 1, 0)
-    X = mpow(msub(mident(d), A.mat, mod), step, mod)
-    power = mident(d)
-    for i in range(step, p ** m + 1, step):
-        power = mmul(power, X, mod)
-        need = vp(i, p) - c
-        if need > N:
-            raise PrecisionError("budget too small to decide boundedness")
-        if entry_valuation(power, p, N) < need:
+    p, N = A.p, A.prec
+    mod, step, refuse = p ** N, p ** max(c + 1, 0), max(N + c + 1, 0)
+    B = _one_minus(A.mat, mod)
+    v = entry_valuation(B, p, N)
+    stop = min(p ** m + 1, p ** min(refuse, m + 1))
+    if v:
+        stop = min(stop, _series_cutoff_log(p, max(-c, 1), v))
+    X = None
+    for i in range(step, stop, step):
+        if X is None:
+            X = power = mpow(B, step, mod)
+        else:
+            power = mmul(power, X, mod)
+        if entry_valuation(power, p, N) < vp(i, p) - c:
             return False
+    if refuse <= m:
+        raise PrecisionError("budget too small to decide boundedness")
     return True
 
 
@@ -267,7 +317,7 @@ def rdc_valuation_check(f, p: int, prec: int, t: int, i: int) -> bool:
     nil = mpow(g, d, p)
     if any(any(row) for row in nil):
         raise ValueError("f - id is not nilpotent mod p")
-    top = msub(mident(d), mpow(f, p ** t, mod), mod)
+    top = _one_minus(mpow(f, p ** t, mod), mod)
     powi = mpow(top, i, mod)
     bound = -((-p ** t * i) // d) - 1  # ceil(p^t i / d) - 1
     if bound >= prec:

@@ -286,12 +286,20 @@ def zmod_series_to_witt(U_out, ring: PerfRing, n: int):
     is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p), each coordinate one
     monomial at precision code one.pc + e p^i L, as ring.of_int(a_i)
     shifted by e p^i.  The sum starts at the first term cut to the ring's
-    precision code: with every exponent >= 0, that is 0 + the first term."""
-    p, one, acc = ring.p, ring.one, None
+    precision code: with every exponent >= 0, that is 0 + the first term.
+    At n = 1 no sum carries into a further coordinate, so the image is
+    the one series of the residues c mod p at the codes e L, at the
+    ring's precision code, its terms in the order the sums leave them
+    (the W_1 sum law is Y_0 + X_0: the latest term first)."""
+    p, one = ring.p, ring.one
     el, pc = ring.field.el, one.pc
+    if any(e < 0 for e in U_out.coeffs):
+        raise ValueError("nonnegative exponents only")
+    if n == 1:
+        return witt.WittVector(p, ring, [one._like(
+            {e * one.L: el(int(c)) for e, c in reversed(U_out.coeffs.items())}, pc)])
+    acc = None
     for e, c in U_out.coeffs.items():
-        if e < 0:
-            raise ValueError("nonnegative exponents only")
         codes = [e * p ** i * one.L for i in range(n)]
         coords = [one._like({k: el(a)}, pc if acc is None else pc + k)
                   for k, a in zip(codes, witt.zmod_to_coords(int(c) % p ** n, p, n))]

@@ -516,7 +516,7 @@ def test_suite_logm_loads_only_its_modules():
     # the suites import their modules inside each suite
     assert _after_cli("suite", "logm", "--trials", "2") == {
         "padiclab", "padiclab.cli", "padiclab.errors", "padiclab.padic", "padiclab.suites",
-        "padiclab.logtrunc", "padiclab.matrix"}
+        "padiclab.logtrunc"}
 
 
 def test_series_lambda_loads_the_calculus():

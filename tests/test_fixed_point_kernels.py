@@ -11,6 +11,7 @@ each against the code it replaced, kept here as the reference:
   included.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -151,3 +152,18 @@ def test_degree_one_arithmetic_leaves_other_operands_to_the_tuple_path():
         assert same(got, by_tuples(op, a, b))
     with pytest.raises(TypeError, match="cannot coerce"):
         b + Fraction(1, 2)
+
+
+def test_products_coerce_a_subfield_element_as_sums_do():
+    """F9 * F3 answers in F9, as F9 + F3 does; F3 * F9 refuses exactly as
+    F3 + F9 does, with no reflected product tried."""
+    F3, F9 = gf.field(3), gf.field(3, 2)
+    for a in map(F9.from_code, range(9)):
+        for b in map(F3.from_code, range(3)):
+            assert same(a * b, by_tuples("mul", a, b)) and a * b == a * b.coeffs[0]
+            assert same(a.__rmul__(b), by_tuples("mul", a, b))
+            for op in (operator.add, operator.mul):
+                with pytest.raises(ValueError, match="^cannot coerce element of F9 into F3$"):
+                    op(b, a)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        F9.gen * Fraction(1, 2)

@@ -18,7 +18,7 @@ SETTINGS = settings(max_examples=300)
 def log_m_terms(A, m):
     """Reference for log_m: the term loop over the p^m - 1 matrix powers
     (1-A)^i, each scaled by p^(m - v_p(i)) (i / p^(v_p(i)))^-1."""
-    p, N, d = A.p, A.prec, A.d
+    p, N, d = A.p, A.prec, len(A.mat)
     mod = p ** (N + m)
     one_minus = msub(mident(d), A.mat, mod)
     acc = tuple(tuple(0 for _ in range(d)) for _ in range(d))
@@ -64,7 +64,7 @@ def log_m_step_loop(A, m):
     from padiclab.matrix import charpoly
     if m > A.prec:
         raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
-    p, N, d = A.p, A.prec, A.d
+    p, N, d = A.p, A.prec, len(A.mat)
     mod = p ** (N + m)
     one_minus = msub(mident(d), A.mat, mod)
     chi = [c % mod for c in charpoly(one_minus)]
@@ -104,6 +104,83 @@ def test_log_m_horner_pass_matches_the_step_loop(case):
                 f(A, m)
     else:
         assert log_m(A, m) == log_m_step_loop(A, m)
+
+
+def evaluate_by_matrix_charpoly(coeffs, X, mod):
+    """Reference for logtrunc._evaluate, the code it replaced: chi_X from
+    matrix.charpoly reduced mod mod, the Horner pass on a list rebuilt
+    per coefficient, and the remainder evaluated at X by Horner, d - 1
+    products, from the scaled identity."""
+    from padiclab.matrix import charpoly
+    d = len(X)
+    chi = [c % mod for c in charpoly(X)]
+    low, high = chi[0], chi[1:]
+    acc = [0] * d
+    for c in reversed(coeffs):
+        top = acc[-1] % mod
+        acc = [c - top * low] + [a - top * h for a, h in zip(acc, high)]
+    acc = [a % mod for a in acc]
+    out = mscale(mident(d), acc[-1], mod)
+    for c in reversed(acc[:-1]):
+        out = tuple(tuple((a + c) % mod if i == j else a for j, a in enumerate(row))
+                    for i, row in enumerate(mmul(out, X, mod)))
+    return out
+
+
+def log_m_by_matrix_charpoly(A, m):
+    """log_m as it was computed before its int Berkowitz and packed Horner
+    pass: the same refusals, cut and coefficients, evaluated by the
+    reference above."""
+    if m > A.prec:
+        raise PrecisionError(f"log_m of order {m} certifies no digit at precision {A.prec}")
+    logtrunc._check_order(A.p, m)
+    p, N, d = A.p, A.prec, len(A.mat)
+    mod = p ** (N + m)
+    X = msub(mident(d), A.mat, mod)
+    last = p ** m - 1
+    v = entry_valuation(X, p, N + m)
+    if v:
+        last = min(last, padic._series_cutoff_log(p, N, v))
+    out = evaluate_by_matrix_charpoly(padic._log_coeffs(p, last, m, N + m), X, mod)
+    return ScaledMatrix(p, out, m, N - (m - 1) if m > 1 else N)
+
+
+def _log_outcome(fn, A, m):
+    try:
+        L = fn(A, m)
+    except (PrecisionError, ValueError) as e:
+        return type(e), str(e)
+    assert type(L.mat) is tuple and all(type(row) is tuple for row in L.mat)
+    return L
+
+
+def test_log_m_matches_the_matrix_charpoly_evaluation(monkeypatch):
+    """Seeded differential run, d <= 4, p in {3, 5, 7}, N <= 10, m <= 3
+    and at the term bound: the same ScaledMatrix, or the same refusal,
+    as the evaluation through matrix.charpoly; A uniform or 1 mod p^e,
+    entries given off their residues."""
+    monkeypatch.setattr(logtrunc, "MAX_LOG_TERMS", 7 ** 3)
+    rng = random.Random("log_m-by-matrix-charpoly")
+    refused = 0
+    for _ in range(3000):
+        p, d, N = rng.choice([3, 5, 7]), rng.randint(1, 4), rng.randint(1, 10)
+        m, e = rng.randint(0, 4), rng.choice([0, 0, 1, 2])
+        A = BoundedOp.of(p, N, [[(e > 0 and i == j) + p ** e * rng.randrange(-p ** N, 2 * p ** N)
+                                 for j in range(d)] for i in range(d)])
+        got = _log_outcome(log_m, A, m)
+        assert got == _log_outcome(log_m_by_matrix_charpoly, A, m), (A, m)
+        refused += type(got) is tuple
+    assert refused > 100
+
+
+@SETTINGS
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 12), st.integers(0, 5), st.data())
+def test_int_berkowitz_is_the_matrix_charpoly(p, k, d, data):
+    """logtrunc._charpoly(X, p^k) is matrix.charpoly(X) reduced mod p^k,
+    on int rows of any sign and size, d = 0 included."""
+    from padiclab.matrix import charpoly
+    X = [[data.draw(st.integers(-10 ** 12, 10 ** 12)) for _ in range(d)] for _ in range(d)]
+    assert logtrunc._charpoly(X, p ** k) == [c % p ** k for c in charpoly(X)]
 
 
 def rand_unipotent(rng, p, N, d):
@@ -225,7 +302,7 @@ def test_is_bounded():
 def is_bounded_loop(A, m, c=0):
     """Reference for is_bounded: the loop over every power (1-A)^i, i <=
     p^m, that it ran before it stepped by p^(c+1)."""
-    p, N, d = A.p, A.prec, A.d
+    p, N, d = A.p, A.prec, len(A.mat)
     mod = p ** N
     one_minus = msub(mident(d), A.mat, mod)
     power = mident(d)
@@ -248,31 +325,95 @@ def _bounded_outcome(fn, A, m, c):
         return str(e)
 
 
+def _bounded_case(rng, p, N, d, m, c, e):
+    A = BoundedOp.of(p, N, [[(e > 0 and i == j) + p ** e * rng.randrange(p ** N)
+                             for j in range(d)] for i in range(d)])
+    return A, m, c
+
+
+def _check_reads(A, m, c, got, read):
+    """The valuations is_bounded read: none at c >= m; else 1 - A's, then
+    the powers (1-A)^i for the multiples i of p^(c+1), in increasing i,
+    each below the point where the answer is known.  The powers stop
+    only there: at a False, at the refusal (v_p(i) - c > N), or where i v
+    - floor(log_p i) >= -c makes every later power pass (v >= 1 the
+    least valuation of 1 - A).  Returns whether that bound stopped them."""
+    p, N = A.p, A.prec
+    tested = [i for i in range(1, p ** m + 1) if vp(i, p) > c]
+    if c >= m:
+        assert not read
+        return False
+    one_minus = msub(mident(len(A.mat)), A.mat, p ** N)
+    assert read[0] == one_minus
+    powers, v = read[1:], entry_valuation(one_minus, p, N)
+
+    def decided(i):
+        return v >= 1 and i * v - (padic.ndigits(i, p) - 1) >= -c
+
+    assert powers == [mpow(one_minus, i, p ** N) for i in tested[:len(powers)]]
+    assert not any(decided(i) for i in tested[:len(powers)])
+    if got is False or len(powers) == len(tested):
+        return False
+    nxt = tested[len(powers)]
+    assert decided(nxt) or vp(nxt, p) - c > N
+    return decided(nxt)
+
+
 def test_is_bounded_matches_the_loop_over_every_power(monkeypatch):
     """Seeded differential run against the loop: the same answers and
-    refusals, and the powers whose valuation is read are (1-A)^i for the
-    multiples i of p^(c+1), in increasing i, up to where the answer is
-    known."""
+    refusals, and the valuations read are 1 - A's and those of the
+    powers up to where the answer is known (_check_reads).  The second
+    run takes A = 1 mod p^e, e >= 1, and c < 0, down to c < -N, where
+    every i is tested and the bound stops the powers early."""
     read = []
     monkeypatch.setattr(logtrunc, "entry_valuation",
                         lambda X, p, cap: read.append(X) or entry_valuation(X, p, cap))
     rng, seen = random.Random(39), set()
+    cases = []
     for _ in range(1500):
         p, N, d = rng.choice([3, 5, 7]), rng.randint(1, 8), rng.randint(1, 3)
         m, c, e = rng.randint(0, 4 if p == 3 else 3), rng.randint(-2, 4), rng.choice([0, 1, 2])
-        A = BoundedOp.of(p, N, [[(e > 0 and i == j) + p ** e * rng.randrange(p ** N)
-                                 for j in range(d)] for i in range(d)])
+        cases.append(_bounded_case(rng, p, N, d, m, c, e))
+    for _ in range(1500):
+        p, N, d = rng.choice([3, 5, 7]), rng.randint(1, 8), rng.randint(1, 3)
+        m, c, e = rng.randint(0, 5 if p == 3 else 3), rng.randint(-N - 2, -1), rng.randint(1, 3)
+        cases.append(_bounded_case(rng, p, N, d, m, c, e))
+    early = set()
+    for A, m, c in cases:
         read.clear()
         got = _bounded_outcome(is_bounded, A, m, c)
         assert got == _bounded_outcome(is_bounded_loop, A, m, c), (A, m, c)
-        tested = [i for i in range(1, p ** m + 1) if vp(i, p) > c]
-        one_minus = msub(mident(d), A.mat, p ** N)
-        assert read == [mpow(one_minus, i, p ** N) for i in tested[:len(read)]]
-        assert got is not True or len(read) == len(tested)
-        seen.add((got if isinstance(got, bool) else "refused", c < 0, c >= m))
+        outcome = got if isinstance(got, bool) else "refused"
+        if _check_reads(A, m, c, got, read):
+            early.add((outcome, c < 0))
+        seen.add((outcome, c < 0, c >= m))
     assert seen >= {(True, True, False), (False, True, False), ("refused", True, False),
                     (True, False, False), (False, False, False), ("refused", False, False),
                     (True, False, True)}
+    assert early >= {(True, True), ("refused", True), (True, False), ("refused", False)}
+
+
+def test_is_bounded_stops_its_powers_where_the_bound_decides(monkeypatch):
+    """At p = 7, N = 9, d = 3, A = 1 + 7R and m = 5 the loop formed 16806
+    powers at c = -1 and 2400 at c = 0.  The bound decides at the first
+    tested i, so is_bounded forms none and answers True: no tested i
+    reaches v_p(i) - c > N.  With 1 - A = 0 mod 7^5 and c = -5, i = 7^5
+    does, and both refuse there, is_bounded with no power formed."""
+    rng = random.Random(84)
+
+    def unipotent(e):
+        return BoundedOp.of(7, 9, [[int(i == j) + 7 ** e * rng.randrange(7 ** 9)
+                                    for j in range(3)] for i in range(3)])
+
+    A, A5 = unipotent(1), unipotent(5)
+    refusal = "budget too small to decide boundedness"
+    assert _bounded_outcome(is_bounded_loop, A5, 5, -5) == refusal
+    with monkeypatch.context() as patch:
+        patch.setattr(logtrunc, "mmul", None)
+        patch.setattr(logtrunc, "mpow", None)
+        assert is_bounded(A, 5, -1) is True and is_bounded(A, 5, 0) is True
+        with pytest.raises(PrecisionError, match=f"^{refusal}$"):
+            is_bounded(A5, 5, -5)
 
 
 def test_is_bounded_forms_no_power_when_no_i_is_tested(monkeypatch):
@@ -287,7 +428,7 @@ def classical_log(A):
     (-1)^(i+1) (A-1)^i / i up to padic's cutoff, each power divided on a
     lift with ndigits(cutoff) spare digits: the classical log that log_m
     is minus of."""
-    p, N, d = A.p, A.prec, A.d
+    p, N, d = A.p, A.prec, len(A.mat)
     t = msub(A.mat, mident(d), p ** N)
     if entry_valuation(t, p, N) < 1:
         raise ValueError("the log needs A = id mod p")

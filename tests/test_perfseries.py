@@ -286,6 +286,23 @@ def test_witt_image_matches_the_products(inputs):
     assert [c.prec for c in got.coords] == [c.prec for c in want.coords]
 
 
+@settings(max_examples=300)
+@given(zmod_series_inputs())
+def test_witt_image_at_length_one_is_the_residue_series(inputs):
+    """At n = 1 the image is one series, built with no Witt sum: the same
+    coefficients, in the same order, and the same precision code, in
+    value and type, as the products give, on and off the lattice."""
+    ring, _, U = inputs
+    U = TruncSeries(Zmod(ring.p, 1), U.coeffs, 30)
+    got = zmod_series_to_witt(U, ring, 1)
+    want = zmod_series_to_witt_by_products(U, ring, 1)
+    assert got.n == 1 and len(got.coords) == 1
+    (g,), (w,) = got.coords, want.coords
+    assert g.coeffs == w.coeffs and list(g.coeffs) == list(
+        zmod_series_to_witt_from_zero(U, ring, 1).coords[0].coeffs)
+    assert type(g.pc) is type(w.pc) and g.pc == w.pc
+
+
 def zmod_series_to_witt_from_zero(U_out, ring, n):
     """The reference for the closed form's first term: the Witt sum from
     zero, one term at a time."""

@@ -1,18 +1,23 @@
 """Input refusals that no other test drives, and every refusal of
-phimod, each through the public API and asserted by its message; where a
-command-line flag reaches one, the command exits 2 with that message
-too."""
+phimod and logtrunc, each through the public API and asserted by its
+message; where a command-line flag reaches one, the command exits 2 with
+that message too, or, for a certified refusal, prints it as its error
+record."""
 
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
-from padiclab import gf, gskel, ramif
+from padiclab import gf, gskel, ramif, record
 from padiclab.calculus import weierstrass
 from padiclab.cli import main
 from padiclab.errors import Indeterminate, Unsupported
+from padiclab.errors import PrecisionError
 from padiclab.galrep import solve_rank1, solve_unit_root
+from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, is_bounded, log_m,
+                               rdc_valuation_check)
 from padiclab.perfseries import PerfSeries, monomial, solve_additive
 from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
                              snf_u_exponents, u_height)
@@ -21,6 +26,10 @@ from padiclab.series import TruncSeries
 from padiclab.witt import WittVector, frobenius_w, to_zmod
 
 F3, F9 = gf.field(3), gf.field(3, 2)
+# log_m(4) at order 1, certified mod 3^3; a value mod 3^2 over p^1
+LOG4 = log_m(BoundedOp.of(3, 3, [[4]]), 1)
+HALF = ScaledMatrix(3, ((3, 6), (0, 9)), 1, 2)
+JORDAN = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 
 
 def series(ring, coeffs, prec=6):
@@ -153,6 +162,44 @@ REFUSALS = {
         Unsupported, "unit-root solver works mod p"),
     "galrep rank 1 at c = 0": (
         lambda: solve_rank1(1, 0, F3), ValueError, "c must be nonzero"),
+    "logtrunc log_m at m = -1": (
+        lambda: log_m(BoundedOp.of(3, 3, [[4]]), -1), ValueError, "m must be nonnegative, got -1"),
+    "logtrunc value_mod at k = -1": (
+        lambda: LOG4.value_mod(-1), ValueError, "k must be nonnegative, got -1"),
+    "logtrunc value_mod past the certified digits": (
+        lambda: HALF.value_mod(3), PrecisionError, "value certified only mod p^2"),
+    # 1 - 2 = -1: the i = 3 term is -1/3
+    "logtrunc value_mod of a value with a 1/3": (
+        lambda: log_m(BoundedOp.of(3, 3, [[2]]), 2).value_mod(2),
+        PrecisionError, "value is not p-integral"),
+    "logtrunc is_zero_mod at k = -2": (
+        lambda: HALF.is_zero_mod(-2), ValueError, "k must be nonnegative, got -2"),
+    "logtrunc is_zero_mod past the certified digits": (
+        lambda: congruent_mod(HALF, HALF, 3),
+        PrecisionError, "congruence mod p^3 asked, certified only mod p^2"),
+    "logtrunc difference across primes": (
+        lambda: HALF.sub(ScaledMatrix(5, ((5,),), 1, 2)), ValueError, "prime mismatch"),
+    "logtrunc sum across primes": (
+        lambda: HALF.add(ScaledMatrix(5, ((5,),), 0, 2)), ValueError, "prime mismatch"),
+    # 1 - 4 = 0 mod 3^1 passes every power, but i = 9 asks v_p(9) = 2 > N digits
+    "logtrunc is_bounded past its budget": (
+        lambda: is_bounded(BoundedOp.of(3, 1, [[4]]), 3),
+        PrecisionError, "budget too small to decide boundedness"),
+    "logtrunc rdc at t = -1": (
+        lambda: rdc_valuation_check([[4]], 3, 8, -1, 1),
+        ValueError, "t and i must be nonnegative, got t = -1, i = 1"),
+    "logtrunc rdc at i = -2": (
+        lambda: rdc_valuation_check([[4]], 3, 8, 1, -2),
+        ValueError, "t and i must be nonnegative, got t = 1, i = -2"),
+    "logtrunc rdc below d = p^(t-1)(p-1)": (
+        lambda: rdc_valuation_check([[4]], 3, 8, 1, 1),
+        ValueError, "need d >= p^(t-1)(p-1) = 2"),
+    "logtrunc rdc of f = 2": (
+        lambda: rdc_valuation_check([[2]], 3, 8, 0, 1),
+        ValueError, "f - id is not nilpotent mod p"),
+    "logtrunc rdc past the working precision": (
+        lambda: rdc_valuation_check(JORDAN, 3, 3, 1, 40),
+        PrecisionError, "bound 39 exceeds working precision 3"),
 }
 
 # the refusals a flag reaches: the command, and its message on stderr
@@ -168,6 +215,20 @@ COMMANDS = {
     "ramif bound-tau at c' = -1": ("ramif bound-tau --cprime -1", ""),
     "ramif gamma at s = -1": ("ramif gamma --s -1", ""),
     "galrep rank 1 at c = 0": ("galois rank1 --a 1 --c 0", ""),
+    "logtrunc log_m at m = -1": ("logm value --matrix 4 --m -1", ""),
+    "logtrunc rdc at t = -1": ("logm rdc --matrix 4 --t -1", ""),
+    "logtrunc rdc at i = -2": ("logm rdc --matrix 4 --i -2", ""),
+    "logtrunc rdc below d = p^(t-1)(p-1)": ("logm rdc --p 3 --matrix 4 --t 1", ""),
+    "logtrunc rdc of f = 2": ("logm rdc --p 3 --matrix 2 --t 0", ""),
+}
+
+# the certified refusals a flag reaches: the command, which prints the
+# refusal as its one error record and exits 0
+RECORDS = {
+    "logtrunc value_mod of a value with a 1/3": "logm value --p 3 --N 3 --matrix 2 --m 2",
+    "logtrunc is_bounded past its budget": "logm bounded --p 3 --N 1 --matrix 4 --m 3",
+    "logtrunc rdc past the working precision":
+        "logm rdc --p 3 --N 3 --matrix 1,1,0;0,1,1;0,0,1 --t 1 --i 40",
 }
 
 
@@ -181,3 +242,10 @@ def test_each_refusal_raises_its_message(name, capsys):
         assert main(command.split()) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"input error: {flag}{message}\n")
+    if name in RECORDS:
+        assert main(RECORDS[name].split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"] == [record(
+            "error", f"{error.__name__}: {message}", exact=False, precision="n/a",
+            anchor="error")]
