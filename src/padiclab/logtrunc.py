@@ -110,16 +110,10 @@ class ScaledMatrix(Frozen):
         return tuple(out)
 
     def add(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        a, b = _common_scale(self, other)
-        cert = min(a.certified, b.certified)
-        mod = a.p ** (cert + a.scale)
-        return ScaledMatrix(a.p, madd(a.mat, b.mat, mod), a.scale, cert)
+        return _combine(self, other, madd)
 
     def sub(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        a, b = _common_scale(self, other)
-        cert = min(a.certified, b.certified)
-        mod = a.p ** (cert + a.scale)
-        return ScaledMatrix(a.p, msub(a.mat, b.mat, mod), a.scale, cert)
+        return _combine(self, other, msub)
 
     def scale_int(self, n: int) -> "ScaledMatrix":
         mod = self.p ** (self.certified + self.scale)
@@ -137,16 +131,16 @@ class ScaledMatrix(Frozen):
         return not any(a % q for row in self.mat for a in row)
 
 
-def _common_scale(a: ScaledMatrix, b: ScaledMatrix):
+def _combine(a: ScaledMatrix, b: ScaledMatrix, op) -> ScaledMatrix:
+    """a op b, op madd or msub, at the larger scale s (a matrix of a
+    lesser scale times p^(s - scale)), certified to the lesser precision."""
     if a.p != b.p:
         raise ValueError("prime mismatch")
-    s = max(a.scale, b.scale)
-    mod = a.p ** (s + min(a.certified, b.certified))
-    if a.scale < s:
-        a = ScaledMatrix(a.p, mscale(a.mat, a.p ** (s - a.scale), mod), s, a.certified)
-    if b.scale < s:
-        b = ScaledMatrix(b.p, mscale(b.mat, b.p ** (s - b.scale), mod), s, b.certified)
-    return a, b
+    p, s, cert = a.p, max(a.scale, b.scale), min(a.certified, b.certified)
+    mod = p ** (s + cert)
+    x = a.mat if a.scale == s else mscale(a.mat, p ** (s - a.scale), mod)
+    y = b.mat if b.scale == s else mscale(b.mat, p ** (s - b.scale), mod)
+    return ScaledMatrix(p, op(x, y, mod), s, cert)
 
 
 def congruent_mod(a: ScaledMatrix, b: ScaledMatrix, k: int) -> bool:
@@ -266,15 +260,14 @@ def is_bounded(A: BoundedOp, m: int, c: int = 0) -> bool:
 
     Only the i with v_p(i) > c ask anything, the multiples of step =
     p^max(c+1, 0): X = (1-A)^step is formed once, and each tested power
-    is one more product by X, whose entry valuations are read (log_m's
-    remainder does not carry them).  The first tested i with v_p(i) - c
-    > N, p^max(N+c+1, 0), is refused (PrecisionError) if it is <= p^m.
-    The powers stop where the bound decides: with v >= 1 the least
-    valuation of 1 - A, (1-A)^i has valuation >= min(N, i v), and from
-    i = padic._series_cutoff_log(p, max(-c, 1), v) on, i v -
-    floor(log_p i) >= -c (it does not decrease in i), so i v >= v_p(i)
-    - c and every later power below the refusal passes.  At c >= m no i
-    is tested: True.  ValueError past MAX_LOG_TERMS terms."""
+    is one more product by X, whose entry valuations are read.  The
+    first with v_p(i) - c > N, p^max(N+c+1, 0), is refused
+    (PrecisionError) if it is <= p^m.  With v >= 1 the least valuation
+    of 1 - A, (1-A)^i has valuation >= min(N, i v), and i v >= v_p(i) -
+    c from i = padic._series_cutoff_log(p, max(-c, 1), v) on (i v -
+    floor(log_p i) does not decrease), so every power below the refusal
+    passes from there and none is formed.  At c >= m no i is tested:
+    True.  ValueError past MAX_LOG_TERMS terms."""
     _check_order(A.p, m)
     if c >= m:
         return True
@@ -313,9 +306,7 @@ def rdc_valuation_check(f, p: int, prec: int, t: int, i: int) -> bool:
     if t >= 1 and d < p ** (t - 1) * (p - 1):
         raise ValueError(f"need d >= p^(t-1)(p-1) = {p ** (t - 1) * (p - 1)}")
     mod = p ** prec
-    g = msub(f, mident(d), mod)
-    nil = mpow(g, d, p)
-    if any(any(row) for row in nil):
+    if any(any(row) for row in mpow(_one_minus(f, mod), d, p)):
         raise ValueError("f - id is not nilpotent mod p")
     top = _one_minus(mpow(f, p ** t, mod), mod)
     powi = mpow(top, i, mod)
