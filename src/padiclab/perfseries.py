@@ -17,7 +17,8 @@ z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 (gf.GF.frobenius_solutions), never by enumerating the field.
 U enters W_n(PerfSeries) with no Witt product, as the Witt sum of its
 terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p),
-each coordinate built as one monomial.  The (p-1)-st root's binomial
+each coordinate built as one monomial; at n = 1, as the one series of
+its residues.  The (p-1)-st root's binomial
 power (1 + w)^alpha is a product over the base-p digits of alpha of
 powers of 1 + w^(p^i), each the p-th power of the one before.
 """

@@ -283,24 +283,7 @@ def test_witt_image_matches_the_products(inputs):
     got = zmod_series_to_witt(U, ring, n)
     want = zmod_series_to_witt_by_products(U, ring, n)
     assert got.coords == want.coords
-    assert [c.prec for c in got.coords] == [c.prec for c in want.coords]
-
-
-@settings(max_examples=300)
-@given(zmod_series_inputs())
-def test_witt_image_at_length_one_is_the_residue_series(inputs):
-    """At n = 1 the image is one series, built with no Witt sum: the same
-    coefficients, in the same order, and the same precision code, in
-    value and type, as the products give, on and off the lattice."""
-    ring, _, U = inputs
-    U = TruncSeries(Zmod(ring.p, 1), U.coeffs, 30)
-    got = zmod_series_to_witt(U, ring, 1)
-    want = zmod_series_to_witt_by_products(U, ring, 1)
-    assert got.n == 1 and len(got.coords) == 1
-    (g,), (w,) = got.coords, want.coords
-    assert g.coeffs == w.coeffs and list(g.coeffs) == list(
-        zmod_series_to_witt_from_zero(U, ring, 1).coords[0].coeffs)
-    assert type(g.pc) is type(w.pc) and g.pc == w.pc
+    assert [(type(c.pc), c.pc) for c in got.coords] == [(type(c.pc), c.pc) for c in want.coords]
 
 
 def zmod_series_to_witt_from_zero(U_out, ring, n):
@@ -323,7 +306,7 @@ def test_witt_image_matches_the_sum_from_zero(inputs):
     got = zmod_series_to_witt(U, ring, n)
     want = zmod_series_to_witt_from_zero(U, ring, n)
     for g, w in zip(got.coords, want.coords):
-        assert g.coeffs == w.coeffs
+        assert g.coeffs == w.coeffs and list(g.coeffs) == list(w.coeffs)
         assert type(g.pc) is type(w.pc) and g.pc == w.pc
 
 

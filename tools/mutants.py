@@ -44,6 +44,8 @@ REPORT = os.path.join(ROOT, "MUTANTS.json")
 MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                  "tests/test_digit_codecs.py"],
           "calculus": ["tests/test_series.py"],
+          "logtrunc": ["tests/test_logtrunc.py", "tests/test_refusals.py",
+                       "tests/test_acceptance.py", "tests/test_value_classes.py"],
           "padic": ["tests/test_padic.py", "tests/test_value_classes.py"],
           "perfseries": ["tests/test_perfseries.py", "tests/test_fixed_point_kernels.py",
                          "tests/test_lattice_codes.py", "tests/test_perf_precision_codes.py",
