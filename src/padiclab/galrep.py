@@ -73,14 +73,16 @@ class SolutionSet(Fields):
     basis: d solutions x0 Q spanning the set, x0 the residue basis
     least in code order (_residue_basis); solutions() are ordered
     lexicographically by the residue coordinates' codes, each made by d
-    int multiply-adds on the packed basis and one unpack, and kept in all.
+    int multiply-adds on the packed basis and one unpack, and kept in all,
+    a cache: it is no field, so equality and repr do not read it.
     """
 
-    _fields = ("base_field", "field", "s", "d", "prec", "basis", "all")
+    _fields = ("base_field", "field", "s", "d", "prec", "basis")
 
     def __init__(self, base_field: gf.GF, field: gf.GF, s: int, d: int, prec: int,
                  basis: list, all: list = None):
-        super().__init__(base_field, field, s, d, prec, basis, all)
+        super().__init__(base_field, field, s, d, prec, basis)
+        self.all = all
 
     @property
     def cardinality(self) -> int:

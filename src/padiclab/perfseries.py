@@ -192,7 +192,7 @@ class PerfRing(OperatorRing):
         self.jmax = jmax
         self.prec = Fraction(prec)
         self.zero = PerfSeries(field, D, jmax, {}, self.prec)
-        self.one = monomial(field, D, jmax, 0, field.one, self.prec)
+        self.one = self.zero._like({0: field.one}, self.zero.pc)
 
     def of_int(self, k):
         return self.one._like({0: self.field.el(k)}, self.one.pc)
@@ -327,11 +327,10 @@ def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,
     jmax = n + 1 if jmax is None else jmax
     prec = Fraction(U.prec) if prec is None else prec
     ring = PerfRing(field, D, jmax, prec)
-    Ubar = PerfSeries(field, D, jmax, {e: field.el(int(c) % p) for e, c in U.coeffs.items()},
-                      prec)
+    UW = zmod_series_to_witt(U, ring, n)
+    Ubar = UW.coords[0]
     if Ubar.is_zero():
         raise ValueError("U must not be divisible by p")
-    UW = zmod_series_to_witt(U, ring, n)
     V0 = root_p_minus_1(Ubar)
     V = witt.WittVector(p, ring, [V0] + [ring.zero] * (n - 1))
     for k in range(1, n):

@@ -5,14 +5,13 @@ Lattices are basis-change certificates whose lattice-basis Frobenius
 matrix has nonnegative exponents (phi-stability).  Heights are decided
 two independent ways: elementary divisors over k[[u]] (Smith form with
 valuation pivoting) and direct membership solving through the adjugate
-over W_n(F_q)[[u]]/u^M.  One characteristic polynomial serves each
-det/adjugate pair, and a module builds one for G, once: is_etale reads
-its det, and a lattice whose Frobenius equals G entry by entry (in
-coefficients and precision) takes the module's adjugate; any other
-lattice builds its own.  The coordinate lattice's change of basis, I,
-its inverse and its Frobenius, is built once per ring, rank and
-precision (_coordinates).  Decisions the truncation cannot certify
-raise Indeterminate rather than guess.  A module's coefficient ring is
+over W_n(F_q)[[u]]/u^M.  The coordinate basis is the identity, exact:
+the coordinate lattice's Frobenius is G itself, with no product by I.
+One characteristic polynomial serves each det/adjugate pair, and a
+module builds one for G, once: is_etale reads its det and the
+coordinate lattice its adjugate; a lattice of any other basis builds
+its own.  Decisions the truncation cannot certify raise
+Indeterminate rather than guess.  A module's coefficient ring is
 rings.module_ring's.
 """
 
@@ -151,11 +150,14 @@ class PhiLattice:
     def __init__(self, module: PhiModule, basis=None):
         self.module = module
         if basis is None:
-            basis, binv, frob = _coordinates(module.ring, module.d, module.prec)
+            ring, prec = module.ring, module.prec
+            self.basis = matrix.scalar(module.d, TruncSeries.one(ring, prec),
+                                       TruncSeries.zero(ring, prec))
+            GL = module.G
         else:
+            self.basis = basis
             binv, frob = _inverse_and_frobenius(basis)
-        self.basis = basis
-        GL = mat_mul(mat_mul(binv, module.G), frob)
+            GL = mat_mul(mat_mul(binv, module.G), frob)
         for row in GL:
             for a in row:
                 me = a.valuation()
@@ -169,14 +171,10 @@ class PhiLattice:
     @functools.cached_property
     def _frobenius_inverse(self):
         """(adj, det^-1) of the lattice Frobenius, for height_divides: the
-        module's det and adjugate when the two matrices agree entry by
-        entry, in coefficients and precision code."""
-        GL, G = self.lattice_frobenius, self.module.G
-        if all(a.pc == b.pc and a.coeffs == b.coeffs
-               for row, grow in zip(GL, G) for a, b in zip(row, grow)):
-            det, adj = self.module._det_adjugate
-        else:
-            det, adj = mat_adjugate(GL)
+        module's det and adjugate when it is G itself (the coordinate
+        lattice), else its own."""
+        GL = self.lattice_frobenius
+        det, adj = self.module._det_adjugate if GL is self.module.G else mat_adjugate(GL)
         if _zero_mod_p(det):
             raise Indeterminate("det is 0 mod p to its precision; invertibility is not visible")
         return adj, det.inverse()
@@ -191,23 +189,6 @@ def _inverse_and_frobenius(basis):
     det_inv = det.inverse()
     return ([[a * det_inv for a in row] for row in adj],
             [[a.frobenius() for a in row] for row in basis])
-
-
-_COORDINATES: dict = {}
-
-
-def _coordinates(ring, d, prec):
-    """(C, C^-1, phi(C)) of the coordinate basis C = I at prec, as
-    tuples, built once per ring value, d and prec and shared by every
-    lattice that asks: callers build a module's ring afresh for each
-    question, so the key is the ring's class and fields, not its
-    identity.  The entries are few, one per such triple a process meets."""
-    key = type(ring), ring._values(), d, prec
-    if key not in _COORDINATES:
-        basis = matrix.scalar(d, TruncSeries.one(ring, prec), TruncSeries.zero(ring, prec))
-        _COORDINATES[key] = tuple(tuple(map(tuple, m))
-                                  for m in (basis, *_inverse_and_frobenius(basis)))
-    return _COORDINATES[key]
 
 
 def stabilize_lattice(M: PhiModule) -> PhiLattice:
@@ -279,22 +260,6 @@ def u_height(L: PhiLattice) -> int:
 # --- membership decisions through the adjugate ---
 
 
-def _all_integral(inverse, columns) -> bool:
-    """Whether x = adj(B) b det(B)^-1 is integral for every b in columns,
-    inverse = (adj B, det(B)^-1).  Indeterminate when an entry's precision
-    drops below 0: the nonnegativity of its support is then not visible."""
-    adj, det_inv = inverse
-    for b in columns:
-        for xi in matrix.mat_vec(adj, b):
-            xi = xi * det_inv
-            if xi.prec < 0:
-                raise Indeterminate("precision exhausted before integrality was visible")
-            me = xi.valuation()
-            if me is not None and me < 0:
-                return False
-    return True
-
-
 def height_divides(L, U: TruncSeries) -> bool:
     """Whether the lattice has height dividing U: U * (basis) lies in
     the image of id (x) phi.
@@ -303,6 +268,11 @@ def height_divides(L, U: TruncSeries) -> bool:
     taken as the candidate; a candidate that is not phi-stable is not a
     phi-lattice and the answer is False.  ValueError when U is divisible
     by p, at every n: at n = 1 that means U = 0.
+
+    U e_j is in the image iff x = adj(GL) U e_j det(GL)^-1, column j of
+    adj(GL) times U det(GL)^-1, is integral, GL the lattice Frobenius.
+    Indeterminate when an entry's precision drops below 0: the
+    nonnegativity of its support is then not visible.
     """
     if _zero_mod_p(U):
         raise ValueError("U must not be divisible by p")
@@ -311,10 +281,17 @@ def height_divides(L, U: TruncSeries) -> bool:
             L = PhiLattice(L)
         except ValueError:
             return False
-    ring, d = L.module.ring, L.module.d
-    # the columns of U I, zero-padded at U's precision
-    columns = matrix.scalar(d, U, TruncSeries.zero(ring, U.prec))
-    return _all_integral(L._frobenius_inverse, columns)
+    adj, det_inv = L._frobenius_inverse
+    w = U * det_inv
+    for j in range(L.module.d):
+        for row in adj:
+            x = row[j] * w
+            if x.prec < 0:
+                raise Indeterminate("precision exhausted before integrality was visible")
+            me = x.valuation()
+            if me is not None and me < 0:
+                return False
+    return True
 
 
 # --- the cyclotomic family ---

@@ -207,14 +207,13 @@ class PhiTauModP(Frozen):
 
     def tau_power_apply(self, a: PadicInt, x):
         """tau_M^a for p-adic a: rung i composed a_i times, a_i the base-p
-        digits of a mod p^t, applied once; the identity at a = 0 mod p^t."""
+        digits of a mod p^t, applied once; at a = 0 mod p^t the empty
+        product, the identity, exact: x itself."""
         ladder, p = self._ladder, self.p
         if a.prec < len(ladder):
             raise Indeterminate("exponent precision below the order exponent")
         ops = [rung for i, rung in enumerate(ladder) for _ in range(a.residue // p ** i % p)]
-        op = (functools.reduce(self._compose, ops) if ops
-              else (self._identity(), gskel.elt(p, self.tau.c.prec, 0, 1)))
-        return self._apply(op, x)
+        return self._apply(functools.reduce(self._compose, ops), x) if ops else list(x)
 
 
 def trivial_restriction_module(tau_T, s: int, field: GF, tau: GaloisElt,

@@ -15,6 +15,7 @@ from padiclab.phimod import (PhiLattice, PhiModule, cyclotomic_module, height_di
                              u_height)
 from padiclab.rings import FFRing, Zmod, module_ring
 from padiclab.series import TruncSeries
+from test_height_kernels import all_integral
 
 M = 24
 R3 = FFRing(gf.field(3))
@@ -25,7 +26,7 @@ def lattice_contains(L1: PhiLattice, L2: PhiLattice, fmat) -> bool:
     Laurent ring in module coordinates: the lattice tests' oracle."""
     det, adj = mat_adjugate(L2.basis)
     target = mat_mul(fmat, L1.basis)
-    return phimod._all_integral((adj, det.inverse()), zip(*target))
+    return all_integral((adj, det.inverse()), zip(*target))
 
 
 def mat_identity(ring, d, prec):

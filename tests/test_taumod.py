@@ -233,7 +233,8 @@ def _negative_x(rng, d, w):
 def test_tau_power_apply_matches_binary_composition(name):
     """Every a < p^t: the ladder's digit product applied to x equals
     tau_M^a by binary composition, coefficients and precision; at a = 0
-    that is the identity operator, which lowers the precision of x."""
+    it is the empty product, the identity, exact: x itself, whose
+    precision the truncated identity operator would lower."""
     if name == "identity":   # tau_M = id, so t = 0 and only a = 0 is read
         M = trivial_restriction_module([[1]], 0, F3, gskel.elt(3, 8, 0, 1), W)
     else:
@@ -243,9 +244,13 @@ def test_tau_power_apply_matches_binary_composition(name):
         x = _negative_x(rng, M.d, M.model().prec)
         got = M.tau_power_apply(PadicInt(3, 8, a + 3 ** t * rng.randrange(3 ** (8 - t))), x)
         ref = M._apply(ref_operator_power(M, a), x)
-        assert [(v.coeffs, v.pc) for v in got] == [(v.coeffs, v.pc) for v in ref], a
-        if not a:
-            assert [v.pc for v in got] != [v.pc for v in x]
+        if a:
+            assert [(v.coeffs, v.pc) for v in got] == [(v.coeffs, v.pc) for v in ref], a
+        else:
+            assert got == x and got is not x
+            assert [(v.coeffs, v.pc) for v in got] == [(v.coeffs, v.pc) for v in x]
+            assert [v.coeffs for v in got] == [v.coeffs for v in ref]
+            assert [v.pc for v in ref] != [v.pc for v in x]
 
 
 def test_tau_power_apply_refuses_an_exponent_below_the_order():

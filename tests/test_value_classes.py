@@ -156,7 +156,7 @@ class SolutionSet:
     d: int
     prec: int
     basis: list
-    all: list = field(default=None)
+    all: list = field(default=None, compare=False, repr=False)   # a cache, not a value
 
 
 @dataclass
@@ -396,8 +396,26 @@ def test_solution_set_of_a_solve_equals_itself_rebuilt():
     T = galrep.SolutionSet(S.base_field, S.field, S.s, S.d, S.prec, list(S.basis))
     assert S == T
     S.solutions()
-    assert S != T and S.all is not None
+    assert S == T and S.all is not None and T.all is None
     assert T.solutions() == S.all and S == T
+
+
+def test_solution_set_equality_and_repr_do_not_read_its_cache():
+    """solutions() fills the cache all of one of two equal sets: they stay
+    equal, and neither repr changes."""
+    F3 = gf.field(3)
+    from padiclab.rings import FFRing
+    from padiclab.series import TruncSeries
+    ring = FFRing(F3)
+    G = [[TruncSeries(ring, {0: F3.el(c)}, 5) for c in row] for row in ((2, 1), (0, 1))]
+    S1, S2 = galrep.solve_unit_root(G), galrep.solve_unit_root(G)
+    shown = repr(S1)
+    assert S1 == S2 and repr(S2) == shown
+    assert len(S1.solutions()) == 9
+    assert S1 == S2 and S2 == S1 and not S1 != S2
+    assert repr(S1) == repr(S2) == shown
+    # a cache given at construction is no field either
+    assert galrep.SolutionSet(*[getattr(S1, f) for f in S1._fields], all=[]) == S2
 
 
 # --- the ring adapters ---------------------------------------------------
