@@ -6,13 +6,12 @@ matrix has nonnegative exponents (phi-stability).  Heights are decided
 two independent ways: elementary divisors over k[[u]] (Smith form with
 valuation pivoting) and direct membership solving through the adjugate
 over W_n(F_q)[[u]]/u^M.  The coordinate basis is the identity, exact:
-the coordinate lattice's Frobenius is G itself, with no product by I.
-One characteristic polynomial serves each det/adjugate pair, and a
-module builds one for G, once: is_etale reads its det and the
-coordinate lattice its adjugate; a lattice of any other basis builds
-its own.  Decisions the truncation cannot certify raise
-Indeterminate rather than guess.  A module's coefficient ring is
-rings.module_ring's.
+the coordinate lattice's Frobenius is G itself.  One characteristic
+polynomial serves each det/adjugate pair, and a module builds one for
+G, once: is_etale reads its det and the coordinate lattice its
+adjugate; a lattice of any other basis builds its own.  Decisions the
+truncation cannot certify raise Indeterminate rather than guess.  A
+module's coefficient ring is rings.module_ring's.
 """
 
 from __future__ import annotations
