@@ -15,23 +15,24 @@ phi(V) = U*V in length-n Witt vectors, by one residue root plus
 successive coordinate corrections.  The solvers' residue equations,
 z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 (gf.GF.frobenius_solutions), never by enumerating the field.
-U enters W_n(PerfSeries) with no Witt product, as the Witt sum of its
-terms c u^e = (a_i u^(e p^i))_i, (a_i) the coordinates of c in W_n(F_p),
-each coordinate built as one monomial; at n = 1, as the one series of
-its residues.  The (p-1)-st root's binomial
-power (1 + w)^alpha is a product over the base-p digits of alpha of
-powers of 1 + w^(p^i), each the p-th power of the one before.
+U enters W_n(PerfSeries) with no Witt law: the coordinates of
+sum c_e [u]^e come from its ghost components sum c_e u^(e p^k) by one
+integer recursion for every n, none more precise than U.  The (p-1)-st
+root's binomial power (1 + w)^alpha is a product over the base-p digits
+of alpha of powers of 1 + w^(p^i), each the p-th power of the one before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import witt
 from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from .gf import GF, FFElt
-from .rings import OperatorRing
-from .series import SparseSeries
+from .padic import power
+from .rings import OperatorRing, Zmod
+from .series import SparseSeries, TruncSeries
 
 
 class PerfSeries(SparseSeries):
@@ -91,7 +92,7 @@ class PerfSeries(SparseSeries):
         """Multiply by u^e."""
         k = lattice_code(e, self.L)
         if type(k) is not int and self.coeffs:
-            e = Fraction(next(iter(self.coeffs)), self.L) + e
+            e = Fraction(min(self.coeffs), self.L) + e
             raise LatticeTooCoarse(f"exponent {e} outside lattice 1/{self.L} Z")
         return self._like({c + k: v for c, v in self.coeffs.items()}, self.pc + k)
 
@@ -120,9 +121,9 @@ class PerfSeries(SparseSeries):
 
     def pth_root(self):
         p = self.p
-        for k in self.coeffs:
-            if k % p:
-                raise LatticeTooCoarse(f"p-th root of u^{Fraction(k, self.L)} leaves the lattice")
+        bad = min((k for k in self.coeffs if k % p), default=None)
+        if bad is not None:
+            raise LatticeTooCoarse(f"p-th root of u^{Fraction(bad, self.L)} leaves the lattice")
         pc = self.pc
         pc = pc // p if type(pc) is int and not pc % p else Fraction(pc, p)
         return self._like({k // p: self.field.frob_p(c, -1) for k, c in self.coeffs.items()}, pc)
@@ -279,34 +280,34 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
     raise PrecisionError("semilinear solve did not converge")
 
 
-def zmod_series_to_witt(U_out, ring: PerfRing, n: int):
-    """Embed a Z/p^n-coefficient polynomial/series into W_n(PerfSeries)
-    by u -> Teichmuller(u) and integers through W_n(F_p) = Z/p^n, in
-    closed form: [u]^e = [u^e] and [x] (a_0, a_1, ...) = (a_0 x, a_1 x^p,
-    a_2 x^(p^2), ...) in any W_n(A) (compare ghost components), so c u^e
-    is (a_i u^(e p^i))_i for c = (a_i) in W_n(F_p), each coordinate one
-    monomial at precision code one.pc + e p^i L, as ring.of_int(a_i)
-    shifted by e p^i.  The sum starts at the first term cut to the ring's
-    precision code: with every exponent >= 0, that is 0 + the first term.
-    At n = 1 no sum carries into a further coordinate, so the image is
-    the one series of the residues c mod p at the codes e L, at the
-    ring's precision code, its terms in the order the sums leave them
-    (the W_1 sum law is Y_0 + X_0: the latest term first)."""
-    p, one = ring.p, ring.one
-    el, pc = ring.field.el, one.pc
-    if any(e < 0 for e in U_out.coeffs):
+def zmod_series_to_witt(U, ring: PerfRing, n: int):
+    """U = sum c_e u^e over Z/p^m, m >= n, in W_n(PerfSeries) as sum c_e [u]^e,
+    from its ghost components w_k = sum c_e u^(e p^k) (Serre, Local Fields,
+    II.6): x_k = (w_k - sum_(i<k) p^i x_i^(p^(k-i))) / p^k mod p reads each
+    x_i only mod p, so x_i enters lifted to [0, p); x_0 is w_0 mod p.  Over
+    U's ring, on the integer exponents below every coordinate's precision
+    min(ring.prec, U.prec), each power the p-th power of the one before.
+    ArithmeticError when a division by p^k is not exact."""
+    p, one, R = ring.p, ring.one, U.ring
+    if type(R) is not Zmod or R.p != p or R.n < n:
+        raise ValueError(f"U over {R!r} has no image in W_{n}: it needs Z/{p}^m, m >= {n}")
+    if U.coeffs and min(U.coeffs) < 0:
         raise ValueError("nonnegative exponents only")
-    if n == 1:
-        return witt.WittVector(p, ring, [one._like(
-            {e * one.L: el(int(c)) for e, c in reversed(U_out.coeffs.items())}, pc)])
-    acc = None
-    for e, c in U_out.coeffs.items():
-        codes = [e * p ** i * one.L for i in range(n)]
-        coords = [one._like({k: el(a)}, pc if acc is None else pc + k)
-                  for k, a in zip(codes, witt.zmod_to_coords(int(c) % p ** n, p, n))]
-        term = witt.WittVector(p, ring, coords)
-        acc = term if acc is None else acc + term
-    return witt.WittVector(p, ring, [ring.zero] * n) if acc is None else acc
+    L, el = one.L, ring.field.el
+    pc = U.pc * L if U.pc * L < one.pc else one.pc
+    top, x = -(-pc // L), U.coeffs          # the integer e with e L < pc; x_k = x mod p
+    coords, pows = [one._like({e * L: el(c) for e, c in x.items()}, pc)], []
+    for k in range(1, n):                   # pows: x_i^(p^(k-i)) over U's ring, i < k
+        lift = TruncSeries(R, {e: c % p for e, c in x.items()}, top)
+        pows = [power(y, p, mul, None) for y in pows + [lift]]
+        w = TruncSeries(R, {e * p ** k: c for e, c in U.coeffs.items()}, top)
+        for i, y in enumerate(pows):
+            w = w - y.scale(p ** i)
+        if any(c % p ** k for c in w.coeffs.values()):
+            raise ArithmeticError(f"ghost component {k} less its lower terms is not p^{k} Z")
+        x = {e: c // p ** k for e, c in w.coeffs.items()}
+        coords.append(one._like({e * L: el(c) for e, c in x.items()}, pc))
+    return witt.WittVector(p, ring, coords)
 
 
 def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,

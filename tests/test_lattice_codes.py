@@ -76,7 +76,7 @@ class FracPerf(SparseSeries):
 
     def pth_root(self):
         p = self.field.p
-        for e in self.coeffs:
+        for e in sorted(self.coeffs):
             if (e / p * self.L).denominator != 1:
                 raise LatticeTooCoarse(f"p-th root of u^{e} leaves the lattice")
         return self._like({e / p: c ** p ** (self.field.fp_degree - 1)

@@ -148,7 +148,7 @@ class RefPerf(RefKernel):
     def shift(self, e):
         k = Fraction(e) * self.L
         if k.denominator != 1 and self.coeffs:
-            e = Fraction(next(iter(self.coeffs)), self.L) + e
+            e = Fraction(min(self.coeffs), self.L) + e
             raise LatticeTooCoarse(f"exponent {e} outside lattice 1/{self.L} Z")
         k = k.numerator
         return self._like({c + k: v for c, v in self.coeffs.items()}, self.prec + e)
@@ -162,7 +162,7 @@ class RefPerf(RefKernel):
 
     def pth_root(self):
         p = self.field.p
-        for k in self.coeffs:
+        for k in sorted(self.coeffs):
             if k % p:
                 raise LatticeTooCoarse(f"p-th root of u^{Fraction(k, self.L)} leaves the lattice")
         return self._like({k // p: self.field.frob_p(c, -1) for k, c in self.coeffs.items()},

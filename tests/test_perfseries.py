@@ -32,6 +32,15 @@ def test_ring_basics():
         monomial(F3, 2, 0, F(1, 2), F3.one, F(4)).pth_root()
 
 
+def test_lattice_errors_name_the_least_offending_exponent():
+    """Not the first in the coefficient dict's order."""
+    f = PerfSeries(F3, 2, 1, {F(5, 6): F3.one, F(1, 6): F3.one, F(1, 2): F3.one}, F(4))
+    with pytest.raises(LatticeTooCoarse, match=r"^p-th root of u\^1/6 leaves the lattice$"):
+        f.pth_root()
+    with pytest.raises(LatticeTooCoarse, match=r"^exponent 1/4 outside lattice 1/6 Z$"):
+        f.shift(F(1, 12))
+
+
 def test_valuation_multiplicative():
     rng = random.Random(22)
     for _ in range(300):
@@ -306,25 +315,115 @@ def test_witt_image_matches_the_sum_from_zero(inputs):
     got = zmod_series_to_witt(U, ring, n)
     want = zmod_series_to_witt_from_zero(U, ring, n)
     for g, w in zip(got.coords, want.coords):
-        assert g.coeffs == w.coeffs and list(g.coeffs) == list(w.coeffs)
+        assert g.coeffs == w.coeffs
         assert type(g.pc) is type(w.pc) and g.pc == w.pc
 
 
+@pytest.mark.parametrize("coeffs", [{0: 1}, {1: 1, 2: 1}, {0: 3, 1: 1, 2: 25, 4: 9, 5: 80},
+                                    {0: 80, 2: 3, 3: 27, 7: 1}])
+def test_witt_image_matches_both_references_at_length_four(coeffs):
+    ring = PerfRing(F3, 2, 2, F(9))
+    U = TruncSeries(Zmod(3, 4), coeffs, 30)
+    got = zmod_series_to_witt(U, ring, 4)
+    for want in (zmod_series_to_witt_by_products(U, ring, 4),
+                 zmod_series_to_witt_from_zero(U, ring, 4)):
+        assert [(c.coeffs, type(c.pc), c.pc) for c in got.coords] == \
+            [(c.coeffs, type(c.pc), c.pc) for c in want.coords]
+
+
+def test_fixed_point_does_not_read_the_order_of_u_terms():
+    """U with its coefficient dict in reverse insertion order gives the
+    same V, coordinate by coordinate, in coefficients, pc and pc type."""
+    for p, n, coeffs in ((3, 2, {0: 3, 1: 1, 2: 4, 3: 7}), (3, 3, {1: 1, 2: 1, 5: 9}),
+                         (5, 1, {0: 5, 1: 1, 4: 3}), (5, 2, {1: 1, 2: 10, 3: 24})):
+        R, Fp = Zmod(p, n), gf.field(p)
+        V = solve_frobenius_fixed(TruncSeries(R, coeffs, 10), Fp, n, jmax=4, prec=F(10))
+        backwards = dict(reversed(list(coeffs.items())))
+        W = solve_frobenius_fixed(TruncSeries(R, backwards, 10), Fp, n, jmax=4, prec=F(10))
+        assert [(c.coeffs, type(c.pc), c.pc) for c in V.coords] == \
+            [(c.coeffs, type(c.pc), c.pc) for c in W.coords]
+
+
 def test_witt_image_makes_no_witt_product(monkeypatch):
-    calls = []
-    product = witt.WittVector.__mul__
+    calls, laws = [], []
+    product, law = witt.WittVector.__mul__, witt.eval_law
 
     def counted(self, other):
         calls.append(1)
         return product(self, other)
 
+    def counted_law(*args):
+        laws.append(1)
+        return law(*args)
+
     monkeypatch.setattr(witt.WittVector, "__mul__", counted)
+    monkeypatch.setattr(witt, "eval_law", counted_law)
     ring = PerfRing(F3, 2, 4, F(12))
     U = TruncSeries(Zmod(3, 3), {0: 3, 1: 1, 2: 25, 4: 9, 5: 2}, 12)
     image = zmod_series_to_witt(U, ring, 3)
-    assert not calls
+    assert not calls and not laws
     assert zmod_series_to_witt_by_products(U, ring, 3) == image
-    assert len(calls) >= len(U.coeffs)
+    assert len(calls) >= len(U.coeffs) and laws
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]), st.integers(1, 6), st.data())
+def test_witt_image_claims_only_digits_every_completion_shares(pn, M, data):
+    """Completion oracle: the image of U known to u^M agrees with the
+    image of any completion of U, to three times its precision, in every
+    digit both claim, though the ring's precision is above M."""
+    p, n = pn
+    R, ring = Zmod(p, n), PerfRing(gf.field(p), p - 1, 2, F(3 * M))
+    coeffs = st.lists(st.integers(0, p ** n - 1), min_size=M, max_size=M)
+    cs = data.draw(coeffs)
+    image = zmod_series_to_witt(TruncSeries(R, dict(enumerate(cs)), M), ring, n)
+    assert all(c.prec == M for c in image.coords)
+    whole = cs + data.draw(coeffs) + data.draw(coeffs)
+    assert image == zmod_series_to_witt(TruncSeries(R, dict(enumerate(whole)), 3 * M), ring, n)
+
+
+def test_fixed_point_claims_no_digit_past_u():
+    """U = 3 + u + O(u^2) over Z/9 at a ring precision of 10: the image
+    and V claim only digits that the completion 3 + u + u^2 shares."""
+    U = TruncSeries(Zmod(3, 2), {0: 3, 1: 1}, 2)
+    whole = TruncSeries(Zmod(3, 2), {0: 3, 1: 1, 2: 1}, 10)
+    ring = PerfRing(F3, 2, 4, F(10))
+    image = zmod_series_to_witt(U, ring, 2)
+    assert [c.prec for c in image.coords] == [2, 2]
+    assert image == zmod_series_to_witt(whole, ring, 2)
+    V = solve_frobenius_fixed(U, F3, 2, jmax=4, prec=F(10))
+    assert all(c.prec <= 2 for c in V.coords)
+    assert V.coords == solve_frobenius_fixed(whole, F3, 2, jmax=4, prec=F(10)).coords
+
+
+def test_fixed_point_refuses_a_u_it_cannot_read():
+    """U's ring must be Z/p^m for the field's p with m >= n: Z/25 under
+    F_3 and Z/3 at n = 2 are refused by name."""
+    for U in (TruncSeries(Zmod(5, 2), {0: 5, 1: 1}, 6), TruncSeries(Zmod(3, 1), {1: 1}, 6)):
+        R = U.ring
+        with pytest.raises(ValueError, match=rf"^U over Zmod\(p={R.p}, n={R.n}\) has no image "
+                                             rf"in W_2: it needs Z/3\^m, m >= 2$"):
+            solve_frobenius_fixed(U, F3, 2)
+    assert solve_frobenius_fixed(TruncSeries(Zmod(3, 3), {1: 1}, 6), F3, 2).coords[0]
+
+
+def test_witt_image_asserts_each_division_by_p_k(monkeypatch):
+    """x_0^9 off by 3 at step 2 (right mod 3, wrong mod 9): ghost
+    component 2 less its lower terms is in 3 Z but not 9 Z, so the
+    image raises rather than read a digit."""
+    from padiclab import perfseries
+    calls, power = [], perfseries.power
+
+    def off_by_3(y, k, mul, one):
+        calls.append(k)
+        out = power(y, k, mul, one)
+        return out + TruncSeries(y.ring, {0: 3}, out.pc) if len(calls) == 2 else out
+
+    monkeypatch.setattr(perfseries, "power", off_by_3)
+    U = TruncSeries(Zmod(3, 3), {0: 1, 1: 1}, 6)
+    message = r"^ghost component 2 less its lower terms is not p\^2 Z$"
+    with pytest.raises(ArithmeticError, match=message):
+        zmod_series_to_witt(U, PerfRing(F3, 2, 2, F(6)), 3)
 
 
 def test_witt_image_refuses_negative_exponents():
