@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclab import gf, witt
+from padiclab import gf, perfseries, witt
 from padiclab.errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from padiclab.perfseries import (PerfRing, PerfSeries, frobenius_fixed_residual,
                                  monomial, one_like, root_p_minus_1, solve_additive,
@@ -411,7 +411,6 @@ def test_witt_image_asserts_each_division_by_p_k(monkeypatch):
     """x_0^9 off by 3 at step 2 (right mod 3, wrong mod 9): ghost
     component 2 less its lower terms is in 3 Z but not 9 Z, so the
     image raises rather than read a digit."""
-    from padiclab import perfseries
     calls, power = [], perfseries.power
 
     def off_by_3(y, k, mul, one):
