@@ -176,14 +176,13 @@ def lambda_residual(E: EisensteinPoly, lam: TruncSeries) -> TruncSeries:
     return (lhs - rhs).truncate(min(lam.prec, lhs.prec))
 
 
-def n_nabla(f: TruncSeries, E: EisensteinPoly, lam: TruncSeries | None = None) -> TruncSeries:
-    """The derivation -u * lambda * df/du.
+def n_nabla(f: TruncSeries, E: EisensteinPoly, lam: TruncSeries) -> TruncSeries:
+    """The derivation -u * lambda * df/du, lam = kisin_lambda(E, M) for
+    an M at least f's precision.
 
     Satisfies the Leibniz rule, and intertwines with Frobenius as
     N(phi(f)) = p * (E/E(0)) * phi(N(f)) exactly at truncation.
     """
-    if lam is None:
-        lam = kisin_lambda(E, f.prec)
     df = f.derivative()
     return -(df.shift(1) * lam)
 

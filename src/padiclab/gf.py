@@ -290,8 +290,10 @@ class GF:
         if n % f:
             raise ValueError("no embedding: degree does not divide")
         basis = fp_kernel(self._frobenius_rows(f, 1), p)
+        # the fixed field of sigma^f in F_(p^n), f | n, is F_(p^f): the
+        # roots of x^(p^f) - x, of dimension f over F_p
         if len(basis) != f:
-            raise RuntimeError("subfield has wrong dimension")  # impossible
+            raise ArithmeticError("subfield has wrong dimension")
         for codes in product(range(p), repeat=f):
             x = self.from_fp([sum(c * b[i] for c, b in zip(codes, basis)) for i in range(n)])
             acc = self.one  # Horner on the monic modulus
@@ -300,7 +302,9 @@ class GF:
             if not acc:
                 break
         else:
-            raise RuntimeError("modulus has no root in the big field")  # impossible
+            # a monic irreducible of degree f | n splits in F_(p^n): its
+            # roots lie in F_(p^f), the fixed field searched above
+            raise ArithmeticError("modulus has no root in the big field")
         self._embeddings[id(small)] = [fp_pack(v.coeffs, self._w) for v in self._powers(x, f)]
 
     def _times_columns(self, y: tuple) -> list:
@@ -404,7 +408,9 @@ def _find_modulus_prime(p: int, s: int) -> tuple:
                 break
         else:
             return mod
-    raise RuntimeError("no irreducible polynomial found")
+    # Gauss: the monic irreducibles of degree s over F_p number
+    # (1/s) sum_(d | s) mu(d) p^(s/d) >= 1, and the loop tries every monic
+    raise ArithmeticError("no irreducible polynomial found")
 
 
 # --- module-level field cache ---

@@ -299,19 +299,15 @@ def exp_unit(y: PadicInt) -> PadicInt:
 
 def pow_unit(q: PadicInt, a: PadicInt) -> PadicInt:
     """q^a = exp(a log q) for q = 1 mod p and a in Z_p."""
-    if isinstance(a, int):
-        a = PadicInt(q.p, q.prec, a)
     return exp_unit(a * log_unit(q))
 
 
 def _q_one(fn):
-    """fn(a, q), [a]_q or its inverse, under the rules both share: an int
-    a is lifted to q's precision; at q = 1 + O(p^N) the answer is a, at
-    the lesser precision; q != 1 mod p is refused (ValueError)."""
+    """fn(a, q), [a]_q or its inverse, under the rules both share: at
+    q = 1 + O(p^N) the answer is a, at the lesser precision; q != 1 mod p
+    is refused (ValueError)."""
     @functools.wraps(fn)
-    def wrapped(a, q: PadicInt) -> PadicInt:
-        if isinstance(a, int):
-            a = PadicInt(q.p, q.prec, a)
+    def wrapped(a: PadicInt, q: PadicInt) -> PadicInt:
         if (q - 1).residue == 0:
             return a.lower_precision(min(a.prec, q.prec))
         if (q - 1).residue % q.p != 0:

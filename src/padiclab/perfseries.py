@@ -92,8 +92,8 @@ class PerfSeries(SparseSeries):
         """Multiply by u^e."""
         k = lattice_code(e, self.L)
         if type(k) is not int and self.coeffs:
-            e = Fraction(min(self.coeffs), self.L) + e
-            raise LatticeTooCoarse(f"exponent {e} outside lattice 1/{self.L} Z")
+            raise LatticeTooCoarse(f"exponent {Fraction(min(self.coeffs), self.L) + e} "
+                                   f"outside lattice 1/{self.L} Z")
         return self._like({c + k: v for c, v in self.coeffs.items()}, self.pc + k)
 
     def truncate(self, prec):

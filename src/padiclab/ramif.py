@@ -156,14 +156,7 @@ class BoundExpr(Frozen):
         return self.r0 + self.r1 * k
 
     def compare(self, other) -> int:
-        """-1, 0, 1 against a rational or another BoundExpr."""
-        if isinstance(other, BoundExpr):
-            if other.p != self.p:
-                raise ValueError("different primes")
-            # D*(self - other) = D(r0 - s0) + log_p(x1^(D r1) / x2^(D s1))
-            D = self.r1.denominator * other.r1.denominator
-            y = self.x ** int(D * self.r1) / other.x ** int(D * other.r1)
-            return BoundExpr(D * (self.r0 - other.r0), Fraction(1), y, self.p).compare(0)
+        """-1, 0, 1 against a rational."""
         t = Fraction(other)
         if self.r1 == 0 or self.x == 1:
             return _sign(self.r0 - t)

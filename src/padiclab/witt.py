@@ -2,12 +2,12 @@
 
 The sum/product polynomials are produced once per (p, n) by lifting
 through ghost components: S_k is the unique integer polynomial with
-w_k(S_0..S_k) = w_k(x) + w_k(y), and similarly for products and the
-Witt Frobenius.  Integrality of the division by p^k is a theorem; we
-assert it rather than trust it.
+w_k(S_0..S_k) = w_k(x) + w_k(y), and similarly for products.
+Integrality of the division by p^k is a theorem; we assert it rather
+than trust it.
 
-Over a ring of characteristic p the Witt Frobenius coincides with the
-coordinatewise p-th power, which is what the series rings use.
+The Witt Frobenius is taken over rings of characteristic p only, where
+it is the coordinatewise p-th power, which is what the series rings use.
 
 Coordinates compute with Python's + - * ==; the ring adapter
 (padiclab.rings) gives the constants and reduces each coordinate once,
@@ -16,7 +16,8 @@ times_int(k, a) = of_int(k) * a, no product over the series rings.
 eval_law evaluates one law: the powers of a variable are built when a
 monomial first reads them, a coefficient 1 takes its power as it is,
 and the terms are summed from the first, cut once to the ring zero's
-precision at the end.
+precision at the end.  No sum or product law is empty or has a
+constant term, so every monomial reads a variable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import operator
 from functools import lru_cache
 
 from . import Frozen
-from .errors import NotDivisible
+from .errors import NotDivisible, Unsupported
 from .padic import power
 
 # ---------------------------------------------------------------------------
@@ -44,8 +45,6 @@ def _p_add(a: dict, b: dict) -> dict:
 
 
 def _p_scale(a: dict, k: int) -> dict:
-    if k == 0:
-        return {}
     return {m: c * k for m, c in a.items()}
 
 
@@ -54,12 +53,8 @@ def _p_mul(a: dict, b: dict) -> dict:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            c = out.get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return out
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _p_divexact(a: dict, k: int) -> dict:
@@ -99,8 +94,7 @@ def _solve_laws(p: int, n: int, targets) -> list:
 
 
 class WittLawTable(Frozen):
-    # frob_polys has length n - 1: the ghost Frobenius W_n -> W_{n-1}
-    _fields = ("p", "n", "sum_polys", "prod_polys", "frob_polys")
+    _fields = ("p", "n", "sum_polys", "prod_polys")
 
 
 # generate_laws(p, n) takes about p^(n^2 - 1) ns, measured from (3, 4) to
@@ -119,10 +113,7 @@ def generate_laws(p: int, n: int) -> WittLawTable:
     prod_targets = [_p_mul(_ghost(p, k, 0, nv), _ghost(p, k, n, nv)) for k in range(n)]
     sums = _solve_laws(p, n, sum_targets)
     prods = _solve_laws(p, n, prod_targets)
-    frob_targets = [_ghost(p, k + 1, 0, nv) for k in range(max(n - 1, 0))]
-    frobs = _solve_laws(p, n - 1, frob_targets) if n > 1 else []
-    return WittLawTable(p, n, tuple(map(_freeze, sums)), tuple(map(_freeze, prods)),
-                        tuple(map(_freeze, frobs)))
+    return WittLawTable(p, n, tuple(map(_freeze, sums)), tuple(map(_freeze, prods)))
 
 
 def _freeze(poly: dict):
@@ -137,7 +128,8 @@ def eval_law(poly, values, ring):
     over the series rings pc(X^e) <= pc(X^1) + (e - 1) v(X) <= one.pc +
     e v(X), so times_int(1, X^e) would cut nothing.  The sum starts at
     the first term and is cut once, at the end, to the ring zero's
-    precision code, as ring.zero + sum does."""
+    precision code, as ring.zero + sum does.  poly has a term, and each
+    term reads a variable (module docstring)."""
     caches = [None] * len(values)
     acc = None
     for mono, coeff in poly:
@@ -159,12 +151,8 @@ def eval_law(poly, values, ring):
                 term = term * cache[e]
             else:
                 term = cache[e] if coeff == 1 else ring.times_int(coeff, cache[e])
-        if term is None:
-            term = ring.of_int(coeff)
         acc = term if acc is None else acc + term
     zero = ring.zero
-    if acc is None:
-        return zero
     # a series at or below the zero's precision code is zero + acc already
     return acc if getattr(acc, "pc", None) is not None and acc.pc <= zero.pc else zero + acc
 
@@ -231,12 +219,11 @@ class WittVector:
 
 
 def from_int(k: int, p: int, n: int, ring) -> WittVector:
-    """Image of the integer k under Z -> W_n(A)."""
-    if ring.char_p:
-        return from_zmod(k, p, n, ring)     # through W_n(F_p) = Z/p^n
-    acc = power(teichmuller(ring.one, p, n, ring), abs(k), operator.add,
-                WittVector(p, ring, [ring.zero] * n))
-    return -acc if k < 0 else acc
+    """Image of the integer k under Z -> W_n(A), A of characteristic p:
+    through W_n(F_p) = Z/p^n."""
+    if not ring.char_p:
+        raise Unsupported("from_int takes a ring of characteristic p")
+    return from_zmod(k, p, n, ring)
 
 
 def teichmuller(a, p: int, n: int, ring) -> WittVector:
@@ -248,18 +235,12 @@ def verschiebung(x: WittVector) -> WittVector:
 
 
 def frobenius_w(x: WittVector) -> WittVector:
-    """Witt Frobenius.
-
-    In characteristic p this is the ring's Frobenius on each coordinate
-    (same length n); over other rings it is the ghost Frobenius
-    W_n -> W_{n-1}.
-    """
+    """Witt Frobenius over a ring of characteristic p: the ring's
+    Frobenius on each coordinate."""
     ring = x.ring
-    if ring.char_p:
-        return WittVector(x.p, ring, [ring.frob(c) for c in x.coords])
-    if x.n < 2:
-        raise ValueError("ghost Frobenius needs n >= 2")
-    return x._law("frob_polys", WittVector(x.p, ring, [ring.zero] * x.n))
+    if not ring.char_p:
+        raise Unsupported("the Witt Frobenius is taken in characteristic p only")
+    return WittVector(x.p, ring, [ring.frob(c) for c in x.coords])
 
 
 def mul_by_p(x: WittVector) -> WittVector:
@@ -300,10 +281,6 @@ def from_zmod(c: int, p: int, n: int, ring) -> WittVector:
 
 
 def _ff_lift(c, p) -> int:
-    if isinstance(c, int):
-        if not 0 <= c < p:
-            raise ValueError("coordinate outside F_p")
-        return c
     fld = getattr(c, "field", None)
     if fld is None or fld.order != p:
         raise ValueError("to_zmod needs coordinates in F_p")

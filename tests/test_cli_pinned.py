@@ -12,8 +12,9 @@ commands through gf's two-byte digits, an embedding and the solutions
 of x^p - a x = b over an extension, of one command for each op that
 none of these runs, and of the one user path of two library functions
 (tests/test_reach.py), of five commands whose flag values start
-with a dash or that galois refuses for its --n, and of one heightdiv
-whose det vanishes at its truncation.  A change that alters
+with a dash or that galois refuses for its --n, of one heightdiv
+whose det vanishes at its truncation, and of the one user path of
+statements of the library (tools/reach.py's statement census).  A change that alters
 any of them on purpose regenerates the file with
 `python tests/test_cli_pinned.py` and says why.
 """
@@ -126,9 +127,38 @@ FLAGS = [
 # the Indeterminate record of heightdiv: det G = u is 0 at --M 1, so
 # invertibility is not visible
 UNDECIDED = ["phimod heightdiv --p 3 --M 1 --matrix 0:1 --U 1"]
+# the only user path of statements of the library (tools/reach.py): a
+# series inverse over Z/9 (the Newton lift) and over F_9, and a sum of
+# products over F_9; solve_additive at its balance point, refused, and
+# the fixed-point solver's lattice cap; bound-gk at an exact log_3(h);
+# gamma's clamp with its warning; a rank-1 solve at a = 0; the csv
+# writer, the --out writer and its output error (/dev/null is on every
+# POSIX host); --strict's exit 1; is_bounded with a second power, False
+# at its first, and at c >= m; a config error; a logm suite at m = 1;
+# and, at p = 2^32 + 15, gf's widest digits and galrep's cap
+STATEMENTS = [
+    "--p 3 --n 2 phimod heightdiv --matrix 1:1 --U 1,1",
+    "--p 3 --q 9 phimod heightdiv --matrix 1:1 --U 1,1",
+    '--p 3 --q 9 phimod heightdiv --M 8 --matrix "0:1,1;1,0" --U 0,1',
+    "--p 3 --n 2 --M 6 --jmax 1 series solvev --coeffs 0,4,0",
+    "--p 3 --n 3 --M 6 --jmax 1 series solvev --coeffs 1,0,1",
+    "ramif bound-gk --p 3 --e 1 --n 1 --h 3 --tame",
+    "ramif gamma --s 0 --c0 5",
+    "--p 3 galois rank1 --a 0 --c 2",
+    "--format csv padic valuation --p 3 --x 54",
+    "--out /dev/null padic valuation --p 3 --x 54",
+    "--out /dev/null/doc.json padic valuation --p 3 --x 54",
+    "--strict --p 3 phimod etale --matrix 0",
+    'logm bounded --p 3 --N 6 --matrix "1,1;0,1" --m 2',
+    "logm bounded --p 3 --N 6 --matrix 2 --m 2",
+    "logm bounded --p 3 --N 6 --matrix 4 --m 1 --c 1",
+    "padic valuation --p 4 --x 3",
+    "suite logm --p 3 --m 1 --trials 2 --seed 1",
+    "galois rank1 --p 4294967311 --c 5 --a 1 --M 2",
+]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
     PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS + REACH + FLAGS + \
-    UNDECIDED
+    UNDECIDED + STATEMENTS
 
 
 def run(command):

@@ -595,3 +595,15 @@ def test_entries_read_the_digit_layout():
         assert F.entries(F.digits(A)) == [[a.coeffs for a in row] for row in A]
         cols = list(range(d * d * 2))
         assert F.entries(cols)[d - 1][0] == [(d - 1) * d * 2, (d - 1) * d * 2 + 1]
+
+
+def test_a_failed_self_check_is_an_internal_error_of_the_cli(monkeypatch, capsys):
+    """gf's self-checks raise ArithmeticError, which cli.main reports as a
+    library defect, exit 3: here Gauss's count, with every candidate
+    modulus of F_9 made to fail Ben-Or's test."""
+    from padiclab.cli import main
+    monkeypatch.setattr(gf, "_cache", {})
+    monkeypatch.setattr(gf, "_coprime", lambda u, mod, p: False)
+    assert main(["galois", "rank1", "--p", "3", "--q", "9", "--a", "1", "--c", "5"]) == 3
+    assert capsys.readouterr() == ("", "internal error: ArithmeticError: "
+                                       "no irreducible polynomial found\n")

@@ -353,13 +353,11 @@ def test_coefficients_match_their_loops(p):
 
 
 def test_q_analogue_and_its_inverse_share_the_q_rules():
-    # an int is lifted to q's precision; q = 1 + O(p^N) gives a itself at
-    # the lesser precision; q != 1 mod p is refused
-    q = PadicInt(3, 6, 4)
+    # q = 1 + O(p^N) gives a itself at the lesser precision; q != 1 mod p
+    # is refused
     for f in (q_analogue, q_analogue_inverse):
-        assert _same(f(5, q), f(PadicInt(3, 6, 5), q))
         assert _same(f(PadicInt(3, 8, 7), PadicInt(3, 4, 1 + 3 ** 4)), PadicInt(3, 4, 7))
-        assert _same(f(7, PadicInt(3, 4, 1)), PadicInt(3, 4, 7))
+        assert _same(f(PadicInt(3, 4, 7), PadicInt(3, 4, 1)), PadicInt(3, 4, 7))
         with pytest.raises(ValueError, match="q must be 1 mod p"):
             f(PadicInt(3, 6, 5), PadicInt(3, 6, 2))
 

@@ -1,6 +1,6 @@
-"""Input refusals that no other test drives, and every refusal of
-phimod and logtrunc, each through the public API and asserted by its
-message; where a command-line flag reaches one, the command exits 2 with
+"""Input refusals that no other test drives, every refusal of phimod and
+logtrunc, and the certified refusals of taumod's and witt's divisions and
+orders, each through the public API and asserted by its message; where a command-line flag reaches one, the command exits 2 with
 that message too, or, for a certified refusal, prints it as its error
 record."""
 
@@ -13,8 +13,7 @@ import pytest
 from padiclab import gf, gskel, ramif, record
 from padiclab.calculus import weierstrass
 from padiclab.cli import main
-from padiclab.errors import Indeterminate, Unsupported
-from padiclab.errors import PrecisionError
+from padiclab.errors import Indeterminate, NotDivisible, PrecisionError, Unsupported
 from padiclab.galrep import solve_rank1, solve_unit_root
 from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, is_bounded, log_m,
                                rdc_valuation_check)
@@ -23,7 +22,8 @@ from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
                              snf_u_exponents, u_height)
 from padiclab.rings import FFRing, IntRing, Zmod
 from padiclab.series import TruncSeries
-from padiclab.witt import WittVector, frobenius_w, to_zmod
+from padiclab.taumod import trivial_restriction_module
+from padiclab.witt import WittVector, from_int, frobenius_w, to_zmod, witt_divide
 
 F3, F9 = gf.field(3), gf.field(3, 2)
 # log_m(4) at order 1, certified mod 3^3; a value mod 3^2 over p^1
@@ -108,12 +108,28 @@ REFUSALS = {
     "series reduce_mod_p over a field": (
         lambda: series(FFRing(F3), {0: F3.one}).reduce_mod_p(),
         ValueError, "reduce_mod_p needs a Zmod coefficient ring"),
-    "witt ghost Frobenius of W_1": (
-        lambda: frobenius_w(WittVector(3, IntRing(), [1])),
-        ValueError, "ghost Frobenius needs n >= 2"),
+    "witt Frobenius over the integers": (
+        lambda: frobenius_w(WittVector(3, IntRing(), [1, 2])),
+        Unsupported, "the Witt Frobenius is taken in characteristic p only"),
+    "witt from_int over the integers": (
+        lambda: from_int(5, 3, 2, IntRing()),
+        Unsupported, "from_int takes a ring of characteristic p"),
     "witt to_zmod of the integer coordinate 5": (
         lambda: to_zmod(WittVector(3, IntRing(), [5, 1])),
-        ValueError, "coordinate outside F_p"),
+        ValueError, "to_zmod needs coordinates in F_p"),
+    # z = V[1]: its leading coordinate is 0, so no y has z y = x
+    "witt witt_divide by a vector of leading coordinate 0": (
+        lambda: witt_divide(WittVector(3, FFRing(F3), [F3.one, F3.zero]),
+                            WittVector(3, FFRing(F3), [F3.zero, F3.one])),
+        NotDivisible, "leading coordinate of divisor vanishes"),
+    # 2 has order 2 in F_3^x, above p^0 = 1
+    "taumod a tau-matrix of no order <= p^s": (
+        lambda: trivial_restriction_module([[2]], 0, F3, gskel.elt(3, 8, 1, 1), 4),
+        ValueError, "tau_T has no order <= p^0"),
+    # the transposition has order 2 <= p^1 = 3, not a power of 3
+    "taumod a tau-matrix of order prime to p": (
+        lambda: trivial_restriction_module([[0, 1], [1, 0]], 1, F3, gskel.elt(3, 8, 1, 1), 4),
+        ValueError, "tau_T has order 2, not a power of p"),
     "witt to_zmod over F_9": (
         lambda: to_zmod(WittVector(3, FFRing(F9), [F9.gen, F9.one])),
         ValueError, "to_zmod needs coordinates in F_p"),
@@ -132,9 +148,6 @@ REFUSALS = {
     "ramif herbrand jump at 0": (
         lambda: ramif.herbrand_phi([(0, 9)]),
         ValueError, "jump abscissas must be positive"),
-    "ramif compare across primes": (
-        lambda: ramif.BoundExpr.of(1, 1, 2, 3).compare(ramif.BoundExpr.of(1, 1, 2, 5)),
-        ValueError, "different primes"),
     "ramif bound-ginf at h = -1": (
         lambda: ramif.bound_Ginf(-1, 1, 3), ValueError, "h >= 0 and n >= 1"),
     "ramif bound-ginf at n = 0": (

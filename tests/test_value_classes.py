@@ -79,7 +79,6 @@ class WittLawTable:
     n: int
     sum_polys: tuple
     prod_polys: tuple
-    frob_polys: tuple
 
 
 @dataclass(frozen=True)
@@ -180,9 +179,9 @@ def padic_args():
 
 
 def witt_args():
-    base = (3, 2, (((1, 0), 1),), (((0, 1), 2),), (((2,), 1),))
-    return [base, (5, *base[1:]), (3, 3, *base[2:]), (*base[:2], (), *base[3:]),
-            (*base[:3], (((1, 1), 1),), base[4]), (*base[:4], ())]
+    base = (3, 2, (((1, 0), 1),), (((0, 1), 2),))
+    return [base, (5, *base[1:]), (3, 3, *base[2:]), (*base[:2], (), base[3]),
+            (*base[:3], (((1, 1), 1),))]
 
 
 def galois_elt_args():

@@ -5,7 +5,9 @@
 Each mutant changes one site of src/padiclab/<module>.py: one binary or
 augmented operator swapped (+ <-> -, * -> +, // -> *, % -> //, ** -> *,
 << <-> >>, & <-> |), one comparison swapped (< <-> <=, > <-> >=,
-== <-> !=), or one int constant raised by 1.  The sites are drawn from
+== <-> !=), or one int constant raised by 1, outside f-strings and the
+annotations that a module with `from __future__ import annotations`
+never evaluates.  The sites are drawn from
 every such site with random.Random(seed).  Each mutant runs the module's
 mapped test files first (MAPPED, else tests/test_<module>.py), and one
 that passes them runs all of tier-1.
@@ -59,7 +61,10 @@ MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                      "tests/test_modp_fast_paths.py", "tests/test_perfseries.py",
                      "tests/test_witt.py", "tests/test_galrep.py", "tests/test_splitting.py",
                      "tests/test_value_classes.py", "tests/test_acceptance.py"],
-          "taumod": ["tests/test_taumod.py", "tests/test_galois_act.py"]}
+          "taumod": ["tests/test_taumod.py", "tests/test_galois_act.py"],
+          "witt": ["tests/test_witt.py", "tests/test_refusals.py", "tests/test_perfseries.py",
+                   "tests/test_rings.py", "tests/test_padic.py", "tests/test_value_classes.py",
+                   "tests/test_acceptance.py"]}
 TIER1 = ["--continue-on-collection-errors"]
 MARGIN = 60
 
@@ -79,14 +84,32 @@ def _char_col(lines, row, byte_col):
     return len(lines[row - 1].encode()[:byte_col].decode())
 
 
+def _annotations(tree) -> list:
+    """The annotations of every argument, return and annotated assignment
+    when the module imports annotations from __future__, which then never
+    evaluates them; else none."""
+    if not any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+               and any(alias.name == "annotations" for alias in node.names)
+               for node in tree.body):
+        return []
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            out.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node.returns)
+    return [note for note in out if note is not None]
+
+
 def sites(source: str) -> list:
     """Every mutable site as (row, col, old, new): the text at (row, col),
-    in characters, and its replacement; f-strings are skipped."""
+    in characters, and its replacement; f-strings are skipped, and so are
+    annotations that never run (_annotations)."""
     tree, lines = ast.parse(source), source.splitlines(keepends=True)
     tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
               if t.type == tokenize.OP]
-    skip = {id(n) for js in ast.walk(tree) if isinstance(js, ast.JoinedStr)
-            for n in ast.walk(js)}
+    roots = [node for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)]
+    skip = {id(n) for root in roots + _annotations(tree) for n in ast.walk(root)}
 
     def op_after(node, symbol):
         """The operator token symbol (or symbol=) first after node ends."""
