@@ -179,12 +179,9 @@ def _cmd_witt(args, cfg: RunConfig):
     p, n = cfg.p, cfg.wittlen
     if args.op == "laws":
         table = generate_laws(p, n)
-        out = []
-        for k, poly in enumerate(table.sum_polys):
-            out.append(record(f"S{k}", _poly_str(poly, n), anchor="witt-laws"))
-        for k, poly in enumerate(table.prod_polys):
-            out.append(record(f"P{k}", _poly_str(poly, n), anchor="witt-laws"))
-        return out
+        return [record(f"{name}{k}", _poly_str(poly, n), anchor="witt-laws")
+                for name, polys in (("S", table.sum_polys), ("P", table.prod_polys))
+                for k, poly in enumerate(polys)]
     from . import gf
     from .rings import FFRing
     ring = FFRing(gf.field(p))
@@ -256,15 +253,13 @@ def _cmd_series(args, cfg: RunConfig):
         from fractions import Fraction
         from . import gf, perfseries
         U = TruncSeries(Zmod(p, cfg.n), dict(enumerate(_read(args, "coeffs"))), cfg.M)
-        field = gf.field(p)
-        V = perfseries.solve_frobenius_fixed(U, field, cfg.n, D=cfg.lattice_D,
+        V = perfseries.solve_frobenius_fixed(U, gf.field(p), cfg.n, D=cfg.lattice_D,
                                              jmax=cfg.jmax, prec=Fraction(cfg.M))
         res = perfseries.frobenius_fixed_residual(U, V, V.ring, cfg.n)
-        out = [record("residual-zero", res.is_zero(), anchor="frobenius-fixed-point")]
-        for i, c in enumerate(V.coords):
-            out.append(record(f"V[{i}] support", [str(e) for e, _ in c.terms()[:8]],
-                               precision=f"O(u^{c.prec})", anchor="frobenius-fixed-point"))
-        return out
+        return [record("residual-zero", res.is_zero(), anchor="frobenius-fixed-point")] + [
+            record(f"V[{i}] support", [str(e) for e, _ in c.terms()[:8]],
+                   precision=f"O(u^{c.prec})", anchor="frobenius-fixed-point")
+            for i, c in enumerate(V.coords)]
 
 
 def _cmd_phimod(args, cfg: RunConfig):

@@ -51,7 +51,7 @@ import functools
 import math
 import operator
 import struct
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import ExtensionCapExceeded
 from .padic import check_odd_prime, power
@@ -261,10 +261,7 @@ class GF:
     def _powers(self, y: FFElt, k: int) -> list:
         """1, y, ..., y^(k-1): the images of 1, x, ..., x^(k-1) under the
         ring map fixing F_p that sends x to y."""
-        out = [self.one]
-        for _ in range(k - 1):
-            out.append(out[-1] * y)
-        return out
+        return list(accumulate([y] * (k - 1), operator.mul, initial=self.one))
 
     @functools.cached_property
     def _frob_cols(self) -> list:

@@ -15,9 +15,11 @@ phi(V) = U*V in length-n Witt vectors, by one residue root plus
 successive coordinate corrections.  The solvers' residue equations,
 z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 (gf.GF.frobenius_solutions), never by enumerating the field.
-U enters W_n(PerfSeries) with no Witt law: the coordinates of
-sum c_e [u]^e come from its ghost components sum c_e u^(e p^k) by one
-integer recursion for every n, none more precise than U.  The (p-1)-st
+U's image in W_n(PerfSeries) and the fixed-point solver's residual
+evaluate no Witt law: their coordinates come from ghost components over
+Z/p^(k+1) (Serre, Local Fields, II.6), sum c_e u^(e p^k) for the image,
+none more precise than U, U(u^(p^k)) and V for the residual.  Only
+frobenius_fixed_residual, the check, stays on the laws.  The (p-1)-st
 root's binomial power (1 + w)^alpha is a product over the base-p digits
 of alpha of powers of 1 + w^(p^i), each the p-th power of the one before.
 """
@@ -28,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import witt
-from .errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
+from .errors import ExtensionTooSmall, LatticeTooCoarse
 from .gf import GF, FFElt
 from .padic import power
 from .rings import OperatorRing, Zmod
@@ -240,8 +242,12 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
     When the next peel would leave the lattice, the partial solution is
     returned with its precision capped at v(remainder)/p, which is
     exactly where any completion of it starts to differ.  A pass that does
-    not return lifts v(remainder) by 1/L or more, L = a.L
-    (else PrecisionError), so floor((target - v(a)) L) + 2 passes suffice.
+    not return lifts v(remainder) by 1/L or more, L = a.L, as it cancels
+    the leading term with terms above it only (U x0 = -rem and p (va -
+    v(U)) > va above the balance point, x0^p = rem and v(U) + va/p > va
+    below it, the residue root and v(U - U0 u^v(U)) + va/p > va at it) on
+    int codes, so floor((target - v(a)) L) + 2 passes suffice: the two
+    ArithmeticErrors are self-checks.
     U and a share one lattice (else ValueError), which holds v(a)/p at the
     balance point: v(a) L = p v(U) L/(p-1) is an integer, p prime to p - 1.
     """
@@ -276,8 +282,20 @@ def solve_additive(U: PerfSeries, a: PerfSeries) -> PerfSeries:
         x = x + x0
         rem = rem - (x0.pth_power() - U * x0)
         if not rem.is_zero() and rem.valuation() <= va:
-            raise PrecisionError("no progress in semilinear solve")
-    raise PrecisionError("semilinear solve did not converge")
+            raise ArithmeticError("no progress in semilinear solve")
+    raise ArithmeticError("semilinear solve did not converge")
+
+
+def _mod_p_image(U, ring: PerfRing, n: int) -> PerfSeries:
+    """U mod p: coordinate 0 of U's image in W_n(PerfSeries), below the
+    precision code of every coordinate, min(ring.prec, U.prec) L."""
+    p, one, R = ring.p, ring.one, U.ring
+    if type(R) is not Zmod or R.p != p or R.n < n:
+        raise ValueError(f"U over {R!r} has no image in W_{n}: it needs Z/{p}^m, m >= {n}")
+    if U.coeffs and min(U.coeffs) < 0:
+        raise ValueError("nonnegative exponents only")
+    return one._like({e * one.L: ring.field.el(c) for e, c in U.coeffs.items()},
+                     min(one.pc, U.pc * one.L))
 
 
 def zmod_series_to_witt(U, ring: PerfRing, n: int):
@@ -288,15 +306,9 @@ def zmod_series_to_witt(U, ring: PerfRing, n: int):
     U's ring, on the integer exponents below every coordinate's precision
     min(ring.prec, U.prec), each power the p-th power of the one before.
     ArithmeticError when a division by p^k is not exact."""
-    p, one, R = ring.p, ring.one, U.ring
-    if type(R) is not Zmod or R.p != p or R.n < n:
-        raise ValueError(f"U over {R!r} has no image in W_{n}: it needs Z/{p}^m, m >= {n}")
-    if U.coeffs and min(U.coeffs) < 0:
-        raise ValueError("nonnegative exponents only")
-    L, el = one.L, ring.field.el
-    pc = U.pc * L if U.pc * L < one.pc else one.pc
-    top, x = -(-pc // L), U.coeffs          # the integer e with e L < pc; x_k = x mod p
-    coords, pows = [one._like({e * L: el(c) for e, c in x.items()}, pc)], []
+    p, R, coords = ring.p, U.ring, [_mod_p_image(U, ring, n)]
+    L, el, pc = ring.one.L, ring.field.el, coords[0].pc
+    top, x, pows = -(-pc // L), U.coeffs, []  # the integer e with e L < pc; x_k = x mod p
     for k in range(1, n):                   # pows: x_i^(p^(k-i)) over U's ring, i < k
         lift = TruncSeries(R, {e: c % p for e, c in x.items()}, top)
         pows = [power(y, p, mul, None) for y in pows + [lift]]
@@ -306,40 +318,54 @@ def zmod_series_to_witt(U, ring: PerfRing, n: int):
         if any(c % p ** k for c in w.coeffs.values()):
             raise ArithmeticError(f"ghost component {k} less its lower terms is not p^{k} Z")
         x = {e: c // p ** k for e, c in w.coeffs.items()}
-        coords.append(one._like({e * L: el(c) for e, c in x.items()}, pc))
+        coords.append(ring.one._like({e * L: el(c) for e, c in x.items()}, pc))
     return witt.WittVector(p, ring, coords)
 
 
-def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,
-                          jmax: int | None = None, prec=None):
-    """V in W_n(PerfSeries) with phi(V) = U*V, U a Z/p^n-coefficient
-    series not divisible by p.
+def _ghost_residual(U, V: list, k: int, ring: PerfRing, Upc) -> PerfSeries:
+    """Coordinate k of U V - phi(V), V_j = 0 for j >= k: w / p^k mod p, as its
+    lower coordinates vanish, w = U(u^(p^k)) g - g(u^p) its ghost component k
+    mod p^(k+1), g = sum_(i<k) p^i V_i^(p^(k-i)), V_i lifted to [0, p) and
+    term i mod p^(k+1-i).  Product rule, U(u^(p^k)) at U's code Upc, each
+    power cut at pc(V_i) + (p^k - p^i) v(V_0) as the Witt laws read it."""
+    p, L, q, w, pc = ring.p, ring.one.L, ring.p ** k, {}, ring.one.pc
+    code, v0, Uk = ring.field.code, V[0]._veff(), {e * L * q: c for e, c in U.coeffs.items()}
+    for i, y in enumerate(V[:k]):
+        R = Zmod(p, k + 1 - i)  # sparse products: codes reach p^k times the ring's, too wide to pack
+        t = power(TruncSeries(R, {e: code(c) for e, c in y.coeffs.items()}, y.pc),
+                  p ** (k - i), SparseSeries.__mul__, None)
+        t = SparseSeries.truncate(t, y.pc + (q - p ** i) * v0)
+        d = SparseSeries.__mul__(TruncSeries(R, Uk, Upc), t) - \
+            TruncSeries(R, {e * p: c for e, c in t.coeffs.items()}, t.pc * p)
+        pc = min(pc, d.pc)
+        for e, c in d.coeffs.items():
+            w[e] = (w.get(e, 0) + c * p ** i) % (q * p)
+    # exact, a self-check: z_j = 0 mod p, j < k (z_0 as V_0^(p-1) = U mod p,
+    # z_j by its correction), so p^j z_j^(p^(k-j)) = 0 mod p^(k+1), w = p^k z_k
+    if any(c % q for e, c in w.items() if e < pc):
+        raise ArithmeticError(f"ghost component {k} of the residual is not p^{k} Z")
+    return ring.one._like({e: ring.field.el(c // q) for e, c in w.items() if e < pc}, pc)
 
-    Residue level: V_0 = U_0^(1/(p-1)).  Each further coordinate is a
-    p^k-th root of the residual followed by one additive semilinear
-    solve, mirroring the successive-approximation construction; a
-    residual that is zero at its precision is solved too, as it still
-    bounds the coordinate's precision.
-    Normalized by the choice of (p-1)-st root; the full solution set is
-    Z_p^x times the result.
+
+def solve_frobenius_fixed(U, field: GF, n: int, *, D: int | None = None, jmax: int, prec):
+    """V in W_n(PerfSeries) with phi(V) = U*V, U over Z/p^n not divisible by
+    p, field F_p, on the lattice (1/(D p^jmax)) Z (D = p - 1 by default):
+    V_0 = U_0^(1/(p-1)); each coordinate k > 0 is a p^k-th root of the
+    residual's (_ghost_residual, no Witt law), one additive semilinear solve
+    and its p^k-th power, written in place, as the Witt sum with it would.
+    A residual zero at its precision is solved too: it bounds the
+    coordinate's precision.  The solution set is Z_p^x times the result.
     """
     p = field.p
-    D = p - 1 if D is None else D
-    jmax = n + 1 if jmax is None else jmax
-    prec = Fraction(U.prec) if prec is None else prec
-    ring = PerfRing(field, D, jmax, prec)
-    UW = zmod_series_to_witt(U, ring, n)
-    Ubar = UW.coords[0]
+    if field.order != p:
+        raise ValueError(f"the fixed-point solver works over F_{p}, not {field.tag}")
+    ring = PerfRing(field, p - 1 if D is None else D, jmax, prec)
+    Ubar = _mod_p_image(U, ring, n)
     if Ubar.is_zero():
         raise ValueError("U must not be divisible by p")
-    V0 = root_p_minus_1(Ubar)
-    V = witt.WittVector(p, ring, [V0] + [ring.zero] * (n - 1))
+    V = [root_p_minus_1(Ubar)] + [ring.zero] * (n - 1)
     for k in range(1, n):
-        resid = UW * V - witt.frobenius_w(V)
-        for j in range(k):
-            if not resid.coords[j].is_zero():
-                raise PrecisionError("residual not divisible by p^k")
-        rk = resid.coords[k]
+        rk = _ghost_residual(U, V, k, ring, Ubar.pc)
         try:
             a = rk
             for _ in range(k):
@@ -347,21 +373,15 @@ def solve_frobenius_fixed(U, field: GF, n: int, D: int | None = None,
         except LatticeTooCoarse:
             # the correction would start below the representable depth;
             # cap this coordinate's certified precision there instead
-            cap = rk.valuation() / p
-            coords = list(V.coords)
-            coords[k] = coords[k].truncate(cap)
-            V = witt.WittVector(p, ring, coords)
+            V[k] = V[k].truncate(rk.valuation() / p)
             continue
         x = solve_additive(Ubar, a)
-        xpk = x
         for _ in range(k):
-            xpk = xpk.pth_power()
-        delta = witt.WittVector(p, ring, [ring.zero] * k + [xpk] + [ring.zero] * (n - 1 - k))
-        V = V + delta
-    return V
+            x = x.pth_power()
+        V[k] = SparseSeries.truncate(x, ring.one.pc)
+    return witt.WittVector(p, ring, V)
 
 
 def frobenius_fixed_residual(U, V, ring: PerfRing, n: int):
     """phi(V) - U*V in W_n(PerfSeries); zero at truncation iff V solves."""
-    UW = zmod_series_to_witt(U, ring, n)
-    return witt.frobenius_w(V) - UW * V
+    return witt.frobenius_w(V) - zmod_series_to_witt(U, ring, n) * V

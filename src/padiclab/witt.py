@@ -23,7 +23,7 @@ constant term, so every monomial reads a variable.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import Frozen
 from .errors import NotDivisible, Unsupported
@@ -58,13 +58,9 @@ def _p_mul(a: dict, b: dict) -> dict:
 
 
 def _p_divexact(a: dict, k: int) -> dict:
-    out = {}
-    for m, c in a.items():
-        q, r = divmod(c, k)
-        if r:
-            raise ArithmeticError("ghost lift produced a non-integral law")
-        out[m] = q
-    return out
+    if any(c % k for c in a.values()):
+        raise ArithmeticError("ghost lift produced a non-integral law")
+    return {m: c // k for m, c in a.items()}
 
 
 def _var(idx: int, nvars: int, e: int = 1) -> dict:
@@ -76,10 +72,8 @@ def _var(idx: int, nvars: int, e: int = 1) -> dict:
 
 def _ghost(p: int, k: int, offset: int, nvars: int) -> dict:
     """w_k = sum p^i X_{offset+i}^(p^(k-i))."""
-    acc: dict = {}
-    for i in range(k + 1):
-        acc = _p_add(acc, _p_scale(_var(offset + i, nvars, p ** (k - i)), p ** i))
-    return acc
+    return reduce(_p_add, (_p_scale(_var(offset + i, nvars, p ** (k - i)), p ** i)
+                           for i in range(k + 1)), {})
 
 
 def _solve_laws(p: int, n: int, targets) -> list:
@@ -160,11 +154,8 @@ def eval_law(poly, values, ring):
 def ghost_components(x: "WittVector"):
     """Ghost vector (w_0,..,w_{n-1}); meaningful over torsion-free rings."""
     ring, p = x.ring, x.p
-    out = []
-    for k in range(x.n):
-        out.append(sum((ring.of_int(p ** i) * power(c, p ** (k - i), operator.mul, ring.one)
-                        for i, c in enumerate(x.coords[:k + 1])), ring.zero))
-    return tuple(out)
+    return tuple(sum((ring.of_int(p ** i) * power(c, p ** (k - i), operator.mul, ring.one)
+                      for i, c in enumerate(x.coords[:k + 1])), ring.zero) for k in range(x.n))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +243,7 @@ def mul_by_p(x: WittVector) -> WittVector:
 
 def _coords_to_zmod(coords, p, n) -> int:
     mod = p ** n
-    acc = 0
-    for i, c in enumerate(coords):
-        acc = (acc + p ** i * pow(int(c), p ** (n - 1 - i), mod)) % mod
-    return acc
+    return sum(p ** i * pow(int(c), p ** (n - 1 - i), mod) for i, c in enumerate(coords)) % mod
 
 
 def zmod_to_coords(c: int, p: int, n: int) -> list:

@@ -8,7 +8,13 @@ each against the code it replaced, kept here as the reference:
 - FFElt's one-step arithmetic at degree 1 against the coefficient-tuple
   path that every other field takes, on every pair of F_3, F_5 and F_7
   and on seeded pairs of F_101, int operands and the reflected operators
-  included.
+  included;
+- solve_frobenius_fixed, its residual read from ghost components and each
+  correction written in place, against the loop on the Witt laws (the
+  residual a W_n product and difference, each correction a Witt sum), on
+  each residual step and each whole solution or refusal: seeded U over
+  Z/p^n, p in {3, 5, 7}, n <= 4, D in {1, p - 1, 2(p - 1)}, precisions on
+  and off the lattice, lattice caps included.
 """
 
 import operator
@@ -17,10 +23,16 @@ from fractions import Fraction
 
 import pytest
 
-from padiclab import gf
+from padiclab import gf, witt
+from padiclab.errors import (ExtensionTooSmall, LatticeTooCoarse, PadicLabError,
+                             PrecisionError)
 from padiclab.gf import FFElt, _mulmod
 from padiclab.padic import binomials_mod_p
-from padiclab.perfseries import PerfSeries, one_like
+from padiclab.perfseries import (PerfRing, PerfSeries, _ghost_residual, _mod_p_image,
+                                 one_like, root_p_minus_1, solve_additive,
+                                 solve_frobenius_fixed, zmod_series_to_witt)
+from padiclab.rings import Zmod
+from padiclab.series import TruncSeries
 
 
 def binomial_power_by_terms(x, alpha):
@@ -167,3 +179,133 @@ def test_products_coerce_a_subfield_element_as_sums_do():
                     op(b, a)
     with pytest.raises(TypeError, match="unsupported operand"):
         F9.gen * Fraction(1, 2)
+
+
+# --- the Frobenius fixed points: residual from ghost components ---
+
+def solve_by_witt_laws(U, field, n, D, jmax, prec, steps=None):
+    """solve_frobenius_fixed as it was on the Witt laws: each residual
+    U V - phi(V) a W_n product and difference, its coordinates below k
+    checked zero, each correction added by a Witt sum.  steps, a list,
+    receives (V's coordinates, k, the residual's coordinate k) per step."""
+    p = field.p
+    ring = PerfRing(field, D, jmax, prec)
+    UW = zmod_series_to_witt(U, ring, n)
+    Ubar = UW.coords[0]
+    if Ubar.is_zero():
+        raise ValueError("U must not be divisible by p")
+    V = witt.WittVector(p, ring, [root_p_minus_1(Ubar)] + [ring.zero] * (n - 1))
+    for k in range(1, n):
+        resid = UW * V - witt.frobenius_w(V)
+        for j in range(k):
+            if not resid.coords[j].is_zero():
+                raise PrecisionError("residual not divisible by p^k")
+        rk = resid.coords[k]
+        if steps is not None:
+            steps.append((list(V.coords), k, rk))
+        try:
+            a = rk
+            for _ in range(k):
+                a = a.pth_root()
+        except LatticeTooCoarse:
+            coords = list(V.coords)
+            coords[k] = coords[k].truncate(rk.valuation() / p)
+            V = witt.WittVector(p, ring, coords)
+            continue
+        x = solve_additive(Ubar, a)
+        for _ in range(k):
+            x = x.pth_power()
+        V = V + witt.WittVector(p, ring, [ring.zero] * k + [x] + [ring.zero] * (n - 1 - k))
+    return V
+
+
+def fixed_point_case(rng):
+    """(U, p, n, D, jmax, prec): half the draws with U mod p of leading
+    coefficient 1 (the one (p-1)-st power of F_p), so that most solve,
+    half with any coefficients; the precision an integer or a half, at,
+    below or above U's.  W_4 laws are generated at p = 3 only."""
+    p = rng.choice([3, 5, 7])
+    n = rng.randint(1, 4 if p == 3 else 3)
+    q = p ** n
+    D, jmax, M = rng.choice([1, p - 1, 2 * (p - 1)]), rng.randint(0, 5), rng.randint(2, 10)
+    if rng.random() < 0.5:
+        h = rng.choice([0, 1, 1, 2])
+        coeffs = {e: p * rng.randrange(q // p) for e in range(h)}
+        coeffs[h] = 1 + p * rng.randrange(q // p)
+        coeffs.update((e, rng.randrange(q)) for e in range(h + 1, h + rng.randint(1, 5)))
+    else:
+        coeffs = {e: rng.randrange(q) for e in range(rng.randint(1, 5))}
+    prec = rng.choice([Fraction(M), Fraction(M + 2), Fraction(2 * M + 1, 2), Fraction(M - 1)])
+    return TruncSeries(Zmod(p, n), coeffs, M), p, n, D, jmax, prec
+
+
+def coded(c):
+    return c.coeffs, type(c.pc), c.pc
+
+
+def outcome(solve, U, p, n, D, jmax, prec):
+    """Each coordinate's coefficients, precision code and its type, or the
+    refusal's type and message."""
+    try:
+        return [coded(c) for c in solve(U, gf.field(p), n, D, jmax, prec).coords]
+    except (PadicLabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def by_ghosts(U, field, n, D, jmax, prec):
+    return solve_frobenius_fixed(U, field, n, D=D, jmax=jmax, prec=prec)
+
+
+# series solvev's pinned configurations, (p, n, coefficients, M, jmax); the
+# last caps coordinates 2 and 3 at codes 399 and 295, below the ring's 486
+PINNED_SOLVEV = [(3, 2, [0, 4, 0], 6, 1), (3, 3, [1, 0, 1], 6, 1), (3, 2, [0, 1, 1], 10, 5),
+                 (3, 3, [0, 1, 1], 10, 1), (3, 3, [0, 1, 1], 10, 5), (5, 2, [1, 1, 2], 8, 3),
+                 (5, 3, [0, 0, 1, 3], 7, 2), (5, 3, [0, 1, 1], 6, 1), (3, 4, [0, 2, 1], 9, 2)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_points_match_the_witt_law_solver(seed):
+    """Every residual step, the ghost residual against the law's coordinate
+    k on the same V, and every whole solution or refusal."""
+    rng = random.Random(f"fixed-point-ghosts:{seed}")
+    cases = [fixed_point_case(rng) for _ in range(150)]
+    if seed == 0:
+        cases += [(TruncSeries(Zmod(p, n), dict(enumerate(cs)), M), p, n, p - 1, jmax,
+                   Fraction(M)) for p, n, cs, M, jmax in PINNED_SOLVEV]
+    capped = solved = steps_seen = 0
+    refusals = set()
+    for U, p, n, D, jmax, prec in cases:
+        steps = []
+        want = outcome(lambda *a: solve_by_witt_laws(*a, steps=steps), U, p, n, D, jmax, prec)
+        assert outcome(by_ghosts, U, p, n, D, jmax, prec) == want, (U, p, n, D, jmax, prec)
+        for coords, k, rk in steps:
+            ring = PerfRing(gf.field(p), D, jmax, prec)
+            got = _ghost_residual(U, coords, k, ring, _mod_p_image(U, ring, n).pc)
+            assert coded(got) == coded(rk), (U, p, n, D, jmax, prec, k)
+        steps_seen += len(steps)
+        if isinstance(want, tuple):
+            refusals.add(want[0])
+        else:
+            solved += 1
+            ring_pc = PerfRing(gf.field(p), D, jmax, prec).one.pc
+            capped += any(not c and pc < ring_pc for c, _, pc in want[1:])
+    assert solved > 40 and capped > 5 and steps_seen > 60
+    assert refusals == {ValueError, ExtensionTooSmall, LatticeTooCoarse}
+
+
+def test_the_fixed_point_solver_evaluates_no_witt_law(monkeypatch):
+    """With the Witt laws, sums and products made to raise, the solver still
+    answers at n = 2, 3 and 4, as the law solver did."""
+    cases = [(TruncSeries(Zmod(3, n), {0: 3, 1: 1, 2: 1}, 10), n) for n in (2, 3, 4)]
+    want = [outcome(solve_by_witt_laws, U, 3, n, 2, 4, Fraction(10)) for U, n in cases]
+
+    def no_law(*args, **kwargs):
+        raise AssertionError("a Witt law was evaluated")
+
+    monkeypatch.setattr(witt, "eval_law", no_law)
+    monkeypatch.setattr(witt, "generate_laws", no_law)
+    monkeypatch.setattr(witt.WittVector, "__add__", no_law)
+    monkeypatch.setattr(witt.WittVector, "__mul__", no_law)
+    got = [outcome(by_ghosts, U, 3, n, 2, 4, Fraction(10)) for U, n in cases]
+    assert got == want and all(isinstance(g, list) and len(g) == n
+                               for g, (_, n) in zip(got, cases))

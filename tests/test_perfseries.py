@@ -89,7 +89,7 @@ def test_solve_additive_round_trip():
 def test_existv_rank1_residue():
     # n = 1, U = u: V = zeta u^(1/2)
     Us = TruncSeries(Zmod(3, 1), {1: 1}, 8)
-    V = solve_frobenius_fixed(Us, F3, 1)
+    V = solve_frobenius_fixed(Us, F3, 1, jmax=2, prec=F(8))
     ring = PerfRing(F3, 2, 2, F(8))
     assert all(c.is_zero() for c in
                frobenius_fixed_residual(Us, V, ring, 1).coords)
@@ -114,13 +114,15 @@ def test_fixed_point_claims_only_digits_every_completion_shares(pn, M, data):
     cs = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=M, max_size=M))
     cs = [c - c % p for c in cs[:d]] + [cs[d] - cs[d] % p + 1] + cs[d + 1:]
     try:
-        V = solve_frobenius_fixed(TruncSeries(R, dict(enumerate(cs)), M), Fp, n)
+        V = solve_frobenius_fixed(TruncSeries(R, dict(enumerate(cs)), M), Fp, n,
+                                  jmax=n + 1, prec=F(M))
     except SOLVE_ERRORS:
         return
     for _ in range(2):
         tail = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=2 * M, max_size=2 * M))
         try:
-            W = solve_frobenius_fixed(TruncSeries(R, dict(enumerate(cs + tail)), 3 * M), Fp, n)
+            W = solve_frobenius_fixed(TruncSeries(R, dict(enumerate(cs + tail)), 3 * M), Fp, n,
+                                      jmax=n + 1, prec=F(3 * M))
         except SOLVE_ERRORS:
             continue
         assert V.coords == W.coords
@@ -403,8 +405,9 @@ def test_fixed_point_refuses_a_u_it_cannot_read():
         R = U.ring
         with pytest.raises(ValueError, match=rf"^U over Zmod\(p={R.p}, n={R.n}\) has no image "
                                              rf"in W_2: it needs Z/3\^m, m >= 2$"):
-            solve_frobenius_fixed(U, F3, 2)
-    assert solve_frobenius_fixed(TruncSeries(Zmod(3, 3), {1: 1}, 6), F3, 2).coords[0]
+            solve_frobenius_fixed(U, F3, 2, jmax=3, prec=F(6))
+    assert solve_frobenius_fixed(TruncSeries(Zmod(3, 3), {1: 1}, 6), F3, 2,
+                                 jmax=3, prec=F(6)).coords[0]
 
 
 def test_witt_image_asserts_each_division_by_p_k(monkeypatch):
@@ -423,6 +426,30 @@ def test_witt_image_asserts_each_division_by_p_k(monkeypatch):
     message = r"^ghost component 2 less its lower terms is not p\^2 Z$"
     with pytest.raises(ArithmeticError, match=message):
         zmod_series_to_witt(U, PerfRing(F3, 2, 2, F(6)), 3)
+
+
+def test_fixed_point_asserts_its_ghost_division(monkeypatch):
+    """V_0^3 off by 1 at step 1: the residual's ghost component 1 is then
+    not in 3 Z, and the solver raises rather than read a coordinate."""
+    power = perfseries.power
+
+    def off_by_1(y, k, mul, one):
+        out = power(y, k, mul, one)
+        return out + TruncSeries(out.ring, {0: 1}, out.pc)
+
+    monkeypatch.setattr(perfseries, "power", off_by_1)
+    U = TruncSeries(Zmod(3, 2), {0: 1, 1: 1}, 6)
+    with pytest.raises(ArithmeticError, match=r"^ghost component 1 of the residual is not p\^1 Z$"):
+        solve_frobenius_fixed(U, F3, 2, jmax=2, prec=F(6))
+
+
+def test_additive_solve_asserts_its_progress(monkeypatch):
+    """With x^p made x, a peel below the balance point leaves a remainder
+    of lower valuation, which the self-check refuses."""
+    monkeypatch.setattr(PerfSeries, "pth_power", lambda self: self)
+    U, a = monomial(F3, 2, 2, 1, F3.one, F(6)), monomial(F3, 2, 2, F(1, 3), F3.one, F(6))
+    with pytest.raises(ArithmeticError, match="^no progress in semilinear solve$"):
+        solve_additive(U, a)
 
 
 def test_witt_image_refuses_negative_exponents():

@@ -73,7 +73,7 @@ STATEMENTS = {
      "x0 = monomial(a.field, a.D, a.jmax, va / p, roots[0], rem.prec / p)"):
         "a root at the balance point needs a field larger than F_p: over F_p the leading "
         "coefficient of U is 1, the only (p-1)-st power, and x^p - x = a0 != 0 has none; "
-        "series solvev solves over F_p, tests/test_perfseries.py over F_9",
+        "the fixed-point solver takes F_p only, tests/test_perfseries.py solves over F_9",
     ("series.py", "SparseSeries.__eq__", "return NotImplemented"): NOT_IMPLEMENTED,
     ("suites.py", "run_incwitt", "if not witt.in_maximal_ideal(y):"):
         "a shallow vector that divides: no seeded draw does (seeds 1-12 tried at 20 trials)",

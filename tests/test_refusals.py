@@ -1,6 +1,7 @@
 """Input refusals that no other test drives, every refusal of phimod and
 logtrunc, and the certified refusals of taumod's and witt's divisions and
-orders, each through the public API and asserted by its message; where a command-line flag reaches one, the command exits 2 with
+orders, each through the public API and asserted by its message (galrep's
+rank-1 root through a patched field); where a command-line flag reaches one, the command exits 2 with
 that message too, or, for a certified refusal, prints it as its error
 record."""
 
@@ -17,7 +18,7 @@ from padiclab.errors import Indeterminate, NotDivisible, PrecisionError, Unsuppo
 from padiclab.galrep import solve_rank1, solve_unit_root
 from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, is_bounded, log_m,
                                rdc_valuation_check)
-from padiclab.perfseries import PerfSeries, monomial, solve_additive
+from padiclab.perfseries import PerfSeries, monomial, solve_additive, solve_frobenius_fixed
 from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
                              snf_u_exponents, u_height)
 from padiclab.rings import FFRing, IntRing, Zmod
@@ -136,6 +137,10 @@ REFUSALS = {
     "perfseries binomial power of 2": (
         lambda: monomial(F3, 2, 4, 0, F3.el(2), 6).binomial_power(Fraction(1, 2)),
         ValueError, "binomial power needs constant term 1"),
+    # refused before any other check: D = 0 and U over Z/25 are refused too
+    "perfseries fixed points over F_9": (
+        lambda: solve_frobenius_fixed(series(Zmod(5, 2), {0: 5}), F9, 2, D=0, jmax=3, prec=6),
+        ValueError, "the fixed-point solver works over F_3, not F9"),
     "perfseries solve_additive with U = 0": (
         lambda: solve_additive(PerfSeries(F3, 2, 4, {}, 6), monomial(F3, 2, 4, 1, F3.one, 6)),
         ValueError, "U must be nonzero"),
@@ -262,3 +267,11 @@ def test_each_refusal_raises_its_message(name, capsys):
         assert json.loads(captured.out)["results"] == [record(
             "error", f"{error.__name__}: {message}", exact=False, precision="n/a",
             anchor="error")]
+
+
+def test_rank1_without_a_root_in_its_splitting_field(monkeypatch):
+    """s is chosen so that gamma^(p-1) = c has a root in F_(q^s); a
+    frobenius_solutions that finds only 0 there is refused by name."""
+    monkeypatch.setattr(gf.GF, "frobenius_solutions", lambda self, *args: [self.zero])
+    with pytest.raises(ArithmeticError, match=r"^no \(p-1\)-st root of ff\(F3:2\) in F9$"):
+        solve_rank1(1, 2, F3)
