@@ -1,9 +1,9 @@
 """Input refusals that no other test drives, every refusal of phimod and
 logtrunc, and the certified refusals of taumod's and witt's divisions and
-orders, each through the public API and asserted by its message (galrep's
-rank-1 root through a patched field); where a command-line flag reaches one, the command exits 2 with
-that message too, or, for a certified refusal, prints it as its error
-record."""
+orders and of galrep's rank-1 root (through a patched field), each
+through the public API and asserted by its message; where a command-line
+flag reaches one, the command exits 2 with that message too, or, for a
+certified refusal, prints it as its error record."""
 
 import json
 import re
