@@ -1,8 +1,8 @@
 """Solving phi(V) = U V in truncated Witt vectors, and the ideal
 inclusion it certifies.
 
-The residue coordinate is a (p-1)-st root; each deeper coordinate is a
-p^k-th root of the residual plus one additive semilinear solve.  For an
+The residue coordinate is a (p-1)-st root; each deeper coordinate k
+solves its own additive equation x^p - U_0^(p^k) x = residual.  For an
 honest Eisenstein U the deeper coordinates genuinely need unboundedly
 fine exponents, so their certified precision caps just below
 e*p/(p-1): the library reports that honestly instead of refining the

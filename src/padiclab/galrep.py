@@ -330,7 +330,7 @@ def _splitting_degree(G0, base):
     s = base.matrix_order(_frobenius_norm(G0, base), min(lang, fits))
     if s is not None:
         return s
-    if fits >= lang:
+    if fits >= lang:  # a self-check: s <= p^d - 1 by Lang's theorem, as above
         raise ArithmeticError(f"N has order above p^d - 1 = {lang} in GL_{d}(F_{q})")
     raise ExtensionCapExceeded(f"N has order > {fits} in GL_{d}(F_{q}): the residue equation "
                                f"needs F_({q}^s), s > {fits}, of order above gf.MAX_ORDER")
@@ -416,9 +416,9 @@ def solve_rank1(a: int, c, base_field: gf.GF, prec=8):
     D = p - 1
     sol = perfseries.monomial(fld, D, 1, Fraction(a, p - 1), gamma, Fraction(prec))
     zero = perfseries.PerfSeries(fld, D, 1, {}, Fraction(prec))
-    sols = [zero] + [sol.scale(z) for z in range(1, p)]
     cu = perfseries.monomial(fld, D, 1, Fraction(a), fld.coerce(c), Fraction(prec))
-    for x in sols:
-        if not (x.pth_power() - cu * x).is_zero():
-            raise ArithmeticError("rank-1 solution failed substitution")
+    # a self-check; the other solutions z sol, z in F_p, solve too, as z^p = z
+    if not (sol.pth_power() - cu * sol).is_zero():
+        raise ArithmeticError("rank-1 solution failed substitution")
+    sols = [zero] + [sol.scale(z) for z in range(1, p)]
     return SolutionSet(base_field, fld, s, 1, prec, [(sol,)], all=[(x,) for x in sols])

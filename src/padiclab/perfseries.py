@@ -11,8 +11,8 @@ refining silently.
 This module also houses the semilinear solvers: the (p-1)-st root
 giving the nonzero solutions of x^p = U*x, the additive equation
 x^p - U*x = a, and the Frobenius fixed-point construction of V with
-phi(V) = U*V in length-n Witt vectors, by one residue root plus
-successive coordinate corrections.  The solvers' residue equations,
+phi(V) = U*V in length-n Witt vectors, by one residue root plus one
+additive equation per further coordinate.  The solvers' residue equations,
 z^p = c z and z^p - u0 z = a0, are F_p-linear in z and solved as such
 (gf.GF.frobenius_solutions), never by enumerating the field.
 U's image in W_n(PerfSeries) and the fixed-point solver's residual
@@ -189,6 +189,8 @@ class PerfRing(OperatorRing):
     def __init__(self, field: GF, D: int, jmax: int, prec):
         if D < 1:
             raise ValueError(f"lattice denominator D must be positive, got {D}")
+        if jmax < 0:
+            raise ValueError(f"lattice depth jmax must be nonnegative, got {jmax}")
         self.field = field
         self.p = field.p
         self.D = D
@@ -350,11 +352,14 @@ def _ghost_residual(U, V: list, k: int, ring: PerfRing, Upc) -> PerfSeries:
 def solve_frobenius_fixed(U, field: GF, n: int, *, D: int | None = None, jmax: int, prec):
     """V in W_n(PerfSeries) with phi(V) = U*V, U over Z/p^n not divisible by
     p, field F_p, on the lattice (1/(D p^jmax)) Z (D = p - 1 by default):
-    V_0 = U_0^(1/(p-1)); each coordinate k > 0 is a p^k-th root of the
-    residual's (_ghost_residual, no Witt law), one additive semilinear solve
-    and its p^k-th power, written in place, as the Witt sum with it would.
-    A residual zero at its precision is solved too: it bounds the
-    coordinate's precision.  The solution set is Z_p^x times the result.
+    V_0 = U_0^(1/(p-1)); each coordinate k > 0 solves its own equation
+    V_k^p - U_0^(p^k) V_k = r_k by one additive semilinear solve, r_k
+    coordinate k of U V - phi(V) with V_k = 0 (_ghost_residual, no Witt
+    law), and is written in place: coordinate k of the Witt sum a + b and
+    of the product a b is a_k + b_k and a_0^(p^k) b_k while b's lower
+    coordinates vanish.  A residual zero at its precision is solved too:
+    it bounds the coordinate's precision.  The solution set is Z_p^x
+    times the result.
     """
     p = field.p
     if field.order != p:
@@ -363,22 +368,11 @@ def solve_frobenius_fixed(U, field: GF, n: int, *, D: int | None = None, jmax: i
     Ubar = _mod_p_image(U, ring, n)
     if Ubar.is_zero():
         raise ValueError("U must not be divisible by p")
-    V = [root_p_minus_1(Ubar)] + [ring.zero] * (n - 1)
+    V, Uk = [root_p_minus_1(Ubar)] + [ring.zero] * (n - 1), Ubar
     for k in range(1, n):
+        Uk = Uk.pth_power()
         rk = _ghost_residual(U, V, k, ring, Ubar.pc)
-        try:
-            a = rk
-            for _ in range(k):
-                a = a.pth_root()
-        except LatticeTooCoarse:
-            # the correction would start below the representable depth;
-            # cap this coordinate's certified precision there instead
-            V[k] = V[k].truncate(rk.valuation() / p)
-            continue
-        x = solve_additive(Ubar, a)
-        for _ in range(k):
-            x = x.pth_power()
-        V[k] = SparseSeries.truncate(x, ring.one.pc)
+        V[k] = SparseSeries.truncate(solve_additive(Uk, rk), ring.one.pc)
     return witt.WittVector(p, ring, V)
 
 

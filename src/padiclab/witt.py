@@ -58,6 +58,9 @@ def _p_mul(a: dict, b: dict) -> dict:
 
 
 def _p_divexact(a: dict, k: int) -> dict:
+    # a self-check: exact for targets Phi(w_k(X), w_k(Y)), Phi over Z (Serre, Local
+    # Fields, II.6, Thm 6): w_k(X) = w_(k-1)(X^p) and L_i(X^p) = L_i(X)^p mod p give
+    # p^i L_i(X^p)^(p^(k-1-i)) = p^i L_i^(p^(k-i)) mod p^k, so p^k | rhs
     if any(c % k for c in a.values()):
         raise ArithmeticError("ghost lift produced a non-integral law")
     return {m: c // k for m, c in a.items()}

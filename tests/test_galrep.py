@@ -64,6 +64,18 @@ def test_binomial_series_solution():
         assert h.coeffs.get(k, F3.zero) == F3.el(ck)
 
 
+def test_packed_digits_at_their_width_bound():
+    """G = 2 + 2u + ... + O(u^200) over F_3, 1 at the exponents 5i + 1: the
+    maps -G_j G0^-1 and G_j are 2 at most j, so the packed digit sums of
+    Q's recursion and of its check pass 255 and need the two bytes that
+    d f (p-1)^2 (#maps + d) gives them.  The basis solves x^3 = x G."""
+    G = TruncSeries(R3, {e: F3.el(1 if e % 5 == 1 else 2) for e in range(200)}, 200)
+    S = solve_unit_root([[G]])
+    x = S.basis[0][0]
+    Gx = TruncSeries(x.ring, {e: S.field.coerce(c) for e, c in G.coeffs.items()}, G.prec)
+    assert S.s == 2 and x.prec == 200 and (x * x * x - x * Gx).is_zero()
+
+
 def test_solution_count_and_linearity():
     rng = random.Random(29)
     for _ in range(12):

@@ -410,6 +410,21 @@ def test_fixed_point_refuses_a_u_it_cannot_read():
                                  jmax=3, prec=F(6)).coords[0]
 
 
+@pytest.mark.parametrize("p, n, coeffs, D, jmaxes, prec, a0", [
+    (3, 4, {0: 28, 1: 1}, 2, (1, 2, 3, 4), 8, 1),
+    (3, 2, {1: 7, 2: 8}, 4, (0, 1, 2, 4), 6, 2)])
+def test_fixed_point_refuses_on_every_lattice(p, n, coeffs, D, jmaxes, prec, a0):
+    """A residue equation with no root in F_3 is read on every lattice:
+    no root of a residual caps a coordinate before its leading term is
+    solved (U = 28 + u at jmax 2 gave V_3 = 0 + O(u^0), U = 7u + 8u^2 at
+    jmax 0 gave V_1 = 0 + O(u^(3/2)))."""
+    U = TruncSeries(Zmod(p, n), coeffs, 6)
+    message = rf"^residue equation x\^3 - ff\(F3:1\) x = ff\(F3:{a0}\) has no root in F3$"
+    for jmax in jmaxes:
+        with pytest.raises(ExtensionTooSmall, match=message):
+            solve_frobenius_fixed(U, F3, n, D=D, jmax=jmax, prec=F(prec))
+
+
 def test_witt_image_asserts_each_division_by_p_k(monkeypatch):
     """x_0^9 off by 3 at step 2 (right mod 3, wrong mod 9): ghost
     component 2 less its lower terms is in 3 Z but not 9 Z, so the
@@ -445,11 +460,14 @@ def test_fixed_point_asserts_its_ghost_division(monkeypatch):
 
 def test_additive_solve_asserts_its_progress(monkeypatch):
     """With x^p made x, a peel below the balance point leaves a remainder
-    of lower valuation, which the self-check refuses."""
-    monkeypatch.setattr(PerfSeries, "pth_power", lambda self: self)
+    of lower valuation, and with x^p made 0 one of the same valuation (U x0
+    lies above it): the self-check refuses both, rather than run the loop
+    to its count."""
     U, a = monomial(F3, 2, 2, 1, F3.one, F(6)), monomial(F3, 2, 2, F(1, 3), F3.one, F(6))
-    with pytest.raises(ArithmeticError, match="^no progress in semilinear solve$"):
-        solve_additive(U, a)
+    for pth_power in (lambda self: self, lambda self: self._like({}, self.pc * self.field.p)):
+        monkeypatch.setattr(PerfSeries, "pth_power", pth_power)
+        with pytest.raises(ArithmeticError, match="^no progress in semilinear solve$"):
+            solve_additive(U, a)
 
 
 def test_witt_image_refuses_negative_exponents():

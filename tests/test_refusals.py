@@ -1,6 +1,8 @@
 """Input refusals that no other test drives, every refusal of phimod and
-logtrunc, and the certified refusals of taumod's and witt's divisions and
-orders and of galrep's rank-1 root (through a patched field), each
+logtrunc, the certified refusals of taumod's and witt's divisions and
+orders and of galrep's rank-1 root (through a patched field), and the
+self-checks of galrep's splitting degree and rank-1 substitution and of
+the Witt laws' integrality (through a patched kernel or target), each
 through the public API and asserted by its message; where a command-line
 flag reaches one, the command exits 2 with that message too, or, for a
 certified refusal, prints it as its error record."""
@@ -11,14 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from padiclab import gf, gskel, ramif, record
+from padiclab import gf, gskel, ramif, record, witt
 from padiclab.calculus import weierstrass
 from padiclab.cli import main
 from padiclab.errors import Indeterminate, NotDivisible, PrecisionError, Unsupported
 from padiclab.galrep import solve_rank1, solve_unit_root
 from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, is_bounded, log_m,
                                rdc_valuation_check)
-from padiclab.perfseries import PerfSeries, monomial, solve_additive, solve_frobenius_fixed
+from padiclab.perfseries import PerfRing, PerfSeries, monomial, solve_additive, solve_frobenius_fixed
 from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
                              snf_u_exponents, u_height)
 from padiclab.rings import FFRing, IntRing, Zmod
@@ -141,6 +143,16 @@ REFUSALS = {
     "perfseries fixed points over F_9": (
         lambda: solve_frobenius_fixed(series(Zmod(5, 2), {0: 5}), F9, 2, D=0, jmax=3, prec=6),
         ValueError, "the fixed-point solver works over F_3, not F9"),
+    # L = D p^jmax must be a positive int: a negative jmax made it a float
+    "perfseries ring of negative depth": (
+        lambda: PerfRing(F3, 2, -1, 4),
+        ValueError, "lattice depth jmax must be nonnegative, got -1"),
+    "perfseries fixed points at negative depth": (
+        lambda: solve_frobenius_fixed(series(Zmod(3, 2), {0: 1, 1: 1}), F3, 2, jmax=-1, prec=6),
+        ValueError, "lattice depth jmax must be nonnegative, got -1"),
+    "perfseries ring of denominator 0": (
+        lambda: PerfRing(F3, 0, 1, 4),
+        ValueError, "lattice denominator D must be positive, got 0"),
     "perfseries solve_additive with U = 0": (
         lambda: solve_additive(PerfSeries(F3, 2, 4, {}, 6), monomial(F3, 2, 4, 1, F3.one, 6)),
         ValueError, "U must be nonzero"),
@@ -267,6 +279,33 @@ def test_each_refusal_raises_its_message(name, capsys):
         assert json.loads(captured.out)["results"] == [record(
             "error", f"{error.__name__}: {message}", exact=False, precision="n/a",
             anchor="error")]
+
+
+def test_splitting_degree_asserts_langs_bound(monkeypatch):
+    """A matrix_order that finds no order up to p^d - 1, where the search
+    is capped by Lang's bound and not by gf.MAX_ORDER, is refused by name."""
+    monkeypatch.setattr(gf.GF, "matrix_order", lambda self, A, bound: None)
+    with pytest.raises(ArithmeticError, match=r"^N has order above p\^d - 1 = 2 in GL_1\(F_3\)$"):
+        solve_rank1(1, 2, F3)
+
+
+def test_rank1_asserts_its_substitution(monkeypatch):
+    """gamma = 1 offered as a square root of 2 in F_9: u^(1/2) fails
+    x^3 = 2u x, and the solver refuses rather than return it."""
+    monkeypatch.setattr(gf.GF, "frobenius_solutions", lambda self, *args: [self.zero, self.one])
+    with pytest.raises(ArithmeticError, match="^rank-1 solution failed substitution$"):
+        solve_rank1(1, 2, F3)
+
+
+def test_witt_laws_assert_their_integrality():
+    """Targets X_0, X_1 are no ghost sum: w_1 = X_0^3 + 3 X_1 = X_1 would
+    need X_1 - X_0^3 divisible by 3, and the lift refuses to divide."""
+    targets = [{(1, 0): 1}, {(0, 1): 1}]
+    with pytest.raises(ArithmeticError, match="^ghost lift produced a non-integral law$"):
+        witt._solve_laws(3, 2, targets)
+    sums = witt._solve_laws(3, 2, [witt._p_add(witt._ghost(3, k, 0, 4), witt._ghost(3, k, 2, 4))
+                                   for k in range(2)])
+    assert sums[0] == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}
 
 
 def test_rank1_without_a_root_in_its_splitting_field(monkeypatch):

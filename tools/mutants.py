@@ -46,6 +46,11 @@ REPORT = os.path.join(ROOT, "MUTANTS.json")
 MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                  "tests/test_digit_codecs.py"],
           "calculus": ["tests/test_series.py"],
+          "galrep": ["tests/test_galrep.py", "tests/test_splitting.py",
+                     "tests/test_modp_fast_paths.py", "tests/test_digit_codecs.py",
+                     "tests/test_refusals.py", "tests/test_phimod.py", "tests/test_matrix.py",
+                     "tests/test_value_classes.py", "tests/test_cli.py",
+                     "tests/test_acceptance.py"],
           "logtrunc": ["tests/test_logtrunc.py", "tests/test_refusals.py",
                        "tests/test_acceptance.py", "tests/test_value_classes.py"],
           "padic": ["tests/test_padic.py", "tests/test_value_classes.py"],
