@@ -64,16 +64,28 @@ def test_binomial_series_solution():
         assert h.coeffs.get(k, F3.zero) == F3.el(ck)
 
 
-def test_packed_digits_at_their_width_bound():
-    """G = 2 + 2u + ... + O(u^200) over F_3, 1 at the exponents 5i + 1: the
-    maps -G_j G0^-1 and G_j are 2 at most j, so the packed digit sums of
-    Q's recursion and of its check pass 255 and need the two bytes that
-    d f (p-1)^2 (#maps + d) gives them.  The basis solves x^3 = x G."""
-    G = TruncSeries(R3, {e: F3.el(1 if e % 5 == 1 else 2) for e in range(200)}, 200)
-    S = solve_unit_root([[G]])
-    x = S.basis[0][0]
-    Gx = TruncSeries(x.ring, {e: S.field.coerce(c) for e, c in G.coeffs.items()}, G.prec)
-    assert S.s == 2 and x.prec == 200 and (x * x * x - x * Gx).is_zero()
+def _width_case(d, top, low):
+    """G = 2 I + sum_(0<e<top) c_e u^e (every entry), c_e = 1 at the
+    exponents e = low mod 8, 2 elsewhere, over F_3."""
+    return [[TruncSeries(R3, {e: F3.el(1 if e % 8 == low else 2) for e in range(top) if e or i == j},
+                         top) for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("d, top, low", [(1, 200, 1), (2, 61, 5)])
+def test_packed_digits_at_their_width_bound(d, top, low):
+    """The maps -G_j G0^-1 and G_j are 2 at most j, so the packed digit
+    sums of Q's recursion and of its check pass 255 (up to 366 at d = 1,
+    279 at d = 2): they need the two bytes that d f (p-1)^2 (#maps + d)
+    gives, where d f + (p-1)^2 (#maps + d) gives one at d = 2.  Every
+    basis vector solves x^(3) = x G."""
+    G = _width_case(d, top, low)
+    S = solve_unit_root(G)
+    lift = lambda a: TruncSeries(FFRing(S.field), {e: S.field.coerce(c) for e, c in a.coeffs.items()},
+                                 a.prec)
+    for x in S.basis:
+        xG = [sum((x[i] * lift(G[i][j]) for i in range(d)), TruncSeries.zero(x[0].ring, top))
+              for j in range(d)]
+        assert all(a.prec == top and (a * a * a - b).is_zero() for a, b in zip(x, xG))
 
 
 def test_solution_count_and_linearity():
