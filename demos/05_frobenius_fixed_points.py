@@ -12,8 +12,7 @@ lattice behind your back.
 from fractions import Fraction as F
 
 from padiclab import gf, witt
-from padiclab.perfseries import (PerfRing, frobenius_fixed_residual,
-                                 solve_frobenius_fixed, zmod_series_to_witt)
+from padiclab.perfseries import PerfRing, frobenius_fixed_residual, solve_frobenius_fixed
 from padiclab.rings import Zmod
 from padiclab.series import TruncSeries
 
@@ -37,7 +36,7 @@ ring2 = PerfRing(F3, p - 1, 4, F(12))
 print(f"\nU = u(1+u): coordinate precisions {[str(c.prec) for c in V2.coords]} "
       f"(full depth retained)")
 
-Z = zmod_series_to_witt(U2, ring2, n) * V2
+Z = witt.frobenius_w(V2)  # = U V2, as phi(V2) = U V2
 m = F(1 * p ** n, p - 1)
 print(f"\nthe product UV generates the deep Witt ideal: v((UV)_0) = "
       f"{Z.coords[0].valuation()}, threshold m = {m}")

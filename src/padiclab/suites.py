@@ -138,16 +138,16 @@ def run_witt(trials: int, seed: int):
 
 
 def incwitt_fixture():
-    """U = u(1+u) over Z/9, V with phi(V)=UV, and Z = UV."""
+    """U = u(1+u) over Z/9, V with phi(V)=UV, and Z = UV, read as phi(V)."""
     from fractions import Fraction
-    from . import gf, perfseries
+    from . import gf, perfseries, witt
     from .rings import Zmod
     from .series import TruncSeries
     p, n, prec, jmax = 3, 2, Fraction(12), 4
     field = gf.field(p)
     U = TruncSeries(Zmod(p, n), {1: 1, 2: 1}, int(prec))
     V = perfseries.solve_frobenius_fixed(U, field, n, jmax=jmax, prec=prec)
-    Z = perfseries.zmod_series_to_witt(U, V.ring, n) * V
+    Z = witt.frobenius_w(V)
     return field, V.ring, Z
 
 

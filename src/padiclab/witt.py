@@ -190,13 +190,6 @@ class WittVector:
     def __mul__(self, other):
         return self._law("prod_polys", other)
 
-    def __neg__(self):
-        # p odd: -(a_0, a_1, ...) = (-a_0, -a_1, ...)
-        return WittVector(self.p, self.ring, [-c for c in self.coords])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         if not isinstance(other, WittVector):
             return NotImplemented

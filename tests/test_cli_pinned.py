@@ -13,8 +13,9 @@ of x^p - a x = b over an extension, of one command for each op that
 none of these runs, and of the one user path of two library functions
 (tests/test_reach.py), of five commands whose flag values start
 with a dash or that galois refuses for its --n, of one heightdiv
-whose det vanishes at its truncation, and of the one user path of
-statements of the library (tools/reach.py's statement census).  A change that alters
+whose det vanishes at its truncation, of the one user path of
+statements of the library (tools/reach.py's statement census), and of
+`series solvev` past the Witt laws' cap with `witt laws` refusing there.  A change that alters
 any of them on purpose regenerates the file with
 `python tests/test_cli_pinned.py` and says why.
 """
@@ -156,9 +157,16 @@ STATEMENTS = [
     "suite logm --p 3 --m 1 --trials 2 --seed 1",
     "galois rank1 --p 4294967311 --c 5 --a 1 --M 2",
 ]
+# past the Witt laws' cap: the fixed-point check evaluates no law, so
+# solvev answers at n = 5 and 6, where witt laws refuses W_5 (exit 2)
+LAW_CAP = [
+    "--p 3 --n 5 --M 8 series solvev --coeffs 0,1,1",
+    "--p 3 --n 6 --M 8 series solvev --coeffs 0,1,1",
+    "--p 3 --wittlen 5 witt laws",
+]
 COMMANDS = [f"suite {name} --trials 6 --seed 5" for name in SUITE_NAMES] + README + TAU + \
     PRECISION + SOLVEV + ORACLES + LOGM_CUT + GF_PATHS + WITT_SUITES + OPS + REACH + FLAGS + \
-    UNDECIDED + STATEMENTS
+    UNDECIDED + STATEMENTS + LAW_CAP
 
 
 def run(command):

@@ -15,6 +15,12 @@ each against the code it replaced, kept here as the reference:
   each residual step and each whole solution or refusal: seeded U over
   Z/p^n, p in {3, 5, 7}, n <= 4, D in {1, p - 1, 2(p - 1)}, precisions on
   and off the lattice, lattice caps included;
+- frobenius_fixed_residual, read from the same ghost kernel, against the
+  law residual phi(V) - U V (U's image by zmod_series_to_witt, the Witt
+  laws' product and a sum with the coordinatewise negative), coordinate
+  by coordinate up to the first nonzero one, on each solved V of the
+  cases above, on V with a unit added at each coordinate's leading term
+  and on V with a unit at a random code;
 - solve_frobenius_fixed, each coordinate solving V_k^p - Ubar^(p^k) V_k =
   r_k, against the loop that took the residual's p^k-th root, solved at
   scale 1 and raised the answer to p^k, capping the coordinate where a
@@ -32,12 +38,13 @@ from padiclab import gf, witt
 from padiclab.errors import (ExtensionTooSmall, LatticeTooCoarse, PadicLabError,
                              PrecisionError)
 from padiclab.gf import FFElt, _mulmod
-from padiclab.padic import binomials_mod_p
+from padiclab.padic import binomials_mod_p, power
 from padiclab.perfseries import (PerfRing, PerfSeries, _ghost_residual, _mod_p_image,
-                                 one_like, root_p_minus_1, solve_additive,
-                                 solve_frobenius_fixed, zmod_series_to_witt)
+                                 frobenius_fixed_residual, one_like, root_p_minus_1,
+                                 solve_additive, solve_frobenius_fixed)
 from padiclab.rings import Zmod
 from padiclab.series import SparseSeries, TruncSeries
+from test_rings import negative
 
 
 def binomial_power_by_terms(x, alpha):
@@ -194,6 +201,37 @@ def Ubar_pk(Ubar, k):
     return Ubar
 
 
+def zmod_series_to_witt(U, ring, n):
+    """U = sum c_e u^e over Z/p^m, m >= n, in W_n(PerfSeries) as sum c_e [u]^e,
+    from its ghost components w_k = sum c_e u^(e p^k) (Serre, Local Fields,
+    II.6): x_k = (w_k - sum_(i<k) p^i x_i^(p^(k-i))) / p^k mod p reads each
+    x_i only mod p, so x_i enters lifted to [0, p); x_0 is w_0 mod p.  Over
+    U's ring, on the integer exponents below every coordinate's precision
+    min(ring.prec, U.prec), each power the p-th power of the one before.
+    ArithmeticError when a division by p^k is not exact."""
+    p, R, coords = ring.p, U.ring, [_mod_p_image(U, ring, n)]
+    L, el, pc = ring.one.L, ring.field.el, coords[0].pc
+    top, x, pows = -(-pc // L), U.coeffs, []  # the integer e with e L < pc; x_k = x mod p
+    for k in range(1, n):                   # pows: x_i^(p^(k-i)) over U's ring, i < k
+        lift = TruncSeries(R, {e: c % p for e, c in x.items()}, top)
+        pows = [power(y, p, operator.mul, None) for y in pows + [lift]]
+        w = TruncSeries(R, {e * p ** k: c for e, c in U.coeffs.items()}, top)
+        for i, y in enumerate(pows):
+            w = w - y.scale(p ** i)
+        if any(c % p ** k for c in w.coeffs.values()):
+            raise ArithmeticError(f"ghost component {k} less its lower terms is not p^{k} Z")
+        x = {e: c // p ** k for e, c in w.coeffs.items()}
+        coords.append(ring.one._like({e * L: el(c) for e, c in x.items()}, pc))
+    return witt.WittVector(p, ring, coords)
+
+
+def law_residual(U, V, ring, n):
+    """phi(V) - U V in W_n(PerfSeries) on the Witt laws, as
+    frobenius_fixed_residual computed it before it read the ghost kernel:
+    the difference a sum with the negative."""
+    return witt.frobenius_w(V) + negative(zmod_series_to_witt(U, ring, n) * V)
+
+
 def solve_by_witt_laws(U, field, n, D, jmax, prec, steps=None):
     """solve_frobenius_fixed as it was on the Witt laws: each residual
     U V - phi(V) a W_n product and difference, its coordinates below k
@@ -208,7 +246,7 @@ def solve_by_witt_laws(U, field, n, D, jmax, prec, steps=None):
         raise ValueError("U must not be divisible by p")
     V = witt.WittVector(p, ring, [root_p_minus_1(Ubar)] + [ring.zero] * (n - 1))
     for k in range(1, n):
-        resid = UW * V - witt.frobenius_w(V)
+        resid = UW * V + negative(witt.frobenius_w(V))
         for j in range(k):
             if not resid.coords[j].is_zero():
                 raise PrecisionError("residual not divisible by p^k")
@@ -264,16 +302,43 @@ PINNED_SOLVEV = [(3, 2, [0, 4, 0], 6, 1), (3, 3, [1, 0, 1], 6, 1), (3, 2, [0, 1,
                  (5, 3, [0, 0, 1, 3], 7, 2), (5, 3, [0, 1, 1], 6, 1), (3, 4, [0, 2, 1], 9, 2)]
 
 
+def with_unit(V, k, code):
+    """V with the unit 1 u^(code/L) added to coordinate k."""
+    coords, c = list(V.coords), V.coords[k]
+    coords[k] = c + c._like({code: c.field.one}, c.pc)
+    return witt.WittVector(V.p, V.ring, coords)
+
+
+def assert_the_check_reads_as_the_laws(U, V, n, rng):
+    """frobenius_fixed_residual's coordinates, up to the first nonzero one,
+    are the law residual's, negated, in coefficients and precision code, on
+    V, on V with a unit added at each coordinate's leading term and on V
+    with a unit at a random code; the number of vectors and of those whose
+    residual is not zero."""
+    k = rng.randrange(n)
+    vectors = [V] + [with_unit(V, j, min(c.coeffs)) for j, c in enumerate(V.coords) if c.coeffs]
+    if V.coords[k].pc > 0:
+        vectors.append(with_unit(V, k, rng.randrange(-(-V.coords[k].pc // 1))))
+    caught = 0
+    for W in vectors:
+        got = frobenius_fixed_residual(U, W, V.ring, n)
+        want = law_residual(U, W, V.ring, n).coords[:got.n]
+        assert [coded(c) for c in got.coords] == [coded(-c) for c in want], (U, W)
+        caught += not got.is_zero()
+    return len(vectors), caught
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_fixed_points_match_the_witt_law_solver(seed):
     """Every residual step, the ghost residual against the law's coordinate
-    k on the same V, and every whole solution or refusal."""
+    k on the same V, every whole solution or refusal, and on each solution
+    the check's verdict against the law residual's."""
     rng = random.Random(f"fixed-point-ghosts:{seed}")
     cases = [fixed_point_case(rng) for _ in range(150)]
     if seed == 0:
         cases += [(TruncSeries(Zmod(p, n), dict(enumerate(cs)), M), p, n, p - 1, jmax,
                    Fraction(M)) for p, n, cs, M, jmax in PINNED_SOLVEV]
-    capped = solved = steps_seen = 0
+    capped = solved = steps_seen = checks = caught = 0
     refusals = set()
     for U, p, n, D, jmax, prec in cases:
         steps = []
@@ -290,13 +355,32 @@ def test_fixed_points_match_the_witt_law_solver(seed):
             solved += 1
             ring_pc = PerfRing(gf.field(p), D, jmax, prec).one.pc
             capped += sum(pc < ring_pc for _, _, pc in want[1:])
+            V = by_ghosts(U, gf.field(p), n, D, jmax, prec)
+            more, found = assert_the_check_reads_as_the_laws(U, V, n, rng)
+            checks, caught = checks + more, caught + found
     assert solved > 40 and capped > 5 and steps_seen > 60
+    assert checks > 3 * solved and solved < caught < checks - solved
     assert refusals == {ValueError, ExtensionTooSmall, LatticeTooCoarse}
+
+
+def test_the_check_reads_u_at_its_own_precision():
+    """U(u^(p^k)) is known to p^k times U's precision code: with V_0
+    doubled, coordinate 1 of the residual is 3 u^(15/2) + O(u^8), as the
+    laws read it, where U at its own code O(u^(6/5)) certifies only
+    O(u^(15/2))."""
+    U = TruncSeries(Zmod(5, 3), {0: 25, 1: 40, 2: 106}, 6)
+    V = solve_frobenius_fixed(U, gf.field(5), 3, D=8, jmax=5, prec=Fraction(8))
+    W = witt.WittVector(5, V.ring, [V.coords[0].scale(V.ring.field.el(2))] + list(V.coords[1:]))
+    assert assert_the_check_reads_as_the_laws(U, W, 3, random.Random(0)) == (4, 4)
+    res = frobenius_fixed_residual(U, W, V.ring, 3)
+    assert [c.terms() for c in res.coords] == [[], [(Fraction(15, 2), V.ring.field.el(3))]]
+    assert [c.prec for c in res.coords] == [Fraction(13, 2), Fraction(8)]
 
 
 def test_the_fixed_point_solver_evaluates_no_witt_law(monkeypatch):
     """With the Witt laws, sums and products made to raise, the solver still
-    answers at n = 2, 3 and 4, as the law solver did."""
+    answers at n = 2, 3 and 4, as the law solver did, and at n = 5 and 6,
+    past the laws' cap; the check reads each answer's residual zero."""
     cases = [(TruncSeries(Zmod(3, n), {0: 3, 1: 1, 2: 1}, 10), n) for n in (2, 3, 4)]
     want = [outcome(solve_by_witt_laws, U, 3, n, 2, 4, Fraction(10)) for U, n in cases]
 
@@ -310,6 +394,11 @@ def test_the_fixed_point_solver_evaluates_no_witt_law(monkeypatch):
     got = [outcome(by_ghosts, U, 3, n, 2, 4, Fraction(10)) for U, n in cases]
     assert got == want and all(isinstance(g, list) and len(g) == n
                                for g, (_, n) in zip(got, cases))
+    for n in range(2, 7):
+        U = TruncSeries(Zmod(3, n), {0: 3, 1: 1, 2: 1}, 10)
+        V = by_ghosts(U, gf.field(3), n, 2, 4, Fraction(10))
+        res = frobenius_fixed_residual(U, V, V.ring, n)
+        assert res.n == n and res.is_zero()
 
 
 # --- each coordinate's own equation against the p^k-th roots it replaced ---

@@ -10,9 +10,11 @@ from padiclab import gf, perfseries, witt
 from padiclab.errors import ExtensionTooSmall, LatticeTooCoarse, PrecisionError
 from padiclab.perfseries import (PerfRing, PerfSeries, frobenius_fixed_residual,
                                  monomial, one_like, root_p_minus_1, solve_additive,
-                                 solve_frobenius_fixed, zmod_series_to_witt)
+                                 solve_frobenius_fixed)
 from padiclab.rings import Zmod
 from padiclab.series import TruncSeries
+import test_fixed_point_kernels
+from test_fixed_point_kernels import zmod_series_to_witt
 
 F3 = gf.field(3)
 
@@ -428,15 +430,16 @@ def test_fixed_point_refuses_on_every_lattice(p, n, coeffs, D, jmaxes, prec, a0)
 def test_witt_image_asserts_each_division_by_p_k(monkeypatch):
     """x_0^9 off by 3 at step 2 (right mod 3, wrong mod 9): ghost
     component 2 less its lower terms is in 3 Z but not 9 Z, so the
-    image raises rather than read a digit."""
-    calls, power = [], perfseries.power
+    image (the reference in test_fixed_point_kernels) raises rather than
+    read a digit."""
+    calls, power = [], test_fixed_point_kernels.power
 
     def off_by_3(y, k, mul, one):
         calls.append(k)
         out = power(y, k, mul, one)
         return out + TruncSeries(y.ring, {0: 3}, out.pc) if len(calls) == 2 else out
 
-    monkeypatch.setattr(perfseries, "power", off_by_3)
+    monkeypatch.setattr(test_fixed_point_kernels, "power", off_by_3)
     U = TruncSeries(Zmod(3, 3), {0: 1, 1: 1}, 6)
     message = r"^ghost component 2 less its lower terms is not p\^2 Z$"
     with pytest.raises(ArithmeticError, match=message):

@@ -20,7 +20,8 @@ from padiclab.errors import Indeterminate, NotDivisible, PrecisionError, Unsuppo
 from padiclab.galrep import solve_rank1, solve_unit_root
 from padiclab.logtrunc import (BoundedOp, ScaledMatrix, congruent_mod, is_bounded, log_m,
                                rdc_valuation_check)
-from padiclab.perfseries import PerfRing, PerfSeries, monomial, solve_additive, solve_frobenius_fixed
+from padiclab.perfseries import (PerfRing, PerfSeries, frobenius_fixed_residual, monomial,
+                                 solve_additive, solve_frobenius_fixed)
 from padiclab.phimod import (PhiLattice, PhiModule, height_divides, is_etale,
                              snf_u_exponents, u_height)
 from padiclab.rings import FFRing, IntRing, Zmod
@@ -29,6 +30,7 @@ from padiclab.taumod import trivial_restriction_module
 from padiclab.witt import WittVector, from_int, frobenius_w, to_zmod, witt_divide
 
 F3, F9 = gf.field(3), gf.field(3, 2)
+F3_4 = PerfSeries(F3, 2, 1, {}, 4)          # zero on the lattice 1/6 Z at precision 4
 # log_m(4) at order 1, certified mod 3^3; a value mod 3^2 over p^1
 LOG4 = log_m(BoundedOp.of(3, 3, [[4]]), 1)
 HALF = ScaledMatrix(3, ((3, 6), (0, 9)), 1, 2)
@@ -153,6 +155,17 @@ REFUSALS = {
     "perfseries ring of denominator 0": (
         lambda: PerfRing(F3, 0, 1, 4),
         ValueError, "lattice denominator D must be positive, got 0"),
+    # the check reads V's coordinates on its ring's precision and length
+    "perfseries fixed-point check of a V over another ring": (
+        lambda: frobenius_fixed_residual(series(Zmod(3, 2), {0: 1, 1: 1}),
+                                         WittVector(3, PerfRing(F3, 2, 1, 4), [F3_4, F3_4]),
+                                         PerfRing(F3, 2, 1, 8), 2),
+        ValueError, "Witt vectors live in different rings"),
+    "perfseries fixed-point check of a V of another length": (
+        lambda: frobenius_fixed_residual(series(Zmod(3, 2), {0: 1, 1: 1}),
+                                         WittVector(3, PerfRing(F3, 2, 1, 4), [F3_4]),
+                                         PerfRing(F3, 2, 1, 4), 2),
+        ValueError, "Witt vectors live in different rings"),
     "perfseries solve_additive with U = 0": (
         lambda: solve_additive(PerfSeries(F3, 2, 4, {}, 6), monomial(F3, 2, 4, 1, F3.one, 6)),
         ValueError, "U must be nonzero"),

@@ -16,7 +16,7 @@ from padiclab.suites import incwitt_fixture
 from padiclab.witt import (WittVector, from_zmod, frobenius_w, generate_laws,
                            ghost_components, mul_by_p, teichmuller, to_zmod,
                            verschiebung, witt_divide)
-from test_rings import TruncSeriesRing
+from test_rings import TruncSeriesRing, negative
 
 F3R = FFRing(gf.field(3))
 
@@ -117,7 +117,7 @@ def from_int_by_doubling(k, p, n, ring):
         acc = acc + acc
         if bit == "1":
             acc = acc + unit
-    return -acc if k < 0 else acc
+    return negative(acc) if k < 0 else acc
 
 
 @pytest.mark.parametrize("p, n, ring", [(3, 3, F3R), (5, 2, Zmod(5, 1)),
@@ -179,8 +179,9 @@ def test_witt_divide_rejects_shallow():
 def test_witt_ideal_inclusion_other_parameters(p, n, h):
     """Vectors with coordinate valuations above h p^n/(p-1) divide by
     UV; a shallow leading coordinate breaks divisibility."""
-    from padiclab.perfseries import (PerfRing, PerfSeries, solve_frobenius_fixed,
-                                     zmod_series_to_witt)
+    from test_fixed_point_kernels import zmod_series_to_witt
+
+    from padiclab.perfseries import PerfRing, PerfSeries, solve_frobenius_fixed
     from padiclab.rings import Zmod
     from padiclab.series import TruncSeries
 
@@ -227,7 +228,7 @@ def test_witt_over_imperfect_series():
     for _ in range(20):
         x = WittVector(3, ring, [rs(), rs()])
         y = WittVector(3, ring, [rs(), rs()])
-        assert (x + y) - y == x
+        assert (x + y) + negative(y) == x
         assert x * teichmuller(ring.one, 3, 2, ring) == x
     # Frobenius is a ring map on the coordinates
     x = WittVector(3, ring, [rs(), rs()])
@@ -292,6 +293,15 @@ def test_law_generation_past_the_cost_bound_is_refused_before_any_law(p, n):
         with pytest.raises(ValueError, match="too large to generate"):
             generate_laws.__wrapped__(p, n)
     solve.assert_not_called()
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (13, 3), (1289, 2)])
+def test_law_generation_at_the_cost_bound_reaches_the_law_solver(p, n):
+    """The largest cost admitted at n = 4, 3 and 2 is not refused: the sum
+    and the product laws are both solved."""
+    with mock.patch.object(witt, "_solve_laws") as solve:
+        generate_laws.__wrapped__(p, n)
+    assert solve.call_count == 2
 
 
 @pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 3)])

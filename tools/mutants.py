@@ -68,7 +68,8 @@ MAPPED = {"gf": ["tests/test_gf.py", "tests/test_modp_fast_paths.py",
                      "tests/test_value_classes.py", "tests/test_acceptance.py"],
           "taumod": ["tests/test_taumod.py", "tests/test_galois_act.py"],
           "witt": ["tests/test_witt.py", "tests/test_refusals.py", "tests/test_perfseries.py",
-                   "tests/test_rings.py", "tests/test_padic.py", "tests/test_value_classes.py",
+                   "tests/test_fixed_point_kernels.py", "tests/test_rings.py",
+                   "tests/test_padic.py", "tests/test_value_classes.py",
                    "tests/test_acceptance.py"]}
 TIER1 = ["--continue-on-collection-errors"]
 MARGIN = 60
