@@ -332,7 +332,7 @@ def assert_the_check_reads_as_the_laws(U, V, n, rng):
 def test_fixed_points_match_the_witt_law_solver(seed):
     """Every residual step, the ghost residual against the law's coordinate
     k on the same V, every whole solution or refusal, and on each solution
-    the check's verdict against the law residual's."""
+    the check against the law residual."""
     rng = random.Random(f"fixed-point-ghosts:{seed}")
     cases = [fixed_point_case(rng) for _ in range(150)]
     if seed == 0:
@@ -366,8 +366,8 @@ def test_fixed_points_match_the_witt_law_solver(seed):
 def test_the_check_reads_u_at_its_own_precision():
     """U(u^(p^k)) is known to p^k times U's precision code: with V_0
     doubled, coordinate 1 of the residual is 3 u^(15/2) + O(u^8), as the
-    laws read it, where U at its own code O(u^(6/5)) certifies only
-    O(u^(15/2))."""
+    laws read it, where U(u^5) read at U mod p's code, O(u^6), certifies
+    only O(u^(15/2))."""
     U = TruncSeries(Zmod(5, 3), {0: 25, 1: 40, 2: 106}, 6)
     V = solve_frobenius_fixed(U, gf.field(5), 3, D=8, jmax=5, prec=Fraction(8))
     W = witt.WittVector(5, V.ring, [V.coords[0].scale(V.ring.field.el(2))] + list(V.coords[1:]))
